@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"raxml/internal/likelihood"
 	"raxml/internal/msa"
 	"raxml/internal/search"
 	"raxml/internal/seqgen"
@@ -332,5 +333,89 @@ func TestRunRejectsTinyData(t *testing.T) {
 	// 4 taxa / 1 char is legal; just ensure it does not crash.
 	if _, err := Run(pat, quickOpts(1, 1, 2)); err != nil {
 		t.Fatalf("minimal data set failed: %v", err)
+	}
+}
+
+// ---------- outputs do not depend on kernel set or invalidation ----------
+
+// TestOutputsIdenticalAcrossKernelsAndInvalidation runs the
+// comprehensive analysis (-f a) and a bootstrap-only run (-f b) under
+// the scalar kernels, the AVX2 kernels, and engines forced to
+// invalidate everything after every topology edit, and compares what
+// the CLI would write — RAxML_bestTree, RAxML_bipartitions,
+// RAxML_bootstrap — byte for byte, and the best log-likelihood at full
+// precision. GTRCAT is the shape whose every kernel-set-dependent loop
+// (scan join, blocked logarithm) is pinned bit-identical in all builds.
+func TestOutputsIdenticalAcrossKernelsAndInvalidation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full analyses")
+	}
+	pat := testPatterns(t, 12, 500, 31)
+	opts := Options{Bootstraps: 6, Ranks: 1, Workers: 2, SeedParsimony: 41, SeedBootstrap: 43, Model: GTRCAT}
+	type outputs struct {
+		best, bipartitions, bootstrap string
+		lnL                           float64
+	}
+	run := func(t *testing.T, kernels string, coarse bool) outputs {
+		t.Helper()
+		if err := likelihood.SetKernelMode(kernels); err != nil {
+			t.Skipf("kernel set %q: %v", kernels, err)
+		}
+		likelihood.SetCoarseInvalidation(coarse)
+		defer func() {
+			likelihood.SetCoarseInvalidation(false)
+			if err := likelihood.SetKernelMode("auto"); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		res, err := Run(pat, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out outputs
+		out.lnL = res.BestLogLikelihood
+		if out.best, err = tree.FormatNewick(res.BestTree, nil); err != nil {
+			t.Fatal(err)
+		}
+		if out.bipartitions, err = tree.FormatNewick(res.BestTree, res.Support); err != nil {
+			t.Fatal(err)
+		}
+		bs, err := RunBootstraps(pat, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range bs.Trees {
+			nw, err := tree.FormatNewick(tr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.bootstrap += nw + "\n"
+		}
+		return out
+	}
+	want := run(t, "scalar", false)
+	for _, alt := range []struct {
+		name    string
+		kernels string
+		coarse  bool
+	}{
+		{"avx2", "avx2", false},
+		{"scalar, invalidate-all", "scalar", true},
+	} {
+		t.Run(alt.name, func(t *testing.T) {
+			got := run(t, alt.kernels, alt.coarse)
+			if got.lnL != want.lnL {
+				t.Errorf("best lnL %.17g, scalar/precise %.17g", got.lnL, want.lnL)
+			}
+			if got.best != want.best {
+				t.Errorf("RAxML_bestTree differs:\n%s\n%s", got.best, want.best)
+			}
+			if got.bipartitions != want.bipartitions {
+				t.Errorf("RAxML_bipartitions differs:\n%s\n%s", got.bipartitions, want.bipartitions)
+			}
+			if got.bootstrap != want.bootstrap {
+				t.Errorf("RAxML_bootstrap differs:\n%s\n%s", got.bootstrap, want.bootstrap)
+			}
+		})
 	}
 }

@@ -289,6 +289,95 @@ func TestSPRFuzzDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	t.Run("lockstep", func(t *testing.T) { sprLockstepDistributed(t, pat, topo) })
+}
+
+// sprLockstepDistributed is the lazy-SPR half of the fuzz program: two
+// 2-rank x 1-thread distributed engines over two copies of one tree go
+// through random dangling prunes, full candidate scans, plugs with
+// junction optimization and accept-or-revert — the edits of
+// search.sprPass. One invalidates precisely (InvalidateEdge /
+// InvalidateNode: surviving views stay bound on every rank, no model
+// block ships), the other invalidates everything after every edit.
+// Same rank grid, same reduction order: every scored insertion and
+// every likelihood must agree bit for bit.
+func sprLockstepDistributed(t *testing.T, pat *msa.Patterns, topo *tree.Tree) {
+	r := rng.New(20260930)
+	same := func(step int, what string, x, y float64) {
+		t.Helper()
+		if math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("step %d (%s): precise %.17g vs invalidate-all %.17g", step, what, x, y)
+		}
+	}
+	ta, tb := topo.Clone(), topo.Clone()
+	err := Run(2, 1, pat, makeSet(t, pat, true), func(a *likelihood.Engine, _ *Pool) error {
+		return Run(2, 1, pat, makeSet(t, pat, true), func(b *likelihood.Engine, _ *Pool) error {
+			if err := a.AttachTree(ta); err != nil {
+				return err
+			}
+			if err := b.AttachTree(tb); err != nil {
+				return err
+			}
+			same(-1, "start", a.LogLikelihood(), b.LogLikelihood())
+			blocks0 := a.ModelBlocksEncoded()
+			for step := 0; step < 12; step++ {
+				edges := ta.Edges()
+				edge := edges[r.Intn(len(edges))]
+				root, attach := edge.A, edge.B
+				if ta.Nodes[attach].IsTip() {
+					root, attach = attach, root
+				}
+				pa, err := ta.DanglingPrune(root, attach)
+				if err != nil {
+					continue
+				}
+				pb, err := tb.DanglingPrune(root, attach)
+				if err != nil {
+					return err
+				}
+				a.InvalidateEdge(pa.OrigA, pa.OrigB)
+				a.InvalidateNode(attach)
+				b.InvalidateAll()
+				cands := ta.RegraftCandidates(pa, 1+r.Intn(6))
+				for _, c := range cands {
+					same(step, "scan", a.EvaluateInsertion(root, attach, c.A, c.B), b.EvaluateInsertion(root, attach, c.A, c.B))
+				}
+				target := cands[r.Intn(len(cands))]
+				if err := ta.Plug(pa, target); err != nil {
+					return err
+				}
+				if err := tb.Plug(pb, target); err != nil {
+					return err
+				}
+				a.InvalidateNode(attach)
+				b.InvalidateAll()
+				a.OptimizeJunction(attach)
+				b.OptimizeJunction(attach)
+				same(step, "plugged", a.LogLikelihood(), b.LogLikelihood())
+				if r.Intn(2) == 0 {
+					ta.UnplugKeepDangling(pa, target)
+					ta.PlugBack(pa)
+					tb.UnplugKeepDangling(pb, target)
+					tb.PlugBack(pb)
+					a.InvalidateEdge(target.A, target.B)
+					a.InvalidateNode(attach)
+					b.InvalidateAll()
+					same(step, "reverted", a.LogLikelihood(), b.LogLikelihood())
+				}
+			}
+			if n := a.ModelBlocksEncoded() - blocks0; n != 0 {
+				t.Errorf("precise engine shipped %d model blocks over topology-only edits, want 0", n)
+			}
+			if b.ModelBlocksEncoded() == 0 {
+				t.Error("reference engine shipped no model block: the reference is not invalidating everything")
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDistributedModelOptimization exercises the model-sync path: model

@@ -283,7 +283,9 @@ func TestGoldenScalingDeepTree(t *testing.T) {
 // edges, asserting after every step that the incrementally maintained
 // likelihood equals a from-scratch engine's value. This is the
 // regression net for the arena's tile rebinding: a stale tile binding
-// or a leaked validity flag shows up as a silent likelihood drift.
+// or a leaked validity flag shows up as a silent likelihood drift. The
+// lockstep subtests then pin the precise invalidation of the lazy-SPR
+// edits to an invalidate-everything reference, bit for bit.
 func TestSPRFuzzInvalidationExact(t *testing.T) {
 	r := rng.New(4242)
 	pat := randomPatterns(t, r, 16, 120)
@@ -346,6 +348,159 @@ func TestSPRFuzzInvalidationExact(t *testing.T) {
 		default: // pure evaluation at a random edge (cache reads only)
 			check(step, "eval")
 		}
+	}
+
+	sprLockstepCases(t)
+}
+
+// sprLockstep drives two engines over two copies of one tree through
+// `steps` random lazy-SPR moves — dangling prune, a scan of every
+// candidate within a random radius, then plug back, or plug + junction
+// optimization followed by accept or revert — exactly the edit program
+// of search.sprPass. Engine a invalidates precisely (InvalidateEdge /
+// InvalidateNode), engine b is the reference that invalidates everything
+// after every edit; every scored insertion and every likelihood must
+// agree bit for bit, because a view that survives an edit holds exactly
+// the values a recomputation would produce.
+func sprLockstep(t *testing.T, r *rng.RNG, steps int, a, b *Engine, ta, tb *tree.Tree) {
+	t.Helper()
+	same := func(step int, what string, x, y float64) {
+		t.Helper()
+		if math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("step %d (%s): precise %.17g vs invalidate-all %.17g", step, what, x, y)
+		}
+	}
+	if err := a.AttachTree(ta); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AttachTree(tb); err != nil {
+		t.Fatal(err)
+	}
+	same(-1, "start", a.LogLikelihood(), b.LogLikelihood())
+	scans := 0
+	for step := 0; step < steps; step++ {
+		edges := ta.Edges()
+		edge := edges[r.Intn(len(edges))]
+		root, attach := edge.A, edge.B
+		if r.Intn(2) == 0 {
+			root, attach = attach, root
+		}
+		if ta.Nodes[attach].IsTip() {
+			continue
+		}
+		pa, err := ta.DanglingPrune(root, attach)
+		if err != nil {
+			continue
+		}
+		pb, err := tb.DanglingPrune(root, attach)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.InvalidateEdge(pa.OrigA, pa.OrigB)
+		a.InvalidateNode(pa.Attach)
+		b.InvalidateAll()
+
+		cands := ta.RegraftCandidates(pa, 1+r.Intn(8))
+		for _, c := range cands {
+			same(step, "scan", a.EvaluateInsertion(root, attach, c.A, c.B), b.EvaluateInsertion(root, attach, c.A, c.B))
+			scans++
+		}
+		if r.Intn(4) == 0 {
+			ta.PlugBack(pa)
+			tb.PlugBack(pb)
+			a.InvalidateNode(attach)
+			b.InvalidateAll()
+			same(step, "plug back", a.LogLikelihood(), b.LogLikelihood())
+			continue
+		}
+		target := cands[r.Intn(len(cands))]
+		if err := ta.Plug(pa, target); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Plug(pb, target); err != nil {
+			t.Fatal(err)
+		}
+		a.InvalidateNode(attach)
+		b.InvalidateAll()
+		a.OptimizeJunction(attach)
+		b.OptimizeJunction(attach)
+		same(step, "plugged", a.LogLikelihood(), b.LogLikelihood())
+		if r.Intn(2) == 0 {
+			ta.UnplugKeepDangling(pa, target)
+			ta.PlugBack(pa)
+			tb.UnplugKeepDangling(pb, target)
+			tb.PlugBack(pb)
+			a.InvalidateEdge(target.A, target.B)
+			a.InvalidateNode(attach)
+			b.InvalidateAll()
+			same(step, "reverted", a.LogLikelihood(), b.LogLikelihood())
+		}
+		if step%5 == 4 {
+			same(step, "sweep", a.OptimizeAllBranches(1, 0), b.OptimizeAllBranches(1, 0))
+		}
+		edges = ta.Edges()
+		edge = edges[r.Intn(len(edges))]
+		same(step, "edge", a.EvaluateEdge(edge.A, edge.B), b.EvaluateEdge(edge.A, edge.B))
+	}
+	if scans < steps {
+		t.Fatalf("only %d insertions scored in %d steps", scans, steps)
+	}
+	na, nb := a.Counts()
+	ra, rb := b.Counts()
+	if na >= ra || nb != rb {
+		t.Fatalf("precise engine recomputed %d views over %d evaluations, reference %d over %d: want fewer views, same evaluations", na, nb, ra, rb)
+	}
+}
+
+// sprLockstepCases runs sprLockstep, as subtests, under every rate
+// treatment and layout the search runs on: CAT with many categories,
+// GAMMA on a 2-worker pool, a 2-partition alignment, and a bootstrap
+// weight vector with zero-weight patterns.
+func sprLockstepCases(t *testing.T) {
+	catRates := []float64{0.3, 0.7, 1.0, 1.6, 2.4}
+	cases := []struct {
+		name  string
+		build func(t *testing.T, r *rng.RNG) (*Engine, []string)
+	}{
+		{"CAT", func(t *testing.T, r *rng.RNG) (*Engine, []string) {
+			pat := randomPatterns(t, r, 14, 150)
+			return newEngine(t, pat, gtr.Default(), contentCAT(pat, 0, pat.NumPatterns(), catRates), 1), pat.Names
+		}},
+		{"GAMMA/T=2", func(t *testing.T, r *rng.RNG) (*Engine, []string) {
+			pat := randomPatterns(t, r, 14, 150)
+			rc, err := gtr.NewGamma(0.7, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return newEngine(t, pat, gtr.Default(), rc, 2), pat.Names
+		}},
+		{"CAT/2-partition/T=2", func(t *testing.T, r *rng.RNG) (*Engine, []string) {
+			a := randomAlignment(t, r, 14, 160)
+			e, pat := partitionedEngine(t, a, 2, 2, func(pat *msa.Patterns, pr msa.PartRange) (*gtr.Model, *gtr.RateCategories) {
+				return gtr.Default(), contentCAT(pat, pr.Lo, pr.Hi, catRates[:2+pr.Lo%3])
+			})
+			return e, pat.Names
+		}},
+		{"CAT/bootstrap-weights", func(t *testing.T, r *rng.RNG) (*Engine, []string) {
+			pat := randomPatterns(t, r, 14, 150)
+			e := newEngine(t, pat, gtr.Default(), contentCAT(pat, 0, pat.NumPatterns(), catRates), 1)
+			w := make([]int, pat.NumPatterns())
+			for i := 0; i < len(w); i++ {
+				w[r.Intn(len(w))]++ // a resample: about 1/e of the patterns stay at zero
+			}
+			e.SetWeights(w)
+			return e, pat.Names
+		}},
+	}
+	for _, tc := range cases {
+		t.Run("lockstep/"+tc.name, func(t *testing.T) {
+			// Identical seeds build identical data, models and weights for
+			// the two engines; the trees are two copies of one topology.
+			a, names := tc.build(t, rng.New(5150))
+			b, _ := tc.build(t, rng.New(5150))
+			tr := tree.Random(names, rng.New(5151))
+			sprLockstep(t, rng.New(5152), 30, a, b, tr, tr.Clone())
+		})
 	}
 }
 

@@ -29,9 +29,10 @@
 // depends on the viewing direction. The engine stores one CLV per
 // directed edge (node, neighbor-slot): clv(u, i) is the conditional
 // likelihood of the subtree seen from u looking away from neighbor i.
-// CLVs are computed lazily with validity flags; topology edits
-// invalidate everything, branch-length changes invalidate precisely the
-// directions that can observe the changed edge.
+// CLVs are computed lazily with validity flags; branch-length changes
+// and the SPR edits of the search invalidate precisely the directions
+// that can observe the changed edge or junction (InvalidateEdge,
+// InvalidateNode), model changes invalidate everything.
 //
 // Flat CLV arena. All directed CLVs live in ONE contiguous []float64
 // owned by the engine, carved into fixed-size tiles. A tile is the
@@ -130,6 +131,14 @@ type Dispatcher interface {
 	Aborted() bool
 }
 
+// pendantKey identifies the contents of the pendant-branch scratch
+// matrices pPend. The zero value matches no fill: cats is at least 1.
+type pendantKey struct {
+	bits  uint64 // math.Float64bits of the branch length
+	epoch uint64 // modelEpoch at fill time
+	cats  int    // totalCats at fill time
+}
+
 // partState is one partition's slice of the engine: its span on the
 // concatenated pattern axis, its model instance, and the offsets of its
 // segment within every CLV tile and matrix scratch buffer.
@@ -196,7 +205,11 @@ type Engine struct {
 	tileScale  int
 
 	// valid[node*3+slot] marks CLVs consistent with the current tree.
-	valid []bool
+	// coarse is the reference invalidation policy captured at
+	// construction (SetCoarseInvalidation): InvalidateNode degrades to
+	// InvalidateAll.
+	valid  []bool
+	coarse bool
 
 	// tipFlat packs every taxon's (undirected) tip CLV into one flat
 	// block: tipFlat[taxon*nPatterns*4 + pattern*4 + state], shared
@@ -208,13 +221,20 @@ type Engine struct {
 	tipCodeMask []uint16
 
 	// scratch transition matrices, indexed [part.pOff + category]
-	// (master-computed, read-only inside parallel sections). pLeft and
-	// pRight serve the insertion-scan kernel; pEval/pD1/pD2 the
-	// evaluate and makenewz kernels. Per-entry newview matrices live in
-	// the traversal arena.
-	pLeft, pRight [][16]float64
-	pEval         [][16]float64
-	pD1, pD2      [][16]float64
+	// (master-computed, read-only inside parallel sections). pHalf and
+	// pPend serve the insertion-scan kernel: both halves of the split
+	// insertion edge share pHalf, and pPend holds the pendant-branch
+	// matrices, which pendKey (length bits, model epoch, category
+	// layout) keeps across the candidates of one scan. pEval/pD1/pD2
+	// serve the evaluate and makenewz kernels. Per-entry newview
+	// matrices live in the traversal arena.
+	pHalf, pPend [][16]float64
+	pEval        [][16]float64
+	pD1, pD2     [][16]float64
+	pendKey      pendantKey
+
+	// blocks[w] is local worker w's log-block scratch (kernels_log.go).
+	blocks []logBlocks
 
 	// traversal descriptor state (see traversal.go): the ordered list
 	// of stale directed CLVs posted to the pool as one job, its
@@ -276,12 +296,13 @@ type Engine struct {
 	// distributed Dispatcher ships a model-sync block whenever the
 	// epoch moved since its last broadcast. Every model mutation goes
 	// through InvalidateAll (stale CLVs otherwise), so bumping there
-	// can never miss a change — topology-only InvalidateAll calls ship
-	// a redundant block, which is waste, not error. topoEpoch counts
+	// can never miss a change; topology edits go through InvalidateEdge
+	// and InvalidateNode, which leave the epoch alone. topoEpoch counts
 	// AttachTree calls, after which remote ranks must reset their tile
-	// bindings.
-	modelEpoch uint64
-	topoEpoch  uint64
+	// bindings. modelBlocks counts the model-sync blocks encoded so far.
+	modelEpoch  uint64
+	topoEpoch   uint64
+	modelBlocks int64
 
 	// serialPool is the lazily created fallback of ThreadPool for
 	// engines running on a non-threads Dispatcher.
@@ -316,10 +337,11 @@ type Engine struct {
 	lastNewtonIters      int
 	legacyMakenewz       bool
 
-	// edgeSweep/sweepStack are the reused buffers of the DFS edge
-	// ordering OptimizeAllBranches sweeps in (optimize.go).
-	edgeSweep  []tree.Edge
-	sweepStack [][2]int
+	// edgeSweep is the reused buffer of the DFS edge ordering
+	// OptimizeAllBranches sweeps in (optimize.go); walkStack the reused
+	// (node, parent) stack of that walk and of invalidateSide.
+	edgeSweep []tree.Edge
+	walkStack [][2]int
 }
 
 // Config carries the optional knobs of New.
@@ -378,6 +400,7 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 		isCAT:     set.IsCAT(),
 		nCat:      set.ClvCats(),
 		kern:      activeKernelTable(),
+		coarse:    coarseInvalidation,
 	}
 	lo := 0
 	for i, r := range spans {
@@ -422,6 +445,7 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 	}
 	e.pool.AlignRangesAt(stripeQuantum, starts)
 	e.pool.EnsureWide(len(e.parts))
+	e.blocks = make([]logBlocks, e.pool.Workers())
 	e.fillTravFn = e.fillTravMatrices
 	e.fillWireFn = e.fillWireIdxMatrices
 	e.weights = append([]int(nil), pat.Weights...)
@@ -653,10 +677,10 @@ func padTo(n, q int) int {
 	return (n + q - 1) / q * q
 }
 
-// InvalidateAll marks every cached CLV stale (topology or model
-// changed) and advances the model epoch: every model-state mutation in
-// the engine ends in an InvalidateAll, so distributed dispatchers use
-// the epoch as the "ship a model-sync block" trigger.
+// InvalidateAll marks every cached CLV stale and advances the model
+// epoch: every model-state mutation in the engine ends in an
+// InvalidateAll, so distributed dispatchers use the epoch as the "ship a
+// model-sync block" trigger.
 func (e *Engine) InvalidateAll() {
 	for i := range e.valid {
 		e.valid[i] = false
@@ -664,9 +688,21 @@ func (e *Engine) InvalidateAll() {
 	e.modelEpoch++
 }
 
+// coarseInvalidation is the process-wide reference policy engines
+// capture at construction, like kernelMode.
+var coarseInvalidation bool
+
+// SetCoarseInvalidation makes engines constructed afterwards answer
+// InvalidateNode with InvalidateAll — everything stale and a model-sync
+// block after every topology edit. It is the reference the precise
+// path is pinned to (same trees, same likelihood bits); production code
+// never enables it.
+func SetCoarseInvalidation(on bool) { coarseInvalidation = on }
+
 // InvalidateEdge marks stale exactly the directed CLVs whose view
 // contains edge (u, v) — every direction except the one looking toward
-// the edge. Called after changing the branch length of (u, v).
+// the edge. Called after changing the branch length of (u, v), or after
+// a topology edit created the edge.
 func (e *Engine) InvalidateEdge(u, v int) {
 	// clv(x, i) is the view of the component containing x when edge
 	// (x, nb[i]) is cut. That view excludes the changed edge exactly
@@ -677,31 +713,50 @@ func (e *Engine) InvalidateEdge(u, v int) {
 	e.invalidateSide(v, u)
 }
 
-func (e *Engine) invalidateSide(from, acrossTo int) {
-	// BFS over the component on `from`'s side of edge (from, acrossTo).
-	// parentOf[x] = x's first hop toward the changed edge.
-	type qe struct{ node, parent int }
-	queue := []qe{{from, acrossTo}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		n := &e.tree.Nodes[cur.node]
-		for slot, nb := range n.Neighbors {
-			if nb < 0 {
-				continue
-			}
-			if nb == cur.parent {
-				// clv(cur.node, slot) looks away from the changed edge's
-				// direction: it cuts the edge to `parent`, so its view
-				// excludes the changed edge → stays valid.
-				continue
-			}
-			// Every other directed view from this node contains the
-			// changed edge.
-			e.valid[cur.node*3+slot] = false
-			queue = append(queue, qe{nb, cur.node})
+// InvalidateNode marks stale exactly the directed CLVs whose view
+// contains node v: all three of v's own and, at every other node of
+// v's component, every view except the one looking toward v. It is the
+// invalidation of the lazy-SPR edits, called on the attachment node
+// after tree.DanglingPrune (together with InvalidateEdge on the healed
+// edge), Plug and PlugBack: those edits change nothing but the edges at
+// the attachment node, and Disconnect/Connect keep every other node's
+// slot order, so all remaining views — a third of the main tree's and
+// every inward view of the pruned subtree — stay bound to their tiles
+// and valid. The model epoch does not move.
+func (e *Engine) InvalidateNode(v int) {
+	if e.coarse {
+		e.InvalidateAll()
+		return
+	}
+	for slot, nb := range e.tree.Nodes[v].Neighbors {
+		e.valid[v*3+slot] = false
+		if nb >= 0 {
+			e.invalidateSide(nb, v)
 		}
 	}
+}
+
+// invalidateSide walks the component on `from`'s side of edge
+// (from, acrossTo), marking stale every view that contains the edge.
+func (e *Engine) invalidateSide(from, acrossTo int) {
+	// Each stack entry is (node, parent), parent being the node's first
+	// hop toward the changed edge.
+	st := append(e.walkStack[:0], [2]int{from, acrossTo})
+	for len(st) > 0 {
+		node, parent := st[len(st)-1][0], st[len(st)-1][1]
+		st = st[:len(st)-1]
+		for slot, nb := range e.tree.Nodes[node].Neighbors {
+			// clv(node, slot→parent) cuts the edge toward the change, so
+			// its view excludes it and stays valid; every other view from
+			// this node contains the changed edge.
+			if nb < 0 || nb == parent {
+				continue
+			}
+			e.valid[node*3+slot] = false
+			st = append(st, [2]int{nb, node})
+		}
+	}
+	e.walkStack = st
 }
 
 // ensureP recomputes the per-partition matrix-scratch offsets (pOff:
@@ -716,23 +771,24 @@ func (e *Engine) ensureP() {
 	}
 	e.totalCats = total
 	if cap(e.pEval) < total {
-		e.pLeft = make([][16]float64, total)
-		e.pRight = make([][16]float64, total)
+		e.pHalf = make([][16]float64, total)
+		e.pPend = make([][16]float64, total)
 		e.pEval = make([][16]float64, total)
 		e.pD1 = make([][16]float64, total)
 		e.pD2 = make([][16]float64, total)
+		e.pendKey = pendantKey{}
 		return
 	}
-	e.pLeft = e.pLeft[:total]
-	e.pRight = e.pRight[:total]
+	e.pHalf = e.pHalf[:total]
+	e.pPend = e.pPend[:total]
 	e.pEval = e.pEval[:total]
 	e.pD1 = e.pD1[:total]
 	e.pD2 = e.pD2[:total]
 }
 
 // fillP computes transition matrices for every partition and rate
-// category at branch length t into the given scratch buffer (pLeft,
-// pRight or pEval), at the partitions' pOff offsets. Branch lengths are
+// category at branch length t into the given scratch buffer (pHalf,
+// pPend or pEval), at the partitions' pOff offsets. Branch lengths are
 // linked across partitions; the matrices still differ because every
 // partition has its own model and category rates.
 func (e *Engine) fillP(t float64, dst [][16]float64) {

@@ -539,7 +539,7 @@ func (e *Engine) evaluateRange(w int, r threads.Range) float64 {
 	for pi := range e.parts {
 		c := 0.0
 		if ps, lo, hi, ok := e.chunkOf(pi, r); ok {
-			c = e.evaluateChunk(ps, lo, hi)
+			c = e.evaluateChunk(&e.blocks[w], ps, lo, hi)
 		}
 		ws[pi] = c
 		sum += c
@@ -547,9 +547,31 @@ func (e *Engine) evaluateRange(w int, r threads.Range) float64 {
 	return sum
 }
 
-func (e *Engine) evaluateChunk(ps *partState, lo, hi int) float64 {
-	va := e.jobVA
-	vb := e.jobVB
+func (e *Engine) evaluateChunk(blk *logBlocks, ps *partState, lo, hi int) float64 {
+	sum := 0.0
+	for b := lo; b < hi; b += logBlockLen {
+		end := min(b+logBlockLen, hi)
+		e.edgeLogSites(blk, ps, b, end)
+		m := 0
+		for k := b; k < end; k++ {
+			if wk := e.weights[k]; wk != 0 {
+				sum += float64(wk) * blk.logs[m]
+				m++
+			}
+		}
+	}
+	return sum
+}
+
+// edgeLogSites leaves in blk.logs, in pattern order, the log site
+// likelihoods across the edge views jobVA/jobVB of the non-zero-weight
+// patterns in [lo, hi) — at most logBlockLen patterns within partition
+// ps — scale corrections applied. It is the block step shared by the
+// evaluate and site-LL kernels: join the live patterns into blk.site,
+// take all their logarithms with one logBlock call, then correct each
+// for its views' rescaling counters.
+func (e *Engine) edgeLogSites(blk *logBlocks, ps *partState, lo, hi int) {
+	va, vb := &e.jobVA, &e.jobVB
 	nCat := e.nCat
 	freqs := ps.model.Freqs
 	pEval := e.pEval[ps.pOff:]
@@ -558,21 +580,19 @@ func (e *Engine) evaluateChunk(ps *partState, lo, hi int) float64 {
 		pcat = ps.rates.PatternCategory
 	}
 	probs := ps.rates.Probs
-	a0, aStep, aCat := viewCoeffs(&va, ps)
-	b0, bStep, bCat := viewCoeffs(&vb, ps)
+	a0, aStep, aCat := viewCoeffs(va, ps)
+	b0, bStep, bCat := viewCoeffs(vb, ps)
 
-	sum := 0.0
+	m := 0
 	for k := lo; k < hi; k++ {
-		wk := e.weights[k]
-		if wk == 0 {
+		if e.weights[k] == 0 {
 			continue
 		}
-		lk := k - ps.lo
 		var site float64
 		for cat := 0; cat < nCat; cat++ {
 			pc := cat
 			if pcat != nil {
-				pc = pcat[lk]
+				pc = pcat[k-ps.lo]
 			}
 			p := &pEval[pc]
 			av := (*[4]float64)(va.vec[a0+k*aStep+cat*aCat:])
@@ -593,83 +613,53 @@ func (e *Engine) evaluateChunk(ps *partState, lo, hi int) float64 {
 				site += probs[cat] * catL
 			}
 		}
-		logSite := math.Log(math.Max(site, math.SmallestNonzeroFloat64))
+		blk.site[m] = clampSite(site)
+		m++
+	}
+	e.kern.logBlock(&blk.logs, &blk.site, m)
+
+	m = 0
+	for k := lo; k < hi; k++ {
+		if e.weights[k] == 0 {
+			continue
+		}
+		so := ps.sOff + k - ps.lo
 		if va.scale != nil {
-			logSite -= float64(va.scale[ps.sOff+lk]) * logScaleFactor
+			blk.logs[m] -= float64(va.scale[so]) * logScaleFactor
 		}
 		if vb.scale != nil {
-			logSite -= float64(vb.scale[ps.sOff+lk]) * logScaleFactor
+			blk.logs[m] -= float64(vb.scale[so]) * logScaleFactor
 		}
-		sum += float64(wk) * logSite
+		m++
 	}
-	return sum
 }
 
 // siteLLRange fills one worker's window of jobDst with per-pattern log
 // likelihoods at the edge views in jobVA/jobVB. Zero-weight patterns
 // get 0.
-func (e *Engine) siteLLRange(r threads.Range) {
+func (e *Engine) siteLLRange(w int, r threads.Range) {
 	for pi := range e.parts {
 		ps, lo, hi, ok := e.chunkOf(pi, r)
 		if ok {
-			e.siteLLChunk(ps, lo, hi)
+			e.siteLLChunk(&e.blocks[w], ps, lo, hi)
 		}
 	}
 }
 
-func (e *Engine) siteLLChunk(ps *partState, lo, hi int) {
-	va := e.jobVA
-	vb := e.jobVB
+func (e *Engine) siteLLChunk(blk *logBlocks, ps *partState, lo, hi int) {
 	dst := e.jobDst
-	nCat := e.nCat
-	freqs := ps.model.Freqs
-	pEval := e.pEval[ps.pOff:]
-	var pcat []int
-	if e.isCAT {
-		pcat = ps.rates.PatternCategory
-	}
-	probs := ps.rates.Probs
-	a0, aStep, aCat := viewCoeffs(&va, ps)
-	b0, bStep, bCat := viewCoeffs(&vb, ps)
-	for k := lo; k < hi; k++ {
-		if e.weights[k] == 0 {
-			dst[k] = 0
-			continue
-		}
-		lk := k - ps.lo
-		var site float64
-		for cat := 0; cat < nCat; cat++ {
-			pc := cat
-			if pcat != nil {
-				pc = pcat[lk]
+	for b := lo; b < hi; b += logBlockLen {
+		end := min(b+logBlockLen, hi)
+		e.edgeLogSites(blk, ps, b, end)
+		m := 0
+		for k := b; k < end; k++ {
+			if e.weights[k] == 0 {
+				dst[k] = 0
+				continue
 			}
-			p := &pEval[pc]
-			av := (*[4]float64)(va.vec[a0+k*aStep+cat*aCat:])
-			bv := (*[4]float64)(vb.vec[b0+k*bStep+cat*bCat:])
-			vb0, vb1, vb2, vb3 := bv[0], bv[1], bv[2], bv[3]
-			catL := 0.0
-			for s := 0; s < 4; s++ {
-				as := av[s]
-				if as == 0 {
-					continue
-				}
-				dot := (p[s*4]*vb0 + p[s*4+1]*vb1) + (p[s*4+2]*vb2 + p[s*4+3]*vb3)
-				catL += freqs[s] * as * dot
-			}
-			if e.isCAT {
-				site = catL
-			} else {
-				site += probs[cat] * catL
-			}
+			dst[k] = blk.logs[m]
+			m++
 		}
-		logSite := math.Log(math.Max(site, math.SmallestNonzeroFloat64))
-		if va.scale != nil {
-			logSite -= float64(va.scale[ps.sOff+lk]) * logScaleFactor
-		}
-		if vb.scale != nil {
-			logSite -= float64(vb.scale[ps.sOff+lk]) * logScaleFactor
-		}
-		dst[k] = logSite
 	}
 }
 

@@ -2,8 +2,8 @@
 
 #include "textflag.h"
 
-// AVX2 implementations of the two hottest likelihood kernels (see
-// kernels_dispatch.go and docs/kernels.md). Both are written to be
+// AVX2 implementations of the kernel table's entries (see
+// kernels_dispatch.go and docs/kernels.md). All are written to be
 // bit-identical to their scalar references: every 4-term dot product is
 // a VMULPD followed by the VHADDPD / VPERM2F128 / VBLENDPD / VADDPD
 // combine — the same pairwise association the scalar code spells out —
@@ -313,5 +313,216 @@ mkznext:
 	JNZ mkzloop
 	VMOVSD X12, d1+32(FP)
 	VMOVSD X13, d2+40(FP)
+	VZEROUPPER
+	RET
+
+// CONST4 defines a 32-byte read-only vector holding four copies of the
+// 64-bit pattern v — the broadcast constants of the blocked logarithm,
+// used as memory operands.
+#define CONST4(name, v) \
+	DATA name<>+0(SB)/8, $v  \
+	DATA name<>+8(SB)/8, $v  \
+	DATA name<>+16(SB)/8, $v \
+	DATA name<>+24(SB)/8, $v \
+	GLOBL name<>(SB), RODATA, $32
+
+CONST4(logMinNormal, 0x0010000000000000)
+CONST4(logMaxFinite, 0x7FEFFFFFFFFFFFFF)
+CONST4(logMantMask, 0x000FFFFFFFFFFFFF)
+CONST4(logHSqrt2Mant, 0x0006A09E667F3BCD)
+CONST4(logBias, 0x00000000000003FF)
+CONST4(logMagic, 0x4338000000000000) // 2^52+2^51, as integer bias and as double
+CONST4(logOne, 0x3FF0000000000000)
+CONST4(logTwo, 0x4000000000000000)
+CONST4(logHalf, 0x3FE0000000000000)
+CONST4(logLn2Hi, 0x3FE62E42FEE00000)
+CONST4(logLn2Lo, 0x3DEA39EF35793C76)
+CONST4(logL1, 0x3FE5555555555593)
+CONST4(logL2, 0x3FD999999997FA04)
+CONST4(logL3, 0x3FD2492494229359)
+CONST4(logL4, 0x3FCC71C51D8E78AF)
+CONST4(logL5, 0x3FC7466496CB03DE)
+CONST4(logL6, 0x3FC39A09D078C69F)
+CONST4(logL7, 0x3FC2F112DF3E5244)
+
+// func logBlockAVX2(n int, dst, src *float64) (special int)
+//
+// dst[i] = log(src[i]) for i < n, n a positive multiple of 4, by the
+// operation sequence of logBlockScalar (kernels_log.go) four lanes at a
+// time: the same range reduction in integer lanes, the same VDIVPD /
+// VMULPD / VADDPD / VSUBPD in the same order, no FMA. Lanes that are
+// not positive normal numbers get garbage; special is non-zero when
+// there was one, and the Go wrapper redoes those through math.Log.
+TEXT ·logBlockAVX2(SB), NOSPLIT, $0-32
+	MOVQ n+0(FP), CX
+	MOVQ dst+8(FP), DI
+	MOVQ src+16(FP), SI
+	VPXOR Y15, Y15, Y15 // special-lane accumulator
+
+logloop:
+	VMOVDQU (SI), Y0
+	// special: bits < minNormal as signed (zero, subnormal, negative)
+	// or bits > maxFinite (Inf, NaN)
+	VMOVDQU  logMinNormal<>(SB), Y1
+	VPCMPGTQ Y0, Y1, Y2
+	VPCMPGTQ logMaxFinite<>(SB), Y0, Y3
+	VPOR     Y2, Y15, Y15
+	VPOR     Y3, Y15, Y15
+
+	// f1, k = frexp(x); when f1 <= sqrt(2)/2, f1 *= 2 and k -= 1 — all
+	// exact, so done on the exponent fields: Y3 = -1 where the
+	// mantissa is above sqrt(2)/2's (no doubling), 0 elsewhere.
+	VPAND    logMantMask<>(SB), Y0, Y2
+	VPSRLQ   $52, Y0, Y1
+	VPCMPGTQ logHSqrt2Mant<>(SB), Y2, Y3
+	VPADDQ   logBias<>(SB), Y3, Y4   // 0x3FF, or 0x3FE without doubling
+	VPSLLQ   $52, Y4, Y4
+	VPOR     Y4, Y2, Y2              // f1
+	VPSUBQ   logBias<>(SB), Y1, Y1
+	VPSUBQ   Y3, Y1, Y1              // k as int64
+	VPADDQ   logMagic<>(SB), Y1, Y1
+	VSUBPD   logMagic<>(SB), Y1, Y1  // k as float64 (exact)
+
+	VSUBPD logOne<>(SB), Y2, Y2      // f = f1 - 1
+	VADDPD logTwo<>(SB), Y2, Y3
+	VDIVPD Y3, Y2, Y3                // s = f / (2 + f)
+	VMULPD Y3, Y3, Y4                // s2
+	VMULPD Y4, Y4, Y5                // s4
+	VMULPD logL7<>(SB), Y5, Y6
+	VADDPD logL5<>(SB), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD logL3<>(SB), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD logL1<>(SB), Y6, Y6
+	VMULPD Y6, Y4, Y4                // t1 = s2*(L1+s4*(L3+s4*(L5+s4*L7)))
+	VMULPD logL6<>(SB), Y5, Y6
+	VADDPD logL4<>(SB), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD logL2<>(SB), Y6, Y6
+	VMULPD Y6, Y5, Y5                // t2 = s4*(L2+s4*(L4+s4*L6))
+	VADDPD Y5, Y4, Y4                // R = t1 + t2
+	VMULPD logHalf<>(SB), Y2, Y0
+	VMULPD Y2, Y0, Y0                // hfsq = 0.5*f*f
+	VADDPD Y0, Y4, Y4                // hfsq + R
+	VMULPD Y4, Y3, Y3                // s*(hfsq+R)
+	VMULPD logLn2Lo<>(SB), Y1, Y4    // k*Ln2Lo
+	VADDPD Y4, Y3, Y3
+	VSUBPD Y3, Y0, Y0                // hfsq - (s*(hfsq+R) + k*Ln2Lo)
+	VSUBPD Y2, Y0, Y0                // ... - f
+	VMULPD logLn2Hi<>(SB), Y1, Y1    // k*Ln2Hi
+	VSUBPD Y0, Y1, Y1
+	VMOVUPD Y1, (DI)
+
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JNZ  logloop
+	VMOVMSKPD Y15, AX
+	MOVQ AX, special+24(FP)
+	VZEROUPPER
+	RET
+
+// SJMATVEC: Y0 = 4-lane vector, matrix at mb + AX -> row dots in dst.
+// MATVEC4 with three temporaries (Y1..Y3), same operation tree.
+#define SJMATVEC(mb, dst) \
+	VMULPD  0(mb)(AX*1), Y0, Y1  \
+	VMULPD  32(mb)(AX*1), Y0, Y2 \
+	VHADDPD Y2, Y1, Y1           \
+	VMULPD  64(mb)(AX*1), Y0, Y2 \
+	VMULPD  96(mb)(AX*1), Y0, Y3 \
+	VHADDPD Y3, Y2, Y2           \
+	VPERM2F128 $0x21, Y2, Y1, Y3 \
+	VBLENDPD $12, Y2, Y1, Y1     \
+	VADDPD  Y1, Y3, dst
+
+// SJPAT: one pattern of the scan join. The x and y lane blocks go
+// through matrix pcat[k] of pHalf (R8), the subtree block through the
+// same index of pPend (R9); t = ((freqs*ax)*ay)*ac holds the four
+// state terms of the pattern. Advances the view and pcat pointers.
+#define SJPAT(t) \
+	MOVQ    (R13), AX  \
+	ADDQ    $8, R13    \
+	SHLQ    $7, AX     \
+	VMOVUPD (SI), Y0   \
+	ADDQ    R10, SI    \
+	SJMATVEC(R8, Y4)   \
+	VMULPD  Y4, Y15, Y4 \
+	VMOVUPD (DX), Y0   \
+	ADDQ    R11, DX    \
+	SJMATVEC(R8, Y5)   \
+	VMULPD  Y5, Y4, Y4 \
+	VMOVUPD (BX), Y0   \
+	ADDQ    R12, BX    \
+	SJMATVEC(R9, Y5)   \
+	VMULPD  Y5, Y4, t
+
+// func scanJoinAVX2(n int, out, x *float64, xs int, y *float64, ys int, s *float64, ss int, pHalf, pPend *[16]float64, pcat *int, freqs *float64, prob float64, w *int, mode int)
+//
+// One rate-category pass of the insertion-scan join over n patterns, n
+// a positive multiple of 4; xs/ys/ss are the views' pattern strides in
+// bytes. Four patterns' state terms are transposed so that the in-order
+// state sum ((t0+t1)+t2)+t3 of the scalar reference runs vertically,
+// then out = prob*catL (mode bit 0 clear) or out + prob*catL (set).
+// Mode bit 1 marks the last pass: clamp to SmallestNonzeroFloat64 with
+// NaN passing through, and write 1 to lanes whose weight is zero.
+TEXT ·scanJoinAVX2(SB), NOSPLIT, $0-120
+	MOVQ n+0(FP), CX
+	MOVQ out+8(FP), DI
+	MOVQ x+16(FP), SI
+	MOVQ xs+24(FP), R10
+	MOVQ y+32(FP), DX
+	MOVQ ys+40(FP), R11
+	MOVQ s+48(FP), BX
+	MOVQ ss+56(FP), R12
+	MOVQ pHalf+64(FP), R8
+	MOVQ pPend+72(FP), R9
+	MOVQ pcat+80(FP), R13
+	MOVQ freqs+88(FP), AX
+	VMOVUPD (AX), Y15
+	VBROADCASTSD prob+96(FP), Y14
+	VBROADCASTSD tiny<>(SB), Y13
+	VBROADCASTSD one<>(SB), Y12
+
+sjquad:
+	SJPAT(Y8)
+	SJPAT(Y9)
+	SJPAT(Y10)
+	SJPAT(Y11)
+
+	// transpose: Y8..Y11 = state s of the four patterns
+	VUNPCKLPD  Y9, Y8, Y0
+	VUNPCKHPD  Y9, Y8, Y1
+	VUNPCKLPD  Y11, Y10, Y2
+	VUNPCKHPD  Y11, Y10, Y3
+	VPERM2F128 $0x20, Y2, Y0, Y8
+	VPERM2F128 $0x20, Y3, Y1, Y9
+	VPERM2F128 $0x31, Y2, Y0, Y10
+	VPERM2F128 $0x31, Y3, Y1, Y11
+	VADDPD Y9, Y8, Y0
+	VADDPD Y10, Y0, Y0
+	VADDPD Y11, Y0, Y0
+	VMULPD Y14, Y0, Y0
+
+	MOVQ  mode+112(FP), AX
+	TESTQ $1, AX
+	JEQ   sjfirst
+	VADDPD (DI), Y0, Y0
+
+sjfirst:
+	TESTQ $2, AX
+	JEQ   sjstore
+	VMAXPD Y0, Y13, Y0 // a NaN site is the second source: it passes
+	MOVQ   w+104(FP), AX
+	VPXOR  Y1, Y1, Y1
+	VPCMPEQQ (AX), Y1, Y1
+	VBLENDVPD Y1, Y12, Y0, Y0
+	ADDQ   $32, AX
+	MOVQ   AX, w+104(FP)
+
+sjstore:
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JNZ  sjquad
 	VZEROUPPER
 	RET

@@ -7,8 +7,9 @@ import (
 	"raxml/internal/msa"
 )
 
-// Kernel dispatch. The two hottest inner loops — the nCat == 4 GAMMA
-// inner×inner newview and the makenewz core reduction — are reached
+// Kernel dispatch. The hottest inner loops — the nCat == 4 GAMMA
+// newview shapes, the makenewz core reduction, the insertion-scan join
+// and the blocked logarithm of the log-space reductions — are reached
 // through a per-engine kernel table bound at construction, so an
 // AVX2 assembly implementation (kernels_amd64.s, amd64 && !purego
 // builds) can replace the scalar reference without a branch inside the
@@ -38,21 +39,32 @@ const (
 // mkzCoreG4 reduces the Newton d1/d2 partials of n patterns from their
 // 16-entry sumtable blocks and the probability-folded exponential
 // factor block pw (pw[0:16] = Σ-weights for L, [16:32] for d1, [32:48]
-// for d2).
+// for d2). logBlock takes the natural logarithm of the first n entries
+// of a pattern block (kernels_log.go). scanJoinCAT and scanJoinGamma
+// are the three-way CLV join of the lazy-SPR insertion scan (scan.go)
+// over len(w) patterns, writing one clamped site likelihood per
+// pattern; the GAMMA entry handles any category count, the AVX2 twin
+// taking the nCat == 4 case.
 type kernelTable struct {
-	name       string
-	newviewII4 func(dst, lv, rv []float64, pL, pR [][16]float64, lsc, rsc, dsc []int32)
-	newviewTT4 func(dst []float64, codesL, codesR []msa.State, lutL, lutR []float64, dsc []int32)
-	newviewTI4 func(dst []float64, codes []msa.State, lut, iv []float64, pm [][16]float64, isc, dsc []int32)
-	mkzCoreG4  func(tbl []float64, w []int, pw *[48]float64) (d1, d2 float64)
+	name          string
+	newviewII4    func(dst, lv, rv []float64, pL, pR [][16]float64, lsc, rsc, dsc []int32)
+	newviewTT4    func(dst []float64, codesL, codesR []msa.State, lutL, lutR []float64, dsc []int32)
+	newviewTI4    func(dst []float64, codes []msa.State, lut, iv []float64, pm [][16]float64, isc, dsc []int32)
+	mkzCoreG4     func(tbl []float64, w []int, pw *[48]float64) (d1, d2 float64)
+	logBlock      func(dst, src *[logBlockLen]float64, n int)
+	scanJoinCAT   func(out, xv, yv, sv []float64, pcat []int, pHalf, pPend [][16]float64, freqs *[4]float64, w []int)
+	scanJoinGamma func(out, xv []float64, xs int, yv []float64, ys int, sv []float64, ss int, pHalf, pPend [][16]float64, freqs *[4]float64, probs []float64, w []int)
 }
 
 var scalarKernels = kernelTable{
-	name:       "scalar",
-	newviewII4: newviewII4Scalar,
-	newviewTT4: newviewTT4Scalar,
-	newviewTI4: newviewTI4Scalar,
-	mkzCoreG4:  mkzCoreG4Scalar,
+	name:          "scalar",
+	newviewII4:    newviewII4Scalar,
+	newviewTT4:    newviewTT4Scalar,
+	newviewTI4:    newviewTI4Scalar,
+	mkzCoreG4:     mkzCoreG4Scalar,
+	logBlock:      logBlockScalar,
+	scanJoinCAT:   scanJoinCATScalar,
+	scanJoinGamma: scanJoinGammaScalar,
 }
 
 // kernelMode is the process-wide selection applied to engines built

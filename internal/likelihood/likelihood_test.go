@@ -748,3 +748,20 @@ func BenchmarkOptimizeAllBranches(b *testing.B) {
 		_ = e.OptimizeAllBranches(1, 0)
 	}
 }
+
+// TestOptimizeAllBranchesAllocs pins one warm branch-length sweep — 57
+// Newton-optimized edges, each followed by a precise InvalidateEdge —
+// at a handful of allocations: the DFS edge order, the invalidation
+// walk and every descriptor, factor and reduction buffer are reused
+// engine state (ROADMAP direction 1, "pin the allocations").
+func TestOptimizeAllBranchesAllocs(t *testing.T) {
+	pat := randomPatterns(t, rng.New(77), 30, 300)
+	e := newEngine(t, pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), 1)
+	if err := e.AttachTree(tree.Random(pat.Names, rng.New(78))); err != nil {
+		t.Fatal(err)
+	}
+	e.OptimizeAllBranches(1, 0) // warm: arena, sumtable and scratch sized
+	if allocs := testing.AllocsPerRun(5, func() { e.OptimizeAllBranches(1, 0) }); allocs > 16 {
+		t.Fatalf("warm OptimizeAllBranches sweep allocates %.0f times, want <= 16", allocs)
+	}
+}

@@ -117,10 +117,10 @@ func (e *Engine) OptimizeAllBranches(rounds int, tol float64) float64 {
 // free after the first call at a given tree size.
 func (e *Engine) edgesDFS() []tree.Edge {
 	e.edgeSweep = e.edgeSweep[:0]
-	e.sweepStack = append(e.sweepStack[:0], [2]int{0, -1})
-	for len(e.sweepStack) > 0 {
-		top := e.sweepStack[len(e.sweepStack)-1]
-		e.sweepStack = e.sweepStack[:len(e.sweepStack)-1]
+	e.walkStack = append(e.walkStack[:0], [2]int{0, -1})
+	for len(e.walkStack) > 0 {
+		top := e.walkStack[len(e.walkStack)-1]
+		e.walkStack = e.walkStack[:len(e.walkStack)-1]
 		node, parent := top[0], top[1]
 		if parent >= 0 {
 			e.edgeSweep = append(e.edgeSweep, tree.Edge{A: parent, B: node})
@@ -128,7 +128,7 @@ func (e *Engine) edgesDFS() []tree.Edge {
 		n := &e.tree.Nodes[node]
 		for s := len(n.Neighbors) - 1; s >= 0; s-- {
 			if v := n.Neighbors[s]; v >= 0 && v != parent {
-				e.sweepStack = append(e.sweepStack, [2]int{v, node})
+				e.walkStack = append(e.walkStack, [2]int{v, node})
 			}
 		}
 	}

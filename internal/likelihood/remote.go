@@ -188,6 +188,11 @@ type WireMaster interface {
 // reset) when they moved since its last broadcast.
 func (e *Engine) WireEpochs() (model, topo uint64) { return e.modelEpoch, e.topoEpoch }
 
+// ModelBlocksEncoded returns how many job frames this (master) engine
+// has encoded with a model-sync block — the wire cost of model
+// mutations, which topology edits must not add to.
+func (e *Engine) ModelBlocksEncoded() int64 { return e.modelBlocks }
+
 // wireViewOf builds the symbolic form of the view (node, slot).
 func (e *Engine) wireViewOf(node, slot int) WireView {
 	n := &e.tree.Nodes[node]
@@ -370,6 +375,9 @@ func (e *Engine) WireJobHeader(code threads.JobCode, includeModel, reset bool) (
 		for i := range e.wireShippedOK {
 			e.wireShippedOK[i] = false
 		}
+	}
+	if includeModel {
+		e.modelBlocks++
 	}
 	maxNode := e.tree.MaxNodeID()
 	if n := 3 * maxNode; len(e.wireShippedOK) < n {
@@ -786,6 +794,9 @@ func (e *Engine) ApplyWireModel(m *WireModel, g *WorkerGeom) error {
 		}
 	}
 	e.ensureP()
+	// The worker-side mirror of InvalidateAll's bump: matrices keyed by
+	// the epoch (pendKey) were built under the previous model.
+	e.modelEpoch++
 	return nil
 }
 
@@ -946,9 +957,7 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 			return nil, err
 		}
 	case threads.JobInsertScan:
-		e.fillP(job.T/2, e.pLeft)
-		e.fillP(job.T/2, e.pRight)
-		e.fillP(job.T2, e.pEval)
+		e.fillScanMatrices(job.T, job.T2)
 	default:
 		return nil, fmt.Errorf("likelihood: wire job code %d not executable", job.Code)
 	}

@@ -441,9 +441,9 @@ func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 		s := e.pool.Slot(w)
 		s[0], s[1] = e.makenewzCoreRange(r)
 	case threads.JobSiteLL:
-		e.siteLLRange(r)
+		e.siteLLRange(w, r)
 	case threads.JobInsertScan:
-		e.pool.Slot(w)[0] = e.insertScanRange(r)
+		e.pool.Slot(w)[0] = e.insertScanRange(w, r)
 	default:
 		panic(fmt.Sprintf("likelihood: unknown job code %d", code))
 	}

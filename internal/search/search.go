@@ -175,7 +175,11 @@ func Run(eng *likelihood.Engine, start *tree.Tree, s Settings) (*Result, error) 
 
 // sprPass performs one full sweep of lazy SPR over all prunable
 // subtrees. It applies each subtree's best insertion when the fully
-// evaluated gain exceeds epsilon.
+// evaluated gain exceeds epsilon. Every topology edit invalidates only
+// the views it changed (likelihood.Engine.InvalidateNode on the
+// attachment node, plus InvalidateEdge on an edge healed behind it), so
+// a scan reuses the views of the main tree that look away from the
+// pruning point and all views into the subtree.
 func sprPass(eng *likelihood.Engine, t *tree.Tree, radius int, epsilon float64, best *float64, res *Result) (bool, error) {
 	improved := false
 	// Enumerate candidate prunings: every directed edge (root -> attach)
@@ -191,6 +195,7 @@ func sprPass(eng *likelihood.Engine, t *tree.Tree, radius int, epsilon float64, 
 		}
 	}
 
+	var cands []tree.Edge // reused across prunings
 	for _, pr := range prunings {
 		// The tree mutates during the pass; the recorded pruning may no
 		// longer be an edge.
@@ -201,9 +206,10 @@ func sprPass(eng *likelihood.Engine, t *tree.Tree, radius int, epsilon float64, 
 		if err != nil {
 			continue // pruning not legal in current tree shape
 		}
-		eng.InvalidateAll()
+		eng.InvalidateEdge(p.OrigA, p.OrigB)
+		eng.InvalidateNode(p.Attach)
 
-		cands := t.RegraftCandidates(p, radius)
+		cands = t.AppendRegraftCandidates(cands[:0], p, radius)
 		reunion := tree.Edge{A: p.OrigA, B: p.OrigB}
 		if reunion.A > reunion.B {
 			reunion.A, reunion.B = reunion.B, reunion.A
@@ -226,17 +232,17 @@ func sprPass(eng *likelihood.Engine, t *tree.Tree, radius int, epsilon float64, 
 		if bestCand == reunion || bestLazy <= reunionLazy {
 			// No candidate looks better than staying put.
 			t.PlugBack(p)
-			eng.InvalidateAll()
+			eng.InvalidateNode(p.Attach)
 			continue
 		}
 
 		// Apply the promising move for a full evaluation.
 		if err := t.Plug(p, bestCand); err != nil {
 			t.PlugBack(p)
-			eng.InvalidateAll()
+			eng.InvalidateNode(p.Attach)
 			return improved, fmt.Errorf("search: plug failed: %v", err)
 		}
-		eng.InvalidateAll()
+		eng.InvalidateNode(p.Attach)
 		optimizeJunction(eng, p.Attach)
 		full := eng.LogLikelihood()
 		if full > *best+epsilon {
@@ -248,7 +254,8 @@ func sprPass(eng *likelihood.Engine, t *tree.Tree, radius int, epsilon float64, 
 		// Not actually better: revert.
 		t.UnplugKeepDangling(p, bestCand)
 		t.PlugBack(p)
-		eng.InvalidateAll()
+		eng.InvalidateEdge(bestCand.A, bestCand.B)
+		eng.InvalidateNode(p.Attach)
 	}
 	return improved, nil
 }
@@ -258,8 +265,8 @@ func sprPass(eng *likelihood.Engine, t *tree.Tree, radius int, epsilon float64, 
 // engine's OptimizeJunction refreshes all six endpoint views of the
 // junction with ONE combined traversal descriptor before the per-branch
 // Newton loops (each of which is one sumtable setup plus one dispatch
-// per iteration), so the move evaluation stays descriptor-batched even
-// right after the full invalidation of Plug.
+// per iteration), so the move evaluation stays descriptor-batched right
+// after Plug invalidated every view through the junction.
 func optimizeJunction(eng *likelihood.Engine, attach int) {
 	eng.OptimizeJunction(attach)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"raxml/internal/finegrain"
 	"raxml/internal/gtr"
 	"raxml/internal/likelihood"
 	"raxml/internal/msa"
@@ -236,6 +237,83 @@ func BenchmarkFastSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := Run(eng, start.Clone(), Fast()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestScanShipsNoModelBlock runs one lazy-SPR sweep over a 2-rank
+// distributed engine and counts the job frames that carried a
+// model-sync block: none, because the sweep prunes, scans, plugs and
+// reverts but never touches the model — while it does score insertions
+// and accept moves. One model mutation afterwards ships exactly one
+// block.
+func TestScanShipsNoModelBlock(t *testing.T) {
+	pat := testData(t, 12, 400, 23)
+	set := gtr.NewPartitionSet(1)
+	set.Rates[0] = gtr.NewUniform(pat.NumPatterns())
+	err := finegrain.Run(2, 1, pat, set, func(eng *likelihood.Engine, _ *finegrain.Pool) error {
+		tr := tree.Random(pat.Names, rng.New(24))
+		if err := eng.AttachTree(tr); err != nil {
+			return err
+		}
+		best := eng.LogLikelihood()
+		blocks, epoch := eng.ModelBlocksEncoded(), modelEpoch(eng)
+		res := &Result{Tree: tr}
+		if _, err := sprPass(eng, tr, 5, 0.1, &best, res); err != nil {
+			return err
+		}
+		if res.ScannedInsertions == 0 || res.AcceptedMoves == 0 {
+			t.Fatalf("sweep scored %d insertions and accepted %d moves: nothing exercised", res.ScannedInsertions, res.AcceptedMoves)
+		}
+		if got := eng.ModelBlocksEncoded() - blocks; got != 0 || modelEpoch(eng) != epoch {
+			t.Errorf("sweep shipped %d model blocks and moved the model epoch by %d, want 0 and 0",
+				got, modelEpoch(eng)-epoch)
+		}
+		eng.SetWeights(nil) // one model-state mutation
+		eng.LogLikelihood()
+		eng.LogLikelihood()
+		if got := eng.ModelBlocksEncoded() - blocks; got != 1 {
+			t.Errorf("%d model blocks after one model mutation, want 1", got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func modelEpoch(eng *likelihood.Engine) uint64 {
+	m, _ := eng.WireEpochs()
+	return m
+}
+
+// BenchmarkSPRPass times one lazy-SPR sweep at the fast preset's radius
+// over a 20-taxon parsimony start tree: every prune, every scored
+// insertion, the promising plugs with their junction optimization, and
+// the invalidation between them.
+func BenchmarkSPRPass(b *testing.B) {
+	a, _, err := seqgen.Generate(seqgen.Config{Taxa: 20, Chars: 600, Seed: 2, TreeScale: 0.5, Alpha: 0.8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pat, _ := msa.Compress(a)
+	pool := threads.NewPool(1, pat.NumPatterns())
+	defer pool.Close()
+	start := parsimony.StepwiseAddition(pat, rng.New(3), pool)
+	eng, err := likelihood.New(pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), likelihood.Config{Pool: pool})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fast := Fast()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := start.Clone()
+		if err := eng.AttachTree(t); err != nil {
+			b.Fatal(err)
+		}
+		best := eng.LogLikelihood()
+		if _, err := sprPass(eng, t, fast.MinRadius, fast.Epsilon, &best, &Result{Tree: t}); err != nil {
 			b.Fatal(err)
 		}
 	}

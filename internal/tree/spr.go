@@ -38,18 +38,19 @@ func (t *Tree) Prune(root, attach int) (*PrunedSubtree, error) {
 	p := &PrunedSubtree{Root: root, Attach: attach}
 	p.PendantLength = t.Disconnect(root, attach)
 
-	var rest []int
-	var lens []float64
+	var rest [3]int
+	var lens [3]float64
+	n := 0
 	for s, v := range t.Nodes[attach].Neighbors {
 		if v >= 0 {
-			rest = append(rest, v)
-			lens = append(lens, t.Nodes[attach].Lengths[s])
+			rest[n], lens[n] = v, t.Nodes[attach].Lengths[s]
+			n++
 		}
 	}
-	if len(rest) != 2 {
+	if n != 2 {
 		// revert and fail: attach had degree != 3
 		t.Connect(root, attach, p.PendantLength)
-		return nil, fmt.Errorf("tree: attachment node %d has degree %d", attach, len(rest)+1)
+		return nil, fmt.Errorf("tree: attachment node %d has degree %d", attach, n+1)
 	}
 	p.OrigA, p.OrigB = rest[0], rest[1]
 	p.OrigLenA, p.OrigLenB = lens[0], lens[1]
@@ -97,35 +98,37 @@ func (t *Tree) Unplug(p *PrunedSubtree, e Edge) {
 // pruned subtree. The radius is counted in edges walked from the original
 // attachment edge, mirroring RAxML's rearrangement-distance parameter.
 func (t *Tree) RegraftCandidates(p *PrunedSubtree, radius int) []Edge {
-	var out []Edge
+	return t.AppendRegraftCandidates(nil, p, radius)
+}
+
+// AppendRegraftCandidates appends RegraftCandidates' edges to dst, for
+// callers that scan one pruning after another and reuse the buffer. The
+// walk is breadth-first outward from both ends of the reunion edge; the
+// main component is a tree, so it reaches every edge once and needs no
+// visited set.
+func (t *Tree) AppendRegraftCandidates(dst []Edge, p *PrunedSubtree, radius int) []Edge {
 	type visit struct {
 		node, from int
 		depth      int
 	}
-	seen := map[Edge]bool{}
-	var queue []visit
-	queue = append(queue,
+	// The queue never holds more entries than there are candidates; the
+	// stack buffer covers a radius-15 neighbourhood without allocating.
+	var qbuf [128]visit
+	queue := append(qbuf[:0],
 		visit{p.OrigA, p.OrigB, 0},
 		visit{p.OrigB, p.OrigA, 0},
 	)
-	addEdge := func(a, b int) bool {
-		e := Edge{a, b}
-		if e.A > e.B {
-			e.A, e.B = e.B, e.A
+	addEdge := func(a, b int) {
+		if a > b {
+			a, b = b, a
 		}
-		if seen[e] {
-			return false
-		}
-		seen[e] = true
-		out = append(out, e)
-		return true
+		dst = append(dst, Edge{a, b})
 	}
 	// The direct reunion edge (OrigA, OrigB) regrafts back to the original
 	// position — include it so "no change" is always a candidate.
 	addEdge(p.OrigA, p.OrigB)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		if v.depth >= radius {
 			continue
 		}
@@ -137,7 +140,7 @@ func (t *Tree) RegraftCandidates(p *PrunedSubtree, radius int) []Edge {
 			queue = append(queue, visit{nb, v.node, v.depth + 1})
 		}
 	}
-	return out
+	return dst
 }
 
 // SPR performs a complete subtree-prune-regraft: prune the subtree rooted
