@@ -1,13 +1,16 @@
 package finegrain
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"raxml/internal/fabric"
 	"raxml/internal/likelihood"
+	"raxml/internal/msa"
 	"raxml/internal/rng"
 	"raxml/internal/tree"
 )
@@ -145,6 +148,26 @@ func TestPostAllocationFree(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("steady-state EvaluateEdge dispatch allocates %.1f times per Post, want 0", avg)
 	}
+
+	// The insertion scan on warm views, batched and through the
+	// one-candidate wrapper: frame, candidate block, wide partial and
+	// fold all reuse their slabs too.
+	p, cands := pruneForScan(t, topo)
+	scores := make([]float64, len(cands))
+	for i := 0; i < 8; i++ {
+		eng.EvaluateInsertions(p.Root, p.Attach, cands, scores)
+		_ = eng.EvaluateInsertion(p.Root, p.Attach, cands[0].A, cands[0].B)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		eng.EvaluateInsertions(p.Root, p.Attach, cands, scores)
+	}); avg != 0 {
+		t.Errorf("steady-state batched scan of %d candidates allocates %.1f times per Post, want 0", len(cands), avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		_ = eng.EvaluateInsertion(p.Root, p.Attach, cands[0].A, cands[0].B)
+	}); avg != 0 {
+		t.Errorf("steady-state one-candidate scan allocates %.1f times per Post, want 0", avg)
+	}
 	pool.Close()
 	trs[0].Close()
 	if err := <-served; err != nil {
@@ -221,46 +244,12 @@ func TestAbortMidScatterTCP(t *testing.T) {
 	}
 	want := ref.LogLikelihood()
 
-	const ranks = 3
-	master, err := fabric.ListenTCP("127.0.0.1:0", ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-	served := make(chan error, ranks-1)
-	for r := 1; r < ranks; r++ {
-		go func(r int) {
-			wt, err := fabric.DialTCP(master.Addr(), r, ranks)
-			if err != nil {
-				served <- err
-				return
-			}
-			defer wt.Close()
-			served <- Serve(wt)
-		}(r)
-	}
-	if err := master.Accept(); err != nil {
-		t.Fatal(err)
-	}
-	set := makeSet(t, pat, true)
-	pool, err := NewPool(master, pat, set, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, pool, stop := tcpGrid(t, 3, 1, pat, true)
+	defer stop()
 	if err := eng.AttachTree(topo.Clone()); err != nil {
 		t.Fatal(err)
 	}
 	abortStorm(t, pool, eng, want)
-	pool.Close()
-	for r := 1; r < ranks; r++ {
-		if err := <-served; err != nil {
-			t.Errorf("worker exit: %v", err)
-		}
-	}
 }
 
 // TestFragmentedDeltaWireTraffic pins the two wire optimizations
@@ -332,34 +321,8 @@ func TestTCPDispatchLatencySmoke(t *testing.T) {
 	pat := makeData(t, 10, 600, 1, 47)
 	topo := tree.Random(pat.Names, rng.New(23))
 
-	const ranks = 2
-	master, err := fabric.ListenTCP("127.0.0.1:0", ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-	served := make(chan error, 1)
-	go func() {
-		wt, err := fabric.DialTCP(master.Addr(), 1, ranks)
-		if err != nil {
-			served <- err
-			return
-		}
-		defer wt.Close()
-		served <- Serve(wt)
-	}()
-	if err := master.Accept(); err != nil {
-		t.Fatal(err)
-	}
-	set := makeSet(t, pat, true)
-	pool, err := NewPool(master, pat, set, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, _, stop := tcpGrid(t, 2, 1, pat, true)
+	defer stop()
 	if err := eng.AttachTree(topo); err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +342,238 @@ func TestTCPDispatchLatencySmoke(t *testing.T) {
 		t.Errorf("TCP dispatch latency %v/op exceeds the 5ms smoke bound", per)
 	}
 	t.Logf("TCP steady-state dispatch: %v/op", per)
-	pool.Close()
+}
+
+// pruneForScan prunes the first subtree of topo with at least eight
+// regraft candidates within radius 6, leaving it dangling, and returns
+// it with those candidates.
+func pruneForScan(t *testing.T, topo *tree.Tree) (*tree.PrunedSubtree, []tree.Edge) {
+	t.Helper()
+	for _, edge := range topo.Edges() {
+		for _, dir := range [][2]int{{edge.A, edge.B}, {edge.B, edge.A}} {
+			if topo.Nodes[dir[1]].IsTip() {
+				continue
+			}
+			p, err := topo.DanglingPrune(dir[0], dir[1])
+			if err != nil {
+				continue
+			}
+			if cands := topo.RegraftCandidates(p, 6); len(cands) >= 8 {
+				return p, cands
+			}
+			topo.PlugBack(p)
+		}
+	}
+	t.Fatal("no subtree with eight regraft candidates")
+	return nil, nil
+}
+
+// tcpGrid builds a master pool and engine over `ranks` loopback TCP
+// ranks served by in-process workers; stop shuts the grid down and
+// reports worker failures.
+func tcpGrid(t *testing.T, ranks, threadsPerRank int, pat *msa.Patterns, cat bool) (eng *likelihood.Engine, pool *Pool, stop func()) {
+	t.Helper()
+	master, err := fabric.ListenTCP("127.0.0.1:0", ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, ranks-1)
+	for r := 1; r < ranks; r++ {
+		go func(r int) {
+			wt, err := fabric.DialTCP(master.Addr(), r, ranks)
+			if err != nil {
+				served <- err
+				return
+			}
+			defer wt.Close()
+			served <- Serve(wt)
+		}(r)
+	}
+	if err := master.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	set := makeSet(t, pat, cat)
+	if pool, err = NewPool(master, pat, set, threadsPerRank); err != nil {
+		t.Fatal(err)
+	}
+	if eng, err = likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool}); err != nil {
+		t.Fatal(err)
+	}
+	return eng, pool, func() {
+		pool.Close()
+		for r := 1; r < ranks; r++ {
+			if err := <-served; err != nil {
+				t.Errorf("worker exit: %v", err)
+			}
+		}
+		master.Close()
+	}
+}
+
+// scanOnce drives one cold batched scan on a distributed engine and
+// checks its cost at the transport counters — one dispatch, one
+// broadcast, one reduction, `frames` frames per remote rank, no model
+// block — and its bits: every score equals the warm one-candidate call
+// on the same engine and grid.
+func scanOnce(t *testing.T, eng *likelihood.Engine, pool *Pool, topo *tree.Tree, frames func(entries int) int64) {
+	t.Helper()
+	if err := eng.AttachTree(topo); err != nil {
+		t.Fatal(err)
+	}
+	_ = eng.LogLikelihood() // ships the model block and the tile reset
+	p, cands := pruneForScan(t, topo)
+	eng.InvalidateEdge(p.OrigA, p.OrigB)
+	eng.InvalidateNode(p.Attach)
+
+	st := pool.Transport().Stats()
+	d0, b0, r0, m0 := eng.DispatchCount(), st.Broadcasts.Load(), st.Reductions.Load(), st.MessagesSent.Load()
+	blocks0 := eng.ModelBlocksEncoded()
+	got := eng.EvaluateInsertions(p.Root, p.Attach, cands, nil)
+	entries := len(eng.LastTraversal())
+	if entries == 0 {
+		t.Fatal("the scan after a prune queued no view")
+	}
+	if d, b, r := eng.DispatchCount()-d0, st.Broadcasts.Load()-b0, st.Reductions.Load()-r0; d != 1 || b != 1 || r != 1 {
+		t.Errorf("%d candidates, %d stale views: %d dispatches, %d broadcasts, %d reductions, want 1 each", len(cands), entries, d, b, r)
+	}
+	if m, want := st.MessagesSent.Load()-m0, frames(entries)*int64(pool.Transport().Size()-1); m != want {
+		t.Errorf("scan over a %d-entry descriptor sent %d frames, want %d", entries, m, want)
+	}
+	if n := eng.ModelBlocksEncoded() - blocks0; n != 0 {
+		t.Errorf("scan shipped %d model blocks, want 0", n)
+	}
+	for i, c := range cands {
+		want := eng.EvaluateInsertion(p.Root, p.Attach, c.A, c.B)
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("candidate %d (%d,%d): batched %.17g vs one-candidate call %.17g", i, c.A, c.B, got[i], want)
+		}
+	}
+}
+
+// TestScanIsOneDispatch is the distributed half of the likelihood test
+// of the same name: over 2 ranks a prune's whole candidate batch, stale
+// views included, is one frame out and one partial of N wide values
+// back per rank.
+func TestScanIsOneDispatch(t *testing.T) {
+	pat := makeData(t, 16, 600, 2, 61)
+	topo := tree.Random(pat.Names, rng.New(62))
+	err := Run(2, 2, pat, makeSet(t, pat, true), func(eng *likelihood.Engine, pool *Pool) error {
+		scanOnce(t, eng, pool, topo, func(int) int64 { return 1 })
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanFragmented forces the union descriptor of a batched scan over
+// the fragmentation threshold, on both transports: the header fragment
+// carries the candidate block, the entry fragments follow, and it is
+// still one broadcast, one reduction and the same bits.
+func TestScanFragmented(t *testing.T) {
+	forceFrag(t, 4)
+	pat := makeData(t, 16, 600, 2, 67)
+	fragmented := func(entries int) int64 {
+		if entries < fragMinEntries {
+			t.Fatalf("%d-entry descriptor is under the forced threshold %d", entries, fragMinEntries)
+		}
+		return 1 + int64((entries+fragEntries-1)/fragEntries)
+	}
+	t.Run("chan", func(t *testing.T) {
+		topo := tree.Random(pat.Names, rng.New(68))
+		err := Run(2, 1, pat, makeSet(t, pat, false), func(eng *likelihood.Engine, pool *Pool) error {
+			scanOnce(t, eng, pool, topo, fragmented)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("tcp", func(t *testing.T) {
+		eng, pool, stop := tcpGrid(t, 3, 2, pat, true)
+		defer stop()
+		scanOnce(t, eng, pool, tree.Random(pat.Names, rng.New(69)), fragmented)
+	})
+}
+
+// shortWideTransport wraps the master endpoint and, once armed, drops
+// the last wide component from every reduction partial it receives —
+// the shape of a partial answering some other job.
+type shortWideTransport struct {
+	fabric.Transport
+	armed atomic.Bool
+}
+
+func (s *shortWideTransport) Recv(from int) (byte, []byte, error) {
+	tag, payload, err := s.Transport.Recv(from)
+	if err == nil && tag == TagPartial && s.armed.Load() {
+		if nw := binary.LittleEndian.Uint32(payload[16:]); nw > 0 {
+			cut := 20 + 8*int(nw-1)
+			short := append([]byte(nil), payload[:cut]...)
+			binary.LittleEndian.PutUint32(short[16:], nw-1)
+			payload = append(short, payload[cut+8:]...)
+		}
+	}
+	return tag, payload, err
+}
+
+// TestShortWidePartialSurfacesRankDead: a partial whose wide components
+// do not number what the job expects — one per partition for an
+// evaluation, one per candidate for a scan — must fail the dispatch as a
+// desynchronized rank, not fold with that rank's stripe silently
+// missing from a score.
+func TestShortWidePartialSurfacesRankDead(t *testing.T) {
+	pat := makeData(t, 16, 600, 2, 71)
+	topo := tree.Random(pat.Names, rng.New(72))
+	trs := fabric.NewChanTransports(2)
+	served := make(chan error, 1)
+	go func() { served <- ServeSessions(trs[1]) }()
+	short := &shortWideTransport{Transport: trs[0]}
+
+	set := makeSet(t, pat, true)
+	pool, err := NewPool(short, pat, set, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AttachTree(topo); err != nil {
+		t.Fatal(err)
+	}
+	_ = eng.LogLikelihood()
+	p, cands := pruneForScan(t, topo)
+	eng.InvalidateNode(p.Attach)
+	_ = eng.EvaluateInsertions(p.Root, p.Attach, cands, nil) // healthy scan first
+
+	short.armed.Store(true)
+	for name, job := range map[string]func(){
+		"evaluate": func() { _ = eng.EvaluateEdge(cands[0].A, cands[0].B) },
+		"scan":     func() { _ = eng.EvaluateInsertions(p.Root, p.Attach, cands, nil) },
+	} {
+		panicked := func() (v any) {
+			defer func() { v = recover() }()
+			job()
+			return nil
+		}()
+		err, ok := panicked.(error)
+		if !ok {
+			t.Fatalf("%s over a short wide partial: panic value %v, want an error", name, panicked)
+		}
+		if dead := fabric.AsRankDead(err); dead == nil || dead.Rank != 1 {
+			t.Fatalf("%s over a short wide partial did not surface rank 1 as dead: %v", name, err)
+		}
+	}
+	short.armed.Store(false)
+	if dead := pool.Release(); len(dead) != 0 {
+		t.Fatalf("Release reported dead ranks %v on a healthy link", dead)
+	}
+	if err := trs[0].Send(1, TagShutdown, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := <-served; err != nil {
 		t.Errorf("worker exit: %v", err)
 	}
+	trs[0].Close()
 }

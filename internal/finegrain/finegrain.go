@@ -252,6 +252,7 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 
 	header, n := wm.WireJobHeader(code, includeModel, reset)
 	direct := n == 0
+	wantWide := wm.WireWideLen(code)
 
 	// Straggler guard: bound this dispatch's wait for every rank's
 	// partial. Armed before the first frame goes out, so the lane
@@ -337,6 +338,11 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 		default:
 			if derr := likelihood.DecodeWirePartialInto(p.remote[r], res.Payload); derr != nil {
 				err = &fabric.RankDeadError{Rank: r, Err: fmt.Errorf("finegrain: partial decode: %w", derr)}
+			} else if got := len(p.remote[r].Wide); got != wantWide {
+				// A partial for some other job: folding it would drop or
+				// misplace this rank's stripe of a score. Desynchronized,
+				// like an unexpected tag.
+				err = &fabric.RankDeadError{Rank: r, Err: fmt.Errorf("finegrain: partial carries %d wide components, job expects %d", got, wantWide)}
 			}
 		}
 		fabric.Recycle(p.tr, res.Payload)
@@ -373,7 +379,7 @@ func (p *Pool) Slot(w int) *[threads.SlotWidth]float64 { return p.local.Slot(w) 
 // worker order, then remote ranks in rank order — rank order IS
 // pattern order (stripes ascend with rank), so the reduction is
 // deterministic for a fixed grid. Only slots 0 and 1 cross the wire
-// (every current job code reduces into those); higher slots are local.
+// (every fixed-width reduction uses those); higher slots are local.
 func (p *Pool) SumSlots(i int) float64 {
 	sum := p.local.SumSlots(i)
 	if i < 2 {
@@ -410,12 +416,15 @@ func (p *Pool) EnsureWide(width int) { p.local.EnsureWide(width) }
 // WideSlot returns local worker w's wide reduction row.
 func (p *Pool) WideSlot(w int) []float64 { return p.local.WideSlot(w) }
 
-// SumWide combines wide slot i (a partition's log-likelihood
-// component) over the whole grid, local first then rank order.
+// SumWide combines wide slot i (a partition's log-likelihood component
+// after an evaluation, a candidate's score after an insertion scan)
+// over the whole grid, local first then rank order. Post has checked
+// that every rank's partial carries exactly the job's wide components,
+// so no rank's stripe can drop out of the sum.
 func (p *Pool) SumWide(i int) float64 {
 	sum := p.local.SumWide(i)
 	for _, part := range p.remote {
-		if part != nil && i < len(part.Wide) {
+		if part != nil {
 			sum += part.Wide[i]
 		}
 	}
@@ -426,7 +435,8 @@ func (p *Pool) SumWide(i int) float64 {
 // boundaries were snapped to the same quantum at construction.
 func (p *Pool) AlignRangesAt(quantum int, starts []int) { p.local.AlignRangesAt(quantum, starts) }
 
-// ForkJoin forwards master-side precomputation to the local crew.
+// ForkJoin forwards master-side precomputation to the local crew (an
+// uncounted fork: Dispatches does not move).
 func (p *Pool) ForkJoin(n, grain int, fn func(lo, hi int)) { p.local.ForkJoin(n, grain, fn) }
 
 // ForkJoinRange forwards a windowed fill to the local crew (the

@@ -1,6 +1,7 @@
 package finegrain
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -299,9 +300,12 @@ func TestSPRFuzzDistributed(t *testing.T) {
 // junction optimization and accept-or-revert — the edits of
 // search.sprPass. One invalidates precisely (InvalidateEdge /
 // InvalidateNode: surviving views stay bound on every rank, no model
-// block ships), the other invalidates everything after every edit.
-// Same rank grid, same reduction order: every scored insertion and
-// every likelihood must agree bit for bit.
+// block ships) and scores each prune with a single EvaluateInsertions
+// call — one frame, one partial of N wide values per rank; the other
+// invalidates everything after every edit and scores the candidates
+// with one one-candidate call each. Same rank grid, same reduction
+// order: every scored insertion and every likelihood must agree bit for
+// bit.
 func sprLockstepDistributed(t *testing.T, pat *msa.Patterns, topo *tree.Tree) {
 	r := rng.New(20260930)
 	same := func(step int, what string, x, y float64) {
@@ -321,6 +325,7 @@ func sprLockstepDistributed(t *testing.T, pat *msa.Patterns, topo *tree.Tree) {
 			}
 			same(-1, "start", a.LogLikelihood(), b.LogLikelihood())
 			blocks0 := a.ModelBlocksEncoded()
+			var batch []float64
 			for step := 0; step < 12; step++ {
 				edges := ta.Edges()
 				edge := edges[r.Intn(len(edges))]
@@ -340,8 +345,13 @@ func sprLockstepDistributed(t *testing.T, pat *msa.Patterns, topo *tree.Tree) {
 				a.InvalidateNode(attach)
 				b.InvalidateAll()
 				cands := ta.RegraftCandidates(pa, 1+r.Intn(6))
-				for _, c := range cands {
-					same(step, "scan", a.EvaluateInsertion(root, attach, c.A, c.B), b.EvaluateInsertion(root, attach, c.A, c.B))
+				d0 := a.DispatchCount()
+				batch = a.EvaluateInsertions(root, attach, cands, batch)
+				if d := a.DispatchCount() - d0; d != 1 {
+					return fmt.Errorf("step %d: %d candidates cost %d dispatches, want 1", step, len(cands), d)
+				}
+				for i, c := range cands {
+					same(step, "scan", batch[i], b.EvaluateInsertion(root, attach, c.A, c.B))
 				}
 				target := cands[r.Intn(len(cands))]
 				if err := ta.Plug(pa, target); err != nil {
@@ -597,10 +607,11 @@ func TestWorkerErrorSurfaces(t *testing.T) {
 
 // TestMakenewzWireTraffic is the distributed cost-model regression for
 // the two-phase eigen-basis makenewz: over 2 ranks, a full
-// OptimizeBranch on fresh endpoint views must cost exactly ONE
-// JobMakenewzSetup broadcast plus ONE JobMakenewzCore broadcast per
-// Newton iteration — each paired with exactly one rank-ordered
-// reduction — and the per-iteration frames must stay tiny (eigen
+// OptimizeBranch must cost exactly LastNewtonIterations() broadcasts —
+// the JobMakenewzSetup frame, carrying the refresh descriptor, the two
+// views and the factor block of the first evaluation, then ONE
+// JobMakenewzCore frame per further iteration — each paired with exactly
+// one rank-ordered reduction, and the warm frames must stay tiny (eigen
 // exponential factors only: no per-iteration model-sync block, no P
 // matrices). A model block on this workload ships the full weight
 // vector and would blow the per-frame bound immediately.
@@ -628,8 +639,8 @@ func TestMakenewzWireTraffic(t *testing.T) {
 			t.Error("no Newton iterations recorded")
 		}
 		dd := eng.DispatchCount() - d0
-		if dd != int64(1+iters) {
-			t.Errorf("OptimizeBranch cost %d dispatches, want 1 setup + %d iterations", dd, iters)
+		if dd != int64(iters) {
+			t.Errorf("OptimizeBranch cost %d dispatches, want %d (one per Newton iteration)", dd, iters)
 		}
 		if got := st.Broadcasts.Load() - b0; got != dd {
 			t.Errorf("%d broadcasts for %d dispatches (extra wire traffic per barrier)", got, dd)
@@ -637,13 +648,26 @@ func TestMakenewzWireTraffic(t *testing.T) {
 		if got := st.Reductions.Load() - r0; got != dd {
 			t.Errorf("%d reductions for %d dispatches", got, dd)
 		}
-		// Per-frame average over setup + iterations. The core frame is
-		// header + 3×(4·nCats) float64 ≈ 420 bytes here; a model-sync
-		// block alone would add >1200 bytes of weights.
+		// Per-frame average over the warm setup + core frames. The core
+		// frame is header + 3×(4·nCats) float64 ≈ 410 bytes here, the
+		// setup frame two views more; a model-sync block alone would add
+		// >1200 bytes of weights.
 		frames := dd * int64(pool.Transport().Size()-1)
 		perFrame := float64(st.BytesSent.Load()-by0) / float64(frames)
 		if perFrame > 600 {
 			t.Errorf("average makenewz frame is %.0f bytes; iterations must ship only eigen factors", perFrame)
+		}
+
+		// Stale endpoint views: the refresh rides the setup frame's
+		// descriptor, so the count is still the Newton iterations.
+		far := tr.Edges()[len(tr.Edges())/2]
+		tr.SetEdgeLength(far.A, far.B, 2*tr.EdgeLength(far.A, far.B))
+		eng.InvalidateEdge(far.A, far.B)
+		d0, b0, r0 = eng.DispatchCount(), st.Broadcasts.Load(), st.Reductions.Load()
+		eng.OptimizeBranch(a, b)
+		want := int64(eng.LastNewtonIterations())
+		if dd, bb, rr := eng.DispatchCount()-d0, st.Broadcasts.Load()-b0, st.Reductions.Load()-r0; dd != want || bb != want || rr != want {
+			t.Errorf("OptimizeBranch over stale views: %d dispatches, %d broadcasts, %d reductions for %d Newton iterations", dd, bb, rr, want)
 		}
 		return nil
 	})

@@ -358,10 +358,13 @@ func TestSPRFuzzInvalidationExact(t *testing.T) {
 // candidate within a random radius, then plug back, or plug + junction
 // optimization followed by accept or revert — exactly the edit program
 // of search.sprPass. Engine a invalidates precisely (InvalidateEdge /
-// InvalidateNode), engine b is the reference that invalidates everything
-// after every edit; every scored insertion and every likelihood must
-// agree bit for bit, because a view that survives an edit holds exactly
-// the values a recomputation would produce.
+// InvalidateNode) and scores each prune's candidates with a single
+// EvaluateInsertions call; engine b is the reference that invalidates
+// everything after every edit and scores them with one one-candidate
+// call each. Every scored insertion and every likelihood must agree bit
+// for bit: a view that survives an edit holds exactly the values a
+// recomputation would produce, and a candidate's partials reduce in the
+// same order in a batch as alone.
 func sprLockstep(t *testing.T, r *rng.RNG, steps int, a, b *Engine, ta, tb *tree.Tree) {
 	t.Helper()
 	same := func(step int, what string, x, y float64) {
@@ -378,6 +381,7 @@ func sprLockstep(t *testing.T, r *rng.RNG, steps int, a, b *Engine, ta, tb *tree
 	}
 	same(-1, "start", a.LogLikelihood(), b.LogLikelihood())
 	scans := 0
+	var batch []float64
 	for step := 0; step < steps; step++ {
 		edges := ta.Edges()
 		edge := edges[r.Intn(len(edges))]
@@ -401,9 +405,15 @@ func sprLockstep(t *testing.T, r *rng.RNG, steps int, a, b *Engine, ta, tb *tree
 		b.InvalidateAll()
 
 		cands := ta.RegraftCandidates(pa, 1+r.Intn(8))
-		for _, c := range cands {
-			same(step, "scan", a.EvaluateInsertion(root, attach, c.A, c.B), b.EvaluateInsertion(root, attach, c.A, c.B))
+		da, db := a.DispatchCount(), b.DispatchCount()
+		batch = a.EvaluateInsertions(root, attach, cands, batch)
+		for i, c := range cands {
+			same(step, "scan", batch[i], b.EvaluateInsertion(root, attach, c.A, c.B))
 			scans++
+		}
+		if da, db = a.DispatchCount()-da, b.DispatchCount()-db; da != 1 || db != int64(len(cands)) {
+			t.Fatalf("step %d: %d candidates cost %d dispatches batched and %d one by one, want 1 and %d",
+				step, len(cands), da, db, len(cands))
 		}
 		if r.Intn(4) == 0 {
 			ta.PlugBack(pa)

@@ -119,7 +119,8 @@ type Dispatcher interface {
 	SumWide(i int) float64
 	// AlignRangesAt snaps local worker stripes to tile quanta.
 	AlignRangesAt(quantum int, starts []int)
-	// ForkJoin is the master-side precomputation helper (no dispatch).
+	// ForkJoin is the master-side precomputation helper: the chunks run
+	// on the crew, but no job code is posted and no dispatch counted.
 	ForkJoin(n, grain int, fn func(lo, hi int))
 	// ForkJoinRange is ForkJoin over an arbitrary window [lo, hi) — the
 	// chunked P-fill of the overlapped dispatch pipeline runs through it.
@@ -221,17 +222,26 @@ type Engine struct {
 	tipCodeMask []uint16
 
 	// scratch transition matrices, indexed [part.pOff + category]
-	// (master-computed, read-only inside parallel sections). pHalf and
-	// pPend serve the insertion-scan kernel: both halves of the split
-	// insertion edge share pHalf, and pPend holds the pendant-branch
-	// matrices, which pendKey (length bits, model epoch, category
-	// layout) keeps across the candidates of one scan. pEval/pD1/pD2
-	// serve the evaluate and makenewz kernels. Per-entry newview
-	// matrices live in the traversal arena.
-	pHalf, pPend [][16]float64
-	pEval        [][16]float64
-	pD1, pD2     [][16]float64
-	pendKey      pendantKey
+	// (master-computed, read-only inside parallel sections). pPend holds
+	// the pendant-branch matrices of the insertion scan, which pendKey
+	// (length bits, model epoch, category layout) keeps across scans of
+	// one pendant length. pEval/pD1/pD2 serve the evaluate and makenewz
+	// kernels. Per-entry newview matrices live in the traversal arena,
+	// per-candidate scan matrices in scanP.
+	pPend    [][16]float64
+	pEval    [][16]float64
+	pD1, pD2 [][16]float64
+	pendKey  pendantKey
+
+	// The insertion-scan batch (scan.go): the candidates of the prune
+	// being scored, in symbolic and resolved form, and their P(txy/2)
+	// matrices — candidate i's at scanP[i*totalCats + part.pOff +
+	// category], both halves of the split insertion edge sharing them.
+	// fillScanFn is the bound fill method the fork runs. Reused across
+	// scans for the engine's whole life.
+	scanCands  []scanCand
+	scanP      [][16]float64
+	fillScanFn func(lo, hi int)
 
 	// blocks[w] is local worker w's log-block scratch (kernels_log.go).
 	blocks []logBlocks
@@ -278,18 +288,20 @@ type Engine struct {
 
 	// job inputs published by the master before posting a job code:
 	// the endpoint views of the edge being evaluated/differentiated,
-	// the three views of an insertion scan, and the site-LL output.
-	jobVA, jobVB        childView
-	jobVX, jobVY, jobVS childView
-	jobDst              []float64
+	// the subtree view of an insertion scan (its candidates' views are
+	// in scanCands), and the site-LL output.
+	jobVA, jobVB childView
+	jobVS        childView
+	jobDst       []float64
 
 	// wire metadata of the current job, recorded alongside the resolved
 	// views so a distributed Dispatcher can re-encode the job for
-	// remote ranks (see remote.go): the job's branch lengths and the
-	// symbolic (tip taxon / directed-edge) form of each view.
-	jobT, jobT2 float64
-	jobWire     [3]WireView
-	jobNViews   int
+	// remote ranks (see remote.go): the job's branch length (an edge
+	// job's edge, a scan's pendant branch) and the symbolic (tip taxon /
+	// directed-edge) form of each view.
+	jobT      float64
+	jobWire   [2]WireView
+	jobNViews int
 
 	// modelEpoch counts invalidation points at which model state
 	// (parameters, rate treatments, weights) may have changed; a
@@ -448,6 +460,7 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 	e.blocks = make([]logBlocks, e.pool.Workers())
 	e.fillTravFn = e.fillTravMatrices
 	e.fillWireFn = e.fillWireIdxMatrices
+	e.fillScanFn = e.fillScanHalves
 	e.weights = append([]int(nil), pat.Weights...)
 	e.buildTipVectors()
 	e.ensureP()
@@ -771,7 +784,6 @@ func (e *Engine) ensureP() {
 	}
 	e.totalCats = total
 	if cap(e.pEval) < total {
-		e.pHalf = make([][16]float64, total)
 		e.pPend = make([][16]float64, total)
 		e.pEval = make([][16]float64, total)
 		e.pD1 = make([][16]float64, total)
@@ -779,7 +791,6 @@ func (e *Engine) ensureP() {
 		e.pendKey = pendantKey{}
 		return
 	}
-	e.pHalf = e.pHalf[:total]
 	e.pPend = e.pPend[:total]
 	e.pEval = e.pEval[:total]
 	e.pD1 = e.pD1[:total]
@@ -787,8 +798,9 @@ func (e *Engine) ensureP() {
 }
 
 // fillP computes transition matrices for every partition and rate
-// category at branch length t into the given scratch buffer (pHalf,
-// pPend or pEval), at the partitions' pOff offsets. Branch lengths are
+// category at branch length t into the given scratch buffer (pPend,
+// pEval or one candidate's block of scanP), at the partitions' pOff
+// offsets. Branch lengths are
 // linked across partitions; the matrices still differ because every
 // partition has its own model and category rates.
 func (e *Engine) fillP(t float64, dst [][16]float64) {
@@ -859,7 +871,7 @@ func (e *Engine) setEdgeJob(a, slotA, b, slotB int, t float64) {
 	e.jobWire[0] = e.wireViewOf(a, slotA)
 	e.jobWire[1] = e.wireViewOf(b, slotB)
 	e.jobNViews = 2
-	e.jobT, e.jobT2 = t, 0
+	e.jobT = t
 }
 
 // PartitionLogLikelihoods returns the per-partition log-likelihood

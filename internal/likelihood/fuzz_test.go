@@ -22,7 +22,6 @@ func validJobFrame() []byte {
 	b := []byte{byte(threads.JobNewview), 0}
 	b = binary.LittleEndian.AppendUint32(b, 16) // MaxNode
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.125))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.25))
 	b = append(b, 0)                           // NViews
 	b = binary.LittleEndian.AppendUint32(b, 0) // entry count
 	return b
@@ -38,6 +37,23 @@ func FuzzDecodeDescriptor(f *testing.F) {
 	lie := append([]byte(nil), frame...)
 	binary.LittleEndian.PutUint32(lie[len(lie)-4:], 1<<30)
 	f.Add(lie)
+	// Scan frames: an empty candidate block (hand-built: the engine never
+	// posts an empty scan), one and forty candidates with their union
+	// descriptor, and a candidate count the remaining bytes cannot hold.
+	empty := []byte{byte(threads.JobInsertScan), 0}
+	empty = binary.LittleEndian.AppendUint32(empty, 16)
+	empty = binary.LittleEndian.AppendUint64(empty, math.Float64bits(0.125))
+	empty = appendView(append(empty, 1), WireView{Node: 3, Slot: 1})
+	empty = binary.LittleEndian.AppendUint32(empty, 0) // candidate count
+	empty = binary.LittleEndian.AppendUint32(empty, 0) // entry count
+	f.Add(empty)
+	for _, n := range []int{1, 40} {
+		scan, _, _ := scanFrame(f, n, true)
+		f.Add(scan)
+		lie := append([]byte(nil), scan...)
+		binary.LittleEndian.PutUint32(lie[scanCountOffset:], 1<<30)
+		f.Add(lie)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var j WireJob
 		_ = DecodeWireJobInto(&j, data)
@@ -59,6 +75,14 @@ func FuzzDecodeWirePartial(f *testing.F) {
 	lie := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(lie[16:20], 1<<31-1)
 	f.Add(lie)
+	// A scan's partial: one wide value per candidate.
+	scan := append([]byte(nil), valid[:16]...)
+	scan = binary.LittleEndian.AppendUint32(scan, 40)
+	for i := 0; i < 40; i++ {
+		scan = binary.LittleEndian.AppendUint64(scan, math.Float64bits(-1000-float64(i)))
+	}
+	scan = binary.LittleEndian.AppendUint32(scan, 0) // vec count
+	f.Add(scan)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p WirePartial
 		_ = DecodeWirePartialInto(&p, data)

@@ -22,7 +22,7 @@ func names(n int) []string {
 	return out
 }
 
-func randomPatterns(t *testing.T, r *rng.RNG, nTaxa, nChars int) *msa.Patterns {
+func randomPatterns(t testing.TB, r *rng.RNG, nTaxa, nChars int) *msa.Patterns {
 	t.Helper()
 	letters := []byte("ACGT")
 	a := &msa.Alignment{}

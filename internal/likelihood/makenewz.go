@@ -12,23 +12,27 @@ import (
 // partition×category filled serially on the master, three 4×4 matrix
 // products per site in the workers) with two phases:
 //
-//	Phase 1 — JobMakenewzSetup, once per branch. Workers project their
-//	pattern stripe of the two endpoint CLVs into the model eigenbasis
-//	and store the per-(site, category) 4-entry products
+//	Phase 1 — JobMakenewzSetup, once per branch. Workers first walk the
+//	job's descriptor, which refreshes whatever went stale behind the
+//	two endpoint views, then project their pattern stripe of the two
+//	endpoint CLVs into the model eigenbasis and store the per-(site,
+//	category) 4-entry products
 //
 //	    sumtable[k] = (Σ_s π_s·a_s·evec[s][k]) · (Σ_j inv[k][j]·b_j)
 //
 //	in the engine's persistent sumtable arena (one tile-shaped buffer,
 //	reused across branches; see docs/memory-layout.md). The sumtable is
 //	branch-length independent: it encodes everything about the two
-//	subtrees that the Newton iteration needs.
+//	subtrees that the Newton iteration needs. The job ends with the
+//	phase-2 reduction at the starting length, so it is also the first
+//	Newton evaluation.
 //
-//	Phase 2 — JobMakenewzCore, once per Newton iteration. The master
-//	computes, per (partition, category), just the 4 eigen exponentials
-//	exp(λ_k·r_c·t) and their λ-weighted first/second-derivative forms
-//	(gtr.Model.ExpEigen) — 12 scalars per category, no matrix fills —
-//	and workers reduce d1/d2 partials from 4-term dot products against
-//	their sumtable stripes:
+//	Phase 2 — JobMakenewzCore, once per further Newton iteration. The
+//	master computes, per (partition, category), just the 4 eigen
+//	exponentials exp(λ_k·r_c·t) and their λ-weighted first/second-
+//	derivative forms (gtr.Model.ExpEigen) — 12 scalars per category, no
+//	matrix fills — and workers reduce d1/d2 partials from 4-term dot
+//	products against their sumtable stripes:
 //
 //	    catL  = Σ_k exp(λ_k·r_c·t)          · sumtable[k]
 //	    catD1 = Σ_k λ_k·r_c·exp(λ_k·r_c·t)  · sumtable[k]
@@ -60,14 +64,23 @@ func (e *Engine) ensureSumtable() {
 	e.sumtable = e.sumtable[:e.tileFloats]
 }
 
-// makenewzSetup posts ONE JobMakenewzSetup over the fresh endpoint
-// views (a, slotA) and (b, slotB): workers fill their stripes of the
-// sumtable arena. Callers must have refreshed the views (refreshViews).
-func (e *Engine) makenewzSetup(a, slotA, b, slotB int, t float64) {
+// makenewzSetup posts ONE JobMakenewzSetup for edge (a, b): its
+// descriptor refreshes the endpoint views (a, slotA) and (b, slotB),
+// workers fill their stripes of the sumtable arena from them and then
+// reduce the derivatives at branch length t against it — the refresh,
+// the projection and the first Newton evaluation in one barrier
+// crossing. Returns d(lnL)/dt and d²(lnL)/dt² at t, the same bits a
+// makenewzCore(t) after the setup returns.
+func (e *Engine) makenewzSetup(a, slotA, b, slotB int, t float64) (d1, d2 float64) {
 	e.ensureSumtable()
+	e.beginTraversal()
+	e.queueTraversal(a, slotA)
+	e.queueTraversal(b, slotB)
+	e.prepareTraversal()
 	e.setEdgeJob(a, slotA, b, slotB, t)
-	e.beginTraversal() // views are fresh: empty descriptor
+	e.makenewzFactors(t)
 	e.dispatch(threads.JobMakenewzSetup)
+	return e.pool.SumSlots2(0, 1)
 }
 
 // ensureFactorScratch sizes the three factor buffers to the current
@@ -109,7 +122,7 @@ func (e *Engine) makenewzFactors(t float64) {
 // kernel, with ~10× less per-site work behind it.
 func (e *Engine) makenewzCore(t float64) (d1, d2 float64) {
 	e.makenewzFactors(t)
-	e.jobT, e.jobT2 = t, 0
+	e.jobT = t
 	e.jobNViews = 0 // workers need only the factors and their sumtable
 	e.beginTraversal()
 	e.dispatch(threads.JobMakenewzCore)
@@ -264,8 +277,9 @@ func (e *Engine) makenewzCoreChunk(ps *partState, lo, hi int) (d1, d2 float64) {
 // never enables it.
 func (e *Engine) SetLegacyMakenewz(enabled bool) { e.legacyMakenewz = enabled }
 
-// LastNewtonIterations returns the number of Newton iterations (core
-// dispatches) of the most recent OptimizeBranch call — exposed so
-// dispatch-accounting tests can assert "one barrier crossing per
-// iteration plus one setup" without instrumenting the loop.
+// LastNewtonIterations returns the number of Newton iterations
+// (derivative evaluations) of the most recent OptimizeBranch call — the
+// first rides the setup job, so it is also the call's dispatch count,
+// which the dispatch-accounting tests assert without instrumenting the
+// loop.
 func (e *Engine) LastNewtonIterations() int { return e.lastNewtonIters }

@@ -59,11 +59,18 @@ func derivEngines(t *testing.T, workers int) map[string]*Engine {
 	return out
 }
 
-// sumtableDerivs runs the two-phase eigen-basis path directly:
-// one setup, one core dispatch at branch length tv.
-func sumtableDerivs(e *Engine, a, slotA, b, slotB int, tv float64) (d1, d2 float64) {
-	e.makenewzSetup(a, slotA, b, slotB, tv)
-	return e.makenewzCore(tv)
+// sumtableDerivs runs the two-phase eigen-basis path directly: one
+// setup, whose closing reduction is the evaluation at tv, and one core
+// dispatch at tv again — the same reduction over the same sumtable, so
+// the two must agree bit for bit.
+func sumtableDerivs(t *testing.T, e *Engine, a, slotA, b, slotB int, tv float64) (d1, d2 float64) {
+	t.Helper()
+	s1, s2 := e.makenewzSetup(a, slotA, b, slotB, tv)
+	d1, d2 = e.makenewzCore(tv)
+	if math.Float64bits(s1) != math.Float64bits(d1) || math.Float64bits(s2) != math.Float64bits(d2) {
+		t.Fatalf("t=%g: setup job reduced (%.17g, %.17g), core job (%.17g, %.17g)", tv, s1, s2, d1, d2)
+	}
+	return d1, d2
 }
 
 // ---------- kernel equivalence ----------
@@ -88,7 +95,7 @@ func TestSumtableMatchesLegacyKernel(t *testing.T) {
 			e.refreshViews([2]int{a, slotA}, [2]int{b, slotB})
 			for _, tv := range []float64{2 * tree.MinBranchLength, 1e-4, 0.02, 0.3, 1.7} {
 				ld1, ld2 := e.branchDerivatives(a, slotA, b, slotB, tv)
-				sd1, sd2 := sumtableDerivs(e, a, slotA, b, slotB, tv)
+				sd1, sd2 := sumtableDerivs(t, e, a, slotA, b, slotB, tv)
 				if relDiff(sd1, ld1) > 1e-9 || relDiff(sd2, ld2) > 1e-9 {
 					t.Errorf("%s edge (%d,%d) t=%g: sumtable (%.12g, %.12g) vs legacy (%.12g, %.12g)",
 						name, a, b, tv, sd1, sd2, ld1, ld2)
@@ -148,7 +155,7 @@ func TestDerivativesFiniteDifference(t *testing.T) {
 			fdD2 := (lnL(tv+h2) - 2*lnL(tv) + lnL(tv-h2)) / (h2 * h2)
 
 			ld1, ld2 := e.branchDerivatives(a, slotA, b, slotB, tv)
-			sd1, sd2 := sumtableDerivs(e, a, slotA, b, slotB, tv)
+			sd1, sd2 := sumtableDerivs(t, e, a, slotA, b, slotB, tv)
 			for kernel, d := range map[string][2]float64{"legacy": {ld1, ld2}, "sumtable": {sd1, sd2}} {
 				if err := fdCheck(d[0], fdD1, 1e-4, 1e-3); err != "" {
 					t.Errorf("%s %s t=%g d1: %s (analytic %.10g, FD %.10g)", name, kernel, tv, err, d[0], fdD1)
@@ -227,12 +234,13 @@ func TestOptimizeAllBranchesSumtableGolden(t *testing.T) {
 // ---------- dispatch accounting ----------
 
 // TestMakenewzDispatchAccounting asserts the two-phase cost model on
-// the in-process pool: with fresh endpoint views, OptimizeBranch posts
-// exactly one JobMakenewzSetup plus one JobMakenewzCore per Newton
-// iteration — one barrier crossing per iteration, as before the
-// refactor, with the setup amortized across all iterations of the
-// branch. (The finegrain mirror of this assertion, including the
-// broadcast/reduction counters, lives in internal/finegrain.)
+// the in-process pool: OptimizeBranch posts exactly one job per Newton
+// iteration — the JobMakenewzSetup, which carries the endpoint-view
+// refresh in its descriptor and ends with the first derivative
+// evaluation, then one JobMakenewzCore per further iteration — whether
+// the endpoint views are fresh or stale. (The finegrain mirror of this
+// assertion, including the broadcast/reduction counters, lives in
+// internal/finegrain.)
 func TestMakenewzDispatchAccounting(t *testing.T) {
 	r := rng.New(55)
 	pat := randomPatterns(t, r, 14, 300)
@@ -251,8 +259,25 @@ func TestMakenewzDispatchAccounting(t *testing.T) {
 	if iters < 1 {
 		t.Fatalf("no Newton iterations recorded")
 	}
-	if got := e.DispatchCount() - d0; got != int64(1+iters) {
-		t.Fatalf("OptimizeBranch over fresh views cost %d dispatches, want 1 setup + %d iterations", got, iters)
+	if got := e.DispatchCount() - d0; got != int64(iters) {
+		t.Fatalf("OptimizeBranch over fresh views cost %d dispatches, want %d (one per Newton iteration)", got, iters)
+	}
+
+	// Stale endpoint views ride the setup job's descriptor: still no
+	// dispatch beyond the iterations, and the views come out fresh.
+	far := tr.Edges()[len(tr.Edges())/2]
+	tr.SetEdgeLength(far.A, far.B, 2*tr.EdgeLength(far.A, far.B))
+	e.InvalidateEdge(far.A, far.B)
+	if e.valid[b*3+e.slotOf(b, a)] {
+		t.Fatal("editing a far edge left the inner endpoint view of (a, b) valid: nothing to refresh")
+	}
+	d0 = e.DispatchCount()
+	e.OptimizeBranch(a, b)
+	if got, iters := e.DispatchCount()-d0, e.LastNewtonIterations(); got != int64(iters) {
+		t.Fatalf("OptimizeBranch over stale views cost %d dispatches, want %d (one per Newton iteration)", got, iters)
+	}
+	if !e.valid[b*3+e.slotOf(b, a)] {
+		t.Fatal("the setup job left the inner endpoint view stale")
 	}
 }
 
@@ -416,8 +441,9 @@ func benchMakenewzEngine(b *testing.B) (*Engine, int, int, int, int) {
 }
 
 // BenchmarkMakenewzSetup measures phase 1: one eigen-projection pass
-// filling the sumtable arena from the endpoint CLVs (paid once per
-// branch).
+// filling the sumtable arena from the endpoint CLVs plus the closing
+// derivative reduction at the starting length (paid once per branch, as
+// its first Newton iteration).
 func BenchmarkMakenewzSetup(b *testing.B) {
 	e, a, slotA, nb, slotB := benchMakenewzEngine(b)
 	b.ResetTimer()

@@ -26,30 +26,33 @@ const (
 
 // OptimizeBranch optimizes the length of edge (a, b) by Newton–Raphson
 // on d(lnL)/dt with a bisection-style fallback when the second
-// derivative is not usable. Returns the optimized length. The endpoint
-// views are refreshed once with a single batched traversal job and
-// projected into the model eigenbasis with one JobMakenewzSetup
-// (makenewz.go); each Newton iteration then costs one JobMakenewzCore
-// dispatch — one barrier crossing, with only the eigen exponential
-// factors recomputed on the master. Under linked branch lengths the
-// per-partition derivative partials simply add, so the partitioned
-// iteration is the same loop.
+// derivative is not usable. Returns the optimized length. The first
+// iteration is one JobMakenewzSetup (makenewz.go), which refreshes the
+// endpoint views, projects them into the model eigenbasis and evaluates
+// the derivatives at the starting length; each further iteration is one
+// JobMakenewzCore — so the call costs exactly LastNewtonIterations()
+// dispatches, with only the eigen exponential factors recomputed on the
+// master in between. Under linked branch lengths the per-partition
+// derivative partials simply add, so the partitioned iteration is the
+// same loop.
 func (e *Engine) OptimizeBranch(a, b int) float64 {
 	e.ensureArena()
 	slotA := e.slotOf(a, b)
 	slotB := e.slotOf(b, a)
-	e.refreshViews([2]int{a, slotA}, [2]int{b, slotB})
+	if e.legacyMakenewz {
+		e.refreshViews([2]int{a, slotA}, [2]int{b, slotB})
+	}
 
 	t := e.tree.EdgeLength(a, b)
-	if !e.legacyMakenewz {
-		e.makenewzSetup(a, slotA, b, slotB, t)
-	}
 	e.lastNewtonIters = 0
 	for iter := 0; iter < newtonMaxIter; iter++ {
 		var d1, d2 float64
-		if e.legacyMakenewz {
+		switch {
+		case e.legacyMakenewz:
 			d1, d2 = e.branchDerivatives(a, slotA, b, slotB, t)
-		} else {
+		case iter == 0:
+			d1, d2 = e.makenewzSetup(a, slotA, b, slotB, t)
+		default:
 			d1, d2 = e.makenewzCore(t)
 		}
 		e.lastNewtonIters++
@@ -91,7 +94,7 @@ func (e *Engine) OptimizeBranch(a, b int) float64 {
 // The sweep visits edges in depth-first discovery order (edgesDFS), not
 // node-id order: consecutive edges share a node, so after one branch's
 // SetEdgeLength invalidation the next branch's endpoint views are at
-// most one hop stale and every refreshViews descriptor stays O(1)
+// most one hop stale and every setup job's descriptor stays O(1)
 // entries — RAxML's smoothTree recursion, flattened.
 func (e *Engine) OptimizeAllBranches(rounds int, tol float64) float64 {
 	if rounds < 1 {
@@ -139,9 +142,9 @@ func (e *Engine) edgesDFS() []tree.Edge {
 // the local smoothing RAxML applies around a fresh SPR insertion point.
 // All endpoint views the sweep needs (the three views out of `center`
 // and the three views back at it) are refreshed with ONE combined
-// traversal descriptor up front, so the per-branch refreshes inside
-// OptimizeBranch see at most the one view the previous branch's length
-// change invalidated. Returns the number of branches optimized.
+// traversal descriptor up front, so the per-branch setup jobs inside
+// OptimizeBranch carry at most the one view the previous branch's
+// length change invalidated. Returns the number of branches optimized.
 func (e *Engine) OptimizeJunction(center int) int {
 	e.ensureArena()
 	n := &e.tree.Nodes[center]

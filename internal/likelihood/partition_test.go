@@ -336,9 +336,9 @@ func TestPartitionedSPRFuzzInvalidationExact(t *testing.T) {
 // ---------- parallel P-matrix fill ----------
 
 // TestParallelPFillMatchesSerial pins the forked master-side matrix
-// fill (long descriptors, multi-worker pools) to the serial fill: the
-// likelihood over a descriptor long enough to trigger ForkJoin must
-// match a single-worker engine, and still cost one dispatch.
+// fill (multi-worker pools) to the serial fill: the likelihood over a
+// descriptor forked across the crew must match a single-worker engine,
+// and still cost one dispatch — the fork is not a counted one.
 func TestParallelPFillMatchesSerial(t *testing.T) {
 	a := randomAlignment(t, rng.New(431), 40, 250) // 38 internal CLV entries per view
 	tr := tree.Random(a.Names, rng.New(432))
@@ -367,9 +367,9 @@ func TestParallelPFillMatchesSerial(t *testing.T) {
 	if d := par.DispatchCount() - d0; d != 1 {
 		t.Fatalf("parallel P-fill path cost %d dispatches, want 1", d)
 	}
-	if len(par.trav) < pFillParallelEntries {
-		t.Fatalf("descriptor of %d entries did not exercise the parallel fill (threshold %d)",
-			len(par.trav), pFillParallelEntries)
+	if min := 2 * pFillGrain * par.pool.Workers(); len(par.trav) < min {
+		t.Fatalf("descriptor of %d entries did not give every worker a fill chunk (want >= %d)",
+			len(par.trav), min)
 	}
 	if math.Abs(got-want) > 1e-9*math.Abs(want) {
 		t.Fatalf("parallel fill %.12f vs serial %.12f", got, want)

@@ -34,7 +34,8 @@ import (
 // Model state (GTR parameters, rate treatments, pattern weights) ships
 // only when the engine's model epoch has moved since the dispatcher's
 // last broadcast — branch-length-only iterations (the Newton hot loop)
-// ship nothing but the two f64 lengths and the empty descriptor.
+// ship nothing but the branch length, the factor block and the empty
+// descriptor.
 
 // WireView is the symbolic form of one job view (an endpoint of the
 // edge being evaluated, or one corner of an insertion scan): a tip
@@ -44,6 +45,20 @@ type WireView struct {
 	Taxon      int32
 	Node, Slot int32
 }
+
+// WireCand is one candidate of an insertion-scan frame: the two
+// endpoint views of the insertion edge and its length.
+type WireCand struct {
+	X, Y WireView
+	T    float64
+}
+
+// Encoded sizes: a view is a flag byte and three int32, a scan
+// candidate two views and its f64 edge length.
+const (
+	wireViewBytes = 1 + 3*4
+	wireCandBytes = 2*wireViewBytes + 8
+)
 
 // WireEntry is one traversal-descriptor entry with tip children
 // resolved to taxa: compute directed CLV (Node, Slot) from children
@@ -104,24 +119,31 @@ type WireModelPart struct {
 	CatAssign                        []int
 }
 
-// WireJob is one decoded job frame.
+// WireJob is one decoded job frame. T is the job's branch length: the
+// edge of an edge job, the pendant branch of an insertion scan. Views
+// are the two endpoint views of an edge job, or the subtree view of a
+// scan, whose candidates are in Cands.
 type WireJob struct {
 	Code    threads.JobCode
 	MaxNode int
 	Reset   bool
 	Model   *WireModel
-	T, T2   float64
+	T       float64
 	NViews  int
-	Views   [3]WireView
+	Views   [2]WireView
+	Cands   []WireCand
 	Factors *WireFactors
 	Entries []WireEntry
 }
 
-// WireFactors is the JobMakenewzCore payload: per MASTER partition, the
-// matrix-category count and the three eigen exponential factor blocks
-// (4 float64 per category each, for the likelihood and the first- and
-// second-derivative weights — gtr.Model.ExpEigen's output). This is the
-// *whole* per-Newton-iteration wire payload of the sumtable scheme:
+// WireFactors is the makenewz factor payload, carried by every
+// JobMakenewzCore frame and by the JobMakenewzSetup frame (whose job
+// ends with the core reduction at the starting length): per MASTER
+// partition, the matrix-category count and the three eigen exponential
+// factor blocks (4 float64 per category each, for the likelihood and the
+// first- and second-derivative weights — gtr.Model.ExpEigen's output).
+// This is the *whole* per-Newton-iteration wire payload of the sumtable
+// scheme:
 // ~100 bytes per 4-category partition, no P matrices, no model block.
 // The sumtable itself never crosses the wire — every rank computed its
 // stripe from its own CLVs during JobMakenewzSetup. A worker rank
@@ -133,9 +155,9 @@ type WireFactors struct {
 }
 
 // WirePartial is one rank's decoded reduction partial: the two fixed
-// reduction slots every current job code uses, the per-partition wide
-// components (indexed by MASTER partition), and the site-log-likelihood
-// stripe for JobSiteLL.
+// reduction slots, the wide components (JobEvaluate: one per MASTER
+// partition; JobInsertScan: one per candidate; none otherwise), and the
+// site-log-likelihood stripe for JobSiteLL.
 type WirePartial struct {
 	Slots [2]float64
 	Wide  []float64
@@ -180,7 +202,23 @@ type WireMaster interface {
 	// window-relative entry range [lo, hi); idempotent per entry.
 	FillTravChunk(lo, hi int)
 	WireEpochs() (model, topo uint64)
+	// WireWideLen returns how many wide components every rank's partial
+	// of the job in flight must carry; the dispatcher treats any other
+	// count as a desynchronized stream.
+	WireWideLen(code threads.JobCode) int
 	AbsorbRemoteSiteLL(stripeLo int, vec []float64)
+}
+
+// WireWideLen implements WireMaster: one wide component per partition
+// for an evaluation, one per candidate for an insertion scan.
+func (e *Engine) WireWideLen(code threads.JobCode) int {
+	switch code {
+	case threads.JobEvaluate:
+		return len(e.parts)
+	case threads.JobInsertScan:
+		return len(e.scanCands)
+	}
+	return 0
 }
 
 // WireEpochs returns the engine's model and topology epochs; a
@@ -232,6 +270,13 @@ func appendInts(b []byte, vs []int) []byte {
 		b = appendI32(b, int32(v))
 	}
 	return b
+}
+
+func appendView(b []byte, v WireView) []byte {
+	b = appendBool(b, v.Tip)
+	b = appendI32(b, v.Taxon)
+	b = appendI32(b, v.Node)
+	return appendI32(b, v.Slot)
 }
 
 func appendBool(b []byte, v bool) []byte {
@@ -292,6 +337,10 @@ func (r *wireReader) f64() float64 {
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
 	r.off += 8
 	return v
+}
+
+func (r *wireReader) view() WireView {
+	return WireView{Tip: r.bool(), Taxon: r.i32(), Node: r.i32(), Slot: r.i32()}
 }
 
 func (r *wireReader) f64s() []float64 {
@@ -364,8 +413,9 @@ func (e *Engine) EncodeWireJob(code threads.JobCode, includeModel, reset bool) [
 
 // WireJobHeader resets the wire buffer and encodes everything up to and
 // including the descriptor entry count: job code, flags, node capacity,
-// optional model-sync block, branch lengths, views, and (for the
-// makenewz core) the factor block. It returns the header bytes and the
+// optional model-sync block, branch length, views, and the candidate
+// block of an insertion scan or the factor block of a makenewz setup
+// or core job. It returns the header bytes and the
 // number of entries WireJobEntries calls must append. A frame carrying
 // a model block or reset marker clears the delta ship cache — the
 // workers clear their edge caches on the same flags, keeping both ends
@@ -403,20 +453,24 @@ func (e *Engine) WireJobHeader(code threads.JobCode, includeModel, reset bool) (
 		b = e.appendWireModel(b)
 	}
 	b = appendF64(b, e.jobT)
-	b = appendF64(b, e.jobT2)
 	nv := e.jobNViews
 	if code == threads.JobNewview {
 		nv = 0 // pure descriptor walk: stale view metadata is not part of the job
 	}
 	b = append(b, byte(nv))
 	for i := 0; i < nv; i++ {
-		v := e.jobWire[i]
-		b = appendBool(b, v.Tip)
-		b = appendI32(b, v.Taxon)
-		b = appendI32(b, v.Node)
-		b = appendI32(b, v.Slot)
+		b = appendView(b, e.jobWire[i])
 	}
-	if code == threads.JobMakenewzCore {
+	switch code {
+	case threads.JobInsertScan:
+		b = appendU32(b, uint32(len(e.scanCands)))
+		for i := range e.scanCands {
+			c := &e.scanCands[i].wire
+			b = appendView(b, c.X)
+			b = appendView(b, c.Y)
+			b = appendF64(b, c.T)
+		}
+	case threads.JobMakenewzSetup, threads.JobMakenewzCore:
 		b = e.appendWireFactors(b)
 	}
 	n := e.travHi - e.travLo
@@ -503,9 +557,9 @@ func (e *Engine) appendWireModel(b []byte) []byte {
 	return b
 }
 
-// appendWireFactors appends the per-iteration makenewz factor block:
-// every master partition's category count followed by its Exp/D1/D2
-// blocks from the factor scratch makenewzFactors just filled.
+// appendWireFactors appends the makenewz factor block: every master
+// partition's category count followed by its Exp/D1/D2 blocks from the
+// factor scratch makenewzFactors just filled.
 func (e *Engine) appendWireFactors(b []byte) []byte {
 	b = appendU32(b, uint32(len(e.parts)))
 	for i := range e.parts {
@@ -579,7 +633,7 @@ func decodeWireFactors(r *wireReader, reuse *WireFactors) *WireFactors {
 // (local pOff offsets fresh).
 func (e *Engine) applyWireFactors(f *WireFactors, g *WorkerGeom) error {
 	if f == nil {
-		return fmt.Errorf("likelihood: makenewz core frame without factor block")
+		return fmt.Errorf("likelihood: makenewz frame without factor block")
 	}
 	if len(f.Cats) != g.MasterParts {
 		return fmt.Errorf("likelihood: factor block has %d partitions, expected %d", len(f.Cats), g.MasterParts)
@@ -632,18 +686,34 @@ func DecodeWireJobInto(j *WireJob, buf []byte) error {
 		j.Model = decodeWireModel(r)
 	}
 	j.T = r.f64()
-	j.T2 = r.f64()
 	j.NViews = int(r.u8())
-	if j.NViews > 3 {
+	if j.NViews > len(j.Views) {
 		return fmt.Errorf("likelihood: job frame has %d views", j.NViews)
 	}
 	for i := 0; i < j.NViews; i++ {
-		j.Views[i] = WireView{Tip: r.bool(), Taxon: r.i32(), Node: r.i32(), Slot: r.i32()}
+		j.Views[i] = r.view()
 	}
-	if j.Code == threads.JobMakenewzCore {
-		j.Factors = decodeWireFactors(r, j.Factors)
-	} else {
-		j.Factors = nil
+	j.Cands = j.Cands[:0]
+	reuse := j.Factors
+	j.Factors = nil
+	switch j.Code {
+	case threads.JobInsertScan:
+		// The remaining bytes bound a hostile count before anything is
+		// allocated for it.
+		n := int(r.u32())
+		if r.err == nil && (n < 0 || n > (len(r.b)-r.off)/wireCandBytes) {
+			r.fail()
+		}
+		if r.err == nil {
+			if cap(j.Cands) < n {
+				j.Cands = make([]WireCand, 0, n)
+			}
+			for i := 0; i < n; i++ {
+				j.Cands = append(j.Cands, WireCand{X: r.view(), Y: r.view(), T: r.f64()})
+			}
+		}
+	case threads.JobMakenewzSetup, threads.JobMakenewzCore:
+		j.Factors = decodeWireFactors(r, reuse)
 	}
 	n := int(r.u32())
 	j.Entries = j.Entries[:0]
@@ -883,12 +953,7 @@ func (e *Engine) prepareWireTraversal(entries []WireEntry, maxNode int) error {
 			ent.right.scaleOff = e.scaleOffset(ent.pub.C2, ent.pub.C2Slot)
 		}
 	}
-	m := len(e.wireFillIdx)
-	if m >= pFillParallelEntries && e.pool.Workers() > 1 {
-		e.pool.ForkJoin(m, 8, e.fillWireFn)
-	} else if m > 0 {
-		e.fillWireIdxMatrices(0, m)
-	}
+	e.pool.ForkJoin(len(e.wireFillIdx), pFillGrain, e.fillWireFn)
 	e.newviewCount += int64(n)
 	return nil
 }
@@ -911,8 +976,9 @@ func (e *Engine) wireChildView(v WireView) childView {
 // capacity/reset/model state, resolve the descriptor locally, rebuild
 // the job's transition matrices from the shipped branch lengths, run
 // the job over the local thread crew (one local barrier crossing) and
-// return the encoded reduction partial — wide components indexed by
-// MASTER partition, the site-LL vector over the local stripe.
+// return the encoded reduction partial — an evaluation's wide components
+// indexed by MASTER partition, a scan's by candidate, the site-LL vector
+// over the local stripe.
 func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 	e.EnsureNodeCapacity(job.MaxNode)
 	if job.Reset || job.Model != nil {
@@ -947,33 +1013,35 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 				ps.model.PDeriv(job.T, ps.rates.Rates[c], &e.pEval[ps.pOff+c], &e.pD1[ps.pOff+c], &e.pD2[ps.pOff+c])
 			}
 		}
-	case threads.JobMakenewzSetup:
-		e.ensureSumtable()
-	case threads.JobMakenewzCore:
-		// The sumtable was filled by this rank's JobMakenewzSetup; only
-		// the tiny factor block arrives per iteration.
+	case threads.JobMakenewzSetup, threads.JobMakenewzCore:
+		// Setup fills this rank's sumtable stripe from its own CLVs and
+		// core reads it back; only the tiny factor block arrives, with
+		// the setup for its closing reduction and per iteration after.
 		e.ensureSumtable()
 		if err := e.applyWireFactors(job.Factors, g); err != nil {
 			return nil, err
 		}
 	case threads.JobInsertScan:
-		e.fillScanMatrices(job.T, job.T2)
+		if job.NViews != 1 {
+			return nil, fmt.Errorf("likelihood: scan frame has %d views, want the subtree view", job.NViews)
+		}
+		e.jobWire[0], e.jobT = job.Views[0], job.T
+		e.sizeScanCands(len(job.Cands))
+		for i, c := range job.Cands {
+			e.scanCands[i].wire = c
+		}
+		e.prepareScan()
 	default:
 		return nil, fmt.Errorf("likelihood: wire job code %d not executable", job.Code)
 	}
-	for i := 0; i < job.NViews; i++ {
-		v := e.wireChildView(job.Views[i])
-		switch {
-		case job.Code == threads.JobInsertScan && i == 0:
-			e.jobVX = v
-		case job.Code == threads.JobInsertScan && i == 1:
-			e.jobVY = v
-		case job.Code == threads.JobInsertScan && i == 2:
-			e.jobVS = v
-		case i == 0:
-			e.jobVA = v
-		default:
-			e.jobVB = v
+	if job.Code != threads.JobInsertScan {
+		for i := 0; i < job.NViews; i++ {
+			v := e.wireChildView(job.Views[i])
+			if i == 0 {
+				e.jobVA = v
+			} else {
+				e.jobVB = v
+			}
 		}
 	}
 	if job.Code == threads.JobSiteLL {
@@ -990,7 +1058,8 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 	s0, s1 := e.pool.SumSlots2(0, 1)
 	b = appendF64(b, s0)
 	b = appendF64(b, s1)
-	if job.Code == threads.JobEvaluate {
+	switch job.Code {
+	case threads.JobEvaluate:
 		b = appendU32(b, uint32(g.MasterParts))
 		if cap(e.wireWide) < g.MasterParts {
 			e.wireWide = make([]float64, g.MasterParts)
@@ -1005,7 +1074,12 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 		for _, v := range wide {
 			b = appendF64(b, v)
 		}
-	} else {
+	case threads.JobInsertScan:
+		b = appendU32(b, uint32(len(e.scanCands)))
+		for i := range e.scanCands {
+			b = appendF64(b, e.pool.SumWide(i))
+		}
+	default:
 		b = appendU32(b, 0)
 	}
 	if job.Code == threads.JobSiteLL {

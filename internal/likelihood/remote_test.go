@@ -90,8 +90,8 @@ func TestWireJobRoundTrip(t *testing.T) {
 	if job.MaxNode != tr.MaxNodeID() {
 		t.Fatalf("MaxNode %d, want %d", job.MaxNode, tr.MaxNodeID())
 	}
-	if job.T != 0.125 || job.T2 != 0 {
-		t.Fatalf("branch lengths (%g, %g), want (0.125, 0)", job.T, job.T2)
+	if job.T != 0.125 {
+		t.Fatalf("branch length %g, want 0.125", job.T)
 	}
 	if job.NViews != 2 {
 		t.Fatalf("NViews %d, want 2", job.NViews)
@@ -139,12 +139,15 @@ func TestWireJobRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireMakenewzCoreRoundTrip pins the JobMakenewzCore frame: the
-// per-iteration factor block must round-trip exactly, carry no views
-// and no descriptor entries, and be absent from every other job code.
-// It also bounds the frame size — the whole point of the sumtable
-// scheme is that a Newton iteration ships ~12·Σcats float64, not P
-// matrices or a model block.
+// TestWireMakenewzCoreRoundTrip pins the two makenewz frames. The
+// JobMakenewzCore frame's per-iteration factor block must round-trip
+// exactly and carry no views and no descriptor entries; the
+// JobMakenewzSetup frame carries the two endpoint views, the same
+// factor block (its job ends with the core reduction) and the refresh
+// descriptor; no other job code carries factors. It also bounds the
+// core frame's size — the whole point of the sumtable scheme is that a
+// Newton iteration ships ~12·Σcats float64, not P matrices or a model
+// block.
 func TestWireMakenewzCoreRoundTrip(t *testing.T) {
 	r := rng.New(88)
 	pat := randomPatterns(t, r, 8, 150)
@@ -161,12 +164,8 @@ func TestWireMakenewzCoreRoundTrip(t *testing.T) {
 	b := tr.Nodes[0].Neighbors[0]
 	slotA := e.slotOf(a, b)
 	slotB := e.slotOf(b, a)
-	e.refreshViews([2]int{a, slotA}, [2]int{b, slotB})
 	e.makenewzSetup(a, slotA, b, slotB, 0.25)
-	e.makenewzFactors(0.25)
-	e.jobT, e.jobT2 = 0.25, 0
-	e.jobNViews = 0
-	e.beginTraversal()
+	e.makenewzCore(0.25)
 
 	frame := e.EncodeWireJob(threads.JobMakenewzCore, false, false)
 	if len(frame) > 512 {
@@ -196,15 +195,37 @@ func TestWireMakenewzCoreRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The setup frame carries the two views and nothing iteration-bound.
+	// The setup frame: 2 views, factors present, and whatever went stale
+	// behind the views as its descriptor.
+	e.InvalidateAll()
 	e.makenewzSetup(a, slotA, b, slotB, 0.25)
 	setup := e.EncodeWireJob(threads.JobMakenewzSetup, false, false)
 	sj, err := DecodeWireJob(setup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sj.NViews != 2 || sj.Factors != nil {
-		t.Fatalf("setup frame: %d views, factors %v", sj.NViews, sj.Factors != nil)
+	if sj.NViews != 2 || sj.T != 0.25 || len(sj.Entries) != len(e.trav) || len(sj.Entries) == 0 {
+		t.Fatalf("setup frame: %d views, t=%g, %d entries for a %d-entry descriptor",
+			sj.NViews, sj.T, len(sj.Entries), len(e.trav))
+	}
+	sf := sj.Factors
+	if sf == nil || len(sf.Cats) != 1 || sf.Cats[0] != 4 {
+		t.Fatalf("setup frame factor block: %+v", sf)
+	}
+	for i := 0; i < 16; i++ {
+		if sf.Exp[i] != f.Exp[i] || sf.D1[i] != f.D1[i] || sf.D2[i] != f.D2[i] {
+			t.Fatalf("setup factor %d differs from the core frame's at the same length", i)
+		}
+	}
+
+	// No other job code carries a factor block.
+	e.setEdgeJob(a, slotA, b, slotB, 0.25)
+	ej, err := DecodeWireJob(e.EncodeWireJob(threads.JobEvaluate, false, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ej.Factors != nil {
+		t.Fatal("evaluate frame decoded with a factor block")
 	}
 }
 

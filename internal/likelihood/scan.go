@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"raxml/internal/threads"
+	"raxml/internal/tree"
 )
 
 // This file implements the evaluation primitive behind RAxML's *lazy
@@ -13,86 +14,162 @@ import (
 // insertion therefore needs no newview at all: it is a single three-way
 // join of cached CLVs at the would-be junction — an O(patterns) kernel.
 // This is what makes SPR scans affordable and is precisely the loop the
-// paper's fine-grained threads accelerate during search stages. Each
-// scored insertion is one JobInsertScan post: any stale CLVs ride along
-// in the job's traversal descriptor, so even the first scan after a
-// prune costs a single barrier crossing.
+// paper's fine-grained threads accelerate during search stages. All
+// candidates of one prune share the subtree view and the pendant
+// matrices, so the whole scan is ONE JobInsertScan post: the stale views
+// of every candidate ride along in the job's traversal descriptor
+// (shared ones computed once), and each worker reduces one partial per
+// candidate into its wide reduction row — a prune costs a single barrier
+// crossing however many insertions it scores.
 
-// EvaluateInsertion estimates the log-likelihood of inserting the
-// dangling subtree (rooted at subRoot, hanging from attachment node
-// attach) into edge (x, y). The insertion edge is split in half; the
-// pendant branch keeps its current length. The tree must currently hold
-// the subtree dangling: edge (subRoot, attach) intact, attach otherwise
-// disconnected, and (x, y) an edge of the main component.
-func (e *Engine) EvaluateInsertion(subRoot, attach, x, y int) float64 {
-	e.ensureArena()
-	slotSub := e.slotOf(subRoot, attach)
-	slotXY := e.slotOf(x, y)
-	slotYX := e.slotOf(y, x)
-	e.beginTraversal()
-	e.queueTraversal(subRoot, slotSub)
-	e.queueTraversal(x, slotXY)
-	e.queueTraversal(y, slotYX)
-	e.prepareTraversal()
-
-	txy := e.tree.EdgeLength(x, y)
-	pendant := e.tree.EdgeLength(subRoot, attach)
-	e.ensureP()
-	e.fillScanMatrices(txy, pendant)
-
-	e.jobVX = e.viewOf(x, slotXY)
-	e.jobVY = e.viewOf(y, slotYX)
-	e.jobVS = e.viewOf(subRoot, slotSub)
-	e.jobWire[0] = e.wireViewOf(x, slotXY)
-	e.jobWire[1] = e.wireViewOf(y, slotYX)
-	e.jobWire[2] = e.wireViewOf(subRoot, slotSub)
-	e.jobNViews = 3
-	e.jobT, e.jobT2 = txy, pendant
-	e.dispatch(threads.JobInsertScan)
-	return e.pool.SumSlots(0)
+// scanCand is one candidate insertion edge (x, y) of the scan in flight:
+// its wire form (the two endpoint views and the edge length, which is
+// all a remote rank is shipped) and the views resolved against the local
+// arena.
+type scanCand struct {
+	wire   WireCand
+	vx, vy childView
 }
 
-// fillScanMatrices fills the insertion-scan scratch for an insertion
-// edge of length txy and a pendant branch of length `pendant`: pHalf
-// with P(txy/2), which serves both halves of the split edge, and pPend
-// with P(pendant) — unless pendKey says pPend already holds exactly
-// that, which is the case for every candidate of a scan after the first
-// (the pendant length and the model do not change while one subtree is
-// scanned). Shared by the master (EvaluateInsertion) and the worker
-// path (ExecWireJob), which therefore hold identical matrices.
-func (e *Engine) fillScanMatrices(txy, pendant float64) {
-	e.fillP(txy/2, e.pHalf)
-	key := pendantKey{bits: math.Float64bits(pendant), epoch: e.modelEpoch, cats: e.totalCats}
+// EvaluateInsertion is EvaluateInsertions for the single candidate edge
+// (x, y).
+func (e *Engine) EvaluateInsertion(subRoot, attach, x, y int) float64 {
+	var out [1]float64
+	e.EvaluateInsertions(subRoot, attach, []tree.Edge{{A: x, B: y}}, out[:])
+	return out[0]
+}
+
+// EvaluateInsertions estimates, for every candidate edge of cands, the
+// log-likelihood of inserting the dangling subtree (rooted at subRoot,
+// hanging from attachment node attach) into that edge, with ONE pool
+// dispatch. An insertion edge is split in half; the pendant branch keeps
+// its current length. The tree must currently hold the subtree dangling:
+// edge (subRoot, attach) intact, attach otherwise disconnected, and
+// every candidate an edge of the main component. Scores land in
+// out[:len(cands)] (a new slice when out is too short), which is
+// returned. Every score is worker-, rank- and batch-invariant: a
+// candidate scores the same bits alone as among any others, because each
+// worker's partial is its own sum over its own patterns and partials
+// fold in worker, then rank order.
+func (e *Engine) EvaluateInsertions(subRoot, attach int, cands []tree.Edge, out []float64) []float64 {
+	n := len(cands)
+	if cap(out) < n {
+		out = make([]float64, n)
+	}
+	out = out[:n]
+	if n == 0 {
+		return out
+	}
+	e.ensureArena()
+	slotSub := e.slotOf(subRoot, attach)
+	e.beginTraversal()
+	e.queueTraversal(subRoot, slotSub)
+	e.sizeScanCands(n)
+	for i, c := range cands {
+		slotXY := e.slotOf(c.A, c.B)
+		slotYX := e.slotOf(c.B, c.A)
+		e.queueTraversal(c.A, slotXY)
+		e.queueTraversal(c.B, slotYX)
+		e.scanCands[i].wire = WireCand{
+			X: e.wireViewOf(c.A, slotXY),
+			Y: e.wireViewOf(c.B, slotYX),
+			T: e.tree.EdgeLength(c.A, c.B),
+		}
+	}
+	e.prepareTraversal()
+
+	e.jobWire[0] = e.wireViewOf(subRoot, slotSub)
+	e.jobNViews = 1
+	e.jobT = e.tree.EdgeLength(subRoot, attach)
+	e.prepareScan()
+	e.dispatch(threads.JobInsertScan)
+	for i := range out {
+		out[i] = e.pool.SumWide(i)
+	}
+	return out
+}
+
+// sizeScanCands sizes the candidate batch to n entries, keeping the
+// backing array.
+func (e *Engine) sizeScanCands(n int) {
+	if cap(e.scanCands) < n {
+		e.scanCands = make([]scanCand, n)
+	}
+	e.scanCands = e.scanCands[:n]
+}
+
+// prepareScan readies a scan whose subtree view (jobWire[0]), pendant
+// length (jobT) and candidate wire forms (scanCands) are set and whose
+// descriptor is prepared, so every tile the views name is bound: it
+// resolves the views against the local arena, fills the matrices and
+// sizes the wide reduction rows to one partial per candidate. Shared by
+// the master (EvaluateInsertions) and the worker path (ExecWireJob),
+// which therefore hold identical matrices.
+func (e *Engine) prepareScan() {
+	e.jobVS = e.wireChildView(e.jobWire[0])
+	for i := range e.scanCands {
+		sc := &e.scanCands[i]
+		sc.vx = e.wireChildView(sc.wire.X)
+		sc.vy = e.wireChildView(sc.wire.Y)
+	}
+	e.ensureP()
+	// pPend already holds P(pendant) when pendKey says so: the pendant
+	// length and the model rarely change between the scans of a pass.
+	key := pendantKey{bits: math.Float64bits(e.jobT), epoch: e.modelEpoch, cats: e.totalCats}
 	if key != e.pendKey {
-		e.fillP(pendant, e.pPend)
+		e.fillP(e.jobT, e.pPend)
 		e.pendKey = key
+	}
+	n := len(e.scanCands)
+	if need := n * e.totalCats; cap(e.scanP) < need {
+		e.scanP = make([][16]float64, need)
+	} else {
+		e.scanP = e.scanP[:need]
+	}
+	e.pool.ForkJoin(n, pFillGrain, e.fillScanFn)
+	e.pool.EnsureWide(n)
+}
+
+// fillScanHalves fills P(txy/2) for candidates [lo, hi) of the batch.
+// Candidates own disjoint blocks of scanP, so ranges may run
+// concurrently.
+func (e *Engine) fillScanHalves(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		e.fillP(e.scanCands[i].wire.T/2, e.scanP[i*e.totalCats:(i+1)*e.totalCats])
 	}
 }
 
 // insertScanRange computes one worker's partial of the three-way CLV
-// join at a candidate insertion point, over the views jobVX/jobVY/jobVS
-// with per-partition transition matrices pHalf (toward x and toward y)
-// and pPend (toward the subtree).
-func (e *Engine) insertScanRange(w int, r threads.Range) float64 {
-	sum := 0.0
-	for pi := range e.parts {
-		ps, lo, hi, ok := e.chunkOf(pi, r)
-		if ok {
-			sum += e.insertScanChunk(&e.blocks[w], ps, lo, hi)
+// join at every candidate insertion point of the batch — the candidate's
+// views with its P(txy/2) matrices toward x and toward y, the subtree
+// view jobVS with pPend — and leaves candidate i's in entry i of the
+// worker's wide reduction row.
+func (e *Engine) insertScanRange(w int, r threads.Range) {
+	ws := e.pool.WideSlot(w)
+	for i := range e.scanCands {
+		sc := &e.scanCands[i]
+		pHalf := e.scanP[i*e.totalCats : (i+1)*e.totalCats]
+		sum := 0.0
+		for pi := range e.parts {
+			ps, lo, hi, ok := e.chunkOf(pi, r)
+			if ok {
+				sum += e.insertScanChunk(&e.blocks[w], ps, lo, hi, sc, pHalf)
+			}
 		}
+		ws[i] = sum
 	}
-	return sum
 }
 
-// insertScanChunk walks one partition chunk in blocks of logBlockLen
-// patterns: the kernel table's scan join writes the block's clamped
-// site likelihoods, its logBlock takes their logarithms, and the scale
-// corrections and weights are then applied in pattern order, so the
-// partial sum accumulates exactly as a per-pattern loop would.
-func (e *Engine) insertScanChunk(blk *logBlocks, ps *partState, lo, hi int) float64 {
-	vx, vy, vs := &e.jobVX, &e.jobVY, &e.jobVS
+// insertScanChunk walks one partition chunk of one candidate in blocks
+// of logBlockLen patterns: the kernel table's scan join writes the
+// block's clamped site likelihoods, its logBlock takes their logarithms,
+// and the scale corrections and weights are then applied in pattern
+// order, so the partial sum accumulates exactly as a per-pattern loop
+// would.
+func (e *Engine) insertScanChunk(blk *logBlocks, ps *partState, lo, hi int, sc *scanCand, pHalf [][16]float64) float64 {
+	vx, vy, vs := &sc.vx, &sc.vy, &e.jobVS
 	npc := ps.rates.NumCats()
-	pHalf := e.pHalf[ps.pOff : ps.pOff+npc]
+	pHalf = pHalf[ps.pOff : ps.pOff+npc]
 	pPend := e.pPend[ps.pOff : ps.pOff+npc]
 	x0, xStep, _ := viewCoeffs(vx, ps)
 	y0, yStep, _ := viewCoeffs(vy, ps)

@@ -32,10 +32,11 @@ import (
 //
 // The matrix fill is the descriptor engine's only serial master-side
 // O(entries) work, and partitioning multiplies it by the partition
-// count; for long descriptors it is forked over transient goroutines
-// bounded by the pool's worker count (threads.Pool.ForkJoin). That path
-// deliberately does NOT post a pool job: the one-barrier-per-traversal
-// accounting stays exact.
+// count; from a handful of entries on it is forked over the crew
+// (threads.Pool.ForkJoin), which also keeps the helpers from parking
+// while the master fills. The fork posts no job code and is not a
+// counted dispatch: the one-barrier-per-traversal accounting counts job
+// codes, and stays exact.
 //
 // The descriptor buffer, its transition-matrix arena, the tip-lookup
 // arena, and the pool's reduction slots are all reused across jobs, so
@@ -83,10 +84,11 @@ type travEntry struct {
 	lutL, lutR []float64
 }
 
-// pFillParallelEntries is the descriptor length from which the
-// master-side matrix fill is forked over goroutines; shorter
-// descriptors stay serial (the fork overhead would dominate).
-const pFillParallelEntries = 32
+// pFillGrain is the smallest chunk — in descriptor entries, or in scan
+// candidates — the master-side matrix fill hands one worker: a fill of
+// fewer than two chunks stays serial on the master (the fork's barrier
+// crossing would cost more than it saves).
+const pFillGrain = 2
 
 // fillPipeliner is implemented by Dispatchers that interleave the
 // master-side P-matrix fill with frame encoding and shipping
@@ -206,10 +208,9 @@ func fillTipLUT(lut []float64, pm [][16]float64, mask uint16) {
 // slices out of the shared arenas — work that mutates engine state and
 // must stay on the master. The second pass fills every entry's
 // per-partition transition matrices and tip lookup tables; entries are
-// independent there, so long descriptors fork the fill across
-// goroutines bounded by the pool's worker count (no pool job is posted
-// — see the package comment on dispatch accounting). Workers only ever
-// read the result.
+// independent there, so all but the shortest descriptors fork the fill
+// over the crew (no job code is posted — see the file comment on
+// dispatch accounting). Workers only ever read the result.
 func (e *Engine) prepareTraversal() {
 	n := len(e.trav)
 	if n == 0 {
@@ -270,11 +271,7 @@ func (e *Engine) prepareTraversal() {
 		e.travFillNext = 0
 		return
 	}
-	if n >= pFillParallelEntries && e.pool.Workers() > 1 {
-		e.pool.ForkJoin(n, 8, e.fillTravFn)
-	} else {
-		e.fillTravMatrices(0, n)
-	}
+	e.pool.ForkJoin(n, pFillGrain, e.fillTravFn)
 	e.travFillNext = n
 }
 
@@ -292,11 +289,7 @@ func (e *Engine) FillTravChunk(lo, hi int) {
 	if hi <= lo {
 		return
 	}
-	if hi-lo >= pFillParallelEntries && e.pool.Workers() > 1 {
-		e.pool.ForkJoinRange(lo, hi, 8, e.fillTravFn)
-	} else {
-		e.fillTravMatrices(lo, hi)
-	}
+	e.pool.ForkJoinRange(lo, hi, pFillGrain, e.fillTravFn)
 	e.travFillNext = hi
 }
 
@@ -416,10 +409,11 @@ func (e *Engine) walkTraversal(r threads.Range) {
 // codes over one worker's pattern range. Every code first walks the
 // pending traversal window (usually the whole descriptor; empty for
 // pure reductions), then runs its own kernel, writing reduction
-// partials into the worker's preallocated slot. If the job was aborted
-// the follow-on kernel is skipped and the slot zeroed: the master
-// rolls the descriptor back (rollbackTraversal) and the job's result
-// is discarded.
+// partials into the worker's preallocated slot (or its wide row, for
+// the per-partition and per-candidate reductions). If the job was
+// aborted the follow-on kernel is skipped and the slot zeroed: the
+// master rolls the descriptor back (rollbackTraversal) and the job's
+// result is discarded.
 func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 	e.walkTraversal(r)
 	if e.pool.Aborted() {
@@ -437,13 +431,15 @@ func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 		s[0], s[1] = e.derivativesRange(r)
 	case threads.JobMakenewzSetup:
 		e.makenewzSetupRange(r)
+		s := e.pool.Slot(w)
+		s[0], s[1] = e.makenewzCoreRange(r)
 	case threads.JobMakenewzCore:
 		s := e.pool.Slot(w)
 		s[0], s[1] = e.makenewzCoreRange(r)
 	case threads.JobSiteLL:
 		e.siteLLRange(w, r)
 	case threads.JobInsertScan:
-		e.pool.Slot(w)[0] = e.insertScanRange(w, r)
+		e.insertScanRange(w, r)
 	default:
 		panic(fmt.Sprintf("likelihood: unknown job code %d", code))
 	}

@@ -183,9 +183,9 @@ func TestPerNodeDispatchAblation(t *testing.T) {
 }
 
 // TestOptimizeBranchDispatchBudget pins the synchronization cost of the
-// branch optimizer: one traversal job at most to refresh the endpoint
-// views, then one JobMakenewz per Newton iteration — never one job per
-// node.
+// branch optimizer, even on a fully stale tree: one job per Newton
+// iteration, the first carrying the whole refresh in its descriptor —
+// never one job per node.
 func TestOptimizeBranchDispatchBudget(t *testing.T) {
 	r := rng.New(36)
 	pat := randomPatterns(t, r, 40, 120)
@@ -199,11 +199,10 @@ func TestOptimizeBranchDispatchBudget(t *testing.T) {
 	before := e.DispatchCount()
 	e.OptimizeBranch(edge.A, edge.B)
 	used := e.DispatchCount() - before
-	// Budget: 1 refresh + newtonMaxIter derivative reductions. The old
-	// per-node engine paid ~2·taxa jobs for the refresh alone.
-	if used > int64(newtonMaxIter)+1 {
-		t.Fatalf("OptimizeBranch on a fully stale tree used %d dispatches, budget %d",
-			used, newtonMaxIter+1)
+	// The old per-node engine paid ~2·taxa jobs for the refresh alone.
+	if want := int64(e.LastNewtonIterations()); used != want || want > newtonMaxIter {
+		t.Fatalf("OptimizeBranch on a fully stale tree used %d dispatches for %d Newton iterations (at most %d)",
+			used, want, newtonMaxIter)
 	}
 }
 

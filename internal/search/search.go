@@ -115,10 +115,10 @@ type Result struct {
 	// the work unit of the search stages in the performance model.
 	ScannedInsertions int
 	// Dispatches counts pool jobs posted during the search (barrier
-	// crossings of the fine-grained layer). With the traversal-
-	// descriptor engine this grows per traversal, not per node; the
-	// ratio Dispatches/ScannedInsertions stays O(1) regardless of tree
-	// size.
+	// crossings of the fine-grained layer): one per scanned prune
+	// however many insertions it scores, one per Newton iteration of a
+	// branch, one per full evaluation — so it grows with the prunes and
+	// branches visited, not with ScannedInsertions or the tree size.
 	Dispatches int64
 }
 
@@ -174,7 +174,8 @@ func Run(eng *likelihood.Engine, start *tree.Tree, s Settings) (*Result, error) 
 }
 
 // sprPass performs one full sweep of lazy SPR over all prunable
-// subtrees. It applies each subtree's best insertion when the fully
+// subtrees. It scores all of a subtree's candidate insertions with one
+// engine call (one pool dispatch) and applies the best when the fully
 // evaluated gain exceeds epsilon. Every topology edit invalidates only
 // the views it changed (likelihood.Engine.InvalidateNode on the
 // attachment node, plus InvalidateEdge on an edge healed behind it), so
@@ -196,6 +197,7 @@ func sprPass(eng *likelihood.Engine, t *tree.Tree, radius int, epsilon float64, 
 	}
 
 	var cands []tree.Edge // reused across prunings
+	var lazy []float64    // their scores, likewise
 	for _, pr := range prunings {
 		// The tree mutates during the pass; the recorded pruning may no
 		// longer be an edge.
@@ -217,9 +219,10 @@ func sprPass(eng *likelihood.Engine, t *tree.Tree, radius int, epsilon float64, 
 		bestCand := reunion
 		bestLazy := negInf()
 		reunionLazy := negInf()
-		for _, cand := range cands {
-			ll := eng.EvaluateInsertion(pr.root, p.Attach, cand.A, cand.B)
-			res.ScannedInsertions++
+		lazy = eng.EvaluateInsertions(pr.root, p.Attach, cands, lazy)
+		res.ScannedInsertions += len(cands)
+		for i, cand := range cands {
+			ll := lazy[i]
 			if cand == reunion {
 				reunionLazy = ll
 			}
@@ -264,9 +267,10 @@ func sprPass(eng *likelihood.Engine, t *tree.Tree, radius int, epsilon float64, 
 // insertion point — the "lazy" local optimization of RAxML's SPR. The
 // engine's OptimizeJunction refreshes all six endpoint views of the
 // junction with ONE combined traversal descriptor before the per-branch
-// Newton loops (each of which is one sumtable setup plus one dispatch
-// per iteration), so the move evaluation stays descriptor-batched right
-// after Plug invalidated every view through the junction.
+// Newton loops (each of which is one dispatch per iteration, the first
+// being the sumtable setup), so the move evaluation stays
+// descriptor-batched right after Plug invalidated every view through
+// the junction.
 func optimizeJunction(eng *likelihood.Engine, attach int) {
 	eng.OptimizeJunction(attach)
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -289,32 +290,57 @@ func modelEpoch(eng *likelihood.Engine) uint64 {
 }
 
 // BenchmarkSPRPass times one lazy-SPR sweep at the fast preset's radius
-// over a 20-taxon parsimony start tree: every prune, every scored
-// insertion, the promising plugs with their junction optimization, and
-// the invalidation between them.
+// over a 20-taxon parsimony start tree: every prune with its one batched
+// scan, the promising plugs with their junction optimization, and the
+// invalidation between them — on the serial pool (T=1), on a 2-thread
+// crew (T=2) and over a 2-rank chan grid (ranks=2), where the dispatches
+// a sweep posts are barrier crossings and wire round trips.
 func BenchmarkSPRPass(b *testing.B) {
 	a, _, err := seqgen.Generate(seqgen.Config{Taxa: 20, Chars: 600, Seed: 2, TreeScale: 0.5, Alpha: 0.8})
 	if err != nil {
 		b.Fatal(err)
 	}
 	pat, _ := msa.Compress(a)
-	pool := threads.NewPool(1, pat.NumPatterns())
-	defer pool.Close()
-	start := parsimony.StepwiseAddition(pat, rng.New(3), pool)
-	eng, err := likelihood.New(pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), likelihood.Config{Pool: pool})
-	if err != nil {
-		b.Fatal(err)
-	}
+	serial := threads.NewPool(1, pat.NumPatterns())
+	defer serial.Close()
+	start := parsimony.StepwiseAddition(pat, rng.New(3), serial)
 	fast := Fast()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := start.Clone()
-		if err := eng.AttachTree(t); err != nil {
-			b.Fatal(err)
+	sweeps := func(b *testing.B, eng *likelihood.Engine) error {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t := start.Clone()
+			if err := eng.AttachTree(t); err != nil {
+				return err
+			}
+			best := eng.LogLikelihood()
+			if _, err := sprPass(eng, t, fast.MinRadius, fast.Epsilon, &best, &Result{Tree: t}); err != nil {
+				return err
+			}
 		}
-		best := eng.LogLikelihood()
-		if _, err := sprPass(eng, t, fast.MinRadius, fast.Epsilon, &best, &Result{Tree: t}); err != nil {
-			b.Fatal(err)
-		}
+		b.StopTimer()
+		return nil
 	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("T=%d", workers), func(b *testing.B) {
+			pool := threads.NewPool(workers, pat.NumPatterns())
+			defer pool.Close()
+			eng, err := likelihood.New(pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), likelihood.Config{Pool: pool})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sweeps(b, eng); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+	b.Run("ranks=2", func(b *testing.B) {
+		set := gtr.NewPartitionSet(1)
+		set.Rates[0] = gtr.NewUniform(pat.NumPatterns())
+		err := finegrain.Run(2, 1, pat, set, func(eng *likelihood.Engine, _ *finegrain.Pool) error {
+			return sweeps(b, eng)
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	})
 }

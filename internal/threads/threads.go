@@ -87,7 +87,9 @@ const (
 	JobMakenewzCore
 	// JobSiteLL fills per-pattern site log-likelihoods.
 	JobSiteLL
-	// JobInsertScan scores one lazy-SPR insertion (three-way CLV join).
+	// JobInsertScan scores every candidate insertion of one lazy-SPR
+	// prune (a three-way CLV join per candidate), one partial per
+	// candidate in the worker's wide reduction row.
 	JobInsertScan
 	// JobParsimony walks a Fitch descriptor and reduces the parsimony
 	// score partial.
@@ -149,6 +151,16 @@ type Pool struct {
 	runner JobRunner
 	code   JobCode
 	fn     func(worker int, r Range)
+
+	// The fork in flight (ForkJoinRange): fork.fn runs over window
+	// [lo, lo+n) cut into `chunks` pieces, worker w taking piece w.
+	// forkFn is runFork bound once at construction, so a fork publishes
+	// no fresh closure.
+	fork struct {
+		lo, n, chunks int
+		fn            func(lo, hi int)
+	}
+	forkFn func(worker int, r Range)
 
 	gen     atomic.Uint64 // job generation counter
 	arrived atomic.Int64  // helpers finished with the current job
@@ -236,6 +248,7 @@ func newPool(workers int, ranges []Range) *Pool {
 	if workers == 1 {
 		return p // inline execution; no goroutines, no barrier
 	}
+	p.forkFn = p.runFork
 	p.jobCond = sync.NewCond(&p.jobMu)
 	p.barCond = sync.NewCond(&p.barMu)
 	for w := 1; w < workers; w++ {
@@ -314,9 +327,8 @@ func (p *Pool) Post(runner JobRunner, code JobCode) {
 	p.post(runner, code, nil)
 }
 
-// post is the single dispatch/barrier sequence behind Post and
-// ParallelFor: serialize on postMu, publish the job, run the master's
-// own range, and wait out the crew.
+// post is the counted dispatch behind Post and ParallelFor: serialize on
+// postMu, count the barrier crossing, clear the abort flag and run.
 func (p *Pool) post(runner JobRunner, code JobCode, fn func(worker int, r Range)) {
 	p.postMu.Lock()
 	if p.closed {
@@ -325,17 +337,22 @@ func (p *Pool) post(runner JobRunner, code JobCode, fn func(worker int, r Range)
 	}
 	p.dispatches.Add(1)
 	p.abort.Store(false)
+	p.run(runner, code, fn)
+	p.postMu.Unlock()
+}
+
+// run is the single publish/barrier sequence behind every job, counted
+// (post) or not (ForkJoinRange): publish the job, run the master's own
+// range, and wait out the crew. Caller holds postMu.
+func (p *Pool) run(runner JobRunner, code JobCode, fn func(worker int, r Range)) {
+	p.runner, p.code, p.fn = runner, code, fn
 	if p.workers == 1 {
-		p.runner, p.code, p.fn = runner, code, fn
 		p.execute(0, p.ranges[0])
-		p.postMu.Unlock()
 		return
 	}
-	p.runner, p.code, p.fn = runner, code, fn
 	p.release()
 	p.execute(0, p.ranges[0]) // the master is worker 0
 	p.awaitCrew()
-	p.postMu.Unlock()
 }
 
 // release publishes the current job to the crew: reset the arrival
@@ -574,69 +591,66 @@ func (p *Pool) ReduceSum2(fn func(worker int, r Range) (float64, float64)) (floa
 	return p.SumSlots2(0, 1)
 }
 
-// ForkJoin runs fn over [0, n) split into contiguous chunks of at least
-// `grain` items, on transient goroutines bounded by the pool's worker
-// count, and returns when all chunks finished. This is a *master-side*
-// utility for serial-bottleneck precomputation (the per-entry P-matrix
-// fill of long traversal descriptors): it does NOT post a job code, so
-// it neither wakes the parked crew nor counts as a pool dispatch — the
-// one-barrier-per-traversal invariant of the descriptor engine is
-// preserved. fn must confine writes to its [lo, hi) chunk. Small inputs
-// (n < 2·grain) and single-worker pools run inline on the caller.
+// ForkJoin is ForkJoinRange over [0, n).
 func (p *Pool) ForkJoin(n, grain int, fn func(lo, hi int)) {
-	if grain < 1 {
-		grain = 1
-	}
-	chunks := p.workers
-	if chunks > n/grain {
-		chunks = n / grain
-	}
-	if chunks <= 1 {
-		fn(0, n)
-		return
-	}
-	ranges := SplitEven(n, chunks)
-	var wg sync.WaitGroup
-	for _, r := range ranges[1:] {
-		wg.Add(1)
-		go func(r Range) {
-			defer wg.Done()
-			fn(r.Lo, r.Hi)
-		}(r)
-	}
-	fn(ranges[0].Lo, ranges[0].Hi)
-	wg.Wait()
+	p.ForkJoinRange(0, n, grain, fn)
 }
 
-// ForkJoinRange is ForkJoin over an arbitrary window [lo, hi) instead of
-// [0, n). The pipelined dispatch path uses it to fill P matrices for one
-// descriptor chunk while earlier chunks are already on the wire.
+// ForkJoinRange runs fn over [lo, hi) split into contiguous chunks of at
+// least `grain` items, at most one per worker, and returns when all
+// chunks finished. This is a *master-side* utility for serial-bottleneck
+// precomputation between two posts (the per-entry P-matrix fill of a
+// traversal descriptor, the per-candidate fill of an insertion scan; the
+// pipelined dispatch path fills one descriptor window at a time while
+// earlier windows are already on the wire). The chunks run on the crew
+// itself, through the closure job: a fill that outlasts the helpers'
+// spin window would otherwise park them, and the next Post would pay a
+// futex wake per helper. The fork is NOT a counted dispatch — it posts
+// no job code, leaves Dispatches and the abort flag alone, and the
+// one-barrier-per-traversal accounting of the descriptor engine counts
+// job codes only — but it does cross the barrier once, so callers fork
+// only work worth a crossing. fn must confine writes to its [lo, hi)
+// chunk. Small inputs (fewer than 2·grain items) and single-worker pools
+// run inline on the caller; no call allocates.
 func (p *Pool) ForkJoinRange(lo, hi, grain int, fn func(lo, hi int)) {
 	n := hi - lo
+	if n <= 0 {
+		return
+	}
 	if grain < 1 {
 		grain = 1
 	}
-	chunks := p.workers
-	if chunks > n/grain {
-		chunks = n / grain
-	}
+	chunks := min(p.workers, n/grain)
 	if chunks <= 1 {
-		if n > 0 {
-			fn(lo, hi)
-		}
+		fn(lo, hi)
 		return
 	}
-	ranges := SplitEven(n, chunks)
-	var wg sync.WaitGroup
-	for _, r := range ranges[1:] {
-		wg.Add(1)
-		go func(r Range) {
-			defer wg.Done()
-			fn(lo+r.Lo, lo+r.Hi)
-		}(r)
+	p.postMu.Lock()
+	if p.closed {
+		p.postMu.Unlock()
+		panic("threads: fork on closed Pool")
 	}
-	fn(lo+ranges[0].Lo, lo+ranges[0].Hi)
-	wg.Wait()
+	p.fork.lo, p.fork.n, p.fork.chunks, p.fork.fn = lo, n, chunks, fn
+	p.run(nil, jobClosure, p.forkFn)
+	p.fork.fn = nil
+	p.postMu.Unlock()
+}
+
+// runFork is the closure-job body of a fork: worker w runs chunk w of
+// the window, chunks differing in size by at most one item (SplitEven's
+// arithmetic, without the slice).
+func (p *Pool) runFork(w int, _ Range) {
+	f := &p.fork
+	if w >= f.chunks {
+		return
+	}
+	base, rem := f.n/f.chunks, f.n%f.chunks
+	lo := f.lo + w*base + min(w, rem)
+	hi := lo + base
+	if w < rem {
+		hi++
+	}
+	f.fn(lo, hi)
 }
 
 // Close shuts the worker goroutines down. The pool must not be used

@@ -1,6 +1,7 @@
 package threads
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -527,7 +528,9 @@ func TestForkJoinCoversAllChunks(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := NewPool(workers, 256)
 		visited := make([]int32, 1000)
+		var calls int32
 		p.ForkJoin(len(visited), 8, func(lo, hi int) {
+			atomic.AddInt32(&calls, 1)
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&visited[i], 1)
 			}
@@ -537,17 +540,91 @@ func TestForkJoinCoversAllChunks(t *testing.T) {
 				t.Fatalf("workers=%d: item %d visited %d times", workers, i, v)
 			}
 		}
+		if int(calls) != workers {
+			t.Fatalf("workers=%d: fork ran %d chunks, want one per worker", workers, calls)
+		}
+		// A window: only [lo, hi) is visited again, in chunks whose sizes
+		// differ by at most one.
+		var minLen, maxLen int32 = 1 << 30, 0
+		var mu sync.Mutex
+		p.ForkJoinRange(100, 111, 2, func(lo, hi int) {
+			mu.Lock()
+			minLen, maxLen = min(minLen, int32(hi-lo)), max(maxLen, int32(hi-lo))
+			mu.Unlock()
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&visited[i], 1)
+			}
+		})
+		for i, v := range visited {
+			want := int32(1)
+			if i >= 100 && i < 111 {
+				want = 2
+			}
+			if v != want {
+				t.Fatalf("workers=%d: after the windowed fork item %d has %d visits, want %d", workers, i, v, want)
+			}
+		}
+		if maxLen-minLen > 1 {
+			t.Fatalf("workers=%d: windowed fork chunks span %d..%d items", workers, minLen, maxLen)
+		}
 		if d := p.Dispatches(); d != 0 {
 			t.Fatalf("workers=%d: ForkJoin counted %d pool dispatches, want 0", workers, d)
 		}
 		p.Close()
 	}
-	// Tiny input runs inline.
+	// Tiny and empty inputs run inline (or not at all).
 	p := NewPool(4, 256)
 	defer p.Close()
 	sum := 0
 	p.ForkJoin(3, 8, func(lo, hi int) { sum += hi - lo })
 	if sum != 3 {
 		t.Fatalf("inline ForkJoin covered %d of 3 items", sum)
+	}
+	p.ForkJoinRange(5, 5, 1, func(lo, hi int) { t.Fatalf("empty window ran [%d, %d)", lo, hi) })
+}
+
+// TestForkJoinOnCrewIsFreeOfSideEffects pins what lets the fork run on
+// the crew between two posts of the descriptor engine: it allocates
+// nothing, it is not a counted dispatch, it leaves a pending abort
+// request for the job it was raised against, and posted jobs interleave
+// with it freely.
+func TestForkJoinOnCrewIsFreeOfSideEffects(t *testing.T) {
+	p := NewPool(3, 300)
+	defer p.Close()
+	cells := make([]int64, 64)
+	fill := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			cells[i]++
+		}
+	}
+	p.ForkJoin(len(cells), 2, fill) // warm
+	if avg := testing.AllocsPerRun(200, func() {
+		p.ForkJoin(len(cells), 2, fill)
+		p.ForkJoinRange(8, 40, 2, fill)
+	}); avg != 0 {
+		t.Fatalf("ForkJoin allocates %.1f times per call pair, want 0", avg)
+	}
+	rn := &sumRunner{pool: p, data: make([]float64, 300), execs: make([]int64, p.Workers())}
+	p.Post(rn, JobEvaluate)
+	p.AbortJob()
+	p.ForkJoin(len(cells), 2, fill)
+	if !p.Aborted() {
+		t.Fatal("a fork cleared the abort flag")
+	}
+	p.Post(rn, JobEvaluate)
+	if p.Aborted() {
+		t.Fatal("the next Post did not clear the abort flag")
+	}
+	if d := p.Dispatches(); d != 2 {
+		t.Fatalf("%d dispatches counted for 2 posts and several forks", d)
+	}
+	for i, c := range cells {
+		if want := cells[0]; i >= 8 && i < 40 {
+			if c != cells[8] {
+				t.Fatalf("cell %d filled %d times, cell 8 %d", i, c, cells[8])
+			}
+		} else if c != want {
+			t.Fatalf("cell %d filled %d times, cell 0 %d", i, c, want)
+		}
 	}
 }
