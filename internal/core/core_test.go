@@ -345,18 +345,40 @@ func TestRunRejectsTinyData(t *testing.T) {
 // the CLI would write — RAxML_bestTree, RAxML_bipartitions,
 // RAxML_bootstrap — byte for byte, and the best log-likelihood at full
 // precision. GTRCAT is the shape whose every kernel-set-dependent loop
-// (scan join, blocked logarithm) is pinned bit-identical in all builds.
+// (newview, makenewz setup and core, scan join, blocked logarithm) is
+// pinned bit-identical in all builds; it runs on one partition and on
+// two (each with its own categories), on one worker and on two.
 func TestOutputsIdenticalAcrossKernelsAndInvalidation(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three full analyses")
+		t.Skip("three full analyses per case")
 	}
-	pat := testPatterns(t, 12, 500, 31)
-	opts := Options{Bootstraps: 6, Ranks: 1, Workers: 2, SeedParsimony: 41, SeedBootstrap: 43, Model: GTRCAT}
+	single := testPatterns(t, 12, 500, 31)
+	a, _, err := seqgen.Generate(seqgen.Config{Taxa: 12, Chars: 500, Seed: 33, TreeScale: 0.5, Alpha: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	double, err := msa.CompressPartitioned(a, []msa.PartitionDef{
+		{ModelName: "DNA", Name: "geneA", Ranges: []msa.SiteRange{{Lo: 0, Hi: 230, Stride: 1}}},
+		{ModelName: "DNA", Name: "geneB", Ranges: []msa.SiteRange{{Lo: 230, Hi: 500, Stride: 1}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		pat     *msa.Patterns
+		workers int
+	}{
+		{"1 partition, T=1", single, 1},
+		{"1 partition, T=2", single, 2},
+		{"2 partitions, T=1", double, 1},
+		{"2 partitions, T=2", double, 2},
+	}
 	type outputs struct {
 		best, bipartitions, bootstrap string
 		lnL                           float64
 	}
-	run := func(t *testing.T, kernels string, coarse bool) outputs {
+	run := func(t *testing.T, pat *msa.Patterns, workers int, kernels string, coarse bool) outputs {
 		t.Helper()
 		if err := likelihood.SetKernelMode(kernels); err != nil {
 			t.Skipf("kernel set %q: %v", kernels, err)
@@ -368,6 +390,7 @@ func TestOutputsIdenticalAcrossKernelsAndInvalidation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}()
+		opts := Options{Bootstraps: 6, Ranks: 1, Workers: workers, SeedParsimony: 41, SeedBootstrap: 43, Model: GTRCAT}
 		res, err := Run(pat, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -393,7 +416,10 @@ func TestOutputsIdenticalAcrossKernelsAndInvalidation(t *testing.T) {
 		}
 		return out
 	}
-	want := run(t, "scalar", false)
+	want := make([]outputs, len(cases))
+	for i, tc := range cases {
+		want[i] = run(t, tc.pat, tc.workers, "scalar", false)
+	}
 	for _, alt := range []struct {
 		name    string
 		kernels string
@@ -403,18 +429,22 @@ func TestOutputsIdenticalAcrossKernelsAndInvalidation(t *testing.T) {
 		{"scalar, invalidate-all", "scalar", true},
 	} {
 		t.Run(alt.name, func(t *testing.T) {
-			got := run(t, alt.kernels, alt.coarse)
-			if got.lnL != want.lnL {
-				t.Errorf("best lnL %.17g, scalar/precise %.17g", got.lnL, want.lnL)
-			}
-			if got.best != want.best {
-				t.Errorf("RAxML_bestTree differs:\n%s\n%s", got.best, want.best)
-			}
-			if got.bipartitions != want.bipartitions {
-				t.Errorf("RAxML_bipartitions differs:\n%s\n%s", got.bipartitions, want.bipartitions)
-			}
-			if got.bootstrap != want.bootstrap {
-				t.Errorf("RAxML_bootstrap differs:\n%s\n%s", got.bootstrap, want.bootstrap)
+			for i, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					got, want := run(t, tc.pat, tc.workers, alt.kernels, alt.coarse), want[i]
+					if got.lnL != want.lnL {
+						t.Errorf("best lnL %.17g, scalar/precise %.17g", got.lnL, want.lnL)
+					}
+					if got.best != want.best {
+						t.Errorf("RAxML_bestTree differs:\n%s\n%s", got.best, want.best)
+					}
+					if got.bipartitions != want.bipartitions {
+						t.Errorf("RAxML_bipartitions differs:\n%s\n%s", got.bipartitions, want.bipartitions)
+					}
+					if got.bootstrap != want.bootstrap {
+						t.Errorf("RAxML_bootstrap differs:\n%s\n%s", got.bootstrap, want.bootstrap)
+					}
+				})
 			}
 		})
 	}

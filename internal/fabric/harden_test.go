@@ -284,9 +284,26 @@ func TestDialRetrySurvivesLateListener(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer star.Close()
-	go star.AcceptLink()
-	if err := <-done; err != nil {
-		t.Fatalf("DialStar with a late listener: %v", err)
+	// The accept is joined before the test returns: it reads HelloTimeout,
+	// which withTimeouts' cleanup writes back.
+	accepted := make(chan error, 1)
+	go func() {
+		link, _, err := star.AcceptLink()
+		if err == nil {
+			link.Close()
+		}
+		accepted <- err
+	}()
+	dialErr := <-done
+	if dialErr != nil {
+		star.Close() // nobody is coming: unblock the accept
+	}
+	acceptErr := <-accepted
+	if dialErr != nil {
+		t.Fatalf("DialStar with a late listener: %v", dialErr)
+	}
+	if acceptErr != nil {
+		t.Fatalf("AcceptLink of the late dialer: %v", acceptErr)
 	}
 }
 

@@ -577,3 +577,99 @@ func TestShortWidePartialSurfacesRankDead(t *testing.T) {
 	}
 	trs[0].Close()
 }
+
+// badCategoryTransport wraps the master endpoint and, once armed,
+// rewrites the last pattern's rate category in every model-sync block
+// it sends to a value the shipped category rates do not have — a bit
+// flip past the CRC, or a frame from some other stream.
+type badCategoryTransport struct {
+	fabric.Transport
+	offset   int   // byte offset of that category in a job frame
+	category int32 // what to put there
+	armed    atomic.Bool
+}
+
+func (b *badCategoryTransport) Send(to int, tag byte, payload []byte) error {
+	const modelFlag = 1 // likelihood's jobFlagModel
+	if b.armed.Load() && (tag == TagJob || tag == TagJobFrag) && len(payload) > b.offset+4 && payload[1]&modelFlag != 0 {
+		payload = append([]byte(nil), payload...)
+		binary.LittleEndian.PutUint32(payload[b.offset:], uint32(b.category))
+	}
+	return b.Transport.Send(to, tag, payload)
+}
+
+// TestBadCategoryOnWireSurfacesRankDead: a model block whose CAT
+// assignment names a category outside the shipped rates must not reach
+// a kernel — the scalar ones would panic on the index, the assembly read
+// past its matrix block. The worker refuses the block as a desync and
+// dies; the master sees a dead rank (restripe), not a job-level error
+// it would replay on the next lease.
+func TestBadCategoryOnWireSurfacesRankDead(t *testing.T) {
+	pat := makeData(t, 12, 400, 1, 81)
+	topo := tree.Random(pat.Names, rng.New(82))
+	n := pat.NumPatterns()
+	for name, category := range map[string]int32{"out of range": 1, "negative": -1} {
+		t.Run(name, func(t *testing.T) {
+			// Over TCP: a rank that closes its link is one dead rank there,
+			// where closing a chan endpoint tears the whole world down.
+			master, err := fabric.ListenTCP("127.0.0.1:0", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer master.Close()
+			served := make(chan error, 1)
+			go func() {
+				wt, err := fabric.DialTCP(master.Addr(), 1, 2)
+				if err != nil {
+					served <- err
+					return
+				}
+				defer wt.Close()
+				served <- Serve(wt)
+			}()
+			if err := master.Accept(); err != nil {
+				t.Fatal(err)
+			}
+			// Frame layout up to the last category (the master keeps the
+			// first stripe, the worker the last): code, flags, node
+			// capacity; the weights; CAT flag and partition count; the
+			// partition's ten model parameters, its one category rate, no
+			// probabilities; the assignment's length and n-1 categories.
+			bad := &badCategoryTransport{
+				Transport: master, category: category,
+				offset: 6 + (4 + 4*n) + 1 + 4 + 10*8 + (4 + 8) + 4 + 4 + 4*(n-1),
+			}
+			set := makeSet(t, pat, true)
+			pool, err := NewPool(bad, pat, set, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.AttachTree(topo); err != nil {
+				t.Fatal(err)
+			}
+			want := eng.LogLikelihood() // a sound model block first
+			eng.InvalidateAll()         // the next job ships the model again
+			bad.armed.Store(true)
+			panicked := func() (v any) {
+				defer func() { v = recover() }()
+				_ = eng.LogLikelihood()
+				return nil
+			}()
+			err, ok := panicked.(error)
+			if !ok {
+				t.Fatalf("likelihood over a mangled model block: panic value %v, want an error (sound value was %g)", panicked, want)
+			}
+			if dead := fabric.AsRankDead(err); dead == nil || dead.Rank != 1 {
+				t.Fatalf("mangled model block did not surface rank 1 as dead: %v", err)
+			}
+			if err := <-served; !errors.Is(err, likelihood.ErrWireDesync) {
+				t.Errorf("worker exit: %v, want a wire desync", err)
+			}
+			pool.Close()
+		})
+	}
+}

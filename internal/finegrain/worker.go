@@ -43,9 +43,10 @@ func Serve(tr fabric.Transport) error {
 // state changed, so a worker that just replays frames in order is
 // always consistent with the master's planning. Clean job-level
 // failures (ExecWireJob errors) are reported to the master as TagErr
-// frames; protocol desync or decode failures instead close the
-// transport and die loudly, so the master sees a dead rank and
-// restripes rather than trusting a corrupted stream.
+// frames; protocol desync, decode failures and frames whose content
+// only a mangled stream explains (likelihood.ErrWireDesync) instead
+// close the transport and die loudly, so the master sees a dead rank
+// and restripes rather than trusting a corrupted stream.
 func ServeSessions(tr fabric.Transport) error {
 	for {
 		tag, payload, err := tr.Recv(0)
@@ -158,6 +159,12 @@ func serveSession(tr fabric.Transport, initPayload []byte) (done bool, err error
 				return true, fmt.Errorf("finegrain: worker job decode: %w", decErr)
 			}
 			partial, err := eng.ExecWireJob(&job, geom)
+			if errors.Is(err, likelihood.ErrWireDesync) {
+				// The frame decoded but names state the master cannot have
+				// sent: the same policy as a frame that did not decode.
+				tr.Close()
+				return true, fmt.Errorf("finegrain: worker job exec: %w", err)
+			}
 			if err != nil {
 				_ = tr.Send(0, TagErr, []byte(err.Error()))
 				return true, fmt.Errorf("finegrain: worker job exec: %w", err)

@@ -38,19 +38,16 @@ func bench1288Patterns(b *testing.B) *msa.Patterns {
 	return p
 }
 
-// BenchmarkNewviewArena measures the newview hot path — a full-tree
-// descriptor walk refreshing every directed CLV on the evaluation path —
-// on the 1288-pattern workload, under both rate treatments. This is the
-// benchmark the flat-CLV arena refactor is gated on (ISSUE 2 acceptance:
-// >= 1.3x over the recorded per-slice baseline) and the one benchdiff
-// watches most closely for regressions.
-func BenchmarkNewviewArena(b *testing.B) {
-	pat := bench1288Patterns(b)
-	tr := tree.Random(pat.Names, rng.New(3))
-	cases := []struct {
-		name  string
-		rates func() *gtr.RateCategories
-	}{
+// benchTreatment is one rate treatment of the 1288-pattern workload.
+type benchTreatment struct {
+	name  string
+	rates func() *gtr.RateCategories
+}
+
+// benchTreatments returns the two treatments the kernel benchmarks run
+// under: 25 clustered CAT categories, and GAMMA with 4.
+func benchTreatments(b *testing.B, pat *msa.Patterns) []benchTreatment {
+	return []benchTreatment{
 		{"CAT", func() *gtr.RateCategories {
 			r := rng.New(5)
 			perSite := make([]float64, pat.NumPatterns())
@@ -67,7 +64,18 @@ func BenchmarkNewviewArena(b *testing.B) {
 			return rc
 		}},
 	}
-	for _, tc := range cases {
+}
+
+// BenchmarkNewviewArena measures the newview hot path — a full-tree
+// descriptor walk refreshing every directed CLV on the evaluation path —
+// on the 1288-pattern workload, under both rate treatments. This is the
+// benchmark the flat-CLV arena refactor is gated on (ISSUE 2 acceptance:
+// >= 1.3x over the recorded per-slice baseline) and the one benchdiff
+// watches most closely for regressions.
+func BenchmarkNewviewArena(b *testing.B) {
+	pat := bench1288Patterns(b)
+	tr := tree.Random(pat.Names, rng.New(3))
+	for _, tc := range benchTreatments(b, pat) {
 		for _, workers := range []int{1, 4} {
 			b.Run(tc.name+"/workers="+string(rune('0'+workers)), func(b *testing.B) {
 				if workers > runtime.NumCPU() {
@@ -91,6 +99,44 @@ func BenchmarkNewviewArena(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					e.InvalidateAll()
 					e.refreshViews([2]int{a, slotA}, [2]int{nb, slotB})
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkRelikelihood is a full relikelihood — invalidate everything,
+// walk the whole descriptor, evaluate — on the 1288-pattern workload
+// under each rate treatment and each kernel set, so the in-process
+// avx2/scalar ratio exists for CAT next to GAMMA's (the scalar figures
+// are the reference loops of the same kernel-table entries). The avx2
+// variants skip where the set is unavailable.
+func BenchmarkRelikelihood(b *testing.B) {
+	pat := bench1288Patterns(b)
+	tr := tree.Random(pat.Names, rng.New(3))
+	for _, tc := range benchTreatments(b, pat) {
+		for _, mode := range []string{"scalar", "avx2"} {
+			b.Run(tc.name+"/"+mode, func(b *testing.B) {
+				if err := SetKernelMode(mode); err != nil {
+					b.Skip(err)
+				}
+				defer func() {
+					if err := SetKernelMode("auto"); err != nil {
+						b.Fatal(err)
+					}
+				}()
+				e, err := New(pat, gtr.Default(), tc.rates(), Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := e.AttachTree(tr); err != nil {
+					b.Fatal(err)
+				}
+				_ = e.LogLikelihood() // warm allocation paths
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.InvalidateAll()
+					sinkLL = e.LogLikelihood()
 				}
 			})
 		}

@@ -140,6 +140,19 @@ type pendantKey struct {
 	cats  int    // totalCats at fill time
 }
 
+// workerScratch is one local worker's kernel scratch: the clamped site
+// likelihoods of a log block and their logarithms (kernels_log.go), the
+// sumtable bases of the partition chunk a makenewz setup is projecting,
+// and the probability-folded factor block of a GAMMA makenewz core
+// chunk. It is engine-owned, one per local worker, not stack arrays:
+// arguments of a call through a func-valued table entry escape, so stack
+// scratch would be a heap allocation on every chunk.
+type workerScratch struct {
+	site, logs  [logBlockLen]float64
+	left, right [16]float64
+	pw          [48]float64
+}
+
 // partState is one partition's slice of the engine: its span on the
 // concatenated pattern axis, its model instance, and the offsets of its
 // segment within every CLV tile and matrix scratch buffer.
@@ -154,6 +167,13 @@ type partState struct {
 
 	model *gtr.Model
 	rates *gtr.RateCategories
+
+	// maxCat is the highest category index rates.PatternCategory holds
+	// (0 for GAMMA treatments). installRates, the only writer of *rates,
+	// keeps it exact, so a kernel wrapper bounds every per-pattern matrix
+	// index with one check of its matrix block against maxCat instead of a
+	// scan of the assignment.
+	maxCat int
 
 	// pOff is the partition's offset into every per-category matrix
 	// buffer (prefix sum of NumCats over preceding partitions; see
@@ -181,7 +201,7 @@ type Engine struct {
 
 	// kern is the kernel implementation set bound at construction
 	// (kernels_dispatch.go): scalar reference or AVX2 assembly for the
-	// two hottest loops, selected by the process-wide SetKernelMode.
+	// hot per-pattern loops, selected by the process-wide SetKernelMode.
 	kern *kernelTable
 
 	// The flat CLV arena. arena holds nTiles tiles of tileFloats
@@ -242,9 +262,15 @@ type Engine struct {
 	scanCands  []scanCand
 	scanP      [][16]float64
 	fillScanFn func(lo, hi int)
+	// pendProd is the pendant-product scratch of the scan in flight: ONE
+	// tile-shaped buffer (tileFloats float64, the segments of a CLV tile)
+	// holding P(pendant)·subtree per pattern and category, which every
+	// candidate of the prune shares. Each worker fills its own stripe at
+	// the top of the scan job and reads nothing else.
+	pendProd []float64
 
-	// blocks[w] is local worker w's log-block scratch (kernels_log.go).
-	blocks []logBlocks
+	// scratch[w] is local worker w's kernel scratch.
+	scratch []workerScratch
 
 	// traversal descriptor state (see traversal.go): the ordered list
 	// of stale directed CLVs posted to the pool as one job, its
@@ -421,16 +447,15 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 				r.Name, r.Lo, r.Hi, lo)
 		}
 		lo = r.Hi
-		rc := set.Rates[i]
-		if rc.IsCAT() && len(rc.PatternCategory) != r.Len() {
-			return nil, fmt.Errorf("likelihood: CAT assignment covers %d patterns, want %d",
-				len(rc.PatternCategory), r.Len())
-		}
-		e.parts = append(e.parts, partState{
+		ps := partState{
 			name: r.Name, lo: r.Lo, hi: r.Hi,
 			fOff: e.tileFloats, sOff: e.tileScale,
-			model: set.Models[i], rates: rc,
-		})
+			model: set.Models[i], rates: set.Rates[i],
+		}
+		if err := ps.installRates(*set.Rates[i]); err != nil {
+			return nil, err
+		}
+		e.parts = append(e.parts, ps)
 		e.tileFloats += padTo(r.Len()*e.nCat*4, 8)
 		e.tileScale += padTo(r.Len(), 16)
 	}
@@ -457,7 +482,7 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 	}
 	e.pool.AlignRangesAt(stripeQuantum, starts)
 	e.pool.EnsureWide(len(e.parts))
-	e.blocks = make([]logBlocks, e.pool.Workers())
+	e.scratch = make([]workerScratch, e.pool.Workers())
 	e.fillTravFn = e.fillTravMatrices
 	e.fillWireFn = e.fillWireIdxMatrices
 	e.fillScanFn = e.fillScanHalves
@@ -544,9 +569,10 @@ func (e *Engine) Counts() (newviews, evals int64) {
 }
 
 // MemoryBytes returns the engine's current likelihood-buffer footprint:
-// the CLV arena, its scaling counters, the tip vectors and the makenewz
+// the CLV arena, its scaling counters, the tip vectors, the makenewz
 // sumtable arena (one extra tile once branch-length optimization has
-// run). Section 7
+// run) and the pendant-product scratch (one more once an insertion scan
+// has). Section 7
 // of the paper predicts that growing pattern counts will force one rank
 // to own the memory of many cores ("perhaps even the entire node");
 // this accessor quantifies the per-rank footprint driving that
@@ -554,7 +580,7 @@ func (e *Engine) Counts() (newviews, evals int64) {
 // exact, not a sum over stray slices.
 func (e *Engine) MemoryBytes() int64 {
 	return int64(len(e.arena))*8 + int64(len(e.scaleArena))*4 +
-		int64(len(e.tipFlat))*8 + int64(len(e.sumtable))*8
+		int64(len(e.tipFlat))*8 + int64(len(e.sumtable))*8 + int64(len(e.pendProd))*8
 }
 
 // EstimateMemoryBytes predicts the fully populated CLV-arena footprint
@@ -770,6 +796,35 @@ func (e *Engine) invalidateSide(from, acrossTo int) {
 		}
 	}
 	e.walkStack = st
+}
+
+// installRates makes rc the partition's rate treatment. It is the only
+// writer of *ps.rates — construction, the per-site rate optimizer and
+// the wire model sync all come through here — and rejects a CAT
+// assignment that does not cover the partition's patterns or names a
+// category outside [0, rc.NumCats()): the scalar kernels would panic on
+// such an index and the assembly kernels read past their matrix block.
+// The treatment's pointer identity is kept (external holders keep seeing
+// the engine's treatments); rc's slices are adopted, not copied. On an
+// error nothing is installed.
+func (ps *partState) installRates(rc gtr.RateCategories) error {
+	top := 0
+	if rc.IsCAT() {
+		if n := ps.hi - ps.lo; len(rc.PatternCategory) != n {
+			return fmt.Errorf("likelihood: partition %q: CAT assignment covers %d patterns, want %d",
+				ps.name, len(rc.PatternCategory), n)
+		}
+		for k, c := range rc.PatternCategory {
+			if c < 0 || c >= len(rc.Rates) {
+				return fmt.Errorf("likelihood: partition %q: pattern %d is assigned category %d of %d",
+					ps.name, k, c, len(rc.Rates))
+			}
+			top = max(top, c)
+		}
+	}
+	*ps.rates = rc
+	ps.maxCat = top
+	return nil
 }
 
 // ensureP recomputes the per-partition matrix-scratch offsets (pOff:

@@ -54,13 +54,63 @@ func FuzzDecodeDescriptor(f *testing.F) {
 		binary.LittleEndian.PutUint32(lie[scanCountOffset:], 1<<30)
 		f.Add(lie)
 	}
+	// Frames with a model-sync block: the genuine one, and the same with
+	// one pattern's rate category beyond the shipped rates and negative.
+	// The init frame carries no categories (a worker's treatment arrives
+	// with its first job), so this is where a category enters a rank.
+	model, eng, geom := modelFrame(f)
+	f.Add(model)
+	for _, c := range []int32{1, 7, -1, math.MinInt32} {
+		bad := append([]byte(nil), model...)
+		binary.LittleEndian.PutUint32(bad[modelFrameCatOffset(eng.nPatterns):], uint32(c))
+		if j, err := DecodeWireJob(bad); err != nil || j.Model.Parts[0].CatAssign[0] != int(c) {
+			f.Fatalf("patched category %d did not land: %v", c, err)
+		}
+		f.Add(bad)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var j WireJob
 		_ = DecodeWireJobInto(&j, data)
 		// Decode again into the same struct: slab reuse must be as safe
 		// on a hostile frame as on the steady-state path.
-		_ = DecodeWireJobInto(&j, data)
+		if err := DecodeWireJobInto(&j, data); err == nil && j.Model != nil {
+			// Whatever decoded must install or be refused, never panic
+			// — and must never leave a category the kernels would follow
+			// out of their matrix block.
+			_ = eng.ApplyWireModel(j.Model, geom)
+			for i := range eng.parts {
+				ps := &eng.parts[i]
+				for _, c := range ps.rates.PatternCategory {
+					if c < 0 || c > ps.maxCat || ps.maxCat >= ps.rates.NumCats() {
+						t.Fatalf("category %d installed beside top %d of %d", c, ps.maxCat, ps.rates.NumCats())
+					}
+				}
+			}
+		}
 	})
+}
+
+// modelFrame returns a scan frame carrying the model-sync block of a
+// small one-partition CAT engine, and a worker engine (with its
+// geometry) over the same patterns to install such blocks on.
+func modelFrame(t testing.TB) ([]byte, *Engine, *WorkerGeom) {
+	_, master, _ := scanFrame(t, 1, true)
+	frame := append([]byte(nil), master.EncodeWireJob(threads.JobInsertScan, true, false)...)
+	n := master.nPatterns
+	geom := &WorkerGeom{StripeLo: 0, StripeHi: n, MasterParts: 1, PartMap: []int{0}, ClipOff: []int{0}}
+	worker, err := BuildWorkerEngine(&WorkerInit{Rank: 1, Ranks: 2, Threads: 1, Geom: *geom, Pat: master.pat, IsCAT: true, NCats: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame, worker, geom
+}
+
+// modelFrameCatOffset is the byte offset of pattern 0's rate category in
+// modelFrame's frame: code, flags and node capacity, the weight vector,
+// the CAT flag and partition count, partition 0's ten model parameters,
+// its one category rate, no probabilities, the assignment's length.
+func modelFrameCatOffset(nPatterns int) int {
+	return 6 + (4 + 4*nPatterns) + 1 + 4 + 10*8 + (4 + 8) + 4 + 4
 }
 
 func FuzzDecodeWirePartial(f *testing.F) {
@@ -92,26 +142,53 @@ func FuzzDecodeWirePartial(f *testing.F) {
 
 func FuzzDecodeWorkerInit(f *testing.F) {
 	// Seed with a genuine init frame over a tiny compressed alignment.
-	a := &msa.Alignment{Names: []string{"t0", "t1", "t2"}}
-	for range a.Names {
+	a := &msa.Alignment{Names: []string{"t0", "t1", "t2", "t3"}}
+	for i := range a.Names {
 		row := make([]msa.State, 8)
 		for j := range row {
-			row[j] = msa.EncodeChar("ACGT"[j%4])
+			row[j] = msa.EncodeChar("ACGT"[(i+j)%4])
 		}
 		a.Seqs = append(a.Seqs, row)
 	}
-	if pat, err := msa.Compress(a); err == nil {
-		f.Add(EncodeWorkerInit(&WorkerInit{
-			Rank: 1, Ranks: 2, Threads: 1,
-			Geom: WorkerGeom{
-				StripeLo: 0, StripeHi: pat.NumPatterns(), MasterParts: pat.NumParts(),
-				PartMap: []int{0}, ClipOff: []int{0},
-			},
-			Pat: pat, NCats: 4,
-		}))
+	pat, err := msa.Compress(a)
+	if err != nil {
+		f.Fatal(err)
 	}
+	init := &WorkerInit{
+		Rank: 1, Ranks: 2, Threads: 1,
+		Geom: WorkerGeom{
+			StripeLo: 0, StripeHi: pat.NumPatterns(), MasterParts: pat.NumParts(),
+			PartMap: []int{0}, ClipOff: []int{0},
+		},
+		Pat: pat, NCats: 4,
+	}
+	good := EncodeWorkerInit(init)
+	if _, err := DecodeWorkerInit(good); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	// The one index an init frame hands the kernels is the tip state
+	// code (rate categories arrive with the first job's model block, see
+	// FuzzDecodeDescriptor): the same frame with codes past the sixteen a
+	// lookup table holds.
+	pat.Data[0][0], pat.Data[3][pat.NumPatterns()-1] = 16, 255
+	bad := EncodeWorkerInit(init)
+	if _, err := DecodeWorkerInit(bad); err == nil {
+		f.Fatal("init frame with state codes 16 and 255 decoded")
+	}
+	f.Add(bad)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeWorkerInit(data)
+		w, err := DecodeWorkerInit(data)
+		if err != nil {
+			return
+		}
+		for _, row := range w.Pat.Data {
+			for _, s := range row {
+				if s > msa.Gap {
+					t.Fatalf("decoded state code %d", s)
+				}
+			}
+		}
 	})
 }

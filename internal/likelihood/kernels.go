@@ -42,9 +42,10 @@ import (
 // chain — `small && v < threshold && …` — whose first live lane kills
 // the rest of the chain, so the common case costs one predictable
 // branch per category (a running-maximum formulation costs four
-// data-dependent branches and mispredicts constantly; the AVX2 path
-// reaches the same decision branchlessly via VMAXPD and one compare —
-// "all lanes below threshold" ⟺ "max lane below threshold"). newview
+// data-dependent branches and mispredicts constantly; the AVX2 GAMMA
+// kernels reach the same decision via VMAXPD and one compare — "all
+// lanes below threshold" ⟺ "max lane below threshold" — and the AVX2
+// CAT kernels via one 4-lane compare and its mask). newview
 // processes every pattern unconditionally: the weight-zero skip is
 // lifted out of the newview inner loops entirely (zero-weight CLV lanes
 // are computed and ignored downstream — cheaper than a per-pattern
@@ -57,10 +58,13 @@ import (
 // combinations (tip x tip, tip x inner, inner x inner) and the two rate
 // treatments are specialized so the inner loop carries no per-pattern
 // branches beyond the rescale test. Tip children cost four lookup-table
-// loads instead of a 4x4 matrix-vector product. The hottest shape —
-// GAMMA inner×inner at nCat == 4 — and the makenewz core loop go
-// through the engine's kernel table (kernels_dispatch.go), where an
-// AVX2 assembly implementation can replace the scalar reference.
+// loads instead of a 4x4 matrix-vector product. Every shape a search
+// runs — the three child-kind combinations under CAT and under GAMMA at
+// nCat == 4 — together with the makenewz setup and core loops goes
+// through the engine's kernel table (kernels_dispatch.go), where an AVX2
+// assembly implementation can replace the scalar reference; the loops
+// left inline below are the generic-nCat GAMMA fallback and the
+// evaluate-side kernels.
 
 // childView describes one input of an evaluate-side kernel: either a
 // tip (flat 4-wide vector over global patterns, no scaling) or an
@@ -139,10 +143,11 @@ func (e *Engine) newviewRange(ent *travEntry, r threads.Range) {
 // newviewChunkCAT is the nCat == 1 (per-pattern rate category) newview
 // over one partition chunk [lo, hi) (global pattern indices): one
 // 4-wide block per pattern, transition matrices selected by the
-// pattern's category within the partition's matrix block.
+// pattern's category within the partition's matrix block. It only
+// materializes the chunk's stripes; the three child-kind loops are
+// kernel-table entries.
 func (e *Engine) newviewChunkCAT(ent *travEntry, ps *partState, lo, hi int) {
 	l0, l1 := lo-ps.lo, hi-ps.lo // segment-local pattern window
-	n := l1 - l0
 	dBase := ent.dstOff + ps.fOff
 	dst := e.arena[dBase+l0*4 : dBase+l1*4 : dBase+l1*4]
 	sBase := ent.dstScaleOff + ps.sOff
@@ -159,26 +164,7 @@ func (e *Engine) newviewChunkCAT(ent *travEntry, ps *partState, lo, hi int) {
 		codesR := e.pat.Data[right.taxon][lo:hi]
 		lutL := ent.lutL[64*ps.pOff : 64*(ps.pOff+npc)]
 		lutR := ent.lutR[64*ps.pOff : 64*(ps.pOff+npc)]
-		for k := 0; k < n; k++ {
-			pc := pcat[k]
-			l := (*[4]float64)(lutL[(int(codesL[k])*npc+pc)*4:])
-			rr := (*[4]float64)(lutR[(int(codesR[k])*npc+pc)*4:])
-			v0 := l[0] * rr[0]
-			v1 := l[1] * rr[1]
-			v2 := l[2] * rr[2]
-			v3 := l[3] * rr[3]
-			var sc int32
-			if v0 < scaleThreshold && v1 < scaleThreshold && v2 < scaleThreshold && v3 < scaleThreshold {
-				v0 *= scaleFactor
-				v1 *= scaleFactor
-				v2 *= scaleFactor
-				v3 *= scaleFactor
-				sc = 1
-			}
-			d := (*[4]float64)(dst[k*4:])
-			d[0], d[1], d[2], d[3] = v0, v1, v2, v3
-			dsc[k] = sc
-		}
+		e.kern.newviewTTCAT(dst, codesL, codesR, lutL, lutR, pcat, ps.maxCat, dsc)
 
 	case left.tip != right.tip:
 		// Normalize: tip contribution from the lookup table, inner
@@ -196,28 +182,7 @@ func (e *Engine) newviewChunkCAT(ent *travEntry, ps *partState, lo, hi int) {
 		iv := e.arena[iBase+l0*4 : iBase+l1*4 : iBase+l1*4]
 		isBase := inner.scaleOff + ps.sOff
 		isc := e.scaleArena[isBase+l0 : isBase+l1 : isBase+l1]
-		for k := 0; k < n; k++ {
-			pc := pcat[k]
-			t := (*[4]float64)(lut[(int(codes[k])*npc+pc)*4:])
-			c := (*[4]float64)(iv[k*4:])
-			c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
-			p := &pm[pc]
-			v0 := t[0] * ((p[0]*c0 + p[1]*c1) + (p[2]*c2 + p[3]*c3))
-			v1 := t[1] * ((p[4]*c0 + p[5]*c1) + (p[6]*c2 + p[7]*c3))
-			v2 := t[2] * ((p[8]*c0 + p[9]*c1) + (p[10]*c2 + p[11]*c3))
-			v3 := t[3] * ((p[12]*c0 + p[13]*c1) + (p[14]*c2 + p[15]*c3))
-			sc := isc[k]
-			if v0 < scaleThreshold && v1 < scaleThreshold && v2 < scaleThreshold && v3 < scaleThreshold {
-				v0 *= scaleFactor
-				v1 *= scaleFactor
-				v2 *= scaleFactor
-				v3 *= scaleFactor
-				sc++
-			}
-			d := (*[4]float64)(dst[k*4:])
-			d[0], d[1], d[2], d[3] = v0, v1, v2, v3
-			dsc[k] = sc
-		}
+		e.kern.newviewTICAT(dst, codes, lut, iv, pm, pcat, ps.maxCat, isc, dsc)
 
 	default: // inner x inner
 		lBase := left.off + ps.fOff
@@ -228,33 +193,109 @@ func (e *Engine) newviewChunkCAT(ent *travEntry, ps *partState, lo, hi int) {
 		rsBase := right.scaleOff + ps.sOff
 		lsc := e.scaleArena[lsBase+l0 : lsBase+l1 : lsBase+l1]
 		rsc := e.scaleArena[rsBase+l0 : rsBase+l1 : rsBase+l1]
-		for k := 0; k < n; k++ {
-			pc := pcat[k]
-			l := (*[4]float64)(lv[k*4:])
-			rr := (*[4]float64)(rv[k*4:])
-			c0, c1, c2, c3 := l[0], l[1], l[2], l[3]
-			e0, e1, e2, e3 := rr[0], rr[1], rr[2], rr[3]
-			pa, pb := &pL[pc], &pR[pc]
-			v0 := ((pa[0]*c0 + pa[1]*c1) + (pa[2]*c2 + pa[3]*c3)) *
-				((pb[0]*e0 + pb[1]*e1) + (pb[2]*e2 + pb[3]*e3))
-			v1 := ((pa[4]*c0 + pa[5]*c1) + (pa[6]*c2 + pa[7]*c3)) *
-				((pb[4]*e0 + pb[5]*e1) + (pb[6]*e2 + pb[7]*e3))
-			v2 := ((pa[8]*c0 + pa[9]*c1) + (pa[10]*c2 + pa[11]*c3)) *
-				((pb[8]*e0 + pb[9]*e1) + (pb[10]*e2 + pb[11]*e3))
-			v3 := ((pa[12]*c0 + pa[13]*c1) + (pa[14]*c2 + pa[15]*c3)) *
-				((pb[12]*e0 + pb[13]*e1) + (pb[14]*e2 + pb[15]*e3))
-			sc := lsc[k] + rsc[k]
-			if v0 < scaleThreshold && v1 < scaleThreshold && v2 < scaleThreshold && v3 < scaleThreshold {
-				v0 *= scaleFactor
-				v1 *= scaleFactor
-				v2 *= scaleFactor
-				v3 *= scaleFactor
-				sc++
-			}
-			d := (*[4]float64)(dst[k*4:])
-			d[0], d[1], d[2], d[3] = v0, v1, v2, v3
-			dsc[k] = sc
+		e.kern.newviewIICAT(dst, lv, rv, pL, pR, pcat, ps.maxCat, lsc, rsc, dsc)
+	}
+}
+
+// The CAT newview references: n = len(dsc) patterns of one 4-lane block
+// each, pattern k combining its children through the matrices (or the
+// lookup-table block) of its own rate category pcat[k]. top is the
+// highest index pcat can hold (the partition's maxCat): the assembly
+// twins, which index the matrix and table blocks unchecked, bound every
+// per-pattern index with one check against it; the references index
+// checked and ignore it. The AVX2 implementations perform the same
+// pairwise-associated products, take the same rescale decision (all four
+// lanes below scaleThreshold, a NaN lane never) and are pinned to these
+// functions bit for bit by TestKernelEquivalence.
+
+// newviewTTCATScalar is the scalar reference of the CAT tip×tip newview:
+// an elementwise product of the children's lookup-table blocks, each
+// table holding 16 codes × npc categories × 4 lanes with the block of
+// (code, category) at (code·npc + category)·4; npc = len(lutL)/64.
+func newviewTTCATScalar(dst []float64, codesL, codesR []msa.State, lutL, lutR []float64, pcat []int, top int, dsc []int32) {
+	npc := len(lutL) / 64
+	for k := 0; k < len(dsc); k++ {
+		pc := pcat[k]
+		l := (*[4]float64)(lutL[(int(codesL[k])*npc+pc)*4:])
+		rr := (*[4]float64)(lutR[(int(codesR[k])*npc+pc)*4:])
+		v0 := l[0] * rr[0]
+		v1 := l[1] * rr[1]
+		v2 := l[2] * rr[2]
+		v3 := l[3] * rr[3]
+		var sc int32
+		if v0 < scaleThreshold && v1 < scaleThreshold && v2 < scaleThreshold && v3 < scaleThreshold {
+			v0 *= scaleFactor
+			v1 *= scaleFactor
+			v2 *= scaleFactor
+			v3 *= scaleFactor
+			sc = 1
 		}
+		d := (*[4]float64)(dst[k*4:])
+		d[0], d[1], d[2], d[3] = v0, v1, v2, v3
+		dsc[k] = sc
+	}
+}
+
+// newviewTICATScalar is the scalar reference of the CAT tip×inner
+// newview: the inner child's block goes through matrix pm[pcat[k]], the
+// tip contributes its lookup-table block (layout as newviewTTCATScalar,
+// npc = len(pm)) as an elementwise factor.
+func newviewTICATScalar(dst []float64, codes []msa.State, lut, iv []float64, pm [][16]float64, pcat []int, top int, isc, dsc []int32) {
+	npc := len(pm)
+	for k := 0; k < len(dsc); k++ {
+		pc := pcat[k]
+		t := (*[4]float64)(lut[(int(codes[k])*npc+pc)*4:])
+		c := (*[4]float64)(iv[k*4:])
+		c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+		p := &pm[pc]
+		v0 := t[0] * ((p[0]*c0 + p[1]*c1) + (p[2]*c2 + p[3]*c3))
+		v1 := t[1] * ((p[4]*c0 + p[5]*c1) + (p[6]*c2 + p[7]*c3))
+		v2 := t[2] * ((p[8]*c0 + p[9]*c1) + (p[10]*c2 + p[11]*c3))
+		v3 := t[3] * ((p[12]*c0 + p[13]*c1) + (p[14]*c2 + p[15]*c3))
+		sc := isc[k]
+		if v0 < scaleThreshold && v1 < scaleThreshold && v2 < scaleThreshold && v3 < scaleThreshold {
+			v0 *= scaleFactor
+			v1 *= scaleFactor
+			v2 *= scaleFactor
+			v3 *= scaleFactor
+			sc++
+		}
+		d := (*[4]float64)(dst[k*4:])
+		d[0], d[1], d[2], d[3] = v0, v1, v2, v3
+		dsc[k] = sc
+	}
+}
+
+// newviewIICATScalar is the scalar reference of the CAT inner×inner
+// newview: each child's block through its own matrix of the pattern's
+// category, the two products multiplied lane by lane.
+func newviewIICATScalar(dst, lv, rv []float64, pL, pR [][16]float64, pcat []int, top int, lsc, rsc, dsc []int32) {
+	for k := 0; k < len(dsc); k++ {
+		pc := pcat[k]
+		l := (*[4]float64)(lv[k*4:])
+		rr := (*[4]float64)(rv[k*4:])
+		c0, c1, c2, c3 := l[0], l[1], l[2], l[3]
+		e0, e1, e2, e3 := rr[0], rr[1], rr[2], rr[3]
+		pa, pb := &pL[pc], &pR[pc]
+		v0 := ((pa[0]*c0 + pa[1]*c1) + (pa[2]*c2 + pa[3]*c3)) *
+			((pb[0]*e0 + pb[1]*e1) + (pb[2]*e2 + pb[3]*e3))
+		v1 := ((pa[4]*c0 + pa[5]*c1) + (pa[6]*c2 + pa[7]*c3)) *
+			((pb[4]*e0 + pb[5]*e1) + (pb[6]*e2 + pb[7]*e3))
+		v2 := ((pa[8]*c0 + pa[9]*c1) + (pa[10]*c2 + pa[11]*c3)) *
+			((pb[8]*e0 + pb[9]*e1) + (pb[10]*e2 + pb[11]*e3))
+		v3 := ((pa[12]*c0 + pa[13]*c1) + (pa[14]*c2 + pa[15]*c3)) *
+			((pb[12]*e0 + pb[13]*e1) + (pb[14]*e2 + pb[15]*e3))
+		sc := lsc[k] + rsc[k]
+		if v0 < scaleThreshold && v1 < scaleThreshold && v2 < scaleThreshold && v3 < scaleThreshold {
+			v0 *= scaleFactor
+			v1 *= scaleFactor
+			v2 *= scaleFactor
+			v3 *= scaleFactor
+			sc++
+		}
+		d := (*[4]float64)(dst[k*4:])
+		d[0], d[1], d[2], d[3] = v0, v1, v2, v3
+		dsc[k] = sc
 	}
 }
 
@@ -539,7 +580,7 @@ func (e *Engine) evaluateRange(w int, r threads.Range) float64 {
 	for pi := range e.parts {
 		c := 0.0
 		if ps, lo, hi, ok := e.chunkOf(pi, r); ok {
-			c = e.evaluateChunk(&e.blocks[w], ps, lo, hi)
+			c = e.evaluateChunk(&e.scratch[w], ps, lo, hi)
 		}
 		ws[pi] = c
 		sum += c
@@ -547,7 +588,7 @@ func (e *Engine) evaluateRange(w int, r threads.Range) float64 {
 	return sum
 }
 
-func (e *Engine) evaluateChunk(blk *logBlocks, ps *partState, lo, hi int) float64 {
+func (e *Engine) evaluateChunk(blk *workerScratch, ps *partState, lo, hi int) float64 {
 	sum := 0.0
 	for b := lo; b < hi; b += logBlockLen {
 		end := min(b+logBlockLen, hi)
@@ -570,7 +611,7 @@ func (e *Engine) evaluateChunk(blk *logBlocks, ps *partState, lo, hi int) float6
 // evaluate and site-LL kernels: join the live patterns into blk.site,
 // take all their logarithms with one logBlock call, then correct each
 // for its views' rescaling counters.
-func (e *Engine) edgeLogSites(blk *logBlocks, ps *partState, lo, hi int) {
+func (e *Engine) edgeLogSites(blk *workerScratch, ps *partState, lo, hi int) {
 	va, vb := &e.jobVA, &e.jobVB
 	nCat := e.nCat
 	freqs := ps.model.Freqs
@@ -641,12 +682,12 @@ func (e *Engine) siteLLRange(w int, r threads.Range) {
 	for pi := range e.parts {
 		ps, lo, hi, ok := e.chunkOf(pi, r)
 		if ok {
-			e.siteLLChunk(&e.blocks[w], ps, lo, hi)
+			e.siteLLChunk(&e.scratch[w], ps, lo, hi)
 		}
 	}
 }
 
-func (e *Engine) siteLLChunk(blk *logBlocks, ps *partState, lo, hi int) {
+func (e *Engine) siteLLChunk(blk *workerScratch, ps *partState, lo, hi int) {
 	dst := e.jobDst
 	for b := lo; b < hi; b += logBlockLen {
 		end := min(b+logBlockLen, hi)

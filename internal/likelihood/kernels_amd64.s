@@ -436,9 +436,10 @@ logloop:
 	VADDPD  Y1, Y3, dst
 
 // SJPAT: one pattern of the scan join. The x and y lane blocks go
-// through matrix pcat[k] of pHalf (R8), the subtree block through the
-// same index of pPend (R9); t = ((freqs*ax)*ay)*ac holds the four
-// state terms of the pattern. Advances the view and pcat pointers.
+// through matrix pcat[k] of pHalf (R8); the subtree's factor is the
+// pattern's pendant product block at BX, computed once per prune;
+// t = ((freqs*ax)*ay)*ac holds the four state terms of the pattern.
+// Advances the view, product and pcat pointers.
 #define SJPAT(t) \
 	MOVQ    (R13), AX  \
 	ADDQ    $8, R13    \
@@ -451,37 +452,36 @@ logloop:
 	ADDQ    R11, DX    \
 	SJMATVEC(R8, Y5)   \
 	VMULPD  Y5, Y4, Y4 \
-	VMOVUPD (BX), Y0   \
-	ADDQ    R12, BX    \
-	SJMATVEC(R9, Y5)   \
-	VMULPD  Y5, Y4, t
+	VMULPD  (BX), Y4, t \
+	ADDQ    R12, BX
 
-// func scanJoinAVX2(n int, out, x *float64, xs int, y *float64, ys int, s *float64, ss int, pHalf, pPend *[16]float64, pcat *int, freqs *float64, prob float64, w *int, mode int)
+// func scanJoinAVX2(n int, out, x *float64, xs int, y *float64, ys int, p *float64, ps int, pHalf *[16]float64, pcat *int, freqs *float64, prob float64, w *int, mode int)
 //
 // One rate-category pass of the insertion-scan join over n patterns, n
-// a positive multiple of 4; xs/ys/ss are the views' pattern strides in
-// bytes. Four patterns' state terms are transposed so that the in-order
-// state sum ((t0+t1)+t2)+t3 of the scalar reference runs vertically,
-// then out = prob*catL (mode bit 0 clear) or out + prob*catL (set).
-// Mode bit 1 marks the last pass: clamp to SmallestNonzeroFloat64 with
-// NaN passing through, and write 1 to lanes whose weight is zero.
-TEXT ·scanJoinAVX2(SB), NOSPLIT, $0-120
+// a positive multiple of 4; xs/ys/ps are the pattern strides in bytes of
+// the two views and of the pendant products at p. Four patterns' state
+// terms are transposed so that the in-order state sum ((t0+t1)+t2)+t3 of
+// the scalar reference runs vertically, then out = prob*catL (mode bit 0
+// clear) or out + prob*catL (set). Mode bit 1 marks the last pass: clamp
+// to SmallestNonzeroFloat64 with NaN passing through, and write 1 to
+// lanes whose weight is zero.
+TEXT ·scanJoinAVX2(SB), NOSPLIT, $0-112
 	MOVQ n+0(FP), CX
 	MOVQ out+8(FP), DI
 	MOVQ x+16(FP), SI
 	MOVQ xs+24(FP), R10
 	MOVQ y+32(FP), DX
 	MOVQ ys+40(FP), R11
-	MOVQ s+48(FP), BX
-	MOVQ ss+56(FP), R12
+	MOVQ p+48(FP), BX
+	MOVQ ps+56(FP), R12
 	MOVQ pHalf+64(FP), R8
-	MOVQ pPend+72(FP), R9
-	MOVQ pcat+80(FP), R13
-	MOVQ freqs+88(FP), AX
+	MOVQ pcat+72(FP), R13
+	MOVQ freqs+80(FP), AX
 	VMOVUPD (AX), Y15
-	VBROADCASTSD prob+96(FP), Y14
+	VBROADCASTSD prob+88(FP), Y14
 	VBROADCASTSD tiny<>(SB), Y13
 	VBROADCASTSD one<>(SB), Y12
+	MOVQ w+96(FP), R9
 
 sjquad:
 	SJPAT(Y8)
@@ -503,7 +503,7 @@ sjquad:
 	VADDPD Y11, Y0, Y0
 	VMULPD Y14, Y0, Y0
 
-	MOVQ  mode+112(FP), AX
+	MOVQ  mode+104(FP), AX
 	TESTQ $1, AX
 	JEQ   sjfirst
 	VADDPD (DI), Y0, Y0
@@ -512,17 +512,368 @@ sjfirst:
 	TESTQ $2, AX
 	JEQ   sjstore
 	VMAXPD Y0, Y13, Y0 // a NaN site is the second source: it passes
-	MOVQ   w+104(FP), AX
 	VPXOR  Y1, Y1, Y1
-	VPCMPEQQ (AX), Y1, Y1
+	VPCMPEQQ (R9), Y1, Y1
 	VBLENDVPD Y1, Y12, Y0, Y0
-	ADDQ   $32, AX
-	MOVQ   AX, w+104(FP)
+	ADDQ   $32, R9
 
 sjstore:
 	VMOVUPD Y0, (DI)
 	ADDQ $32, DI
 	SUBQ $4, CX
 	JNZ  sjquad
+	VZEROUPPER
+	RET
+
+// The CAT newview kernels: one 4-lane block per pattern, pattern k using
+// matrix pcat[k] (128-byte stride) of each inner child's matrix block and
+// the lookup-table block (code*npc + pcat[k]) (32-byte stride) of each tip
+// child. Row dots go through SJMATVEC — the MATVEC4 operation tree with
+// an indexed matrix base. The rescale test is VCMPPD $1 (less-than,
+// ordered) against the broadcast threshold plus VMOVMSKPD == 15: all four
+// lanes below scaleThreshold, false for any NaN lane — exactly the scalar
+// v0 < th && v1 < th && v2 < th && v3 < th — and the x1e256 is applied in
+// registers before the single store.
+
+// CATRESCALE: Y4 = the pattern's four lanes, cnt = its scale counter so
+// far (a 32-bit register); multiplies and counts when all lanes are small.
+#define CATRESCALE(cnt, skip) \
+	VCMPPD    $1, Y15, Y4, Y6 \
+	VMOVMSKPD Y6, AX          \
+	CMPL      AX, $15         \
+	JNE       skip            \
+	VMULPD    Y13, Y4, Y4     \
+	INCL      cnt
+
+// func newviewIICATAVX2(n int, dst, lv, rv *float64, pL, pR *[16]float64, pcat *int, lsc, rsc, dsc *int32)
+TEXT ·newviewIICATAVX2(SB), NOSPLIT, $0-80
+	MOVQ n+0(FP), CX
+	MOVQ dst+8(FP), DI
+	MOVQ lv+16(FP), SI
+	MOVQ rv+24(FP), DX
+	MOVQ pL+32(FP), R8
+	MOVQ pR+40(FP), R9
+	MOVQ pcat+48(FP), R13
+	MOVQ lsc+56(FP), R10
+	MOVQ rsc+64(FP), R11
+	MOVQ dsc+72(FP), R12
+	VBROADCASTSD scaleFact<>(SB), Y13
+	VBROADCASTSD scaleThresh<>(SB), Y15
+
+iicatloop:
+	MOVQ    (R13), AX
+	SHLQ    $7, AX
+	VMOVUPD (SI), Y0
+	SJMATVEC(R8, Y4)
+	VMOVUPD (DX), Y0
+	SJMATVEC(R9, Y5)
+	VMULPD  Y5, Y4, Y4
+	MOVL    (R10), BX
+	ADDL    (R11), BX
+	CATRESCALE(BX, iicatstore)
+
+iicatstore:
+	VMOVUPD Y4, (DI)
+	MOVL    BX, (R12)
+	ADDQ    $8, R13
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	ADDQ    $4, R10
+	ADDQ    $4, R11
+	ADDQ    $4, R12
+	DECQ    CX
+	JNZ     iicatloop
+	VZEROUPPER
+	RET
+
+// func newviewTICATAVX2(n int, dst *float64, codes *msa.State, lut, iv *float64, pm *[16]float64, npc int, pcat *int, isc, dsc *int32)
+TEXT ·newviewTICATAVX2(SB), NOSPLIT, $0-80
+	MOVQ n+0(FP), CX
+	MOVQ dst+8(FP), DI
+	MOVQ codes+16(FP), R8
+	MOVQ lut+24(FP), SI
+	MOVQ iv+32(FP), DX
+	MOVQ pm+40(FP), R9
+	MOVQ npc+48(FP), R11
+	MOVQ pcat+56(FP), R13
+	MOVQ isc+64(FP), R10
+	MOVQ dsc+72(FP), R12
+	VBROADCASTSD scaleFact<>(SB), Y13
+	VBROADCASTSD scaleThresh<>(SB), Y15
+
+ticatloop:
+	// table block offset (code*npc + pc)*32, matrix offset pc*128
+	MOVQ    (R13), AX
+	MOVBLZX (R8), BX
+	IMULQ   R11, BX
+	ADDQ    AX, BX
+	SHLQ    $5, BX
+	SHLQ    $7, AX
+	VMOVUPD (DX), Y0
+	SJMATVEC(R9, Y4)
+	VMULPD  (SI)(BX*1), Y4, Y4
+	MOVL    (R10), BX
+	CATRESCALE(BX, ticatstore)
+
+ticatstore:
+	VMOVUPD Y4, (DI)
+	MOVL    BX, (R12)
+	ADDQ    $8, R13
+	INCQ    R8
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	ADDQ    $4, R10
+	ADDQ    $4, R12
+	DECQ    CX
+	JNZ     ticatloop
+	VZEROUPPER
+	RET
+
+// func newviewTTCATAVX2(n int, dst *float64, codesL, codesR *msa.State, lutL, lutR *float64, npc int, pcat *int, dsc *int32)
+TEXT ·newviewTTCATAVX2(SB), NOSPLIT, $0-72
+	MOVQ n+0(FP), CX
+	MOVQ dst+8(FP), DI
+	MOVQ codesL+16(FP), R8
+	MOVQ codesR+24(FP), R9
+	MOVQ lutL+32(FP), SI
+	MOVQ lutR+40(FP), DX
+	MOVQ npc+48(FP), R11
+	MOVQ pcat+56(FP), R13
+	MOVQ dsc+64(FP), R12
+	VBROADCASTSD scaleFact<>(SB), Y13
+	VBROADCASTSD scaleThresh<>(SB), Y15
+
+ttcatloop:
+	MOVQ    (R13), AX
+	MOVBLZX (R8), BX
+	IMULQ   R11, BX
+	ADDQ    AX, BX
+	SHLQ    $5, BX
+	MOVBLZX (R9), R10
+	IMULQ   R11, R10
+	ADDQ    AX, R10
+	SHLQ    $5, R10
+	VMOVUPD (SI)(BX*1), Y4
+	VMULPD  (DX)(R10*1), Y4, Y4
+	XORL    BX, BX
+	CATRESCALE(BX, ttcatstore)
+
+ttcatstore:
+	VMOVUPD Y4, (DI)
+	MOVL    BX, (R12)
+	ADDQ    $8, R13
+	INCQ    R8
+	INCQ    R9
+	ADDQ    $32, DI
+	ADDQ    $4, R12
+	DECQ    CX
+	JNZ     ttcatloop
+	VZEROUPPER
+	RET
+
+DATA negZero<>+0(SB)/8, $0x8000000000000000
+GLOBL negZero<>(SB), RODATA, $8
+
+// MKZCATDOT: the four patterns' sumtable blocks in Y0..Y3, their factor
+// blocks at fb + AX/BX/DX/DI -> dst = the four 4-term dots, lane p the
+// (a0+a1)+(a2+a3) sum of pattern p — MATVEC4's reduction tree with a
+// different multiplier per row.
+#define MKZCATDOT(fb, dst) \
+	VMULPD  (fb)(AX*1), Y0, Y4   \
+	VMULPD  (fb)(BX*1), Y1, Y5   \
+	VHADDPD Y5, Y4, Y4           \
+	VMULPD  (fb)(DX*1), Y2, Y5   \
+	VMULPD  (fb)(DI*1), Y3, Y6   \
+	VHADDPD Y6, Y5, Y5           \
+	VPERM2F128 $0x21, Y5, Y4, Y6 \
+	VBLENDPD $12, Y5, Y4, Y4     \
+	VADDPD  Y4, Y6, dst
+
+// MKZCATSUM: acc (an X register) += the four lanes of Y src, lane 0
+// first — the scalar loop's s += term, one pattern after the other.
+#define MKZCATSUM(src, xsrc, acc) \
+	VADDSD       xsrc, acc, acc \
+	VPERMILPD    $1, xsrc, X6   \
+	VADDSD       X6, acc, acc   \
+	VEXTRACTF128 $1, src, X6    \
+	VADDSD       X6, acc, acc   \
+	VPERMILPD    $1, X6, X6     \
+	VADDSD       X6, acc, acc
+
+// func mkzCoreCATAVX2(n int, tbl *float64, w, pcat *int, wE, w1, w2 *float64, s1, s2 float64) (d1, d2 float64)
+//
+// The CAT makenewz core over n patterns, n a positive multiple of 4,
+// continuing the partial sums s1/s2. Four patterns per pass: the three
+// dots of each against the factor blocks of its category, one VDIVPD,
+// the Newton terms in all four lanes, then the terms added to the sums
+// in pattern order. A lane whose weight is zero or whose site likelihood
+// is below SmallestNonzeroFloat64 has its terms replaced by -0.0, which
+// added to any sum returns that sum's bits — the scalar `continue`
+// without the branch. Weights convert to float64 through the 2^52+2^51
+// magic number, exact below 2^51.
+TEXT ·mkzCoreCATAVX2(SB), NOSPLIT, $0-88
+	MOVQ n+0(FP), CX
+	MOVQ tbl+8(FP), SI
+	MOVQ w+16(FP), R10
+	MOVQ pcat+24(FP), R13
+	MOVQ wE+32(FP), R8
+	MOVQ w1+40(FP), R9
+	MOVQ w2+48(FP), R11
+	VMOVSD s1+56(FP), X14
+	VMOVSD s2+64(FP), X15
+	VBROADCASTSD tiny<>(SB), Y13
+	VBROADCASTSD one<>(SB), Y12
+	VBROADCASTSD negZero<>(SB), Y11
+
+mkzcatquad:
+	// factor block byte offsets: category * 4 floats * 8
+	MOVQ 0(R13), AX
+	MOVQ 8(R13), BX
+	MOVQ 16(R13), DX
+	MOVQ 24(R13), DI
+	SHLQ $5, AX
+	SHLQ $5, BX
+	SHLQ $5, DX
+	SHLQ $5, DI
+	VMOVUPD 0(SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	MKZCATDOT(R8, Y7)  // siteL
+	MKZCATDOT(R9, Y8)  // siteD1
+	MKZCATDOT(R11, Y9) // siteD2
+
+	// dead lanes: weight == 0, or siteL < SmallestNonzeroFloat64
+	VMOVDQU  (R10), Y0
+	VPXOR    Y1, Y1, Y1
+	VPCMPEQQ Y0, Y1, Y1
+	VCMPPD   $1, Y13, Y7, Y2
+	VORPD    Y2, Y1, Y10
+	// wk as float64
+	VPADDQ logMagic<>(SB), Y0, Y0
+	VSUBPD logMagic<>(SB), Y0, Y0
+
+	VDIVPD Y7, Y12, Y1   // inv = 1 / siteL
+	VMULPD Y1, Y8, Y2    // ratio = siteD1 * inv
+	VMULPD Y2, Y0, Y3    // wk * ratio
+	VMULPD Y1, Y9, Y4    // siteD2 * inv
+	VMULPD Y2, Y2, Y5    // ratio * ratio
+	VSUBPD Y5, Y4, Y4    // siteD2*inv - ratio*ratio
+	VMULPD Y4, Y0, Y4    // wk * (...)
+	VBLENDVPD Y10, Y11, Y3, Y3
+	VBLENDVPD Y10, Y11, Y4, Y4
+	MKZCATSUM(Y3, X3, X14)
+	MKZCATSUM(Y4, X4, X15)
+
+	ADDQ $128, SI
+	ADDQ $32, R10
+	ADDQ $32, R13
+	SUBQ $4, CX
+	JNZ  mkzcatquad
+	VMOVSD X14, d1+72(FP)
+	VMOVSD X15, d2+80(FP)
+	VZEROUPPER
+	RET
+
+// func mkzSetupAVX2(n, nCat int, dst, a *float64, aStep, aCat int, b *float64, bStep, bCat int, left, right *float64)
+//
+// The makenewz setup projection over n patterns of nCat categories;
+// aStep/bStep are the views' pattern strides and aCat/bCat their category
+// strides, all in bytes (a tip has category stride 0). The two bases stay
+// in registers: the rows of left in Y8..Y11, of right in Y12..Y15. Per
+// block lz = (L0*a0 + L1*a1) + (L2*a2 + L3*a3) with a_s broadcast — lane
+// k is the reference's sum over the rows of left — rz is MATVEC4 over the
+// rows of right, and the block stored is lz * rz.
+TEXT ·mkzSetupAVX2(SB), NOSPLIT, $0-88
+	MOVQ n+0(FP), CX
+	MOVQ dst+16(FP), DI
+	MOVQ a+24(FP), SI
+	MOVQ aCat+40(FP), R10
+	MOVQ b+48(FP), DX
+	MOVQ bCat+64(FP), R11
+	MOVQ left+72(FP), AX
+	VMOVUPD 0(AX), Y8
+	VMOVUPD 32(AX), Y9
+	VMOVUPD 64(AX), Y10
+	VMOVUPD 96(AX), Y11
+	MOVQ right+80(FP), AX
+	VMOVUPD 0(AX), Y12
+	VMOVUPD 32(AX), Y13
+	VMOVUPD 64(AX), Y14
+	VMOVUPD 96(AX), Y15
+
+mkzsetpat:
+	MOVQ nCat+8(FP), BX
+	MOVQ SI, R8
+	MOVQ DX, R9
+
+mkzsetcat:
+	VBROADCASTSD 0(R8), Y0
+	VMULPD  Y8, Y0, Y0
+	VBROADCASTSD 8(R8), Y1
+	VMULPD  Y9, Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	VBROADCASTSD 16(R8), Y1
+	VMULPD  Y10, Y1, Y1
+	VBROADCASTSD 24(R8), Y2
+	VMULPD  Y11, Y2, Y2
+	VADDPD  Y2, Y1, Y1
+	VADDPD  Y1, Y0, Y0           // lz
+	VMOVUPD (R9), Y1
+	VMULPD  Y12, Y1, Y2
+	VMULPD  Y13, Y1, Y3
+	VHADDPD Y3, Y2, Y2
+	VMULPD  Y14, Y1, Y3
+	VMULPD  Y15, Y1, Y4
+	VHADDPD Y4, Y3, Y3
+	VPERM2F128 $0x21, Y3, Y2, Y4
+	VBLENDPD $12, Y3, Y2, Y2
+	VADDPD  Y2, Y4, Y1           // rz
+	VMULPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ R10, R8
+	ADDQ R11, R9
+	ADDQ $32, DI
+	DECQ BX
+	JNZ  mkzsetcat
+
+	ADDQ aStep+32(FP), SI
+	ADDQ bStep+56(FP), DX
+	DECQ CX
+	JNZ  mkzsetpat
+	VZEROUPPER
+	RET
+
+// func pendantAVX2(n int, out *float64, os int, s *float64, ss int, pm *[16]float64, pcat *int)
+//
+// The pendant product of an insertion scan: out[k] = pm[pcat[k]] . s[k]
+// for n 4-lane blocks (row dots by SJMATVEC), pm[0] throughout when pcat
+// is nil — a GAMMA category pass. os/ss are the block strides in bytes.
+TEXT ·pendantAVX2(SB), NOSPLIT, $0-56
+	MOVQ n+0(FP), CX
+	MOVQ out+8(FP), DI
+	MOVQ os+16(FP), R11
+	MOVQ s+24(FP), SI
+	MOVQ ss+32(FP), R10
+	MOVQ pm+40(FP), R8
+	MOVQ pcat+48(FP), R13
+	XORL AX, AX
+
+pendloop:
+	TESTQ R13, R13
+	JEQ   pendmat
+	MOVQ  (R13), AX
+	ADDQ  $8, R13
+	SHLQ  $7, AX
+
+pendmat:
+	VMOVUPD (SI), Y0
+	SJMATVEC(R8, Y4)
+	VMOVUPD Y4, (DI)
+	ADDQ R10, SI
+	ADDQ R11, DI
+	DECQ CX
+	JNZ  pendloop
 	VZEROUPPER
 	RET

@@ -7,16 +7,17 @@ import (
 	"raxml/internal/msa"
 )
 
-// Kernel dispatch. The hottest inner loops — the nCat == 4 GAMMA
-// newview shapes, the makenewz core reduction, the insertion-scan join
-// and the blocked logarithm of the log-space reductions — are reached
-// through a per-engine kernel table bound at construction, so an
-// AVX2 assembly implementation (kernels_amd64.s, amd64 && !purego
-// builds) can replace the scalar reference without a branch inside the
-// pattern loop. The scalar functions are the pinned reference: the asm
-// performs the same pairwise-associated IEEE operations and the
-// equivalence fuzz test holds the two bit-identical. docs/kernels.md
-// describes the table and the selection rules.
+// Kernel dispatch. The hot inner loops — the newview shapes of both rate
+// treatments (CAT, and GAMMA at nCat == 4), the makenewz setup projection
+// and core reductions, the insertion-scan join and the blocked logarithm
+// of the log-space reductions — are reached through a per-engine kernel
+// table bound at construction, so an AVX2 assembly implementation
+// (kernels_amd64.s, amd64 && !purego builds) can replace the scalar
+// reference without a branch inside the pattern loop. The scalar
+// functions are the pinned reference: the asm performs the same
+// pairwise-associated IEEE operations and the equivalence fuzz test
+// holds the two bit-identical. docs/kernels.md describes the table and
+// the selection rules.
 
 // KernelMode selects which kernel implementations newly constructed
 // engines bind: the platform's best available set (auto), the portable
@@ -29,31 +30,42 @@ const (
 	KernelAVX2
 )
 
-// kernelTable is one bound implementation set, covering the three
-// nCat==4 GAMMA newview shapes and the makenewz core reduction.
-// newviewII4 combines n inner×inner patterns (dst/lv/rv are n·16-float
-// lane blocks, pL/pR four flat matrices per child, lsc/rsc/dsc the n
-// scale counters); newviewTT4 combines two tips through their 256-float
-// (16 codes × 16 lanes) lookup tables; newviewTI4 combines a tip's
-// table block with an inner child pushed through the four matrices pm;
-// mkzCoreG4 reduces the Newton d1/d2 partials of n patterns from their
-// 16-entry sumtable blocks and the probability-folded exponential
+// kernelTable is one bound implementation set. The GAMMA entries serve
+// nCat == 4: newviewII4 combines n inner×inner patterns (dst/lv/rv are
+// n·16-float lane blocks, pL/pR four flat matrices per child, lsc/rsc/dsc
+// the n scale counters); newviewTT4 combines two tips through their
+// 256-float (16 codes × 16 lanes) lookup tables; newviewTI4 combines a
+// tip's table block with an inner child pushed through the four matrices
+// pm; mkzCoreG4 reduces the Newton d1/d2 partials of n patterns from
+// their 16-entry sumtable blocks and the probability-folded exponential
 // factor block pw (pw[0:16] = Σ-weights for L, [16:32] for d1, [32:48]
-// for d2). logBlock takes the natural logarithm of the first n entries
-// of a pattern block (kernels_log.go). scanJoinCAT and scanJoinGamma
-// are the three-way CLV join of the lazy-SPR insertion scan (scan.go)
-// over len(w) patterns, writing one clamped site likelihood per
-// pattern; the GAMMA entry handles any category count, the AVX2 twin
-// taking the nCat == 4 case.
+// for d2). The CAT entries work on one 4-lane block per pattern and pick
+// pattern k's matrix, table block or factor block by its rate category
+// pcat[k], with top the highest index pcat can hold (kernels.go,
+// makenewz.go): newviewTTCAT, newviewTICAT, newviewIICAT and mkzCoreCAT.
+// mkzSetup is the makenewz setup projection, for any category count.
+// logBlock takes the natural logarithm of the first n entries of a
+// pattern block (kernels_log.go). scanJoinCAT and scanJoinGamma are the
+// three-way CLV join of the lazy-SPR insertion scan (scan.go) over
+// len(w) patterns, writing one clamped site likelihood per pattern; the
+// subtree enters as its pendant products, which the pendant entry
+// computes once per scan; the GAMMA join handles any category count,
+// its AVX2 twin taking the nCat == 4 case.
 type kernelTable struct {
 	name          string
 	newviewII4    func(dst, lv, rv []float64, pL, pR [][16]float64, lsc, rsc, dsc []int32)
 	newviewTT4    func(dst []float64, codesL, codesR []msa.State, lutL, lutR []float64, dsc []int32)
 	newviewTI4    func(dst []float64, codes []msa.State, lut, iv []float64, pm [][16]float64, isc, dsc []int32)
+	newviewTTCAT  func(dst []float64, codesL, codesR []msa.State, lutL, lutR []float64, pcat []int, top int, dsc []int32)
+	newviewTICAT  func(dst []float64, codes []msa.State, lut, iv []float64, pm [][16]float64, pcat []int, top int, isc, dsc []int32)
+	newviewIICAT  func(dst, lv, rv []float64, pL, pR [][16]float64, pcat []int, top int, lsc, rsc, dsc []int32)
 	mkzCoreG4     func(tbl []float64, w []int, pw *[48]float64) (d1, d2 float64)
+	mkzCoreCAT    func(tbl []float64, w, pcat []int, top int, wE, w1, w2 []float64) (d1, d2 float64)
+	mkzSetup      func(dst, av []float64, as int, bv []float64, bs int, nCat int, left, right *[16]float64)
 	logBlock      func(dst, src *[logBlockLen]float64, n int)
-	scanJoinCAT   func(out, xv, yv, sv []float64, pcat []int, pHalf, pPend [][16]float64, freqs *[4]float64, w []int)
-	scanJoinGamma func(out, xv []float64, xs int, yv []float64, ys int, sv []float64, ss int, pHalf, pPend [][16]float64, freqs *[4]float64, probs []float64, w []int)
+	pendant       func(out, sv []float64, ss int, pPend [][16]float64, pcat []int, top int, nCat int)
+	scanJoinCAT   func(out, xv, yv, pv []float64, pcat []int, top int, pHalf [][16]float64, freqs *[4]float64, w []int)
+	scanJoinGamma func(out, xv []float64, xs int, yv []float64, ys int, pv []float64, pHalf [][16]float64, freqs *[4]float64, probs []float64, w []int)
 }
 
 var scalarKernels = kernelTable{
@@ -61,8 +73,14 @@ var scalarKernels = kernelTable{
 	newviewII4:    newviewII4Scalar,
 	newviewTT4:    newviewTT4Scalar,
 	newviewTI4:    newviewTI4Scalar,
+	newviewTTCAT:  newviewTTCATScalar,
+	newviewTICAT:  newviewTICATScalar,
+	newviewIICAT:  newviewIICATScalar,
 	mkzCoreG4:     mkzCoreG4Scalar,
+	mkzCoreCAT:    mkzCoreCATScalar,
+	mkzSetup:      mkzSetupScalar,
 	logBlock:      logBlockScalar,
+	pendant:       pendantScalar,
 	scanJoinCAT:   scanJoinCATScalar,
 	scanJoinGamma: scanJoinGammaScalar,
 }

@@ -20,15 +20,6 @@ import "math"
 // per logBlock call.
 const logBlockLen = 64
 
-// logBlocks is one worker's block scratch: the clamped site likelihoods
-// of a block and their logarithms. It is engine-owned, one per local
-// worker, not a pair of stack arrays: arguments of a call through a
-// func-valued table entry escape, so stack blocks would be heap
-// allocations on every chunk.
-type logBlocks struct {
-	site, logs [logBlockLen]float64
-}
-
 const (
 	logLn2Hi = 6.93147180369123816490e-01 // 0x3fe62e42fee00000
 	logLn2Lo = 1.90821492927058770002e-10 // 0x3dea39ef35793c76

@@ -132,37 +132,50 @@ func (e *Engine) makenewzCore(t float64) (d1, d2 float64) {
 // makenewzSetupRange fills one worker's stripe of the sumtable arena
 // from the endpoint views in jobVA/jobVB, one partition chunk at a
 // time (the eigenbasis differs per partition).
-func (e *Engine) makenewzSetupRange(r threads.Range) {
+func (e *Engine) makenewzSetupRange(w int, r threads.Range) {
 	for pi := range e.parts {
 		ps, lo, hi, ok := e.chunkOf(pi, r)
 		if ok {
-			e.makenewzSetupChunk(ps, lo, hi)
+			e.makenewzSetupChunk(&e.scratch[w], ps, lo, hi)
 		}
 	}
 }
 
-func (e *Engine) makenewzSetupChunk(ps *partState, lo, hi int) {
-	va := e.jobVA
-	vb := e.jobVB
-	left, right := ps.model.SumtableBasis()
-	nCat := e.nCat
+// makenewzSetupChunk projects one partition chunk through the kernel
+// table's mkzSetup. Every pattern is projected unconditionally — the
+// weight-zero skip lives in the core kernel, which never reads those
+// entries; a branch-free setup loop is cheaper than the per-pattern test.
+func (e *Engine) makenewzSetupChunk(blk *workerScratch, ps *partState, lo, hi int) {
+	va, vb := &e.jobVA, &e.jobVB
+	blk.left, blk.right = ps.model.SumtableBasis()
+	st := e.nCat * 4
+	base := ps.fOff - ps.lo*st
+	dst := e.sumtable[base+lo*st : base+hi*st : base+hi*st]
+	aOff, aStep, _ := viewCoeffs(va, ps)
+	bOff, bStep, _ := viewCoeffs(vb, ps)
+	e.kern.mkzSetup(dst, va.vec[aOff+lo*aStep:aOff+hi*aStep], aStep,
+		vb.vec[bOff+lo*bStep:bOff+hi*bStep], bStep, e.nCat, &blk.left, &blk.right)
+}
+
+// mkzSetupScalar is the scalar reference of the makenewz setup
+// projection, CAT and GAMMA alike: for each of the len(dst)/(nCat·4)
+// patterns and each category, the 4-entry sumtable block
+//
+//	d[k] = (Σ_s left[s][k]·a_s) · (Σ_j right[k][j]·b_j)
+//
+// of the endpoint blocks a and b, both sums associated pairwise. as and
+// bs are the views' pattern strides in floats; a 4-float stride is a tip
+// (or a one-category CLV) whose single block serves every category, any
+// other stride an inner CLV with category c at +4c (catStep).
+func mkzSetupScalar(dst, av []float64, as int, bv []float64, bs int, nCat int, left, right *[16]float64) {
 	st := nCat * 4
-	l0, l1 := lo-ps.lo, hi-ps.lo // segment-local pattern window
-	base := ps.fOff
-	dst := e.sumtable[base+l0*st : base+l1*st : base+l1*st]
-	n := l1 - l0
-	aOff, aStep, aCat := viewCoeffs(&va, ps)
-	bOff, bStep, bCat := viewCoeffs(&vb, ps)
-	// Every pattern is projected unconditionally — the weight-zero skip
-	// lives in the core kernel, which never reads those entries; a
-	// branch-free setup loop is cheaper than the per-pattern test.
-	for k := 0; k < n; k++ {
-		gk := lo + k // global pattern index (tip vectors are global)
+	ac, bc := catStep(as), catStep(bs)
+	for k := 0; k < len(dst)/st; k++ {
 		for cat := 0; cat < nCat; cat++ {
-			av := (*[4]float64)(va.vec[aOff+gk*aStep+cat*aCat:])
-			bv := (*[4]float64)(vb.vec[bOff+gk*bStep+cat*bCat:])
-			a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
-			b0, b1, b2, b3 := bv[0], bv[1], bv[2], bv[3]
+			a := (*[4]float64)(av[k*as+cat*ac:])
+			b := (*[4]float64)(bv[k*bs+cat*bc:])
+			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+			b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
 			d := (*[4]float64)(dst[k*st+cat*4:])
 			for kk := 0; kk < 4; kk++ {
 				lz := (left[0*4+kk]*a0 + left[1*4+kk]*a1) + (left[2*4+kk]*a2 + left[3*4+kk]*a3)
@@ -175,12 +188,12 @@ func (e *Engine) makenewzSetupChunk(ps *partState, lo, hi int) {
 
 // makenewzCoreRange reduces one worker's d1/d2 partials from its
 // sumtable stripe and the shipped exponential factors.
-func (e *Engine) makenewzCoreRange(r threads.Range) (d1, d2 float64) {
+func (e *Engine) makenewzCoreRange(w int, r threads.Range) (d1, d2 float64) {
 	var s1, s2 float64
 	for pi := range e.parts {
 		ps, lo, hi, ok := e.chunkOf(pi, r)
 		if ok {
-			c1, c2 := e.makenewzCoreChunk(ps, lo, hi)
+			c1, c2 := e.makenewzCoreChunk(&e.scratch[w], ps, lo, hi)
 			s1 += c1
 			s2 += c2
 		}
@@ -188,7 +201,7 @@ func (e *Engine) makenewzCoreRange(r threads.Range) (d1, d2 float64) {
 	return s1, s2
 }
 
-func (e *Engine) makenewzCoreChunk(ps *partState, lo, hi int) (d1, d2 float64) {
+func (e *Engine) makenewzCoreChunk(blk *workerScratch, ps *partState, lo, hi int) (d1, d2 float64) {
 	nCat := e.nCat
 	st := nCat * 4
 	l0, l1 := lo-ps.lo, hi-ps.lo
@@ -201,29 +214,8 @@ func (e *Engine) makenewzCoreChunk(ps *partState, lo, hi int) (d1, d2 float64) {
 	w1 := e.mkzD1[eb : eb+npc*4 : eb+npc*4]
 	w2 := e.mkzD2[eb : eb+npc*4 : eb+npc*4]
 
-	var s1, s2 float64
 	if e.isCAT {
-		pcat := ps.rates.PatternCategory[l0:l1]
-		for k := 0; k < len(w); k++ {
-			wk := w[k]
-			if wk == 0 {
-				continue
-			}
-			t := (*[4]float64)(tbl[k*4:])
-			t0, t1, t2, t3 := t[0], t[1], t[2], t[3]
-			c := pcat[k] * 4
-			siteL := (wE[c]*t0 + wE[c+1]*t1) + (wE[c+2]*t2 + wE[c+3]*t3)
-			if siteL < math.SmallestNonzeroFloat64 {
-				continue
-			}
-			siteD1 := (w1[c]*t0 + w1[c+1]*t1) + (w1[c+2]*t2 + w1[c+3]*t3)
-			siteD2 := (w2[c]*t0 + w2[c+1]*t1) + (w2[c+2]*t2 + w2[c+3]*t3)
-			inv := 1 / siteL
-			ratio := siteD1 * inv
-			s1 += float64(wk) * ratio
-			s2 += float64(wk) * (siteD2*inv - ratio*ratio)
-		}
-		return s1, s2
+		return e.kern.mkzCoreCAT(tbl, w, ps.rates.PatternCategory[l0:l1], ps.maxCat, wE, w1, w2)
 	}
 
 	probs := ps.rates.Probs
@@ -231,7 +223,7 @@ func (e *Engine) makenewzCoreChunk(ps *partState, lo, hi int) (d1, d2 float64) {
 		// Fold the category probabilities into the factor block once per
 		// chunk, then hand the branch-light 16-wide reduction to the
 		// bound kernel (scalar reference or AVX2 asm).
-		var pw [48]float64
+		pw := &blk.pw
 		for c := 0; c < 4; c++ {
 			pr := probs[c]
 			for j := 0; j < 4; j++ {
@@ -240,9 +232,10 @@ func (e *Engine) makenewzCoreChunk(ps *partState, lo, hi int) (d1, d2 float64) {
 				pw[32+c*4+j] = pr * w2[c*4+j]
 			}
 		}
-		return e.kern.mkzCoreG4(tbl, w, &pw)
+		return e.kern.mkzCoreG4(tbl, w, pw)
 	}
 
+	var s1, s2 float64
 	for k := 0; k < len(w); k++ {
 		wk := w[k]
 		if wk == 0 {
@@ -262,6 +255,37 @@ func (e *Engine) makenewzCoreChunk(ps *partState, lo, hi int) (d1, d2 float64) {
 		if siteL < math.SmallestNonzeroFloat64 {
 			continue
 		}
+		inv := 1 / siteL
+		ratio := siteD1 * inv
+		s1 += float64(wk) * ratio
+		s2 += float64(wk) * (siteD2*inv - ratio*ratio)
+	}
+	return s1, s2
+}
+
+// mkzCoreCATScalar is the scalar reference of the CAT makenewz core
+// reduction: per live pattern, three 4-term dots of its sumtable block
+// against the factor blocks of its own category pcat[k] (4 floats each at
+// pcat[k]·4 of wE, w1, w2), one division, and the two Newton partial sums
+// extended in pattern order. A zero-weight pattern, or one whose site
+// likelihood is below SmallestNonzeroFloat64, leaves both sums untouched.
+// top bounds pcat as in the CAT newview references.
+func mkzCoreCATScalar(tbl []float64, w, pcat []int, top int, wE, w1, w2 []float64) (d1, d2 float64) {
+	var s1, s2 float64
+	for k := 0; k < len(w); k++ {
+		wk := w[k]
+		if wk == 0 {
+			continue
+		}
+		t := (*[4]float64)(tbl[k*4:])
+		t0, t1, t2, t3 := t[0], t[1], t[2], t[3]
+		c := pcat[k] * 4
+		siteL := (wE[c]*t0 + wE[c+1]*t1) + (wE[c+2]*t2 + wE[c+3]*t3)
+		if siteL < math.SmallestNonzeroFloat64 {
+			continue
+		}
+		siteD1 := (w1[c]*t0 + w1[c+1]*t1) + (w1[c+2]*t2 + w1[c+3]*t3)
+		siteD2 := (w2[c]*t0 + w2[c+1]*t1) + (w2[c+2]*t2 + w2[c+3]*t3)
 		inv := 1 / siteL
 		ratio := siteD1 * inv
 		s1 += float64(wk) * ratio

@@ -320,6 +320,14 @@ func (e *Engine) OptimizePerSiteRates(maxCats, gridSize int) float64 {
 	// rate by temporarily switching every partition to that rate. The
 	// rate-treatment pointers stay stable (external holders keep seeing
 	// the engine's treatments); only their contents are swapped.
+	// Every switch goes through installRates. The treatments installed
+	// here are built below or were installed before, so a rejection is a
+	// bug in this function or in gtr.ClusterCAT, not bad input.
+	install := func(i int, rc gtr.RateCategories) {
+		if err := e.parts[i].installRates(rc); err != nil {
+			panic(fmt.Sprintf("likelihood: OptimizePerSiteRates: %v", err))
+		}
+	}
 	saved := make([]*gtr.RateCategories, len(e.parts))
 	uniformAssign := make([][]int, len(e.parts))
 	for i := range e.parts {
@@ -334,10 +342,10 @@ func (e *Engine) OptimizePerSiteRates(maxCats, gridSize int) float64 {
 	scratch := make([]float64, e.nPatterns)
 	for _, rate := range grid {
 		for i := range e.parts {
-			*e.parts[i].rates = gtr.RateCategories{
+			install(i, gtr.RateCategories{
 				Rates:           []float64{rate},
 				PatternCategory: uniformAssign[i],
-			}
+			})
 		}
 		e.InvalidateAll()
 		e.SiteLogLikelihoods(scratch)
@@ -364,7 +372,7 @@ func (e *Engine) OptimizePerSiteRates(maxCats, gridSize int) float64 {
 		c := gtr.ClusterCAT(bestRate[ps.lo:ps.hi], maxCats)
 		c.Normalize(e.weights[ps.lo:ps.hi])
 		clustered[i] = c
-		*ps.rates = *c
+		install(i, *c)
 	}
 	e.InvalidateAll()
 	ll := e.LogLikelihood()
@@ -373,13 +381,13 @@ func (e *Engine) OptimizePerSiteRates(maxCats, gridSize int) float64 {
 	// saved treatments (possible on degenerate data), roll back — all
 	// partitions together, keeping the engine in one consistent state.
 	for i := range e.parts {
-		*e.parts[i].rates = *saved[i]
+		install(i, *saved[i])
 	}
 	e.InvalidateAll()
 	llSaved := e.LogLikelihood()
 	if ll >= llSaved {
 		for i := range e.parts {
-			*e.parts[i].rates = *clustered[i]
+			install(i, *clustered[i])
 		}
 		e.InvalidateAll()
 		return ll

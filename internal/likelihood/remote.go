@@ -2,6 +2,7 @@ package likelihood
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -36,6 +37,15 @@ import (
 // last broadcast — branch-length-only iterations (the Newton hot loop)
 // ship nothing but the branch length, the factor block and the empty
 // descriptor.
+
+// ErrWireDesync marks an ExecWireJob failure that only a mangled or
+// desynchronized stream can cause: a frame that decoded, yet names state
+// the master's own engine would have refused (a rate category outside
+// the shipped category rates). A worker treats it like a frame that did
+// not decode — it closes its transport and dies, so the master sees a
+// dead rank and restripes — where a plain error is the job's own failure
+// and is reported back as such.
+var ErrWireDesync = errors.New("likelihood: wire stream desynchronized")
 
 // WireView is the symbolic form of one job view (an endpoint of the
 // edge being evaluated, or one corner of an insertion scan): a tip
@@ -842,9 +852,9 @@ func (e *Engine) ApplyWireModel(m *WireModel, g *WorkerGeom) error {
 		if err := ps.model.SetFreqs(wp.Freqs); err != nil {
 			return fmt.Errorf("likelihood: model sync partition %d: %v", li, err)
 		}
-		rc := ps.rates
+		var rc gtr.RateCategories
 		if m.IsCAT {
-			if !rc.IsCAT() {
+			if !ps.rates.IsCAT() {
 				return fmt.Errorf("likelihood: model sync partition %d: CAT block for GAMMA engine", li)
 			}
 			n := ps.hi - ps.lo
@@ -853,14 +863,21 @@ func (e *Engine) ApplyWireModel(m *WireModel, g *WorkerGeom) error {
 				return fmt.Errorf("likelihood: model sync partition %d: %d assignments, need [%d, %d)",
 					li, len(wp.CatAssign), off, off+n)
 			}
-			rc.Rates = append(rc.Rates[:0], wp.CatRates...)
-			rc.PatternCategory = append(rc.PatternCategory[:0], wp.CatAssign[off:off+n]...)
+			rc = gtr.RateCategories{Rates: wp.CatRates, PatternCategory: wp.CatAssign[off : off+n]}
 		} else {
-			if rc.IsCAT() {
+			if ps.rates.IsCAT() {
 				return fmt.Errorf("likelihood: model sync partition %d: GAMMA block for CAT engine", li)
 			}
-			rc.Rates = append(rc.Rates[:0], wp.GammaRates...)
-			rc.Probs = append(rc.Probs[:0], wp.GammaProbs...)
+			if len(wp.GammaRates) != e.nCat || len(wp.GammaProbs) != e.nCat {
+				return fmt.Errorf("%w: model sync partition %d: %d GAMMA rates and %d probabilities for %d categories",
+					ErrWireDesync, li, len(wp.GammaRates), len(wp.GammaProbs), e.nCat)
+			}
+			rc = gtr.RateCategories{Rates: wp.GammaRates, Probs: wp.GammaProbs}
+		}
+		// The master validated its own treatment when it installed it, so
+		// a block this rejects was mangled on the way: a desync.
+		if err := ps.installRates(rc); err != nil {
+			return fmt.Errorf("%w: model sync partition %d: %v", ErrWireDesync, li, err)
 		}
 	}
 	e.ensureP()
@@ -1240,6 +1257,11 @@ func DecodeWorkerInit(buf []byte) (*WorkerInit, error) {
 		for k := range row {
 			row[k] = msa.State(r.b[r.off])
 			r.off++
+			// A state is a 4-bit ambiguity code; the tip lookup tables the
+			// newview kernels index by it hold sixteen blocks.
+			if row[k] > msa.Gap {
+				return nil, fmt.Errorf("likelihood: init frame taxon %d pattern %d carries state code %d", i, k, row[k])
+			}
 		}
 		data[i] = row
 	}

@@ -120,6 +120,10 @@ func (e *Engine) prepareScan() {
 		e.fillP(e.jobT, e.pPend)
 		e.pendKey = key
 	}
+	if cap(e.pendProd) < e.tileFloats {
+		e.pendProd = make([]float64, e.tileFloats)
+	}
+	e.pendProd = e.pendProd[:e.tileFloats]
 	n := len(e.scanCands)
 	if need := n * e.totalCats; cap(e.scanP) < need {
 		e.scanP = make([][16]float64, need)
@@ -141,11 +145,19 @@ func (e *Engine) fillScanHalves(lo, hi int) {
 
 // insertScanRange computes one worker's partial of the three-way CLV
 // join at every candidate insertion point of the batch — the candidate's
-// views with its P(txy/2) matrices toward x and toward y, the subtree
-// view jobVS with pPend — and leaves candidate i's in entry i of the
-// worker's wide reduction row.
+// views with its P(txy/2) matrices toward x and toward y, and the
+// subtree view jobVS through pPend — and leaves candidate i's in entry i
+// of the worker's wide reduction row. The subtree's factor of the join,
+// (P_pend·sub), is the same for every candidate, so the worker first
+// leaves it in its own stripe of pendProd and every candidate's join
+// reads it from there.
 func (e *Engine) insertScanRange(w int, r threads.Range) {
 	ws := e.pool.WideSlot(w)
+	for pi := range e.parts {
+		if ps, lo, hi, ok := e.chunkOf(pi, r); ok {
+			e.pendantChunk(ps, lo, hi)
+		}
+	}
 	for i := range e.scanCands {
 		sc := &e.scanCands[i]
 		pHalf := e.scanP[i*e.totalCats : (i+1)*e.totalCats]
@@ -153,10 +165,55 @@ func (e *Engine) insertScanRange(w int, r threads.Range) {
 		for pi := range e.parts {
 			ps, lo, hi, ok := e.chunkOf(pi, r)
 			if ok {
-				sum += e.insertScanChunk(&e.blocks[w], ps, lo, hi, sc, pHalf)
+				sum += e.insertScanChunk(&e.scratch[w], ps, lo, hi, sc, pHalf)
 			}
 		}
 		ws[i] = sum
+	}
+}
+
+// pendantChunk fills one partition chunk of pendProd through the kernel
+// table's pendant entry, at the patterns' tile-segment offsets (a tip
+// subtree gets a category axis here: the matrices differ).
+func (e *Engine) pendantChunk(ps *partState, lo, hi int) {
+	vs := &e.jobVS
+	st := e.nCat * 4
+	var pcat []int
+	if e.isCAT {
+		pcat = ps.rates.PatternCategory[lo-ps.lo : hi-ps.lo]
+	}
+	s0, sStep, _ := viewCoeffs(vs, ps)
+	base := ps.fOff - ps.lo*st
+	e.kern.pendant(e.pendProd[base+lo*st:base+hi*st], vs.vec[s0+lo*sStep:s0+hi*sStep], sStep,
+		e.pPend[ps.pOff:ps.pOff+ps.rates.NumCats()], pcat, ps.maxCat, e.nCat)
+}
+
+// pendantScalar is the scalar reference of the pendant product: for each
+// of the len(out)/(nCat·4) patterns and each category, the four row dots
+// of a pendant matrix with the subtree view's block. Under CAT (pcat
+// non-nil, one category per pattern) pattern k uses matrix pPend[pcat[k]],
+// top bounding pcat as in the CAT newview references; under GAMMA
+// category c uses pPend[c] and reads the view at +4c, or in place for a
+// tip (stride ss = 4, catStep). The dots are the ones joinCategory used
+// to recompute per candidate — same pairwise association, same pinned
+// roundings — so reading them back changes no bit of any score.
+func pendantScalar(out, sv []float64, ss int, pPend [][16]float64, pcat []int, top int, nCat int) {
+	sc := catStep(ss)
+	for k := 0; k < len(out)/(nCat*4); k++ {
+		for cat := 0; cat < nCat; cat++ {
+			pc := cat
+			if pcat != nil {
+				pc = pcat[k]
+			}
+			pp := &pPend[pc]
+			sub := (*[4]float64)(sv[k*ss+cat*sc:])
+			s1, s2, s3, s4 := sub[0], sub[1], sub[2], sub[3]
+			d := (*[4]float64)(out[(k*nCat+cat)*4:])
+			for s := 0; s < 4; s++ {
+				sb := s * 4
+				d[s] = (float64(pp[sb]*s1) + float64(pp[sb+1]*s2)) + (float64(pp[sb+2]*s3) + float64(pp[sb+3]*s4))
+			}
+		}
 	}
 }
 
@@ -166,14 +223,14 @@ func (e *Engine) insertScanRange(w int, r threads.Range) {
 // and the scale corrections and weights are then applied in pattern
 // order, so the partial sum accumulates exactly as a per-pattern loop
 // would.
-func (e *Engine) insertScanChunk(blk *logBlocks, ps *partState, lo, hi int, sc *scanCand, pHalf [][16]float64) float64 {
+func (e *Engine) insertScanChunk(blk *workerScratch, ps *partState, lo, hi int, sc *scanCand, pHalf [][16]float64) float64 {
 	vx, vy, vs := &sc.vx, &sc.vy, &e.jobVS
 	npc := ps.rates.NumCats()
 	pHalf = pHalf[ps.pOff : ps.pOff+npc]
-	pPend := e.pPend[ps.pOff : ps.pOff+npc]
 	x0, xStep, _ := viewCoeffs(vx, ps)
 	y0, yStep, _ := viewCoeffs(vy, ps)
-	s0, sStep, _ := viewCoeffs(vs, ps)
+	pStep := e.nCat * 4
+	p0 := ps.fOff - ps.lo*pStep
 
 	site, logs := &blk.site, &blk.logs
 	sum := 0.0
@@ -182,12 +239,12 @@ func (e *Engine) insertScanChunk(blk *logBlocks, ps *partState, lo, hi int, sc *
 		w := e.weights[b : b+n]
 		xv := vx.vec[x0+b*xStep : x0+(b+n)*xStep]
 		yv := vy.vec[y0+b*yStep : y0+(b+n)*yStep]
-		sv := vs.vec[s0+b*sStep : s0+(b+n)*sStep]
+		pv := e.pendProd[p0+b*pStep : p0+(b+n)*pStep]
 		lb := b - ps.lo
 		if e.isCAT {
-			e.kern.scanJoinCAT(site[:n], xv, yv, sv, ps.rates.PatternCategory[lb:lb+n], pHalf, pPend, &ps.model.Freqs, w)
+			e.kern.scanJoinCAT(site[:n], xv, yv, pv, ps.rates.PatternCategory[lb:lb+n], ps.maxCat, pHalf, &ps.model.Freqs, w)
 		} else {
-			e.kern.scanJoinGamma(site[:n], xv, xStep, yv, yStep, sv, sStep, pHalf, pPend, &ps.model.Freqs, ps.rates.Probs, w)
+			e.kern.scanJoinGamma(site[:n], xv, xStep, yv, yStep, pv, pHalf, &ps.model.Freqs, ps.rates.Probs, w)
 		}
 		e.kern.logBlock(logs, site, n)
 		for i, wk := range w {
@@ -213,15 +270,16 @@ func (e *Engine) insertScanChunk(blk *logBlocks, ps *partState, lo, hi int, sc *
 // scanJoinCATScalar is the scalar reference of the CAT insertion-scan
 // join: n = len(w) patterns of one 4-lane block per view (tips and
 // inner CLVs are both 4 floats per pattern under CAT), pattern k using
-// matrices pHalf[pcat[k]] for the x and y views and pPend[pcat[k]] for
-// the subtree view. out[k] receives the site likelihood clamped to
-// SmallestNonzeroFloat64 (NaN stays NaN, as math.Max has it), or 1 for
-// a zero-weight pattern — its logarithm is never read. The explicit
-// float64 conversions in joinCategory pin every product to its own
-// rounding: the language lets a compiler fuse x*y+z, a conversion is
+// matrix pHalf[pcat[k]] for the x and y views and the pendant product
+// block pv[k·4:] (the pendant entry) as the subtree's factor; top bounds
+// pcat as in the CAT newview references. out[k] receives the site likelihood
+// clamped to SmallestNonzeroFloat64 (NaN stays NaN, as math.Max has it),
+// or 1 for a zero-weight pattern — its logarithm is never read. The
+// explicit float64 conversions in joinCategory pin every product to its
+// own rounding: the language lets a compiler fuse x*y+z, a conversion is
 // the rounding point it may not fuse across, and the AVX2 twin uses no
 // FMA — so the two agree bit for bit in every build.
-func scanJoinCATScalar(out, xv, yv, sv []float64, pcat []int, pHalf, pPend [][16]float64, freqs *[4]float64, w []int) {
+func scanJoinCATScalar(out, xv, yv, pv []float64, pcat []int, top int, pHalf [][16]float64, freqs *[4]float64, w []int) {
 	for k, wk := range w {
 		if wk == 0 {
 			out[k] = 1
@@ -229,18 +287,20 @@ func scanJoinCATScalar(out, xv, yv, sv []float64, pcat []int, pHalf, pPend [][16
 		}
 		x := (*[4]float64)(xv[k*4:])
 		y := (*[4]float64)(yv[k*4:])
-		s := (*[4]float64)(sv[k*4:])
-		out[k] = clampSite(joinCategory(x, y, s, &pHalf[pcat[k]], &pPend[pcat[k]], freqs))
+		p := (*[4]float64)(pv[k*4:])
+		out[k] = clampSite(joinCategory(x, y, p, &pHalf[pcat[k]], freqs))
 	}
 }
 
 // scanJoinGammaScalar is the scalar reference of the GAMMA
 // insertion-scan join over nCat = len(probs) categories. A view's
 // pattern stride is 4 floats for a tip (all categories read the same
-// block) and nCat*4 for an inner CLV (category c at +4c). Output
-// contract as scanJoinCATScalar.
-func scanJoinGammaScalar(out, xv []float64, xs int, yv []float64, ys int, sv []float64, ss int, pHalf, pPend [][16]float64, freqs *[4]float64, probs []float64, w []int) {
-	xc, yc, sc := catStep(xs), catStep(ys), catStep(ss)
+// block) and nCat*4 for an inner CLV (category c at +4c); the pendant
+// products pv always have the inner shape. Output contract as
+// scanJoinCATScalar.
+func scanJoinGammaScalar(out, xv []float64, xs int, yv []float64, ys int, pv []float64, pHalf [][16]float64, freqs *[4]float64, probs []float64, w []int) {
+	xc, yc := catStep(xs), catStep(ys)
+	nCat := len(probs)
 	for k, wk := range w {
 		if wk == 0 {
 			out[k] = 1
@@ -250,8 +310,8 @@ func scanJoinGammaScalar(out, xv []float64, xs int, yv []float64, ys int, sv []f
 		for c, pr := range probs {
 			x := (*[4]float64)(xv[k*xs+c*xc:])
 			y := (*[4]float64)(yv[k*ys+c*yc:])
-			s := (*[4]float64)(sv[k*ss+c*sc:])
-			site += float64(pr * joinCategory(x, y, s, &pHalf[c], &pPend[c], freqs))
+			p := (*[4]float64)(pv[(k*nCat+c)*4:])
+			site += float64(pr * joinCategory(x, y, p, &pHalf[c], freqs))
 		}
 		out[k] = clampSite(site)
 	}
@@ -276,20 +336,19 @@ func clampSite(site float64) float64 {
 }
 
 // joinCategory is one rate category of the three-way join at an
-// insertion point: Σ_s freqs[s]·(P_half·x)_s·(P_half·y)_s·(P_pend·sub)_s,
-// every 4-term dot associated pairwise and the four state terms added
+// insertion point: Σ_s freqs[s]·(P_half·x)_s·(P_half·y)_s·ac_s, where
+// ac = P_pend·sub is the subtree's pendant product (pendantScalar); every
+// 4-term dot is associated pairwise and the four state terms are added
 // in order.
-func joinCategory(x, y, sub *[4]float64, ph, pp *[16]float64, freqs *[4]float64) float64 {
+func joinCategory(x, y, ac *[4]float64, ph *[16]float64, freqs *[4]float64) float64 {
 	x1, x2, x3, x4 := x[0], x[1], x[2], x[3]
 	y1, y2, y3, y4 := y[0], y[1], y[2], y[3]
-	s1, s2, s3, s4 := sub[0], sub[1], sub[2], sub[3]
 	catL := 0.0
 	for s := 0; s < 4; s++ {
 		sb := s * 4
 		ax := (float64(ph[sb]*x1) + float64(ph[sb+1]*x2)) + (float64(ph[sb+2]*x3) + float64(ph[sb+3]*x4))
 		ay := (float64(ph[sb]*y1) + float64(ph[sb+1]*y2)) + (float64(ph[sb+2]*y3) + float64(ph[sb+3]*y4))
-		ac := (float64(pp[sb]*s1) + float64(pp[sb+1]*s2)) + (float64(pp[sb+2]*s3) + float64(pp[sb+3]*s4))
-		catL += float64(freqs[s] * ax * ay * ac)
+		catL += float64(freqs[s] * ax * ay * ac[s])
 	}
 	return catL
 }

@@ -430,12 +430,12 @@ func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 		s := e.pool.Slot(w)
 		s[0], s[1] = e.derivativesRange(r)
 	case threads.JobMakenewzSetup:
-		e.makenewzSetupRange(r)
+		e.makenewzSetupRange(w, r)
 		s := e.pool.Slot(w)
-		s[0], s[1] = e.makenewzCoreRange(r)
+		s[0], s[1] = e.makenewzCoreRange(w, r)
 	case threads.JobMakenewzCore:
 		s := e.pool.Slot(w)
-		s[0], s[1] = e.makenewzCoreRange(r)
+		s[0], s[1] = e.makenewzCoreRange(w, r)
 	case threads.JobSiteLL:
 		e.siteLLRange(w, r)
 	case threads.JobInsertScan:
