@@ -54,10 +54,10 @@ func Raxml(args []string, stdout io.Writer) error {
 		userTree   = fs.String("t", "", "user tree file (Newick; -f e and -f s)")
 		treesFile  = fs.String("z", "", "multi-tree file (one Newick per line; -f s)")
 
-		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile of the analysis to this file")
+		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile of the analysis to this file; spawned workers write <file>.worker<slot>")
 		memProf = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 
-		kernels = fs.String("kernels", "auto", "likelihood kernels: auto (best available), scalar (portable reference) or avx2; propagated to spawned -fine workers")
+		kernels = fs.String("kernels", "auto", "likelihood kernels: auto (best available), scalar (portable reference) or avx2; propagated to spawned workers")
 
 		fine     = fs.Bool("fine", false, "distribute the FINE grain over -R ranks: one likelihood striped over R x T workers (-f e and -f d)")
 		fineNet  = fs.String("fine-transport", "chan", "fine-grain fabric: chan (in-process ranks) or tcp (spawned worker processes)")
@@ -90,6 +90,28 @@ func Raxml(args []string, stdout io.Writer) error {
 	if err := likelihood.SetKernelMode(*kernels); err != nil {
 		return err
 	}
+	// Profiling hooks (-cpuprofile/-memprofile): wrap the whole analysis
+	// so kernel work — likelihood traversals, makenewz iterations, the
+	// wire codec — can be inspected with `go tool pprof` without ad-hoc
+	// patches. The CPU profile starts before the worker modes branch off:
+	// a master that has one passes `-cpuprofile <file>.worker<slot>` to
+	// every worker it spawns, so both halves of a round trip are on
+	// record. See docs/profiling.md.
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}()
+	}
+	spawn := workerArgs{kernels: *kernels, cpuProfile: *cpuProf}
 	if *fgWorker {
 		// Spawned worker mode: everything arrives over the wire; the
 		// usual input-file flags are neither needed nor read.
@@ -111,30 +133,12 @@ func Raxml(args []string, stdout io.Writer) error {
 			threads:      *workers,
 			maxRunning:   *serveMaxRunning,
 			maxPerTenant: *serveMaxTenant,
-			kernels:      *kernels,
+			spawn:        spawn,
 		}, stdout)
 	}
 	if *alignFile == "" {
 		fs.Usage()
 		return fmt.Errorf("missing -s alignment file")
-	}
-	// Profiling hooks (-cpuprofile/-memprofile): wrap the whole analysis
-	// so kernel work — likelihood traversals, makenewz iterations, the
-	// wire codec — can be inspected with `go tool pprof` without ad-hoc
-	// patches. See docs/profiling.md.
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
 	}
 	if *memProf != "" {
 		defer func() {
@@ -233,17 +237,17 @@ func Raxml(args []string, stdout io.Writer) error {
 			bootstop:  *gridBootstop,
 			killAfter: *gridKill,
 			faultSeed: *gridFault,
-			kernels:   *kernels,
+			spawn:     spawn,
 		}, *runName, *outDir, stdout)
 	}
 	if *fine {
 		switch *analysis {
 		case "e":
-			return withFineTransport(*fineNet, opts.Ranks, *kernels, stdout, func(tr fabric.Transport) error {
+			return withFineTransport(*fineNet, opts.Ranks, spawn, stdout, func(tr fabric.Transport) error {
 				return runEvaluateFine(pat, opts, tr, *userTree, *runName, *outDir, stdout)
 			})
 		case "d":
-			return withFineTransport(*fineNet, opts.Ranks, *kernels, stdout, func(tr fabric.Transport) error {
+			return withFineTransport(*fineNet, opts.Ranks, spawn, stdout, func(tr fabric.Transport) error {
 				return runMultiSearchFine(pat, opts, tr, *bootstraps, *runName, *outDir, stdout)
 			})
 		default:

@@ -18,6 +18,27 @@ import (
 // in worker mode, each dialing back over the loopback TCP transport —
 // real OS processes, the reproduction's mpirun.
 
+// workerArgs is what a master hands down to every worker process it
+// spawns, -fine and -grid alike: the kernel set, so all ranks compute
+// with the same one, and — when the master records a CPU profile — a
+// profile path of the worker's own, so the far half of a wire round
+// trip can be read next to the near one.
+type workerArgs struct {
+	kernels    string
+	cpuProfile string // the master's -cpuprofile ("" = none)
+}
+
+// argv returns the flags for the worker in `slot` (a -fine rank, a grid
+// supervisor slot): its profile lands in <master's file>.worker<slot>. A
+// respawned grid worker reuses its slot's name and overwrites it.
+func (w workerArgs) argv(slot int) []string {
+	args := []string{"-kernels", w.kernels}
+	if w.cpuProfile != "" {
+		args = append(args, "-cpuprofile", fmt.Sprintf("%s.worker%d", w.cpuProfile, slot))
+	}
+	return args
+}
+
 // RaxmlWorker runs one spawned fine-grain worker process: dial the
 // master, then serve the rank's stripe until shutdown. Everything else
 // — pattern stripe, model shape, thread count — arrives over the wire
@@ -39,10 +60,11 @@ func RaxmlWorker(connect string, rank, ranks int, stderr io.Writer) error {
 // nil for the in-proc channel grid (core builds the world itself), or
 // an accepted TCP transport with ranks-1 spawned worker processes
 // serving behind it. The kernels selection travels on each worker's
-// argv so every rank of the grid computes with the same kernel set.
+// argv so every rank of the grid computes with the same kernel set, and
+// so does a CPU profile path when the master records one (workerArgs).
 // Worker processes are reaped on return; if fn failed, the transport
 // teardown unblocks them first.
-func withFineTransport(transport string, ranks int, kernels string, stdout io.Writer, fn func(tr fabric.Transport) error) error {
+func withFineTransport(transport string, ranks int, spawn workerArgs, stdout io.Writer, fn func(tr fabric.Transport) error) error {
 	switch transport {
 	case "", "chan":
 		return fn(nil)
@@ -67,13 +89,12 @@ func withFineTransport(transport string, ranks int, kernels string, stdout io.Wr
 	waitErrs := make([]error, ranks-1)
 	exited := make(chan int, ranks-1)
 	for r := 1; r < ranks; r++ {
-		cmd := exec.Command(exe,
+		cmd := exec.Command(exe, append(spawn.argv(r),
 			"-fine-worker",
-			"-kernels", kernels,
 			"-fine-connect", tr.Addr(),
 			"-fine-rank", strconv.Itoa(r),
 			"-fine-ranks", strconv.Itoa(ranks),
-		)
+		)...)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			killAll(procs)

@@ -37,7 +37,7 @@ type gridParams struct {
 	bootstop  bool   // adaptive rounds under the WC test
 	killAfter int    // chaos: kill one worker at this checkpoint ordinal
 	faultSeed int64  // chaos: seeded per-worker fault schedules (0 = off)
-	kernels   string // propagated to spawned workers
+	spawn     workerArgs
 }
 
 // RaxmlGridWorker runs one spawned grid worker process: dial the
@@ -87,7 +87,7 @@ func runGrid(pat *msa.Patterns, opts core.Options, p gridParams, runName, outDir
 	case "", "chan":
 		fleet.SpawnLocal(p.workers)
 	case "tcp":
-		stop, _, err := spawnGridWorkers(fleet, p.workers, p.kernels, stdout)
+		stop, _, err := spawnGridWorkers(fleet, p.workers, p.spawn, stdout)
 		if err != nil {
 			return err
 		}
@@ -158,8 +158,8 @@ func runGrid(pat *msa.Patterns, opts core.Options, p gridParams, runName, outDir
 // supervisor respawns workers that die unexpectedly (each replacement
 // dials back and enters the free pool as a late joiner); the returned
 // stop function ends the supervision, reaps the processes and closes
-// the listener.
-func spawnGridWorkers(fleet *grid.Fleet, n int, kernels string, stdout io.Writer) (stop func(), sup *grid.Supervisor, err error) {
+// the listener. The workers inherit spawn's flags.
+func spawnGridWorkers(fleet *grid.Fleet, n int, spawn workerArgs, stdout io.Writer) (stop func(), sup *grid.Supervisor, err error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, nil, fmt.Errorf("locating own binary for worker spawn: %w", err)
@@ -171,11 +171,10 @@ func spawnGridWorkers(fleet *grid.Fleet, n int, kernels string, stdout io.Writer
 	fleet.AcceptFrom(ln)
 	fmt.Fprintf(stdout, "grid: spawning %d worker processes (transport tcp, %s)\n", n, ln.Addr())
 	sup, err = grid.NewSupervisor(n, func(slot int) (*exec.Cmd, error) {
-		cmd := exec.Command(exe,
+		cmd := exec.Command(exe, append(spawn.argv(slot),
 			"-grid-worker",
-			"-kernels", kernels,
 			"-grid-connect", ln.Addr(),
-		)
+		)...)
 		cmd.Stderr = os.Stderr
 		return cmd, nil
 	})
@@ -184,7 +183,15 @@ func spawnGridWorkers(fleet *grid.Fleet, n int, kernels string, stdout io.Writer
 		return nil, nil, err
 	}
 	stop = func() {
-		sup.Stop() // before the listener closes: respawns must stop first
+		// Before the listener closes: respawns must stop first. Workers
+		// that write a CPU profile get a moment to act on the shutdown
+		// frame the fleet sent them — the profile is flushed on the way
+		// out — before whatever is still alive is killed.
+		var grace time.Duration
+		if spawn.cpuProfile != "" {
+			grace = 2 * time.Second
+		}
+		sup.StopAfter(grace)
 		ln.Close()
 	}
 	if !fleet.WaitAlive(n, 30*time.Second) {

@@ -31,7 +31,7 @@ type serveParams struct {
 	threads      int    // threads per rank (-T)
 	maxRunning   int    // concurrent runs server-wide
 	maxPerTenant int    // concurrent runs per tenant
-	kernels      string // propagated to spawned workers
+	spawn        workerArgs
 }
 
 // deriveRunName is the CLI side of server.DeriveRunID: the default -n
@@ -77,7 +77,7 @@ func runServe(p serveParams, stdout io.Writer) error {
 	case "", "chan":
 		fleet.SpawnLocal(p.workers)
 	case "tcp":
-		stop, s, err := spawnGridWorkers(fleet, p.workers, p.kernels, stdout)
+		stop, s, err := spawnGridWorkers(fleet, p.workers, p.spawn, stdout)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"raxml/internal/finegrain"
 	"raxml/internal/likelihood"
 	"raxml/internal/msa"
 	"raxml/internal/search"
@@ -443,6 +444,64 @@ func TestOutputsIdenticalAcrossKernelsAndInvalidation(t *testing.T) {
 					}
 					if got.bootstrap != want.bootstrap {
 						t.Errorf("RAxML_bootstrap differs:\n%s\n%s", got.bootstrap, want.bootstrap)
+					}
+				})
+			}
+		})
+	}
+
+	// The same three configurations over a 2-rank fine grain (-fine -f d),
+	// once per answer to "who sums the Newton derivatives": as built — a
+	// sumtable this small rides home on the setup partial and the master
+	// runs the Newton loop — and with the distributed core job forced.
+	// Either way the search's tree and likelihood must not depend on the
+	// kernel set or the invalidation policy.
+	fine := func(t *testing.T, pat *msa.Patterns, workers int, kernels string, coarse bool) (string, float64) {
+		t.Helper()
+		if err := likelihood.SetKernelMode(kernels); err != nil {
+			t.Skipf("kernel set %q: %v", kernels, err)
+		}
+		likelihood.SetCoarseInvalidation(coarse)
+		defer func() {
+			likelihood.SetCoarseInvalidation(false)
+			if err := likelihood.SetKernelMode("auto"); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		opts := Options{Ranks: 2, Workers: workers, SeedParsimony: 41, Model: GTRCAT}
+		res, err := RunFineSearches(pat, 1, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, err := tree.FormatNewick(res.BestTree, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw, res.Best.LogLikelihood
+	}
+	for _, side := range []struct {
+		name  string
+		limit int
+	}{
+		{"fine R=2, gathered sumtable", finegrain.SumtableGatherLimit},
+		{"fine R=2, distributed core", 0},
+	} {
+		t.Run(side.name, func(t *testing.T) {
+			was := finegrain.SumtableGatherLimit
+			finegrain.SumtableGatherLimit = side.limit
+			defer func() { finegrain.SumtableGatherLimit = was }()
+			for _, tc := range cases[1:3] { // one partition on two threads, two partitions on one
+				t.Run(tc.name, func(t *testing.T) {
+					wantTree, wantLnL := fine(t, tc.pat, tc.workers, "scalar", false)
+					for _, alt := range []struct {
+						kernels string
+						coarse  bool
+					}{{"avx2", false}, {"scalar", true}} {
+						gotTree, gotLnL := fine(t, tc.pat, tc.workers, alt.kernels, alt.coarse)
+						if gotLnL != wantLnL || gotTree != wantTree {
+							t.Errorf("kernels %s, invalidate-all %v: lnL %.17g and tree\n%s\nscalar/precise: lnL %.17g and tree\n%s",
+								alt.kernels, alt.coarse, gotLnL, gotTree, wantLnL, wantTree)
+						}
 					}
 				})
 			}

@@ -350,6 +350,9 @@ func (l *FaultLink) SetRecvDeadline(at time.Time) error {
 // Close tears the wrapped link down.
 func (l *FaultLink) Close() error { return l.inner.Close() }
 
+// Recycle forwards buffer recycling to the wrapped link's free list.
+func (l *FaultLink) Recycle(buf []byte) { RecycleLink(l.inner, buf) }
+
 // ---------------------------------------------------------------------
 // Transport middleware
 // ---------------------------------------------------------------------
@@ -401,7 +404,7 @@ func (t *FaultTransport) Close() error { return t.inner.Close() }
 
 // Recycle forwards buffer recycling so the wrapped transport's free
 // lists keep working.
-func (t *FaultTransport) Recycle(buf []byte) { Recycle(t.inner, buf) }
+func (t *FaultTransport) Recycle(from int, buf []byte) { Recycle(t.inner, from, buf) }
 
 // SetRecvDeadline forwards per-peer deadlines.
 func (t *FaultTransport) SetRecvDeadline(peer int, at time.Time) error {

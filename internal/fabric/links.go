@@ -67,6 +67,28 @@ func SetLinkRecvDeadline(l Link, at time.Time) bool {
 	return d.SetRecvDeadline(at) == nil
 }
 
+// LinkRecycler is implemented by links that keep a frame-buffer free
+// list — the link-level twin of the Transport Recycler, and what keeps
+// a grid dispatch as allocation-free as a fixed-world one.
+type LinkRecycler interface {
+	Recycle(buf []byte)
+}
+
+// RecycleLink hands buf, a spent Recv payload of l, back to l's free
+// list when the link keeps one; otherwise the buffer is left to the GC.
+// Callers must not touch buf afterwards.
+func RecycleLink(l Link, buf []byte) {
+	if r, ok := l.(LinkRecycler); ok {
+		r.Recycle(buf)
+	}
+}
+
+// linkFreeFrames bounds a link's free list. A dispatch keeps one job
+// frame and one partial in flight per link, so a handful covers the
+// steady state; the bound is what keeps a burst of large frames from
+// pinning memory.
+const linkFreeFrames = 8
+
 // ---------------------------------------------------------------------
 // In-proc channel link
 // ---------------------------------------------------------------------
@@ -76,6 +98,7 @@ type chanLink struct {
 	out    chan<- chanFrame
 	closed chan struct{}
 	once   *sync.Once
+	free   frameFreeList // shared by the pair: one end's Recycle feeds the other's Send
 
 	dl    atomic.Int64 // armed Recv deadline (UnixNano; 0 = none)
 	timer *time.Timer  // reused expiry timer (Recv is single-goroutine)
@@ -89,8 +112,9 @@ func LinkPair() (master, worker Link) {
 	ba := make(chan chanFrame, 64)
 	closed := make(chan struct{})
 	once := new(sync.Once)
-	return &chanLink{in: ba, out: ab, closed: closed, once: once},
-		&chanLink{in: ab, out: ba, closed: closed, once: once}
+	free := make(frameFreeList, 2*linkFreeFrames)
+	return &chanLink{in: ba, out: ab, closed: closed, once: once, free: free},
+		&chanLink{in: ab, out: ba, closed: closed, once: once, free: free}
 }
 
 func (l *chanLink) Send(tag byte, payload []byte) error {
@@ -100,10 +124,12 @@ func (l *chanLink) Send(tag byte, payload []byte) error {
 	default:
 	}
 	// Copy: senders may reuse encode buffers the moment Send returns
-	// (same contract as ChanTransport.Send).
+	// (same contract as ChanTransport.Send), into a recycled buffer
+	// when the pair's free list has one big enough.
 	var p []byte
 	if len(payload) > 0 {
-		p = append(p, payload...)
+		p = l.free.get(len(payload))
+		copy(p, payload)
 	}
 	select {
 	case l.out <- chanFrame{tag: tag, payload: p}:
@@ -169,6 +195,10 @@ func (l *chanLink) Close() error {
 	return nil
 }
 
+// Recycle hands a spent Recv payload to the pair's free list; it then
+// backs the copy of a later Send from either end.
+func (l *chanLink) Recycle(buf []byte) { l.free.put(buf) }
+
 // ---------------------------------------------------------------------
 // TCP link and the star listener
 // ---------------------------------------------------------------------
@@ -186,7 +216,7 @@ type TCPLink struct {
 }
 
 func newTCPLink(c net.Conn) *TCPLink {
-	return &TCPLink{conn: &tcpConn{c: c}, raw: c}
+	return &TCPLink{conn: newTCPConn(c, make(frameFreeList, linkFreeFrames)), raw: c}
 }
 
 // Send delivers one tagged frame to the peer.
@@ -223,6 +253,10 @@ func (l *TCPLink) linkError(err error) error {
 func (l *TCPLink) SetRecvDeadline(at time.Time) error {
 	return l.raw.SetReadDeadline(at)
 }
+
+// Recycle hands a spent Recv payload to the link's free list; a later
+// Recv reads its frame into it.
+func (l *TCPLink) Recycle(buf []byte) { l.conn.free.put(buf) }
 
 // Close tears the link down.
 func (l *TCPLink) Close() error {
@@ -371,3 +405,7 @@ func (w *workerTransport) Recv(from int) (byte, []byte, error) {
 }
 
 func (w *workerTransport) Close() error { return w.link.Close() }
+
+// Recycle forwards a spent job frame to the link's free list (the
+// fabric.Recycler contract; the master is the only peer).
+func (w *workerTransport) Recycle(_ int, buf []byte) { RecycleLink(w.link, buf) }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -251,18 +252,50 @@ type TransportStats struct {
 // Recycler is implemented by transports that keep a frame-buffer free
 // list. Handing a Recv payload (no longer referenced) back via Recycle
 // lets later Send/Recv calls reuse its backing array, which is what
-// makes the finegrain dispatch hot path allocation-free.
+// makes the finegrain dispatch hot path allocation-free. `from` is the
+// rank the payload was received from: the world transports keep one
+// list per endpoint and ignore it, the link adapters (grid.subTransport,
+// WorkerTransport) use it to hand the buffer back to the link that
+// produced it.
 type Recycler interface {
-	Recycle(buf []byte)
+	Recycle(from int, buf []byte)
 }
 
-// Recycle returns buf to t's free list if the transport keeps one;
-// otherwise it is a no-op and the buffer is left to the GC. Callers
-// must not touch buf afterwards.
-func Recycle(t Transport, buf []byte) {
+// Recycle returns buf, a payload received from rank `from`, to t's free
+// list if the transport keeps one; otherwise it is a no-op and the
+// buffer is left to the GC. Callers must not touch buf afterwards.
+func Recycle(t Transport, from int, buf []byte) {
 	if r, ok := t.(Recycler); ok {
-		r.Recycle(buf)
+		r.Recycle(from, buf)
 	}
+}
+
+// frameFreeList is the bounded stack of spent frame buffers behind every
+// Recycler: put offers one (dropped when the list is full), get returns
+// one with room for n bytes or a fresh allocation — a too-small pop is
+// dropped, so the list converges on steady-state frame sizes. A nil list
+// recycles nothing.
+type frameFreeList chan []byte
+
+func (f frameFreeList) put(buf []byte) {
+	if cap(buf) == 0 {
+		return
+	}
+	select {
+	case f <- buf:
+	default:
+	}
+}
+
+func (f frameFreeList) get(n int) []byte {
+	select {
+	case b := <-f:
+		if cap(b) >= n {
+			return b[:n]
+		}
+	default:
+	}
+	return make([]byte, n)
 }
 
 // Broadcast sends one frame from this endpoint (the master) to every
@@ -324,7 +357,7 @@ type ChanTransport struct {
 	mail   [][]chan chanFrame // mail[from][to]
 	closed chan struct{}
 	once   *sync.Once
-	free   chan []byte // group-shared frame buffer free list
+	free   frameFreeList // group-shared
 	stats  TransportStats
 
 	// dl[from] is the armed Recv deadline for that peer (UnixNano; 0 =
@@ -351,7 +384,7 @@ func NewChanTransports(size int) []*ChanTransport {
 	}
 	closed := make(chan struct{})
 	once := new(sync.Once)
-	free := make(chan []byte, 64*size)
+	free := make(frameFreeList, 64*size)
 	out := make([]*ChanTransport, size)
 	for r := range out {
 		out[r] = &ChanTransport{
@@ -384,21 +417,11 @@ func (c *ChanTransport) Send(to int, tag byte, payload []byte) error {
 	// Copy the payload: a real wire serializes, so senders may reuse
 	// their encode buffers the moment Send returns. The in-proc
 	// transport must not silently weaken that contract. The copy lands
-	// in a recycled buffer when the free list has one big enough
-	// (too-small pops are dropped, so the list converges on
-	// steady-state frame sizes).
+	// in a recycled buffer when the free list has one big enough.
 	var p []byte
 	if len(payload) > 0 {
-		select {
-		case b := <-c.free:
-			if cap(b) >= len(payload) {
-				p = append(b[:0], payload...)
-			} else {
-				p = append([]byte(nil), payload...)
-			}
-		default:
-			p = append([]byte(nil), payload...)
-		}
+		p = c.free.get(len(payload))
+		copy(p, payload)
 	}
 	select {
 	case c.mail[c.rank][to] <- chanFrame{tag: tag, payload: p}:
@@ -483,15 +506,7 @@ func (c *ChanTransport) SetRecvDeadline(peer int, at time.Time) error {
 // Recycle pushes buf onto the group's frame free list (dropped when the
 // list is full). Receivers call it once a Recv payload is fully
 // consumed; the buffer then backs a later Send's copy.
-func (c *ChanTransport) Recycle(buf []byte) {
-	if cap(buf) == 0 {
-		return
-	}
-	select {
-	case c.free <- buf:
-	default:
-	}
-}
+func (c *ChanTransport) Recycle(_ int, buf []byte) { c.free.put(buf) }
 
 // Close tears down the whole group.
 func (c *ChanTransport) Close() error {
@@ -543,17 +558,35 @@ type TCPTransport struct {
 	conns  []*tcpConn // indexed by peer rank; nil where no link exists
 	ln     net.Listener
 	closed atomic.Bool
-	free   chan []byte // endpoint-wide frame buffer free list
+	free   frameFreeList // endpoint-wide
 	stats  TransportStats
 }
 
+// frameHeaderLen is the fixed prefix of a TCP frame: tag, payload
+// length, CRC32C.
+const frameHeaderLen = 9
+
+// coalesceMax is the largest payload write copies behind its header so
+// the frame leaves in one Write; anything longer (init frames, model
+// blocks of big alignments) is written after the header instead, which
+// keeps the per-connection frame buffer small.
+const coalesceMax = 64 << 10
+
 type tcpConn struct {
 	c    net.Conn
+	br   *bufio.Reader // over c: a frame's header and payload in one read
 	rmu  sync.Mutex
 	wmu  sync.Mutex
-	rbuf [9]byte
-	wbuf [9]byte
-	free chan []byte // shared with the owning endpoint; may be nil
+	rbuf [frameHeaderLen]byte
+	// wbuf is the outgoing frame under construction (header, then a
+	// payload of up to coalesceMax bytes); guarded by wmu.
+	wbuf []byte
+	free frameFreeList // shared with the owning endpoint or link pair
+}
+
+// newTCPConn frames c, recycling payload buffers through free.
+func newTCPConn(c net.Conn, free frameFreeList) *tcpConn {
+	return &tcpConn{c: c, br: bufio.NewReaderSize(c, 4096), wbuf: make([]byte, frameHeaderLen, 512), free: free}
 }
 
 // ListenTCP creates the master endpoint: it listens on addr (use
@@ -567,7 +600,7 @@ func ListenTCP(addr string, size int) (*TCPTransport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TCPTransport{rank: 0, size: size, conns: make([]*tcpConn, size), ln: ln, free: make(chan []byte, 64)}, nil
+	return &TCPTransport{rank: 0, size: size, conns: make([]*tcpConn, size), ln: ln, free: make(frameFreeList, 64)}, nil
 }
 
 // Addr returns the master's listen address (for spawning workers).
@@ -591,7 +624,7 @@ func (t *TCPTransport) Accept() error {
 		if err != nil {
 			return err
 		}
-		tc := &tcpConn{c: c, free: t.free}
+		tc := newTCPConn(c, t.free)
 		if HelloTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(HelloTimeout))
 		}
@@ -628,8 +661,8 @@ func DialTCP(addr string, rank, size int) (*TCPTransport, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &TCPTransport{rank: rank, size: size, conns: make([]*tcpConn, size), free: make(chan []byte, 64)}
-	t.conns[0] = &tcpConn{c: c, free: t.free}
+	t := &TCPTransport{rank: rank, size: size, conns: make([]*tcpConn, size), free: make(frameFreeList, 64)}
+	t.conns[0] = newTCPConn(c, t.free)
 	if err := t.conns[0].write(tcpHello, encodeHello(uint32(rank))); err != nil {
 		c.Close()
 		return nil, err
@@ -723,15 +756,7 @@ func (t *TCPTransport) SetRecvDeadline(peer int, at time.Time) error {
 
 // Recycle pushes buf onto the endpoint's frame free list (dropped when
 // the list is full); later reads reuse it for incoming payloads.
-func (t *TCPTransport) Recycle(buf []byte) {
-	if cap(buf) == 0 {
-		return
-	}
-	select {
-	case t.free <- buf:
-	default:
-	}
-}
+func (t *TCPTransport) Recycle(_ int, buf []byte) { t.free.put(buf) }
 
 // Close shuts every connection (and the master's listener) down.
 func (t *TCPTransport) Close() error {
@@ -756,8 +781,10 @@ func (t *TCPTransport) Close() error {
 const maxFrameBytes = 1 << 30
 
 // write sends one frame: [tag:1][len:4 LE][crc:4 LE][payload], the
-// CRC32C covering tag, length and payload. Each write runs under
-// WriteTimeout so a peer that stopped reading surfaces as an error
+// CRC32C covering tag, length and payload. Header and payload leave in
+// ONE Write — one syscall and, under TCP_NODELAY, one segment instead of
+// two — unless the payload is longer than coalesceMax. Each write runs
+// under WriteTimeout so a peer that stopped reading surfaces as an error
 // here instead of a forever-blocked sender.
 func (c *tcpConn) write(tag byte, payload []byte) error {
 	c.wmu.Lock()
@@ -765,53 +792,47 @@ func (c *tcpConn) write(tag byte, payload []byte) error {
 	if WriteTimeout > 0 {
 		c.c.SetWriteDeadline(time.Now().Add(WriteTimeout))
 	}
-	c.wbuf[0] = tag
-	binary.LittleEndian.PutUint32(c.wbuf[1:5], uint32(len(payload)))
-	crc := crc32.Update(0, castagnoli, c.wbuf[:5])
+	hdr := c.wbuf[:frameHeaderLen]
+	hdr[0] = tag
+	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
+	crc := crc32.Update(0, castagnoli, hdr[:5])
 	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(c.wbuf[5:9], crc)
-	if _, err := c.c.Write(c.wbuf[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := c.c.Write(payload); err != nil {
+	binary.LittleEndian.PutUint32(hdr[5:9], crc)
+	if len(payload) > coalesceMax {
+		if _, err := c.c.Write(hdr); err != nil {
 			return err
 		}
+		_, err := c.c.Write(payload)
+		return err
 	}
-	return nil
+	c.wbuf = append(hdr, payload...)
+	_, err := c.c.Write(c.wbuf)
+	return err
 }
 
 func (c *tcpConn) read() (byte, []byte, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	if _, err := io.ReadFull(c.c, c.rbuf[:]); err != nil {
+	// Through the buffered reader: a small frame's payload is usually
+	// already behind its header, so the frame costs one read, not two.
+	hdr := c.rbuf[:]
+	if _, err := io.ReadFull(c.br, hdr); err != nil {
 		return 0, nil, err
 	}
-	tag := c.rbuf[0]
-	n := binary.LittleEndian.Uint32(c.rbuf[1:5])
-	want := binary.LittleEndian.Uint32(c.rbuf[5:9])
+	tag := hdr[0]
+	n := binary.LittleEndian.Uint32(hdr[1:5])
+	want := binary.LittleEndian.Uint32(hdr[5:9])
 	if n > maxFrameBytes {
 		return 0, nil, fmt.Errorf("fabric: frame length %d exceeds limit", n)
 	}
-	// Reuse a recycled buffer when one is big enough; too-small pops
-	// are dropped so the list converges on steady-state frame sizes.
 	var payload []byte
 	if n > 0 {
-		select {
-		case b := <-c.free:
-			if cap(b) >= int(n) {
-				payload = b[:n]
-			} else {
-				payload = make([]byte, n)
-			}
-		default:
-			payload = make([]byte, n)
-		}
-		if _, err := io.ReadFull(c.c, payload); err != nil {
+		payload = c.free.get(int(n))
+		if _, err := io.ReadFull(c.br, payload); err != nil {
 			return 0, nil, err
 		}
 	}
-	crc := crc32.Update(0, castagnoli, c.rbuf[:5])
+	crc := crc32.Update(0, castagnoli, hdr[:5])
 	crc = crc32.Update(crc, castagnoli, payload)
 	if crc != want {
 		corruptFrames.Add(1)

@@ -296,7 +296,7 @@ func TestTCPTransportRejectsBadHello(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		tc := &tcpConn{c: c}
+		tc := newTCPConn(c, nil)
 		if err := tc.write(tcpHello, encodeHello(5)); err != nil {
 			t.Error(err)
 		}
@@ -328,7 +328,7 @@ func TestTCPTransportRejectsOldProtocol(t *testing.T) {
 		var hello [8]byte
 		binary.LittleEndian.PutUint32(hello[0:4], ProtocolVersion+1)
 		binary.LittleEndian.PutUint32(hello[4:8], 1)
-		tc := &tcpConn{c: c}
+		tc := newTCPConn(c, nil)
 		if err := tc.write(tcpHello, hello[:]); err != nil {
 			t.Error(err)
 		}

@@ -371,7 +371,7 @@ func pruneForScan(t *testing.T, topo *tree.Tree) (*tree.PrunedSubtree, []tree.Ed
 // tcpGrid builds a master pool and engine over `ranks` loopback TCP
 // ranks served by in-process workers; stop shuts the grid down and
 // reports worker failures.
-func tcpGrid(t *testing.T, ranks, threadsPerRank int, pat *msa.Patterns, cat bool) (eng *likelihood.Engine, pool *Pool, stop func()) {
+func tcpGrid(t testing.TB, ranks, threadsPerRank int, pat *msa.Patterns, cat bool) (eng *likelihood.Engine, pool *Pool, stop func()) {
 	t.Helper()
 	master, err := fabric.ListenTCP("127.0.0.1:0", ranks)
 	if err != nil {
@@ -410,6 +410,20 @@ func tcpGrid(t *testing.T, ranks, threadsPerRank int, pat *msa.Patterns, cat boo
 	}
 }
 
+// sentFrames reads the master's sent-frame counter once the send lanes
+// have caught up with it: a lane counts a frame after its Send returns,
+// which can be after the worker's answer has already completed the
+// dispatch the frame belonged to.
+func sentFrames(st *fabric.TransportStats) int64 {
+	for {
+		m := st.MessagesSent.Load()
+		time.Sleep(time.Millisecond)
+		if st.MessagesSent.Load() == m {
+			return m
+		}
+	}
+}
+
 // scanOnce drives one cold batched scan on a distributed engine and
 // checks its cost at the transport counters — one dispatch, one
 // broadcast, one reduction, `frames` frames per remote rank, no model
@@ -426,7 +440,7 @@ func scanOnce(t *testing.T, eng *likelihood.Engine, pool *Pool, topo *tree.Tree,
 	eng.InvalidateNode(p.Attach)
 
 	st := pool.Transport().Stats()
-	d0, b0, r0, m0 := eng.DispatchCount(), st.Broadcasts.Load(), st.Reductions.Load(), st.MessagesSent.Load()
+	d0, b0, r0, m0 := eng.DispatchCount(), st.Broadcasts.Load(), st.Reductions.Load(), sentFrames(st)
 	blocks0 := eng.ModelBlocksEncoded()
 	got := eng.EvaluateInsertions(p.Root, p.Attach, cands, nil)
 	entries := len(eng.LastTraversal())
@@ -436,7 +450,7 @@ func scanOnce(t *testing.T, eng *likelihood.Engine, pool *Pool, topo *tree.Tree,
 	if d, b, r := eng.DispatchCount()-d0, st.Broadcasts.Load()-b0, st.Reductions.Load()-r0; d != 1 || b != 1 || r != 1 {
 		t.Errorf("%d candidates, %d stale views: %d dispatches, %d broadcasts, %d reductions, want 1 each", len(cands), entries, d, b, r)
 	}
-	if m, want := st.MessagesSent.Load()-m0, frames(entries)*int64(pool.Transport().Size()-1); m != want {
+	if m, want := sentFrames(st)-m0, frames(entries)*int64(pool.Transport().Size()-1); m != want {
 		t.Errorf("scan over a %d-entry descriptor sent %d frames, want %d", entries, m, want)
 	}
 	if n := eng.ModelBlocksEncoded() - blocks0; n != 0 {

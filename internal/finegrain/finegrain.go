@@ -28,6 +28,13 @@
 // after the local worker-order sums, keeping results deterministic for
 // a fixed R×t grid.
 //
+// One reduction does not stay where it is computed when it is small
+// enough to move: the Newton derivatives of a branch. A pool whose
+// remote sumtable is under sumtableGatherCrossover brings the rows home
+// on the JobMakenewzSetup partial and the engine iterates on the master
+// (GathersSumtable), so a branch costs one Post instead of one per
+// iteration.
+//
 // The transport is pluggable (fabric.Transport): in-proc channels for
 // fabric.Run-hosted hybrids and tests, TCP for real worker processes
 // spawned via `raxml` worker mode. See docs/hybrid-topology.md for the
@@ -86,6 +93,29 @@ var (
 	fragEntries    = 64
 )
 
+// sumtableGatherCrossover is the largest remote sumtable — bytes per
+// branch, (patterns − stripe 0) × CLV categories × 32 — that is cheaper
+// to bring home once on the JobMakenewzSetup partial than to leave on
+// its ranks and visit once per Newton iteration (9.35 on average).
+// Measured on TCP loopback, CAT and GAMMA, 2 ranks
+// (BenchmarkOptimizeBranchRemote; table in docs/hybrid-topology.md):
+// the two treatments cross at the same byte count — gathering wins
+// 1.2–4× up to 51 KB (800 GAMMA or 3 200 CAT patterns), is a wash
+// between 64 and 100 KB, and loses 1.4–1.5× from 205 KB on (3 200 GAMMA,
+// 12 800 CAT), where the master summing the whole axis alone costs more
+// than the round trips it saves — the paper's 20 k–50 k-pattern
+// alignments sit far on that side. The benchmark's ranks share one
+// process, which makes its round trip (~12 µs) cheaper than a spawned
+// worker's (41–59 µs), so the value sits at the upper end of the wash.
+const sumtableGatherCrossover = 128 << 10
+
+// SumtableGatherLimit is the threshold NewPool compares a pool's remote
+// sumtable bytes against, once, to decide whether that pool gathers. A
+// variable only so tests can force either side on small data (0: never
+// gather; a huge value: always), as with the fragmentation thresholds
+// above; nothing in the product assigns it.
+var SumtableGatherLimit = sumtableGatherCrossover
+
 // Progress guards. Variables, not constants, so chaos runs tighten
 // them for fast fault detection; zero disables a guard.
 var (
@@ -126,6 +156,13 @@ type Pool struct {
 	// lanes are the per-rank send/receive lanes a dispatch scatters
 	// through (nil on a single-rank grid, which has no wire at all).
 	lanes *fabric.Lanes
+
+	// gather is the pool's answer to "who sums the Newton derivatives":
+	// true when the remote stripes' sumtable rows are few enough
+	// (SumtableGatherLimit) to ride home on every JobMakenewzSetup
+	// partial, so the engine runs the whole Newton loop of a branch on
+	// the master. Fixed at construction.
+	gather bool
 
 	// remote[r] is rank r's partial of the current job, preallocated at
 	// construction and decoded into in place every dispatch (nil for the
@@ -197,6 +234,8 @@ func NewPool(tr fabric.Transport, pat *msa.Patterns, set *gtr.PartitionSet, thre
 	}
 	if ranks > 1 {
 		p.lanes = fabric.NewLanes(tr)
+		remoteBytes := (pat.NumPatterns() - stripes[0].Len()) * set.ClvCats() * 4 * 8
+		p.gather = remoteBytes <= SumtableGatherLimit
 	}
 	p.local = threads.NewPoolStripe(threadsPerRank, pat.Weights, stripes[0].Lo, stripes[0].Hi)
 	return p, nil
@@ -208,6 +247,11 @@ func (p *Pool) Transport() fabric.Transport { return p.tr }
 
 // Stripes returns the per-rank pattern stripes.
 func (p *Pool) Stripes() []threads.Range { return p.stripes }
+
+// GathersSumtable reports whether the pool brings every remote stripe's
+// sumtable rows home on the makenewz setup partial (the engine then
+// posts no JobMakenewzCore at all). Never true on a single-rank grid.
+func (p *Pool) GathersSumtable() bool { return p.gather }
 
 // LocalPool returns the master's own thread crew (stripe 0).
 func (p *Pool) LocalPool() *threads.Pool { return p.local }
@@ -336,25 +380,31 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 			// re-stripes instead of failing the job.
 			err = &fabric.RankDeadError{Rank: r, Err: fmt.Errorf("finegrain: unexpected tag %d in reduction", res.Tag)}
 		default:
-			if derr := likelihood.DecodeWirePartialInto(p.remote[r], res.Payload); derr != nil {
+			part := p.remote[r]
+			wantVec := wm.WireVecLen(code, p.stripes[r].Len())
+			if derr := likelihood.DecodeWirePartialInto(part, res.Payload); derr != nil {
 				err = &fabric.RankDeadError{Rank: r, Err: fmt.Errorf("finegrain: partial decode: %w", derr)}
-			} else if got := len(p.remote[r].Wide); got != wantWide {
+			} else if got := len(part.Wide); got != wantWide {
 				// A partial for some other job: folding it would drop or
 				// misplace this rank's stripe of a score. Desynchronized,
 				// like an unexpected tag.
 				err = &fabric.RankDeadError{Rank: r, Err: fmt.Errorf("finegrain: partial carries %d wide components, job expects %d", got, wantWide)}
+			} else if got := part.VecLen(); got != wantVec {
+				// Rows nobody asked for, none when asked, or not exactly
+				// this rank's stripe of them: the same desync, and nothing
+				// is landed in the master's arena.
+				err = &fabric.RankDeadError{Rank: r, Err: fmt.Errorf("finegrain: partial carries %d per-pattern values, job expects %d", got, wantVec)}
+			} else if wantVec > 0 {
+				// Decoded once, straight to its destination, while the
+				// frame buffer is still ours.
+				wm.AbsorbRemoteVec(code, p.stripes[r].Lo, part.Vec)
 			}
+			part.Vec = nil
 		}
-		fabric.Recycle(p.tr, res.Payload)
+		fabric.Recycle(p.tr, r, res.Payload)
 		p.rankErr[r] = nil
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if code == threads.JobSiteLL {
-			wm.AbsorbRemoteSiteLL(p.stripes[r].Lo, p.remote[r].Vec)
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if guard {

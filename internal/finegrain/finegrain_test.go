@@ -291,7 +291,14 @@ func TestSPRFuzzDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The lockstep half optimizes junctions, so it runs once per answer
+	// to "who sums the Newton derivatives": as built (a sumtable this
+	// small is gathered), and with the distributed core job forced.
 	t.Run("lockstep", func(t *testing.T) { sprLockstepDistributed(t, pat, topo) })
+	t.Run("lockstep, distributed core", func(t *testing.T) {
+		forceGather(t, false)
+		sprLockstepDistributed(t, pat, topo)
+	})
 }
 
 // sprLockstepDistributed is the lazy-SPR half of the fuzz program: two
@@ -606,16 +613,37 @@ func TestWorkerErrorSurfaces(t *testing.T) {
 }
 
 // TestMakenewzWireTraffic is the distributed cost-model regression for
-// the two-phase eigen-basis makenewz: over 2 ranks, a full
-// OptimizeBranch must cost exactly LastNewtonIterations() broadcasts —
-// the JobMakenewzSetup frame, carrying the refresh descriptor, the two
-// views and the factor block of the first evaluation, then ONE
-// JobMakenewzCore frame per further iteration — each paired with exactly
-// one rank-ordered reduction, and the warm frames must stay tiny (eigen
-// exponential factors only: no per-iteration model-sync block, no P
-// matrices). A model block on this workload ships the full weight
+// the two-phase eigen-basis makenewz over 2 ranks, one case per answer to
+// "who sums".
+//
+// Gathered: a full OptimizeBranch costs exactly ONE broadcast and ONE
+// rank-ordered reduction however many Newton iterations it runs — the
+// JobMakenewzSetup frame carries the refresh descriptor, the two views
+// and the factor block, its partial brings the remote stripe's sumtable
+// rows home, and every derivative is reduced on the master — on fresh
+// endpoint views and on stale ones alike. LastNewtonIterations still
+// counts the iterations.
+//
+// Distributed: it costs exactly LastNewtonIterations() broadcasts — the
+// setup frame, then ONE JobMakenewzCore frame per further iteration —
+// each paired with exactly one reduction, and the warm frames stay tiny
+// (eigen exponential factors only: no per-iteration model-sync block, no
+// P matrices). A model block on this workload ships the full weight
 // vector and would blow the per-frame bound immediately.
 func TestMakenewzWireTraffic(t *testing.T) {
+	for _, gathered := range []bool{true, false} {
+		name := "distributed"
+		if gathered {
+			name = "gathered"
+		}
+		t.Run(name, func(t *testing.T) {
+			forceGather(t, gathered)
+			makenewzWireTraffic(t, gathered)
+		})
+	}
+}
+
+func makenewzWireTraffic(t *testing.T, gathered bool) {
 	pat := makeData(t, 12, 300, 1, 9)
 	set := makeSet(t, pat, false) // GAMMA: 4 matrix categories, 1 partition
 	err := Run(2, 2, pat, set, func(eng *likelihood.Engine, pool *Pool) error {
@@ -628,46 +656,69 @@ func TestMakenewzWireTraffic(t *testing.T) {
 		eng.OptimizeBranch(a, b) // warm: tiles bound, model epoch shipped
 		_ = eng.LogLikelihood()  // leaves both endpoint views of (a, b) fresh
 		st := pool.Transport().Stats()
-		d0 := eng.DispatchCount()
-		b0 := st.Broadcasts.Load()
-		r0 := st.Reductions.Load()
-		by0 := st.BytesSent.Load()
 
-		eng.OptimizeBranch(a, b)
-		iters := eng.LastNewtonIterations()
-		if iters < 1 {
-			t.Error("no Newton iterations recorded")
+		// optimize runs one OptimizeBranch from a length far off the
+		// optimum (so it takes several iterations) and checks the call's
+		// dispatches, broadcasts and reductions against the case's rule;
+		// it returns the dispatch count and the bytes the master sent.
+		optimize := func(views string) (dispatches, sent int64) {
+			tr.SetEdgeLength(a, b, 0.9)
+			eng.InvalidateEdge(a, b)
+			_ = eng.LogLikelihood()
+			d0, b0, r0 := eng.DispatchCount(), st.Broadcasts.Load(), st.Reductions.Load()
+			by0 := st.BytesSent.Load()
+			eng.OptimizeBranch(a, b)
+			iters := int64(eng.LastNewtonIterations())
+			if iters < 3 {
+				t.Errorf("%s views: %d Newton iterations from a perturbed length, want a real Newton loop", views, iters)
+			}
+			want := iters
+			if gathered {
+				want = 1
+			}
+			dd, bb, rr := eng.DispatchCount()-d0, st.Broadcasts.Load()-b0, st.Reductions.Load()-r0
+			if dd != want || bb != want || rr != want {
+				t.Errorf("OptimizeBranch over %s views: %d dispatches, %d broadcasts, %d reductions for %d Newton iterations, want %d of each",
+					views, dd, bb, rr, iters, want)
+			}
+			return dd, st.BytesSent.Load() - by0
 		}
-		dd := eng.DispatchCount() - d0
-		if dd != int64(iters) {
-			t.Errorf("OptimizeBranch cost %d dispatches, want %d (one per Newton iteration)", dd, iters)
-		}
-		if got := st.Broadcasts.Load() - b0; got != dd {
-			t.Errorf("%d broadcasts for %d dispatches (extra wire traffic per barrier)", got, dd)
-		}
-		if got := st.Reductions.Load() - r0; got != dd {
-			t.Errorf("%d reductions for %d dispatches", got, dd)
-		}
+
+		dd, sent := optimize("fresh")
 		// Per-frame average over the warm setup + core frames. The core
 		// frame is header + 3×(4·nCats) float64 ≈ 410 bytes here, the
 		// setup frame two views more; a model-sync block alone would add
-		// >1200 bytes of weights.
+		// >1200 bytes of weights. (What a gathered branch moves is on the
+		// receive side: the rows.)
 		frames := dd * int64(pool.Transport().Size()-1)
-		perFrame := float64(st.BytesSent.Load()-by0) / float64(frames)
-		if perFrame > 600 {
+		if perFrame := float64(sent) / float64(frames); perFrame > 600 {
 			t.Errorf("average makenewz frame is %.0f bytes; iterations must ship only eigen factors", perFrame)
+		}
+		if gathered {
+			by0 := st.BytesRecv.Load()
+			optimize("fresh")
+			rows := int64(pat.NumPatterns()-pool.Stripes()[0].Len()) * 4 * 4 * 8
+			if got := st.BytesRecv.Load() - by0; got < rows || got > rows+64 {
+				t.Errorf("the gathered setup partial is %d bytes for %d bytes of remote rows", got, rows)
+			}
 		}
 
 		// Stale endpoint views: the refresh rides the setup frame's
-		// descriptor, so the count is still the Newton iterations.
+		// descriptor, so the count does not move.
 		far := tr.Edges()[len(tr.Edges())/2]
 		tr.SetEdgeLength(far.A, far.B, 2*tr.EdgeLength(far.A, far.B))
 		eng.InvalidateEdge(far.A, far.B)
-		d0, b0, r0 = eng.DispatchCount(), st.Broadcasts.Load(), st.Reductions.Load()
+		tr.SetEdgeLength(a, b, 0.9)
+		eng.InvalidateEdge(a, b)
+		d0, b0, r0 := eng.DispatchCount(), st.Broadcasts.Load(), st.Reductions.Load()
 		eng.OptimizeBranch(a, b)
 		want := int64(eng.LastNewtonIterations())
+		if gathered {
+			want = 1
+		}
 		if dd, bb, rr := eng.DispatchCount()-d0, st.Broadcasts.Load()-b0, st.Reductions.Load()-r0; dd != want || bb != want || rr != want {
-			t.Errorf("OptimizeBranch over stale views: %d dispatches, %d broadcasts, %d reductions for %d Newton iterations", dd, bb, rr, want)
+			t.Errorf("OptimizeBranch over stale views: %d dispatches, %d broadcasts, %d reductions for %d Newton iterations, want %d of each",
+				dd, bb, rr, eng.LastNewtonIterations(), want)
 		}
 		return nil
 	})

@@ -140,7 +140,7 @@ func serveSession(tr fabric.Transport, initPayload []byte) (done bool, err error
 			}
 		case TagJobFrag:
 			frag = append(frag, payload...)
-			fabric.Recycle(tr, payload)
+			fabric.Recycle(tr, 0, payload)
 		case TagJob:
 			buf := payload
 			if len(frag) > 0 {
@@ -149,7 +149,7 @@ func serveSession(tr fabric.Transport, initPayload []byte) (done bool, err error
 			}
 			decErr := likelihood.DecodeWireJobInto(&job, buf)
 			frag = frag[:0]
-			fabric.Recycle(tr, payload)
+			fabric.Recycle(tr, 0, payload)
 			if decErr != nil {
 				// Corrupt job frame: the stream is desynced, so close the
 				// transport rather than answering — the master's reduction

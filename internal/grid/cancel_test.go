@@ -15,6 +15,10 @@ import (
 // from which a successor grid — seeded via Config.Checkpoints — finishes
 // the workload with exactly the uninterrupted run's results.
 func TestGridCancelCheckpointResume(t *testing.T) {
+	bothCoreSides(t, gridCancelCheckpointResume)
+}
+
+func gridCancelCheckpointResume(t *testing.T) {
 	a := testAnalysis(t)
 	want, _ := runAnalysis(t, a, 0, Config{Concurrency: 1})
 

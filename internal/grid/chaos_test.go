@@ -123,6 +123,26 @@ func TestGridMatchesMasterLocal(t *testing.T) {
 // its checkpoint, and the final consensus tree and likelihoods are the
 // uninterrupted run's at 1e-10.
 func TestGridChaosRestripe(t *testing.T) {
+	bothCoreSides(t, gridChaosRestripe)
+}
+
+// bothCoreSides runs a restripe/resume test once per answer to "who sums
+// the Newton derivatives of a leased pool": as built — the workload's
+// sumtable is far below finegrain.SumtableGatherLimit, so every lease
+// gathers it and the resumed stream's branch lengths no longer depend on
+// the survivors' stripe count — and with the distributed core job
+// forced, the behaviour before the gather existed.
+func bothCoreSides(t *testing.T, test func(*testing.T)) {
+	test(t)
+	t.Run("distributed core", func(t *testing.T) {
+		was := finegrain.SumtableGatherLimit
+		finegrain.SumtableGatherLimit = 0
+		defer func() { finegrain.SumtableGatherLimit = was }()
+		test(t)
+	})
+}
+
+func gridChaosRestripe(t *testing.T) {
 	a := testAnalysis(t)
 	want, _ := runAnalysis(t, a, 3, Config{Concurrency: 2})
 

@@ -72,6 +72,15 @@ func (s *subTransport) SetRecvDeadline(peer int, at time.Time) error {
 	return nil
 }
 
+// Recycle hands a spent partial back to the free list of the leased link
+// it arrived on (the fabric.Recycler contract), so a grid dispatch
+// reuses its receive buffers exactly as a fixed-world one does.
+func (s *subTransport) Recycle(from int, buf []byte) {
+	if from >= 1 && from <= len(s.links) {
+		fabric.RecycleLink(s.links[from-1], buf)
+	}
+}
+
 // Close is a no-op: the fleet owns the links; a released lease returns
 // them to the free pool intact.
 func (s *subTransport) Close() error { return nil }

@@ -145,9 +145,25 @@ func (s *Supervisor) Respawns() int64 { return s.respawns.Load() }
 
 // Stop kills every live worker process and waits for the slot watchers
 // to exit. Idempotent.
-func (s *Supervisor) Stop() {
+func (s *Supervisor) Stop() { s.StopAfter(0) }
+
+// StopAfter is Stop with a grace period: from now on no slot respawns,
+// the processes get up to grace to exit on their own — a worker that was
+// sent its shutdown frame finishes what it flushes on exit, a CPU
+// profile for one — and whatever is still alive then is killed.
+func (s *Supervisor) StopAfter(grace time.Duration) {
 	s.mu.Lock()
 	s.stop = true
+	s.mu.Unlock()
+	if grace > 0 {
+		exited := make(chan struct{})
+		go func() { s.wg.Wait(); close(exited) }()
+		select {
+		case <-exited:
+		case <-time.After(grace):
+		}
+	}
+	s.mu.Lock()
 	procs := make([]*exec.Cmd, len(s.procs))
 	copy(procs, s.procs)
 	s.mu.Unlock()

@@ -132,6 +132,14 @@ type Dispatcher interface {
 	Aborted() bool
 }
 
+// sumtableGatherer is implemented by distributed dispatchers that can
+// bring every remote stripe's sumtable rows home on the JobMakenewzSetup
+// partial. The answer is fixed for the dispatcher's life; an engine reads
+// it once, at construction.
+type sumtableGatherer interface {
+	GathersSumtable() bool
+}
+
 // pendantKey identifies the contents of the pendant-branch scratch
 // matrices pPend. The zero value matches no fill: cats is at least 1.
 type pendantKey struct {
@@ -366,14 +374,24 @@ type Engine struct {
 	// and reads only its stripe. mkzExp/mkzD1/mkzD2 are the per-
 	// (partition, category) exponential factors of the current iterate
 	// (4 float64 each at [(pOff+c)*4]), the only thing a distributed
-	// dispatcher ships per Newton iteration. lastNewtonIters records the
+	// dispatcher ships per Newton iteration when it ships anything at
+	// all (see gatherSumtable). lastNewtonIters records the
 	// iteration count of the most recent OptimizeBranch (dispatch-
 	// accounting tests); legacyMakenewz routes OptimizeBranch through
 	// the full-matrix JobMakenewz kernel (golden tests, ablation).
+	//
+	// gatherSumtable says the sumtable of the branch in flight is whole in
+	// THIS engine's arena and the Newton derivatives are reduced over the
+	// full axis on the master goroutine, with no job posted: true on a
+	// master whose distributed dispatcher gathers the remote stripes' rows
+	// on the setup partial (sumtableGatherer, read once at construction),
+	// and on a worker rank for the duration of a setup job whose frame
+	// asked for its rows.
 	sumtable             []float64
 	mkzExp, mkzD1, mkzD2 []float64
 	lastNewtonIters      int
 	legacyMakenewz       bool
+	gatherSumtable       bool
 
 	// edgeSweep is the reused buffer of the DFS edge ordering
 	// OptimizeAllBranches sweeps in (optimize.go); walkStack the reused
@@ -482,6 +500,9 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 	}
 	e.pool.AlignRangesAt(stripeQuantum, starts)
 	e.pool.EnsureWide(len(e.parts))
+	if g, ok := e.pool.(sumtableGatherer); ok {
+		e.gatherSumtable = g.GathersSumtable()
+	}
 	e.scratch = make([]workerScratch, e.pool.Workers())
 	e.fillTravFn = e.fillTravMatrices
 	e.fillWireFn = e.fillWireIdxMatrices

@@ -133,10 +133,35 @@ func FuzzDecodeWirePartial(f *testing.F) {
 	}
 	scan = binary.LittleEndian.AppendUint32(scan, 0) // vec count
 	f.Add(scan)
+	// A gathered setup's partial: sumtable rows in the per-pattern block —
+	// whole, with a count larger than the rows that follow, cut short
+	// inside a row, and with a count whose byte length (× 8) wraps a
+	// 32-bit int to something small.
+	rows := append([]byte(nil), valid[:20]...)
+	rows = binary.LittleEndian.AppendUint32(rows, 12)
+	for i := 0; i < 12; i++ {
+		rows = binary.LittleEndian.AppendUint64(rows, math.Float64bits(1e-3*float64(i)))
+	}
+	f.Add(rows)
+	oversized := append([]byte(nil), rows...)
+	binary.LittleEndian.PutUint32(oversized[20:24], 13)
+	f.Add(oversized)
+	f.Add(rows[:len(rows)-5])
+	wraps := append([]byte(nil), rows...)
+	binary.LittleEndian.PutUint32(wraps[20:24], 1<<29+1) // × 8 = 2^32 + 8
+	f.Add(wraps)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p WirePartial
-		_ = DecodeWirePartialInto(&p, data)
-		_ = DecodeWirePartialInto(&p, data)
+		for pass := 0; pass < 2; pass++ {
+			if err := DecodeWirePartialInto(&p, data); err != nil {
+				continue
+			}
+			// What decoded accounts for every byte of the frame, and the
+			// block is a whole number of values inside it.
+			if got := 16 + 4 + 8*len(p.Wide) + 4 + len(p.Vec); got != len(data) || len(p.Vec)%8 != 0 {
+				t.Fatalf("decoded %d wide and %d block bytes out of a %d-byte frame", len(p.Wide), len(p.Vec), len(data))
+			}
+		}
 	})
 }
 

@@ -27,16 +27,28 @@ import (
 //	phase-2 reduction at the starting length, so it is also the first
 //	Newton evaluation.
 //
-//	Phase 2 — JobMakenewzCore, once per further Newton iteration. The
-//	master computes, per (partition, category), just the 4 eigen
-//	exponentials exp(λ_k·r_c·t) and their λ-weighted first/second-
-//	derivative forms (gtr.Model.ExpEigen) — 12 scalars per category, no
-//	matrix fills — and workers reduce d1/d2 partials from 4-term dot
-//	products against their sumtable stripes:
+//	Phase 2 — once per further Newton iteration. The master computes,
+//	per (partition, category), just the 4 eigen exponentials
+//	exp(λ_k·r_c·t) and their λ-weighted first/second-derivative forms
+//	(gtr.Model.ExpEigen) — 12 scalars per category, no matrix fills —
+//	and d1/d2 are reduced from 4-term dot products against the sumtable
+//	(makenewzCoreRange, the one kernel of this phase):
 //
 //	    catL  = Σ_k exp(λ_k·r_c·t)          · sumtable[k]
 //	    catD1 = Σ_k λ_k·r_c·exp(λ_k·r_c·t)  · sumtable[k]
 //	    catD2 = Σ_k (λ_k·r_c)²·exp(...)     · sumtable[k]
+//
+//	Who sums is decided in one place, makenewzDerivatives. On a thread
+//	pool, and on a distributed pool whose remote sumtable is too large
+//	to move, every worker reduces its own stripe under a JobMakenewzCore
+//	(one barrier crossing, and one wire round trip per rank, per
+//	iteration). On a distributed pool below the measured crossover the
+//	remote stripes' rows ride home on the setup partial instead, the
+//	master's arena then holds the whole table, and every derivative of
+//	the branch — the first included — is one makenewzCoreRange over the
+//	full axis on the master goroutine: no job, no frame, no barrier, and
+//	the single pattern-ordered sum a one-worker engine computes, so the
+//	optimized length no longer depends on the grid's shape.
 //
 // Rescaling needs no pass of its own: a pattern's CLV scaling
 // multiplies siteL, siteD1 and siteD2 by the same power of the scale
@@ -47,9 +59,11 @@ import (
 // Per-site iteration work drops from three 16-FMA matrix products per
 // category to one 4-FMA dot product per derivative order, and the
 // serial master-side PDeriv fill disappears entirely; the distributed
-// dispatcher ships ~12·Σcats float64 per iteration instead of
+// dispatcher ships either nothing per iteration (gathered: the rows
+// crossed once, on the setup partial) or ~12·Σcats float64 instead of
 // rebuilding three matrices per category on every rank
-// (docs/hybrid-topology.md documents the wire payloads). The legacy
+// (docs/hybrid-topology.md documents the wire payloads and the
+// crossover between the two). The legacy
 // full-matrix kernel (kernels.go: branchDerivatives/derivativesChunk)
 // is retained behind SetLegacyMakenewz as the golden reference.
 
@@ -66,8 +80,8 @@ func (e *Engine) ensureSumtable() {
 
 // makenewzSetup posts ONE JobMakenewzSetup for edge (a, b): its
 // descriptor refreshes the endpoint views (a, slotA) and (b, slotB),
-// workers fill their stripes of the sumtable arena from them and then
-// reduce the derivatives at branch length t against it — the refresh,
+// workers fill their stripes of the sumtable arena from them, and the
+// derivatives at branch length t are reduced against it — the refresh,
 // the projection and the first Newton evaluation in one barrier
 // crossing. Returns d(lnL)/dt and d²(lnL)/dt² at t, the same bits a
 // makenewzCore(t) after the setup returns.
@@ -79,8 +93,26 @@ func (e *Engine) makenewzSetup(a, slotA, b, slotB int, t float64) (d1, d2 float6
 	e.prepareTraversal()
 	e.setEdgeJob(a, slotA, b, slotB, t)
 	e.makenewzFactors(t)
-	e.dispatch(threads.JobMakenewzSetup)
-	return e.pool.SumSlots2(0, 1)
+	return e.makenewzDerivatives(threads.JobMakenewzSetup)
+}
+
+// makenewzDerivatives is where "who sums" is chosen. The setup job is
+// always posted: it fills the sumtable. With a gathering dispatcher its
+// return means the whole table is in this engine's arena (the local
+// crew's stripes plus every remote stripe's rows off the partials), and
+// this and every later derivative of the branch is one full-axis
+// makenewzCoreRange on the calling goroutine — a core job is never
+// posted. Otherwise each worker reduced its own stripe inside the job
+// and the slots hold the partials.
+func (e *Engine) makenewzDerivatives(code threads.JobCode) (d1, d2 float64) {
+	if !e.gatherSumtable {
+		e.dispatch(code)
+		return e.pool.SumSlots2(0, 1)
+	}
+	if code == threads.JobMakenewzSetup {
+		e.dispatch(code)
+	}
+	return e.makenewzCoreRange(0, threads.Range{Lo: 0, Hi: e.nPatterns})
 }
 
 // ensureFactorScratch sizes the three factor buffers to the current
@@ -115,18 +147,17 @@ func (e *Engine) makenewzFactors(t float64) {
 	}
 }
 
-// makenewzCore posts ONE JobMakenewzCore evaluating the derivatives at
-// branch length t against the sumtable filled by makenewzSetup, and
-// returns the reduced d(lnL)/dt and d²(lnL)/dt². Exactly one barrier
-// crossing per call — the per-iteration dispatch count of the legacy
-// kernel, with ~10× less per-site work behind it.
+// makenewzCore evaluates the derivatives at branch length t against the
+// sumtable filled by makenewzSetup and returns the reduced d(lnL)/dt and
+// d²(lnL)/dt²: ONE JobMakenewzCore — one barrier crossing, the
+// per-iteration dispatch count of the legacy kernel with ~10× less
+// per-site work behind it — or, on a gathered sumtable, no job at all.
 func (e *Engine) makenewzCore(t float64) (d1, d2 float64) {
 	e.makenewzFactors(t)
 	e.jobT = t
 	e.jobNViews = 0 // workers need only the factors and their sumtable
 	e.beginTraversal()
-	e.dispatch(threads.JobMakenewzCore)
-	return e.pool.SumSlots2(0, 1)
+	return e.makenewzDerivatives(threads.JobMakenewzCore)
 }
 
 // makenewzSetupRange fills one worker's stripe of the sumtable arena
@@ -186,8 +217,11 @@ func mkzSetupScalar(dst, av []float64, as int, bv []float64, bs int, nCat int, l
 	}
 }
 
-// makenewzCoreRange reduces one worker's d1/d2 partials from its
-// sumtable stripe and the shipped exponential factors.
+// makenewzCoreRange reduces the d1/d2 partials of pattern range r from
+// the sumtable and the current exponential factors, partition chunks in
+// axis order: one worker's stripe inside a job, or the whole axis on the
+// master goroutine (scratch 0 is free then — no job is in flight) when
+// the sumtable was gathered.
 func (e *Engine) makenewzCoreRange(w int, r threads.Range) (d1, d2 float64) {
 	var s1, s2 float64
 	for pi := range e.parts {
@@ -302,8 +336,10 @@ func mkzCoreCATScalar(tbl []float64, w, pcat []int, top int, wE, w1, w2 []float6
 func (e *Engine) SetLegacyMakenewz(enabled bool) { e.legacyMakenewz = enabled }
 
 // LastNewtonIterations returns the number of Newton iterations
-// (derivative evaluations) of the most recent OptimizeBranch call — the
-// first rides the setup job, so it is also the call's dispatch count,
-// which the dispatch-accounting tests assert without instrumenting the
-// loop.
+// (derivative evaluations) of the most recent OptimizeBranch call. The
+// first rides the setup job, so on a thread pool, or a distributed one
+// that leaves the sumtable where it was computed, it is also the call's
+// dispatch count, which the dispatch-accounting tests assert without
+// instrumenting the loop; on a gathered sumtable the call costs ONE
+// dispatch however many iterations it takes.
 func (e *Engine) LastNewtonIterations() int { return e.lastNewtonIters }

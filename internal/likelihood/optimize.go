@@ -32,9 +32,11 @@ const (
 // the derivatives at the starting length; each further iteration is one
 // JobMakenewzCore — so the call costs exactly LastNewtonIterations()
 // dispatches, with only the eigen exponential factors recomputed on the
-// master in between. Under linked branch lengths the per-partition
-// derivative partials simply add, so the partitioned iteration is the
-// same loop.
+// master in between — or, when a distributed dispatcher gathered the
+// sumtable with the setup, a master-local reduction: ONE dispatch and
+// one wire round trip for the whole branch. Under linked branch lengths
+// the per-partition derivative partials simply add, so the partitioned
+// iteration is the same loop.
 func (e *Engine) OptimizeBranch(a, b int) float64 {
 	e.ensureArena()
 	slotA := e.slotOf(a, b)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"raxml/internal/gtr"
 	"raxml/internal/msa"
@@ -137,6 +138,10 @@ type WireJob struct {
 	Code    threads.JobCode
 	MaxNode int
 	Reset   bool
+	// Gather asks the rank to answer a JobMakenewzSetup with its stripe's
+	// sumtable rows (jobFlagGather): the master then evaluates every
+	// derivative of the branch itself.
+	Gather  bool
 	Model   *WireModel
 	T       float64
 	NViews  int
@@ -152,11 +157,13 @@ type WireJob struct {
 // partition, the matrix-category count and the three eigen exponential
 // factor blocks (4 float64 per category each, for the likelihood and the
 // first- and second-derivative weights — gtr.Model.ExpEigen's output).
-// This is the *whole* per-Newton-iteration wire payload of the sumtable
-// scheme:
-// ~100 bytes per 4-category partition, no P matrices, no model block.
-// The sumtable itself never crosses the wire — every rank computed its
-// stripe from its own CLVs during JobMakenewzSetup. A worker rank
+// This is the *whole* per-Newton-iteration wire payload of the
+// distributed core job: ~100 bytes per 4-category partition, no P
+// matrices, no model block. Every rank computes its sumtable stripe from
+// its own CLVs during JobMakenewzSetup; whether the stripe then stays
+// there (and each Newton iteration ships one of these blocks) or rides
+// home once on the setup partial (and no core frame is ever sent) is the
+// dispatcher's choice — see Engine.makenewzDerivatives. A worker rank
 // copies the blocks of its own partitions into its local factor
 // scratch (applyWireFactors), re-indexed by the init-time geometry.
 type WireFactors struct {
@@ -167,12 +174,22 @@ type WireFactors struct {
 // WirePartial is one rank's decoded reduction partial: the two fixed
 // reduction slots, the wide components (JobEvaluate: one per MASTER
 // partition; JobInsertScan: one per candidate; none otherwise), and the
-// site-log-likelihood stripe for JobSiteLL.
+// per-pattern block — the site-log-likelihood stripe of a JobSiteLL, the
+// sumtable rows (nCat·4 per pattern, stripe pattern order, no segment
+// padding) of a gathered JobMakenewzSetup, empty otherwise.
+//
+// Vec stays in wire form (little-endian float64) and ALIASES the frame
+// it was decoded from: the master decodes it exactly once, straight into
+// its destination (AbsorbRemoteVec), so it is valid only until that
+// frame's buffer is recycled.
 type WirePartial struct {
 	Slots [2]float64
 	Wide  []float64
-	Vec   []float64
+	Vec   []byte
 }
+
+// VecLen returns the number of float64 in the per-pattern block.
+func (p *WirePartial) VecLen() int { return len(p.Vec) / 8 }
 
 // WorkerGeom is the stripe geometry a worker rank holds from its init
 // frame and applies to every job.
@@ -216,7 +233,13 @@ type WireMaster interface {
 	// of the job in flight must carry; the dispatcher treats any other
 	// count as a desynchronized stream.
 	WireWideLen(code threads.JobCode) int
-	AbsorbRemoteSiteLL(stripeLo int, vec []float64)
+	// WireVecLen returns how many per-pattern float64 the partial of a
+	// rank owning `patterns` patterns must carry for the job in flight;
+	// again any other count is a desynchronized stream.
+	WireVecLen(code threads.JobCode, patterns int) int
+	// AbsorbRemoteVec lands a rank's per-pattern block (wire form) at its
+	// stripe's place in the job's destination.
+	AbsorbRemoteVec(code threads.JobCode, stripeLo int, vec []byte)
 }
 
 // WireWideLen implements WireMaster: one wide component per partition
@@ -227,6 +250,19 @@ func (e *Engine) WireWideLen(code threads.JobCode) int {
 		return len(e.parts)
 	case threads.JobInsertScan:
 		return len(e.scanCands)
+	}
+	return 0
+}
+
+// WireVecLen implements WireMaster: one log-likelihood per pattern for a
+// site-LL job, one sumtable row per pattern for a makenewz setup whose
+// rows the master gathers, nothing otherwise.
+func (e *Engine) WireVecLen(code threads.JobCode, patterns int) int {
+	switch {
+	case code == threads.JobSiteLL:
+		return patterns
+	case code == threads.JobMakenewzSetup && e.gatherSumtable:
+		return patterns * e.nCat * 4
 	}
 	return 0
 }
@@ -267,11 +303,27 @@ func appendF64(b []byte, v float64) []byte {
 }
 
 func appendF64s(b []byte, vs []float64) []byte {
-	b = appendU32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = appendF64(b, v)
+	return appendF64Block(appendU32(b, uint32(len(vs))), vs)
+}
+
+// appendF64Block appends vs in wire form with no count: the buffer grows
+// once and the values are stored in place, which is what lets a 25 KB
+// sumtable stripe cost about what the wire charges for it.
+func appendF64Block(b []byte, vs []float64) []byte {
+	off := len(b)
+	b = slices.Grow(b, 8*len(vs))[:off+8*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[off+8*i:off+8*i+8], math.Float64bits(v))
 	}
 	return b
+}
+
+// decodeF64Block fills dst from the first 8·len(dst) bytes of raw.
+func decodeF64Block(dst []float64, raw []byte) {
+	raw = raw[:8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i : 8*i+8]))
+	}
 }
 
 func appendInts(b []byte, vs []int) []byte {
@@ -355,7 +407,7 @@ func (r *wireReader) view() WireView {
 
 func (r *wireReader) f64s() []float64 {
 	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+8*n > len(r.b) {
+	if r.err != nil || n < 0 || n > (len(r.b)-r.off)/8 {
 		r.fail()
 		return nil
 	}
@@ -363,15 +415,32 @@ func (r *wireReader) f64s() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.f64()
-	}
+	r.f64Block(out)
 	return out
+}
+
+// f64Block fills dst from the next 8·len(dst) bytes.
+func (r *wireReader) f64Block(dst []float64) {
+	raw := r.bytes(8 * len(dst))
+	if raw != nil {
+		decodeF64Block(dst, raw)
+	}
+}
+
+// bytes returns the next n bytes of the frame without copying them.
+func (r *wireReader) bytes(n int) []byte {
+	if r.err != nil || n < 0 || n > len(r.b)-r.off {
+		r.fail()
+		return nil
+	}
+	raw := r.b[r.off : r.off+n : r.off+n]
+	r.off += n
+	return raw
 }
 
 func (r *wireReader) ints() []int {
 	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+4*n > len(r.b) {
+	if r.err != nil || n < 0 || n > (len(r.b)-r.off)/4 {
 		r.fail()
 		return nil
 	}
@@ -403,6 +472,10 @@ func (r *wireReader) string() string {
 const (
 	jobFlagModel byte = 1 << iota
 	jobFlagReset
+	// jobFlagGather rides a JobMakenewzSetup frame whose master wants the
+	// rank's sumtable rows back on the partial. Per frame, like the other
+	// two: a worker keeps no gathering state of its own.
+	jobFlagGather
 )
 
 // EncodeWireJob encodes the job in flight — the prepared descriptor
@@ -456,6 +529,9 @@ func (e *Engine) WireJobHeader(code threads.JobCode, includeModel, reset bool) (
 	}
 	if reset {
 		flags |= jobFlagReset
+	}
+	if code == threads.JobMakenewzSetup && e.gatherSumtable {
+		flags |= jobFlagGather
 	}
 	b = append(b, flags)
 	b = appendU32(b, uint32(maxNode))
@@ -577,15 +653,9 @@ func (e *Engine) appendWireFactors(b []byte) []byte {
 		nc := ps.rates.NumCats()
 		b = appendU32(b, uint32(nc))
 		lo, hi := ps.pOff*4, (ps.pOff+nc)*4
-		for _, v := range e.mkzExp[lo:hi] {
-			b = appendF64(b, v)
-		}
-		for _, v := range e.mkzD1[lo:hi] {
-			b = appendF64(b, v)
-		}
-		for _, v := range e.mkzD2[lo:hi] {
-			b = appendF64(b, v)
-		}
+		b = appendF64Block(b, e.mkzExp[lo:hi])
+		b = appendF64Block(b, e.mkzD1[lo:hi])
+		b = appendF64Block(b, e.mkzD2[lo:hi])
 	}
 	return b
 }
@@ -619,20 +689,18 @@ func decodeWireFactors(r *wireReader, reuse *WireFactors) *WireFactors {
 	f.D2 = f.D2[:0]
 	for i := 0; i < np; i++ {
 		nc := int(r.u32())
-		if r.err != nil || nc < 0 || r.off+3*nc*4*8 > len(r.b) {
+		if r.err != nil || nc < 0 || nc > (len(r.b)-r.off)/(3*4*8) {
 			r.fail()
 			return f
 		}
 		f.Cats[i] = nc
-		for k := 0; k < nc*4; k++ {
-			f.Exp = append(f.Exp, r.f64())
-		}
-		for k := 0; k < nc*4; k++ {
-			f.D1 = append(f.D1, r.f64())
-		}
-		for k := 0; k < nc*4; k++ {
-			f.D2 = append(f.D2, r.f64())
-		}
+		at := len(f.Exp)
+		f.Exp = slices.Grow(f.Exp, nc*4)[:at+nc*4]
+		f.D1 = slices.Grow(f.D1, nc*4)[:at+nc*4]
+		f.D2 = slices.Grow(f.D2, nc*4)[:at+nc*4]
+		r.f64Block(f.Exp[at:])
+		r.f64Block(f.D1[at:])
+		r.f64Block(f.D2[at:])
 	}
 	return f
 }
@@ -690,6 +758,10 @@ func DecodeWireJobInto(j *WireJob, buf []byte) error {
 	j.Code = threads.JobCode(r.u8())
 	flags := r.u8()
 	j.Reset = flags&jobFlagReset != 0
+	j.Gather = flags&jobFlagGather != 0
+	if j.Gather && j.Code != threads.JobMakenewzSetup {
+		return fmt.Errorf("likelihood: job frame of code %d asks for sumtable rows", j.Code)
+	}
 	j.MaxNode = int(r.u32())
 	j.Model = nil
 	if flags&jobFlagModel != 0 {
@@ -1033,8 +1105,11 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 	case threads.JobMakenewzSetup, threads.JobMakenewzCore:
 		// Setup fills this rank's sumtable stripe from its own CLVs and
 		// core reads it back; only the tiny factor block arrives, with
-		// the setup for its closing reduction and per iteration after.
+		// the setup for its closing reduction and per iteration after. A
+		// gathered setup skips that reduction (RunJob) and ships the
+		// stripe's rows instead.
 		e.ensureSumtable()
+		e.gatherSumtable = job.Gather
 		if err := e.applyWireFactors(job.Factors, g); err != nil {
 			return nil, err
 		}
@@ -1070,7 +1145,7 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 	e.pool.Post(e, job.Code)
 
 	// Encode the partial: fixed slots, master-indexed wide components,
-	// optional site-LL stripe.
+	// optional per-pattern block (site-LL stripe or sumtable rows).
 	b := e.wirePartialBuf[:0]
 	s0, s1 := e.pool.SumSlots2(0, 1)
 	b = appendF64(b, s0)
@@ -1088,9 +1163,7 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 		for li := range e.parts {
 			wide[g.PartMap[li]] = e.pool.SumWide(li)
 		}
-		for _, v := range wide {
-			b = appendF64(b, v)
-		}
+		b = appendF64Block(b, wide)
 	case threads.JobInsertScan:
 		b = appendU32(b, uint32(len(e.scanCands)))
 		for i := range e.scanCands {
@@ -1099,10 +1172,21 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 	default:
 		b = appendU32(b, 0)
 	}
-	if job.Code == threads.JobSiteLL {
+	switch {
+	case job.Code == threads.JobSiteLL:
 		b = appendF64s(b, e.jobDst)
 		e.jobDst = nil
-	} else {
+	case job.Gather:
+		// The stripe's rows in pattern order: each local partition's
+		// segment without its line padding, so the block is exactly
+		// nPatterns·nCat·4 float64 whatever either side's tile geometry.
+		st := e.nCat * 4
+		b = appendU32(b, uint32(e.nPatterns*st))
+		for i := range e.parts {
+			ps := &e.parts[i]
+			b = appendF64Block(b, e.sumtable[ps.fOff:ps.fOff+(ps.hi-ps.lo)*st])
+		}
+	default:
 		b = appendU32(b, 0)
 	}
 	e.wirePartialBuf = b
@@ -1119,40 +1203,30 @@ func DecodeWirePartial(buf []byte) (*WirePartial, error) {
 }
 
 // DecodeWirePartialInto decodes a reduction partial into p, reusing its
-// Wide and Vec slabs — the master-side half of the allocation-free
-// fold. Everything is copied out of buf; the caller may recycle it the
-// moment this returns.
+// Wide slab — the master-side half of the allocation-free fold. Slots
+// and Wide are copied out of buf; Vec aliases it (see WirePartial), so
+// the caller recycles buf only after absorbing the block. Counts are
+// bounded by the bytes that remain before anything is sized from them.
 func DecodeWirePartialInto(p *WirePartial, buf []byte) error {
 	r := &wireReader{b: buf}
 	p.Slots[0] = r.f64()
 	p.Slots[1] = r.f64()
 	nw := int(r.u32())
 	p.Wide = p.Wide[:0]
-	if r.err == nil && nw > 0 {
-		if r.off+8*nw > len(r.b) {
-			r.fail()
-		} else {
-			if cap(p.Wide) < nw {
-				p.Wide = make([]float64, 0, nw)
-			}
-			for i := 0; i < nw; i++ {
-				p.Wide = append(p.Wide, r.f64())
-			}
-		}
+	if r.err == nil && (nw < 0 || nw > (len(r.b)-r.off)/8) {
+		r.fail()
+	}
+	if r.err == nil {
+		p.Wide = slices.Grow(p.Wide, nw)[:nw]
+		r.f64Block(p.Wide)
 	}
 	nv := int(r.u32())
-	p.Vec = p.Vec[:0]
-	if r.err == nil && nv > 0 {
-		if r.off+8*nv > len(r.b) {
-			r.fail()
-		} else {
-			if cap(p.Vec) < nv {
-				p.Vec = make([]float64, 0, nv)
-			}
-			for i := 0; i < nv; i++ {
-				p.Vec = append(p.Vec, r.f64())
-			}
-		}
+	p.Vec = nil
+	if r.err == nil && (nv < 0 || nv > (len(r.b)-r.off)/8) {
+		r.fail()
+	}
+	if r.err == nil {
+		p.Vec = r.bytes(8 * nv)
 	}
 	if r.err != nil {
 		return r.err
@@ -1163,11 +1237,29 @@ func DecodeWirePartialInto(p *WirePartial, buf []byte) error {
 	return nil
 }
 
-// AbsorbRemoteSiteLL copies a remote rank's site-log-likelihood stripe
-// into the destination of the site-LL job in flight. Called by a
-// distributed Dispatcher from inside Post, while jobDst is bound.
-func (e *Engine) AbsorbRemoteSiteLL(stripeLo int, vec []float64) {
-	copy(e.jobDst[stripeLo:stripeLo+len(vec)], vec)
+// AbsorbRemoteVec implements WireMaster: it decodes a remote rank's
+// per-pattern block straight into the destination of the job in flight —
+// the site-LL output of a JobSiteLL, the master's own full-axis sumtable
+// arena for a gathered JobMakenewzSetup — at the place of the stripe
+// starting at pattern stripeLo. Called by a distributed Dispatcher from
+// inside Post, which has checked the block against WireVecLen.
+func (e *Engine) AbsorbRemoteVec(code threads.JobCode, stripeLo int, vec []byte) {
+	if code == threads.JobSiteLL {
+		decodeF64Block(e.jobDst[stripeLo:stripeLo+len(vec)/8], vec)
+		return
+	}
+	// Sumtable rows arrive dense in pattern order; the arena is
+	// tile-shaped, so a stripe spanning a partition boundary lands in
+	// two segments with the line padding between them skipped.
+	st := e.nCat * 4
+	stripe := threads.Range{Lo: stripeLo, Hi: stripeLo + len(vec)/(8*st)}
+	for pi := range e.parts {
+		ps, lo, hi, ok := e.chunkOf(pi, stripe)
+		if ok {
+			base := ps.fOff - ps.lo*st
+			decodeF64Block(e.sumtable[base+lo*st:base+hi*st], vec[(lo-stripeLo)*st*8:])
+		}
+	}
 }
 
 // ---------------------------------------------------------------------

@@ -248,11 +248,57 @@ func TestWirePartialRoundTrip(t *testing.T) {
 	if len(p.Wide) != 2 || p.Wide[0] != -100 || p.Wide[1] != -23.5 {
 		t.Fatalf("wide %v", p.Wide)
 	}
-	if len(p.Vec) != 3 || p.Vec[2] != 3 {
-		t.Fatalf("vec %v", p.Vec)
+	vec := make([]float64, p.VecLen())
+	decodeF64Block(vec, p.Vec)
+	if len(vec) != 3 || vec[2] != 3 {
+		t.Fatalf("vec %v", vec)
 	}
 	if _, err := DecodeWirePartial(b[:9]); err == nil {
 		t.Fatal("truncated partial decoded without error")
+	}
+}
+
+// TestWireRowsCrossBitExact: the bulk float codec moves bit patterns,
+// not values — NaN payloads, signed zeros, infinities and subnormals
+// all arrive as they left, through a partial's per-pattern block and
+// through the counted-slice form.
+func TestWireRowsCrossBitExact(t *testing.T) {
+	bits := []uint64{
+		0x7ff8000000000001, 0xfff8dead0000beef, 0x7ff0000000000001, // quiet, negative, signalling NaN
+		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+		0x8000000000000000, 0, 1, 0x000fffffffffffff, // -0, +0, subnormals
+		math.Float64bits(-1234.5e-300), math.Float64bits(math.MaxFloat64),
+	}
+	rows := make([]float64, len(bits))
+	for i, b := range bits {
+		rows[i] = math.Float64frombits(b)
+	}
+	var b []byte
+	b = appendF64(b, 0)
+	b = appendF64(b, 0)
+	b = appendU32(b, 0)
+	b = appendF64s(b, rows)
+	p, err := DecodeWirePartial(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.VecLen() != len(rows) {
+		t.Fatalf("block of %d values decoded as %d", len(rows), p.VecLen())
+	}
+	got := make([]float64, len(rows))
+	decodeF64Block(got, p.Vec)
+	r := &wireReader{b: appendF64s(nil, rows)}
+	counted := r.f64s()
+	if r.err != nil || len(counted) != len(rows) {
+		t.Fatalf("counted slice: %d values, err %v", len(counted), r.err)
+	}
+	for i, want := range bits {
+		if g := math.Float64bits(got[i]); g != want {
+			t.Errorf("block value %d: %016x crossed as %016x", i, want, g)
+		}
+		if g := math.Float64bits(counted[i]); g != want {
+			t.Errorf("counted value %d: %016x crossed as %016x", i, want, g)
+		}
 	}
 }
 

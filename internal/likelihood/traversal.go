@@ -432,7 +432,12 @@ func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 	case threads.JobMakenewzSetup:
 		e.makenewzSetupRange(w, r)
 		s := e.pool.Slot(w)
-		s[0], s[1] = e.makenewzCoreRange(w, r)
+		if e.gatherSumtable {
+			// Whoever gathers the rows sums over the whole axis itself.
+			s[0], s[1] = 0, 0
+		} else {
+			s[0], s[1] = e.makenewzCoreRange(w, r)
+		}
 	case threads.JobMakenewzCore:
 		s := e.pool.Slot(w)
 		s[0], s[1] = e.makenewzCoreRange(w, r)

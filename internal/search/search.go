@@ -117,8 +117,9 @@ type Result struct {
 	// Dispatches counts pool jobs posted during the search (barrier
 	// crossings of the fine-grained layer): one per scanned prune
 	// however many insertions it scores, one per Newton iteration of a
-	// branch, one per full evaluation — so it grows with the prunes and
-	// branches visited, not with ScannedInsertions or the tree size.
+	// branch (one per branch on a grid that gathers the sumtable), one
+	// per full evaluation — so it grows with the prunes and branches
+	// visited, not with ScannedInsertions or the tree size.
 	Dispatches int64
 }
 

@@ -83,7 +83,9 @@ const (
 	JobMakenewzSetup
 	// JobMakenewzCore reduces the derivative partials by 4-term dot
 	// products of the eigen exponential factors against the sumtable —
-	// phase 2, posted once per Newton iteration.
+	// phase 2, posted once per further Newton iteration (never by an
+	// engine whose distributed dispatcher gathered the sumtable with the
+	// setup: it runs the same reduction on its own goroutine).
 	JobMakenewzCore
 	// JobSiteLL fills per-pattern site log-likelihoods.
 	JobSiteLL
