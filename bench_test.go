@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper, one
 // testing.B target per artifact, plus kernel-level micro-benchmarks and
-// the ablations DESIGN.md calls out. Run with:
+// ablations of the design decisions they rest on. Run with:
 //
 //	go test -bench=. -benchmem
 package raxml
@@ -209,7 +209,7 @@ func BenchmarkTraversalDispatch(b *testing.B) {
 	}
 }
 
-// ---------- ablations (DESIGN.md §6) ----------
+// ---------- ablations ----------
 
 // BenchmarkAblationLazyVsFullSPR compares the lazy insertion scoring
 // against full re-evaluation of each candidate, quantifying why RAxML's
@@ -271,36 +271,39 @@ func BenchmarkAblationLazyVsFullSPR(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationWeightedSplit compares even vs weight-balanced
-// pattern partitioning under a skewed bootstrap weight vector.
+// BenchmarkAblationWeightedSplit compares even against weight-balanced
+// pattern ranges under a bootstrap weight vector, on the real kernels: a
+// full GTRGAMMA relikelihood on a 2-worker crew. Kernel cost is per
+// pattern and category whatever a pattern weighs — only a zero weight
+// lets evaluate skip one — so the weighted split has no imbalance to
+// remove and pays for the ranges it skews.
 func BenchmarkAblationWeightedSplit(b *testing.B) {
 	pat := benchData(b, 30, 2000)
 	w := pat.Resample(rng.New(5))
-	kernel := func(pool *threads.Pool) float64 {
-		return pool.ReduceSum(func(_ int, r threads.Range) float64 {
-			s := 0.0
-			for k := r.Lo; k < r.Hi; k++ {
-				for rep := 0; rep < w[k]; rep++ {
-					s += float64(k%7) * 1e-3
-				}
-			}
-			return s
-		})
+	tr := tree.Random(pat.Names, rng.New(6))
+	run := func(b *testing.B, pool *threads.Pool) {
+		defer pool.Close()
+		rc, err := gtr.NewGamma(0.8, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := likelihood.New(pat, gtr.Default(), rc, likelihood.Config{Pool: pool})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.AttachTree(tr); err != nil {
+			b.Fatal(err)
+		}
+		eng.SetWeights(w)
+		_ = eng.LogLikelihood()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.InvalidateAll()
+			_ = eng.LogLikelihood()
+		}
 	}
-	b.Run("even", func(b *testing.B) {
-		pool := threads.NewPool(4, pat.NumPatterns())
-		defer pool.Close()
-		for i := 0; i < b.N; i++ {
-			_ = kernel(pool)
-		}
-	})
-	b.Run("weighted", func(b *testing.B) {
-		pool := threads.NewPoolWeighted(4, w)
-		defer pool.Close()
-		for i := 0; i < b.N; i++ {
-			_ = kernel(pool)
-		}
-	})
+	b.Run("even", func(b *testing.B) { run(b, threads.NewPool(2, pat.NumPatterns())) })
+	b.Run("weighted", func(b *testing.B) { run(b, threads.NewPoolWeighted(2, w)) })
 }
 
 // BenchmarkModelSweep measures a full Table-5-style best-config sweep on

@@ -100,8 +100,9 @@ const stripeQuantum = 16
 // the contract is job codes in, deterministic worker-order (and, for
 // the distributed pool, rank-order) reductions out, cooperative abort.
 type Dispatcher interface {
-	// Post runs one job code on every worker and returns when all have
-	// finished (one barrier crossing).
+	// Post runs one job code over every worker's range and returns when
+	// all have finished: one dispatch and at most one barrier crossing (a
+	// thread pool runs a job too short to share on the posting goroutine).
 	Post(runner threads.JobRunner, code threads.JobCode)
 	// Workers returns the number of local workers (the crew executing
 	// RunJob in this process).
@@ -125,7 +126,7 @@ type Dispatcher interface {
 	// ForkJoinRange is ForkJoin over an arbitrary window [lo, hi) — the
 	// chunked P-fill of the overlapped dispatch pipeline runs through it.
 	ForkJoinRange(lo, hi, grain int, fn func(lo, hi int))
-	// Dispatches counts barrier crossings paid so far.
+	// Dispatches counts the jobs posted so far.
 	Dispatches() int64
 	// AbortJob / Aborted are the cooperative-cancel pair.
 	AbortJob()
@@ -138,14 +139,6 @@ type Dispatcher interface {
 // it once, at construction.
 type sumtableGatherer interface {
 	GathersSumtable() bool
-}
-
-// pendantKey identifies the contents of the pendant-branch scratch
-// matrices pPend. The zero value matches no fill: cats is at least 1.
-type pendantKey struct {
-	bits  uint64 // math.Float64bits of the branch length
-	epoch uint64 // modelEpoch at fill time
-	cats  int    // totalCats at fill time
 }
 
 // workerScratch is one local worker's kernel scratch: the clamped site
@@ -251,15 +244,15 @@ type Engine struct {
 
 	// scratch transition matrices, indexed [part.pOff + category]
 	// (master-computed, read-only inside parallel sections). pPend holds
-	// the pendant-branch matrices of the insertion scan, which pendKey
-	// (length bits, model epoch, category layout) keeps across scans of
-	// one pendant length. pEval/pD1/pD2 serve the evaluate and makenewz
-	// kernels. Per-entry newview matrices live in the traversal arena,
-	// per-candidate scan matrices in scanP.
+	// the pendant-branch matrices of the insertion scan, pEval/pD1/pD2
+	// serve the evaluate and makenewz kernels. Per-entry newview matrices
+	// live in the traversal arena, per-candidate scan matrices in scanP.
+	// Every P(t) block among them is filled through memo (pmemo.go), which
+	// keeps the blocks of one (modelEpoch, totalCats) by branch length.
 	pPend    [][16]float64
 	pEval    [][16]float64
 	pD1, pD2 [][16]float64
-	pendKey  pendantKey
+	memo     pMemo
 
 	// The insertion-scan batch (scan.go): the candidates of the prune
 	// being scored, in symbolic and resolved form, and their P(txy/2)
@@ -457,6 +450,7 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 		nCat:      set.ClvCats(),
 		kern:      activeKernelTable(),
 		coarse:    coarseInvalidation,
+		memo:      pMemo{bypass: memoBypass},
 	}
 	lo := 0
 	for i, r := range spans {
@@ -592,8 +586,8 @@ func (e *Engine) Counts() (newviews, evals int64) {
 // MemoryBytes returns the engine's current likelihood-buffer footprint:
 // the CLV arena, its scaling counters, the tip vectors, the makenewz
 // sumtable arena (one extra tile once branch-length optimization has
-// run) and the pendant-product scratch (one more once an insertion scan
-// has). Section 7
+// run), the pendant-product scratch (one more once an insertion scan
+// has) and the transition-matrix memo's block budget. Section 7
 // of the paper predicts that growing pattern counts will force one rank
 // to own the memory of many cores ("perhaps even the entire node");
 // this accessor quantifies the per-rank footprint driving that
@@ -601,7 +595,8 @@ func (e *Engine) Counts() (newviews, evals int64) {
 // exact, not a sum over stray slices.
 func (e *Engine) MemoryBytes() int64 {
 	return int64(len(e.arena))*8 + int64(len(e.scaleArena))*4 +
-		int64(len(e.tipFlat))*8 + int64(len(e.sumtable))*8 + int64(len(e.pendProd))*8
+		int64(len(e.tipFlat))*8 + int64(len(e.sumtable))*8 + int64(len(e.pendProd))*8 +
+		int64(len(e.memo.blocks))*16*8
 }
 
 // EstimateMemoryBytes predicts the fully populated CLV-arena footprint
@@ -864,28 +859,12 @@ func (e *Engine) ensureP() {
 		e.pEval = make([][16]float64, total)
 		e.pD1 = make([][16]float64, total)
 		e.pD2 = make([][16]float64, total)
-		e.pendKey = pendantKey{}
 		return
 	}
 	e.pPend = e.pPend[:total]
 	e.pEval = e.pEval[:total]
 	e.pD1 = e.pD1[:total]
 	e.pD2 = e.pD2[:total]
-}
-
-// fillP computes transition matrices for every partition and rate
-// category at branch length t into the given scratch buffer (pPend,
-// pEval or one candidate's block of scanP), at the partitions' pOff
-// offsets. Branch lengths are
-// linked across partitions; the matrices still differ because every
-// partition has its own model and category rates.
-func (e *Engine) fillP(t float64, dst [][16]float64) {
-	for i := range e.parts {
-		ps := &e.parts[i]
-		for c := 0; c < ps.rates.NumCats(); c++ {
-			ps.model.P(t, ps.rates.Rates[c], &dst[ps.pOff+c])
-		}
-	}
 }
 
 // chunkOf intersects a worker's pattern range with partition pi's span;
@@ -981,7 +960,7 @@ func (e *Engine) slotOf(of, at int) int {
 	panic(fmt.Sprintf("likelihood: nodes %d and %d not adjacent", of, at))
 }
 
-// DispatchCount returns the number of jobs the engine's pool has
-// posted so far (barrier crossings). Exposed so callers can account
-// for synchronization overhead per search stage.
+// DispatchCount returns the number of jobs the engine's pool has posted
+// so far, each at most one barrier crossing. Exposed so callers can
+// account for synchronization overhead per search stage.
 func (e *Engine) DispatchCount() int64 { return e.pool.Dispatches() }

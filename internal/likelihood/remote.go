@@ -953,8 +953,8 @@ func (e *Engine) ApplyWireModel(m *WireModel, g *WorkerGeom) error {
 		}
 	}
 	e.ensureP()
-	// The worker-side mirror of InvalidateAll's bump: matrices keyed by
-	// the epoch (pendKey) were built under the previous model.
+	// The worker-side mirror of InvalidateAll's bump: the memo's blocks
+	// were built under the previous model.
 	e.modelEpoch++
 	return nil
 }
@@ -1042,7 +1042,12 @@ func (e *Engine) prepareWireTraversal(entries []WireEntry, maxNode int) error {
 			ent.right.scaleOff = e.scaleOffset(ent.pub.C2, ent.pub.C2Slot)
 		}
 	}
-	e.pool.ForkJoin(len(e.wireFillIdx), pFillGrain, e.fillWireFn)
+	e.memoSync()
+	misses := 0
+	for _, i := range e.wireFillIdx {
+		misses += e.planTravEntry(&e.trav[i])
+	}
+	e.forkFill(0, len(e.wireFillIdx), misses, e.fillWireFn)
 	e.newviewCount += int64(n)
 	return nil
 }

@@ -29,6 +29,7 @@ import (
 type scanCand struct {
 	wire   WireCand
 	vx, vy childView
+	memo   memoRef // how the P(txy/2) block gets filled (pmemo.go)
 }
 
 // EvaluateInsertion is EvaluateInsertions for the single candidate edge
@@ -101,7 +102,9 @@ func (e *Engine) sizeScanCands(n int) {
 // prepareScan readies a scan whose subtree view (jobWire[0]), pendant
 // length (jobT) and candidate wire forms (scanCands) are set and whose
 // descriptor is prepared, so every tile the views name is bound: it
-// resolves the views against the local arena, fills the matrices and
+// resolves the views against the local arena, fills the matrices —
+// through the memo: the pendant length rarely changes between the scans
+// of a pass, and most candidates were scanned by an earlier prune — and
 // sizes the wide reduction rows to one partial per candidate. Shared by
 // the master (EvaluateInsertions) and the worker path (ExecWireJob),
 // which therefore hold identical matrices.
@@ -113,13 +116,7 @@ func (e *Engine) prepareScan() {
 		sc.vy = e.wireChildView(sc.wire.Y)
 	}
 	e.ensureP()
-	// pPend already holds P(pendant) when pendKey says so: the pendant
-	// length and the model rarely change between the scans of a pass.
-	key := pendantKey{bits: math.Float64bits(e.jobT), epoch: e.modelEpoch, cats: e.totalCats}
-	if key != e.pendKey {
-		e.fillP(e.jobT, e.pPend)
-		e.pendKey = key
-	}
+	e.fillP(e.jobT, e.pPend)
 	if cap(e.pendProd) < e.tileFloats {
 		e.pendProd = make([]float64, e.tileFloats)
 	}
@@ -130,16 +127,26 @@ func (e *Engine) prepareScan() {
 	} else {
 		e.scanP = e.scanP[:need]
 	}
-	e.pool.ForkJoin(n, pFillGrain, e.fillScanFn)
+	e.memoSync()
+	misses := 0
+	for i := range e.scanCands {
+		sc := &e.scanCands[i]
+		sc.memo = e.memo.lookup(sc.wire.T / 2)
+		if !sc.memo.hit {
+			misses++
+		}
+	}
+	e.forkFill(0, n, misses, e.fillScanFn)
 	e.pool.EnsureWide(n)
 }
 
 // fillScanHalves fills P(txy/2) for candidates [lo, hi) of the batch.
-// Candidates own disjoint blocks of scanP, so ranges may run
-// concurrently.
+// Candidates own disjoint blocks of scanP (and of the memo), so ranges
+// may run concurrently.
 func (e *Engine) fillScanHalves(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		e.fillP(e.scanCands[i].wire.T/2, e.scanP[i*e.totalCats:(i+1)*e.totalCats])
+		sc := &e.scanCands[i]
+		e.fillBlock(sc.wire.T/2, e.scanP[i*e.totalCats:(i+1)*e.totalCats], sc.memo)
 	}
 }
 

@@ -2,6 +2,7 @@ package likelihood
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -119,15 +120,26 @@ func (p *abortingPool) Aborted() bool {
 // TestScanAbortMidBatch aborts a batched scan in the middle of its
 // descriptor walk: the rollback must un-mark every view the batch
 // queued — the subtree's and every candidate's — and a repeat must score
-// exactly what an engine that was never aborted scores.
+// exactly what an engine that was never aborted scores. On the 3-worker
+// pool the scan is too short to publish even to a spinning crew (20
+// patterns per range), so the master walks all three ranges itself: the
+// abort raised in range 0 must stop the ranges it runs for the helpers
+// too.
 func TestScanAbortMidBatch(t *testing.T) {
-	pat := randomPatterns(t, rng.New(911), 16, 200)
-	pool := &abortingPool{Pool: threads.NewPool(1, pat.NumPatterns())}
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { scanAbortMidBatch(t, workers) })
+	}
+}
+
+func scanAbortMidBatch(t *testing.T, workers int) {
+	pat := randomPatterns(t, rng.New(911), 16, 60)
+	pool := &abortingPool{Pool: threads.NewPool(workers, pat.NumPatterns())}
+	t.Cleanup(pool.Close)
 	e, err := New(pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), Config{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin := newEngine(t, pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), 1)
+	twin := newEngine(t, pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), workers)
 	ta := tree.Random(pat.Names, rng.New(912))
 	tb := ta.Clone()
 	if err := e.AttachTree(ta); err != nil {
@@ -175,6 +187,9 @@ func TestScanAbortMidBatch(t *testing.T) {
 	twin.InvalidateNode(pa.Attach)
 	if a, b := e.LogLikelihood(), twin.LogLikelihood(); math.Float64bits(a) != math.Float64bits(b) {
 		t.Fatalf("likelihood after the aborted scan %.17g vs never-aborted %.17g", a, b)
+	}
+	if c := pool.Counters(); c.Published != 0 || (workers > 1 && c.Inline != pool.Dispatches()) {
+		t.Fatalf("counters %+v over %d dispatches: the abort poll counter needs every range on the master", c, pool.Dispatches())
 	}
 }
 

@@ -32,11 +32,12 @@ import (
 //
 // The matrix fill is the descriptor engine's only serial master-side
 // O(entries) work, and partitioning multiplies it by the partition
-// count; from a handful of entries on it is forked over the crew
-// (threads.Pool.ForkJoin), which also keeps the helpers from parking
-// while the master fills. The fork posts no job code and is not a
-// counted dispatch: the one-barrier-per-traversal accounting counts job
-// codes, and stays exact.
+// count. It goes through the transition-matrix memo (pmemo.go): a serial
+// pass looks every branch length up, and only the blocks the memo missed
+// are computed — forked over the crew (threads.Pool.ForkJoinRange) from
+// a handful of them on. The fork posts no job code and is not a counted
+// dispatch: the one-dispatch-per-traversal accounting counts job codes,
+// and stays exact.
 //
 // The descriptor buffer, its transition-matrix arena, the tip-lookup
 // arena, and the pool's reduction slots are all reused across jobs, so
@@ -82,12 +83,15 @@ type travEntry struct {
 	// partition at [64*partition.pOff] (subslices of e.travLUT); nil
 	// for internal children.
 	lutL, lutR []float64
+	// memoL, memoR say how pL and pR get filled (pmemo.go); set by
+	// planTravEntry just before the fill runs.
+	memoL, memoR memoRef
 }
 
 // pFillGrain is the smallest chunk — in descriptor entries, or in scan
-// candidates — the master-side matrix fill hands one worker: a fill of
-// fewer than two chunks stays serial on the master (the fork's barrier
-// crossing would cost more than it saves).
+// candidates — the master-side matrix fill hands one worker, and the
+// fewest blocks per chunk the memo must have missed for the fill to fork
+// at all: copying hits and filling tip LUTs is not worth a crossing.
 const pFillGrain = 2
 
 // fillPipeliner is implemented by Dispatchers that interleave the
@@ -271,8 +275,46 @@ func (e *Engine) prepareTraversal() {
 		e.travFillNext = 0
 		return
 	}
-	e.pool.ForkJoin(n, pFillGrain, e.fillTravFn)
-	e.travFillNext = n
+	e.fillTravWindow(0, n)
+}
+
+// fillTravWindow fills the P matrices and tip LUTs of descriptor entries
+// [lo, hi): a serial pass asks the memo about every branch length, then
+// the fill computes only the blocks it missed.
+func (e *Engine) fillTravWindow(lo, hi int) {
+	e.memoSync()
+	misses := 0
+	for i := lo; i < hi; i++ {
+		misses += e.planTravEntry(&e.trav[i])
+	}
+	e.forkFill(lo, hi, misses, e.fillTravFn)
+	e.travFillNext = hi
+}
+
+// planTravEntry looks both branch lengths of an entry up in the memo and
+// returns how many of the two blocks have to be computed.
+func (e *Engine) planTravEntry(ent *travEntry) (misses int) {
+	ent.memoL = e.memo.lookup(ent.pub.Len1)
+	ent.memoR = e.memo.lookup(ent.pub.Len2)
+	if !ent.memoL.hit {
+		misses++
+	}
+	if !ent.memoR.hit {
+		misses++
+	}
+	return misses
+}
+
+// forkFill runs a planned fill over [lo, hi) and commits the memo blocks
+// it reserved: forked over the crew when the plan missed enough blocks to
+// give every chunk pFillGrain of them, on the master otherwise.
+func (e *Engine) forkFill(lo, hi, misses int, fill func(lo, hi int)) {
+	if misses < 2*pFillGrain {
+		fill(lo, hi)
+	} else {
+		e.pool.ForkJoinRange(lo, hi, max(pFillGrain, pFillGrain*(hi-lo)/misses), fill)
+	}
+	e.memo.commit()
 }
 
 // FillTravChunk fills P matrices and tip LUTs for the window-relative
@@ -289,8 +331,7 @@ func (e *Engine) FillTravChunk(lo, hi int) {
 	if hi <= lo {
 		return
 	}
-	e.pool.ForkJoinRange(lo, hi, pFillGrain, e.fillTravFn)
-	e.travFillNext = hi
+	e.fillTravWindow(lo, hi)
 }
 
 // fillTravMatrices computes the per-partition transition matrices and
@@ -304,16 +345,15 @@ func (e *Engine) fillTravMatrices(i0, i1 int) {
 	}
 }
 
-// fillTravEntry fills one descriptor entry's matrices and LUTs.
+// fillTravEntry fills one descriptor entry's matrices, as its plan says,
+// and LUTs.
 func (e *Engine) fillTravEntry(i int) {
 	ent := &e.trav[i]
+	e.fillBlock(ent.pub.Len1, ent.pL, ent.memoL)
+	e.fillBlock(ent.pub.Len2, ent.pR, ent.memoR)
 	for pi := range e.parts {
 		ps := &e.parts[pi]
 		npc := ps.rates.NumCats()
-		for c := 0; c < npc; c++ {
-			ps.model.P(ent.pub.Len1, ps.rates.Rates[c], &ent.pL[ps.pOff+c])
-			ps.model.P(ent.pub.Len2, ps.rates.Rates[c], &ent.pR[ps.pOff+c])
-		}
 		if ent.lutL != nil {
 			fillTipLUT(ent.lutL[64*ps.pOff:64*(ps.pOff+npc)], ent.pL[ps.pOff:ps.pOff+npc], e.tipCodeMask[ent.left.taxon])
 		}
@@ -448,6 +488,23 @@ func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 	default:
 		panic(fmt.Sprintf("likelihood: unknown job code %d", code))
 	}
+}
+
+// JobWork implements threads.WorkEstimator: the kernel steps per pattern
+// of the job about to be posted — one per descriptor entry in the window,
+// one for the reduction kernel that follows it (two per candidate and one
+// pendant product for a scan) — times the CLV categories every step
+// covers. The pool runs a job too short to share on the master alone.
+func (e *Engine) JobWork(code threads.JobCode) int {
+	steps := e.travHi - e.travLo
+	switch code {
+	case threads.JobNewview:
+	case threads.JobInsertScan:
+		steps += 2*len(e.scanCands) + 1
+	default:
+		steps++
+	}
+	return steps * e.nCat
 }
 
 // SetPerNodeDispatch toggles the per-node dispatch ablation: when

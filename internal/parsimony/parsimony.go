@@ -192,6 +192,13 @@ func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 	e.pool.Slot(w)[0] = float64(sum)
 }
 
+// JobWork implements threads.WorkEstimator: the descriptor entries plus
+// the anchor reduction. A Fitch step is a few byte operations, but its
+// intersection test mispredicts on every variable site, and it measures
+// within a factor of two of a one-category likelihood entry per pattern
+// (7 ns on random data), so a step counts as one unit.
+func (e *Engine) JobWork(threads.JobCode) int { return len(e.trav) + 1 }
+
 // fitchRange applies one descriptor entry's Fitch set combination over
 // a pattern range. Pattern k of a parent depends only on pattern k of
 // its children, so descriptor order makes the walk barrier-free.

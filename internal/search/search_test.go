@@ -294,53 +294,71 @@ func modelEpoch(eng *likelihood.Engine) uint64 {
 // scan, the promising plugs with their junction optimization, and the
 // invalidation between them — on the serial pool (T=1), on a 2-thread
 // crew (T=2) and over a 2-rank chan grid (ranks=2), where the dispatches
-// a sweep posts are barrier crossings and wire round trips.
+// a sweep posts are barrier crossings and wire round trips. The narrow/
+// pair is the same sweep on the threads_narrow shape of the repository
+// benchmark, 50 taxa on some 200 patterns, where a range is too short
+// for any job to be worth publishing: T=2 must read what T=1 reads. The
+// thread-pool runs report how their dispatches were run (threads.Counters
+// per sweep).
 func BenchmarkSPRPass(b *testing.B) {
-	a, _, err := seqgen.Generate(seqgen.Config{Taxa: 20, Chars: 600, Seed: 2, TreeScale: 0.5, Alpha: 0.8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pat, _ := msa.Compress(a)
-	serial := threads.NewPool(1, pat.NumPatterns())
-	defer serial.Close()
-	start := parsimony.StepwiseAddition(pat, rng.New(3), serial)
 	fast := Fast()
-	sweeps := func(b *testing.B, eng *likelihood.Engine) error {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t := start.Clone()
-			if err := eng.AttachTree(t); err != nil {
-				return err
-			}
-			best := eng.LogLikelihood()
-			if _, err := sprPass(eng, t, fast.MinRadius, fast.Epsilon, &best, &Result{Tree: t}); err != nil {
-				return err
-			}
-		}
-		b.StopTimer()
-		return nil
-	}
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("T=%d", workers), func(b *testing.B) {
-			pool := threads.NewPool(workers, pat.NumPatterns())
-			defer pool.Close()
-			eng, err := likelihood.New(pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), likelihood.Config{Pool: pool})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sweeps(b, eng); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-	b.Run("ranks=2", func(b *testing.B) {
-		set := gtr.NewPartitionSet(1)
-		set.Rates[0] = gtr.NewUniform(pat.NumPatterns())
-		err := finegrain.Run(2, 1, pat, set, func(eng *likelihood.Engine, _ *finegrain.Pool) error {
-			return sweeps(b, eng)
-		})
+	for _, in := range []struct {
+		prefix      string
+		taxa, chars int
+		grid        bool
+	}{{"", 20, 600, true}, {"narrow/", 50, 300, false}} {
+		a, _, err := seqgen.Generate(seqgen.Config{Taxa: in.taxa, Chars: in.chars, Seed: 2, TreeScale: 0.5, Alpha: 0.8})
 		if err != nil {
 			b.Fatal(err)
 		}
-	})
+		pat, _ := msa.Compress(a)
+		serial := threads.NewPool(1, pat.NumPatterns())
+		start := parsimony.StepwiseAddition(pat, rng.New(3), serial)
+		sweeps := func(b *testing.B, eng *likelihood.Engine) error {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t := start.Clone()
+				if err := eng.AttachTree(t); err != nil {
+					return err
+				}
+				best := eng.LogLikelihood()
+				if _, err := sprPass(eng, t, fast.MinRadius, fast.Epsilon, &best, &Result{Tree: t}); err != nil {
+					return err
+				}
+			}
+			b.StopTimer()
+			return nil
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%sT=%d", in.prefix, workers), func(b *testing.B) {
+				pool := threads.NewPool(workers, pat.NumPatterns())
+				defer pool.Close()
+				eng, err := likelihood.New(pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), likelihood.Config{Pool: pool})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := sweeps(b, eng); err != nil {
+					b.Fatal(err)
+				}
+				c, n := pool.Counters(), float64(b.N)
+				b.ReportMetric(float64(c.Inline)/n, "inline/op")
+				b.ReportMetric(float64(c.Published)/n, "published/op")
+				b.ReportMetric(float64(c.Taken)/n, "taken/op")
+				b.ReportMetric(float64(c.Wakes)/n, "wakes/op")
+			})
+		}
+		if !in.grid {
+			continue
+		}
+		b.Run(in.prefix+"ranks=2", func(b *testing.B) {
+			set := gtr.NewPartitionSet(1)
+			set.Rates[0] = gtr.NewUniform(pat.NumPatterns())
+			err := finegrain.Run(2, 1, pat, set, func(eng *likelihood.Engine, _ *finegrain.Pool) error {
+				return sweeps(b, eng)
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }

@@ -17,13 +17,26 @@
 //     writes before Post — the publication of the job code is the
 //     synchronization point (like RAxML's volatile threadJob).
 //
-//   - Spin/park barrier. Workers wait for the next job generation by
-//     spinning briefly on an atomic counter (the hot path inside tight
-//     optimization loops, where the next job arrives within
-//     microseconds) and park on a condition variable when the master
-//     goes quiet. The master symmetrically spin-waits for job
-//     completion. One Post is one barrier crossing; Dispatches counts
-//     them, making synchronization overhead a measurable quantity.
+//   - Claimable ranges behind a spin/park barrier. A job is W fixed
+//     ranges with W fixed reduction slots; which goroutine runs a range
+//     is decided per job by a claim cell per range. A helper claims its
+//     own range when it sees the job generation, and the master, done
+//     with range 0, claims and runs every range nobody has started, so
+//     it only ever waits for ranges in execution — spinning briefly,
+//     then parking, as the helpers do for the next generation. A helper
+//     that is parked, descheduled or late costs the master that helper's
+//     range, never a wait: W workers degrade to one worker's speed, not
+//     below it. Results cannot depend on the executor, because slots,
+//     wide rows and runner scratch are indexed by range.
+//
+//   - Work-aware dispatch. A runner that implements JobWork tells the
+//     pool what a job costs; a job too short to pay for the crossing is
+//     run by the master over all W ranges without publishing a
+//     generation. What the crossing costs depends on the crew: a helper
+//     asleep has to be woken (postCrossover), a spinning crew only has to
+//     notice (spinCrossover). One Post is one dispatch and at most one
+//     barrier crossing; Dispatches counts the former, Counters splits
+//     them.
 //
 //   - Reduction slots. Every worker owns a cache-line padded slot of
 //     float64 accumulators, preallocated at pool construction. Kernels
@@ -33,8 +46,8 @@
 //
 // A Pool with W workers partitions [0, n) patterns into W contiguous
 // ranges balanced by pattern weight mass. The master executes range 0
-// on the posting goroutine itself; W-1 helper goroutines cover the
-// rest. A Pool with 1 worker executes inline on the caller's goroutine:
+// on the posting goroutine itself; W-1 helper goroutines stand by for
+// the rest. A Pool with 1 worker executes inline on the caller's goroutine:
 // the serial code path is literally the same code, as in RAxML where
 // the standalone binary is the single-thread special case.
 //
@@ -106,6 +119,30 @@ type JobRunner interface {
 	RunJob(code JobCode, worker int, r Range)
 }
 
+// WorkEstimator is the one optional interface Post looks for on the
+// runner it is handed. JobWork returns the kernel steps per pattern of
+// the job about to be posted, in units of one CLV category of one
+// descriptor entry; the pool multiplies by its widest range and runs a
+// job below the crossover on the master alone. A runner without the
+// method is always published.
+type WorkEstimator interface {
+	JobWork(code JobCode) int
+}
+
+// The crossovers are the work of one range — JobWork times the widest
+// range's patterns — from which publishing a job stops losing to running
+// every range on the master: postCrossover when a helper is asleep on
+// jobCond and the post has to wake it, spinCrossover when the whole crew
+// is still spinning and hears of the job for the price of a cache miss.
+// Measured by BenchmarkPostCrossover (its parked and hot columns); the
+// table is in docs/profiling.md. Variables only so the package's tests can
+// force either side (0 publishes every job, math.MaxInt none that states
+// its work).
+var (
+	postCrossover = 16384
+	spinCrossover = 4096
+)
+
 // SlotWidth is the number of float64 accumulators in one worker's
 // reduction slot — enough for every current reduction (log-likelihood,
 // two derivatives, parsimony score) with room to grow.
@@ -129,6 +166,30 @@ const wideQuantum = 8
 // crew parks and costs nothing.
 const spinIters = 4096
 
+// Bits of Pool.assign above the per-range mask: assignOn marks the mask as
+// set, assignHold stalls the helpers before they claim.
+const (
+	assignOn   = 1 << 63
+	assignHold = 1 << 62
+)
+
+// claimCell is one range's claim word: the last job generation somebody
+// took the range for, on a cache line of its own. Cell 0 is never used —
+// range 0 is the master's.
+type claimCell struct {
+	gen atomic.Uint64
+	_   [56]byte
+}
+
+// Counters splits a pool's dispatches by what they cost. All four are
+// plain fields only the posting goroutine writes.
+type Counters struct {
+	Inline    int64 // posts the master ran alone, no generation published
+	Published int64 // posts published to the crew
+	Taken     int64 // helper ranges (and fork chunks) the master ran itself
+	Wakes     int64 // published posts that found a helper parked and woke it
+}
+
 // Pool is a crew of persistent workers executing pattern-parallel jobs.
 // The zero value is not usable; construct with NewPool. A Pool must be
 // Closed when no longer needed, except the inline single-worker pool.
@@ -137,6 +198,10 @@ type Pool struct {
 	workers int
 	ranges  []Range
 	slots   []slot
+	// wakeSteps and spinSteps are the JobWork from which a post is
+	// published to a crew with a helper asleep and to a spinning one: the
+	// two crossovers over the longest range.
+	wakeSteps, spinSteps int
 
 	// wide is the variable-width reduction storage: one row of
 	// wideWidth float64 per worker at stride wideStride (padded to
@@ -164,17 +229,29 @@ type Pool struct {
 	}
 	forkFn func(worker int, r Range)
 
-	gen     atomic.Uint64 // job generation counter
-	arrived atomic.Int64  // helpers finished with the current job
+	gen     atomic.Uint64 // job generation counter; the master is its only writer
+	cells   []claimCell   // per range: the last generation claimed
+	arrived atomic.Int64  // helper-run ranges of the current job that finished
 	abort   atomic.Bool   // cooperative cancel of the current job
 	stop    atomic.Bool   // pool shutdown
 
-	dispatches atomic.Int64 // total barrier crossings (Posts)
+	dispatches atomic.Int64 // total Posts
+	counters   Counters
 
-	jobMu   sync.Mutex // guards worker parking on jobCond
+	// assign is the one test hook, zero in production. With assignOn it
+	// fixes who runs each helper range — bit w set for the master, clear
+	// for the helper — and every job is published and every publication
+	// wakes. With assignHold every helper stalls between seeing a generation
+	// and claiming its range — where a descheduled helper sits — until the
+	// bit is cleared.
+	assign atomic.Uint64
+
+	jobMu   sync.Mutex // guards worker parking on jobCond, and writes of parked
 	jobCond *sync.Cond
-	barMu   sync.Mutex // guards master parking on barCond
+	parked  atomic.Int32 // helpers that went to wait on jobCond since its last broadcast
+	barMu   sync.Mutex   // guards master parking on barCond
 	barCond *sync.Cond
+	barWait atomic.Bool // the master is (about to be) parked on barCond
 
 	postMu sync.Mutex // serializes posts; also guards closed
 	closed bool
@@ -250,6 +327,8 @@ func newPool(workers int, ranges []Range) *Pool {
 	if workers == 1 {
 		return p // inline execution; no goroutines, no barrier
 	}
+	p.setCrossoverSteps()
+	p.cells = make([]claimCell, workers)
 	p.forkFn = p.runFork
 	p.jobCond = sync.NewCond(&p.jobMu)
 	p.barCond = sync.NewCond(&p.barMu)
@@ -260,21 +339,60 @@ func newPool(workers int, ranges []Range) *Pool {
 	return p
 }
 
+// setCrossoverSteps restates the crossovers in JobWork units for the
+// current ranges: work·widest < c exactly when work < ⌈c/widest⌉, without
+// a product that could overflow.
+func (p *Pool) setCrossoverSteps() {
+	widest := 1
+	for _, r := range p.ranges {
+		widest = max(widest, r.Len())
+	}
+	ceil := func(c int) int { return c/widest + min(c%widest, 1) }
+	p.wakeSteps, p.spinSteps = ceil(postCrossover), ceil(spinCrossover)
+}
+
+// pinned decodes the test hook word a for helper range w: whether an
+// assignment is forced at all (ok) and, if so, whether it hands the range
+// to the master or pins it on the helper.
+func pinned(a uint64, w int) (master, ok bool) {
+	return a>>uint(w)&1 == 1, a&assignOn != 0
+}
+
 // workerLoop is the life of one helper worker: wait for a job
-// generation, execute the job over the worker's range, report arrival.
+// generation, claim the worker's own range for it, execute it, report
+// arrival. A generation whose range the master already took — the helper
+// was parked, descheduled or simply late — is skipped without touching
+// the job: only a successful claim proves the job is still in flight and
+// its fields readable.
 func (p *Pool) workerLoop(w int) {
 	defer p.wg.Done()
+	cell := &p.cells[w].gen
 	var seen uint64
 	for {
 		if !p.awaitJob(&seen) {
 			return
 		}
+		if a := p.assign.Load(); a != 0 { // tests only
+			for a&assignHold != 0 {
+				runtime.Gosched()
+				a = p.assign.Load()
+			}
+			if master, ok := pinned(a, w); ok && master {
+				continue
+			}
+		}
+		// c < seen keeps a helper that slept through generations from
+		// claiming backwards: every cell of a finished job holds at least
+		// that job's generation.
+		if c := cell.Load(); c >= seen || !cell.CompareAndSwap(c, seen) {
+			continue
+		}
 		// Re-read the stripe each job: AlignRanges may have snapped the
 		// boundaries after this worker started (the master's generation
-		// bump orders that write before this read).
+		// store orders that write before this read).
 		p.execute(w, p.ranges[w])
-		if p.arrived.Add(1) == int64(p.workers-1) {
-			// Last helper: wake the master if it parked.
+		p.arrived.Add(1)
+		if p.barWait.Load() {
 			p.barMu.Lock()
 			p.barCond.Broadcast()
 			p.barMu.Unlock()
@@ -282,8 +400,10 @@ func (p *Pool) workerLoop(w int) {
 	}
 }
 
-// awaitJob blocks until a job generation newer than *seen is posted
-// (spin first, then park) and records it. Returns false on shutdown.
+// awaitJob blocks until a job generation newer than *seen is published
+// (spin first, then park) and records it. Returns false on shutdown. A
+// parked helper sleeps through generations published without a wake
+// (forks); the master runs their ranges.
 func (p *Pool) awaitJob(seen *uint64) bool {
 	for i := 0; i < spinIters; i++ {
 		if g := p.gen.Load(); g != *seen {
@@ -298,21 +418,21 @@ func (p *Pool) awaitJob(seen *uint64) bool {
 		}
 	}
 	p.jobMu.Lock()
+	defer p.jobMu.Unlock()
 	for {
 		if g := p.gen.Load(); g != *seen {
-			p.jobMu.Unlock()
 			*seen = g
 			return true
 		}
 		if p.stop.Load() {
-			p.jobMu.Unlock()
 			return false
 		}
+		p.parked.Add(1) // whoever broadcasts resets it
 		p.jobCond.Wait()
 	}
 }
 
-// execute runs the current job for one worker.
+// execute runs the published job over range w.
 func (p *Pool) execute(w int, r Range) {
 	if p.code == jobClosure {
 		p.fn(w, r)
@@ -321,8 +441,8 @@ func (p *Pool) execute(w int, r Range) {
 	}
 }
 
-// Post runs one job code on every worker over its pattern range and
-// returns when all workers have finished (one barrier crossing). The
+// Post runs one job code over every pattern range and returns when all
+// ranges have finished: one dispatch, at most one barrier crossing. The
 // job's inputs must already be stored in the runner; posting allocates
 // nothing. The abort flag is cleared on entry.
 func (p *Pool) Post(runner JobRunner, code JobCode) {
@@ -330,7 +450,8 @@ func (p *Pool) Post(runner JobRunner, code JobCode) {
 }
 
 // post is the counted dispatch behind Post and ParallelFor: serialize on
-// postMu, count the barrier crossing, clear the abort flag and run.
+// postMu, count the dispatch, clear the abort flag and run the job — on
+// the master alone when the runner says it is too short to share.
 func (p *Pool) post(runner JobRunner, code JobCode, fn func(worker int, r Range)) {
 	p.postMu.Lock()
 	if p.closed {
@@ -339,39 +460,91 @@ func (p *Pool) post(runner JobRunner, code JobCode, fn func(worker int, r Range)
 	}
 	p.dispatches.Add(1)
 	p.abort.Store(false)
-	p.run(runner, code, fn)
+	switch a := p.assign.Load(); {
+	case p.workers == 1:
+		p.runner, p.code, p.fn = runner, code, fn
+		p.execute(0, p.ranges[0])
+	case a&assignOn == 0 && p.tooShort(runner, code):
+		// The crew never learns of this job: no generation, no shared
+		// atomics, no wake. Ranges, slots and scratch are the published
+		// job's, so the result is too.
+		p.counters.Inline++
+		for w, r := range p.ranges {
+			runner.RunJob(code, w, r)
+		}
+	default:
+		p.counters.Published++
+		p.run(runner, code, fn, true, a)
+	}
 	p.postMu.Unlock()
 }
 
-// run is the single publish/barrier sequence behind every job, counted
-// (post) or not (ForkJoinRange): publish the job, run the master's own
-// range, and wait out the crew. Caller holds postMu.
-func (p *Pool) run(runner JobRunner, code JobCode, fn func(worker int, r Range)) {
-	p.runner, p.code, p.fn = runner, code, fn
-	if p.workers == 1 {
-		p.execute(0, p.ranges[0])
-		return
+// tooShort reports whether the runner states less work for the job than
+// it takes to publish it to the crew as it stands: asleep, so that the
+// post would have to wake a helper, or all spinning.
+func (p *Pool) tooShort(runner JobRunner, code JobCode) bool {
+	est, ok := runner.(WorkEstimator)
+	if !ok {
+		return false
 	}
-	p.release()
+	need := p.spinSteps
+	if p.parked.Load() > 0 {
+		need = p.wakeSteps
+	}
+	return est.JobWork(code) < need
+}
+
+// run executes one job over the ranges of a crew, counted (post) or not
+// (ForkJoinRange): publish it — waking parked helpers only for wake — run
+// the master's own range, take over every helper range nobody has
+// started, and wait out the ranges in execution. a is the test hook word.
+// Caller holds postMu.
+func (p *Pool) run(runner JobRunner, code JobCode, fn func(worker int, r Range), wake bool, a uint64) {
+	p.runner, p.code, p.fn = runner, code, fn
+	g := p.release(wake || a&assignOn != 0)
 	p.execute(0, p.ranges[0]) // the master is worker 0
-	p.awaitCrew()
+	taken := 0
+	for w := 1; w < p.workers; w++ {
+		if master, ok := pinned(a, w); ok && !master {
+			continue
+		}
+		cell := &p.cells[w].gen
+		if c := cell.Load(); c < g && cell.CompareAndSwap(c, g) {
+			p.execute(w, p.ranges[w])
+			taken++
+		}
+	}
+	p.counters.Taken += int64(taken)
+	p.awaitCrew(int64(p.workers - 1 - taken))
 }
 
-// release publishes the current job to the crew: reset the arrival
-// counter, bump the generation, wake parked workers.
-func (p *Pool) release() {
+// release publishes the current job to the crew and returns its
+// generation: reset the arrival counter, store the generation and, for
+// wake, rouse the helpers parked on jobCond. Without wake the store needs
+// no lock: a helper that parks past it has lost nothing the master will
+// not run itself.
+func (p *Pool) release(wake bool) uint64 {
 	p.arrived.Store(0)
+	g := p.gen.Load() + 1
+	if !wake {
+		p.gen.Store(g)
+		return g
+	}
 	p.jobMu.Lock()
-	p.gen.Add(1)
-	p.jobCond.Broadcast()
+	p.gen.Store(g)
+	if p.parked.Load() > 0 {
+		p.parked.Store(0)
+		p.counters.Wakes++
+		p.jobCond.Broadcast()
+	}
 	p.jobMu.Unlock()
+	return g
 }
 
-// awaitCrew blocks until every helper finished the current job: spin
-// first (the helpers finish within microseconds of the master on
-// balanced ranges), then park.
-func (p *Pool) awaitCrew() {
-	want := int64(p.workers - 1)
+// awaitCrew blocks until the `want` ranges helpers claimed have
+// finished: spin first (a helper that claimed is running, and finishes
+// within microseconds of the master on balanced ranges), then park.
+func (p *Pool) awaitCrew(want int64) {
 	for i := 0; i < spinIters; i++ {
 		if p.arrived.Load() == want {
 			return
@@ -381,9 +554,11 @@ func (p *Pool) awaitCrew() {
 		}
 	}
 	p.barMu.Lock()
+	p.barWait.Store(true)
 	for p.arrived.Load() != want {
 		p.barCond.Wait()
 	}
+	p.barWait.Store(false)
 	p.barMu.Unlock()
 }
 
@@ -425,6 +600,7 @@ func (p *Pool) AlignRangesAt(quantum int, starts []int) {
 	p.postMu.Lock()
 	defer p.postMu.Unlock()
 	AlignBoundaries(p.ranges, quantum, starts)
+	p.setCrossoverSteps()
 }
 
 // AlignBoundaries snaps the boundaries of a contiguous range partition
@@ -484,10 +660,20 @@ func (p *Pool) Workers() int { return p.workers }
 // Ranges returns the per-worker pattern ranges.
 func (p *Pool) Ranges() []Range { return p.ranges }
 
-// Dispatches returns the number of jobs posted so far — the number of
-// barrier crossings paid. The traversal-descriptor engine exists to
-// keep this counter growing per *traversal* rather than per node.
+// Dispatches returns the number of jobs posted so far, inline or
+// published. The traversal-descriptor engine exists to keep this counter
+// growing per *traversal* rather than per node.
 func (p *Pool) Dispatches() int64 { return p.dispatches.Load() }
+
+// Counters returns how the dispatches so far were run. Which goroutine
+// took a range differs run to run, so Taken and Wakes are diagnostics,
+// never part of a result. It waits out a post in flight on another
+// goroutine, so it must not be called from inside a job.
+func (p *Pool) Counters() Counters {
+	p.postMu.Lock()
+	defer p.postMu.Unlock()
+	return p.counters
+}
 
 // Slot returns worker w's reduction slot. Kernels write partials here
 // during a job; the master reads them after the barrier via SumSlots.
@@ -604,16 +790,15 @@ func (p *Pool) ForkJoin(n, grain int, fn func(lo, hi int)) {
 // precomputation between two posts (the per-entry P-matrix fill of a
 // traversal descriptor, the per-candidate fill of an insertion scan; the
 // pipelined dispatch path fills one descriptor window at a time while
-// earlier windows are already on the wire). The chunks run on the crew
-// itself, through the closure job: a fill that outlasts the helpers'
-// spin window would otherwise park them, and the next Post would pay a
-// futex wake per helper. The fork is NOT a counted dispatch — it posts
-// no job code, leaves Dispatches and the abort flag alone, and the
-// one-barrier-per-traversal accounting of the descriptor engine counts
-// job codes only — but it does cross the barrier once, so callers fork
-// only work worth a crossing. fn must confine writes to its [lo, hi)
-// chunk. Small inputs (fewer than 2·grain items) and single-worker pools
-// run inline on the caller; no call allocates.
+// earlier windows are already on the wire). The chunks are the closure
+// job's ranges and go through the same claim cells, but a fork never
+// wakes a parked helper: a hot crew shares the fill, a cold one leaves
+// every chunk to the master. The fork is NOT a counted dispatch — it
+// posts no job code, leaves Dispatches and the abort flag alone, and the
+// one-dispatch-per-traversal accounting of the descriptor engine counts
+// job codes only. fn must confine writes to its [lo, hi) chunk. Small
+// inputs (fewer than 2·grain items) and single-worker pools run inline on
+// the caller; no call allocates.
 func (p *Pool) ForkJoinRange(lo, hi, grain int, fn func(lo, hi int)) {
 	n := hi - lo
 	if n <= 0 {
@@ -633,7 +818,7 @@ func (p *Pool) ForkJoinRange(lo, hi, grain int, fn func(lo, hi int)) {
 		panic("threads: fork on closed Pool")
 	}
 	p.fork.lo, p.fork.n, p.fork.chunks, p.fork.fn = lo, n, chunks, fn
-	p.run(nil, jobClosure, p.forkFn)
+	p.run(nil, jobClosure, p.forkFn, false, p.assign.Load())
 	p.fork.fn = nil
 	p.postMu.Unlock()
 }
