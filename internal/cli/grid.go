@@ -83,14 +83,16 @@ func runGrid(pat *msa.Patterns, opts core.Options, p gridParams, runName, outDir
 			return fabric.InjectFaults(l, fabric.RandomFaultPlan(seed*1000+int64(id)))
 		}
 	}
+	var sup *grid.Supervisor
 	switch p.transport {
 	case "", "chan":
 		fleet.SpawnLocal(p.workers)
 	case "tcp":
-		stop, _, err := spawnGridWorkers(fleet, p.workers, p.spawn, stdout)
+		stop, s, err := spawnGridWorkers(fleet, p.workers, p.spawn, stdout)
 		if err != nil {
 			return err
 		}
+		sup = s
 		defer stop()
 	default:
 		return fmt.Errorf("unknown -grid-transport %q (want chan or tcp)", p.transport)
@@ -144,8 +146,7 @@ func runGrid(pat *msa.Patterns, opts core.Options, p gridParams, runName, outDir
 		return err
 	}
 	runErr := g.Run()
-	fleet.StopHeartbeats()
-	fleet.Shutdown()
+	shutdownFleet(fleet, sup)
 	if runErr != nil {
 		return fmt.Errorf("grid run (trace: %s): %w", tracePath, runErr)
 	}
@@ -199,6 +200,20 @@ func spawnGridWorkers(fleet *grid.Fleet, n int, spawn workerArgs, stdout io.Writ
 		return nil, nil, fmt.Errorf("grid: only %d of %d workers joined within 30s", fleet.NumAlive(), n)
 	}
 	return stop, sup, nil
+}
+
+// shutdownFleet is the teardown order of a fleet of spawned workers:
+// stop supervising, then send the shutdown frames, and leave the reaping
+// to the stop function spawnGridWorkers returned. A worker obeys its
+// shutdown frame by exiting, which a supervisor still supervising would
+// take for a crash — and sleep a respawn backoff the exit has to wait
+// out. sup is nil on the chan transport.
+func shutdownFleet(fleet *grid.Fleet, sup *grid.Supervisor) {
+	fleet.StopHeartbeats()
+	if sup != nil {
+		sup.StopRespawning()
+	}
+	fleet.Shutdown()
 }
 
 func orChan(transport string) string {

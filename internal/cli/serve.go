@@ -135,8 +135,7 @@ func runServe(p serveParams, stdout io.Writer) error {
 	signal.Stop(sigCh)
 	close(sigCh)
 	<-drained
-	fleet.StopHeartbeats()
-	fleet.Shutdown()
+	shutdownFleet(fleet, sup)
 	if err == http.ErrServerClosed {
 		err = nil
 	}

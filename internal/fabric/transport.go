@@ -33,11 +33,16 @@ import (
 //
 // The interface is deliberately tiny — point-to-point Send/Recv plus
 // counters — because the finegrain protocol needs exactly two
-// collective shapes, built here as helpers over any Transport:
-// Broadcast (master -> all workers, one descriptor per dispatch) and
-// Collect (one partial per worker, combined in rank order). The
-// counters make the paper's "one broadcast + one reduction per
-// dispatch" claim a testable quantity rather than a comment.
+// collective shapes: one descriptor written to every worker per
+// dispatch, and one partial read back from each, combined in rank
+// order. The master does both on the goroutine that posts the job
+// (finegrain.Pool.Post): Send returns once the frame is handed to the
+// socket or the channel, so nothing sits between a frame and its wire,
+// and there is exactly one place a dispatch can block, the Recv.
+// Broadcast and Collect below are the same two shapes for callers with
+// nothing to do in between. The counters make the paper's "one
+// broadcast + one reduction per dispatch" claim a testable quantity
+// rather than a comment.
 
 // ErrTransportClosed is returned from transport calls after this
 // endpoint's own Close.

@@ -19,10 +19,10 @@ import (
 // round-trip overhead a makenewz-style iteration pays per barrier
 // crossing. ranks=1 is the degenerate grid (no remote ranks: encode +
 // local execution only), so the ranks=2 delta is the wire's share.
-// The wider grids (ranks=4, ranks=8) pin the scatter's scaling: with
-// per-rank lanes a dispatch's wall time must stay near-flat in R, not
-// grow linearly like the old sequential broadcast+collect loop. They
-// skip on machines with fewer cores than ranks — an oversubscribed
+// The wider grids (ranks=4, ranks=8) pin the scatter's scaling: every
+// rank's frame is written before any stripe runs, so the stripes of all
+// R ranks overlap and a dispatch grows by one small write and one read
+// per rank, not by one round trip. They skip on machines with fewer cores than ranks — an oversubscribed
 // in-proc grid measures the scheduler, not the pipeline — so the
 // recorded baseline only carries the variants the bench host can run
 // (ranks=1 and ranks=2 always run; they fit any host and anchor the

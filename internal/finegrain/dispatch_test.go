@@ -32,28 +32,34 @@ type severTransport struct {
 	fabric.Transport
 	dead    int
 	severed atomic.Bool
+
+	recvs     [3]atomic.Int64 // Recv calls per rank, failed ones included
+	deadSends atomic.Int64    // Send calls that hit the severed link
 }
 
 func (s *severTransport) Send(to int, tag byte, payload []byte) error {
 	if to == s.dead && s.severed.Load() {
+		s.deadSends.Add(1)
 		return &fabric.RankDeadError{Rank: to, Err: errors.New("link severed")}
 	}
 	return s.Transport.Send(to, tag, payload)
 }
 
 func (s *severTransport) Recv(from int) (byte, []byte, error) {
+	s.recvs[from].Add(1)
 	if from == s.dead && s.severed.Load() {
 		return 0, nil, &fabric.RankDeadError{Rank: from, Err: errors.New("link severed")}
 	}
 	return s.Transport.Recv(from)
 }
 
-// TestSeveredLaneSurfacesRankDead cuts one rank's link between two
+// TestSeveredLinkSurfacesRankDead cuts one rank's link between two
 // dispatches and checks the next Post panics with a wrapped
-// fabric.RankDeadError — after draining every lane, so the healthy rank
-// and the pool remain releasable. This is the failure shape the grid
-// supervisor recovers from (re-stripe over survivors).
-func TestSeveredLaneSurfacesRankDead(t *testing.T) {
+// fabric.RankDeadError — after receiving from every rank, the severed
+// one included, so the healthy rank and the pool remain releasable. This
+// is the failure shape the grid supervisor recovers from (re-stripe over
+// survivors).
+func TestSeveredLinkSurfacesRankDead(t *testing.T) {
 	forceFrag(t, 4) // sever must hit the fragmented scatter path too
 	pat := makeData(t, 10, 600, 2, 31)
 	topo := tree.Random(pat.Names, rng.New(5))
@@ -99,8 +105,23 @@ func TestSeveredLaneSurfacesRankDead(t *testing.T) {
 		t.Fatalf("panic did not wrap a RankDeadError for rank 2: %v", err)
 	}
 
-	// The fold drained every lane, so Release must still work: the
-	// healthy rank acks, the severed one is reported dead.
+	// Rank 1 sits before the severed rank in the fold and rank 2's first
+	// frame failed, so "every rank was received from" is: rank 1's
+	// partial of the failed dispatch is not still queued (its Release
+	// below would drain it silently and prove nothing), and the dead rank
+	// was asked once per dispatch, not once per frame after the first.
+	if got := sever.recvs[1].Load(); got != 2 {
+		t.Errorf("rank 1 was received from %d times over two dispatches, want 2", got)
+	}
+	if got := sever.recvs[2].Load(); got != 2 {
+		t.Errorf("severed rank 2 was received from %d times over two dispatches, want 2", got)
+	}
+	if got := sever.deadSends.Load(); got != 1 {
+		t.Errorf("%d frames were sent to the severed rank, want 1 (the rest of the dispatch skips a failed link)", got)
+	}
+
+	// So Release must still work: the healthy rank acks, the severed one
+	// is reported dead.
 	deadRanks := pool.Release()
 	if len(deadRanks) != 1 || deadRanks[0] != 2 {
 		t.Fatalf("Release reported dead ranks %v, want [2]", deadRanks)
@@ -179,8 +200,8 @@ func TestPostAllocationFree(t *testing.T) {
 // goroutine keeps aborting whatever job is in flight, then checks an
 // undisturbed evaluation still matches the reference — i.e. an abort
 // that lands mid-scatter (fragmentation is forced down so every
-// dispatch is multi-frame) drains its lanes cleanly and rolls the
-// descriptor back without poisoning the delta caches.
+// dispatch is multi-frame) still collects every rank's partial and
+// rolls the descriptor back without poisoning the delta caches.
 func abortStorm(t *testing.T, pool *Pool, eng *likelihood.Engine, want float64) {
 	t.Helper()
 	stop := make(chan struct{})
@@ -410,20 +431,6 @@ func tcpGrid(t testing.TB, ranks, threadsPerRank int, pat *msa.Patterns, cat boo
 	}
 }
 
-// sentFrames reads the master's sent-frame counter once the send lanes
-// have caught up with it: a lane counts a frame after its Send returns,
-// which can be after the worker's answer has already completed the
-// dispatch the frame belonged to.
-func sentFrames(st *fabric.TransportStats) int64 {
-	for {
-		m := st.MessagesSent.Load()
-		time.Sleep(time.Millisecond)
-		if st.MessagesSent.Load() == m {
-			return m
-		}
-	}
-}
-
 // scanOnce drives one cold batched scan on a distributed engine and
 // checks its cost at the transport counters — one dispatch, one
 // broadcast, one reduction, `frames` frames per remote rank, no model
@@ -440,7 +447,7 @@ func scanOnce(t *testing.T, eng *likelihood.Engine, pool *Pool, topo *tree.Tree,
 	eng.InvalidateNode(p.Attach)
 
 	st := pool.Transport().Stats()
-	d0, b0, r0, m0 := eng.DispatchCount(), st.Broadcasts.Load(), st.Reductions.Load(), sentFrames(st)
+	d0, b0, r0, m0 := eng.DispatchCount(), st.Broadcasts.Load(), st.Reductions.Load(), st.MessagesSent.Load()
 	blocks0 := eng.ModelBlocksEncoded()
 	got := eng.EvaluateInsertions(p.Root, p.Attach, cands, nil)
 	entries := len(eng.LastTraversal())
@@ -450,7 +457,7 @@ func scanOnce(t *testing.T, eng *likelihood.Engine, pool *Pool, topo *tree.Tree,
 	if d, b, r := eng.DispatchCount()-d0, st.Broadcasts.Load()-b0, st.Reductions.Load()-r0; d != 1 || b != 1 || r != 1 {
 		t.Errorf("%d candidates, %d stale views: %d dispatches, %d broadcasts, %d reductions, want 1 each", len(cands), entries, d, b, r)
 	}
-	if m, want := sentFrames(st)-m0, frames(entries)*int64(pool.Transport().Size()-1); m != want {
+	if m, want := st.MessagesSent.Load()-m0, frames(entries)*int64(pool.Transport().Size()-1); m != want {
 		t.Errorf("scan over a %d-entry descriptor sent %d frames, want %d", entries, m, want)
 	}
 	if n := eng.ModelBlocksEncoded() - blocks0; n != 0 {

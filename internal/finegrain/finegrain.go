@@ -18,15 +18,23 @@
 //
 //	encode job (descriptor window + views + branch lengths
 //	            [+ model-sync block when the model epoch moved])
-//	-> ONE broadcast over the fabric transport
+//	-> ONE broadcast: the master writes the frame to every rank itself
 //	-> master executes its own stripe (one local barrier crossing)
-//	-> ONE rank-ordered collection of reduction partials
+//	   while every rank executes its own
+//	-> ONE rank-ordered collection of reduction partials, the only
+//	   point at which the master waits
 //
 // so a partitioned full-tree relikelihood costs exactly one descriptor
 // broadcast plus one reduction — the invariant the transport counters
 // assert in tests. Reductions combine rank partials in rank order
 // after the local worker-order sums, keeping results deterministic for
 // a fixed R×t grid.
+//
+// The stripes are an even cut of the pattern axis, because what a
+// kernel costs is patterns × CLV categories, not site weight: the two
+// halves of the overlap above are then the same length, and the master,
+// who has the frame on the wire before it starts, is rarely the one
+// waited for.
 //
 // One reduction does not stay where it is computed when it is small
 // enough to move: the Newton derivatives of a branch. A pool whose
@@ -77,16 +85,16 @@ const (
 	// TagJobFrag carries one fragment of a chunked job frame: the worker
 	// appends fragments to its reassembly buffer and executes when the
 	// closing TagJob frame arrives. Fragmentation is what lets the
-	// master overlap P-matrix fills for later descriptor entries with
-	// the shipping of earlier ones (master -> workers).
+	// master fill the P matrices of earlier descriptor entries while
+	// the worker is still receiving them (master -> workers).
 	TagJobFrag
 )
 
 // Fragmentation thresholds: descriptors of at least fragMinEntries ship
 // as a header fragment plus fragEntries-sized entry fragments, so the
-// master's deferred P-fill pipelines with the scatter; shorter
-// descriptors (every makenewz iteration, empty-descriptor reductions)
-// stay single-frame. Package variables so tests can force fragmentation
+// master's deferred P-fill of one range runs while the ranks reassemble
+// it; shorter descriptors (every makenewz iteration, empty-descriptor
+// reductions) stay single-frame. Package variables so tests can force fragmentation
 // on small data.
 var (
 	fragMinEntries = 64
@@ -153,10 +161,6 @@ type Pool struct {
 	local   *threads.Pool
 	stripes []threads.Range
 
-	// lanes are the per-rank send/receive lanes a dispatch scatters
-	// through (nil on a single-rank grid, which has no wire at all).
-	lanes *fabric.Lanes
-
 	// gather is the pool's answer to "who sums the Newton derivatives":
 	// true when the remote stripes' sumtable rows are few enough
 	// (SumtableGatherLimit) to ride home on every JobMakenewzSetup
@@ -169,9 +173,9 @@ type Pool struct {
 	// master's own rank 0).
 	remote []*likelihood.WirePartial
 
-	// rankErr[r] holds rank r's send error of the current direct
-	// (non-lane) dispatch until the fold consumes it; reused across
-	// dispatches so the hot path stays allocation-free.
+	// rankErr[r] holds rank r's first send error of the current dispatch
+	// until the fold consumes it; reused across dispatches so the hot
+	// path stays allocation-free.
 	rankErr []error
 
 	// shippedModel/shippedTopo are the engine epochs as of the last
@@ -183,9 +187,10 @@ type Pool struct {
 }
 
 // NewPool builds the master endpoint over an accepted transport: it
-// computes the partition-aligned rank stripes, ships every remote rank
-// its WorkerInit (stripe pattern data + geometry + treatment shape),
-// and starts the master's own local thread crew over stripe 0.
+// cuts the pattern axis into one even, partition-aligned stripe per
+// rank, ships every remote rank its WorkerInit (stripe pattern data +
+// geometry + treatment shape), and starts the master's own local thread
+// crew over stripe 0.
 //
 // set supplies the treatment *shape* (CAT vs GAMMA, category count)
 // the worker engines are built with; it should be the same set the
@@ -200,7 +205,11 @@ func NewPool(tr fabric.Transport, pat *msa.Patterns, set *gtr.PartitionSet, thre
 	if threadsPerRank < 1 {
 		threadsPerRank = 1
 	}
-	stripes := threads.SplitWeighted(pat.Weights, ranks)
+	// By pattern count, not by site weight: a kernel's cost is one CLV
+	// block of set.ClvCats() categories per pattern whatever the pattern
+	// weighs (and a bootstrap replicate reweighs the axis without
+	// restriping it), so an even cut is the balanced one.
+	stripes := threads.SplitEven(pat.NumPatterns(), ranks)
 	threads.AlignBoundaries(stripes, stripeQuantum, pat.PartStarts())
 	for r, s := range stripes {
 		if s.Len() == 0 {
@@ -233,7 +242,6 @@ func NewPool(tr fabric.Transport, pat *msa.Patterns, set *gtr.PartitionSet, thre
 		p.remote[r] = &likelihood.WirePartial{}
 	}
 	if ranks > 1 {
-		p.lanes = fabric.NewLanes(tr)
 		remoteBytes := (pat.NumPatterns() - stripes[0].Len()) * set.ClvCats() * 4 * 8
 		p.gather = remoteBytes <= SumtableGatherLimit
 	}
@@ -256,24 +264,24 @@ func (p *Pool) GathersSumtable() bool { return p.gather }
 // LocalPool returns the master's own thread crew (stripe 0).
 func (p *Pool) LocalPool() *threads.Pool { return p.local }
 
-// Post implements likelihood.Dispatcher: scatter the encoded job
-// through the per-rank send lanes, execute the master's stripe locally,
-// then fold the rank partials in rank order as they arrive (an
-// out-of-order arrival parks in its lane, so the reduction order — and
-// the result bits — are those of the sequential fold). The runner must
-// be the master's likelihood engine (it implements
-// likelihood.WireMaster).
+// Post implements likelihood.Dispatcher. A dispatch has one blocking
+// point: the master writes every rank's frame itself, runs its own
+// stripe while the ranks run theirs, then reads the partials in rank
+// order — the order the reduction folds them in, so the result bits are
+// those of a sequential fold. The runner must be the master's likelihood
+// engine (it implements likelihood.WireMaster).
 //
 // Long descriptors ship fragmented: the header goes out first, then
-// each fragEntries-sized entry range is P-filled, delta-encoded and
-// queued while the previous range is still on the wire — the
-// encode/fill/transmit pipeline that replaces the old
-// encode-everything-then-broadcast step. Short descriptors (makenewz
-// iterations, evaluations) stay single-frame. Either way a dispatch
-// counts as ONE broadcast and ONE reduction in the transport stats.
+// each fragEntries-sized entry range is delta-encoded and sent, and its
+// P matrices are filled while the ranks reassemble it; the last range
+// closes the frame with TagJob. Short descriptors (makenewz iterations,
+// evaluations) are one frame, sent before the master fills its own
+// matrices. Either way every frame is on the wire before the local
+// stripe starts, and a dispatch counts as ONE broadcast and ONE
+// reduction in the transport stats.
 //
 // Transport failures panic — the Dispatcher contract has no error
-// return — but only after every kicked lane has been drained, and the
+// return — but only after every rank has been received from, and the
 // panic value is the wrapped *error*, so a supervisor that recovers it
 // can errors.As out a fabric.RankDeadError and react (the grid
 // scheduler re-stripes the pool over survivors and resumes from
@@ -284,7 +292,8 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 	if !ok {
 		panic(fmt.Sprintf("finegrain: runner %T cannot encode wire jobs", runner))
 	}
-	if p.lanes == nil {
+	ranks := p.tr.Size()
+	if ranks == 1 {
 		// Single-rank grid: no wire, no deferred fill (PipelinesFill
 		// reports false, so the engine filled P matrices eagerly).
 		p.local.Post(runner, code)
@@ -295,94 +304,67 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 	reset := topoEpoch != p.shippedTopo
 
 	header, n := wm.WireJobHeader(code, includeModel, reset)
-	direct := n == 0
 	wantWide := wm.WireWideLen(code)
 
 	// Straggler guard: bound this dispatch's wait for every rank's
-	// partial. Armed before the first frame goes out, so the lane
-	// receivers (kicked below) and the direct-path Recvs all run under
-	// it; cleared again once the fold completes.
+	// partial. Armed before the first frame goes out; cleared again once
+	// the fold completes.
 	guard := DispatchTimeout > 0
 	if guard {
 		dl := time.Now().Add(DispatchTimeout)
-		for r := 1; r < p.tr.Size(); r++ {
+		for r := 1; r < ranks; r++ {
 			fabric.SetRecvDeadline(p.tr, r, dl)
 		}
 	}
-	switch {
-	case direct:
-		// Empty descriptor (every makenewz iteration, warm evaluations):
-		// one tiny frame and nothing to overlap it with. Use the
-		// transport directly — the lanes are quiescent between matched
-		// Kick/Await pairs — saving the per-rank goroutine handoffs the
-		// lane pipeline costs; on oversubscribed hosts those handoffs
-		// are scheduler round trips that dominate the dispatch.
-		frame := wm.WireJobFrame()
-		for r := 1; r < p.tr.Size(); r++ {
-			p.rankErr[r] = p.tr.Send(r, TagJob, frame)
-		}
-	case n >= fragMinEntries:
-		// Fragmented scatter: ship the header, then fill+encode entry
-		// ranges while earlier ranges are already in the lanes. The last
-		// range closes the frame with TagJob.
-		p.lanes.Scatter(TagJobFrag, header)
+	if n >= fragMinEntries {
+		p.send(TagJobFrag, header)
 		for lo := 0; lo < n; lo += fragEntries {
 			hi, tag := lo+fragEntries, TagJobFrag
 			if hi >= n {
 				hi, tag = n, TagJob
 			}
+			p.send(tag, wm.WireJobEntries(lo, hi))
 			wm.FillTravChunk(lo, hi)
-			p.lanes.Scatter(tag, wm.WireJobEntries(lo, hi))
 		}
-	default:
+	} else {
 		wm.WireJobEntries(0, n)
-		p.lanes.Scatter(TagJob, wm.WireJobFrame())
+		p.send(TagJob, wm.WireJobFrame())
 		wm.FillTravChunk(0, n)
 	}
 	p.tr.Stats().Broadcasts.Add(1)
-	if !direct {
-		p.lanes.KickAll()
-	}
 	p.shippedModel, p.shippedTopo = modelEpoch, topoEpoch
 
 	p.local.Post(runner, code)
 
-	// Fold every rank before reacting to any failure: a panic with a
-	// kicked receiver still pending would leave the lane unjoinable for
-	// the supervisor's Release. A rank whose send failed is still
-	// received from — its link is broken, so the Recv errors rather
-	// than blocks — keeping the kick/await pairing exact.
+	// Receive from every rank before reacting to any failure, so the
+	// supervisor's Release finds no partial of this job still queued
+	// behind a healthy link. A rank whose send failed is still received
+	// from: its link is broken, so the Recv errors rather than blocks.
 	var firstErr error
-	for r := 1; r < p.tr.Size(); r++ {
-		var res fabric.LaneResult
+	for r := 1; r < ranks; r++ {
 		sendErr := p.rankErr[r]
-		if direct {
-			res.Tag, res.Payload, res.Err = p.tr.Recv(r)
-		} else {
-			res = p.lanes.Await(r)
-			sendErr = p.lanes.SendErr(r)
-		}
+		tag, payload, recvErr := p.tr.Recv(r)
 		var err error
 		switch {
 		case sendErr != nil:
 			err = fmt.Errorf("rank %d send: %w", r, sendErr)
-		case res.Err != nil:
-			err = fmt.Errorf("rank %d recv: %w", r, res.Err)
-		case res.Tag == TagErr:
+		case recvErr != nil:
+			err = fmt.Errorf("rank %d recv: %w", r, recvErr)
+		case tag == TagErr:
 			// A worker-reported execution error: the job's own failure,
 			// deliberately NOT RankDead-typed — restriping would just
 			// replay it on the next lease.
-			err = fmt.Errorf("rank %d: %s", r, res.Payload)
-		case res.Tag != TagPartial:
+			err = fmt.Errorf("rank %d: %s", r, payload)
+		case tag != TagPartial:
 			// Desynchronized stream (a frame was lost or mangled in
 			// flight): the rank's data can no longer be trusted, which is
 			// operationally identical to its death — type it so the grid
 			// re-stripes instead of failing the job.
-			err = &fabric.RankDeadError{Rank: r, Err: fmt.Errorf("finegrain: unexpected tag %d in reduction", res.Tag)}
+			err = &fabric.RankDeadError{Rank: r, Err: fmt.Errorf("finegrain: unexpected tag %d in reduction", tag)}
 		default:
 			part := p.remote[r]
 			wantVec := wm.WireVecLen(code, p.stripes[r].Len())
-			if derr := likelihood.DecodeWirePartialInto(part, res.Payload); derr != nil {
+			if derr := likelihood.DecodeWirePartialInto(part, payload); derr != nil {
 				err = &fabric.RankDeadError{Rank: r, Err: fmt.Errorf("finegrain: partial decode: %w", derr)}
 			} else if got := len(part.Wide); got != wantWide {
 				// A partial for some other job: folding it would drop or
@@ -401,14 +383,14 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 			}
 			part.Vec = nil
 		}
-		fabric.Recycle(p.tr, r, res.Payload)
+		fabric.Recycle(p.tr, r, payload)
 		p.rankErr[r] = nil
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	if guard {
-		for r := 1; r < p.tr.Size(); r++ {
+		for r := 1; r < ranks; r++ {
 			fabric.SetRecvDeadline(p.tr, r, time.Time{})
 		}
 	}
@@ -416,6 +398,17 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 		panic(fmt.Errorf("finegrain: dispatch: %w", firstErr))
 	}
 	p.tr.Stats().Reductions.Add(1)
+}
+
+// send writes one frame of the current dispatch to every remote rank.
+// A rank whose link already failed in this dispatch is skipped: its
+// first error is what the fold reports.
+func (p *Pool) send(tag byte, payload []byte) {
+	for r := 1; r < len(p.rankErr); r++ {
+		if p.rankErr[r] == nil {
+			p.rankErr[r] = p.tr.Send(r, tag, payload)
+		}
+	}
 }
 
 // Workers returns the number of LOCAL workers (the crew running RunJob
@@ -497,9 +490,10 @@ func (p *Pool) ForkJoinRange(lo, hi, grain int, fn func(lo, hi int)) {
 
 // PipelinesFill reports whether the pool overlaps the P-matrix fill
 // with the dispatch: the engine then defers the fill at traversal
-// planning and Post completes it chunk-by-chunk between scatters. A
-// single-rank grid has no wire to overlap with, so it fills eagerly.
-func (p *Pool) PipelinesFill() bool { return p.lanes != nil }
+// planning and Post completes it after the frame (or each fragment)
+// has been sent. A single-rank grid has no wire to overlap with, so it
+// fills eagerly.
+func (p *Pool) PipelinesFill() bool { return p.tr.Size() > 1 }
 
 // Dispatches counts jobs posted (each Post is one local barrier
 // crossing plus one broadcast/reduction pair).
@@ -529,9 +523,6 @@ func (p *Pool) Release() (dead []int) {
 		return nil
 	}
 	p.closed = true
-	if p.lanes != nil {
-		p.lanes.Close() // idle between dispatches; handshake uses tr directly
-	}
 	for r := 1; r < p.tr.Size(); r++ {
 		if !releaseRank(p.tr, r) {
 			dead = append(dead, r)
@@ -577,9 +568,6 @@ func (p *Pool) Close() {
 		return
 	}
 	p.closed = true
-	if p.lanes != nil {
-		p.lanes.Close()
-	}
 	// Best effort, per rank: one dead rank's broken link must not stop
 	// the shutdown frames to the ranks after it (fabric.Broadcast
 	// returns on the first failed Send, which would leave survivors

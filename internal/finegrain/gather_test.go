@@ -66,24 +66,31 @@ func digest(vs ...float64) uint64 {
 }
 
 // distributedCoreBits are the digests of branchProgram's results on the
-// forced-distributed side, recorded by running this very program at the
-// parent of the change that introduced the gather (commit fd15c0f, where
-// the distributed core job was the only path): first length, sweep lnL,
-// then every branch length. Every kernel on the path is pinned
+// forced-distributed side: first length, sweep lnL, then every branch
+// length. A distributed derivative is a sum of per-stripe sums, so its
+// bits belong to the stripe boundaries, and the table has been recorded
+// twice with this very program: at commit fd15c0f, the parent of the
+// change that introduced the gather (the distributed core job was the
+// only path, stripes were cut by site weight), and again when NewPool
+// began cutting stripes by pattern count — with the dispatch itself
+// rewritten in the same change but run first against the old table,
+// which it passed, so the cut is all that moved. Ten entries changed;
+// the two three-partition R=3 rows did not, because both cuts snap onto
+// the gene starts there. Every kernel on the path is pinned
 // bit-identical across the scalar and AVX2 sets, so one table serves
 // both; it is compared on amd64 only, where it was recorded — other
 // ports may fuse a multiply-add the pinned kernels keep apart.
 var distributedCoreBits = map[string]uint64{
-	"CAT/R=2/T=1":               0xee88a89bc547d712,
-	"CAT/R=2/T=2":               0xa63892dcd59deb15,
-	"CAT/R=3/T=1":               0x1bdf7ab4ed980757,
-	"CAT/R=3/T=2":               0xddfe09a3bd04d3ec,
-	"GAMMA/R=2/T=1":             0x52847717516529d0,
-	"GAMMA/R=2/T=2":             0x21410952e8d0af5a,
-	"GAMMA/R=3/T=1":             0x00172603ced3befa,
-	"GAMMA/R=3/T=2":             0x4b312bb1f3e4ea9f,
-	"CAT, 3 partitions/R=2/T=1": 0xfb0ddd93fbdf1414,
-	"CAT, 3 partitions/R=2/T=2": 0x0e9f70cc7ec26a56,
+	"CAT/R=2/T=1":               0x5cf1781551c2c67d,
+	"CAT/R=2/T=2":               0x58be5b6d327f535f,
+	"CAT/R=3/T=1":               0x4975f2348fabfad4,
+	"CAT/R=3/T=2":               0xf0b13d8579cfb2a7,
+	"GAMMA/R=2/T=1":             0x828ad6dc73f2e298,
+	"GAMMA/R=2/T=2":             0x6278589202546848,
+	"GAMMA/R=3/T=1":             0x6aa4ee601306f865,
+	"GAMMA/R=3/T=2":             0x34d7e33b5f29b294,
+	"CAT, 3 partitions/R=2/T=1": 0x9550634164887c76,
+	"CAT, 3 partitions/R=2/T=2": 0xd1de4b8fa3db695d,
 	"CAT, 3 partitions/R=3/T=1": 0x18c666d94c4dcc5b,
 	"CAT, 3 partitions/R=3/T=2": 0xdbb31c7e33d812f9,
 }
@@ -101,8 +108,8 @@ var distributedCoreBits = map[string]uint64{
 // reduced per stripe.
 //
 // Forced distributed: the core job runs exactly as before the gather
-// existed, and every bit — lengths and likelihood — is the parent
-// commit's.
+// existed, and every bit — lengths and likelihood — is the recorded
+// one (distributedCoreBits).
 func TestBranchLengthsAcrossGrids(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -130,8 +137,8 @@ func TestBranchLengthsAcrossGrids(t *testing.T) {
 							t.Fatal("pool does not gather under a forced limit")
 						}
 						// Three even genes over two ranks: the one remote stripe
-						// holds a partition start. (Over three ranks the weighted
-						// split snaps onto the gene boundaries themselves.)
+						// holds a partition start. (Over three ranks the cut
+						// snaps onto the gene boundaries themselves.)
 						if tc.genes > 1 && ranks == 2 && !stripeSpansPartitionStart(pool, pat) {
 							t.Fatal("no partition start falls strictly inside the remote stripe: the case does not test the split landing")
 						}
@@ -165,7 +172,7 @@ func TestBranchLengthsAcrossGrids(t *testing.T) {
 						}
 						got := digest(append([]float64{first, lnL}, lengths...)...)
 						if want := distributedCoreBits[name]; runtime.GOARCH == "amd64" && got != want {
-							t.Errorf("distributed core digest %#016x, the parent commit's is %#016x", got, want)
+							t.Errorf("distributed core digest %#016x, the recorded one is %#016x", got, want)
 						}
 						return nil
 					})

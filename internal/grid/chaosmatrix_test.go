@@ -39,8 +39,8 @@ func chaosTimeouts(t *testing.T) {
 }
 
 // checkGoroutines fails if the goroutine count has not returned to the
-// baseline within a grace period — a leaked serve loop, lane goroutine
-// or accept loop survived the run.
+// baseline within a grace period — a leaked serve loop or accept loop
+// survived the run.
 func checkGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -38,7 +38,12 @@ type Supervisor struct {
 
 	mu    sync.Mutex
 	procs []*exec.Cmd // current process per slot (nil between respawns)
-	stop  bool
+
+	// stopping is closed once the supervisor stops respawning. The close
+	// happens under mu, so a spawn recording its process under mu either
+	// got there first (the kill sweep finds it) or sees the close; a slot
+	// sleeping through its respawn backoff wakes on it.
+	stopping chan struct{}
 
 	wg       sync.WaitGroup
 	respawns atomic.Int64
@@ -50,7 +55,7 @@ type Supervisor struct {
 // Each slot's process is watched by a goroutine that respawns it on
 // unexpected exit. Stop kills everything.
 func NewSupervisor(n int, spawn func(slot int) (*exec.Cmd, error)) (*Supervisor, error) {
-	s := &Supervisor{spawn: spawn, procs: make([]*exec.Cmd, n)}
+	s := &Supervisor{spawn: spawn, procs: make([]*exec.Cmd, n), stopping: make(chan struct{})}
 	for i := 0; i < n; i++ {
 		cmd, err := s.spawnSlot(i)
 		if err != nil {
@@ -72,10 +77,7 @@ var errStopping = fmt.Errorf("grid: supervisor stopping")
 // backoff when Stop runs cannot repopulate itself behind the kill
 // sweep.
 func (s *Supervisor) spawnSlot(slot int) (*exec.Cmd, error) {
-	s.mu.Lock()
-	stopping := s.stop
-	s.mu.Unlock()
-	if stopping {
+	if s.isStopping() {
 		return nil, errStopping
 	}
 	cmd, err := s.spawn(slot)
@@ -88,7 +90,7 @@ func (s *Supervisor) spawnSlot(slot int) (*exec.Cmd, error) {
 		}
 	}
 	s.mu.Lock()
-	if s.stop {
+	if s.isStopping() {
 		s.mu.Unlock()
 		cmd.Process.Kill()
 		cmd.Wait()
@@ -111,9 +113,8 @@ func (s *Supervisor) watch(slot int, cmd *exec.Cmd) {
 		cmd.Wait()
 		s.mu.Lock()
 		s.procs[slot] = nil
-		stopping := s.stop
 		s.mu.Unlock()
-		if stopping {
+		if s.isStopping() {
 			return
 		}
 		if time.Since(born) >= respawnHealthy {
@@ -121,7 +122,13 @@ func (s *Supervisor) watch(slot int, cmd *exec.Cmd) {
 		}
 		// Full jitter: a fleet of slots killed together must not respawn
 		// in lockstep and stampede the master's accept loop.
-		time.Sleep(backoff/2 + rand.N(backoff/2+1))
+		wake := time.NewTimer(backoff/2 + rand.N(backoff/2+1))
+		select {
+		case <-wake.C:
+		case <-s.stopping:
+			wake.Stop()
+			return
+		}
 		if backoff *= 2; backoff > respawnBackoffMax {
 			backoff = respawnBackoffMax
 		}
@@ -143,6 +150,28 @@ func (s *Supervisor) watch(slot int, cmd *exec.Cmd) {
 // spawned (for metrics; the initial population does not count).
 func (s *Supervisor) Respawns() int64 { return s.respawns.Load() }
 
+// StopRespawning ends the supervision without touching the processes:
+// from now on an exit is final, whoever caused it. Call it before the
+// workers are told to shut down — a worker that obeys its shutdown frame
+// exits on its own, and to a supervisor still supervising that is a
+// crash to back off from and replace. Idempotent.
+func (s *Supervisor) StopRespawning() {
+	s.mu.Lock()
+	if !s.isStopping() {
+		close(s.stopping)
+	}
+	s.mu.Unlock()
+}
+
+func (s *Supervisor) isStopping() bool {
+	select {
+	case <-s.stopping:
+		return true
+	default:
+		return false
+	}
+}
+
 // Stop kills every live worker process and waits for the slot watchers
 // to exit. Idempotent.
 func (s *Supervisor) Stop() { s.StopAfter(0) }
@@ -152,9 +181,7 @@ func (s *Supervisor) Stop() { s.StopAfter(0) }
 // sent its shutdown frame finishes what it flushes on exit, a CPU
 // profile for one — and whatever is still alive then is killed.
 func (s *Supervisor) StopAfter(grace time.Duration) {
-	s.mu.Lock()
-	s.stop = true
-	s.mu.Unlock()
+	s.StopRespawning()
 	if grace > 0 {
 		exited := make(chan struct{})
 		go func() { s.wg.Wait(); close(exited) }()

@@ -10,12 +10,12 @@ import (
 // withFastRespawn shrinks the supervisor backoff for tests.
 func withFastRespawn(t *testing.T) {
 	t.Helper()
-	oldMin, oldMax, oldHealthy := respawnBackoffMin, respawnBackoffMax, respawnHealthy
-	respawnBackoffMin = 5 * time.Millisecond
-	respawnBackoffMax = 40 * time.Millisecond
+	restore := SetRespawnBackoff(5*time.Millisecond, 40*time.Millisecond)
+	oldHealthy := respawnHealthy
 	respawnHealthy = time.Second
 	t.Cleanup(func() {
-		respawnBackoffMin, respawnBackoffMax, respawnHealthy = oldMin, oldMax, oldHealthy
+		restore()
+		respawnHealthy = oldHealthy
 	})
 }
 
@@ -102,4 +102,54 @@ func TestSupervisorStopDuringBackoff(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop hung — a backoff-sleeping slot respawned behind the kill sweep")
 	}
+}
+
+// TestSupervisorStopInterruptsBackoff pins an orderly teardown's cost at
+// nothing: with the backoff raised to seconds, a worker that exited on
+// its own — it was told to shut down — holds Stop up neither when its
+// slot is already sleeping the backoff (Stop wakes it) nor when the
+// supervisor stopped respawning before the exit (no backoff is entered),
+// and neither exit counts as a respawn.
+func TestSupervisorStopInterruptsBackoff(t *testing.T) {
+	defer SetRespawnBackoff(5*time.Second, 10*time.Second)()
+
+	exitsAfter := func(d string) func(int) (*exec.Cmd, error) {
+		return func(int) (*exec.Cmd, error) { return exec.Command("sleep", d), nil }
+	}
+	stopWithin := func(t *testing.T, sup *Supervisor, limit time.Duration) {
+		t.Helper()
+		start := time.Now()
+		sup.Stop()
+		if took := time.Since(start); took > limit {
+			t.Errorf("Stop took %v with every worker already gone, want under %v", took, limit)
+		}
+		if got := sup.Respawns(); got != 0 {
+			t.Errorf("an orderly exit counted as %d respawns", got)
+		}
+	}
+
+	t.Run("exit first", func(t *testing.T) {
+		sup, err := NewSupervisor(2, exitsAfter("0"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(100 * time.Millisecond) // both slots are in their backoff now
+		stopWithin(t, sup, 100*time.Millisecond)
+	})
+	t.Run("stop respawning first", func(t *testing.T) {
+		sup, err := NewSupervisor(2, exitsAfter("0.1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sup.StopRespawning()
+		time.Sleep(250 * time.Millisecond) // the workers leave on their own
+		sup.mu.Lock()
+		for slot, cmd := range sup.procs {
+			if cmd != nil {
+				t.Errorf("slot %d still holds a process after its worker exited", slot)
+			}
+		}
+		sup.mu.Unlock()
+		stopWithin(t, sup, 100*time.Millisecond)
+	})
 }

@@ -570,10 +570,8 @@ func (e *Engine) WireJobHeader(code threads.JobCode, includeModel, reset bool) (
 // shipped full for its directed edge (same children, same lengths,
 // cache not invalidated since) goes out as a 9-byte ref; everything
 // else goes out full and refreshes the ship cache. Returns exactly the
-// appended bytes — the wire buffer is append-only within a frame, so
-// slices returned by earlier calls stay valid even when the buffer
-// reallocates (they alias the old backing array, which the lanes may
-// still be shipping).
+// appended bytes, valid until the next call that appends to the frame
+// (the dispatcher sends each range before it encodes the next).
 func (e *Engine) WireJobEntries(lo, hi int) []byte {
 	b := e.wireBuf
 	start := len(b)
