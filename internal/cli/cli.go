@@ -59,12 +59,8 @@ func Raxml(args []string, stdout io.Writer) error {
 
 		kernels = fs.String("kernels", "auto", "likelihood kernels: auto (best available), scalar (portable reference) or avx2; propagated to spawned workers")
 
-		fine     = fs.Bool("fine", false, "distribute the FINE grain over -R ranks: one likelihood striped over R x T workers (-f e and -f d)")
-		fineNet  = fs.String("fine-transport", "chan", "fine-grain fabric: chan (in-process ranks) or tcp (spawned worker processes)")
-		fgWorker = fs.Bool("fine-worker", false, "internal: run as a spawned fine-grain worker process")
-		fgConn   = fs.String("fine-connect", "", "internal: master address a fine-grain worker dials")
-		fgRank   = fs.Int("fine-rank", 0, "internal: this fine-grain worker's rank")
-		fgRanks  = fs.Int("fine-ranks", 0, "internal: fine-grain world size")
+		fine    = fs.Bool("fine", false, "distribute the FINE grain over -R ranks: one likelihood striped over R x T workers (-f e and -f d)")
+		fineNet = fs.String("fine-transport", "chan", "fine-grain fabric: chan (in-process ranks) or tcp (spawned worker processes)")
 
 		gridN        = fs.Int("grid", -1, "run the comprehensive analysis on the elastic grid scheduler over this many worker ranks (0 = master-local serial reference)")
 		gridNet      = fs.String("grid-transport", "chan", "grid fleet fabric: chan (in-process workers) or tcp (spawned worker processes)")
@@ -112,12 +108,10 @@ func Raxml(args []string, stdout io.Writer) error {
 		}()
 	}
 	spawn := workerArgs{kernels: *kernels, cpuProfile: *cpuProf}
-	if *fgWorker {
-		// Spawned worker mode: everything arrives over the wire; the
-		// usual input-file flags are neither needed nor read.
-		return RaxmlWorker(*fgConn, *fgRank, *fgRanks, os.Stderr)
-	}
 	if *gridWorker {
+		// Spawned worker mode (-grid and -fine tcp alike): everything
+		// arrives over the wire; the usual input-file flags are neither
+		// needed nor read.
 		return RaxmlGridWorker(*gridConn, os.Stderr)
 	}
 	if *serveAddr != "" {
@@ -243,12 +237,12 @@ func Raxml(args []string, stdout io.Writer) error {
 	if *fine {
 		switch *analysis {
 		case "e":
-			return withFineTransport(*fineNet, opts.Ranks, spawn, stdout, func(tr fabric.Transport) error {
-				return runEvaluateFine(pat, opts, tr, *userTree, *runName, *outDir, stdout)
+			return withFineLinks(*fineNet, opts.Ranks, spawn, stdout, func(links []fabric.Link) error {
+				return runEvaluateFine(pat, opts, links, *userTree, *runName, *outDir, stdout)
 			})
 		case "d":
-			return withFineTransport(*fineNet, opts.Ranks, spawn, stdout, func(tr fabric.Transport) error {
-				return runMultiSearchFine(pat, opts, tr, *bootstraps, *runName, *outDir, stdout)
+			return withFineLinks(*fineNet, opts.Ranks, spawn, stdout, func(links []fabric.Link) error {
+				return runMultiSearchFine(pat, opts, links, *bootstraps, *runName, *outDir, stdout)
 			})
 		default:
 			return fmt.Errorf("-fine supports -f e and -f d (got -f %q); the other analyses use the coarse grain", *analysis)
@@ -279,11 +273,11 @@ func runEvaluate(pat *msa.Patterns, opts core.Options, userTree, runName, outDir
 // runEvaluateFine is -f e over the distributed fine grain: the same
 // inputs and outputs, with the one evaluation striped over R x T
 // workers instead of T threads.
-func runEvaluateFine(pat *msa.Patterns, opts core.Options, tr fabric.Transport, userTree, runName, outDir string, stdout io.Writer) error {
+func runEvaluateFine(pat *msa.Patterns, opts core.Options, links []fabric.Link, userTree, runName, outDir string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "Fine-grained evaluation: %d ranks x %d workers serve one likelihood\n",
 		opts.Ranks, opts.Workers)
 	return runEvaluateWith(pat, userTree, runName, outDir, stdout, func(t *tree.Tree) (*core.EvaluationResult, error) {
-		return core.EvaluateTreeFine(pat, t, opts, tr)
+		return core.EvaluateTreeFine(pat, t, opts, links)
 	})
 }
 
@@ -425,10 +419,10 @@ func runMultiSearch(pat *msa.Patterns, opts core.Options, searches int, runName,
 
 // runMultiSearchFine is -f d over the distributed fine grain: the
 // searches run sequentially, each one on the full R x T grid.
-func runMultiSearchFine(pat *msa.Patterns, opts core.Options, tr fabric.Transport, searches int, runName, outDir string, stdout io.Writer) error {
+func runMultiSearchFine(pat *msa.Patterns, opts core.Options, links []fabric.Link, searches int, runName, outDir string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "Fine-grained ML searches: %d sequential searches, each over %d ranks x %d workers\n",
 		searches, opts.Ranks, opts.Workers)
-	res, err := core.RunFineSearches(pat, searches, opts, tr)
+	res, err := core.RunFineSearches(pat, searches, opts, links)
 	if err != nil {
 		return err
 	}

@@ -1,22 +1,22 @@
 package cli
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/exec"
-	"strconv"
 
 	"raxml/internal/fabric"
-	"raxml/internal/finegrain"
 )
 
 // This file wires the distributed fine grain (-fine) into the raxml
 // tool: -R ranks × -T threads serving ONE likelihood function. With
 // -fine-transport chan the ranks are goroutines of this process; with
 // -fine-transport tcp the master spawns -R-1 copies of its own binary
-// in worker mode, each dialing back over the loopback TCP transport —
-// real OS processes, the reproduction's mpirun.
+// as grid workers, each dialing back over a loopback TCP link — real
+// OS processes, the reproduction's mpirun.
 
 // workerArgs is what a master hands down to every worker process it
 // spawns, -fine and -grid alike: the kernel set, so all ranks compute
@@ -39,32 +39,17 @@ func (w workerArgs) argv(slot int) []string {
 	return args
 }
 
-// RaxmlWorker runs one spawned fine-grain worker process: dial the
-// master, then serve the rank's stripe until shutdown. Everything else
-// — pattern stripe, model shape, thread count — arrives over the wire
-// in the init frame, so a worker needs no access to the input files.
-func RaxmlWorker(connect string, rank, ranks int, stderr io.Writer) error {
-	tr, err := fabric.DialTCP(connect, rank, ranks)
-	if err != nil {
-		return fmt.Errorf("worker rank %d: %w", rank, err)
-	}
-	defer tr.Close()
-	if err := finegrain.Serve(tr); err != nil {
-		fmt.Fprintf(stderr, "raxml worker rank %d: %v\n", rank, err)
-		return err
-	}
-	return nil
-}
-
-// withFineTransport hands fn the master-side transport of a fine run:
-// nil for the in-proc channel grid (core builds the world itself), or
-// an accepted TCP transport with ranks-1 spawned worker processes
-// serving behind it. The kernels selection travels on each worker's
-// argv so every rank of the grid computes with the same kernel set, and
-// so does a CPU profile path when the master records one (workerArgs).
-// Worker processes are reaped on return; if fn failed, the transport
-// teardown unblocks them first.
-func withFineTransport(transport string, ranks int, spawn workerArgs, stdout io.Writer, fn func(tr fabric.Transport) error) error {
+// withFineLinks hands fn the master-side links of a fine run: nil for
+// the in-proc grid (core builds its LinkPairs itself), or links[r-1] to
+// the spawned worker process of rank r. The workers are the grid's
+// (-grid-worker -grid-connect), and a link's rank is the spawn slot of
+// the PID its hello announces, not its accept order — so rank r's
+// profile is <file>.worker<r>. The kernels selection travels on each
+// worker's argv so every rank of the grid computes with the same kernel
+// set, and so does a CPU profile path when the master records one
+// (workerArgs). fn's pool releases the workers; closing their links
+// then ends them, and they are reaped before this returns.
+func withFineLinks(transport string, ranks int, spawn workerArgs, stdout io.Writer, fn func(links []fabric.Link) error) error {
 	switch transport {
 	case "", "chan":
 		return fn(nil)
@@ -79,22 +64,18 @@ func withFineTransport(transport string, ranks int, spawn workerArgs, stdout io.
 	if err != nil {
 		return fmt.Errorf("locating own binary for worker spawn: %w", err)
 	}
-	tr, err := fabric.ListenTCP("127.0.0.1:0", ranks)
+	ln, err := fabric.ListenStar("127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	defer tr.Close()
-	fmt.Fprintf(stdout, "fine grain: spawning %d worker processes (transport tcp, %s)\n", ranks-1, tr.Addr())
+	defer ln.Close()
+	fmt.Fprintf(stdout, "fine grain: spawning %d worker processes (transport tcp, %s)\n", ranks-1, ln.Addr())
 	procs := make([]*exec.Cmd, 0, ranks-1)
+	rankOf := make(map[int]int, ranks-1) // pid -> rank
 	waitErrs := make([]error, ranks-1)
 	exited := make(chan int, ranks-1)
 	for r := 1; r < ranks; r++ {
-		cmd := exec.Command(exe, append(spawn.argv(r),
-			"-fine-worker",
-			"-fine-connect", tr.Addr(),
-			"-fine-rank", strconv.Itoa(r),
-			"-fine-ranks", strconv.Itoa(ranks),
-		)...)
+		cmd := exec.Command(exe, append(spawn.argv(r), "-grid-worker", "-grid-connect", ln.Addr())...)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			killAll(procs)
@@ -102,38 +83,41 @@ func withFineTransport(transport string, ranks int, spawn workerArgs, stdout io.
 			return fmt.Errorf("spawning worker rank %d: %w", r, err)
 		}
 		procs = append(procs, cmd)
-		go func(i int, cmd *exec.Cmd) {
+		rankOf[cmd.Process.Pid] = r
+		go func(i int) {
 			waitErrs[i] = cmd.Wait()
 			exited <- i
-		}(len(procs)-1, cmd)
+		}(len(procs) - 1)
+	}
+	links := make([]fabric.Link, ranks-1)
+	closeLinks := func() {
+		for _, l := range links {
+			if l != nil {
+				l.Close()
+			}
+		}
 	}
 	// Accept with a liveness watch: a worker that dies before dialing in
-	// must fail the run immediately, not hang it (Accept would otherwise
-	// wait for a hello that can never arrive).
-	acceptCh := make(chan error, 1)
-	go func() { acceptCh <- tr.Accept() }()
-	reaped := 0
+	// must fail the run immediately, not hang it (its hello can never
+	// arrive).
+	accepted := make(chan struct{})
+	go func() {
+		acceptRanks(ln, rankOf, links)
+		close(accepted)
+	}()
 	select {
-	case err := <-acceptCh:
-		if err != nil {
-			killAll(procs)
-			drain(exited, len(procs))
-			return fmt.Errorf("accepting workers: %w", err)
-		}
+	case <-accepted:
 	case i := <-exited:
-		reaped++
-		tr.Close() // unblocks Accept
-		<-acceptCh
+		ln.Close() // unblocks AcceptLink
+		<-accepted
+		closeLinks()
 		killAll(procs)
-		drain(exited, len(procs)-reaped)
+		drain(exited, len(procs)-1)
 		return fmt.Errorf("worker rank %d exited before connecting: %v", i+1, waitErrs[i])
 	}
-	ferr := fn(tr)
-	// Tear the links down before reaping: a worker that missed its
-	// shutdown frame (partial teardown after another rank died) still
-	// exits cleanly on the closed connection.
-	tr.Close()
-	drain(exited, len(procs)-reaped)
+	ferr := fn(links)
+	closeLinks()
+	drain(exited, len(procs))
 	if ferr == nil {
 		for r, werr := range waitErrs {
 			if werr != nil {
@@ -142,6 +126,28 @@ func withFineTransport(transport string, ranks int, spawn workerArgs, stdout io.
 		}
 	}
 	return ferr
+}
+
+// acceptRanks fills links with one accepted link per spawned worker,
+// each at the rank its announced PID was spawned for, until every rank
+// has one or the listener closes. A dialer that is not one of ours — a
+// failed hello, an unknown or repeated PID — is dropped.
+func acceptRanks(ln *fabric.StarListener, rankOf map[int]int, links []fabric.Link) {
+	for n := 0; n < len(links); {
+		link, pid, err := ln.AcceptLink()
+		if errors.Is(err, net.ErrClosed) {
+			return
+		}
+		if err != nil {
+			continue
+		}
+		if r, ok := rankOf[pid]; ok && links[r-1] == nil {
+			links[r-1] = link
+			n++
+		} else {
+			link.Close()
+		}
+	}
 }
 
 // killAll terminates spawned workers; their Wait goroutines reap them.

@@ -40,16 +40,19 @@ type gridParams struct {
 	spawn     workerArgs
 }
 
-// RaxmlGridWorker runs one spawned grid worker process: dial the
-// master's star listener announcing our PID, then serve fine-grain
-// sessions — init/job/release cycles from whichever grid job leases
-// this rank — until shutdown or the master goes away.
+// RaxmlGridWorker runs one spawned worker process, of a -grid fleet or
+// a -fine tcp run: dial the master's star listener announcing our PID,
+// then serve fine-grain sessions — init/job/release cycles from
+// whichever pool leases this rank — until shutdown or the master goes
+// away. Everything a session needs (pattern stripe, model shape, thread
+// count) arrives in its init frame, so a worker reads no input files.
 func RaxmlGridWorker(connect string, stderr io.Writer) error {
 	link, err := fabric.DialStar(connect, os.Getpid())
 	if err != nil {
 		return fmt.Errorf("grid worker: %w", err)
 	}
-	if err := finegrain.ServeSessions(fabric.WorkerTransport(link)); err != nil {
+	defer link.Close()
+	if err := finegrain.ServeSessions(link); err != nil {
 		fmt.Fprintf(stderr, "raxml grid worker pid %d: %v\n", os.Getpid(), err)
 		return err
 	}

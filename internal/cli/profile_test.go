@@ -10,12 +10,12 @@ import (
 )
 
 // TestMain lets the test binary stand in for the raxml binary: the
-// -fine and -grid spawners re-execute os.Executable() in a worker mode,
-// which under `go test` is this binary, so a copy started with a worker
-// flag runs the tool instead of the tests.
+// -fine and -grid spawners re-execute os.Executable() in worker mode,
+// which under `go test` is this binary, so a copy started with the
+// worker flag runs the tool instead of the tests.
 func TestMain(m *testing.M) {
 	for _, arg := range os.Args[1:] {
-		if arg == "-fine-worker" || arg == "-grid-worker" {
+		if arg == "-grid-worker" {
 			if err := Raxml(os.Args[1:], os.Stdout); err != nil {
 				os.Exit(1)
 			}

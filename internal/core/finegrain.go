@@ -26,12 +26,16 @@ import (
 // WithFineEngine builds a distributed R×t engine per the options and
 // runs body on the master rank.
 //
-// With tr == nil the whole grid lives in this process: opts.Ranks
-// serving goroutines over the in-proc channel transport — the default
-// for tests and for single-node runs. A non-nil tr must be an accepted
-// master transport (rank 0) whose remote ranks are already serving —
-// the TCP path, where the cli has spawned worker processes.
-func WithFineEngine(pat *msa.Patterns, opts Options, tr fabric.Transport, body func(eng *likelihood.Engine) error) error {
+// With links == nil the whole grid lives in this process: opts.Ranks
+// ranks, the remote ones serving goroutines over in-proc LinkPairs — the
+// default for tests and for single-node runs. Otherwise rank r is
+// links[r-1], a link to a worker that is already serving — the TCP
+// path, where the cli has spawned worker processes; the pool's Release
+// ends the lease, and closing the links stays the caller's.
+//
+// A rank that dies mid-run surfaces as an error carrying a
+// fabric.RankDeadError (finegrain.RunRecovering), never as a panic.
+func WithFineEngine(pat *msa.Patterns, opts Options, links []fabric.Link, body func(eng *likelihood.Engine) error) error {
 	opts = opts.withDefaults()
 	set, err := buildPartitionSet(pat, opts)
 	if err != nil {
@@ -43,21 +47,21 @@ func WithFineEngine(pat *msa.Patterns, opts Options, tr fabric.Transport, body f
 		}
 		return body(eng)
 	}
-	if tr == nil {
+	if links == nil {
 		return finegrain.Run(opts.Ranks, opts.Workers, pat, set, func(eng *likelihood.Engine, _ *finegrain.Pool) error {
-			return run(eng)
+			return finegrain.RunRecovering(run, eng)
 		})
 	}
-	pool, err := finegrain.NewPool(tr, pat, set, opts.Workers)
+	pool, err := finegrain.NewPool(links, pat, set, opts.Workers)
 	if err != nil {
 		return err
 	}
-	defer pool.Close()
+	defer pool.Release()
 	eng, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
 	if err != nil {
 		return err
 	}
-	return run(eng)
+	return finegrain.RunRecovering(run, eng)
 }
 
 // NewPartitionSet builds the per-partition model set the options
@@ -107,12 +111,12 @@ func SearchOn(eng *likelihood.Engine, pat *msa.Patterns, opts Options, parsRNG *
 // EvaluateTreeFine is EvaluateTree (-f e) over the distributed fine
 // grain: the fixed-topology optimization runs once, with its
 // per-pattern kernels striped over opts.Ranks × opts.Workers workers.
-func EvaluateTreeFine(pat *msa.Patterns, t *tree.Tree, opts Options, tr fabric.Transport) (*EvaluationResult, error) {
+func EvaluateTreeFine(pat *msa.Patterns, t *tree.Tree, opts Options, links []fabric.Link) (*EvaluationResult, error) {
 	if t.NumTaxa() != pat.NumTaxa() {
 		return nil, fmt.Errorf("core: tree has %d taxa, alignment has %d", t.NumTaxa(), pat.NumTaxa())
 	}
 	var res *EvaluationResult
-	err := WithFineEngine(pat, opts, tr, func(eng *likelihood.Engine) error {
+	err := WithFineEngine(pat, opts, links, func(eng *likelihood.Engine) error {
 		var err error
 		res, err = evaluateOn(eng, t)
 		return err
@@ -127,14 +131,14 @@ func EvaluateTreeFine(pat *msa.Patterns, t *tree.Tree, opts Options, tr fabric.T
 // tree is wanted fast, or when a worker rank's memory cannot hold the
 // full alignment's CLVs (ranks 1..R-1 hold only their stripes; the
 // planning master still spans the full axis — see docs/hybrid-topology.md).
-func RunFineSearches(pat *msa.Patterns, searches int, opts Options, tr fabric.Transport) (*MultiSearchResult, error) {
+func RunFineSearches(pat *msa.Patterns, searches int, opts Options, links []fabric.Link) (*MultiSearchResult, error) {
 	if searches < 1 {
 		return nil, fmt.Errorf("core: %d searches requested", searches)
 	}
 	opts = opts.withDefaults()
 	start := time.Now()
 	res := &MultiSearchResult{}
-	err := WithFineEngine(pat, opts, tr, func(eng *likelihood.Engine) error {
+	err := WithFineEngine(pat, opts, links, func(eng *likelihood.Engine) error {
 		parsRNG := rng.ForRank(opts.SeedParsimony, 0)
 		// Start trees are built master-side (Fitch kernels are not
 		// distributed) on a full-axis crew of the master's own -T

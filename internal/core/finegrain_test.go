@@ -4,7 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"raxml/internal/fabric"
+	"raxml/internal/finegrain"
+	"raxml/internal/likelihood"
 	"raxml/internal/msa"
+	"raxml/internal/rng"
 	"raxml/internal/seqgen"
 	"raxml/internal/tree"
 )
@@ -37,6 +41,55 @@ func TestEvaluateTreeFineMatchesSingleProcess(t *testing.T) {
 	}
 	if res.Tree.NumTaxa() != pat.NumTaxa() {
 		t.Fatalf("result tree has %d taxa", res.Tree.NumTaxa())
+	}
+}
+
+// TestFineDeadRankIsAnError: a -fine run whose rank 2 dies between two
+// dispatches — its worker's end of the LinkPair closes, as a killed
+// process's socket does — returns an error naming the dead rank instead
+// of panicking out through the Dispatcher contract, and the surviving
+// worker is released and ends cleanly.
+func TestFineDeadRankIsAnError(t *testing.T) {
+	a, _, err := seqgen.Generate(seqgen.Config{Taxa: 10, Chars: 600, Seed: 3, TreeScale: 0.5, Alpha: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := msa.Compress(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var links, workers [2]fabric.Link
+	served := make(chan error, len(links))
+	for i := range links {
+		links[i], workers[i] = fabric.LinkPair()
+		go func() { served <- finegrain.ServeSessions(workers[i]) }()
+	}
+	opts := Options{Workers: 1, Ranks: 3, Model: GTRCAT, EmpiricalFreqs: true}
+	dispatched := false
+	err = WithFineEngine(pat, opts, links[:], func(eng *likelihood.Engine) error {
+		if err := eng.AttachTree(tree.Random(pat.Names, rng.New(4))); err != nil {
+			return err
+		}
+		_ = eng.LogLikelihood()
+		dispatched = true
+		workers[1].Close()
+		eng.InvalidateAll()
+		_ = eng.LogLikelihood()
+		return nil
+	})
+	if !dispatched {
+		t.Fatalf("the healthy dispatch failed: %v", err)
+	}
+	if dead := fabric.AsRankDead(err); dead == nil || dead.Rank != 2 {
+		t.Fatalf("WithFineEngine over a dead rank returned %v, want a RankDeadError for rank 2", err)
+	}
+	for _, l := range links {
+		l.Close()
+	}
+	for range links {
+		if err := <-served; err != nil {
+			t.Errorf("worker exit: %v", err)
+		}
 	}
 }
 

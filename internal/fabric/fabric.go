@@ -203,7 +203,7 @@ func (c *Comm) exchangeFloats(contribute []float64, read func(slots [][]float64)
 // order, so the result is deterministic — into dst at every rank. All
 // ranks must pass equal-length vectors; dst and src may alias. (The
 // distributed likelihood reductions of internal/finegrain run over
-// Transport byte frames, not Comm; this is the coarse-grain vector
+// Link byte frames, not Comm; this is the coarse-grain vector
 // collective — e.g. reducing per-rank statistic vectors.)
 func (c *Comm) AllreduceSumFloats(dst, src []float64) error {
 	n := len(src)

@@ -406,3 +406,125 @@ func BenchmarkBcast(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// ---------------------------------------------------------------------
+// Abort-determinism regressions (Comm)
+// ---------------------------------------------------------------------
+
+// TestRecvDeliversMessageSentBeforeAbort is the regression test for the
+// drain-first Recv fix: a message fully sent before a peer aborted the
+// world must still be delivered — before the fix, Recv raced its mail
+// and abort channels and could nondeterministically drop it. Once the
+// queue is drained, Recv reports ErrAborted instead of blocking.
+func TestRecvDeliversMessageSentBeforeAbort(t *testing.T) {
+	boom := errors.New("boom")
+	sent := make(chan struct{})
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 1 {
+			if err := c.Send(0, 42); err != nil {
+				return err
+			}
+			close(sent)
+			return boom // aborts the world mid-conversation
+		}
+		<-sent
+		time.Sleep(20 * time.Millisecond) // let the abort land first
+		v, err := c.Recv(1)
+		if err != nil {
+			return fmt.Errorf("Recv dropped a message sent before the abort: %v", err)
+		}
+		if v.(int) != 42 {
+			return fmt.Errorf("Recv got %v, want 42", v)
+		}
+		// Queue drained, world aborted: deterministic ErrAborted.
+		if _, err := c.Recv(1); !errors.Is(err, ErrAborted) {
+			return fmt.Errorf("Recv after drain got %v, want ErrAborted", err)
+		}
+		// Sends into a dead world fail loudly instead of vanishing.
+		if err := c.Send(1, 7); !errors.Is(err, ErrAborted) {
+			return fmt.Errorf("Send after abort got %v, want ErrAborted", err)
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Run returned %v, want the aborting rank's error", err)
+	}
+}
+
+// TestCollectiveAfterAbortFails pins collective behaviour after a rank
+// died: every collective unblocks with ErrAborted (never a stale slot
+// read, never a hang).
+func TestCollectiveAfterAbortFails(t *testing.T) {
+	boom := errors.New("boom")
+	err := Run(3, func(c *Comm) error {
+		if c.Rank() == 2 {
+			return boom
+		}
+		// Both survivors: collectives must fail (rank 2 never arrives).
+		if _, err := Gather(c, c.Rank()); !errors.Is(err, ErrAborted) {
+			return fmt.Errorf("Gather got %v, want ErrAborted", err)
+		}
+		if err := c.Barrier(); !errors.Is(err, ErrAborted) {
+			return fmt.Errorf("Barrier got %v, want ErrAborted", err)
+		}
+		dst := []float64{1, 2}
+		if err := c.AllreduceSumFloats(dst, dst); !errors.Is(err, ErrAborted) {
+			return fmt.Errorf("AllreduceSumFloats got %v, want ErrAborted", err)
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Run returned %v, want the aborting rank's error", err)
+	}
+}
+
+// ---------------------------------------------------------------------
+// Typed collectives
+// ---------------------------------------------------------------------
+
+func TestAllreduceSumFloats(t *testing.T) {
+	const ranks = 4
+	err := Run(ranks, func(c *Comm) error {
+		src := []float64{float64(c.Rank()), 10 * float64(c.Rank()), 1}
+		dst := make([]float64, 3)
+		if err := c.AllreduceSumFloats(dst, src); err != nil {
+			return err
+		}
+		want := []float64{0 + 1 + 2 + 3, 10 * (0 + 1 + 2 + 3), ranks}
+		for i := range want {
+			if dst[i] != want[i] {
+				return fmt.Errorf("rank %d: dst[%d] = %g, want %g", c.Rank(), i, dst[i], want[i])
+			}
+		}
+		// Aliased dst/src must work too (in-place reduce).
+		inPlace := []float64{float64(c.Rank()), 10 * float64(c.Rank()), 1}
+		if err := c.AllreduceSumFloats(inPlace, inPlace); err != nil {
+			return err
+		}
+		for i := range want {
+			if inPlace[i] != want[i] {
+				return fmt.Errorf("rank %d aliased: [%d] = %g, want %g", c.Rank(), i, inPlace[i], want[i])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBcastFloats(t *testing.T) {
+	err := Run(3, func(c *Comm) error {
+		v := []float64{float64(c.Rank()), float64(c.Rank() * 2)}
+		if err := c.BcastFloats(1, v); err != nil {
+			return err
+		}
+		if v[0] != 1 || v[1] != 2 {
+			return fmt.Errorf("rank %d: got %v, want [1 2]", c.Rank(), v)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

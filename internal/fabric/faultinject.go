@@ -11,10 +11,10 @@ import (
 )
 
 // This file is the deterministic fault-injection middleware the chaos
-// harness drives: wrappers over Link, Transport and net.Conn that
-// apply a *reproducible* schedule of failures — drop frame N, delay
-// frame N by D, corrupt a frame, sever the connection after M frames,
-// throttle every Kth frame — derived entirely from an integer seed.
+// harness drives: wrappers over Link and net.Conn that apply a
+// *reproducible* schedule of failures — drop frame N, delay frame N by
+// D, corrupt a frame, sever the connection after M frames, throttle
+// every Kth frame — derived entirely from an integer seed.
 // Any chaos failure therefore replays exactly by re-running with the
 // printed seed; nothing about the injection depends on wall-clock time
 // or scheduling.
@@ -22,11 +22,11 @@ import (
 // The corruption model deserves a note. Real corruption happens on the
 // wire, *below* the CRC32C framing, and the hardened stack detects it
 // there: the receiver's CRC check fails and the frame surfaces as a
-// FrameCorruptError, never as delivered garbage. The Link/Transport
-// wrappers sit *above* the framing, so they emulate the post-detection
-// view — a corrupt incoming frame yields the FrameCorruptError the
-// framing layer would have produced, and a corrupt outgoing frame
-// severs the link the way the peer's failed CRC check would. Actually
+// FrameCorruptError, never as delivered garbage. The Link wrapper sits
+// *above* the framing, so it emulates the post-detection view — a
+// corrupt incoming frame yields the FrameCorruptError the framing layer
+// would have produced, and a corrupt outgoing frame severs the link the
+// way the peer's failed CRC check would. Actually
 // flipping payload bytes at this level would model an undetectable
 // Byzantine fault no checksum can catch. FaultConn is the wrapper that
 // flips real stream bytes beneath the framing, for exercising the CRC
@@ -352,155 +352,6 @@ func (l *FaultLink) Close() error { return l.inner.Close() }
 
 // Recycle forwards buffer recycling to the wrapped link's free list.
 func (l *FaultLink) Recycle(buf []byte) { RecycleLink(l.inner, buf) }
-
-// ---------------------------------------------------------------------
-// Transport middleware
-// ---------------------------------------------------------------------
-
-// FaultTransport wraps a Transport with per-peer FaultPlans — the
-// fixed-world twin of FaultLink, for fine-grain tests that run over a
-// ChanTransport or TCPTransport directly. Peers without a plan pass
-// through untouched. A severed peer stays severed: unlike FaultLink it
-// cannot close just one peer's half of a shared endpoint, so it fails
-// that peer's calls with a RankDeadError instead.
-type FaultTransport struct {
-	inner Transport
-	plans map[int]*FaultPlan
-	stats FaultStats
-
-	peers map[int]*peerFaultState
-}
-
-type peerFaultState struct {
-	sent, recvd, total atomic.Int64
-	severed            atomic.Bool
-}
-
-// InjectTransportFaults wraps tr; frames to/from each peer in plans
-// suffer that peer's schedule.
-func InjectTransportFaults(tr Transport, plans map[int]*FaultPlan) *FaultTransport {
-	peers := make(map[int]*peerFaultState, len(plans))
-	for p := range plans {
-		peers[p] = &peerFaultState{}
-	}
-	return &FaultTransport{inner: tr, plans: plans, peers: peers}
-}
-
-// InjectStats exposes the injection counters (all peers combined);
-// Stats stays the Transport-interface passthrough.
-func (t *FaultTransport) InjectStats() *FaultStats { return &t.stats }
-
-// Rank returns the wrapped endpoint's rank.
-func (t *FaultTransport) Rank() int { return t.inner.Rank() }
-
-// Size returns the wrapped endpoint's group size.
-func (t *FaultTransport) Size() int { return t.inner.Size() }
-
-// Stats returns the wrapped endpoint's transport counters.
-func (t *FaultTransport) Stats() *TransportStats { return t.inner.Stats() }
-
-// Close closes the wrapped endpoint.
-func (t *FaultTransport) Close() error { return t.inner.Close() }
-
-// Recycle forwards buffer recycling so the wrapped transport's free
-// lists keep working.
-func (t *FaultTransport) Recycle(from int, buf []byte) { Recycle(t.inner, from, buf) }
-
-// SetRecvDeadline forwards per-peer deadlines.
-func (t *FaultTransport) SetRecvDeadline(peer int, at time.Time) error {
-	if SetRecvDeadline(t.inner, peer, at) {
-		return nil
-	}
-	return fmt.Errorf("fabric: wrapped transport has no Recv deadlines")
-}
-
-// errSevered backs the injected peer-death errors.
-var errSevered = fmt.Errorf("fabric: connection severed by fault injection")
-
-func (t *FaultTransport) tick(peer int, st *peerFaultState, plan *FaultPlan) bool {
-	n := st.total.Add(1)
-	if sa := plan.SeverAfter; sa > 0 && n >= sa {
-		if st.severed.CompareAndSwap(false, true) {
-			t.stats.counts[FaultSever].Add(1)
-		}
-		return false
-	}
-	if se := plan.StraggleEvery; se > 0 && n%se == 0 {
-		t.stats.counts[FaultStraggle].Add(1)
-		time.Sleep(plan.StraggleDelay)
-	}
-	return true
-}
-
-// Send delivers one frame to peer `to`, subject to its plan.
-func (t *FaultTransport) Send(to int, tag byte, payload []byte) error {
-	plan := t.plans[to]
-	if plan == nil {
-		return t.inner.Send(to, tag, payload)
-	}
-	st := t.peers[to]
-	if st.severed.Load() || !t.tick(to, st, plan) {
-		return &RankDeadError{Rank: to, Err: errSevered}
-	}
-	n := st.sent.Add(1)
-	if f := fault(plan.Send, n); f != nil {
-		switch f.Class {
-		case FaultDrop:
-			t.stats.counts[FaultDrop].Add(1)
-			return nil
-		case FaultDelay:
-			t.stats.counts[FaultDelay].Add(1)
-			time.Sleep(f.Delay)
-		case FaultCorrupt:
-			t.stats.counts[FaultCorrupt].Add(1)
-			corruptFrames.Add(1)
-			st.severed.Store(true)
-			return &RankDeadError{Rank: to, Err: errSevered}
-		}
-	}
-	return t.inner.Send(to, tag, payload)
-}
-
-// Recv blocks for the next frame from peer `from`, subject to its plan.
-func (t *FaultTransport) Recv(from int) (byte, []byte, error) {
-	plan := t.plans[from]
-	if plan == nil {
-		return t.inner.Recv(from)
-	}
-	st := t.peers[from]
-	for {
-		if st.severed.Load() {
-			return 0, nil, &RankDeadError{Rank: from, Err: errSevered}
-		}
-		tag, payload, err := t.inner.Recv(from)
-		if err != nil {
-			return 0, nil, err
-		}
-		if !t.tick(from, st, plan) {
-			return 0, nil, &RankDeadError{Rank: from, Err: errSevered}
-		}
-		n := st.recvd.Add(1)
-		f := fault(plan.Recv, n)
-		if f == nil {
-			return tag, payload, nil
-		}
-		switch f.Class {
-		case FaultDrop:
-			t.stats.counts[FaultDrop].Add(1)
-			continue
-		case FaultDelay:
-			t.stats.counts[FaultDelay].Add(1)
-			time.Sleep(f.Delay)
-			return tag, payload, nil
-		case FaultCorrupt:
-			t.stats.counts[FaultCorrupt].Add(1)
-			corruptFrames.Add(1)
-			return 0, nil, &RankDeadError{Rank: from, Err: &FrameCorruptError{Tag: tag, Len: uint32(len(payload))}}
-		default:
-			return tag, payload, nil
-		}
-	}
-}
 
 // ---------------------------------------------------------------------
 // Wire-level corruption

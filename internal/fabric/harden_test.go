@@ -1,11 +1,13 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -37,40 +39,103 @@ func checkNoGoroutineGrowth(t *testing.T, baseline int) {
 	}
 }
 
-// TestAcceptHelloDeadline: a dialer that connects to a fine-grain
-// master and never sends its hello must not wedge Accept past
-// HelloTimeout.
+// TestAcceptHelloDeadline: HelloTimeout bounds the hello and nothing
+// after it. AcceptLink clears the read deadline it armed, so a worker
+// that joined in time and then idles far past HelloTimeout before its
+// first frame (a lease that starts late) is still read intact.
 func TestAcceptHelloDeadline(t *testing.T) {
-	withTimeouts(t, 200*time.Millisecond, DialTimeout)
-	master, err := ListenTCP("127.0.0.1:0", 2)
+	withTimeouts(t, 100*time.Millisecond, DialTimeout)
+	const idle = 300 * time.Millisecond // three HelloTimeouts
+	ln, err := ListenStar("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer master.Close()
-	c, err := net.Dial("tcp", master.Addr())
+	defer ln.Close()
+	dialed := make(chan *TCPLink, 1)
+	go func() {
+		w, err := DialStar(ln.Addr(), 7)
+		if err != nil {
+			t.Error(err)
+		}
+		dialed <- w
+	}()
+	m, _, err := ln.AcceptLink()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	w := <-dialed
+	if w == nil {
+		t.FailNow()
+	}
+	defer w.Close()
+	go func() {
+		time.Sleep(idle)
+		w.Send(3, []byte("late"))
+	}()
+	if tag, payload, err := m.Recv(); err != nil || tag != 3 || string(payload) != "late" {
+		t.Fatalf("first frame %v after the hello: tag %d payload %q err %v", idle, tag, payload, err)
+	}
+}
+
+// acceptHello dials a fresh StarListener, writes one correctly framed
+// frame with the given tag and payload in place of the hello, and
+// returns AcceptLink's rejection of it.
+func acceptHello(t *testing.T, tag byte, hello []byte) error {
+	t.Helper()
+	ln, err := ListenStar("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c, err := net.Dial("tcp", ln.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	done := make(chan error, 1)
-	go func() { done <- master.Accept() }()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("Accept admitted a silent dialer")
-		}
-		if !errors.Is(err, os.ErrDeadlineExceeded) {
-			t.Fatalf("Accept error %v does not carry os.ErrDeadlineExceeded", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Accept still blocked long past HelloTimeout")
+	if err := newTCPConn(c, nil).write(tag, hello); err != nil {
+		t.Fatal(err)
+	}
+	link, _, err := ln.AcceptLink()
+	if err == nil {
+		link.Close()
+		t.Fatalf("AcceptLink admitted a tag-%d hello of %d bytes", tag, len(hello))
+	}
+	return err
+}
+
+// TestTCPTransportRejectsBadHello covers the handshake validation of
+// the tcp transport: a correctly framed first frame that is not a star
+// hello is rejected at accept time, not admitted as a worker.
+func TestTCPTransportRejectsBadHello(t *testing.T) {
+	err := acceptHello(t, starHello+1, encodeHello(42))
+	if !strings.Contains(err.Error(), "bad star hello") {
+		t.Fatalf("bad-tag error %q does not name the hello", err)
 	}
 }
 
-// TestStarHelloDeadline: the same wedged-dialer scenario against the
-// grid's StarListener — AcceptLink must fail the silent connection
-// within HelloTimeout, leak nothing, and keep accepting well-behaved
-// dialers afterwards.
+// TestTCPTransportRejectsOldProtocol covers the version word added to
+// the hello in protocol v2: a hello announcing another version, and a
+// v1-era 4-byte hello (no version word), are rejected at accept time
+// instead of misframed.
+func TestTCPTransportRejectsOldProtocol(t *testing.T) {
+	var other [helloLen]byte
+	binary.LittleEndian.PutUint32(other[0:4], ProtocolVersion+1)
+	binary.LittleEndian.PutUint32(other[4:8], 42)
+	if err := acceptHello(t, starHello, other[:]); !strings.Contains(err.Error(), "protocol") {
+		t.Fatalf("version mismatch error %q does not mention the protocol", err)
+	}
+	var v1 [4]byte
+	binary.LittleEndian.PutUint32(v1[:], 42)
+	if err := acceptHello(t, starHello, v1[:]); !strings.Contains(err.Error(), "bad star hello") {
+		t.Fatalf("v1 hello error %q does not name the hello", err)
+	}
+}
+
+// TestStarHelloDeadline: a dialer that connects to a StarListener and
+// never sends its hello must not wedge AcceptLink past HelloTimeout;
+// the listener leaks nothing and keeps accepting well-behaved dialers
+// afterwards.
 func TestStarHelloDeadline(t *testing.T) {
 	withTimeouts(t, 200*time.Millisecond, DialTimeout)
 	baseline := runtime.NumGoroutine()
@@ -169,68 +234,94 @@ func TestFrameCRCDetectsWireCorruption(t *testing.T) {
 	}
 }
 
-// TestChanRecvDeadline covers the per-peer Recv deadline on the chan
-// transport: expiry surfaces as a RankDeadError wrapping
-// os.ErrDeadlineExceeded, a queued frame still wins over a passed
-// deadline, and clearing restores unbounded waits.
-func TestChanRecvDeadline(t *testing.T) {
-	trs := NewChanTransports(2)
-	defer trs[0].Close()
-
-	if ok := SetRecvDeadline(trs[0], 1, time.Now().Add(50*time.Millisecond)); !ok {
-		t.Fatal("ChanTransport rejected SetRecvDeadline")
+// TestLinkRecvDeadline covers the TCPLink deadline behind dispatch
+// guards, fleet probes and release drains over real workers: an armed
+// deadline interrupts a Recv already blocked in the kernel with
+// os.ErrDeadlineExceeded, the stream survives the timeout, and clearing
+// restores unbounded waits.
+func TestLinkRecvDeadline(t *testing.T) {
+	ln, err := ListenStar("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer ln.Close()
+	dialed := make(chan *TCPLink, 1)
+	go func() {
+		w, err := DialStar(ln.Addr(), 0)
+		if err != nil {
+			t.Error(err)
+		}
+		dialed <- w
+	}()
+	m, _, err := ln.AcceptLink()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	w := <-dialed
+	defer w.Close()
+
+	blocked := make(chan error, 1)
+	go func() {
+		_, _, err := m.Recv()
+		blocked <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let Recv reach the kernel
 	start := time.Now()
-	_, _, err := trs[0].Recv(1)
-	rde := AsRankDead(err)
-	if rde == nil || rde.Rank != 1 || !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("deadline expiry got %v, want RankDeadError{1, deadline exceeded}", err)
+	if ok := SetLinkRecvDeadline(m, time.Now().Add(50*time.Millisecond)); !ok {
+		t.Fatal("TCPLink rejected SetRecvDeadline")
+	}
+	if err := <-blocked; !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("deadline expiry got %v, want os.ErrDeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("Recv blocked %v past a 50ms deadline", elapsed)
 	}
 
-	// Delivery-first: with a frame already queued, an expired deadline
-	// must not eat it.
-	if err := trs[1].Send(0, 7, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	for trs[0].Stats().MessagesRecv.Load() == 0 {
-		tag, payload, err := trs[0].Recv(1)
-		if err != nil {
-			t.Fatalf("queued frame lost to an expired deadline: %v", err)
-		}
-		if tag != 7 || string(payload) != "x" {
-			t.Fatalf("got tag %d payload %q", tag, payload)
-		}
-	}
-
-	// Cleared deadline: Recv waits for a (late) frame again.
-	SetRecvDeadline(trs[0], 1, time.Time{})
+	// Cleared: Recv waits for a late frame again, read intact.
+	SetLinkRecvDeadline(m, time.Time{})
 	go func() {
 		time.Sleep(100 * time.Millisecond)
-		trs[1].Send(0, 8, nil)
+		w.Send(3, []byte("late"))
 	}()
-	if tag, _, err := trs[0].Recv(1); err != nil || tag != 8 {
-		t.Fatalf("Recv after clearing deadline: tag %d, err %v", tag, err)
+	if tag, payload, err := m.Recv(); err != nil || tag != 3 || string(payload) != "late" {
+		t.Fatalf("Recv after clear: tag %d payload %q err %v", tag, payload, err)
 	}
 }
 
-// TestLinkRecvDeadline covers the chanLink deadline used by fleet
-// probes and release drains.
-func TestLinkRecvDeadline(t *testing.T) {
+// TestChanRecvDeadline covers the same deadline on a LinkPair: expiry
+// surfaces as os.ErrDeadlineExceeded, a queued frame still wins over a
+// passed deadline (delivery-first), and clearing restores unbounded
+// waits.
+func TestChanRecvDeadline(t *testing.T) {
 	m, w := LinkPair()
 	defer m.Close()
 	if ok := SetLinkRecvDeadline(m, time.Now().Add(50*time.Millisecond)); !ok {
 		t.Fatal("chanLink rejected SetRecvDeadline")
 	}
+	start := time.Now()
 	if _, _, err := m.Recv(); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("deadline expiry got %v, want os.ErrDeadlineExceeded", err)
 	}
-	SetLinkRecvDeadline(m, time.Time{})
-	if err := w.Send(3, nil); err != nil {
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("Recv blocked %v past a 50ms deadline", elapsed)
+	}
+
+	// Delivery-first: with a frame already queued, the expired deadline
+	// must not eat it.
+	if err := w.Send(7, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
+	if tag, payload, err := m.Recv(); err != nil || tag != 7 || string(payload) != "x" {
+		t.Fatalf("queued frame under an expired deadline: tag %d payload %q err %v", tag, payload, err)
+	}
+
+	// Cleared: Recv waits for a late frame again.
+	SetLinkRecvDeadline(m, time.Time{})
+	go func() {
+		time.Sleep(100 * time.Millisecond)
+		w.Send(3, nil)
+	}()
 	if tag, _, err := m.Recv(); err != nil || tag != 3 {
 		t.Fatalf("Recv after clear: tag %d, err %v", tag, err)
 	}
@@ -353,6 +444,47 @@ func TestFaultLinkDrop(t *testing.T) {
 	}
 }
 
+// TestFaultTransportDropDelay: every worker's link carries its own
+// schedule, the way the grid injects one plan per worker. A drop on
+// one link turns into a deadline expiry there, a delay on the other
+// holds its frame measurably, and each link counts only its own
+// injections.
+func TestFaultTransportDropDelay(t *testing.T) {
+	m1, w1 := LinkPair()
+	m2, w2 := LinkPair()
+	f1 := InjectFaults(m1, &FaultPlan{Recv: []Fault{{Class: FaultDrop, Frame: 1}}})
+	f2 := InjectFaults(m2, &FaultPlan{Recv: []Fault{{Class: FaultDelay, Frame: 1, Delay: 60 * time.Millisecond}}})
+	defer f1.Close()
+	defer f2.Close()
+	if err := w1.Send(1, []byte("dropped")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.Send(2, []byte("late")); err != nil {
+		t.Fatal(err)
+	}
+	// Worker 1's only frame was dropped: a deadline-bounded Recv times out.
+	f1.SetRecvDeadline(time.Now().Add(50 * time.Millisecond))
+	if _, _, err := f1.Recv(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("dropped frame got %v, want deadline expiry", err)
+	}
+	// Worker 2's frame arrives, measurably late.
+	start := time.Now()
+	if tag, payload, err := f2.Recv(); err != nil || tag != 2 || string(payload) != "late" {
+		t.Fatalf("delayed frame: tag %d payload %q err %v", tag, payload, err)
+	}
+	if d := time.Since(start); d < 50*time.Millisecond {
+		t.Fatalf("delay fault waited only %v", d)
+	}
+	for i, fl := range []*FaultLink{f1, f2} {
+		if got := fl.InjectStats().Total(); got != 1 {
+			t.Fatalf("link %d counted %d injections, want 1 (%s)", i+1, got, fl.InjectStats())
+		}
+	}
+	if f1.InjectStats().Count(FaultDrop) != 1 || f2.InjectStats().Count(FaultDelay) != 1 {
+		t.Fatalf("injections landed on the wrong link: %s / %s", f1.InjectStats(), f2.InjectStats())
+	}
+}
+
 // TestFaultLinkCorruptAndSever: an incoming corrupt frame surfaces as
 // the FrameCorruptError the CRC layer would raise; the sever threshold
 // kills both ends like a vanished machine.
@@ -395,40 +527,5 @@ func TestFaultLinkCorruptAndSever(t *testing.T) {
 	}
 	if fl.InjectStats().Count(FaultSever) != 1 {
 		t.Fatalf("sever counter %d, want 1", fl.InjectStats().Count(FaultSever))
-	}
-}
-
-// TestFaultTransportDropDelay covers the Transport-level middleware:
-// per-peer schedules, delays actually delaying, drops turning into
-// deadline-typed RankDeadErrors.
-func TestFaultTransportDropDelay(t *testing.T) {
-	trs := NewChanTransports(3)
-	defer trs[0].Close()
-	ft := InjectTransportFaults(trs[0], map[int]*FaultPlan{
-		1: {Recv: []Fault{{Class: FaultDrop, Frame: 1}}},
-		2: {Recv: []Fault{{Class: FaultDelay, Frame: 1, Delay: 60 * time.Millisecond}}},
-	})
-	if err := trs[1].Send(0, 1, []byte("dropped")); err != nil {
-		t.Fatal(err)
-	}
-	if err := trs[2].Send(0, 2, []byte("late")); err != nil {
-		t.Fatal(err)
-	}
-	// Peer 1's only frame was dropped: a deadline-bounded Recv times out.
-	ft.SetRecvDeadline(1, time.Now().Add(50*time.Millisecond))
-	if _, _, err := ft.Recv(1); AsRankDead(err) == nil {
-		t.Fatalf("dropped frame got %v, want RankDeadError", err)
-	}
-	// Peer 2's frame arrives, measurably late.
-	start := time.Now()
-	tag, _, err := ft.Recv(2)
-	if err != nil || tag != 2 {
-		t.Fatalf("delayed frame: tag %d err %v", tag, err)
-	}
-	if d := time.Since(start); d < 50*time.Millisecond {
-		t.Fatalf("delay fault waited only %v", d)
-	}
-	if got := ft.InjectStats().Total(); got != 2 {
-		t.Fatalf("%d injections counted, want 2 (%s)", got, ft.InjectStats())
 	}
 }

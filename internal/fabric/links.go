@@ -11,28 +11,22 @@ import (
 	"time"
 )
 
-// This file is the membership layer beneath the coarse×fine grid
-// scheduler (internal/grid): point-to-point framed links between one
-// master and a *dynamic* set of workers. The fixed-size star of
-// TCPTransport fits a one-shot fine-grain run, where the world's rank
-// count is known before anything starts; the grid instead leases
-// workers to jobs, loses workers to failures, and admits late joiners
-// — so its unit is the single Link, not a sized world.
+// This file is the one way a frame moves between a master and a
+// worker: point-to-point framed links. A link does not know which rank
+// it is; whoever holds it supplies that — finegrain.Pool, whose rank r
+// is links[r-1] for one lease, and the grid's fleet, which leases links
+// to jobs, loses them to failures and admits late joiners.
 //
-// Two implementations ship, mirroring the Transport pair:
+// Two implementations ship:
 //
 //   - LinkPair: an in-proc connected pair of endpoints over buffered
 //     channels. Closing either end kills both (a dead process cannot
 //     half-close), which is exactly the semantics chaos tests need to
 //     simulate a SIGKILLed worker.
 //
-//   - TCPLink: one framed TCP connection, same [tag:1][len:4 LE] wire
-//     format as TCPTransport. The master side comes from
-//     StarListener.AcceptLink, the worker side from DialStar.
-//
-// A worker serves its link through WorkerTransport, a 2-rank Transport
-// view (master = rank 0, self = rank 1), so finegrain's serve loop
-// runs unchanged over either membership style.
+//   - TCPLink: one TCP connection with the CRC32C framing of
+//     transport.go. The master side comes from StarListener.AcceptLink,
+//     the worker side from DialStar.
 
 // Link is one framed duplex connection between a master and a worker.
 // Send and Recv may each be used by one goroutine at a time.
@@ -46,9 +40,8 @@ type Link interface {
 	Close() error
 }
 
-// LinkDeadliner is implemented by links that can bound Recv waits —
-// the link-level twin of the Transport PeerDeadliner. The zero time
-// clears the deadline.
+// LinkDeadliner is implemented by links that can bound Recv waits. The
+// zero time clears the deadline.
 type LinkDeadliner interface {
 	SetRecvDeadline(at time.Time) error
 }
@@ -57,8 +50,7 @@ type LinkDeadliner interface {
 // the link supports one, reporting whether it did. Expiry surfaces
 // from Recv with os.ErrDeadlineExceeded in the error chain — raw, not
 // RankDead-typed: a link does not know which rank it is, so the
-// caller (the grid's sub-transport, the fleet's probe) supplies that
-// judgment.
+// caller (finegrain.Pool, the fleet's probe) supplies that judgment.
 func SetLinkRecvDeadline(l Link, at time.Time) bool {
 	d, ok := l.(LinkDeadliner)
 	if !ok {
@@ -68,8 +60,9 @@ func SetLinkRecvDeadline(l Link, at time.Time) bool {
 }
 
 // LinkRecycler is implemented by links that keep a frame-buffer free
-// list — the link-level twin of the Transport Recycler, and what keeps
-// a grid dispatch as allocation-free as a fixed-world one.
+// list: handing a spent Recv payload back lets later Send/Recv calls
+// reuse its backing array, which is what keeps the finegrain dispatch
+// hot path allocation-free.
 type LinkRecycler interface {
 	Recycle(buf []byte)
 }
@@ -92,6 +85,11 @@ const linkFreeFrames = 8
 // ---------------------------------------------------------------------
 // In-proc channel link
 // ---------------------------------------------------------------------
+
+type chanFrame struct {
+	tag     byte
+	payload []byte
+}
 
 type chanLink struct {
 	in     <-chan chanFrame
@@ -123,8 +121,9 @@ func (l *chanLink) Send(tag byte, payload []byte) error {
 		return ErrTransportClosed
 	default:
 	}
-	// Copy: senders may reuse encode buffers the moment Send returns
-	// (same contract as ChanTransport.Send), into a recycled buffer
+	// Copy: a real wire serializes, so senders may reuse their encode
+	// buffers the moment Send returns, and the in-proc link must not
+	// silently weaken that contract. The copy lands in a recycled buffer
 	// when the pair's free list has one big enough.
 	var p []byte
 	if len(payload) > 0 {
@@ -140,7 +139,9 @@ func (l *chanLink) Send(tag byte, payload []byte) error {
 }
 
 func (l *chanLink) Recv() (byte, []byte, error) {
-	// Delivery-first on close, matching ChanTransport.Recv.
+	// Delivery-first: a frame sent before a close, or queued before an
+	// armed deadline passed, is still delivered (the drain-first rule of
+	// Comm.Recv on abort).
 	select {
 	case f := <-l.in:
 		return f.tag, f.payload, nil
@@ -203,11 +204,6 @@ func (l *chanLink) Recycle(buf []byte) { l.free.put(buf) }
 // TCP link and the star listener
 // ---------------------------------------------------------------------
 
-// starHello is the tag of the join frame a DialStar worker sends right
-// after connecting: [version:4 LE][pid:4 LE], the pid (0 when unknown)
-// letting the master SIGKILL real worker processes in chaos runs.
-const starHello byte = 0xFE
-
 // TCPLink is one framed TCP connection end.
 type TCPLink struct {
 	conn   *tcpConn
@@ -238,8 +234,8 @@ func (l *TCPLink) Recv() (byte, []byte, error) {
 
 // linkError maps a failed read/write: this end's own Close yields
 // ErrTransportClosed; a vanished peer keeps its raw error (EOF, reset)
-// for the caller — the grid's sub-transport wraps it into a
-// RankDeadError with the job-local rank it knows and the link doesn't.
+// for the caller — finegrain.Pool wraps it into a RankDeadError with
+// the job-local rank it knows and the link doesn't.
 func (l *TCPLink) linkError(err error) error {
 	if l.closed.Load() || (errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF)) {
 		return ErrTransportClosed
@@ -264,10 +260,9 @@ func (l *TCPLink) Close() error {
 	return l.raw.Close()
 }
 
-// StarListener accepts grid workers as they dial in — at start-up or
-// any time later (late joiners enter the scheduler's free pool). It is
-// the dynamic-membership counterpart of ListenTCP/Accept, which need
-// the world size up front.
+// StarListener accepts workers as they dial in — at start-up or any
+// time later (late joiners enter the grid scheduler's free pool); a
+// -fine run accepts exactly the R-1 it spawned.
 type StarListener struct {
 	ln net.Listener
 
@@ -292,10 +287,9 @@ func ListenStar(addr string) (*StarListener, error) {
 func (l *StarListener) Addr() string { return l.ln.Addr().String() }
 
 // AcceptLink blocks for the next worker to dial in and returns its
-// link plus the process id it announced (0 when unknown). Identity is
-// assigned by the master in accept order — unlike the fixed-rank
-// fine-grain hello, a grid worker does not choose its own rank; its
-// job-local rank arrives later in each lease's init frame.
+// link plus the process id it announced (0 when unknown). A worker
+// does not choose its own rank: the master orders the links it holds,
+// and a link's job-local rank arrives in each lease's init frame.
 //
 // The hello read runs under HelloTimeout: a dialer that connects but
 // never identifies itself fails here (and the caller moves on to the
@@ -318,7 +312,7 @@ func (l *StarListener) AcceptLink() (*TCPLink, int, error) {
 		return nil, 0, fmt.Errorf("fabric: star hello: %w", err)
 	}
 	c.SetReadDeadline(time.Time{})
-	pid, err := decodeHello("star", tag, starHello, payload)
+	pid, err := decodeHello(tag, payload)
 	if err != nil {
 		c.Close()
 		return nil, 0, err
@@ -345,67 +339,3 @@ func DialStar(addr string, pid int) (*TCPLink, error) {
 	}
 	return link, nil
 }
-
-// ---------------------------------------------------------------------
-// Worker-side transport view over one link
-// ---------------------------------------------------------------------
-
-// workerTransport adapts a worker's single link to the Transport
-// interface the finegrain serve loop speaks: a 2-rank star where the
-// master is rank 0 and this endpoint rank 1.
-type workerTransport struct {
-	link  Link
-	stats TransportStats
-}
-
-// WorkerTransport wraps a worker's link as a 2-rank Transport (master
-// = rank 0, self = rank 1) so finegrain.ServeSessions runs over grid
-// links exactly as over a fixed-size world.
-func WorkerTransport(l Link) Transport {
-	return &workerTransport{link: l}
-}
-
-func (w *workerTransport) Rank() int              { return 1 }
-func (w *workerTransport) Size() int              { return 2 }
-func (w *workerTransport) Stats() *TransportStats { return &w.stats }
-
-// masterGone collapses any broken-link condition to ErrTransportClosed:
-// seen from a worker, the master IS the world, so a vanished master —
-// clean teardown or crash — always means "serve loop, exit cleanly".
-func masterGone(err error) error {
-	if errors.Is(err, ErrTransportClosed) {
-		return ErrTransportClosed
-	}
-	return fmt.Errorf("%w (master link: %v)", ErrTransportClosed, err)
-}
-
-func (w *workerTransport) Send(to int, tag byte, payload []byte) error {
-	if to != 0 {
-		return fmt.Errorf("fabric: worker link Send to rank %d (only the master exists)", to)
-	}
-	if err := w.link.Send(tag, payload); err != nil {
-		return masterGone(err)
-	}
-	w.stats.MessagesSent.Add(1)
-	w.stats.BytesSent.Add(int64(len(payload)))
-	return nil
-}
-
-func (w *workerTransport) Recv(from int) (byte, []byte, error) {
-	if from != 0 {
-		return 0, nil, fmt.Errorf("fabric: worker link Recv from rank %d (only the master exists)", from)
-	}
-	tag, payload, err := w.link.Recv()
-	if err != nil {
-		return 0, nil, masterGone(err)
-	}
-	w.stats.MessagesRecv.Add(1)
-	w.stats.BytesRecv.Add(int64(len(payload)))
-	return tag, payload, nil
-}
-
-func (w *workerTransport) Close() error { return w.link.Close() }
-
-// Recycle forwards a spent job frame to the link's free list (the
-// fabric.Recycler contract; the master is the only peer).
-func (w *workerTransport) Recycle(_ int, buf []byte) { RecycleLink(w.link, buf) }

@@ -1,9 +1,14 @@
 package fabric
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"net"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 // exerciseLink round-trips frames both ways over a master/worker link
@@ -80,92 +85,258 @@ func TestTCPLinkAndStarListener(t *testing.T) {
 	exerciseLink(t, master, worker)
 }
 
-// TestWorkerTransportMasterGone pins the worker-side view: ANY broken
-// master link — not just a polite local Close — reads as
-// ErrTransportClosed, the serve loops' clean-exit signal.
-func TestWorkerTransportMasterGone(t *testing.T) {
-	m, w := LinkPair()
-	wt := WorkerTransport(w)
-	if err := m.Send(1, []byte("x")); err != nil {
-		t.Fatal(err)
+// exerciseStar runs the shared conformance program over a master that
+// holds one link per worker — the shape finegrain.Pool drives, rank r
+// on masters[r-1]: a job frame to every worker with the replies read in
+// rank order, then a frame longer than coalesceMax to every worker and
+// a 128-byte reply cut from it. Every frame carries its rank, so a
+// frame that crossed to another worker's link fails the check.
+func exerciseStar(t *testing.T, masters, workers []Link) {
+	t.Helper()
+	big := func(r int) []byte { return bytes.Repeat([]byte{byte(r)}, 2*coalesceMax) }
+	var wg sync.WaitGroup
+	errs := make([]error, len(workers))
+	for i, w := range workers {
+		r := i + 1
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = func() error {
+				tag, payload, err := w.Recv()
+				if err != nil {
+					return err
+				}
+				if tag != 7 || !bytes.Equal(payload, []byte{'j', byte(r)}) {
+					return fmt.Errorf("worker %d got tag %d payload %q", r, tag, payload)
+				}
+				if err := w.Send(8, []byte{byte(r)}); err != nil {
+					return err
+				}
+				tag, payload, err = w.Recv()
+				if err != nil {
+					return err
+				}
+				if tag != 9 || !bytes.Equal(payload, big(r)) {
+					return fmt.Errorf("worker %d large frame: tag %d, %d bytes", r, tag, len(payload))
+				}
+				return w.Send(8, payload[:128])
+			}()
+		}()
 	}
-	if tag, _, err := wt.Recv(0); err != nil || tag != 1 {
-		t.Fatalf("Recv got (%d, %v)", tag, err)
+
+	for i, m := range masters {
+		if err := m.Send(7, []byte{'j', byte(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	m.Close() // master vanishes
-	if _, _, err := wt.Recv(0); !errors.Is(err, ErrTransportClosed) {
-		t.Fatalf("Recv after master death got %v, want ErrTransportClosed", err)
+	for i, m := range masters {
+		if tag, payload, err := m.Recv(); err != nil || tag != 8 || !bytes.Equal(payload, []byte{byte(i + 1)}) {
+			t.Fatalf("rank %d replied (%d, %v, %v), want (8, [%d], nil)", i+1, tag, payload, err, i+1)
+		}
 	}
-	if err := wt.Send(0, 2, nil); !errors.Is(err, ErrTransportClosed) {
-		t.Fatalf("Send after master death got %v, want ErrTransportClosed", err)
+	for i, m := range masters {
+		if err := m.Send(9, big(i+1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, _, err := wt.Recv(1); err == nil {
-		t.Fatal("Recv from a non-master rank succeeded on a worker link")
+	for i, m := range masters {
+		if tag, payload, err := m.Recv(); err != nil || tag != 8 || !bytes.Equal(payload, big(i + 1)[:128]) {
+			t.Fatalf("rank %d large reply: tag %d, %d bytes, %v", i+1, tag, len(payload), err)
+		}
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i+1, err)
+		}
 	}
 }
 
-// TestTCPTransportRankDead pins the satellite fix: a worker process
-// vanishing mid-run surfaces to the master as a typed *RankDeadError
-// carrying the rank id — not a bare EOF and not a process-fatal
-// condition — while the worker's own view of a closed master stays
-// ErrTransportClosed.
-func TestTCPTransportRankDead(t *testing.T) {
-	master, err := ListenTCP("127.0.0.1:0", 3)
+// TestChanTransport runs the star conformance over the chan transport,
+// one LinkPair per in-proc worker; killing one worker's pair leaves the
+// other's untouched.
+func TestChanTransport(t *testing.T) {
+	masters, workers := make([]Link, 2), make([]Link, 2)
+	for i := range masters {
+		masters[i], workers[i] = LinkPair()
+	}
+	defer masters[1].Close()
+	exerciseStar(t, masters, workers)
+
+	masters[0].Close()
+	if _, _, err := workers[0].Recv(); !errors.Is(err, ErrTransportClosed) {
+		t.Fatalf("Recv on a killed pair got %v, want ErrTransportClosed", err)
+	}
+	if err := masters[1].Send(1, []byte("alive")); err != nil {
+		t.Fatal(err)
+	}
+	if tag, payload, err := workers[1].Recv(); err != nil || tag != 1 || string(payload) != "alive" {
+		t.Fatalf("surviving pair got (%d, %q, %v)", tag, payload, err)
+	}
+}
+
+// dialStarWorkers dials n workers into a fresh StarListener announcing
+// pids 1..n and returns the master ends ordered by announced pid — the
+// way the -fine tcp path turns arbitrary accept order into spawn-slot
+// rank — and the worker ends in the same order.
+func dialStarWorkers(t *testing.T, n int) (masters, workers []Link) {
+	t.Helper()
+	ln, err := ListenStar("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer master.Close()
-	workers := make([]*TCPTransport, 2)
+	defer ln.Close()
+	workers = make([]Link, n)
+	dialErr := make([]error, n)
 	var wg sync.WaitGroup
-	for r := 1; r <= 2; r++ {
+	for i := range workers {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			w, err := DialTCP(master.Addr(), r, 3)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			workers[r-1] = w
-		}(r)
+			w, err := DialStar(ln.Addr(), i+1)
+			workers[i], dialErr[i] = w, err
+		}()
 	}
-	if err := master.Accept(); err != nil {
-		t.Fatal(err)
+	type accepted struct {
+		link Link
+		pid  int
+	}
+	got := make([]accepted, n)
+	for i := range got {
+		l, pid, err := ln.AcceptLink()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = accepted{l, pid}
 	}
 	wg.Wait()
-	defer workers[1].Close()
-
-	// Rank 1 "dies" (its endpoint closes both directions, like a killed
-	// process). The master's blocked Recv must name rank 1.
-	workers[0].Close()
-	_, _, err = master.Recv(1)
-	rde := AsRankDead(err)
-	if rde == nil {
-		t.Fatalf("Recv from dead rank got %v, want *RankDeadError", err)
-	}
-	if rde.Rank != 1 {
-		t.Fatalf("RankDeadError names rank %d, want 1", rde.Rank)
-	}
-	// Sends to the dead rank eventually fail typed too (the first write
-	// after the peer reset may be buffered by the kernel, so push until
-	// the error surfaces).
-	for i := 0; ; i++ {
-		err := master.Send(1, 9, make([]byte, 1<<16))
+	for _, err := range dialErr {
 		if err != nil {
-			if rde := AsRankDead(err); rde == nil || rde.Rank != 1 {
-				t.Fatalf("Send to dead rank got %v, want *RankDeadError{Rank: 1}", err)
+			t.Fatal(err)
+		}
+	}
+	sort.Slice(got, func(a, b int) bool { return got[a].pid < got[b].pid })
+	masters = make([]Link, n)
+	for i, a := range got {
+		if a.pid != i+1 {
+			t.Fatalf("accepted pids %v, want 1..%d", got, n)
+		}
+		masters[i] = a.link
+	}
+	t.Cleanup(func() {
+		for i := range masters {
+			masters[i].Close()
+			workers[i].Close()
+		}
+	})
+	return masters, workers
+}
+
+// TestTCPTransport runs the star conformance over the tcp transport:
+// two workers dialing one StarListener, ranked by the pid they
+// announced.
+func TestTCPTransport(t *testing.T) {
+	masters, workers := dialStarWorkers(t, 2)
+	exerciseStar(t, masters, workers)
+}
+
+// TestTCPTransportRankDead pins what a master's link reports when a TCP
+// worker vanishes mid-run: Recv fails with the peer's raw error, never
+// ErrTransportClosed — that is reserved for the master's own Close —
+// which finegrain.Pool types as that worker's RankDeadError; Sends fail
+// too once the reset surfaces; a second worker's link carries traffic
+// as before.
+func TestTCPTransportRankDead(t *testing.T) {
+	masters, workers := dialStarWorkers(t, 2)
+
+	// Worker 1 "dies": its endpoint closes both directions, like a
+	// killed process.
+	workers[0].Close()
+	_, _, err := masters[0].Recv()
+	if err == nil || errors.Is(err, ErrTransportClosed) {
+		t.Fatalf("Recv from a dead worker got %v, want the peer's error", err)
+	}
+	// The first write after the peer reset may be buffered by the
+	// kernel, so push until the error surfaces.
+	for i := 0; ; i++ {
+		err := masters[0].Send(9, make([]byte, 1<<16))
+		if err != nil {
+			if errors.Is(err, ErrTransportClosed) {
+				t.Fatalf("Send to a dead worker got %v, want the peer's error", err)
 			}
 			break
 		}
 		if i > 100 {
-			t.Fatal("Send to dead rank never failed")
+			t.Fatal("Send to a dead worker never failed")
 		}
 	}
-	// Rank 2 is untouched: traffic still flows.
-	if err := master.Send(2, 7, []byte("alive")); err != nil {
+	// Worker 2 is untouched: traffic still flows.
+	if err := masters[1].Send(7, []byte("alive")); err != nil {
 		t.Fatal(err)
 	}
-	if tag, payload, err := workers[1].Recv(0); err != nil || tag != 7 || string(payload) != "alive" {
-		t.Fatalf("surviving rank got (%d, %q, %v)", tag, payload, err)
+	if tag, payload, err := workers[1].Recv(); err != nil || tag != 7 || string(payload) != "alive" {
+		t.Fatalf("surviving worker got (%d, %q, %v)", tag, payload, err)
+	}
+	// The master's own Close is what reads as ErrTransportClosed.
+	masters[0].Close()
+	if _, _, err := masters[0].Recv(); !errors.Is(err, ErrTransportClosed) {
+		t.Fatalf("Recv after the master's own Close got %v, want ErrTransportClosed", err)
+	}
+}
+
+// TestWorkerTransportMasterGone pins the worker-side view a serve loop
+// exits on: a worker blocked in Recv when its master goes is released
+// with an error, and its Sends fail — on a LinkPair whose master end
+// closes, and on TCP when the master's process dies with a reset
+// rather than the orderly close TestTCPLinkAndStarListener covers.
+func TestWorkerTransportMasterGone(t *testing.T) {
+	blockedRecv := func(w Link) <-chan error {
+		ch := make(chan error, 1)
+		go func() {
+			_, _, err := w.Recv()
+			ch <- err
+		}()
+		time.Sleep(20 * time.Millisecond) // let Recv block
+		return ch
+	}
+	released := func(what string, ch <-chan error) error {
+		t.Helper()
+		select {
+		case err := <-ch:
+			if err == nil {
+				t.Fatalf("%s: worker Recv succeeded after its master went", what)
+			}
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: worker Recv still blocked after its master went", what)
+			return nil
+		}
+	}
+
+	m, w := LinkPair()
+	ch := blockedRecv(w)
+	m.Close()
+	if err := released("LinkPair", ch); !errors.Is(err, ErrTransportClosed) {
+		t.Fatalf("LinkPair: worker Recv got %v, want ErrTransportClosed", err)
+	}
+	if err := w.Send(1, nil); !errors.Is(err, ErrTransportClosed) {
+		t.Fatalf("LinkPair: worker Send got %v, want ErrTransportClosed", err)
+	}
+
+	masters, workers := dialStarWorkers(t, 1)
+	ch = blockedRecv(workers[0])
+	raw := masters[0].(*TCPLink).raw.(*net.TCPConn)
+	if err := raw.SetLinger(0); err != nil { // Close now sends a reset
+		t.Fatal(err)
+	}
+	masters[0].Close()
+	released("TCP", ch)
+	for i := 0; ; i++ {
+		if err := workers[0].Send(2, make([]byte, 1<<16)); err != nil {
+			break
+		}
+		if i > 100 {
+			t.Fatal("TCP: worker Send to a dead master never failed")
+		}
 	}
 }

@@ -9,43 +9,22 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// This file defines the pluggable byte-message fabric beneath the
-// fine-grained distributed worker pool (internal/finegrain): a star of
-// one master (rank 0) and size-1 workers exchanging framed, tagged
-// byte messages. Two implementations ship:
-//
-//   - ChanTransport: the in-proc channel world. Ranks are goroutines of
-//     one process; frames travel over buffered channels. This is the
-//     transport behind fabric.Run-hosted hybrid runs and all unit tests.
-//
-//   - TCPTransport: real OS processes. The master listens, each worker
-//     process dials in and identifies its rank with a hello frame;
-//     frames are length-prefixed binary with a per-frame CRC32C
-//     ([tag:1][len:4 LE][crc:4 LE][payload]). This is the transport
-//     behind `raxml -fine -fine-transport tcp`, where workers are
-//     spawned `raxml` processes in worker mode.
-//
-// The interface is deliberately tiny — point-to-point Send/Recv plus
-// counters — because the finegrain protocol needs exactly two
-// collective shapes: one descriptor written to every worker per
-// dispatch, and one partial read back from each, combined in rank
-// order. The master does both on the goroutine that posts the job
-// (finegrain.Pool.Post): Send returns once the frame is handed to the
-// socket or the channel, so nothing sits between a frame and its wire,
-// and there is exactly one place a dispatch can block, the Recv.
-// Broadcast and Collect below are the same two shapes for callers with
-// nothing to do in between. The counters make the paper's "one
-// broadcast + one reduction per dispatch" claim a testable quantity
-// rather than a comment.
+// This file holds the wire beneath every Link (links.go): the TCP
+// framing — [tag:1][len:4 LE][crc:4 LE][payload], the CRC32C covering
+// tag, length and payload — the versioned hello, the dial retry loop,
+// the frame free lists, and the error types a broken wire surfaces as.
+// What a broken wire *means* is decided above it: finegrain.Pool types
+// any link failure of a dispatch as a RankDeadError carrying the
+// job-local rank, and a worker's serve loop treats any link failure as
+// the end of its master.
 
-// ErrTransportClosed is returned from transport calls after this
-// endpoint's own Close.
+// ErrTransportClosed is returned from link calls after either end's
+// Close (this end's own, or the peer's for an in-proc pair).
 var ErrTransportClosed = errors.New("fabric: transport closed")
 
 // RankDeadError reports that one specific peer rank is unreachable —
@@ -53,9 +32,8 @@ var ErrTransportClosed = errors.New("fabric: transport closed")
 // still healthy. It is the typed signal the grid scheduler reacts to
 // (mark the rank dead, re-stripe the job's pool over survivors) where
 // the pre-grid code could only fail the whole process. Rank is the
-// dead peer's rank in whatever rank space the failing endpoint speaks
-// (a job-local rank for a job's sub-transport, a world rank for a
-// plain TCPTransport).
+// dead peer's job-local rank: finegrain.Pool is the one place that
+// knows it, and the one place that builds this error.
 type RankDeadError struct {
 	Rank int
 	Err  error
@@ -134,14 +112,14 @@ var (
 	WriteTimeout = 2 * time.Minute
 	// HelloTimeout bounds the hello handshake read on an accepted
 	// connection: a dialer that connects but never identifies itself
-	// must not block Accept/AcceptLink indefinitely.
+	// must not block AcceptLink indefinitely.
 	HelloTimeout = 10 * time.Second
-	// DialTimeout bounds the total connect effort of DialTCP/DialStar,
+	// DialTimeout bounds the total connect effort of DialStar,
 	// across however many backoff-spaced attempts fit.
 	DialTimeout = 15 * time.Second
 )
 
-// DialTimeoutError reports that DialTCP/DialStar gave up: no attempt
+// DialTimeoutError reports that DialStar gave up: no attempt
 // connected within DialTimeout.
 type DialTimeoutError struct {
 	Addr     string
@@ -196,87 +174,8 @@ func dialRetry(addr string) (net.Conn, error) {
 	}
 }
 
-// PeerDeadliner is implemented by transports that can bound Recv waits
-// per peer. Arming a deadline makes a Recv from that peer fail instead
-// of blocking past it — the mechanism behind the per-dispatch straggler
-// guard — and the zero time clears it.
-type PeerDeadliner interface {
-	SetRecvDeadline(peer int, at time.Time) error
-}
-
-// SetRecvDeadline arms (or, with the zero time, clears) the Recv
-// deadline for one peer on transports that support it; it reports
-// whether t did. On expiry the blocked or next Recv fails with an error
-// chain containing os.ErrDeadlineExceeded, typed per transport (a
-// RankDeadError on the master-side implementations: a rank too slow to
-// answer is indistinguishable from a dead one, and is handled the same
-// way).
-func SetRecvDeadline(t Transport, peer int, at time.Time) bool {
-	d, ok := t.(PeerDeadliner)
-	if !ok {
-		return false
-	}
-	return d.SetRecvDeadline(peer, at) == nil
-}
-
-// Transport moves tagged byte frames between the ranks of one worker
-// group. Rank 0 is the master; implementations must deliver frames
-// reliably and in order per (sender, receiver) pair. A Transport
-// endpoint is owned by one rank; Send and Recv may be called from one
-// goroutine at a time per peer.
-type Transport interface {
-	// Rank returns this endpoint's rank in [0, Size).
-	Rank() int
-	// Size returns the number of ranks (master + workers).
-	Size() int
-	// Send delivers one tagged frame to rank `to`.
-	Send(to int, tag byte, payload []byte) error
-	// Recv blocks for the next frame from rank `from`.
-	Recv(from int) (tag byte, payload []byte, err error)
-	// Close tears the endpoint down; blocked and future calls fail.
-	Close() error
-	// Stats returns the endpoint's message counters.
-	Stats() *TransportStats
-}
-
-// TransportStats counts an endpoint's traffic. Messages/Bytes count
-// point-to-point frames; Broadcasts and Reductions count *collective
-// operations* (one Broadcast covers all workers, one Collect covers
-// all partials), incremented by the helpers below. The distributed
-// relikelihood invariant — exactly one descriptor broadcast plus one
-// reduction per pool dispatch — is asserted against these counters.
-type TransportStats struct {
-	MessagesSent atomic.Int64
-	MessagesRecv atomic.Int64
-	BytesSent    atomic.Int64
-	BytesRecv    atomic.Int64
-	Broadcasts   atomic.Int64
-	Reductions   atomic.Int64
-}
-
-// Recycler is implemented by transports that keep a frame-buffer free
-// list. Handing a Recv payload (no longer referenced) back via Recycle
-// lets later Send/Recv calls reuse its backing array, which is what
-// makes the finegrain dispatch hot path allocation-free. `from` is the
-// rank the payload was received from: the world transports keep one
-// list per endpoint and ignore it, the link adapters (grid.subTransport,
-// WorkerTransport) use it to hand the buffer back to the link that
-// produced it.
-type Recycler interface {
-	Recycle(from int, buf []byte)
-}
-
-// Recycle returns buf, a payload received from rank `from`, to t's free
-// list if the transport keeps one; otherwise it is a no-op and the
-// buffer is left to the GC. Callers must not touch buf afterwards.
-func Recycle(t Transport, from int, buf []byte) {
-	if r, ok := t.(Recycler); ok {
-		r.Recycle(from, buf)
-	}
-}
-
 // frameFreeList is the bounded stack of spent frame buffers behind every
-// Recycler: put offers one (dropped when the list is full), get returns
+// LinkRecycler: put offers one (dropped when the list is full), get returns
 // one with room for n bytes or a fresh allocation — a too-small pop is
 // dropped, so the list converges on steady-state frame sizes. A nil list
 // recycles nothing.
@@ -303,268 +202,35 @@ func (f frameFreeList) get(n int) []byte {
 	return make([]byte, n)
 }
 
-// Broadcast sends one frame from this endpoint (the master) to every
-// other rank, counting a single broadcast operation.
-func Broadcast(t Transport, tag byte, payload []byte) error {
-	for r := 0; r < t.Size(); r++ {
-		if r == t.Rank() {
-			continue
-		}
-		if err := t.Send(r, tag, payload); err != nil {
-			return err
-		}
-	}
-	t.Stats().Broadcasts.Add(1)
-	return nil
-}
+// starHello is the tag of the join frame a DialStar worker sends right
+// after connecting: [version:4 LE][pid:4 LE]. The pid (0 when unknown)
+// is what lets the master SIGKILL a real worker process in a chaos run,
+// and order the links of a -fine run by the processes it spawned.
+const starHello byte = 0xFE
 
-// Collect receives one frame from every other rank, in rank order, and
-// returns the payloads indexed by rank (this endpoint's own entry is
-// nil). Frames carrying errTag are surfaced as errors. Counts a single
-// reduction operation.
-func Collect(t Transport, wantTag, errTag byte) ([][]byte, error) {
-	out := make([][]byte, t.Size())
-	for r := 0; r < t.Size(); r++ {
-		if r == t.Rank() {
-			continue
-		}
-		tag, payload, err := t.Recv(r)
-		if err != nil {
-			return nil, err
-		}
-		switch tag {
-		case wantTag:
-			out[r] = payload
-		case errTag:
-			return nil, fmt.Errorf("fabric: rank %d: %s", r, payload)
-		default:
-			return nil, fmt.Errorf("fabric: rank %d sent tag %d, want %d", r, tag, wantTag)
-		}
-	}
-	t.Stats().Reductions.Add(1)
-	return out, nil
-}
-
-// ---------------------------------------------------------------------
-// In-proc channel transport
-// ---------------------------------------------------------------------
-
-type chanFrame struct {
-	tag     byte
-	payload []byte
-}
-
-// ChanTransport is the in-proc Transport: one endpoint per rank, frames
-// over per-pair buffered channels shared by the group.
-type ChanTransport struct {
-	rank   int
-	size   int
-	mail   [][]chan chanFrame // mail[from][to]
-	closed chan struct{}
-	once   *sync.Once
-	free   frameFreeList // group-shared
-	stats  TransportStats
-
-	// dl[from] is the armed Recv deadline for that peer (UnixNano; 0 =
-	// none); timers[from] is the reused expiry timer, owned by the one
-	// goroutine allowed to Recv from that peer (so the dispatch hot
-	// path stays allocation-free once warm).
-	dl     []atomic.Int64
-	timers []*time.Timer
-}
-
-// NewChanTransports creates one connected in-proc endpoint per rank.
-// Closing any endpoint closes the whole group (a dead rank must not
-// leave peers blocked, mirroring World.abort).
-func NewChanTransports(size int) []*ChanTransport {
-	if size < 1 {
-		panic(fmt.Sprintf("fabric: transport group size %d < 1", size))
-	}
-	mail := make([][]chan chanFrame, size)
-	for i := range mail {
-		mail[i] = make([]chan chanFrame, size)
-		for j := range mail[i] {
-			mail[i][j] = make(chan chanFrame, 64)
-		}
-	}
-	closed := make(chan struct{})
-	once := new(sync.Once)
-	free := make(frameFreeList, 64*size)
-	out := make([]*ChanTransport, size)
-	for r := range out {
-		out[r] = &ChanTransport{
-			rank: r, size: size, mail: mail, closed: closed, once: once, free: free,
-			dl: make([]atomic.Int64, size), timers: make([]*time.Timer, size),
-		}
-	}
-	return out
-}
-
-// Rank returns this endpoint's rank.
-func (c *ChanTransport) Rank() int { return c.rank }
-
-// Size returns the group size.
-func (c *ChanTransport) Size() int { return c.size }
-
-// Stats returns this endpoint's counters.
-func (c *ChanTransport) Stats() *TransportStats { return &c.stats }
-
-// Send delivers one frame to rank `to`.
-func (c *ChanTransport) Send(to int, tag byte, payload []byte) error {
-	if to < 0 || to >= c.size || to == c.rank {
-		return fmt.Errorf("fabric: Send to invalid rank %d", to)
-	}
-	select {
-	case <-c.closed:
-		return ErrTransportClosed
-	default:
-	}
-	// Copy the payload: a real wire serializes, so senders may reuse
-	// their encode buffers the moment Send returns. The in-proc
-	// transport must not silently weaken that contract. The copy lands
-	// in a recycled buffer when the free list has one big enough.
-	var p []byte
-	if len(payload) > 0 {
-		p = c.free.get(len(payload))
-		copy(p, payload)
-	}
-	select {
-	case c.mail[c.rank][to] <- chanFrame{tag: tag, payload: p}:
-		c.stats.MessagesSent.Add(1)
-		c.stats.BytesSent.Add(int64(len(payload)))
-		return nil
-	case <-c.closed:
-		return ErrTransportClosed
-	}
-}
-
-// Recv blocks for the next frame from rank `from`, delivery-first on
-// close (same drain-first rule as Comm.Recv on abort). An armed Recv
-// deadline (SetRecvDeadline) bounds the wait; delivery still wins over
-// an already-passed deadline when a frame is queued.
-func (c *ChanTransport) Recv(from int) (byte, []byte, error) {
-	if from < 0 || from >= c.size || from == c.rank {
-		return 0, nil, fmt.Errorf("fabric: Recv from invalid rank %d", from)
-	}
-	select {
-	case f := <-c.mail[from][c.rank]:
-		return c.delivered(f)
-	default:
-	}
-	if d := c.dl[from].Load(); d != 0 {
-		until := time.Until(time.Unix(0, d))
-		if until <= 0 {
-			return 0, nil, &RankDeadError{Rank: from, Err: os.ErrDeadlineExceeded}
-		}
-		tm := c.timers[from]
-		if tm == nil {
-			tm = time.NewTimer(until)
-			c.timers[from] = tm
-		} else {
-			if !tm.Stop() {
-				select {
-				case <-tm.C:
-				default:
-				}
-			}
-			tm.Reset(until)
-		}
-		select {
-		case f := <-c.mail[from][c.rank]:
-			return c.delivered(f)
-		case <-c.closed:
-			return 0, nil, ErrTransportClosed
-		case <-tm.C:
-			return 0, nil, &RankDeadError{Rank: from, Err: os.ErrDeadlineExceeded}
-		}
-	}
-	select {
-	case f := <-c.mail[from][c.rank]:
-		return c.delivered(f)
-	case <-c.closed:
-		return 0, nil, ErrTransportClosed
-	}
-}
-
-func (c *ChanTransport) delivered(f chanFrame) (byte, []byte, error) {
-	c.stats.MessagesRecv.Add(1)
-	c.stats.BytesRecv.Add(int64(len(f.payload)))
-	return f.tag, f.payload, nil
-}
-
-// SetRecvDeadline arms (zero time: clears) the Recv deadline for one
-// peer. It applies to Recv calls entered after it returns — the
-// dispatch path arms deadlines before kicking its receivers, so every
-// guarded wait sees them.
-func (c *ChanTransport) SetRecvDeadline(peer int, at time.Time) error {
-	if peer < 0 || peer >= c.size || peer == c.rank {
-		return fmt.Errorf("fabric: SetRecvDeadline on invalid rank %d", peer)
-	}
-	if at.IsZero() {
-		c.dl[peer].Store(0)
-	} else {
-		c.dl[peer].Store(at.UnixNano())
-	}
-	return nil
-}
-
-// Recycle pushes buf onto the group's frame free list (dropped when the
-// list is full). Receivers call it once a Recv payload is fully
-// consumed; the buffer then backs a later Send's copy.
-func (c *ChanTransport) Recycle(_ int, buf []byte) { c.free.put(buf) }
-
-// Close tears down the whole group.
-func (c *ChanTransport) Close() error {
-	c.once.Do(func() { close(c.closed) })
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// TCP transport
-// ---------------------------------------------------------------------
-
-// tcpHello is the tag of the rank-identification frame a worker sends
-// right after dialing: [version:4 LE][rank:4 LE].
-const tcpHello byte = 0xFF
-
-// helloLen is the payload size of both hello flavors (tcpHello and
-// starHello): a protocol version word plus an identity word.
+// helloLen is the hello payload size: a protocol version word plus the
+// pid word.
 const helloLen = 8
 
 // encodeHello builds a hello payload announcing the protocol version
-// and an identity word (rank for tcpHello, pid for starHello).
-func encodeHello(id uint32) []byte {
+// and pid.
+func encodeHello(pid uint32) []byte {
 	var p [helloLen]byte
 	binary.LittleEndian.PutUint32(p[0:4], ProtocolVersion)
-	binary.LittleEndian.PutUint32(p[4:8], id)
+	binary.LittleEndian.PutUint32(p[4:8], pid)
 	return p[:]
 }
 
-// decodeHello validates a hello frame's shape and version, returning
-// the identity word.
-func decodeHello(kind string, tag, wantTag byte, payload []byte) (uint32, error) {
-	if tag != wantTag || len(payload) != helloLen {
-		return 0, fmt.Errorf("fabric: bad %s hello (tag %d, %d bytes)", kind, tag, len(payload))
+// decodeHello validates a hello frame's tag, shape and version,
+// returning the pid.
+func decodeHello(tag byte, payload []byte) (uint32, error) {
+	if tag != starHello || len(payload) != helloLen {
+		return 0, fmt.Errorf("fabric: bad star hello (tag %d, %d bytes)", tag, len(payload))
 	}
 	if v := binary.LittleEndian.Uint32(payload[0:4]); v != ProtocolVersion {
-		return 0, fmt.Errorf("fabric: %s hello speaks protocol %d, this master speaks %d", kind, v, ProtocolVersion)
+		return 0, fmt.Errorf("fabric: star hello speaks protocol %d, this master speaks %d", v, ProtocolVersion)
 	}
 	return binary.LittleEndian.Uint32(payload[4:8]), nil
-}
-
-// TCPTransport is the cross-process Transport: length-prefixed tagged
-// frames over one TCP connection per (master, worker) pair. The master
-// endpoint holds size-1 accepted connections; a worker endpoint holds
-// its single connection to the master. Workers can only exchange frames
-// with rank 0 — the star topology is all the finegrain protocol needs.
-type TCPTransport struct {
-	rank   int
-	size   int
-	conns  []*tcpConn // indexed by peer rank; nil where no link exists
-	ln     net.Listener
-	closed atomic.Bool
-	free   frameFreeList // endpoint-wide
-	stats  TransportStats
 }
 
 // frameHeaderLen is the fixed prefix of a TCP frame: tag, payload
@@ -586,199 +252,12 @@ type tcpConn struct {
 	// wbuf is the outgoing frame under construction (header, then a
 	// payload of up to coalesceMax bytes); guarded by wmu.
 	wbuf []byte
-	free frameFreeList // shared with the owning endpoint or link pair
+	free frameFreeList // the owning link's
 }
 
 // newTCPConn frames c, recycling payload buffers through free.
 func newTCPConn(c net.Conn, free frameFreeList) *tcpConn {
 	return &tcpConn{c: c, br: bufio.NewReaderSize(c, 4096), wbuf: make([]byte, frameHeaderLen, 512), free: free}
-}
-
-// ListenTCP creates the master endpoint: it listens on addr (use
-// "127.0.0.1:0" for an ephemeral port, retrievable via Addr) and
-// Accept waits for the size-1 workers to dial in and identify.
-func ListenTCP(addr string, size int) (*TCPTransport, error) {
-	if size < 2 {
-		return nil, fmt.Errorf("fabric: TCP transport needs >= 2 ranks, got %d", size)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &TCPTransport{rank: 0, size: size, conns: make([]*tcpConn, size), ln: ln, free: make(frameFreeList, 64)}, nil
-}
-
-// Addr returns the master's listen address (for spawning workers).
-func (t *TCPTransport) Addr() string {
-	if t.ln == nil {
-		return ""
-	}
-	return t.ln.Addr().String()
-}
-
-// Accept blocks until every worker rank has connected and identified
-// itself with a hello frame. Master-side only. Each accepted
-// connection's hello read runs under HelloTimeout, so a dialer that
-// connects and then wedges cannot block the world's formation forever.
-func (t *TCPTransport) Accept() error {
-	if t.ln == nil {
-		return fmt.Errorf("fabric: Accept on a worker endpoint")
-	}
-	for n := 0; n < t.size-1; n++ {
-		c, err := t.ln.Accept()
-		if err != nil {
-			return err
-		}
-		tc := newTCPConn(c, t.free)
-		if HelloTimeout > 0 {
-			c.SetReadDeadline(time.Now().Add(HelloTimeout))
-		}
-		tag, payload, err := tc.read()
-		if err != nil {
-			c.Close()
-			return fmt.Errorf("fabric: worker hello: %w", err)
-		}
-		c.SetReadDeadline(time.Time{})
-		id, err := decodeHello("worker", tag, tcpHello, payload)
-		if err != nil {
-			c.Close()
-			return err
-		}
-		rank := int(id)
-		if rank < 1 || rank >= t.size || t.conns[rank] != nil {
-			c.Close()
-			return fmt.Errorf("fabric: worker hello claims invalid or duplicate rank %d", rank)
-		}
-		t.conns[rank] = tc
-	}
-	return nil
-}
-
-// DialTCP creates worker endpoint `rank`, connecting to the master at
-// addr — retrying with capped exponential backoff until DialTimeout,
-// since workers routinely start before the master's listener exists —
-// and identifying itself with a versioned hello.
-func DialTCP(addr string, rank, size int) (*TCPTransport, error) {
-	if rank < 1 || rank >= size {
-		return nil, fmt.Errorf("fabric: worker rank %d outside [1, %d)", rank, size)
-	}
-	c, err := dialRetry(addr)
-	if err != nil {
-		return nil, err
-	}
-	t := &TCPTransport{rank: rank, size: size, conns: make([]*tcpConn, size), free: make(frameFreeList, 64)}
-	t.conns[0] = newTCPConn(c, t.free)
-	if err := t.conns[0].write(tcpHello, encodeHello(uint32(rank))); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return t, nil
-}
-
-// Rank returns this endpoint's rank.
-func (t *TCPTransport) Rank() int { return t.rank }
-
-// Size returns the group size.
-func (t *TCPTransport) Size() int { return t.size }
-
-// Stats returns this endpoint's counters.
-func (t *TCPTransport) Stats() *TransportStats { return &t.stats }
-
-func (t *TCPTransport) conn(peer int) (*tcpConn, error) {
-	if peer < 0 || peer >= t.size || peer == t.rank {
-		return nil, fmt.Errorf("fabric: invalid peer rank %d", peer)
-	}
-	c := t.conns[peer]
-	if c == nil {
-		return nil, fmt.Errorf("fabric: no link to rank %d (workers only talk to the master)", peer)
-	}
-	return c, nil
-}
-
-// peerError types a failed read/write on the link to `peer`: the
-// endpoint's own Close yields ErrTransportClosed (the deliberate
-// teardown every serve loop treats as a clean exit), and so does a
-// vanished *master* seen from a worker — rank 0 dying IS the end of a
-// star world. Everything else — EOF, connection reset, a killed worker
-// process — becomes a typed RankDeadError the master can react to
-// (mark the rank dead, re-stripe) instead of dying.
-func (t *TCPTransport) peerError(peer int, err error) error {
-	if t.closed.Load() || errors.Is(err, net.ErrClosed) {
-		// Our own socket object was closed under a blocked call —
-		// teardown, not peer death.
-		return ErrTransportClosed
-	}
-	if t.rank != 0 && peer == 0 {
-		return ErrTransportClosed
-	}
-	return &RankDeadError{Rank: peer, Err: err}
-}
-
-// Send delivers one frame to rank `to`. A broken link surfaces as a
-// *RankDeadError carrying the peer's rank, not a process-fatal
-// condition: the sender decides whether the rank's death is fatal.
-func (t *TCPTransport) Send(to int, tag byte, payload []byte) error {
-	c, err := t.conn(to)
-	if err != nil {
-		return err
-	}
-	if err := c.write(tag, payload); err != nil {
-		return t.peerError(to, err)
-	}
-	t.stats.MessagesSent.Add(1)
-	t.stats.BytesSent.Add(int64(len(payload)))
-	return nil
-}
-
-// Recv blocks for the next frame from rank `from`. Peer death (EOF,
-// reset) surfaces as *RankDeadError; this endpoint's own Close as
-// ErrTransportClosed.
-func (t *TCPTransport) Recv(from int) (byte, []byte, error) {
-	c, err := t.conn(from)
-	if err != nil {
-		return 0, nil, err
-	}
-	tag, payload, err := c.read()
-	if err != nil {
-		return 0, nil, t.peerError(from, err)
-	}
-	t.stats.MessagesRecv.Add(1)
-	t.stats.BytesRecv.Add(int64(len(payload)))
-	return tag, payload, nil
-}
-
-// SetRecvDeadline arms (zero time: clears) the read deadline on the
-// link to one peer. Unlike the chan transport it also interrupts a
-// Recv already blocked in the kernel. Expiry surfaces through Recv as
-// a RankDeadError wrapping os.ErrDeadlineExceeded.
-func (t *TCPTransport) SetRecvDeadline(peer int, at time.Time) error {
-	c, err := t.conn(peer)
-	if err != nil {
-		return err
-	}
-	return c.c.SetReadDeadline(at)
-}
-
-// Recycle pushes buf onto the endpoint's frame free list (dropped when
-// the list is full); later reads reuse it for incoming payloads.
-func (t *TCPTransport) Recycle(_ int, buf []byte) { t.free.put(buf) }
-
-// Close shuts every connection (and the master's listener) down.
-func (t *TCPTransport) Close() error {
-	t.closed.Store(true)
-	var first error
-	if t.ln != nil {
-		first = t.ln.Close()
-	}
-	for _, c := range t.conns {
-		if c == nil {
-			continue
-		}
-		if err := c.c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // maxFrameBytes bounds one frame; a length prefix beyond it means a

@@ -133,8 +133,7 @@ func BenchmarkOptimizeBranchRemote(b *testing.B) {
 					b.Run(fmt.Sprintf("%s/%s/%s/patterns=%d", transport, model, side, n), func(b *testing.B) {
 						forceGather(b, gather)
 						if transport == "tcp" {
-							eng, _, stop := tcpGrid(b, 2, 1, pat, cat)
-							defer stop()
+							eng, _ := tcpGrid(b, 2, 1, pat, cat)
 							if err := loop(b, eng, topo); err != nil {
 								b.Fatal(err)
 							}

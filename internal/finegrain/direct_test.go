@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"raxml/internal/fabric"
 	"raxml/internal/likelihood"
 	"raxml/internal/msa"
 	"raxml/internal/rng"
@@ -35,14 +34,14 @@ func (l *dispatchLog) take() string {
 	return s
 }
 
-// sendLogTransport logs every job frame once its Send has returned.
-type sendLogTransport struct {
-	fabric.Transport
+// sendLogLink logs every job frame once its Send has returned.
+type sendLogLink struct {
+	linkShim
 	log *dispatchLog
 }
 
-func (s *sendLogTransport) Send(to int, tag byte, payload []byte) error {
-	err := s.Transport.Send(to, tag, payload)
+func (s *sendLogLink) Send(tag byte, payload []byte) error {
+	err := s.Link.Send(tag, payload)
 	if tag == TagJob || tag == TagJobFrag {
 		s.log.add('s')
 	}
@@ -94,17 +93,17 @@ func TestFrameLeavesBeforeLocalStripe(t *testing.T) {
 				forceFrag(t, tc.frag)
 			}
 			topo := tree.Random(pat.Names, rng.New(38))
-			trs := fabric.NewChanTransports(ranks)
-			served := make(chan error, ranks-1)
-			for r := 1; r < ranks; r++ {
-				go func(r int) { served <- Serve(trs[r]) }(r)
-			}
 			log := &dispatchLog{}
+			links := serveRanks(t, false, ranks-1)
+			for i, l := range links {
+				links[i] = &sendLogLink{linkShim{l}, log}
+			}
 			set := makeSet(t, pat, true)
-			pool, err := NewPool(&sendLogTransport{trs[0], log}, pat, set, 2)
+			pool, err := NewPool(links, pat, set, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer pool.Release()
 			eng, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: &runLogPool{pool, log}})
 			if err != nil {
 				t.Fatal(err)
@@ -145,13 +144,6 @@ func TestFrameLeavesBeforeLocalStripe(t *testing.T) {
 				}
 				if tc.frag > 0 && name == "full traversal" && sends <= dispatches*(ranks-1) {
 					t.Errorf("%s: %d sends over %d dispatches — the forced threshold did not fragment the descriptor", name, sends, dispatches)
-				}
-			}
-			pool.Close()
-			trs[0].Close()
-			for r := 1; r < ranks; r++ {
-				if err := <-served; err != nil {
-					t.Errorf("worker exit: %v", err)
 				}
 			}
 		})

@@ -3,6 +3,7 @@ package finegrain
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -25,68 +26,53 @@ func forceFrag(t *testing.T, entries int) {
 	t.Cleanup(func() { fragMinEntries, fragEntries = minWas, sizeWas })
 }
 
-// severTransport wraps the master endpoint and, once armed, fails every
-// frame touching one rank the way a cut link fails: Send and Recv both
-// return a typed RankDeadError.
-type severTransport struct {
-	fabric.Transport
-	dead    int
+// severLink wraps one master link and, once severed, fails every frame
+// the way a cut link fails: Send and Recv both return a raw, untyped
+// error — naming the rank is the pool's job.
+type severLink struct {
+	linkShim
 	severed atomic.Bool
 
-	recvs     [3]atomic.Int64 // Recv calls per rank, failed ones included
-	deadSends atomic.Int64    // Send calls that hit the severed link
+	recvs     atomic.Int64 // Recv calls, failed ones included
+	deadSends atomic.Int64 // Send calls that hit the severed link
 }
 
-func (s *severTransport) Send(to int, tag byte, payload []byte) error {
-	if to == s.dead && s.severed.Load() {
+func (s *severLink) Send(tag byte, payload []byte) error {
+	if s.severed.Load() {
 		s.deadSends.Add(1)
-		return &fabric.RankDeadError{Rank: to, Err: errors.New("link severed")}
+		return errors.New("link severed")
 	}
-	return s.Transport.Send(to, tag, payload)
+	return s.Link.Send(tag, payload)
 }
 
-func (s *severTransport) Recv(from int) (byte, []byte, error) {
-	s.recvs[from].Add(1)
-	if from == s.dead && s.severed.Load() {
-		return 0, nil, &fabric.RankDeadError{Rank: from, Err: errors.New("link severed")}
+func (s *severLink) Recv() (byte, []byte, error) {
+	s.recvs.Add(1)
+	if s.severed.Load() {
+		return 0, nil, errors.New("link severed")
 	}
-	return s.Transport.Recv(from)
+	return s.Link.Recv()
 }
 
 // TestSeveredLinkSurfacesRankDead cuts one rank's link between two
 // dispatches and checks the next Post panics with a wrapped
-// fabric.RankDeadError — after receiving from every rank, the severed
-// one included, so the healthy rank and the pool remain releasable. This
-// is the failure shape the grid supervisor recovers from (re-stripe over
-// survivors).
+// fabric.RankDeadError naming that rank — after receiving from every
+// rank, the severed one included, so the healthy rank and the pool
+// remain releasable. This is the failure shape the grid supervisor
+// recovers from (re-stripe over survivors).
 func TestSeveredLinkSurfacesRankDead(t *testing.T) {
 	forceFrag(t, 4) // sever must hit the fragmented scatter path too
 	pat := makeData(t, 10, 600, 2, 31)
 	topo := tree.Random(pat.Names, rng.New(5))
 
-	const ranks = 3
-	trs := fabric.NewChanTransports(ranks)
-	served := make(chan error, ranks-1)
-	for r := 1; r < ranks; r++ {
-		go func(r int) { served <- ServeSessions(trs[r]) }(r)
-	}
-	sever := &severTransport{Transport: trs[0], dead: 2}
-
-	set := makeSet(t, pat, true)
-	pool, err := NewPool(sever, pat, set, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
+	served := serveRanks(t, false, 2)
+	sever := []*severLink{{linkShim: linkShim{served[0]}}, {linkShim: linkShim{served[1]}}}
+	eng, pool := newPool(t, []fabric.Link{sever[0], sever[1]}, pat, makeSet(t, pat, true), 1)
 	if err := eng.AttachTree(topo); err != nil {
 		t.Fatal(err)
 	}
 	_ = eng.LogLikelihood() // healthy dispatch first
 
-	sever.severed.Store(true)
+	sever[1].severed.Store(true) // rank 2
 	panicked := func() (v any) {
 		defer func() { v = recover() }()
 		eng.InvalidateAll()
@@ -110,13 +96,13 @@ func TestSeveredLinkSurfacesRankDead(t *testing.T) {
 	// partial of the failed dispatch is not still queued (its Release
 	// below would drain it silently and prove nothing), and the dead rank
 	// was asked once per dispatch, not once per frame after the first.
-	if got := sever.recvs[1].Load(); got != 2 {
+	if got := sever[0].recvs.Load(); got != 2 {
 		t.Errorf("rank 1 was received from %d times over two dispatches, want 2", got)
 	}
-	if got := sever.recvs[2].Load(); got != 2 {
+	if got := sever[1].recvs.Load(); got != 2 {
 		t.Errorf("severed rank 2 was received from %d times over two dispatches, want 2", got)
 	}
-	if got := sever.deadSends.Load(); got != 1 {
+	if got := sever[1].deadSends.Load(); got != 1 {
 		t.Errorf("%d frames were sent to the severed rank, want 1 (the rest of the dispatch skips a failed link)", got)
 	}
 
@@ -126,16 +112,10 @@ func TestSeveredLinkSurfacesRankDead(t *testing.T) {
 	if len(deadRanks) != 1 || deadRanks[0] != 2 {
 		t.Fatalf("Release reported dead ranks %v, want [2]", deadRanks)
 	}
-	trs[0].Close()
-	for r := 1; r < ranks; r++ {
-		if err := <-served; err != nil {
-			t.Errorf("worker exit: %v", err)
-		}
-	}
 }
 
 // TestPostAllocationFree pins the zero-alloc dispatch hot path: after
-// warm-up, a steady-state evaluation dispatch over the chan transport —
+// warm-up, a steady-state evaluation dispatch over an in-proc link —
 // encode, scatter, local stripe, fold, decode — performs no per-Post
 // heap allocations on the master. (AllocsPerRun counts process-wide
 // mallocs, so the worker goroutine's loop has to be clean too.)
@@ -143,19 +123,7 @@ func TestPostAllocationFree(t *testing.T) {
 	pat := makeData(t, 12, 600, 1, 17)
 	topo := tree.Random(pat.Names, rng.New(3))
 
-	trs := fabric.NewChanTransports(2)
-	served := make(chan error, 1)
-	go func() { served <- ServeSessions(trs[1]) }()
-
-	set := makeSet(t, pat, true)
-	pool, err := NewPool(trs[0], pat, set, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, _ := newPool(t, serveRanks(t, false, 1), pat, makeSet(t, pat, true), 1)
 	if err := eng.AttachTree(topo); err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +156,6 @@ func TestPostAllocationFree(t *testing.T) {
 		_ = eng.EvaluateInsertion(p.Root, p.Attach, cands[0].A, cands[0].B)
 	}); avg != 0 {
 		t.Errorf("steady-state one-candidate scan allocates %.1f times per Post, want 0", avg)
-	}
-	pool.Close()
-	trs[0].Close()
-	if err := <-served; err != nil {
-		t.Errorf("worker exit: %v", err)
 	}
 }
 
@@ -229,8 +192,7 @@ func abortStorm(t *testing.T, pool *Pool, eng *likelihood.Engine, want float64) 
 	}
 }
 
-// TestAbortMidScatterChan runs the abort storm over the in-proc chan
-// transport.
+// TestAbortMidScatterChan runs the abort storm over in-proc LinkPairs.
 func TestAbortMidScatterChan(t *testing.T) {
 	forceFrag(t, 4)
 	pat := makeData(t, 12, 900, 2, 23)
@@ -253,8 +215,7 @@ func TestAbortMidScatterChan(t *testing.T) {
 	}
 }
 
-// TestAbortMidScatterTCP runs the abort storm over the real TCP
-// transport.
+// TestAbortMidScatterTCP runs the abort storm over real TCP links.
 func TestAbortMidScatterTCP(t *testing.T) {
 	forceFrag(t, 4)
 	pat := makeData(t, 10, 600, 2, 29)
@@ -265,8 +226,7 @@ func TestAbortMidScatterTCP(t *testing.T) {
 	}
 	want := ref.LogLikelihood()
 
-	eng, pool, stop := tcpGrid(t, 3, 1, pat, true)
-	defer stop()
+	eng, pool := tcpGrid(t, 3, 1, pat, true)
 	if err := eng.AttachTree(topo.Clone()); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +239,8 @@ func TestAbortMidScatterTCP(t *testing.T) {
 // repeated traversal of the same topology ships the same entries as
 // 9-byte delta refs — the second dispatch's bytes must come in well
 // under the first's — while both reproduce the reference likelihood to
-// 1e-10.
+// 1e-10. Each is one dispatch: the frames jobFrames counts out, one
+// partial back, on every rank's link.
 func TestFragmentedDeltaWireTraffic(t *testing.T) {
 	forceFrag(t, 4)
 	pat := makeData(t, 12, 900, 2, 41)
@@ -290,47 +251,60 @@ func TestFragmentedDeltaWireTraffic(t *testing.T) {
 	}
 	want := ref.LogLikelihood()
 
-	err := Run(2, 2, pat, makeSet(t, pat, false), func(eng *likelihood.Engine, pool *Pool) error {
-		if err := eng.AttachTree(topo.Clone()); err != nil {
-			return err
-		}
-		_ = eng.LogLikelihood() // ships the model block once
-		st := pool.Transport().Stats()
-
-		// Re-attaching the same topology bumps the topo epoch: the reset
-		// clears both delta caches, so the full traversal re-ships every
-		// entry in 49-byte full form (no model block — the model epoch
-		// did not move). This is the fair baseline for the ref dispatch.
-		if err := eng.AttachTree(topo.Clone()); err != nil {
-			return err
-		}
-		by0 := st.BytesSent.Load()
-		if got := eng.LogLikelihood(); relDiff(got, want) > 1e-10 {
-			t.Errorf("fragmented full ship: %.12f vs reference %.12f", got, want)
-		}
-		full := st.BytesSent.Load() - by0
-
-		// A branch-length-style invalidation staleness with unchanged
-		// entries: the same traversal re-ships as 9-byte refs.
-		e := topo.Edges()[0]
-		eng.InvalidateEdge(e.A, e.B)
-		by1 := st.BytesSent.Load()
-		if got := eng.LogLikelihood(); relDiff(got, want) > 1e-10 {
-			t.Errorf("delta re-ship: %.12f vs reference %.12f", got, want)
-		}
-		delta := st.BytesSent.Load() - by1
-
-		if full == 0 || delta == 0 {
-			t.Fatalf("no traffic recorded: full=%d delta=%d", full, delta)
-		}
-		if delta*2 >= full {
-			t.Errorf("delta re-ship cost %d bytes vs %d full — refs are not shrinking the frames", delta, full)
-		}
-		return nil
-	})
-	if err != nil {
+	eng, _, links := countedGrid(t, false, 3, 2, pat, makeSet(t, pat, false))
+	if err := eng.AttachTree(topo.Clone()); err != nil {
 		t.Fatal(err)
 	}
+	_ = eng.LogLikelihood() // ships the model block once
+
+	// ship runs one relikelihood, checks its bits and its frames, and
+	// returns the bytes it sent to rank 1.
+	ship := func(what string) int64 {
+		d0, c0 := eng.DispatchCount(), counts(links)
+		if got := eng.LogLikelihood(); relDiff(got, want) > 1e-10 {
+			t.Errorf("%s: %.12f vs reference %.12f", what, got, want)
+		}
+		if d := eng.DispatchCount() - d0; d != 1 {
+			t.Fatalf("%s: %d dispatches, want 1", what, d)
+		}
+		checkFrames(t, what, links, c0, jobFrames(len(eng.LastTraversal())), 1)
+		return links[0].bytesSent.Load() - c0[0].bytesSent
+	}
+
+	// Re-attaching the same topology bumps the topo epoch: the reset
+	// clears both delta caches, so the full traversal re-ships every entry
+	// in 49-byte full form (no model block — the model epoch did not
+	// move). This is the fair baseline for the ref dispatch.
+	if err := eng.AttachTree(topo.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	full := ship("fragmented full ship")
+	if jobFrames(len(eng.LastTraversal())) < 3 {
+		t.Fatalf("a %d-entry full traversal is not fragmented under the forced threshold", len(eng.LastTraversal()))
+	}
+
+	// A branch-length-style invalidation staleness with unchanged
+	// entries: the same traversal re-ships as 9-byte refs.
+	e := topo.Edges()[0]
+	eng.InvalidateEdge(e.A, e.B)
+	delta := ship("delta re-ship")
+
+	if full == 0 || delta == 0 {
+		t.Fatalf("no traffic recorded: full=%d delta=%d", full, delta)
+	}
+	if delta*2 >= full {
+		t.Errorf("delta re-ship cost %d bytes vs %d full — refs are not shrinking the frames", delta, full)
+	}
+}
+
+// jobFrames is how many frames Post writes to each rank for a
+// descriptor of n entries: a header fragment plus one per fragEntries
+// range once n reaches fragMinEntries, a single frame below that.
+func jobFrames(n int) int64 {
+	if n < fragMinEntries {
+		return 1
+	}
+	return 1 + int64((n+fragEntries-1)/fragEntries)
 }
 
 // TestTCPDispatchLatencySmoke is the CI smoke bound on TCP dispatch
@@ -342,8 +316,7 @@ func TestTCPDispatchLatencySmoke(t *testing.T) {
 	pat := makeData(t, 10, 600, 1, 47)
 	topo := tree.Random(pat.Names, rng.New(23))
 
-	eng, _, stop := tcpGrid(t, 2, 1, pat, true)
-	defer stop()
+	eng, _ := tcpGrid(t, 2, 1, pat, true)
 	if err := eng.AttachTree(topo); err != nil {
 		t.Fatal(err)
 	}
@@ -390,53 +363,18 @@ func pruneForScan(t *testing.T, topo *tree.Tree) (*tree.PrunedSubtree, []tree.Ed
 }
 
 // tcpGrid builds a master pool and engine over `ranks` loopback TCP
-// ranks served by in-process workers; stop shuts the grid down and
-// reports worker failures.
-func tcpGrid(t testing.TB, ranks, threadsPerRank int, pat *msa.Patterns, cat bool) (eng *likelihood.Engine, pool *Pool, stop func()) {
+// ranks served by in-process workers, torn down on cleanup.
+func tcpGrid(t testing.TB, ranks, threadsPerRank int, pat *msa.Patterns, cat bool) (*likelihood.Engine, *Pool) {
 	t.Helper()
-	master, err := fabric.ListenTCP("127.0.0.1:0", ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, ranks-1)
-	for r := 1; r < ranks; r++ {
-		go func(r int) {
-			wt, err := fabric.DialTCP(master.Addr(), r, ranks)
-			if err != nil {
-				served <- err
-				return
-			}
-			defer wt.Close()
-			served <- Serve(wt)
-		}(r)
-	}
-	if err := master.Accept(); err != nil {
-		t.Fatal(err)
-	}
-	set := makeSet(t, pat, cat)
-	if pool, err = NewPool(master, pat, set, threadsPerRank); err != nil {
-		t.Fatal(err)
-	}
-	if eng, err = likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool}); err != nil {
-		t.Fatal(err)
-	}
-	return eng, pool, func() {
-		pool.Close()
-		for r := 1; r < ranks; r++ {
-			if err := <-served; err != nil {
-				t.Errorf("worker exit: %v", err)
-			}
-		}
-		master.Close()
-	}
+	return newPool(t, serveRanks(t, true, ranks-1), pat, makeSet(t, pat, cat), threadsPerRank)
 }
 
 // scanOnce drives one cold batched scan on a distributed engine and
-// checks its cost at the transport counters — one dispatch, one
-// broadcast, one reduction, `frames` frames per remote rank, no model
-// block — and its bits: every score equals the warm one-candidate call
-// on the same engine and grid.
-func scanOnce(t *testing.T, eng *likelihood.Engine, pool *Pool, topo *tree.Tree, frames func(entries int) int64) {
+// checks its cost on the wire — one dispatch, `frames` frames out and
+// one partial back on every rank's link, no model block — and its bits:
+// every score equals the warm one-candidate call on the same engine and
+// grid.
+func scanOnce(t *testing.T, eng *likelihood.Engine, links []*countingLink, topo *tree.Tree, frames func(entries int) int64) {
 	t.Helper()
 	if err := eng.AttachTree(topo); err != nil {
 		t.Fatal(err)
@@ -446,20 +384,17 @@ func scanOnce(t *testing.T, eng *likelihood.Engine, pool *Pool, topo *tree.Tree,
 	eng.InvalidateEdge(p.OrigA, p.OrigB)
 	eng.InvalidateNode(p.Attach)
 
-	st := pool.Transport().Stats()
-	d0, b0, r0, m0 := eng.DispatchCount(), st.Broadcasts.Load(), st.Reductions.Load(), st.MessagesSent.Load()
+	d0, c0 := eng.DispatchCount(), counts(links)
 	blocks0 := eng.ModelBlocksEncoded()
 	got := eng.EvaluateInsertions(p.Root, p.Attach, cands, nil)
 	entries := len(eng.LastTraversal())
 	if entries == 0 {
 		t.Fatal("the scan after a prune queued no view")
 	}
-	if d, b, r := eng.DispatchCount()-d0, st.Broadcasts.Load()-b0, st.Reductions.Load()-r0; d != 1 || b != 1 || r != 1 {
-		t.Errorf("%d candidates, %d stale views: %d dispatches, %d broadcasts, %d reductions, want 1 each", len(cands), entries, d, b, r)
+	if d := eng.DispatchCount() - d0; d != 1 {
+		t.Errorf("%d candidates, %d stale views: %d dispatches, want 1", len(cands), entries, d)
 	}
-	if m, want := st.MessagesSent.Load()-m0, frames(entries)*int64(pool.Transport().Size()-1); m != want {
-		t.Errorf("scan over a %d-entry descriptor sent %d frames, want %d", entries, m, want)
-	}
+	checkFrames(t, fmt.Sprintf("scan over a %d-entry descriptor", entries), links, c0, frames(entries), 1)
 	if n := eng.ModelBlocksEncoded() - blocks0; n != 0 {
 		t.Errorf("scan shipped %d model blocks, want 0", n)
 	}
@@ -478,19 +413,14 @@ func scanOnce(t *testing.T, eng *likelihood.Engine, pool *Pool, topo *tree.Tree,
 func TestScanIsOneDispatch(t *testing.T) {
 	pat := makeData(t, 16, 600, 2, 61)
 	topo := tree.Random(pat.Names, rng.New(62))
-	err := Run(2, 2, pat, makeSet(t, pat, true), func(eng *likelihood.Engine, pool *Pool) error {
-		scanOnce(t, eng, pool, topo, func(int) int64 { return 1 })
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, _, links := countedGrid(t, false, 2, 2, pat, makeSet(t, pat, true))
+	scanOnce(t, eng, links, topo, func(int) int64 { return 1 })
 }
 
 // TestScanFragmented forces the union descriptor of a batched scan over
-// the fragmentation threshold, on both transports: the header fragment
-// carries the candidate block, the entry fragments follow, and it is
-// still one broadcast, one reduction and the same bits.
+// the fragmentation threshold, over in-proc and TCP links: the header
+// fragment carries the candidate block, the entry fragments follow, and
+// it is still one broadcast, one reduction and the same bits.
 func TestScanFragmented(t *testing.T) {
 	forceFrag(t, 4)
 	pat := makeData(t, 16, 600, 2, 67)
@@ -498,35 +428,28 @@ func TestScanFragmented(t *testing.T) {
 		if entries < fragMinEntries {
 			t.Fatalf("%d-entry descriptor is under the forced threshold %d", entries, fragMinEntries)
 		}
-		return 1 + int64((entries+fragEntries-1)/fragEntries)
+		return jobFrames(entries)
 	}
 	t.Run("chan", func(t *testing.T) {
-		topo := tree.Random(pat.Names, rng.New(68))
-		err := Run(2, 1, pat, makeSet(t, pat, false), func(eng *likelihood.Engine, pool *Pool) error {
-			scanOnce(t, eng, pool, topo, fragmented)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng, _, links := countedGrid(t, false, 2, 1, pat, makeSet(t, pat, false))
+		scanOnce(t, eng, links, tree.Random(pat.Names, rng.New(68)), fragmented)
 	})
 	t.Run("tcp", func(t *testing.T) {
-		eng, pool, stop := tcpGrid(t, 3, 2, pat, true)
-		defer stop()
-		scanOnce(t, eng, pool, tree.Random(pat.Names, rng.New(69)), fragmented)
+		eng, _, links := countedGrid(t, true, 3, 2, pat, makeSet(t, pat, true))
+		scanOnce(t, eng, links, tree.Random(pat.Names, rng.New(69)), fragmented)
 	})
 }
 
-// shortWideTransport wraps the master endpoint and, once armed, drops
-// the last wide component from every reduction partial it receives —
-// the shape of a partial answering some other job.
-type shortWideTransport struct {
-	fabric.Transport
+// shortWideLink wraps a master link and, once armed, drops the last
+// wide component from every reduction partial it receives — the shape
+// of a partial answering some other job.
+type shortWideLink struct {
+	linkShim
 	armed atomic.Bool
 }
 
-func (s *shortWideTransport) Recv(from int) (byte, []byte, error) {
-	tag, payload, err := s.Transport.Recv(from)
+func (s *shortWideLink) Recv() (byte, []byte, error) {
+	tag, payload, err := s.Link.Recv()
 	if err == nil && tag == TagPartial && s.armed.Load() {
 		if nw := binary.LittleEndian.Uint32(payload[16:]); nw > 0 {
 			cut := 20 + 8*int(nw-1)
@@ -546,20 +469,8 @@ func (s *shortWideTransport) Recv(from int) (byte, []byte, error) {
 func TestShortWidePartialSurfacesRankDead(t *testing.T) {
 	pat := makeData(t, 16, 600, 2, 71)
 	topo := tree.Random(pat.Names, rng.New(72))
-	trs := fabric.NewChanTransports(2)
-	served := make(chan error, 1)
-	go func() { served <- ServeSessions(trs[1]) }()
-	short := &shortWideTransport{Transport: trs[0]}
-
-	set := makeSet(t, pat, true)
-	pool, err := NewPool(short, pat, set, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
+	short := &shortWideLink{linkShim: linkShim{serveRanks(t, false, 1)[0]}}
+	eng, pool := newPool(t, []fabric.Link{short}, pat, makeSet(t, pat, true), 1)
 	if err := eng.AttachTree(topo); err != nil {
 		t.Fatal(err)
 	}
@@ -590,33 +501,26 @@ func TestShortWidePartialSurfacesRankDead(t *testing.T) {
 	if dead := pool.Release(); len(dead) != 0 {
 		t.Fatalf("Release reported dead ranks %v on a healthy link", dead)
 	}
-	if err := trs[0].Send(1, TagShutdown, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-served; err != nil {
-		t.Errorf("worker exit: %v", err)
-	}
-	trs[0].Close()
 }
 
-// badCategoryTransport wraps the master endpoint and, once armed,
-// rewrites the last pattern's rate category in every model-sync block
-// it sends to a value the shipped category rates do not have — a bit
-// flip past the CRC, or a frame from some other stream.
-type badCategoryTransport struct {
-	fabric.Transport
+// badCategoryLink wraps a master link and, once armed, rewrites the
+// last pattern's rate category in every model-sync block it sends to a
+// value the shipped category rates do not have — a bit flip past the
+// CRC, or a frame from some other stream.
+type badCategoryLink struct {
+	linkShim
 	offset   int   // byte offset of that category in a job frame
 	category int32 // what to put there
 	armed    atomic.Bool
 }
 
-func (b *badCategoryTransport) Send(to int, tag byte, payload []byte) error {
+func (b *badCategoryLink) Send(tag byte, payload []byte) error {
 	const modelFlag = 1 // likelihood's jobFlagModel
 	if b.armed.Load() && (tag == TagJob || tag == TagJobFrag) && len(payload) > b.offset+4 && payload[1]&modelFlag != 0 {
 		payload = append([]byte(nil), payload...)
 		binary.LittleEndian.PutUint32(payload[b.offset:], uint32(b.category))
 	}
-	return b.Transport.Send(to, tag, payload)
+	return b.Link.Send(tag, payload)
 }
 
 // TestBadCategoryOnWireSurfacesRankDead: a model block whose CAT
@@ -631,44 +535,20 @@ func TestBadCategoryOnWireSurfacesRankDead(t *testing.T) {
 	n := pat.NumPatterns()
 	for name, category := range map[string]int32{"out of range": 1, "negative": -1} {
 		t.Run(name, func(t *testing.T) {
-			// Over TCP: a rank that closes its link is one dead rank there,
-			// where closing a chan endpoint tears the whole world down.
-			master, err := fabric.ListenTCP("127.0.0.1:0", 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer master.Close()
+			m, w := fabric.LinkPair()
+			defer m.Close()
 			served := make(chan error, 1)
-			go func() {
-				wt, err := fabric.DialTCP(master.Addr(), 1, 2)
-				if err != nil {
-					served <- err
-					return
-				}
-				defer wt.Close()
-				served <- Serve(wt)
-			}()
-			if err := master.Accept(); err != nil {
-				t.Fatal(err)
-			}
+			go func() { served <- ServeSessions(w) }()
 			// Frame layout up to the last category (the master keeps the
 			// first stripe, the worker the last): code, flags, node
 			// capacity; the weights; CAT flag and partition count; the
 			// partition's ten model parameters, its one category rate, no
 			// probabilities; the assignment's length and n-1 categories.
-			bad := &badCategoryTransport{
-				Transport: master, category: category,
+			bad := &badCategoryLink{
+				linkShim: linkShim{m}, category: category,
 				offset: 6 + (4 + 4*n) + 1 + 4 + 10*8 + (4 + 8) + 4 + 4 + 4*(n-1),
 			}
-			set := makeSet(t, pat, true)
-			pool, err := NewPool(bad, pat, set, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
-			if err != nil {
-				t.Fatal(err)
-			}
+			eng, _ := newPool(t, []fabric.Link{bad}, pat, makeSet(t, pat, true), 1)
 			if err := eng.AttachTree(topo); err != nil {
 				t.Fatal(err)
 			}
@@ -690,7 +570,6 @@ func TestBadCategoryOnWireSurfacesRankDead(t *testing.T) {
 			if err := <-served; !errors.Is(err, likelihood.ErrWireDesync) {
 				t.Errorf("worker exit: %v, want a wire desync", err)
 			}
-			pool.Close()
 		})
 	}
 }

@@ -25,8 +25,8 @@
 //	   point at which the master waits
 //
 // so a partitioned full-tree relikelihood costs exactly one descriptor
-// broadcast plus one reduction — the invariant the transport counters
-// assert in tests. Reductions combine rank partials in rank order
+// broadcast plus one reduction — the invariant tests assert by counting
+// the frames on each link. Reductions combine rank partials in rank order
 // after the local worker-order sums, keeping results deterministic for
 // a fixed R×t grid.
 //
@@ -43,14 +43,15 @@
 // (GathersSumtable), so a branch costs one Post instead of one per
 // iteration.
 //
-// The transport is pluggable (fabric.Transport): in-proc channels for
-// fabric.Run-hosted hybrids and tests, TCP for real worker processes
-// spawned via `raxml` worker mode. See docs/hybrid-topology.md for the
-// wire protocol.
+// A pool's ranks are fabric.Links, one per remote rank: in-proc
+// LinkPairs for Run-hosted hybrids and tests, TCP links to spawned
+// `raxml -grid-worker` processes for `-fine -fine-transport tcp` and
+// the grid. See docs/hybrid-topology.md for the wire protocol.
 package finegrain
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"raxml/internal/fabric"
@@ -68,7 +69,9 @@ const (
 	TagJob
 	// TagPartial carries one encoded reduction partial (worker -> master).
 	TagPartial
-	// TagShutdown ends a worker's serve loop (master -> workers).
+	// TagShutdown ends an idle worker's serve loop: the fleet's teardown
+	// (master -> workers). A pool's owner ends its workers by closing
+	// their links instead.
 	TagShutdown
 	// TagErr carries a worker-side error message (worker -> master).
 	TagErr
@@ -157,7 +160,7 @@ const stripeQuantum = 16
 // must be the one that encodes the jobs) and is single-master like
 // threads.Pool.
 type Pool struct {
-	tr      fabric.Transport
+	links   []fabric.Link // links[r-1] is rank r
 	local   *threads.Pool
 	stripes []threads.Range
 
@@ -183,25 +186,25 @@ type Pool struct {
 	// moved topology epoch attaches a tile-reset marker.
 	shippedModel, shippedTopo uint64
 
-	closed bool
+	released bool
 }
 
-// NewPool builds the master endpoint over an accepted transport: it
-// cuts the pattern axis into one even, partition-aligned stripe per
-// rank, ships every remote rank its WorkerInit (stripe pattern data +
-// geometry + treatment shape), and starts the master's own local thread
-// crew over stripe 0.
+// NewPool builds the master endpoint over one link per remote rank —
+// job-local rank r is links[r-1]; nil is the 1-rank, master-local pool
+// — whose workers are serving (ServeSessions): it cuts the pattern axis
+// into one even, partition-aligned stripe per rank, ships every remote
+// rank its WorkerInit (stripe pattern data + geometry + treatment
+// shape), and starts the master's own local thread crew over stripe 0.
+// The links stay the caller's: Release ends the lease, closing them is
+// the owner's business.
 //
 // set supplies the treatment *shape* (CAT vs GAMMA, category count)
 // the worker engines are built with; it should be the same set the
 // master's engine is then constructed from. threadsPerRank is t of the
 // R×t grid (the same t is applied on every rank, as in the paper's
 // one-rank-per-node runs).
-func NewPool(tr fabric.Transport, pat *msa.Patterns, set *gtr.PartitionSet, threadsPerRank int) (*Pool, error) {
-	ranks := tr.Size()
-	if tr.Rank() != 0 {
-		return nil, fmt.Errorf("finegrain: NewPool on rank %d (master is rank 0)", tr.Rank())
-	}
+func NewPool(links []fabric.Link, pat *msa.Patterns, set *gtr.PartitionSet, threadsPerRank int) (*Pool, error) {
+	ranks := len(links) + 1
 	if threadsPerRank < 1 {
 		threadsPerRank = 1
 	}
@@ -218,7 +221,7 @@ func NewPool(tr fabric.Transport, pat *msa.Patterns, set *gtr.PartitionSet, thre
 		}
 	}
 	p := &Pool{
-		tr:      tr,
+		links:   links,
 		stripes: stripes,
 		remote:  make([]*likelihood.WirePartial, ranks),
 		rankErr: make([]error, ranks),
@@ -236,8 +239,8 @@ func NewPool(tr fabric.Transport, pat *msa.Patterns, set *gtr.PartitionSet, thre
 			IsCAT: set.IsCAT(),
 			NCats: set.ClvCats(),
 		}
-		if err := tr.Send(r, TagInit, likelihood.EncodeWorkerInit(init)); err != nil {
-			return nil, fmt.Errorf("finegrain: init rank %d: %w", r, err)
+		if err := links[r-1].Send(TagInit, likelihood.EncodeWorkerInit(init)); err != nil {
+			return nil, fmt.Errorf("finegrain: init rank %d: %w", r, &fabric.RankDeadError{Rank: r, Err: err})
 		}
 		p.remote[r] = &likelihood.WirePartial{}
 	}
@@ -248,10 +251,6 @@ func NewPool(tr fabric.Transport, pat *msa.Patterns, set *gtr.PartitionSet, thre
 	p.local = threads.NewPoolStripe(threadsPerRank, pat.Weights, stripes[0].Lo, stripes[0].Hi)
 	return p, nil
 }
-
-// Transport returns the pool's transport (its counters carry the
-// broadcast/reduction accounting tests assert on).
-func (p *Pool) Transport() fabric.Transport { return p.tr }
 
 // Stripes returns the per-rank pattern stripes.
 func (p *Pool) Stripes() []threads.Range { return p.stripes }
@@ -277,22 +276,23 @@ func (p *Pool) LocalPool() *threads.Pool { return p.local }
 // closes the frame with TagJob. Short descriptors (makenewz iterations,
 // evaluations) are one frame, sent before the master fills its own
 // matrices. Either way every frame is on the wire before the local
-// stripe starts, and a dispatch counts as ONE broadcast and ONE
-// reduction in the transport stats.
+// stripe starts.
 //
-// Transport failures panic — the Dispatcher contract has no error
-// return — but only after every rank has been received from, and the
-// panic value is the wrapped *error*, so a supervisor that recovers it
-// can errors.As out a fabric.RankDeadError and react (the grid
-// scheduler re-stripes the pool over survivors and resumes from
-// checkpoint). Without a supervisor the behavior is the pre-grid
-// fail-fast: a dead rank kills the run.
+// Any link failure — a Send or Recv error, an expired dispatch
+// deadline — is typed here, and only here, as a fabric.RankDeadError
+// carrying the job-local rank: the pool never closes a link mid-lease,
+// so a broken one means that rank is gone. Failures panic — the
+// Dispatcher contract has no error return — but only after every rank
+// has been received from, and the panic value is the wrapped *error*,
+// so RunRecovering turns it back into the error of the body that
+// posted (the grid scheduler then re-stripes the pool over survivors
+// and resumes from checkpoint; the -fine drivers report the dead rank).
 func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 	wm, ok := runner.(likelihood.WireMaster)
 	if !ok {
 		panic(fmt.Sprintf("finegrain: runner %T cannot encode wire jobs", runner))
 	}
-	ranks := p.tr.Size()
+	ranks := len(p.links) + 1
 	if ranks == 1 {
 		// Single-rank grid: no wire, no deferred fill (PipelinesFill
 		// reports false, so the engine filled P matrices eagerly).
@@ -312,8 +312,8 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 	guard := DispatchTimeout > 0
 	if guard {
 		dl := time.Now().Add(DispatchTimeout)
-		for r := 1; r < ranks; r++ {
-			fabric.SetRecvDeadline(p.tr, r, dl)
+		for _, l := range p.links {
+			fabric.SetLinkRecvDeadline(l, dl)
 		}
 	}
 	if n >= fragMinEntries {
@@ -331,7 +331,6 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 		p.send(TagJob, wm.WireJobFrame())
 		wm.FillTravChunk(0, n)
 	}
-	p.tr.Stats().Broadcasts.Add(1)
 	p.shippedModel, p.shippedTopo = modelEpoch, topoEpoch
 
 	p.local.Post(runner, code)
@@ -343,13 +342,13 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 	var firstErr error
 	for r := 1; r < ranks; r++ {
 		sendErr := p.rankErr[r]
-		tag, payload, recvErr := p.tr.Recv(r)
+		tag, payload, recvErr := p.links[r-1].Recv()
 		var err error
 		switch {
 		case sendErr != nil:
-			err = fmt.Errorf("rank %d send: %w", r, sendErr)
+			err = fmt.Errorf("rank %d send: %w", r, &fabric.RankDeadError{Rank: r, Err: sendErr})
 		case recvErr != nil:
-			err = fmt.Errorf("rank %d recv: %w", r, recvErr)
+			err = fmt.Errorf("rank %d recv: %w", r, &fabric.RankDeadError{Rank: r, Err: recvErr})
 		case tag == TagErr:
 			// A worker-reported execution error: the job's own failure,
 			// deliberately NOT RankDead-typed — restriping would just
@@ -383,30 +382,29 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 			}
 			part.Vec = nil
 		}
-		fabric.Recycle(p.tr, r, payload)
+		fabric.RecycleLink(p.links[r-1], payload)
 		p.rankErr[r] = nil
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	if guard {
-		for r := 1; r < ranks; r++ {
-			fabric.SetRecvDeadline(p.tr, r, time.Time{})
+		for _, l := range p.links {
+			fabric.SetLinkRecvDeadline(l, time.Time{})
 		}
 	}
 	if firstErr != nil {
 		panic(fmt.Errorf("finegrain: dispatch: %w", firstErr))
 	}
-	p.tr.Stats().Reductions.Add(1)
 }
 
 // send writes one frame of the current dispatch to every remote rank.
 // A rank whose link already failed in this dispatch is skipped: its
 // first error is what the fold reports.
 func (p *Pool) send(tag byte, payload []byte) {
-	for r := 1; r < len(p.rankErr); r++ {
-		if p.rankErr[r] == nil {
-			p.rankErr[r] = p.tr.Send(r, tag, payload)
+	for r, l := range p.links {
+		if p.rankErr[r+1] == nil {
+			p.rankErr[r+1] = l.Send(tag, payload)
 		}
 	}
 }
@@ -493,7 +491,7 @@ func (p *Pool) ForkJoinRange(lo, hi, grain int, fn func(lo, hi int)) {
 // planning and Post completes it after the frame (or each fragment)
 // has been sent. A single-rank grid has no wire to overlap with, so it
 // fills eagerly.
-func (p *Pool) PipelinesFill() bool { return p.tr.Size() > 1 }
+func (p *Pool) PipelinesFill() bool { return len(p.links) > 0 }
 
 // Dispatches counts jobs posted (each Post is one local barrier
 // crossing plus one broadcast/reduction pair).
@@ -514,29 +512,33 @@ func (p *Pool) Aborted() bool { return p.local.Aborted() }
 // drains its link — discarding partials of any abandoned in-flight job
 // — until the TagReleased ack, after which the rank is provably idle
 // and safe to lease to another coarse job. The local crew is closed.
+// Release is the one way a lease ends: an owner that is done with its
+// workers closes their links afterwards, and a released worker exits
+// cleanly on a closed link.
 //
 // Ranks that fail the handshake (broken link, no ack) are returned so
 // the caller can mark them dead; a failed rank never blocks the
 // release of the ranks after it.
 func (p *Pool) Release() (dead []int) {
-	if p.closed {
+	if p.released {
 		return nil
 	}
-	p.closed = true
-	for r := 1; r < p.tr.Size(); r++ {
-		if !releaseRank(p.tr, r) {
-			dead = append(dead, r)
+	p.released = true
+	for r, l := range p.links {
+		if !ReleaseLink(l) {
+			dead = append(dead, r+1)
 		}
 	}
 	p.local.Close()
 	return dead
 }
 
-// releaseRank runs the release handshake with one rank: send
-// TagRelease, discard frames until the TagReleased ack. Reports
-// whether the rank acked (is alive and idle).
-func releaseRank(tr fabric.Transport, r int) bool {
-	if err := tr.Send(r, TagRelease, nil); err != nil {
+// ReleaseLink runs the release handshake over one worker's link: send
+// TagRelease, discard frames until the TagReleased ack. Reports whether
+// the worker acked (is alive and idle). Pool.Release runs it per rank;
+// the grid runs it directly on a lease whose pool was never built.
+func ReleaseLink(l fabric.Link) bool {
+	if err := l.Send(TagRelease, nil); err != nil {
 		return false
 	}
 	// Bounded drain, in both frames and time: a sane worker has at most
@@ -545,11 +547,11 @@ func releaseRank(tr fabric.Transport, r int) bool {
 	// and a wedged worker that never acks must not hold the release of
 	// the ranks after it hostage.
 	if ReleaseTimeout > 0 {
-		fabric.SetRecvDeadline(tr, r, time.Now().Add(ReleaseTimeout))
-		defer fabric.SetRecvDeadline(tr, r, time.Time{})
+		fabric.SetLinkRecvDeadline(l, time.Now().Add(ReleaseTimeout))
+		defer fabric.SetLinkRecvDeadline(l, time.Time{})
 	}
 	for i := 0; i < 1024; i++ {
-		tag, _, err := tr.Recv(r)
+		tag, _, err := l.Recv()
 		if err != nil {
 			return false
 		}
@@ -560,63 +562,62 @@ func releaseRank(tr fabric.Transport, r int) bool {
 	return false
 }
 
-// Close shuts the grid down: remote serve loops get a shutdown frame,
-// the local crew is closed. The transport itself stays open (its owner
-// closes it).
-func (p *Pool) Close() {
-	if p.closed {
-		return
-	}
-	p.closed = true
-	// Best effort, per rank: one dead rank's broken link must not stop
-	// the shutdown frames to the ranks after it (fabric.Broadcast
-	// returns on the first failed Send, which would leave survivors
-	// blocked in Recv forever).
-	for r := 1; r < p.tr.Size(); r++ {
-		_ = p.tr.Send(r, TagShutdown, nil)
-	}
-	p.local.Close()
+// RunRecovering runs body on eng and converts the wrapped-error panics
+// of Post — the only way a link failure can cross the no-error
+// Dispatcher contract — back into body's error, so a dead rank reaches
+// the caller as an error carrying a fabric.RankDeadError. Non-error
+// panics keep propagating.
+func RunRecovering(body func(*likelihood.Engine) error, eng *likelihood.Engine) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e, ok := r.(error)
+			if !ok {
+				panic(r)
+			}
+			err = e
+		}
+	}()
+	return body(eng)
 }
 
-// Run hosts an in-proc R×t hybrid: rank 0 builds the distributed pool
-// and a full-axis master engine over it and runs body; ranks 1..R-1
-// serve their stripes. This is the finegrain analogue of fabric.Run —
-// the zero-setup entry point used by core's hybrid wiring and tests.
-// The engine handed to body evaluates over all R×t workers; body runs
-// on the master only.
+// Run hosts an in-proc R×t hybrid: ranks 1..R-1 serve their stripes
+// over LinkPairs, and rank 0 builds the distributed pool and a
+// full-axis master engine over the master ends and runs body. This is
+// the finegrain analogue of fabric.Run — the zero-setup entry point
+// used by core's hybrid wiring and tests. The engine handed to body
+// evaluates over all R×t workers; body runs on the master only.
 func Run(ranks, threadsPerRank int, pat *msa.Patterns, set *gtr.PartitionSet, body func(eng *likelihood.Engine, pool *Pool) error) error {
 	if ranks < 1 {
 		return fmt.Errorf("finegrain: %d ranks", ranks)
 	}
-	trs := fabric.NewChanTransports(ranks)
+	links := make([]fabric.Link, ranks-1)
 	errs := make([]error, ranks)
-	done := make(chan int, ranks-1)
+	var wg sync.WaitGroup
 	for r := 1; r < ranks; r++ {
-		go func(r int) {
-			defer func() { done <- r }()
-			errs[r] = Serve(trs[r])
-		}(r)
+		m, w := fabric.LinkPair()
+		links[r-1] = m
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[r] = ServeSessions(w)
+		}()
 	}
 	err := func() error {
-		pool, err := NewPool(trs[0], pat, set, threadsPerRank)
+		pool, err := NewPool(links, pat, set, threadsPerRank)
 		if err != nil {
 			return err
 		}
-		defer pool.Close()
+		defer pool.Release()
 		eng, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
 		if err != nil {
 			return err
 		}
 		return body(eng, pool)
 	}()
-	if err != nil {
-		// Unblock serving ranks waiting on the master.
-		trs[0].Close()
+	for _, l := range links {
+		l.Close()
 	}
-	for r := 1; r < ranks; r++ {
-		<-done
-	}
-	trs[0].Close()
+	wg.Wait()
 	if err != nil {
 		return err
 	}

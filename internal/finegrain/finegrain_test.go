@@ -168,53 +168,36 @@ func TestGoldenDistributedLikelihood(t *testing.T) {
 // TestOneBroadcastOneReductionPerDispatch asserts the acceptance
 // invariant: a partitioned full-tree relikelihood over the finegrain
 // pool is exactly one descriptor broadcast plus one reduction per pool
-// dispatch, measured at the transport's collective counters.
+// dispatch — one frame out and one partial back on every rank's link.
 func TestOneBroadcastOneReductionPerDispatch(t *testing.T) {
 	pat := makeData(t, 10, 800, 3, 11)
 	topo := tree.Random(pat.Names, rng.New(5))
-	err := Run(2, 2, pat, makeSet(t, pat, true), func(eng *likelihood.Engine, pool *Pool) error {
-		if err := eng.AttachTree(topo.Clone()); err != nil {
-			return err
-		}
-		eng.LogLikelihood() // warm: arena bound, first model block shipped
-		stats := pool.Transport().Stats()
-
-		for step := 0; step < 3; step++ {
-			d0 := eng.DispatchCount()
-			b0 := stats.Broadcasts.Load()
-			r0 := stats.Reductions.Load()
-			eng.InvalidateAll() // full tree goes stale
-			ll := eng.LogLikelihood()
-			if math.IsNaN(ll) {
-				t.Fatal("NaN likelihood")
-			}
-			if d := eng.DispatchCount() - d0; d != 1 {
-				t.Fatalf("full-tree relikelihood used %d dispatches, want 1", d)
-			}
-			if b := stats.Broadcasts.Load() - b0; b != 1 {
-				t.Fatalf("full-tree relikelihood used %d broadcasts, want 1", b)
-			}
-			if r := stats.Reductions.Load() - r0; r != 1 {
-				t.Fatalf("full-tree relikelihood used %d reductions, want 1", r)
-			}
-		}
-
-		// The per-partition decomposition rides the same single dispatch.
-		d0 := eng.DispatchCount()
-		b0 := stats.Broadcasts.Load()
-		eng.InvalidateAll()
-		eng.PartitionLogLikelihoods(nil)
-		if d := eng.DispatchCount() - d0; d != 1 {
-			t.Fatalf("PartitionLogLikelihoods used %d dispatches, want 1", d)
-		}
-		if b := stats.Broadcasts.Load() - b0; b != 1 {
-			t.Fatalf("PartitionLogLikelihoods used %d broadcasts, want 1", b)
-		}
-		return nil
-	})
-	if err != nil {
+	eng, _, links := countedGrid(t, false, 3, 2, pat, makeSet(t, pat, true))
+	if err := eng.AttachTree(topo.Clone()); err != nil {
 		t.Fatal(err)
 	}
+	eng.LogLikelihood() // warm: arena bound, first model block shipped
+
+	for step := 0; step < 3; step++ {
+		d0, c0 := eng.DispatchCount(), counts(links)
+		eng.InvalidateAll() // full tree goes stale
+		if ll := eng.LogLikelihood(); math.IsNaN(ll) {
+			t.Fatal("NaN likelihood")
+		}
+		if d := eng.DispatchCount() - d0; d != 1 {
+			t.Fatalf("full-tree relikelihood used %d dispatches, want 1", d)
+		}
+		checkFrames(t, "full-tree relikelihood", links, c0, 1, 1)
+	}
+
+	// The per-partition decomposition rides the same single dispatch.
+	d0, c0 := eng.DispatchCount(), counts(links)
+	eng.InvalidateAll()
+	eng.PartitionLogLikelihoods(nil)
+	if d := eng.DispatchCount() - d0; d != 1 {
+		t.Fatalf("PartitionLogLikelihoods used %d dispatches, want 1", d)
+	}
+	checkFrames(t, "PartitionLogLikelihoods", links, c0, 1, 1)
 }
 
 // TestSPRFuzzDistributed drives the distributed engine through a random
@@ -494,9 +477,14 @@ func TestReattachTreeDistributed(t *testing.T) {
 }
 
 // TestTCPTransportDistributed runs the same golden comparison over the
-// real TCP transport: a listening master and two dialing worker
-// goroutines exchanging length-prefixed frames through the loopback —
-// the in-process twin of the spawned-process worker mode.
+// tcp transport's links: a star listener and two dialing worker
+// goroutines exchanging CRC-framed messages through the loopback — the
+// in-process twin of the spawned worker processes of `-fine
+// -fine-transport tcp`, ordered by the PID each announces the way the
+// cli orders them. Then one worker's
+// end of its connection dies mid-run: the next dispatch fails with a
+// RankDeadError naming that worker's job-local rank, the survivor keeps
+// its lease, and the dead worker's serve loop has ended cleanly.
 func TestTCPTransportDistributed(t *testing.T) {
 	pat := makeData(t, 10, 600, 2, 53)
 	topo := tree.Random(pat.Names, rng.New(9))
@@ -508,54 +496,71 @@ func TestTCPTransportDistributed(t *testing.T) {
 	want := ref.LogLikelihood()
 
 	const ranks = 3
-	master, err := fabric.ListenTCP("127.0.0.1:0", ranks)
+	ln, err := fabric.ListenStar("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer master.Close()
-
-	serveErr := make(chan error, ranks-1)
+	defer ln.Close()
+	workerEnds := make([]chan fabric.Link, ranks)
+	served := make([]chan error, ranks)
 	for r := 1; r < ranks; r++ {
-		go func(r int) {
-			wt, err := fabric.DialTCP(master.Addr(), r, ranks)
+		workerEnds[r], served[r] = make(chan fabric.Link, 1), make(chan error, 1)
+		go func() {
+			l, err := fabric.DialStar(ln.Addr(), r) // r stands in for a PID
 			if err != nil {
-				serveErr <- err
+				served[r] <- err
 				return
 			}
-			defer wt.Close()
-			serveErr <- Serve(wt)
-		}(r)
+			defer l.Close()
+			workerEnds[r] <- l
+			served[r] <- ServeSessions(l)
+		}()
 	}
-	if err := master.Accept(); err != nil {
-		t.Fatal(err)
+	masterEnds := make([]fabric.Link, ranks-1)
+	for range masterEnds {
+		l, pid, err := ln.AcceptLink()
+		if err != nil {
+			t.Fatal(err)
+		}
+		masterEnds[pid-1] = l
 	}
+	defer func() {
+		for _, l := range masterEnds {
+			l.Close()
+		}
+	}()
+	links, cls := counted(masterEnds)
 
-	set := makeSet(t, pat, true)
-	pool, err := NewPool(master, pat, set, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, pool := newPool(t, links, pat, makeSet(t, pat, true), 2)
 	if err := eng.AttachTree(topo.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	stats := master.Stats()
-	b0 := stats.Broadcasts.Load()
-	got := eng.LogLikelihood()
-	if relDiff(got, want) > 1e-10 {
+	c0 := counts(cls)
+	if got := eng.LogLikelihood(); relDiff(got, want) > 1e-10 {
 		t.Errorf("TCP distributed %.12f vs reference %.12f", got, want)
 	}
-	if b := stats.Broadcasts.Load() - b0; b != 1 {
-		t.Errorf("TCP relikelihood used %d broadcasts, want 1", b)
+	checkFrames(t, "TCP relikelihood", cls, c0, 1, 1)
+
+	// Rank 2's end of the wire dies (as with a killed process, its socket
+	// closes); its serve loop ends cleanly on the broken link.
+	(<-workerEnds[2]).Close()
+	if err := <-served[2]; err != nil {
+		t.Errorf("rank 2's worker exit: %v", err)
 	}
-	pool.Close()
-	for r := 1; r < ranks; r++ {
-		if err := <-serveErr; err != nil {
-			t.Fatalf("worker: %v", err)
-		}
+	err = RunRecovering(func(eng *likelihood.Engine) error {
+		eng.InvalidateAll()
+		_ = eng.LogLikelihood()
+		return nil
+	}, eng)
+	if dead := fabric.AsRankDead(err); dead == nil || dead.Rank != 2 {
+		t.Fatalf("dispatch over a dead TCP peer: %v, want a RankDeadError for rank 2", err)
+	}
+	if dead := pool.Release(); len(dead) != 1 || dead[0] != 2 {
+		t.Fatalf("Release reported dead ranks %v, want [2]", dead)
+	}
+	masterEnds[0].Close()
+	if err := <-served[1]; err != nil {
+		t.Errorf("rank 1's worker exit: %v", err)
 	}
 }
 
@@ -596,20 +601,15 @@ func TestStripesPartitionAligned(t *testing.T) {
 // TestWorkerErrorSurfaces ensures a failing worker produces an error on
 // the master rather than a hang.
 func TestWorkerErrorSurfaces(t *testing.T) {
-	trs := fabric.NewChanTransports(2)
-	done := make(chan error, 1)
-	go func() {
-		// Misbehaving master: sends a garbage init frame.
-		err := trs[0].Send(1, TagInit, []byte{1, 2, 3})
-		done <- err
-	}()
-	if err := Serve(trs[1]); err == nil {
-		t.Fatal("Serve accepted a garbage init frame")
-	}
-	if err := <-done; err != nil {
+	m, w := fabric.LinkPair()
+	defer m.Close()
+	// Misbehaving master: sends a garbage init frame.
+	if err := m.Send(TagInit, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	trs[0].Close()
+	if err := ServeSessions(w); err == nil {
+		t.Fatal("ServeSessions accepted a garbage init frame")
+	}
 }
 
 // TestMakenewzWireTraffic is the distributed cost-model regression for
@@ -646,98 +646,95 @@ func TestMakenewzWireTraffic(t *testing.T) {
 func makenewzWireTraffic(t *testing.T, gathered bool) {
 	pat := makeData(t, 12, 300, 1, 9)
 	set := makeSet(t, pat, false) // GAMMA: 4 matrix categories, 1 partition
-	err := Run(2, 2, pat, set, func(eng *likelihood.Engine, pool *Pool) error {
-		tr := tree.Random(pat.Names, rng.New(4))
-		if err := eng.AttachTree(tr); err != nil {
-			return err
-		}
-		a := 0
-		b := tr.Nodes[0].Neighbors[0]
-		eng.OptimizeBranch(a, b) // warm: tiles bound, model epoch shipped
-		_ = eng.LogLikelihood()  // leaves both endpoint views of (a, b) fresh
-		st := pool.Transport().Stats()
+	eng, pool, links := countedGrid(t, false, 2, 2, pat, set)
+	tr := tree.Random(pat.Names, rng.New(4))
+	if err := eng.AttachTree(tr); err != nil {
+		t.Fatal(err)
+	}
+	a := 0
+	b := tr.Nodes[0].Neighbors[0]
+	eng.OptimizeBranch(a, b) // warm: tiles bound, model epoch shipped
+	_ = eng.LogLikelihood()  // leaves both endpoint views of (a, b) fresh
+	rank1 := links[0]
 
-		// optimize runs one OptimizeBranch from a length far off the
-		// optimum (so it takes several iterations) and checks the call's
-		// dispatches, broadcasts and reductions against the case's rule;
-		// it returns the dispatch count and the bytes the master sent.
-		optimize := func(views string) (dispatches, sent int64) {
-			tr.SetEdgeLength(a, b, 0.9)
-			eng.InvalidateEdge(a, b)
-			_ = eng.LogLikelihood()
-			d0, b0, r0 := eng.DispatchCount(), st.Broadcasts.Load(), st.Reductions.Load()
-			by0 := st.BytesSent.Load()
-			eng.OptimizeBranch(a, b)
-			iters := int64(eng.LastNewtonIterations())
-			if iters < 3 {
-				t.Errorf("%s views: %d Newton iterations from a perturbed length, want a real Newton loop", views, iters)
-			}
-			want := iters
-			if gathered {
-				want = 1
-			}
-			dd, bb, rr := eng.DispatchCount()-d0, st.Broadcasts.Load()-b0, st.Reductions.Load()-r0
-			if dd != want || bb != want || rr != want {
-				t.Errorf("OptimizeBranch over %s views: %d dispatches, %d broadcasts, %d reductions for %d Newton iterations, want %d of each",
-					views, dd, bb, rr, iters, want)
-			}
-			return dd, st.BytesSent.Load() - by0
-		}
-
-		dd, sent := optimize("fresh")
-		// Per-frame average over the warm setup + core frames. The core
-		// frame is header + 3×(4·nCats) float64 ≈ 410 bytes here, the
-		// setup frame two views more; a model-sync block alone would add
-		// >1200 bytes of weights. (What a gathered branch moves is on the
-		// receive side: the rows.)
-		frames := dd * int64(pool.Transport().Size()-1)
-		if perFrame := float64(sent) / float64(frames); perFrame > 600 {
-			t.Errorf("average makenewz frame is %.0f bytes; iterations must ship only eigen factors", perFrame)
-		}
-		if gathered {
-			by0 := st.BytesRecv.Load()
-			optimize("fresh")
-			rows := int64(pat.NumPatterns()-pool.Stripes()[0].Len()) * 4 * 4 * 8
-			if got := st.BytesRecv.Load() - by0; got < rows || got > rows+64 {
-				t.Errorf("the gathered setup partial is %d bytes for %d bytes of remote rows", got, rows)
-			}
-		}
-
-		// Stale endpoint views: the refresh rides the setup frame's
-		// descriptor, so the count does not move.
-		far := tr.Edges()[len(tr.Edges())/2]
-		tr.SetEdgeLength(far.A, far.B, 2*tr.EdgeLength(far.A, far.B))
-		eng.InvalidateEdge(far.A, far.B)
+	// optimize runs one OptimizeBranch from a length far off the optimum
+	// (so it takes several iterations) and checks the call's dispatches
+	// and the frames each carried against the case's rule; it returns the
+	// dispatch count and the bytes the master sent.
+	optimize := func(views string) (dispatches, sent int64) {
 		tr.SetEdgeLength(a, b, 0.9)
 		eng.InvalidateEdge(a, b)
-		d0, b0, r0 := eng.DispatchCount(), st.Broadcasts.Load(), st.Reductions.Load()
+		_ = eng.LogLikelihood()
+		d0, c0 := eng.DispatchCount(), counts(links)
 		eng.OptimizeBranch(a, b)
-		want := int64(eng.LastNewtonIterations())
+		iters := int64(eng.LastNewtonIterations())
+		if iters < 3 {
+			t.Errorf("%s views: %d Newton iterations from a perturbed length, want a real Newton loop", views, iters)
+		}
+		want := iters
 		if gathered {
 			want = 1
 		}
-		if dd, bb, rr := eng.DispatchCount()-d0, st.Broadcasts.Load()-b0, st.Reductions.Load()-r0; dd != want || bb != want || rr != want {
-			t.Errorf("OptimizeBranch over stale views: %d dispatches, %d broadcasts, %d reductions for %d Newton iterations, want %d of each",
-				dd, bb, rr, eng.LastNewtonIterations(), want)
+		if dd := eng.DispatchCount() - d0; dd != want {
+			t.Errorf("OptimizeBranch over %s views: %d dispatches for %d Newton iterations, want %d", views, dd, iters, want)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		checkFrames(t, "OptimizeBranch over "+views+" views", links, c0, want, want)
+		return eng.DispatchCount() - d0, rank1.bytesSent.Load() - c0[0].bytesSent
 	}
+
+	dd, sent := optimize("fresh")
+	// Per-frame average over the warm setup + core frames. The core frame
+	// is header + 3×(4·nCats) float64 ≈ 410 bytes here, the setup frame
+	// two views more; a model-sync block alone would add >1200 bytes of
+	// weights. (What a gathered branch moves is on the receive side: the
+	// rows.)
+	if perFrame := float64(sent) / float64(dd); perFrame > 600 {
+		t.Errorf("average makenewz frame is %.0f bytes; iterations must ship only eigen factors", perFrame)
+	}
+	if gathered {
+		by0 := rank1.bytesRecvd.Load()
+		optimize("fresh")
+		rows := int64(pat.NumPatterns()-pool.Stripes()[0].Len()) * 4 * 4 * 8
+		if got := rank1.bytesRecvd.Load() - by0; got < rows || got > rows+64 {
+			t.Errorf("the gathered setup partial is %d bytes for %d bytes of remote rows", got, rows)
+		}
+	}
+
+	// Stale endpoint views: the refresh rides the setup frame's
+	// descriptor, so the count does not move.
+	far := tr.Edges()[len(tr.Edges())/2]
+	tr.SetEdgeLength(far.A, far.B, 2*tr.EdgeLength(far.A, far.B))
+	eng.InvalidateEdge(far.A, far.B)
+	tr.SetEdgeLength(a, b, 0.9)
+	eng.InvalidateEdge(a, b)
+	d0, c0 := eng.DispatchCount(), counts(links)
+	eng.OptimizeBranch(a, b)
+	want := int64(eng.LastNewtonIterations())
+	if gathered {
+		want = 1
+	}
+	if dd := eng.DispatchCount() - d0; dd != want {
+		t.Errorf("OptimizeBranch over stale views: %d dispatches for %d Newton iterations, want %d", dd, eng.LastNewtonIterations(), want)
+	}
+	checkFrames(t, "OptimizeBranch over stale views", links, c0, want, want)
 }
 
 // TestWorkerSessionsReuseAndRelease exercises the grid lease protocol:
 // one ServeSessions worker serves two successive pools — different
 // data, different stripe geometry — with a Release (not a shutdown)
 // between them, plus the idle-loop liveness probe and the idempotent
-// stray-release ack.
+// stray-release ack. The fleet's terminal shutdown frame ends the idle
+// loop cleanly, and so does a link the master drops mid-session
+// without releasing: seen from a worker, any broken link is the end of
+// its master.
 func TestWorkerSessionsReuseAndRelease(t *testing.T) {
-	trs := fabric.NewChanTransports(2)
+	m, w := fabric.LinkPair()
+	defer m.Close()
 	served := make(chan error, 1)
-	go func() { served <- ServeSessions(trs[1]) }()
+	go func() { served <- ServeSessions(w) }()
 
-	lease := func(seed int64, chars int) {
+	// lease runs one session over l and returns its pool, unreleased.
+	lease := func(l fabric.Link, seed int64, chars int) *Pool {
 		pat := makeData(t, 10, chars, 2, seed)
 		topo := tree.Random(pat.Names, rng.New(seed))
 		ref := refEngine(t, pat, true)
@@ -747,7 +744,7 @@ func TestWorkerSessionsReuseAndRelease(t *testing.T) {
 		want := ref.LogLikelihood()
 
 		set := makeSet(t, pat, true)
-		pool, err := NewPool(trs[0], pat, set, 1)
+		pool, err := NewPool([]fabric.Link{l}, pat, set, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -761,35 +758,71 @@ func TestWorkerSessionsReuseAndRelease(t *testing.T) {
 		if got := eng.LogLikelihood(); relDiff(got, want) > 1e-10 {
 			t.Errorf("session (seed %d): distributed %.12f vs reference %.12f", seed, got, want)
 		}
+		return pool
+	}
+	release := func(pool *Pool) {
 		if dead := pool.Release(); len(dead) != 0 {
 			t.Fatalf("Release reported dead ranks %v on a healthy worker", dead)
 		}
 	}
 
 	// Idle-loop probe before any lease.
-	if err := trs[0].Send(1, TagPing, nil); err != nil {
+	if err := m.Send(TagPing, nil); err != nil {
 		t.Fatal(err)
 	}
-	if tag, _, err := trs[0].Recv(1); err != nil || tag != TagPong {
+	if tag, _, err := m.Recv(); err != nil || tag != TagPong {
 		t.Fatalf("ping got (%d, %v), want TagPong", tag, err)
 	}
 	// Stray release (lease whose init never happened) acks idempotently.
-	if err := trs[0].Send(1, TagRelease, nil); err != nil {
+	if err := m.Send(TagRelease, nil); err != nil {
 		t.Fatal(err)
 	}
-	if tag, _, err := trs[0].Recv(1); err != nil || tag != TagReleased {
+	if tag, _, err := m.Recv(); err != nil || tag != TagReleased {
 		t.Fatalf("stray release got (%d, %v), want TagReleased", tag, err)
 	}
 
-	lease(101, 500) // first session
-	lease(202, 700) // reuse: new geometry over the same worker
+	release(lease(m, 101, 500)) // first session
+	release(lease(m, 202, 700)) // reuse: new geometry over the same worker
 
 	// Terminal shutdown ends the idle loop cleanly.
-	if err := trs[0].Send(1, TagShutdown, nil); err != nil {
+	if err := m.Send(TagShutdown, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-served; err != nil {
 		t.Fatalf("worker exited with %v", err)
 	}
-	trs[0].Close()
+
+	// A master gone mid-session, over either link kind.
+	for _, tcp := range []bool{false, true} {
+		var master, worker fabric.Link
+		if tcp {
+			ln, err := fabric.ListenStar("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			dialed := make(chan fabric.Link, 1)
+			go func() {
+				l, err := fabric.DialStar(ln.Addr(), 0)
+				if err != nil {
+					t.Error(err)
+				}
+				dialed <- l
+			}()
+			if master, _, err = ln.AcceptLink(); err != nil {
+				t.Fatal(err)
+			}
+			worker = <-dialed
+			ln.Close()
+		} else {
+			master, worker = fabric.LinkPair()
+		}
+		go func() { served <- ServeSessions(worker) }()
+		pool := lease(master, 303, 400)
+		master.Close()
+		if err := <-served; err != nil {
+			t.Fatalf("tcp=%v: worker whose master vanished mid-session exited with %v", tcp, err)
+		}
+		worker.Close()
+		pool.Release() // the dead link fails fast; only the local crew is left to close
+	}
 }

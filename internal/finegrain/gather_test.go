@@ -239,13 +239,13 @@ func TestGatherDecidedByRemoteBytes(t *testing.T) {
 	}
 }
 
-// rowsTransport wraps the master endpoint and, per its mode, mangles the
+// rowsLink wraps a master link and, per its mode, mangles the
 // per-pattern block of the reduction partials it receives while keeping
 // every frame well-formed: the count and the bytes always agree, so the
 // codec accepts the partial and only the dispatcher's own accounting can
 // tell that the rows are not the ones it asked for.
-type rowsTransport struct {
-	fabric.Transport
+type rowsLink struct {
+	linkShim
 	mode atomic.Int32
 }
 
@@ -260,8 +260,8 @@ const (
 // rowFloats is one pattern's row in the GTRCAT tests below.
 const rowFloats = 4
 
-func (s *rowsTransport) Recv(from int) (byte, []byte, error) {
-	tag, payload, err := s.Transport.Recv(from)
+func (s *rowsLink) Recv() (byte, []byte, error) {
+	tag, payload, err := s.Link.Recv()
 	mode := s.mode.Load()
 	if err != nil || tag != TagPartial || mode == rowsIntact {
 		return tag, payload, err
@@ -300,34 +300,8 @@ func TestBadSumtableRowsSurfaceRankDead(t *testing.T) {
 	pat := makeData(t, 12, 600, 1, 23)
 	topo := tree.Random(pat.Names, rng.New(24))
 
-	master, err := fabric.ListenTCP("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-	served := make(chan error, 1)
-	go func() {
-		wt, err := fabric.DialTCP(master.Addr(), 1, 2)
-		if err != nil {
-			served <- err
-			return
-		}
-		defer wt.Close()
-		served <- Serve(wt)
-	}()
-	if err := master.Accept(); err != nil {
-		t.Fatal(err)
-	}
-	rows := &rowsTransport{Transport: master}
-	set := makeSet(t, pat, true)
-	pool, err := NewPool(rows, pat, set, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := &rowsLink{linkShim: linkShim{serveRanks(t, true, 1)[0]}}
+	eng, pool := newPool(t, []fabric.Link{rows}, pat, makeSet(t, pat, true), 1)
 	if err := eng.AttachTree(topo); err != nil {
 		t.Fatal(err)
 	}
@@ -371,8 +345,7 @@ func TestBadSumtableRowsSurfaceRankDead(t *testing.T) {
 	if got := eng.OptimizeBranch(a, b); got == 0.7 {
 		t.Error("a healthy OptimizeBranch left the perturbed length in place")
 	}
-	pool.Close()
-	if err := <-served; err != nil {
-		t.Errorf("worker exit: %v", err)
+	if dead := pool.Release(); len(dead) != 0 {
+		t.Errorf("Release reported dead ranks %v on a healthy link", dead)
 	}
 }

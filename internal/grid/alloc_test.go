@@ -12,10 +12,10 @@ import (
 )
 
 // TestLeasedDispatchAllocationFree pins the allocation-free dispatch
-// path where a grid job actually runs it: a finegrain pool over a
-// subTransport of leased links, the worker serving through
-// fabric.WorkerTransport. Both adapters forward Recycle to the link, and
-// both link kinds keep a free list, so once warm a job frame and its
+// path where a grid job actually runs it: a finegrain pool over leased
+// links, the worker serving its end of one. Pool and worker hand spent
+// payloads back through fabric.RecycleLink, and both link kinds keep a
+// free list, so once warm a job frame and its
 // partial — an evaluation's few bytes, a gathered setup's sumtable rows,
 // a distributed Newton iteration's factors — reuse their buffers on the
 // master and on the worker alike (AllocsPerRun counts the whole
@@ -60,11 +60,11 @@ func TestLeasedDispatchAllocationFree(t *testing.T) {
 				}
 				master, worker := connect(t)
 				served := make(chan error, 1)
-				go func() { served <- finegrain.ServeSessions(fabric.WorkerTransport(worker)) }()
+				go func() { served <- finegrain.ServeSessions(worker) }()
 
 				set := gtr.NewPartitionSet(1)
 				set.Rates[0] = gtr.NewUniform(pat.NumPatterns())
-				pool, err := finegrain.NewPool(newSubTransport([]fabric.Link{master}), pat, set, 1)
+				pool, err := finegrain.NewPool([]fabric.Link{master}, pat, set, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,11 +96,10 @@ func TestLeasedDispatchAllocationFree(t *testing.T) {
 				if dead := pool.Release(); len(dead) != 0 {
 					t.Errorf("Release reported dead ranks %v", dead)
 				}
-				master.Send(finegrain.TagShutdown, nil)
+				master.Close()
 				if err := <-served; err != nil {
 					t.Errorf("worker exit: %v", err)
 				}
-				master.Close()
 			})
 		}
 	}

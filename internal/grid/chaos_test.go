@@ -235,7 +235,7 @@ func TestGridTCPFleet(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			finegrain.ServeSessions(fabric.WorkerTransport(link))
+			finegrain.ServeSessions(link)
 		}()
 	}
 	for fleet.NumAlive() < 3 {

@@ -124,7 +124,7 @@ func runChaosSchedule(t *testing.T, a *Analysis, want *Result, mode string, seed
 					return
 				}
 				defer link.Close()
-				finegrain.ServeSessions(fabric.WorkerTransport(link))
+				finegrain.ServeSessions(link)
 			}()
 		}
 		if !fleet.WaitAlive(workers, 10*time.Second) {
@@ -186,7 +186,7 @@ func TestGridChaosWireCorruption(t *testing.T) {
 				return
 			}
 			defer link.Close()
-			finegrain.ServeSessions(fabric.WorkerTransport(link))
+			finegrain.ServeSessions(link)
 		}()
 	}
 	if !fleet.WaitAlive(workers, 10*time.Second) {

@@ -21,12 +21,12 @@ const stripeQuantum = 16
 //
 //  1. lease a fair share of the free pool (possibly zero workers — the
 //     job then runs master-local, never blocking on the fleet),
-//  2. build a fresh finegrain.Pool + engine over a sub-transport of the
-//     leased links (newSet supplies the model set, fresh per attempt:
-//     model state mutates during a run and must restart from the
-//     checkpointed origin, not from a half-optimized carcass),
-//  3. run body, recovering the wrapped-error panics finegrain.Pool
-//     throws across the Dispatcher contract on transport failure,
+//  2. build a fresh finegrain.Pool + engine over the leased links
+//     (newSet supplies the model set, fresh per attempt: model state
+//     mutates during a run and must restart from the checkpointed
+//     origin, not from a half-optimized carcass),
+//  3. run body under finegrain.RunRecovering, which turns the pool's
+//     link-failure panics back into RankDeadErrors,
 //  4. release the lease: drain survivors back to the free pool, report
 //     dead ranks to the fleet.
 //
@@ -98,7 +98,7 @@ func (c *JobContext) attempt(pat *msa.Patterns, newSet func() (*gtr.PartitionSet
 		c.g.cfg.Fleet.ReleaseAll(ws)
 		return err
 	}
-	pool, err := finegrain.NewPool(newSubTransport(links), pat, set, c.g.cfg.ThreadsPerRank)
+	pool, err := finegrain.NewPool(links, pat, set, c.g.cfg.ThreadsPerRank)
 	if err != nil {
 		// Init may have reached some workers before a link broke; the
 		// per-link handshake drains whoever answers.
@@ -113,21 +113,5 @@ func (c *JobContext) attempt(pat *msa.Patterns, newSet func() (*gtr.PartitionSet
 	if err != nil {
 		return err
 	}
-	return runRecovering(body, eng)
-}
-
-// runRecovering converts finegrain.Pool's wrapped-error panics — the
-// only way a transport failure can cross the no-error Dispatcher
-// contract — back into errors. Non-error panics keep propagating.
-func runRecovering(body func(*likelihood.Engine) error, eng *likelihood.Engine) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			e, ok := r.(error)
-			if !ok {
-				panic(r)
-			}
-			err = e
-		}
-	}()
-	return body(eng)
+	return finegrain.RunRecovering(body, eng)
 }

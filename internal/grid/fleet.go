@@ -138,7 +138,7 @@ func (f *Fleet) SpawnLocal(n int) {
 			// Close on exit so a worker that dies of a protocol desync
 			// severs the pair — the master sees a dead link, not silence.
 			defer w.Close()
-			finegrain.ServeSessions(fabric.WorkerTransport(w))
+			finegrain.ServeSessions(w)
 		}()
 		f.Admit(m, 0)
 	}
@@ -348,35 +348,12 @@ func (f *Fleet) Return(ws []*Worker, dead []int) {
 // each worker directly, marking non-ackers dead.
 func (f *Fleet) ReleaseAll(ws []*Worker) {
 	for _, w := range ws {
-		if releaseLink(w.link) {
+		if finegrain.ReleaseLink(w.link) {
 			f.release(w)
 		} else {
 			f.markDead(w, "release")
 		}
 	}
-}
-
-// releaseLink mirrors the master side of finegrain's release drain over
-// one raw link: send TagRelease, discard frames until the TagReleased
-// ack.
-func releaseLink(l fabric.Link) bool {
-	if err := l.Send(finegrain.TagRelease, nil); err != nil {
-		return false
-	}
-	if finegrain.ReleaseTimeout > 0 {
-		fabric.SetLinkRecvDeadline(l, time.Now().Add(finegrain.ReleaseTimeout))
-		defer fabric.SetLinkRecvDeadline(l, time.Time{})
-	}
-	for i := 0; i < 1024; i++ {
-		tag, _, err := l.Recv()
-		if err != nil {
-			return false
-		}
-		if tag == finegrain.TagReleased {
-			return true
-		}
-	}
-	return false
 }
 
 func (f *Fleet) release(w *Worker) {

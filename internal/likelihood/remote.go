@@ -43,7 +43,7 @@ import (
 // desynchronized stream can cause: a frame that decoded, yet names state
 // the master's own engine would have refused (a rate category outside
 // the shipped category rates). A worker treats it like a frame that did
-// not decode — it closes its transport and dies, so the master sees a
+// not decode — it closes its link and dies, so the master sees a
 // dead rank and restripes — where a plain error is the job's own failure
 // and is reported back as such.
 var ErrWireDesync = errors.New("likelihood: wire stream desynchronized")
