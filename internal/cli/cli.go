@@ -388,6 +388,7 @@ per-rank stage times:
 `, opts.Model, alignFile, pat.NumTaxa(), pat.NumPatterns(),
 		opts.Ranks, opts.Workers, opts.Bootstraps, res.TotalBootstraps,
 		res.BestLogLikelihood, res.BestRank, time.Since(start).Round(time.Millisecond))
+	visited := 0
 	for _, rep := range res.Ranks {
 		fmt.Fprintf(&info, "  rank %d: bootstrap %s, fast %s, slow %s, thorough %s (lnL %.4f)\n",
 			rep.Rank,
@@ -396,6 +397,11 @@ per-rank stage times:
 			rep.Times.Slow.Round(time.Millisecond),
 			rep.Times.Thorough.Round(time.Millisecond),
 			rep.ThoroughScore)
+		visited += rep.BootstrapPatterns
+	}
+	if res.TotalBootstraps > 0 {
+		fmt.Fprintf(&info, "bootstrap patterns visited per replicate: %.2f of %d\n",
+			float64(visited)/float64(res.TotalBootstraps), pat.NumPatterns())
 	}
 	if err := os.WriteFile(infoPath, []byte(info.String()), 0o644); err != nil {
 		return err

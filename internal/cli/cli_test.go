@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,6 +65,18 @@ func TestRaxmlComprehensive(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "Best log-likelihood") {
 		t.Error("summary line missing from output")
+	}
+	// A replicate's kernels visit its live patterns only: resampling 250
+	// columns leaves about a third of the patterns without weight.
+	info, _ := os.ReadFile(filepath.Join(dir, "RAxML_info.t1"))
+	_, line, _ := strings.Cut(string(info), "bootstrap patterns visited per replicate: ")
+	var visited float64
+	var patterns int
+	if _, err := fmt.Sscanf(line, "%g of %d", &visited, &patterns); err != nil {
+		t.Fatalf("no patterns-visited line in RAxML_info: %v", err)
+	}
+	if visited < 0.5*float64(patterns) || visited > 0.8*float64(patterns) {
+		t.Errorf("replicates visit %.2f of %d patterns", visited, patterns)
 	}
 }
 

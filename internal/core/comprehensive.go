@@ -143,6 +143,9 @@ type RankReport struct {
 	// nodes×traversals — the synchronization overhead the paper's
 	// Pthreads layer amortizes.
 	Dispatches int64
+	// BootstrapPatterns sums, over the rank's replicates, the patterns each
+	// replicate's kernels visited (rapidbs.Replicate.Patterns).
+	BootstrapPatterns int
 
 	// bootstrapNewicks stashes the rank's replicate topologies for the
 	// support gather; cleared before the report is published.
@@ -297,6 +300,7 @@ func runRank(pat *msa.Patterns, opts Options, sched Schedule, rank int, c *fabri
 			return nil, nil, err
 		}
 		rep.bootstrapNewicks[i] = nw
+		rep.BootstrapPatterns += r.Patterns
 	}
 
 	// ----- Stage 2: fast ML searches on every 5th bootstrap tree -----

@@ -362,7 +362,7 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 			err = &fabric.RankDeadError{Rank: r, Err: fmt.Errorf("finegrain: unexpected tag %d in reduction", tag)}
 		default:
 			part := p.remote[r]
-			wantVec := wm.WireVecLen(code, p.stripes[r].Len())
+			wantVec := wm.WireVecLen(code, p.stripes[r])
 			if derr := likelihood.DecodeWirePartialInto(part, payload); derr != nil {
 				err = &fabric.RankDeadError{Rank: r, Err: fmt.Errorf("finegrain: partial decode: %w", derr)}
 			} else if got := len(part.Wide); got != wantWide {

@@ -161,6 +161,14 @@ type partState struct {
 	name   string
 	lo, hi int // global pattern span [lo, hi)
 
+	// tlo, thi is the partition's span on the tile axis (compact.go): its
+	// live patterns, which every kernel visits. keep is the alignment index
+	// of each of them and pcat their CAT categories (nil for GAMMA
+	// treatments), gathered from rates.PatternCategory.
+	tlo, thi int
+	keep     []int32
+	pcat     []int
+
 	// fOff is the float64 offset of the partition's CLV segment within
 	// a tile; sOff the int32 offset of its scale segment. Both segment
 	// strides are padded to whole 64-byte cache lines.
@@ -195,6 +203,20 @@ type Engine struct {
 	tree    *tree.Tree
 	weights []int
 
+	// The tile axis (compact.go): the live (non-zero-weight) patterns of
+	// the alignment axis, in alignment order — the axis every CLV tile,
+	// tip vector, sumtable and pendant product is laid out on. tilePos[k]
+	// counts the live patterns before alignment pattern k (nPatterns+1
+	// entries) and tileIdx[i] is the alignment pattern at tile position
+	// i. tileN is the axis length, tileW the weights and tileCodes the tip
+	// state rows on it (rows of tileCodeBuf). All of them are reused
+	// across replicates.
+	tilePos, tileIdx []int32
+	tileN            int
+	tileW            []int
+	tileCodes        [][]msa.State
+	tileCodeBuf      []msa.State
+
 	nPatterns int
 	nCat      int  // CLV categories per pattern: 1 for CAT, k for GAMMA
 	isCAT     bool // uniform across partitions (gtr.PartitionSet.Validate)
@@ -214,10 +236,10 @@ type Engine struct {
 	// workers off each other's lines. tileOf[node*3+slot] maps a
 	// directed edge to its tile (noTile until first needed); freeTiles
 	// recycles tiles released by AttachTree. The float64 offset of
-	// directed CLV (node, slot) at global pattern k (in partition p),
+	// directed CLV (node, slot) at tile-axis pattern k (in partition p),
 	// category c, state s is
 	//
-	//	tileOf[node*3+slot]*tileFloats + p.fOff + (k-p.lo)*nCat*4 + c*4 + s
+	//	tileOf[node*3+slot]*tileFloats + p.fOff + (k-p.tlo)*nCat*4 + c*4 + s
 	arena      []float64
 	scaleArena []int32
 	tileOf     []int32
@@ -234,8 +256,9 @@ type Engine struct {
 	coarse bool
 
 	// tipFlat packs every taxon's (undirected) tip CLV into one flat
-	// block: tipFlat[taxon*nPatterns*4 + pattern*4 + state], shared
-	// across categories and partitions (tip states are model-free).
+	// block: tipFlat[taxon*tileN*4 + pattern*4 + state] over the tile
+	// axis, shared across categories and partitions (tip states are
+	// model-free).
 	tipFlat []float64
 	// tipCodeMask[taxon] has bit c set iff ambiguity code c occurs in
 	// the taxon's pattern row — the tip lookup tables are only filled
@@ -461,15 +484,12 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 		lo = r.Hi
 		ps := partState{
 			name: r.Name, lo: r.Lo, hi: r.Hi,
-			fOff: e.tileFloats, sOff: e.tileScale,
 			model: set.Models[i], rates: set.Rates[i],
 		}
 		if err := ps.installRates(*set.Rates[i]); err != nil {
 			return nil, err
 		}
 		e.parts = append(e.parts, ps)
-		e.tileFloats += padTo(r.Len()*e.nCat*4, 8)
-		e.tileScale += padTo(r.Len(), 16)
 	}
 	if lo != e.nPatterns {
 		return nil, fmt.Errorf("likelihood: partitions cover %d patterns, set has %d", lo, e.nPatterns)
@@ -501,33 +521,36 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 	e.fillTravFn = e.fillTravMatrices
 	e.fillWireFn = e.fillWireIdxMatrices
 	e.fillScanFn = e.fillScanHalves
+	e.tipCodeMask = make([]uint16, pat.NumTaxa())
+	for taxon, row := range pat.Data {
+		for _, s := range row {
+			e.tipCodeMask[taxon] |= 1 << uint(s)
+		}
+	}
 	e.weights = append([]int(nil), pat.Weights...)
-	e.buildTipVectors()
+	e.layoutTiles()
 	e.ensureP()
 	return e, nil
 }
 
+// buildTipVectors lays every taxon's tip CLV out over the tile axis: a
+// 1 in each state its code admits, 0 elsewhere.
 func (e *Engine) buildTipVectors() {
-	nTaxa := e.pat.NumTaxa()
-	e.tipFlat = make([]float64, nTaxa*e.nPatterns*4)
-	e.tipCodeMask = make([]uint16, nTaxa)
-	for taxon := 0; taxon < nTaxa; taxon++ {
-		v := e.tipFlat[taxon*e.nPatterns*4 : (taxon+1)*e.nPatterns*4]
-		for k := 0; k < e.nPatterns; k++ {
-			s := e.pat.Data[taxon][k]
-			e.tipCodeMask[taxon] |= 1 << uint(s)
+	n := e.tileN * 4
+	e.tipFlat = resize(e.tipFlat, len(e.tileCodes)*n)
+	for taxon, row := range e.tileCodes {
+		v := e.tipFlat[taxon*n : (taxon+1)*n]
+		for k, s := range row {
 			for st := 0; st < 4; st++ {
-				if s&(1<<uint(st)) != 0 {
-					v[k*4+st] = 1
-				}
+				v[k*4+st] = float64(s >> uint(st) & 1)
 			}
 		}
 	}
 }
 
-// tipVecOf returns taxon's flat tip CLV ([pattern*4 + state]).
+// tipVecOf returns taxon's flat tip CLV ([pattern*4 + state], tile axis).
 func (e *Engine) tipVecOf(taxon int) []float64 {
-	return e.tipFlat[taxon*e.nPatterns*4 : (taxon+1)*e.nPatterns*4]
+	return e.tipFlat[taxon*e.tileN*4 : (taxon+1)*e.tileN*4]
 }
 
 // Pool returns the engine's execution substrate.
@@ -638,16 +661,15 @@ func EstimateMemoryBytesPartitioned(taxa int, partPatterns []int, nCat int) int6
 
 // SetWeights installs a pattern weight vector (a bootstrap replicate).
 // Pass nil to restore the original alignment weights. All cached CLVs
-// are invalidated because zero-weight patterns are skipped in kernels.
+// are invalidated: the kernels visit only the live patterns, so a
+// replicate that drops or revives one re-lays the tiles out (compact.go).
 func (e *Engine) SetWeights(w []int) {
 	if w == nil {
-		e.weights = append(e.weights[:0], e.pat.Weights...)
-	} else {
-		if len(w) != e.nPatterns {
-			panic(fmt.Sprintf("likelihood: weight vector has %d entries, want %d", len(w), e.nPatterns))
-		}
-		e.weights = append(e.weights[:0], w...)
+		w = e.pat.Weights
+	} else if len(w) != e.nPatterns {
+		panic(fmt.Sprintf("likelihood: weight vector has %d entries, want %d", len(w), e.nPatterns))
 	}
+	e.installWeights(w)
 	e.InvalidateAll()
 }
 
@@ -840,6 +862,7 @@ func (ps *partState) installRates(rc gtr.RateCategories) error {
 	}
 	*ps.rates = rc
 	ps.maxCat = top
+	ps.bindCats()
 	return nil
 }
 
@@ -867,19 +890,22 @@ func (e *Engine) ensureP() {
 	e.pD2 = e.pD2[:total]
 }
 
-// chunkOf intersects a worker's pattern range with partition pi's span;
-// ok is false when they are disjoint. Kernels iterate partitions with
-// this to process one homogeneous (single-model) chunk at a time.
+// chunkOf intersects a worker's pattern range — cut on the alignment
+// axis — with partition pi's span and returns the live patterns of the
+// intersection as a tile-axis window [lo, hi); ok is false when there are
+// none. Kernels iterate partitions with this to process one homogeneous
+// (single-model) chunk at a time.
 func (e *Engine) chunkOf(pi int, r threads.Range) (ps *partState, lo, hi int, ok bool) {
+	lo, hi = e.tileSpan(r)
+	return e.tileChunk(pi, lo, hi)
+}
+
+// tileChunk intersects the tile-axis window [lo, hi) with partition pi's
+// tile span.
+func (e *Engine) tileChunk(pi, lo, hi int) (ps *partState, clo, chi int, ok bool) {
 	ps = &e.parts[pi]
-	lo, hi = r.Lo, r.Hi
-	if lo < ps.lo {
-		lo = ps.lo
-	}
-	if hi > ps.hi {
-		hi = ps.hi
-	}
-	return ps, lo, hi, lo < hi
+	clo, chi = max(lo, ps.tlo), min(hi, ps.thi)
+	return ps, clo, chi, clo < chi
 }
 
 // LogLikelihood computes the log-likelihood of the attached tree,

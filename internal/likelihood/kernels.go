@@ -45,12 +45,11 @@ import (
 // data-dependent branches and mispredicts constantly; the AVX2 GAMMA
 // kernels reach the same decision via VMAXPD and one compare — "all
 // lanes below threshold" ⟺ "max lane below threshold" — and the AVX2
-// CAT kernels via one 4-lane compare and its mask). newview
-// processes every pattern unconditionally: the weight-zero skip is
-// lifted out of the newview inner loops entirely (zero-weight CLV lanes
-// are computed and ignored downstream — cheaper than a per-pattern
-// branch), while the log-space reduction kernels keep it (they would
-// otherwise pay a log per dead pattern).
+// CAT kernels via one 4-lane compare and its mask). No kernel meets a
+// zero-weight pattern: ranges arrive mapped onto the tile axis, the live
+// patterns of the replicate (compact.go). The kernel-table entries still
+// honour a zero weight — the reductions skip it — which is what lets a
+// range drop its dead patterns without moving a bit.
 //
 // The newview kernels are written against the flat CLV arena: each
 // worker materializes its contiguous pattern stripe of the destination
@@ -103,7 +102,7 @@ func viewCoeffs(v *childView, ps *partState) (a0, aStep, aCat int) {
 	if v.tip {
 		return 0, 4, 0
 	}
-	return ps.fOff - ps.lo*v.stride, v.stride, 4
+	return ps.fOff - ps.tlo*v.stride, v.stride, 4
 }
 
 // The 4-lane P·c product against one flat matrix block is spelled out
@@ -147,12 +146,12 @@ func (e *Engine) newviewRange(ent *travEntry, r threads.Range) {
 // materializes the chunk's stripes; the three child-kind loops are
 // kernel-table entries.
 func (e *Engine) newviewChunkCAT(ent *travEntry, ps *partState, lo, hi int) {
-	l0, l1 := lo-ps.lo, hi-ps.lo // segment-local pattern window
+	l0, l1 := lo-ps.tlo, hi-ps.tlo // segment-local pattern window
 	dBase := ent.dstOff + ps.fOff
 	dst := e.arena[dBase+l0*4 : dBase+l1*4 : dBase+l1*4]
 	sBase := ent.dstScaleOff + ps.sOff
 	dsc := e.scaleArena[sBase+l0 : sBase+l1 : sBase+l1]
-	pcat := ps.rates.PatternCategory[l0:l1]
+	pcat := ps.pcat[l0:l1]
 	npc := ps.rates.NumCats()
 	pL := ent.pL[ps.pOff : ps.pOff+npc]
 	pR := ent.pR[ps.pOff : ps.pOff+npc]
@@ -160,8 +159,8 @@ func (e *Engine) newviewChunkCAT(ent *travEntry, ps *partState, lo, hi int) {
 
 	switch {
 	case left.tip && right.tip:
-		codesL := e.pat.Data[left.taxon][lo:hi]
-		codesR := e.pat.Data[right.taxon][lo:hi]
+		codesL := e.tileCodes[left.taxon][lo:hi]
+		codesR := e.tileCodes[right.taxon][lo:hi]
 		lutL := ent.lutL[64*ps.pOff : 64*(ps.pOff+npc)]
 		lutR := ent.lutR[64*ps.pOff : 64*(ps.pOff+npc)]
 		e.kern.newviewTTCAT(dst, codesL, codesR, lutL, lutR, pcat, ps.maxCat, dsc)
@@ -177,7 +176,7 @@ func (e *Engine) newviewChunkCAT(ent *travEntry, ps *partState, lo, hi int) {
 			lut, pm = ent.lutR, pL
 		}
 		lut = lut[64*ps.pOff : 64*(ps.pOff+npc)]
-		codes := e.pat.Data[tip.taxon][lo:hi]
+		codes := e.tileCodes[tip.taxon][lo:hi]
 		iBase := inner.off + ps.fOff
 		iv := e.arena[iBase+l0*4 : iBase+l1*4 : iBase+l1*4]
 		isBase := inner.scaleOff + ps.sOff
@@ -309,7 +308,7 @@ func newviewIICATScalar(dst, lv, rv []float64, pL, pR [][16]float64, pcat []int,
 func (e *Engine) newviewChunkGamma(ent *travEntry, ps *partState, lo, hi int) {
 	nCat := e.nCat
 	st := nCat * 4
-	l0, l1 := lo-ps.lo, hi-ps.lo
+	l0, l1 := lo-ps.tlo, hi-ps.tlo
 	n := l1 - l0
 	dBase := ent.dstOff + ps.fOff
 	dst := e.arena[dBase+l0*st : dBase+l1*st : dBase+l1*st]
@@ -321,8 +320,8 @@ func (e *Engine) newviewChunkGamma(ent *travEntry, ps *partState, lo, hi int) {
 
 	switch {
 	case left.tip && right.tip:
-		codesL := e.pat.Data[left.taxon][lo:hi]
-		codesR := e.pat.Data[right.taxon][lo:hi]
+		codesL := e.tileCodes[left.taxon][lo:hi]
+		codesR := e.tileCodes[right.taxon][lo:hi]
 		lutL := ent.lutL[64*ps.pOff : 64*(ps.pOff+nCat)]
 		lutR := ent.lutR[64*ps.pOff : 64*(ps.pOff+nCat)]
 		if nCat == 4 {
@@ -364,7 +363,7 @@ func (e *Engine) newviewChunkGamma(ent *travEntry, ps *partState, lo, hi int) {
 			lut, pm = ent.lutR, pL
 		}
 		lut = lut[64*ps.pOff : 64*(ps.pOff+nCat)]
-		codes := e.pat.Data[tip.taxon][lo:hi]
+		codes := e.tileCodes[tip.taxon][lo:hi]
 		iBase := inner.off + ps.fOff
 		iv := e.arena[iBase+l0*st : iBase+l1*st : iBase+l1*st]
 		isBase := inner.scaleOff + ps.sOff
@@ -593,22 +592,18 @@ func (e *Engine) evaluateChunk(blk *workerScratch, ps *partState, lo, hi int) fl
 	for b := lo; b < hi; b += logBlockLen {
 		end := min(b+logBlockLen, hi)
 		e.edgeLogSites(blk, ps, b, end)
-		m := 0
-		for k := b; k < end; k++ {
-			if wk := e.weights[k]; wk != 0 {
-				sum += float64(wk) * blk.logs[m]
-				m++
-			}
+		for k, wk := range e.tileW[b:end] {
+			sum += float64(wk) * blk.logs[k]
 		}
 	}
 	return sum
 }
 
 // edgeLogSites leaves in blk.logs, in pattern order, the log site
-// likelihoods across the edge views jobVA/jobVB of the non-zero-weight
-// patterns in [lo, hi) — at most logBlockLen patterns within partition
-// ps — scale corrections applied. It is the block step shared by the
-// evaluate and site-LL kernels: join the live patterns into blk.site,
+// likelihoods across the edge views jobVA/jobVB of the (tile-axis, so
+// live) patterns in [lo, hi) — at most logBlockLen patterns within
+// partition ps — scale corrections applied. It is the block step shared
+// by the evaluate and site-LL kernels: join the patterns into blk.site,
 // take all their logarithms with one logBlock call, then correct each
 // for its views' rescaling counters.
 func (e *Engine) edgeLogSites(blk *workerScratch, ps *partState, lo, hi int) {
@@ -618,22 +613,18 @@ func (e *Engine) edgeLogSites(blk *workerScratch, ps *partState, lo, hi int) {
 	pEval := e.pEval[ps.pOff:]
 	var pcat []int
 	if e.isCAT {
-		pcat = ps.rates.PatternCategory
+		pcat = ps.pcat
 	}
 	probs := ps.rates.Probs
 	a0, aStep, aCat := viewCoeffs(va, ps)
 	b0, bStep, bCat := viewCoeffs(vb, ps)
 
-	m := 0
 	for k := lo; k < hi; k++ {
-		if e.weights[k] == 0 {
-			continue
-		}
 		var site float64
 		for cat := 0; cat < nCat; cat++ {
 			pc := cat
 			if pcat != nil {
-				pc = pcat[k-ps.lo]
+				pc = pcat[k-ps.tlo]
 			}
 			p := &pEval[pc]
 			av := (*[4]float64)(va.vec[a0+k*aStep+cat*aCat:])
@@ -654,31 +645,26 @@ func (e *Engine) edgeLogSites(blk *workerScratch, ps *partState, lo, hi int) {
 				site += probs[cat] * catL
 			}
 		}
-		blk.site[m] = clampSite(site)
-		m++
+		blk.site[k-lo] = clampSite(site)
 	}
-	e.kern.logBlock(&blk.logs, &blk.site, m)
+	e.kern.logBlock(&blk.logs, &blk.site, hi-lo)
 
-	m = 0
 	for k := lo; k < hi; k++ {
-		if e.weights[k] == 0 {
-			continue
-		}
-		so := ps.sOff + k - ps.lo
+		so := ps.sOff + k - ps.tlo
 		if va.scale != nil {
-			blk.logs[m] -= float64(va.scale[so]) * logScaleFactor
+			blk.logs[k-lo] -= float64(va.scale[so]) * logScaleFactor
 		}
 		if vb.scale != nil {
-			blk.logs[m] -= float64(vb.scale[so]) * logScaleFactor
+			blk.logs[k-lo] -= float64(vb.scale[so]) * logScaleFactor
 		}
-		m++
 	}
 }
 
-// siteLLRange fills one worker's window of jobDst with per-pattern log
-// likelihoods at the edge views in jobVA/jobVB. Zero-weight patterns
-// get 0.
+// siteLLRange fills one worker's window of jobDst — alignment axis —
+// with per-pattern log likelihoods at the edge views in jobVA/jobVB.
+// Zero-weight patterns get 0.
 func (e *Engine) siteLLRange(w int, r threads.Range) {
+	clear(e.jobDst[r.Lo:r.Hi]) // the dead patterns; the chunks write the rest
 	for pi := range e.parts {
 		ps, lo, hi, ok := e.chunkOf(pi, r)
 		if ok {
@@ -687,19 +673,15 @@ func (e *Engine) siteLLRange(w int, r threads.Range) {
 	}
 }
 
+// siteLLChunk scatters the site log-likelihoods of one tile-axis chunk to
+// their alignment-axis places in jobDst.
 func (e *Engine) siteLLChunk(blk *workerScratch, ps *partState, lo, hi int) {
 	dst := e.jobDst
 	for b := lo; b < hi; b += logBlockLen {
 		end := min(b+logBlockLen, hi)
 		e.edgeLogSites(blk, ps, b, end)
-		m := 0
-		for k := b; k < end; k++ {
-			if e.weights[k] == 0 {
-				dst[k] = 0
-				continue
-			}
-			dst[k] = blk.logs[m]
-			m++
+		for i, at := range ps.keep[b-ps.tlo : end-ps.tlo] {
+			dst[at] = blk.logs[i]
 		}
 	}
 }
@@ -761,7 +743,7 @@ func (e *Engine) derivativesChunk(ps *partState, lo, hi int) (d1, d2 float64) {
 	pD2 := e.pD2[ps.pOff:]
 	var pcat []int
 	if e.isCAT {
-		pcat = ps.rates.PatternCategory
+		pcat = ps.pcat
 	}
 	probs := ps.rates.Probs
 	a0, aStep, aCat := viewCoeffs(&va, ps)
@@ -769,11 +751,8 @@ func (e *Engine) derivativesChunk(ps *partState, lo, hi int) (d1, d2 float64) {
 
 	var s1, s2 float64
 	for k := lo; k < hi; k++ {
-		wk := e.weights[k]
-		if wk == 0 {
-			continue
-		}
-		lk := k - ps.lo
+		wk := e.tileW[k]
+		lk := k - ps.tlo
 		var siteL, siteD1, siteD2 float64
 		for cat := 0; cat < nCat; cat++ {
 			pc := cat

@@ -172,15 +172,13 @@ func (e *Engine) makenewzSetupRange(w int, r threads.Range) {
 	}
 }
 
-// makenewzSetupChunk projects one partition chunk through the kernel
-// table's mkzSetup. Every pattern is projected unconditionally — the
-// weight-zero skip lives in the core kernel, which never reads those
-// entries; a branch-free setup loop is cheaper than the per-pattern test.
+// makenewzSetupChunk projects one partition chunk (tile axis: live
+// patterns only) through the kernel table's mkzSetup.
 func (e *Engine) makenewzSetupChunk(blk *workerScratch, ps *partState, lo, hi int) {
 	va, vb := &e.jobVA, &e.jobVB
 	blk.left, blk.right = ps.model.SumtableBasis()
 	st := e.nCat * 4
-	base := ps.fOff - ps.lo*st
+	base := ps.fOff - ps.tlo*st
 	dst := e.sumtable[base+lo*st : base+hi*st : base+hi*st]
 	aOff, aStep, _ := viewCoeffs(va, ps)
 	bOff, bStep, _ := viewCoeffs(vb, ps)
@@ -238,10 +236,10 @@ func (e *Engine) makenewzCoreRange(w int, r threads.Range) (d1, d2 float64) {
 func (e *Engine) makenewzCoreChunk(blk *workerScratch, ps *partState, lo, hi int) (d1, d2 float64) {
 	nCat := e.nCat
 	st := nCat * 4
-	l0, l1 := lo-ps.lo, hi-ps.lo
+	l0, l1 := lo-ps.tlo, hi-ps.tlo
 	base := ps.fOff
 	tbl := e.sumtable[base+l0*st : base+l1*st : base+l1*st]
-	w := e.weights[lo:hi]
+	w := e.tileW[lo:hi]
 	eb := ps.pOff * 4
 	npc := ps.rates.NumCats()
 	wE := e.mkzExp[eb : eb+npc*4 : eb+npc*4]
@@ -249,7 +247,7 @@ func (e *Engine) makenewzCoreChunk(blk *workerScratch, ps *partState, lo, hi int
 	w2 := e.mkzD2[eb : eb+npc*4 : eb+npc*4]
 
 	if e.isCAT {
-		return e.kern.mkzCoreCAT(tbl, w, ps.rates.PatternCategory[l0:l1], ps.maxCat, wE, w1, w2)
+		return e.kern.mkzCoreCAT(tbl, w, ps.pcat[l0:l1], ps.maxCat, wE, w1, w2)
 	}
 
 	probs := ps.rates.Probs
@@ -270,11 +268,7 @@ func (e *Engine) makenewzCoreChunk(blk *workerScratch, ps *partState, lo, hi int
 	}
 
 	var s1, s2 float64
-	for k := 0; k < len(w); k++ {
-		wk := w[k]
-		if wk == 0 {
-			continue
-		}
+	for k, wk := range w {
 		o := k * st
 		var siteL, siteD1, siteD2 float64
 		for cat := 0; cat < nCat; cat++ {

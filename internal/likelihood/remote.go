@@ -233,10 +233,10 @@ type WireMaster interface {
 	// of the job in flight must carry; the dispatcher treats any other
 	// count as a desynchronized stream.
 	WireWideLen(code threads.JobCode) int
-	// WireVecLen returns how many per-pattern float64 the partial of a
-	// rank owning `patterns` patterns must carry for the job in flight;
-	// again any other count is a desynchronized stream.
-	WireVecLen(code threads.JobCode, patterns int) int
+	// WireVecLen returns how many per-pattern float64 the partial of the
+	// rank owning `stripe` must carry for the job in flight; again any
+	// other count is a desynchronized stream.
+	WireVecLen(code threads.JobCode, stripe threads.Range) int
 	// AbsorbRemoteVec lands a rank's per-pattern block (wire form) at its
 	// stripe's place in the job's destination.
 	AbsorbRemoteVec(code threads.JobCode, stripeLo int, vec []byte)
@@ -254,15 +254,18 @@ func (e *Engine) WireWideLen(code threads.JobCode) int {
 	return 0
 }
 
-// WireVecLen implements WireMaster: one log-likelihood per pattern for a
-// site-LL job, one sumtable row per pattern for a makenewz setup whose
-// rows the master gathers, nothing otherwise.
-func (e *Engine) WireVecLen(code threads.JobCode, patterns int) int {
+// WireVecLen implements WireMaster: one log-likelihood per pattern of the
+// stripe for a site-LL job, one sumtable row per live pattern of it for a
+// makenewz setup whose rows the master gathers, nothing otherwise. The
+// rank's tile axis is the stripe's live patterns under the same weights,
+// so the master's tile map counts them.
+func (e *Engine) WireVecLen(code threads.JobCode, stripe threads.Range) int {
 	switch {
 	case code == threads.JobSiteLL:
-		return patterns
+		return stripe.Len()
 	case code == threads.JobMakenewzSetup && e.gatherSumtable:
-		return patterns * e.nCat * 4
+		lo, hi := e.tileSpan(stripe)
+		return (hi - lo) * e.nCat * 4
 	}
 	return 0
 }
@@ -909,10 +912,10 @@ func (e *Engine) ApplyWireModel(m *WireModel, g *WorkerGeom) error {
 	if len(m.Parts) != g.MasterParts {
 		return fmt.Errorf("likelihood: model block has %d partitions, expected %d", len(m.Parts), g.MasterParts)
 	}
-	if len(m.Weights) < g.StripeHi {
-		return fmt.Errorf("likelihood: model block weights cover %d patterns, stripe ends at %d", len(m.Weights), g.StripeHi)
+	if len(m.Weights) < g.StripeHi || g.StripeHi-g.StripeLo != e.nPatterns {
+		return fmt.Errorf("likelihood: model block weights cover %d patterns, stripe is [%d, %d)", len(m.Weights), g.StripeLo, g.StripeHi)
 	}
-	copy(e.weights, m.Weights[g.StripeLo:g.StripeHi])
+	e.installWeights(m.Weights[g.StripeLo:g.StripeHi])
 	for li := range e.parts {
 		ps := &e.parts[li]
 		wp := &m.Parts[g.PartMap[li]]
@@ -1180,14 +1183,15 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 		b = appendF64s(b, e.jobDst)
 		e.jobDst = nil
 	case job.Gather:
-		// The stripe's rows in pattern order: each local partition's
-		// segment without its line padding, so the block is exactly
-		// nPatterns·nCat·4 float64 whatever either side's tile geometry.
+		// The rows of the stripe's live patterns in pattern order: each
+		// local partition's segment without its line padding, so the block
+		// is exactly tileN·nCat·4 float64 whatever either side's tile
+		// geometry.
 		st := e.nCat * 4
-		b = appendU32(b, uint32(e.nPatterns*st))
+		b = appendU32(b, uint32(e.tileN*st))
 		for i := range e.parts {
 			ps := &e.parts[i]
-			b = appendF64Block(b, e.sumtable[ps.fOff:ps.fOff+(ps.hi-ps.lo)*st])
+			b = appendF64Block(b, e.sumtable[ps.fOff:ps.fOff+(ps.thi-ps.tlo)*st])
 		}
 	default:
 		b = appendU32(b, 0)
@@ -1244,23 +1248,25 @@ func DecodeWirePartialInto(p *WirePartial, buf []byte) error {
 // per-pattern block straight into the destination of the job in flight —
 // the site-LL output of a JobSiteLL, the master's own full-axis sumtable
 // arena for a gathered JobMakenewzSetup — at the place of the stripe
-// starting at pattern stripeLo. Called by a distributed Dispatcher from
-// inside Post, which has checked the block against WireVecLen.
+// starting at (alignment-axis) pattern stripeLo. Called by a distributed
+// Dispatcher from inside Post, which has checked the block against
+// WireVecLen.
 func (e *Engine) AbsorbRemoteVec(code threads.JobCode, stripeLo int, vec []byte) {
 	if code == threads.JobSiteLL {
 		decodeF64Block(e.jobDst[stripeLo:stripeLo+len(vec)/8], vec)
 		return
 	}
-	// Sumtable rows arrive dense in pattern order; the arena is
-	// tile-shaped, so a stripe spanning a partition boundary lands in
-	// two segments with the line padding between them skipped.
+	// Sumtable rows arrive dense in pattern order, one per live pattern;
+	// the arena is tile-shaped, so a stripe spanning a partition boundary
+	// lands in two segments with the line padding between them skipped.
 	st := e.nCat * 4
-	stripe := threads.Range{Lo: stripeLo, Hi: stripeLo + len(vec)/(8*st)}
+	tlo, _ := e.tileSpan(threads.Range{Lo: stripeLo, Hi: stripeLo})
+	thi := tlo + len(vec)/(8*st)
 	for pi := range e.parts {
-		ps, lo, hi, ok := e.chunkOf(pi, stripe)
+		ps, lo, hi, ok := e.tileChunk(pi, tlo, thi)
 		if ok {
-			base := ps.fOff - ps.lo*st
-			decodeF64Block(e.sumtable[base+lo*st:base+hi*st], vec[(lo-stripeLo)*st*8:])
+			base := ps.fOff - ps.tlo*st
+			decodeF64Block(e.sumtable[base+lo*st:base+hi*st], vec[(lo-tlo)*st*8:])
 		}
 	}
 }

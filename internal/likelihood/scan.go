@@ -187,10 +187,10 @@ func (e *Engine) pendantChunk(ps *partState, lo, hi int) {
 	st := e.nCat * 4
 	var pcat []int
 	if e.isCAT {
-		pcat = ps.rates.PatternCategory[lo-ps.lo : hi-ps.lo]
+		pcat = ps.pcat[lo-ps.tlo : hi-ps.tlo]
 	}
 	s0, sStep, _ := viewCoeffs(vs, ps)
-	base := ps.fOff - ps.lo*st
+	base := ps.fOff - ps.tlo*st
 	e.kern.pendant(e.pendProd[base+lo*st:base+hi*st], vs.vec[s0+lo*sStep:s0+hi*sStep], sStep,
 		e.pPend[ps.pOff:ps.pOff+ps.rates.NumCats()], pcat, ps.maxCat, e.nCat)
 }
@@ -237,41 +237,52 @@ func (e *Engine) insertScanChunk(blk *workerScratch, ps *partState, lo, hi int, 
 	x0, xStep, _ := viewCoeffs(vx, ps)
 	y0, yStep, _ := viewCoeffs(vy, ps)
 	pStep := e.nCat * 4
-	p0 := ps.fOff - ps.lo*pStep
+	p0 := ps.fOff - ps.tlo*pStep
 
 	site, logs := &blk.site, &blk.logs
 	sum := 0.0
 	for b := lo; b < hi; b += logBlockLen {
 		n := min(logBlockLen, hi-b)
-		w := e.weights[b : b+n]
+		w := e.tileW[b : b+n]
 		xv := vx.vec[x0+b*xStep : x0+(b+n)*xStep]
 		yv := vy.vec[y0+b*yStep : y0+(b+n)*yStep]
 		pv := e.pendProd[p0+b*pStep : p0+(b+n)*pStep]
-		lb := b - ps.lo
+		lb := b - ps.tlo
 		if e.isCAT {
-			e.kern.scanJoinCAT(site[:n], xv, yv, pv, ps.rates.PatternCategory[lb:lb+n], ps.maxCat, pHalf, &ps.model.Freqs, w)
+			e.kern.scanJoinCAT(site[:n], xv, yv, pv, ps.pcat[lb:lb+n], ps.maxCat, pHalf, &ps.model.Freqs, w)
 		} else {
 			e.kern.scanJoinGamma(site[:n], xv, xStep, yv, yStep, pv, pHalf, &ps.model.Freqs, ps.rates.Probs, w)
 		}
 		e.kern.logBlock(logs, site, n)
+		sx := scaleBlock(vx, ps.sOff+lb, n)[:len(w)]
+		sy := scaleBlock(vy, ps.sOff+lb, n)[:len(w)]
+		ss := scaleBlock(vs, ps.sOff+lb, n)[:len(w)]
 		for i, wk := range w {
-			if wk == 0 {
-				continue
-			}
 			logSite := logs[i]
-			if vx.scale != nil {
-				logSite -= float64(vx.scale[ps.sOff+lb+i]) * logScaleFactor
-			}
-			if vy.scale != nil {
-				logSite -= float64(vy.scale[ps.sOff+lb+i]) * logScaleFactor
-			}
-			if vs.scale != nil {
-				logSite -= float64(vs.scale[ps.sOff+lb+i]) * logScaleFactor
+			// A zero counter subtracts +0, which returns logSite's bits:
+			// the common pattern, rescaled in none of the three views,
+			// skips all three steps.
+			if sx[i]|sy[i]|ss[i] != 0 {
+				logSite -= float64(sx[i]) * logScaleFactor
+				logSite -= float64(sy[i]) * logScaleFactor
+				logSite -= float64(ss[i]) * logScaleFactor
 			}
 			sum += float64(wk) * logSite
 		}
 	}
 	return sum
+}
+
+// zeroScale stands in for the scale counters of a tip view, which has
+// none.
+var zeroScale [logBlockLen]int32
+
+// scaleBlock returns the n scale counters of view v from offset off on.
+func scaleBlock(v *childView, off, n int) []int32 {
+	if v.scale == nil {
+		return zeroScale[:n]
+	}
+	return v.scale[off : off+n : off+n]
 }
 
 // scanJoinCATScalar is the scalar reference of the CAT insertion-scan

@@ -494,7 +494,9 @@ func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 // of the job about to be posted — one per descriptor entry in the window,
 // one for the reduction kernel that follows it (two per candidate and one
 // pendant product for a scan) — times the CLV categories every step
-// covers. The pool runs a job too short to share on the master alone.
+// covers, times the share of the patterns that are live: a range visits
+// only those (compact.go). The pool runs a job too short to share on the
+// master alone.
 func (e *Engine) JobWork(code threads.JobCode) int {
 	steps := e.travHi - e.travLo
 	switch code {
@@ -504,7 +506,7 @@ func (e *Engine) JobWork(code threads.JobCode) int {
 	default:
 		steps++
 	}
-	return steps * e.nCat
+	return steps * e.nCat * e.tileN / e.nPatterns
 }
 
 // SetPerNodeDispatch toggles the per-node dispatch ablation: when

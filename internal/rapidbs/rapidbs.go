@@ -37,6 +37,9 @@ type Replicate struct {
 	LogLikelihood float64
 	// Weights is the replicate's pattern weight vector.
 	Weights []int
+	// Patterns is how many patterns the replicate's kernels visited: its
+	// live (non-zero-weight) ones.
+	Patterns int
 }
 
 // Runner generates bootstrap replicates over one engine.
@@ -130,6 +133,7 @@ func (r *Runner) RunRange(start, count int, bsRNG, parsRNG *rng.RNG, after func(
 			Tree:          result.Tree.Clone(),
 			LogLikelihood: result.LogLikelihood,
 			Weights:       weights,
+			Patterns:      r.eng.TilePatterns(),
 		}
 		if after != nil {
 			if err := after(rep); err != nil {
