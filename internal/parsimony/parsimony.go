@@ -3,15 +3,42 @@
 // trees for maximum-likelihood searches and rapid-bootstrap restarts.
 //
 // States are the 4-bit sets of package msa, so Fitch's set operations
-// are single AND/OR instructions. Scoring runs through the same
+// are single AND/OR instructions. Everything runs through the same
 // job-code engine as the likelihood kernels (in RAxML the parsimony
-// kernel is distributed over the same worker crew): Score builds a
-// Fitch traversal descriptor — the post-order list of internal nodes
-// with resolved child buffers — and posts it to the pool as ONE
-// threads.JobParsimony, whose workers walk the whole descriptor over
-// their pattern ranges and reduce the score partial at the anchor
-// edge. One Score call is one barrier crossing regardless of tree
-// size.
+// kernel is distributed over the same worker crew), as ONE
+// threads.JobParsimony per call.
+//
+// Views. A directed Fitch view u→v is the state set of u's side of the
+// edge u–v, one byte per pattern; a tip's view is its row of the pattern
+// matrix. An inner node's view toward one neighbour is the Fitch join of
+// the views of its other two, and its weighted cost is theirs plus the
+// join's own changes. Views store states only: each worker keeps the
+// costs of its own range as one scalar per view (a view's cost is a sum
+// over patterns, so a range's share of it is a sum of its children's
+// shares), and buffers are indexed node*3+slot, allocated once per
+// engine.
+//
+// Score lists the views toward one tip in post-order and reduces the
+// score at that tip's edge. StepwiseAddition posts one job per inserted
+// taxon: the job lists every view of the partial tree in dependency
+// order, and then scores every candidate edge (x, y) of the tree from
+// the two views at its ends and the taxon's tip row — Fitch's score is
+// independent of where the tree is rooted, so rooting the tree with the
+// taxon inserted on (x, y) at its pendant edge gives
+//
+//	cost(x→y) + cost(y→x) + Σ w·([X∩Y=∅] + [M∩T=∅]),
+//
+// M being X∩Y, or X∪Y when that is empty, and T the taxon's states. The
+// result is exactly Score of that tree, without building it: a tree of
+// k taxa costs 3(k−2) view steps and 2k−3 candidate joins, not a
+// whole-tree fold per candidate.
+//
+// Live patterns. SetWeights lays a second pattern axis out over the
+// non-zero-weight patterns (a bootstrap replicate weighs about two in
+// three); views and the gathered tip rows live on it and every step
+// visits only those. A worker still owns the live patterns of the range
+// the pool gave it, and scores are integers, so nothing depends on the
+// layout.
 package parsimony
 
 import (
@@ -23,15 +50,18 @@ import (
 	"raxml/internal/tree"
 )
 
-// fitchEntry is one step of a Fitch traversal descriptor: combine the
-// two children's state sets into the node's buffers. Child buffers are
-// resolved by the master at build time; tips read straight from the
-// pattern matrix with nil cost.
-type fitchEntry struct {
-	dstState       []msa.State
-	dstCost        []int32
-	lState, rState []msa.State
-	lCost, rCost   []int32
+// fitchStep is one entry of the job descriptor: join two child views
+// into dst. Buffers are resolved by the master at plan time; ids index
+// the workers' cost rows, where a tip's id (taxon*3) is always zero.
+type fitchStep struct {
+	dst, l, r       []msa.State
+	dstID, lID, rID int
+}
+
+// candidate is one insertion edge (x, y): the views x→y and y→x.
+type candidate struct {
+	x, y     []msa.State
+	xID, yID int
 }
 
 // Engine scores trees under Fitch parsimony over one pattern set.
@@ -40,20 +70,34 @@ type Engine struct {
 	pool    *threads.Pool
 	weights []int
 
-	// state[node] holds the Fitch state sets for the subtree below node
-	// when rooted at the current evaluation root; laid out per pattern.
-	state [][]msa.State
-	// cost[node][k] is the accumulated mutation count below node.
-	cost [][]int32
+	// The live axis: livePos[k] is the live-axis position of alignment
+	// pattern k (and of the next live one when k is dead), so a range
+	// [Lo, Hi) covers live positions [livePos[Lo], livePos[Hi]).
+	livePos []int32
+	liveIdx []int32
+	liveW   []int
+	tips    [][]msa.State // per taxon, on the live axis
+	tipBuf  []msa.State
 
-	// trav is the Fitch descriptor buffer, reused across Score calls
-	// (stepwise addition scores O(taxa²) trees on one engine).
-	trav []fitchEntry
-	// anchor reduction inputs: the tip-side states and the folded
-	// subtree buffers at the scoring root edge.
-	anchorA    []msa.State
-	anchorB    []msa.State
-	anchorCost []int32
+	// views[node*3+slot] is the view from node toward Neighbors[slot];
+	// nil until first used, then NumPatterns long (a replicate's live axis
+	// is never longer).
+	views [][]msa.State
+	// costs holds one row of costStride view costs per pool range.
+	costs      []int
+	costStride int
+
+	// The job descriptor: steps in dependency order, then either the
+	// candidate edges of tip (StepwiseAddition) or, with no candidates,
+	// the anchor edge between tip and the view anchor/anchorID (Score).
+	steps    []fitchStep
+	cands    []candidate
+	tip      []msa.State
+	anchor   []msa.State
+	anchorID int
+
+	pre    [][2]int // planning scratch: (node, parent) in pre-order
+	scores []int
 }
 
 // New creates a parsimony engine. A nil pool means serial execution.
@@ -62,7 +106,8 @@ func New(pat *msa.Patterns, pool *threads.Pool) *Engine {
 	if e.pool == nil {
 		e.pool = threads.NewPool(1, pat.NumPatterns())
 	}
-	e.weights = append([]int(nil), pat.Weights...)
+	e.tips = make([][]msa.State, pat.NumTaxa())
+	e.installWeights(pat.Weights)
 	return e
 }
 
@@ -70,176 +115,305 @@ func New(pat *msa.Patterns, pool *threads.Pool) *Engine {
 // original weights).
 func (e *Engine) SetWeights(w []int) {
 	if w == nil {
-		e.weights = append(e.weights[:0], e.pat.Weights...)
-		return
-	}
-	if len(w) != e.pat.NumPatterns() {
+		w = e.pat.Weights
+	} else if len(w) != e.pat.NumPatterns() {
 		panic(fmt.Sprintf("parsimony: weight vector has %d entries, want %d", len(w), e.pat.NumPatterns()))
 	}
+	e.installWeights(w)
+}
+
+// installWeights makes a copy of w the active weights and lays the live
+// axis out again when a pattern died or revived; otherwise only the
+// live-axis weights are gathered again.
+func (e *Engine) installWeights(w []int) {
+	same := len(e.weights) == len(w)
+	for k := 0; same && k < len(w); k++ {
+		same = (w[k] == 0) == (e.weights[k] == 0)
+	}
 	e.weights = append(e.weights[:0], w...)
-}
-
-func (e *Engine) ensure(n int) {
-	for len(e.state) < n {
-		e.state = append(e.state, nil)
-		e.cost = append(e.cost, nil)
+	if !same {
+		e.layoutLive()
+	}
+	e.liveW = e.liveW[:0]
+	for _, k := range e.liveIdx {
+		e.liveW = append(e.liveW, e.weights[k])
 	}
 }
 
-func (e *Engine) buffersFor(node int) ([]msa.State, []int32) {
-	if e.state[node] == nil {
-		e.state[node] = make([]msa.State, e.pat.NumPatterns())
-		e.cost[node] = make([]int32, e.pat.NumPatterns())
+// layoutLive derives the live axis from the active weights and gathers
+// the tip rows onto it; with no dead pattern the rows are the pattern
+// matrix itself.
+func (e *Engine) layoutLive() {
+	n := e.pat.NumPatterns()
+	e.livePos = e.livePos[:0]
+	e.liveIdx = e.liveIdx[:0]
+	for k, w := range e.weights {
+		e.livePos = append(e.livePos, int32(len(e.liveIdx)))
+		if w != 0 {
+			e.liveIdx = append(e.liveIdx, int32(k))
+		}
 	}
-	return e.state[node], e.cost[node]
+	e.livePos = append(e.livePos, int32(len(e.liveIdx)))
+	live := len(e.liveIdx)
+	if live == n {
+		copy(e.tips, e.pat.Data)
+		return
+	}
+	if e.tipBuf == nil {
+		e.tipBuf = make([]msa.State, len(e.tips)*n)
+	}
+	for t, row := range e.pat.Data {
+		dst := e.tipBuf[t*n : t*n+live : t*n+live]
+		for j, k := range e.liveIdx {
+			dst[j] = row[k]
+		}
+		e.tips[t] = dst
+	}
+}
+
+// ensure sizes the view table and the cost rows for a tree arena of
+// `nodes` slots, and at least for a complete tree's, so a stepwise
+// addition sizes them once. Rows are not preserved: every job recomputes
+// each cost it reads.
+func (e *Engine) ensure(nodes int) {
+	nodes = max(nodes, 2*e.pat.NumTaxa()-2)
+	for len(e.views) < 3*nodes {
+		e.views = append(e.views, nil)
+	}
+	if 3*nodes <= e.costStride {
+		return
+	}
+	e.costStride = (3*nodes + 7) / 8 * 8 // whole cache lines per range
+	e.costs = make([]int, e.pool.Workers()*e.costStride)
+}
+
+// source returns the view from u toward v: a tip's row, or the buffer of
+// u's slot for v (allocated on first use).
+func (e *Engine) source(t *tree.Tree, u, v int) ([]msa.State, int) {
+	n := &t.Nodes[u]
+	if n.IsTip() {
+		return e.tips[n.Taxon], u * 3
+	}
+	id := u*3 + slotOf(n, v)
+	if e.views[id] == nil {
+		e.views[id] = make([]msa.State, e.pat.NumPatterns())
+	}
+	return e.views[id], id
+}
+
+func slotOf(n *tree.Node, v int) int {
+	for s, w := range n.Neighbors {
+		if w == v {
+			return s
+		}
+	}
+	panic(fmt.Sprintf("parsimony: node %d is not adjacent to %d", n.ID, v))
+}
+
+// queueView appends the step computing the view from inner node u toward
+// its neighbour v out of the views toward u of its other two neighbours.
+func (e *Engine) queueView(t *tree.Tree, u, v int) {
+	var in [2]int
+	j := 0
+	for _, w := range t.Nodes[u].Neighbors {
+		if w >= 0 && w != v {
+			if j == 2 {
+				panic(fmt.Sprintf("parsimony: node %d has more than two neighbours besides %d", u, v))
+			}
+			in[j] = w
+			j++
+		}
+	}
+	if j != 2 {
+		panic(fmt.Sprintf("parsimony: node %d has %d neighbours besides %d", u, j, v))
+	}
+	dst, dstID := e.source(t, u, v)
+	l, lID := e.source(t, in[0], u)
+	r, rID := e.source(t, in[1], u)
+	e.steps = append(e.steps, fitchStep{dst: dst, l: l, r: r, dstID: dstID, lID: lID, rID: rID})
+}
+
+// planViews lists the views of t in dependency order, seen from the tip
+// root: the views toward root (children before parents), then, when
+// away is set, the views away from it (parents before children).
+func (e *Engine) planViews(t *tree.Tree, root int, away bool) {
+	e.ensure(t.MaxNodeID())
+	e.steps = e.steps[:0]
+	e.pre = append(e.pre[:0], [2]int{t.Nodes[root].Neighbors[0], root})
+	for i := 0; i < len(e.pre); i++ {
+		u, p := e.pre[i][0], e.pre[i][1]
+		for _, c := range t.Nodes[u].Neighbors {
+			if c >= 0 && c != p {
+				e.pre = append(e.pre, [2]int{c, u})
+			}
+		}
+	}
+	for i := len(e.pre) - 1; i >= 0; i-- {
+		if u, p := e.pre[i][0], e.pre[i][1]; !t.Nodes[u].IsTip() {
+			e.queueView(t, u, p)
+		}
+	}
+	if !away {
+		return
+	}
+	for _, up := range e.pre {
+		if u, p := up[0], up[1]; !t.Nodes[u].IsTip() {
+			for _, c := range t.Nodes[u].Neighbors {
+				if c >= 0 && c != p {
+					e.queueView(t, u, c)
+				}
+			}
+		}
+	}
+}
+
+// rootTip returns the lowest-numbered attached tip of t.
+func (e *Engine) rootTip(t *tree.Tree) int {
+	for i := 0; i < e.pat.NumTaxa(); i++ {
+		if t.Nodes[i].InUse && t.Nodes[i].Neighbors[0] >= 0 {
+			return i
+		}
+	}
+	panic("parsimony: tree has no attached tips")
 }
 
 // Score returns the weighted Fitch parsimony score of the tree (the
 // minimum number of state changes, summed over patterns with weights).
 // The tree may be partial (mid stepwise addition); scoring roots at the
-// lowest-numbered attached tip. The whole fold — every internal node
-// plus the anchor-edge reduction — is one pool dispatch.
+// lowest-numbered attached tip. The whole fold — every view toward that
+// tip plus the reduction at its edge — is one pool dispatch.
 func (e *Engine) Score(t *tree.Tree) int {
-	e.ensure(t.MaxNodeID())
-	// Root on the edge at the first attached tip: fold both sides, join.
-	a := -1
-	for i := 0; i < e.pat.NumTaxa(); i++ {
-		if t.Nodes[i].InUse && t.Nodes[i].Neighbors[0] >= 0 {
-			a = i
-			break
-		}
-	}
-	if a < 0 {
-		panic("parsimony: tree has no attached tips")
-	}
-	b := t.Nodes[a].Neighbors[0]
-
-	// Plan: resolve the post-order fold into a descriptor (master-only
-	// work: buffer allocation and child lookup happen here, never in
-	// workers).
-	e.trav = e.trav[:0]
-	for _, pair := range t.PostOrder(b, a) {
-		e.queueFitch(t, pair[0], pair[1])
-	}
-	e.anchorA = e.tipState(a)
-	e.anchorB, e.anchorCost = e.childBuffers(b)
-
-	// Execute: one job walks the descriptor and reduces the score.
+	a := e.rootTip(t)
+	e.planViews(t, a, false)
+	e.cands = e.cands[:0]
+	e.tip = e.tips[a]
+	e.anchor, e.anchorID = e.source(t, t.Nodes[a].Neighbors[0], a)
 	e.pool.Post(e, threads.JobParsimony)
 	return int(e.pool.SumSlots(0))
 }
 
-// queueFitch appends the descriptor entry computing `node` viewed from
-// `parent`. Tips contribute no entry.
-func (e *Engine) queueFitch(t *tree.Tree, node, parent int) {
-	n := &t.Nodes[node]
-	if n.IsTip() {
-		return // tip states live in the pattern matrix
+// insertionScores returns, for every edge of t in t.Edges() order, the
+// Score of t with taxon inserted on that edge — from one pool dispatch,
+// leaving t untouched. The scores are the engine's and are overwritten
+// by the next call.
+func (e *Engine) insertionScores(t *tree.Tree, taxon int) ([]tree.Edge, []int) {
+	edges := t.Edges()
+	e.planViews(t, e.rootTip(t), true)
+	e.cands = e.cands[:0]
+	for _, ed := range edges {
+		x, xID := e.source(t, ed.A, ed.B)
+		y, yID := e.source(t, ed.B, ed.A)
+		e.cands = append(e.cands, candidate{x: x, y: y, xID: xID, yID: yID})
 	}
-	var children [2]int
-	j := 0
-	for _, v := range n.Neighbors {
-		if v >= 0 && v != parent {
-			children[j] = v
-			j++
-		}
+	e.tip = e.tips[taxon]
+	e.pool.EnsureWide(len(e.cands))
+	e.pool.Post(e, threads.JobParsimony)
+	e.scores = e.scores[:0]
+	for i := range e.cands {
+		e.scores = append(e.scores, int(e.pool.SumWide(i)))
 	}
-	if j != 2 {
-		panic(fmt.Sprintf("parsimony: node %d has %d children from %d", node, j, parent))
-	}
-	dstState, dstCost := e.buffersFor(node)
-	lState, lCost := e.childBuffers(children[0])
-	rState, rCost := e.childBuffers(children[1])
-	e.trav = append(e.trav, fitchEntry{
-		dstState: dstState, dstCost: dstCost,
-		lState: lState, lCost: lCost,
-		rState: rState, rCost: rCost,
-	})
+	return edges, e.scores
 }
 
-// RunJob implements threads.JobRunner: walk the Fitch descriptor over
-// the worker's pattern range, then reduce the anchor-edge score partial
-// into the worker's slot. The slot is zeroed up front so an aborted
-// job can never leak a previous job's partial (the pool is shared with
-// the likelihood engine) into the score reduction; an aborted Score is
-// meaningless and must be discarded by the caller.
+// RunJob implements threads.JobRunner: walk the descriptor's views over
+// the live patterns of the worker's range, keeping their costs in the
+// range's row, then reduce either every candidate's score into the
+// worker's wide row or the anchor edge's into its slot. The slot is
+// zeroed up front so an aborted job can never leak a previous job's
+// partial (the pool is shared with the likelihood engine) into the
+// score reduction; an aborted job is meaningless and must be discarded
+// by the caller.
 func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 	if code != threads.JobParsimony {
 		panic(fmt.Sprintf("parsimony: unknown job code %d", code))
 	}
 	e.pool.Slot(w)[0] = 0
-	for i := range e.trav {
+	lo, hi := int(e.livePos[r.Lo]), int(e.livePos[r.Hi])
+	wt := e.liveW[lo:hi]
+	cost := e.costs[w*e.costStride : (w+1)*e.costStride]
+	for i := range e.steps {
 		if e.pool.Aborted() {
 			return
 		}
-		e.fitchRange(&e.trav[i], r)
+		s := &e.steps[i]
+		cost[s.dstID] = cost[s.lID] + cost[s.rID] + fitchSpan(s.dst[lo:hi], s.l[lo:hi], s.r[lo:hi], wt)
 	}
-	sum := 0
-	for k := r.Lo; k < r.Hi; k++ {
-		wk := e.weights[k]
-		if wk == 0 {
-			continue
-		}
-		c := 0
-		if e.anchorCost != nil {
-			c = int(e.anchorCost[k])
-		}
-		if e.anchorA[k]&e.anchorB[k] == 0 {
-			c++
-		}
-		sum += wk * c
+	tip := e.tip[lo:hi]
+	if len(e.cands) == 0 {
+		e.pool.Slot(w)[0] = float64(cost[e.anchorID] + disjoint(e.anchor[lo:hi], tip, wt))
+		return
 	}
-	e.pool.Slot(w)[0] = float64(sum)
-}
-
-// JobWork implements threads.WorkEstimator: the descriptor entries plus
-// the anchor reduction. A Fitch step is a few byte operations, but its
-// intersection test mispredicts on every variable site, and it measures
-// within a factor of two of a one-category likelihood entry per pattern
-// (7 ns on random data), so a step counts as one unit.
-func (e *Engine) JobWork(threads.JobCode) int { return len(e.trav) + 1 }
-
-// fitchRange applies one descriptor entry's Fitch set combination over
-// a pattern range. Pattern k of a parent depends only on pattern k of
-// its children, so descriptor order makes the walk barrier-free.
-func (e *Engine) fitchRange(ent *fitchEntry, r threads.Range) {
-	for k := r.Lo; k < r.Hi; k++ {
-		if e.weights[k] == 0 {
-			continue
-		}
-		ls := ent.lState[k]
-		rs := ent.rState[k]
-		var c int32
-		if ent.lCost != nil {
-			c += ent.lCost[k]
-		}
-		if ent.rCost != nil {
-			c += ent.rCost[k]
-		}
-		inter := ls & rs
-		if inter != 0 {
-			ent.dstState[k] = inter
-		} else {
-			ent.dstState[k] = ls | rs
-			c++
-		}
-		ent.dstCost[k] = c
+	ws := e.pool.WideSlot(w)
+	for i := range e.cands {
+		c := &e.cands[i]
+		ws[i] = float64(cost[c.xID] + cost[c.yID] + joinSpan(c.x[lo:hi], c.y[lo:hi], tip, wt))
 	}
 }
 
-// tipState returns the pattern states of a taxon.
-func (e *Engine) tipState(taxon int) []msa.State {
-	return e.pat.Data[taxon]
+// JobWork implements threads.WorkEstimator: the job's view steps and
+// candidate joins (the anchor reduction counting as a step), in the
+// pool's units of one CLV category of one newview entry per pattern. On
+// a 2-vCPU Xeon guest BenchmarkPostCrossover's inline rows put that unit
+// at ~3.5 ns (step_ns 4.7 for 4/3 of a unit) and BenchmarkFitchKernels
+// puts a view step at ~1.8 ns per pattern and a candidate join at
+// ~2.8 ns: a step is 1/2 unit, a join 4/5. The pool multiplies by its
+// widest alignment-axis range, of which a range visits only the live
+// share.
+func (e *Engine) JobWork(threads.JobCode) int {
+	tenths := 5*len(e.steps) + 8*len(e.cands)
+	if len(e.cands) == 0 {
+		tenths += 5
+	}
+	return tenths * len(e.liveIdx) / (10 * e.pat.NumPatterns())
 }
 
-func (e *Engine) childBuffers(child int) ([]msa.State, []int32) {
-	// Tips read straight from the pattern matrix with zero cost.
-	if child < e.pat.NumTaxa() {
-		return e.tipState(child), nil
+// fitchSpan is one view step over a span of the live axis: dst gets the
+// Fitch join of l and r, and the weighted count of disjoint pairs is
+// returned. Branch-free — the disjointness of a pair is a mask, not a
+// branch that would mispredict on every variable site.
+func fitchSpan(dst, l, r []msa.State, w []int) int {
+	l, r, w = l[:len(dst)], r[:len(dst)], w[:len(dst)]
+	c := 0
+	for k := range dst {
+		a, b := l[k], r[k]
+		in := a & b
+		e := empty(in)
+		dst[k] = in | (a|b)&msa.State(-e)
+		c += w[k] & -int(e)
 	}
-	s, c := e.buffersFor(child)
-	return s, c
+	return c
 }
+
+// joinSpan is a candidate's share over a span of the live axis: the
+// weighted changes on the two halves of the edge (x, y) joined, plus
+// those on the taxon's pendant edge to tip.
+func joinSpan(x, y, tip []msa.State, w []int) int {
+	y, tip, w = y[:len(x)], tip[:len(x)], w[:len(x)]
+	c := 0
+	for k := range x {
+		a, b := x[k], y[k]
+		in := a & b
+		e := empty(in)
+		m := in | (a|b)&msa.State(-e)
+		c += w[k] * int(e+empty(m&tip[k]))
+	}
+	return c
+}
+
+// disjoint returns the weighted count of patterns where a and b share no
+// state: the changes on the edge joining the two views.
+func disjoint(a, b []msa.State, w []int) int {
+	b, w = b[:len(a)], w[:len(a)]
+	c := 0
+	for k := range a {
+		c += w[k] & -int(empty(a[k]&b[k]))
+	}
+	return c
+}
+
+// empty is 1 for the empty state set and 0 for any other (states are
+// 4-bit sets, so only 0 wraps around).
+func empty(s msa.State) uint32 { return (uint32(s) - 1) >> 31 }
 
 // StepwiseAddition builds a randomized stepwise-addition parsimony tree:
 // taxa are inserted in random order, each at the edge minimizing the
@@ -253,7 +427,9 @@ func StepwiseAddition(pat *msa.Patterns, r *rng.RNG, pool *threads.Pool) *tree.T
 
 // StepwiseAddition builds a randomized stepwise-addition tree using the
 // engine's current weights (so bootstrap replicates grow trees on their
-// own resampled data).
+// own resampled data). Each taxon costs one pool dispatch: every
+// candidate edge is scored at once, and the taxon goes to the first edge
+// (in t.Edges() order) with the lowest score.
 func (e *Engine) StepwiseAddition(r *rng.RNG) *tree.Tree {
 	pat := e.pat
 	n := pat.NumTaxa()
@@ -266,19 +442,14 @@ func (e *Engine) StepwiseAddition(r *rng.RNG) *tree.Tree {
 	}
 	for i := 3; i < n; i++ {
 		taxon := order[i]
-		edges := t.Edges()
-		bestEdge := edges[0]
-		bestScore := int(^uint(0) >> 1)
-		for _, edge := range edges {
-			t.InsertTipOnEdge(taxon, edge, tree.DefaultBranchLength)
-			s := e.Score(t)
-			if s < bestScore {
-				bestScore = s
-				bestEdge = edge
+		edges, scores := e.insertionScores(t, taxon)
+		best := 0
+		for j, s := range scores {
+			if s < scores[best] {
+				best = j
 			}
-			t.RemoveTip(taxon)
 		}
-		t.InsertTipOnEdge(taxon, bestEdge, tree.DefaultBranchLength)
+		t.InsertTipOnEdge(taxon, edges[best], tree.DefaultBranchLength)
 	}
 	return t
 }

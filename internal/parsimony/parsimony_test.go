@@ -1,6 +1,7 @@
 package parsimony
 
 import (
+	"fmt"
 	"testing"
 
 	"raxml/internal/msa"
@@ -255,25 +256,33 @@ func BenchmarkScore(b *testing.B) {
 	}
 }
 
+// BenchmarkStepwiseAddition grows one serial stepwise-addition tree over
+// 300 random characters: one view walk and one candidate join per
+// inserted taxon, O(taxa·patterns) each, so taxa=50 against taxa=24
+// shows the per-step cost growing linearly, not quadratically.
 func BenchmarkStepwiseAddition(b *testing.B) {
-	r := rng.New(1)
-	letters := []byte("ACGT")
-	a := &msa.Alignment{}
-	for i := 0; i < 24; i++ {
-		a.Names = append(a.Names, "n"+string(rune('a'+i%26))+string(rune('0'+i/26)))
-		row := make([]msa.State, 300)
-		for j := range row {
-			row[j] = msa.EncodeChar(letters[r.Intn(4)])
-		}
-		a.Seqs = append(a.Seqs, row)
-	}
-	pat, err := msa.Compress(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = StepwiseAddition(pat, rng.New(int64(i)), nil)
+	for _, taxa := range []int{24, 50} {
+		b.Run(fmt.Sprintf("taxa=%d", taxa), func(b *testing.B) {
+			r := rng.New(1)
+			letters := []byte("ACGT")
+			a := &msa.Alignment{}
+			for i := 0; i < taxa; i++ {
+				a.Names = append(a.Names, "n"+string(rune('a'+i%26))+string(rune('0'+i/26)))
+				row := make([]msa.State, 300)
+				for j := range row {
+					row[j] = msa.EncodeChar(letters[r.Intn(4)])
+				}
+				a.Seqs = append(a.Seqs, row)
+			}
+			pat, err := msa.Compress(a)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = StepwiseAddition(pat, rng.New(int64(i)), nil)
+			}
+		})
 	}
 }
 
@@ -293,5 +302,165 @@ func TestScoreSingleDispatch(t *testing.T) {
 	}
 	if used := pool.Dispatches() - before; used != 1 {
 		t.Fatalf("Score used %d dispatches, want exactly 1", used)
+	}
+}
+
+func TestStepwiseDispatches(t *testing.T) {
+	// One dispatch per inserted taxon: n−3 per tree, whatever the crew.
+	r := rng.New(78)
+	pat := randomPatterns(t, r, 30, 150)
+	for _, workers := range []int{1, 2, 3} {
+		pool := threads.NewPool(workers, pat.NumPatterns())
+		e := New(pat, pool)
+		e.SetWeights(pat.Resample(rng.New(5)))
+		before := pool.Dispatches()
+		e.StepwiseAddition(rng.New(int64(workers)))
+		if used := pool.Dispatches() - before; used != int64(pat.NumTaxa()-3) {
+			t.Errorf("T=%d: StepwiseAddition used %d dispatches, want %d", workers, used, pat.NumTaxa()-3)
+		}
+		pool.Close()
+	}
+}
+
+func TestInsertionScoresMatchScore(t *testing.T) {
+	// Every per-edge insertion score from the view join equals Score of
+	// the tree with the taxon physically inserted there, and Score equals
+	// a per-pattern Fitch fold written independently of the engine — over
+	// random partial trees, original and bootstrap weights, ambiguity
+	// codes and gaps, and T = 1, 2, 3.
+	r := rng.New(79)
+	pat := ambiguousPatterns(t, r, 16, 140)
+	boot := pat.Resample(rng.New(80))
+	for _, workers := range []int{1, 2, 3} {
+		for _, weights := range [][]int{nil, boot} {
+			pool := threads.NewPool(workers, pat.NumPatterns())
+			e := New(pat, pool)
+			e.SetWeights(weights)
+			w := weights
+			if w == nil {
+				w = pat.Weights
+			}
+			for trial := 0; trial < 6; trial++ {
+				order := r.Perm(pat.NumTaxa())
+				k := 3 + r.Intn(pat.NumTaxa()-3)
+				tr := partialTree(pat.Names, order[:k], r)
+				taxon := order[k]
+				edges, scores := e.insertionScores(tr, taxon)
+				if len(edges) != 2*k-3 {
+					t.Fatalf("%d candidates on a tree of %d taxa, want %d", len(edges), k, 2*k-3)
+				}
+				for i, ed := range edges {
+					tr.InsertTipOnEdge(taxon, ed, tree.DefaultBranchLength)
+					want := naiveFitch(tr, pat, w)
+					if got := e.Score(tr); got != want {
+						t.Fatalf("T=%d trial %d: Score %d, reference fold %d", workers, trial, got, want)
+					}
+					if scores[i] != want {
+						t.Fatalf("T=%d trial %d edge %v: insertion score %d, Score of the inserted tree %d",
+							workers, trial, ed, scores[i], want)
+					}
+					tr.RemoveTip(taxon)
+				}
+			}
+			pool.Close()
+		}
+	}
+}
+
+// partialTree joins taxa[:3] at one inner node and inserts the rest on
+// random edges.
+func partialTree(names []string, taxa []int, r *rng.RNG) *tree.Tree {
+	t := tree.New(names)
+	center := t.NewInternal()
+	for _, x := range taxa[:3] {
+		t.Connect(center, x, tree.DefaultBranchLength)
+	}
+	for _, x := range taxa[3:] {
+		edges := t.Edges()
+		t.InsertTipOnEdge(x, edges[r.Intn(len(edges))], tree.DefaultBranchLength)
+	}
+	return t
+}
+
+// naiveFitch is the textbook weighted Fitch score of t, one pattern at a
+// time, by recursion from the first attached tip.
+func naiveFitch(t *tree.Tree, pat *msa.Patterns, w []int) int {
+	root := -1
+	for i := 0; i < pat.NumTaxa() && root < 0; i++ {
+		if t.Nodes[i].Neighbors[0] >= 0 {
+			root = i
+		}
+	}
+	total := 0
+	for k := range w {
+		var fold func(u, parent int) (msa.State, int)
+		fold = func(u, parent int) (msa.State, int) {
+			if t.Nodes[u].IsTip() {
+				return pat.Data[u][k], 0
+			}
+			var s msa.State
+			c, first := 0, true
+			for _, v := range t.Nodes[u].Neighbors {
+				if v < 0 || v == parent {
+					continue
+				}
+				vs, vc := fold(v, u)
+				c += vc
+				switch {
+				case first:
+					s, first = vs, false
+				case s&vs != 0:
+					s &= vs
+				default:
+					s |= vs
+					c++
+				}
+			}
+			return s, c
+		}
+		s, c := fold(t.Nodes[root].Neighbors[0], root)
+		if s&pat.Data[root][k] == 0 {
+			c++
+		}
+		total += w[k] * c
+	}
+	return total
+}
+
+// BenchmarkFitchKernels times the two inner loops of the stepwise job
+// per pattern, on random L1-resident states: a view step (fitchSpan) and
+// a candidate join (joinSpan). The ns/pattern metrics are what JobWork's
+// units are set from.
+func BenchmarkFitchKernels(b *testing.B) {
+	const n = 1024
+	r := rng.New(1)
+	states := func() []msa.State {
+		s := make([]msa.State, n)
+		for k := range s {
+			s[k] = msa.State(1) << r.Intn(4)
+		}
+		return s
+	}
+	x, y, tip, dst := states(), states(), states(), make([]msa.State, n)
+	w := make([]int, n)
+	for k := range w {
+		w[k] = 1 + r.Intn(3)
+	}
+	sink := 0
+	b.Run("view", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += fitchSpan(dst, x, y, w)
+			x, dst = dst, x
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pattern")
+	})
+	b.Run("join", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += joinSpan(x, y, tip, w)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pattern")
+	})
+	if sink == -1 {
+		b.Log(sink)
 	}
 }

@@ -106,8 +106,10 @@ const (
 	// prune (a three-way CLV join per candidate), one partial per
 	// candidate in the worker's wide reduction row.
 	JobInsertScan
-	// JobParsimony walks a Fitch descriptor and reduces the parsimony
-	// score partial.
+	// JobParsimony walks a descriptor of directed Fitch views and then
+	// reduces either the parsimony score partial at one edge or, for a
+	// stepwise-addition step, one score partial per candidate insertion
+	// edge in the worker's wide reduction row.
 	JobParsimony
 )
 
