@@ -180,6 +180,9 @@ func Raxml(args []string, stdout io.Writer) error {
 		// friends land on stable, re-run-safe paths.
 		*runName = deriveRunName(data, partData, *model, *gridStarts, *bootstraps,
 			*gridBatch, *gridBootstop, *seedP, *seedX)
+		if *gridN < 0 {
+			*runName = offGridRunName(*runName, *analysis, *ranks, *fine)
+		}
 		fmt.Fprintf(stdout, "Run name (derived): %s\n", *runName)
 	}
 	var pat *msa.Patterns

@@ -53,6 +53,15 @@ func deriveRunName(align, part []byte, model string, starts, bootstraps, batch i
 	})
 }
 
+// offGridRunName folds into a derived run name what a -grid run does
+// not read but every other run's outputs depend on: the analysis type
+// (-f), the rank count (-R) and the fine-grain switch. Without it, runs
+// of different analyses or shapes over one alignment derive one name
+// and overwrite each other's files. A -grid run keeps the server's ID.
+func offGridRunName(name, analysis string, ranks int, fine bool) string {
+	return "r" + server.HashBytes([]byte(fmt.Sprintf("%s/f=%s/R=%d/fine=%v", name, analysis, ranks, fine)))[:12]
+}
+
 // runServe starts the analysis server and blocks until SIGINT/SIGTERM,
 // then drains gracefully: stop admitting, cancel running grids at their
 // next checkpoint boundary, persist the queue (with checkpoints) to the

@@ -5,10 +5,8 @@ import (
 	"sort"
 	"time"
 
-	"raxml/internal/fabric"
 	"raxml/internal/msa"
 	"raxml/internal/rapidbs"
-	"raxml/internal/rng"
 	"raxml/internal/search"
 	"raxml/internal/tree"
 )
@@ -146,10 +144,6 @@ type RankReport struct {
 	// BootstrapPatterns sums, over the rank's replicates, the patterns each
 	// replicate's kernels visited (rapidbs.Replicate.Patterns).
 	BootstrapPatterns int
-
-	// bootstrapNewicks stashes the rank's replicate topologies for the
-	// support gather; cleared before the report is published.
-	bootstrapNewicks []string
 }
 
 // Result is the outcome of a comprehensive analysis.
@@ -187,188 +181,154 @@ func Run(pat *msa.Patterns, opts Options) (*Result, error) {
 	sched := NewSchedule(opts.Ranks, opts.Bootstraps)
 	start := time.Now()
 
-	reports := make([]RankReport, opts.Ranks)
-	bestNewicks := make([]string, opts.Ranks)
-	supports := make([]map[tree.Edge]int, opts.Ranks)
-	winnerRank := -1
-	winnerScore := 0.0
-
-	err := fabric.Run(opts.Ranks, func(c *fabric.Comm) error {
-		rank := c.Rank()
-		rep, bestTree, err := runRank(pat, opts, sched, rank, c)
+	ranks := make([]*analysisRank, opts.Ranks)
+	defer func() {
+		for _, r := range ranks {
+			if r != nil {
+				r.pool.Close()
+			}
+		}
+	}()
+	first := func(id int) error {
+		r, err := newRank(pat, opts, id)
 		if err != nil {
 			return err
 		}
-		reports[rank] = *rep
-
-		// Select the winner: MPI_MAXLOC over thorough scores, then the
-		// winner broadcasts its tree (the paper's MPI_Bcast).
-		bestLL, loc, err := c.AllreduceMaxLoc(rep.ThoroughScore)
-		if err != nil {
-			return err
-		}
-		nw, err := tree.FormatNewick(bestTree, nil)
-		if err != nil {
-			return err
-		}
-		winnerNewick, err := fabric.Bcast(c, loc, nw)
-		if err != nil {
-			return err
-		}
-
-		// Support mapping: every rank contributes its local bootstrap
-		// topologies; the winner tree's bipartitions are scored against
-		// the union (gathered deterministically in rank order).
-		localBS := rep.bootstrapNewicks
-		allBS, err := fabric.Gather(c, localBS)
-		if err != nil {
-			return err
-		}
-		winTree, err := tree.ParseNewick(winnerNewick, pat.Names)
-		if err != nil {
-			return err
-		}
-		supports[rank] = supportFromNewicks(winTree, allBS, pat.Names)
-		bestNewicks[rank] = winnerNewick
-		if rank == loc {
-			winnerRank = loc
-			winnerScore = bestLL
-		}
-		return nil
-	})
-	if err != nil {
+		ranks[id] = &analysisRank{rank: r, rep: RankReport{Rank: id, Sched: sched}}
+		return ranks[id].bootstrapAndFast(sched)
+	}
+	second := func(id int) error { return ranks[id].slowAndThorough() }
+	// Section 2.2: the paper's code lets each rank continue with its own
+	// best fast trees, so the ranks never meet before the end. Only the
+	// GlobalFastSort ablation joins them between the fast and slow stages.
+	var join func() error
+	if opts.GlobalFastSort {
+		join = func() error { return globalSlowStarts(pat, ranks, sched.SlowPerProcess) }
+	}
+	if err := runPhases(opts.Ranks, first, join, second); err != nil {
 		return nil, err
 	}
 
-	bestTree, err := tree.ParseNewick(bestNewicks[0], pat.Names)
+	// The winner's tree reaches the result the way the paper's
+	// MPI_Bcast ships it: as a Newick string, whose 10-digit branch
+	// lengths are what every output file carries. Support is scored
+	// against every rank's replicates on that parsed tree.
+	win := bestRank(ranks)
+	nw, err := tree.FormatNewick(ranks[win].best, nil)
+	if err != nil {
+		return nil, err
+	}
+	bestTree, err := tree.ParseNewick(nw, pat.Names)
 	if err != nil {
 		return nil, fmt.Errorf("core: reparsing winner tree: %v", err)
 	}
 	res := &Result{
 		BestTree:          bestTree,
-		BestLogLikelihood: winnerScore,
-		BestRank:          winnerRank,
-		Support:           supports[0],
+		BestLogLikelihood: ranks[win].rep.ThoroughScore,
+		BestRank:          win,
 		TotalBootstraps:   sched.TotalBootstraps(),
-		Ranks:             reports,
-		Elapsed:           time.Since(start),
 		Options:           opts,
 	}
-	// Strip the internal newick stash from the public reports.
-	for i := range res.Ranks {
-		res.Ranks[i].bootstrapNewicks = nil
+	var reps []*rapidbs.Replicate
+	for _, r := range ranks {
+		res.Ranks = append(res.Ranks, r.rep)
+		reps = append(reps, r.reps...)
 	}
+	res.Support = rapidbs.SupportCounts(bestTree, reps)
+	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
-// runRank executes one rank's share of the comprehensive analysis. The
-// communicator is used only for the Section-2.2 global-sort ablation;
-// the paper's algorithm needs no communication here.
-func runRank(pat *msa.Patterns, opts Options, sched Schedule, rank int, c *fabric.Comm) (*RankReport, *tree.Tree, error) {
-	// Section 2.4: rank r draws from seed + 10000·r on both streams.
-	parsRNG := rng.ForRank(opts.SeedParsimony, rank)
-	bsRNG := rng.ForRank(opts.SeedBootstrap, rank)
-
-	// One pool and one engine serve the rank's whole analysis: the
-	// worker crew, the CLV arena and the traversal-descriptor buffer
-	// are all reused across every bootstrap replicate and search stage
-	// (the persistent-crew structure of the paper's Pthreads layer).
-	pool := newPool(pat, opts.Workers)
-	defer pool.Close()
-	eng, err := newEngine(pat, opts, pool)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	rep := &RankReport{Rank: rank, Sched: sched}
-
-	// ----- Stage 1: rapid bootstraps -----
-	t0 := time.Now()
-	runner := rapidbs.NewRunner(eng)
-	if opts.BootstrapSettings != nil {
-		runner.SetSearchSettings(*opts.BootstrapSettings)
-	}
-	reps, err := runner.Run(sched.BootstrapsPerProcess, bsRNG, parsRNG)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.Times.Bootstrap = time.Since(t0)
-	rep.bootstrapNewicks = make([]string, len(reps))
-	for i, r := range reps {
-		nw, err := tree.FormatNewick(r.Tree, nil)
-		if err != nil {
-			return nil, nil, err
+// bestRank is MPI_MAXLOC over the thorough scores as a fold: the rank
+// with the highest score, ties going to the lower rank.
+func bestRank(ranks []*analysisRank) int {
+	win := 0
+	for i, r := range ranks {
+		if r.rep.ThoroughScore > ranks[win].rep.ThoroughScore {
+			win = i
 		}
-		rep.bootstrapNewicks[i] = nw
-		rep.BootstrapPatterns += r.Patterns
+	}
+	return win
+}
+
+// analysisRank is one rank's comprehensive analysis in flight.
+type analysisRank struct {
+	*rank
+	rep        RankReport
+	reps       []*rapidbs.Replicate
+	fast       []scored // sorted by descending log-likelihood
+	slowStarts []*tree.Tree
+	best       *tree.Tree // the thorough search's result
+}
+
+// bootstrapAndFast runs the rank's rapid bootstraps and its fast ML
+// searches on every 5th bootstrap tree, and picks its own best fast
+// trees as slow-search starts.
+func (r *analysisRank) bootstrapAndFast(sched Schedule) error {
+	t0 := time.Now()
+	reps, err := r.bootstraps(sched.BootstrapsPerProcess)
+	if err != nil {
+		return err
+	}
+	r.rep.Times.Bootstrap = time.Since(t0)
+	r.reps = reps
+	for _, rp := range reps {
+		r.rep.BootstrapPatterns += rp.Patterns
 	}
 
-	// ----- Stage 2: fast ML searches on every 5th bootstrap tree -----
 	t0 = time.Now()
-	fastSettings := search.Fast()
-	if opts.FastSettings != nil {
-		fastSettings = *opts.FastSettings
-	}
 	starts := rapidbs.EveryFifth(reps)
 	if len(starts) != sched.FastPerProcess {
-		return nil, nil, fmt.Errorf("core: rank %d: %d fast starts, schedule says %d",
-			rank, len(starts), sched.FastPerProcess)
+		return fmt.Errorf("%d fast starts, schedule says %d", len(starts), sched.FastPerProcess)
 	}
-	fast := make([]scored, 0, len(starts))
+	settings := settingsOr(r.opts.FastSettings, search.Fast())
 	for _, st := range starts {
-		r, err := search.Run(eng, st, fastSettings)
+		res, err := search.Run(r.eng, st, settings)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		fast = append(fast, scored{r.LogLikelihood, r.Tree.Clone()})
-		rep.FastScores = append(rep.FastScores, r.LogLikelihood)
+		r.fast = append(r.fast, scored{res.LogLikelihood, res.Tree.Clone()})
+		r.rep.FastScores = append(r.rep.FastScores, res.LogLikelihood)
 	}
 	// Section 2.2: each rank sorts only its own fast searches.
-	sort.Slice(fast, func(i, j int) bool { return fast[i].ll > fast[j].ll })
-	sort.Sort(sort.Reverse(sort.Float64Slice(rep.FastScores)))
-	rep.Times.Fast = time.Since(t0)
+	sort.Slice(r.fast, func(i, j int) bool { return r.fast[i].ll > r.fast[j].ll })
+	sort.Sort(sort.Reverse(sort.Float64Slice(r.rep.FastScores)))
+	for _, f := range r.fast[:sched.SlowPerProcess] {
+		r.slowStarts = append(r.slowStarts, f.tree.Clone())
+	}
+	r.rep.Times.Fast = time.Since(t0)
+	return nil
+}
 
-	// ----- Stage 3: slow searches on the best fast trees -----
-	t0 = time.Now()
-	slowSettings := search.Slow()
-	if opts.SlowSettings != nil {
-		slowSettings = *opts.SlowSettings
-	}
-	nSlow := sched.SlowPerProcess
-	if nSlow > len(fast) {
-		nSlow = len(fast)
-	}
-	slowStarts, err := selectSlowStarts(pat, opts, rank, nSlow, fast, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	slow := make([]scored, 0, len(slowStarts))
-	for _, st := range slowStarts {
-		r, err := search.Run(eng, st, slowSettings)
+// slowAndThorough runs the rank's slow searches, then one thorough
+// search from its best slow tree (Section 2.1: p thorough searches
+// instead of one), and closes the rank's pool.
+func (r *analysisRank) slowAndThorough() error {
+	t0 := time.Now()
+	settings := settingsOr(r.opts.SlowSettings, search.Slow())
+	slow := make([]scored, 0, len(r.slowStarts))
+	for _, st := range r.slowStarts {
+		res, err := search.Run(r.eng, st, settings)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		slow = append(slow, scored{r.LogLikelihood, r.Tree.Clone()})
-		rep.SlowScores = append(rep.SlowScores, r.LogLikelihood)
+		slow = append(slow, scored{res.LogLikelihood, res.Tree.Clone()})
+		r.rep.SlowScores = append(r.rep.SlowScores, res.LogLikelihood)
 	}
 	sort.Slice(slow, func(i, j int) bool { return slow[i].ll > slow[j].ll })
-	rep.Times.Slow = time.Since(t0)
+	r.rep.Times.Slow = time.Since(t0)
 
-	// ----- Stage 4: one thorough search from the local best slow tree
-	// (Section 2.1: p thorough searches instead of one) -----
 	t0 = time.Now()
-	thoroughSettings := search.Thorough()
-	if opts.ThoroughSettings != nil {
-		thoroughSettings = *opts.ThoroughSettings
-	}
-	r, err := search.Run(eng, slow[0].tree.Clone(), thoroughSettings)
+	res, err := search.Run(r.eng, slow[0].tree.Clone(), settingsOr(r.opts.ThoroughSettings, search.Thorough()))
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	rep.ThoroughScore = r.LogLikelihood
-	rep.Times.Thorough = time.Since(t0)
-	rep.Dispatches = pool.Dispatches()
-	return rep, r.Tree, nil
+	r.rep.ThoroughScore = res.LogLikelihood
+	r.rep.Times.Thorough = time.Since(t0)
+	r.rep.Dispatches = r.pool.Dispatches()
+	r.best = res.Tree
+	r.pool.Close()
+	return nil
 }
 
 // scored pairs a search result with its log-likelihood.
@@ -377,91 +337,49 @@ type scored struct {
 	tree *tree.Tree
 }
 
-// fastEntry is one fast-search result in transit during the global-sort
-// ablation's gather.
-type fastEntry struct {
-	LL          float64
-	Rank, Index int
-	Newick      string
-}
-
-// selectSlowStarts picks the starting trees of the slow-search stage.
-// Default (the paper's hybrid code): the rank's own best fast trees,
-// already sorted. With Options.GlobalFastSort: gather every rank's fast
-// results, sort globally, and let rank r take the globally ranked trees
-// r, r+p, r+2p, … — the communicating variant the paper contrasts in
-// Section 2.2.
-func selectSlowStarts(pat *msa.Patterns, opts Options, rank, nSlow int, fast []scored, c *fabric.Comm) ([]*tree.Tree, error) {
-	if !opts.GlobalFastSort {
-		out := make([]*tree.Tree, 0, nSlow)
-		for i := 0; i < nSlow && i < len(fast); i++ {
-			out = append(out, fast[i].tree.Clone())
+// globalSlowStarts is the communicating variant of Section 2.2 that
+// Options.GlobalFastSort selects: every rank's fast results are sorted
+// globally, and rank r continues with the globally ranked trees r, r+p,
+// r+2p, … Each start is parsed from its Newick, as a gathered tree
+// would be.
+func globalSlowStarts(pat *msa.Patterns, ranks []*analysisRank, nSlow int) error {
+	type entry struct {
+		ll          float64
+		rank, index int
+		newick      string
+	}
+	var flat []entry
+	for _, r := range ranks {
+		for i, f := range r.fast {
+			nw, err := tree.FormatNewick(f.tree, nil)
+			if err != nil {
+				return err
+			}
+			flat = append(flat, entry{f.ll, r.id, i, nw})
 		}
-		return out, nil
-	}
-	local := make([]fastEntry, len(fast))
-	for i, f := range fast {
-		nw, err := tree.FormatNewick(f.tree, nil)
-		if err != nil {
-			return nil, err
-		}
-		local[i] = fastEntry{LL: f.ll, Rank: rank, Index: i, Newick: nw}
-	}
-	gathered, err := fabric.Gather(c, local)
-	if err != nil {
-		return nil, err
-	}
-	var flat []fastEntry
-	for _, rankEntries := range gathered {
-		flat = append(flat, rankEntries...)
 	}
 	sort.Slice(flat, func(i, j int) bool {
-		if flat[i].LL != flat[j].LL {
-			return flat[i].LL > flat[j].LL
+		if flat[i].ll != flat[j].ll {
+			return flat[i].ll > flat[j].ll
 		}
-		if flat[i].Rank != flat[j].Rank {
-			return flat[i].Rank < flat[j].Rank
+		if flat[i].rank != flat[j].rank {
+			return flat[i].rank < flat[j].rank
 		}
-		return flat[i].Index < flat[j].Index
+		return flat[i].index < flat[j].index
 	})
-	out := make([]*tree.Tree, 0, nSlow)
-	for i := rank; i < len(flat) && len(out) < nSlow; i += opts.Ranks {
-		t, err := tree.ParseNewick(flat[i].Newick, pat.Names)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	// Degenerate fallback: fewer global trees than this rank's share.
-	for len(out) < nSlow && len(fast) > 0 {
-		out = append(out, fast[0].tree.Clone())
-	}
-	return out, nil
-}
-
-// bootstrapNewicks is stashed on RankReport during the run for the
-// support gather, then cleared before the report is returned.
-func supportFromNewicks(ref *tree.Tree, allBS [][]string, taxa []string) map[tree.Edge]int {
-	total := 0
-	counts := make(map[string]int)
-	for _, rankTrees := range allBS {
-		for _, nw := range rankTrees {
-			t, err := tree.ParseNewick(nw, taxa)
+	for _, r := range ranks {
+		r.slowStarts = r.slowStarts[:0]
+		for i := r.id; i < len(flat) && len(r.slowStarts) < nSlow; i += len(ranks) {
+			t, err := tree.ParseNewick(flat[i].newick, pat.Names)
 			if err != nil {
-				continue
+				return err
 			}
-			total++
-			for key := range t.BipartitionSet() {
-				counts[key]++
-			}
+			r.slowStarts = append(r.slowStarts, t)
+		}
+		// Fewer global trees than this rank's share.
+		for len(r.slowStarts) < nSlow {
+			r.slowStarts = append(r.slowStarts, r.fast[0].tree.Clone())
 		}
 	}
-	out := make(map[tree.Edge]int)
-	if total == 0 {
-		return out
-	}
-	for e, bp := range ref.Bipartitions() {
-		out[e] = (counts[bp.Key()]*100 + total/2) / total
-	}
-	return out
+	return nil
 }

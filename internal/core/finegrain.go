@@ -89,10 +89,7 @@ func NewPartitionSet(pat *msa.Patterns, opts Options) (*gtr.PartitionSet, error)
 // Clone — so a cache-hit search reproduces the cold run bit for bit.
 func SearchOn(eng *likelihood.Engine, pat *msa.Patterns, opts Options, parsRNG *rng.RNG) (*search.Result, error) {
 	opts = opts.withDefaults()
-	settings := search.Thorough()
-	if opts.ThoroughSettings != nil {
-		settings = *opts.ThoroughSettings
-	}
+	settings := settingsOr(opts.ThoroughSettings, search.Thorough())
 	if opts.StartTrees != nil && opts.StartTreeKey != "" {
 		if start, ok := opts.StartTrees.GetStartTree(opts.StartTreeKey); ok {
 			return search.Run(eng, start, settings)
@@ -146,10 +143,7 @@ func RunFineSearches(pat *msa.Patterns, searches int, opts Options, links []fabr
 		parsPool := newPool(pat, opts.Workers)
 		defer parsPool.Close()
 		pars := parsimony.New(pat, parsPool)
-		settings := search.Thorough()
-		if opts.ThoroughSettings != nil {
-			settings = *opts.ThoroughSettings
-		}
+		settings := settingsOr(opts.ThoroughSettings, search.Thorough())
 		for i := 0; i < searches; i++ {
 			startTree := pars.StepwiseAddition(parsRNG)
 			sr, err := search.Run(eng, startTree, settings)
@@ -172,16 +166,8 @@ func RunFineSearches(pat *msa.Patterns, searches int, opts Options, links []fabr
 		return nil, err
 	}
 	res.Elapsed = time.Since(start)
-	res.Best = res.All[0]
-	for _, o := range res.All[1:] {
-		if o.LogLikelihood > res.Best.LogLikelihood {
-			res.Best = o
-		}
+	if err := res.pickBest(pat.Names); err != nil {
+		return nil, err
 	}
-	bt, err := tree.ParseNewick(res.Best.Newick, pat.Names)
-	if err != nil {
-		return nil, fmt.Errorf("core: reparsing winner: %v", err)
-	}
-	res.BestTree = bt
 	return res, nil
 }

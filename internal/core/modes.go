@@ -5,13 +5,10 @@ import (
 	"sort"
 	"time"
 
-	"raxml/internal/fabric"
 	"raxml/internal/gtr"
 	"raxml/internal/likelihood"
 	"raxml/internal/msa"
 	"raxml/internal/parsimony"
-	"raxml/internal/rapidbs"
-	"raxml/internal/rng"
 	"raxml/internal/search"
 	"raxml/internal/threads"
 	"raxml/internal/tree"
@@ -66,24 +63,16 @@ func RunMultiSearch(pat *msa.Patterns, searches int, opts Options) (*MultiSearch
 	start := time.Now()
 
 	all := make([][]SearchOutcome, opts.Ranks)
-	err := fabric.Run(opts.Ranks, func(c *fabric.Comm) error {
-		rank := c.Rank()
-		parsRNG := rng.ForRank(opts.SeedParsimony, rank)
-		pool := newPool(pat, opts.Workers)
-		defer pool.Close()
-		eng, err := newEngine(pat, opts, pool)
+	err := forkRanks(opts.Ranks, func(id int) error {
+		r, err := newRank(pat, opts, id)
 		if err != nil {
 			return err
 		}
-		pars := parsimony.New(pat, pool)
-		settings := search.Thorough()
-		if opts.ThoroughSettings != nil {
-			settings = *opts.ThoroughSettings
-		}
-		local := make([]SearchOutcome, 0, perRank)
+		defer r.pool.Close()
+		pars := parsimony.New(pat, r.pool)
+		settings := settingsOr(opts.ThoroughSettings, search.Thorough())
 		for i := 0; i < perRank; i++ {
-			startTree := pars.StepwiseAddition(parsRNG)
-			res, err := search.Run(eng, startTree, settings)
+			res, err := search.Run(r.eng, pars.StepwiseAddition(r.parsRNG), settings)
 			if err != nil {
 				return err
 			}
@@ -91,22 +80,13 @@ func RunMultiSearch(pat *msa.Patterns, searches int, opts Options) (*MultiSearch
 			if err != nil {
 				return err
 			}
-			local = append(local, SearchOutcome{
-				Rank: rank, Index: i,
+			all[id] = append(all[id], SearchOutcome{
+				Rank: id, Index: i,
 				LogLikelihood: res.LogLikelihood,
 				Newick:        nw,
 			})
 		}
-		all[rank] = local
-		// Final reduction only: pick the global winner.
-		bestLocal := local[0]
-		for _, o := range local[1:] {
-			if o.LogLikelihood > bestLocal.LogLikelihood {
-				bestLocal = o
-			}
-		}
-		_, _, err = c.AllreduceMaxLoc(bestLocal.LogLikelihood)
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -116,18 +96,27 @@ func RunMultiSearch(pat *msa.Patterns, searches int, opts Options) (*MultiSearch
 	for _, rankOutcomes := range all {
 		res.All = append(res.All, rankOutcomes...)
 	}
+	if err := res.pickBest(pat.Names); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// pickBest sets Best to the highest-scoring outcome, ties going to the
+// first in (rank, index) order, and BestTree to its parsed topology.
+func (res *MultiSearchResult) pickBest(names []string) error {
 	res.Best = res.All[0]
 	for _, o := range res.All[1:] {
 		if o.LogLikelihood > res.Best.LogLikelihood {
 			res.Best = o
 		}
 	}
-	bt, err := tree.ParseNewick(res.Best.Newick, pat.Names)
+	bt, err := tree.ParseNewick(res.Best.Newick, names)
 	if err != nil {
-		return nil, fmt.Errorf("core: reparsing winner: %v", err)
+		return fmt.Errorf("core: reparsing winner: %v", err)
 	}
 	res.BestTree = bt
-	return res, nil
+	return nil
 }
 
 // BootstrapResult is the outcome of RunBootstraps.
@@ -142,55 +131,45 @@ type BootstrapResult struct {
 
 // RunBootstraps performs analysis type 2: rapid bootstrap replicates
 // only, distributed ceil(N/p) per rank. The replicate trees (for support
-// mapping or consensus building) are returned in deterministic order.
+// mapping or consensus building) are returned in deterministic order,
+// each parsed from its Newick so that it carries the branch lengths a
+// written replicate file does.
 func RunBootstraps(pat *msa.Patterns, opts Options) (*BootstrapResult, error) {
 	opts = opts.withDefaults()
 	sched := NewSchedule(opts.Ranks, opts.Bootstraps)
 	start := time.Now()
 
-	perRank := make([][]string, opts.Ranks)
-	err := fabric.Run(opts.Ranks, func(c *fabric.Comm) error {
-		rank := c.Rank()
-		parsRNG := rng.ForRank(opts.SeedParsimony, rank)
-		bsRNG := rng.ForRank(opts.SeedBootstrap, rank)
-		pool := newPool(pat, opts.Workers)
-		defer pool.Close()
-		eng, err := newEngine(pat, opts, pool)
+	perRank := make([][]*tree.Tree, opts.Ranks)
+	err := forkRanks(opts.Ranks, func(id int) error {
+		r, err := newRank(pat, opts, id)
 		if err != nil {
 			return err
 		}
-		runner := rapidbs.NewRunner(eng)
-		if opts.BootstrapSettings != nil {
-			runner.SetSearchSettings(*opts.BootstrapSettings)
-		}
-		reps, err := runner.Run(sched.BootstrapsPerProcess, bsRNG, parsRNG)
+		defer r.pool.Close()
+		reps, err := r.bootstraps(sched.BootstrapsPerProcess)
 		if err != nil {
 			return err
 		}
-		nws := make([]string, len(reps))
-		for i, r := range reps {
-			nw, err := tree.FormatNewick(r.Tree, nil)
+		for _, rep := range reps {
+			nw, err := tree.FormatNewick(rep.Tree, nil)
 			if err != nil {
 				return err
 			}
-			nws[i] = nw
+			t, err := tree.ParseNewick(nw, pat.Names)
+			if err != nil {
+				return err
+			}
+			perRank[id] = append(perRank[id], t)
 		}
-		perRank[rank] = nws
-		return c.Barrier()
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	res := &BootstrapResult{PerRank: sched.BootstrapsPerProcess, Elapsed: time.Since(start)}
-	for _, nws := range perRank {
-		for _, nw := range nws {
-			t, err := tree.ParseNewick(nw, pat.Names)
-			if err != nil {
-				return nil, err
-			}
-			res.Trees = append(res.Trees, t)
-		}
+	for _, trees := range perRank {
+		res.Trees = append(res.Trees, trees...)
 	}
 	return res, nil
 }

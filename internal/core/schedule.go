@@ -1,9 +1,9 @@
 // Package core implements the paper's primary contribution: the hybrid
 // coarse/fine-grained comprehensive phylogenetic analysis — RAxML's
 // "-f a" pipeline of rapid bootstraps, fast ML searches, slow ML
-// searches and a final thorough search, distributed over message-passing
-// ranks (package fabric) each running pattern-parallel workers (package
-// threads).
+// searches and a final thorough search, distributed over coarse-grained
+// ranks (goroutines, see ranks.go) each running pattern-parallel
+// workers (package threads).
 //
 // This file holds the work-partitioning rules of Section 2.3 / Table 2:
 // each of p ranks performs ceil(N/p) bootstraps, promotes every 5th of

@@ -1,3 +1,13 @@
+// Package fabric is the frame wire: the one way a frame moves between a
+// master and a worker, in-process or across processes. It holds the Link
+// contract and its two implementations (links.go), the CRC32C framing,
+// versioned hello, dial retry and typed wire errors beneath them
+// (transport.go), and the seeded fault-injection wrappers the chaos
+// harness drives (faultinject.go). What a frame means is decided above
+// it, by package finegrain and the grid scheduler.
+//
+// Coarse-grained ranks (-R) exchange no frames: they are goroutines of
+// package core whose results are folded after they join.
 package fabric
 
 import (
@@ -140,8 +150,8 @@ func (l *chanLink) Send(tag byte, payload []byte) error {
 
 func (l *chanLink) Recv() (byte, []byte, error) {
 	// Delivery-first: a frame sent before a close, or queued before an
-	// armed deadline passed, is still delivered (the drain-first rule of
-	// Comm.Recv on abort).
+	// armed deadline passed, is still delivered; only an empty queue
+	// reports the close or the deadline.
 	select {
 	case f := <-l.in:
 		return f.tag, f.payload, nil

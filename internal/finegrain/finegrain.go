@@ -583,8 +583,7 @@ func RunRecovering(body func(*likelihood.Engine) error, eng *likelihood.Engine) 
 // Run hosts an in-proc R×t hybrid: ranks 1..R-1 serve their stripes
 // over LinkPairs, and rank 0 builds the distributed pool and a
 // full-axis master engine over the master ends and runs body. This is
-// the finegrain analogue of fabric.Run — the zero-setup entry point
-// used by core's hybrid wiring and tests. The engine handed to body
+// the zero-setup entry point used by core's hybrid wiring and tests. The engine handed to body
 // evaluates over all R×t workers; body runs on the master only.
 func Run(ranks, threadsPerRank int, pat *msa.Patterns, set *gtr.PartitionSet, body func(eng *likelihood.Engine, pool *Pool) error) error {
 	if ranks < 1 {

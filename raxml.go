@@ -10,10 +10,11 @@
 //   - randomized stepwise-addition parsimony starting trees
 //     (internal/parsimony),
 //   - the rapid bootstrap algorithm (internal/rapidbs),
-//   - the paper's hybrid comprehensive analysis: coarse-grained
-//     message-passing ranks (internal/fabric, the MPI analogue) each
-//     running pattern-parallel workers (internal/threads, the Pthreads
-//     analogue), orchestrated by internal/core,
+//   - the paper's hybrid comprehensive analysis: coarse-grained ranks
+//     (goroutines standing in for MPI processes, their results folded
+//     in rank order after they join) each running pattern-parallel
+//     workers (internal/threads, the Pthreads analogue), orchestrated by
+//     internal/core,
 //   - the WC bootstopping extension (internal/bootstop), and
 //   - a calibrated performance model of the paper's four benchmark
 //     clusters (internal/perfmodel) with generators for every table and
