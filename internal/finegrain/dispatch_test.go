@@ -19,7 +19,7 @@ import (
 // forceFrag shrinks the fragmentation thresholds so the small test
 // descriptors exercise the multi-fragment scatter path, restoring the
 // defaults on cleanup.
-func forceFrag(t *testing.T, entries int) {
+func forceFrag(t testing.TB, entries int) {
 	t.Helper()
 	minWas, sizeWas := fragMinEntries, fragEntries
 	fragMinEntries, fragEntries = entries, entries
@@ -341,7 +341,7 @@ func TestTCPDispatchLatencySmoke(t *testing.T) {
 // pruneForScan prunes the first subtree of topo with at least eight
 // regraft candidates within radius 6, leaving it dangling, and returns
 // it with those candidates.
-func pruneForScan(t *testing.T, topo *tree.Tree) (*tree.PrunedSubtree, []tree.Edge) {
+func pruneForScan(t testing.TB, topo *tree.Tree) (*tree.PrunedSubtree, []tree.Edge) {
 	t.Helper()
 	for _, edge := range topo.Edges() {
 		for _, dir := range [][2]int{{edge.A, edge.B}, {edge.B, edge.A}} {

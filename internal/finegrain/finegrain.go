@@ -304,7 +304,6 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 	reset := topoEpoch != p.shippedTopo
 
 	header, n := wm.WireJobHeader(code, includeModel, reset)
-	wantWide := wm.WireWideLen(code)
 
 	// Straggler guard: bound this dispatch's wait for every rank's
 	// partial. Armed before the first frame goes out; cleared again once
@@ -362,7 +361,7 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 			err = &fabric.RankDeadError{Rank: r, Err: fmt.Errorf("finegrain: unexpected tag %d in reduction", tag)}
 		default:
 			part := p.remote[r]
-			wantVec := wm.WireVecLen(code, p.stripes[r])
+			wantWide, wantVec := wm.WirePartialLen(code, p.stripes[r])
 			if derr := likelihood.DecodeWirePartialInto(part, payload); derr != nil {
 				err = &fabric.RankDeadError{Rank: r, Err: fmt.Errorf("finegrain: partial decode: %w", derr)}
 			} else if got := len(part.Wide); got != wantWide {
@@ -370,7 +369,7 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 				// misplace this rank's stripe of a score. Desynchronized,
 				// like an unexpected tag.
 				err = &fabric.RankDeadError{Rank: r, Err: fmt.Errorf("finegrain: partial carries %d wide components, job expects %d", got, wantWide)}
-			} else if got := part.VecLen(); got != wantVec {
+			} else if got := len(part.Vec) / 8; got != wantVec {
 				// Rows nobody asked for, none when asked, or not exactly
 				// this rank's stripe of them: the same desync, and nothing
 				// is landed in the master's arena.

@@ -13,7 +13,8 @@ import (
 // loop that the master leases into finegrain *sessions* and returns to
 // between them. One worker process thus serves many coarse jobs over
 // its lifetime, each with its own stripe geometry and engine — and a
-// `-fine` run is simply one lease:
+// `-fine` run is simply one lease (every state × frame cell:
+// docs/hybrid-topology.md, "Session protocol"):
 //
 //	idle:    TagPing -> TagPong (the scheduler's liveness probe)
 //	         TagRelease -> TagReleased (idempotent; stray release)
@@ -93,6 +94,9 @@ func serveSession(l fabric.Link, initPayload []byte) (done bool, err error) {
 	}
 	eng, err := likelihood.BuildWorkerEngine(init)
 	if err != nil {
+		// Nothing of the lease can run: the same policy, or the master
+		// would wait out its deadline for a partial that never comes.
+		l.Close()
 		return true, fmt.Errorf("finegrain: worker engine: %w", err)
 	}
 	if pool, ok := eng.Pool().(*threads.Pool); ok {

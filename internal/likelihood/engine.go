@@ -321,12 +321,12 @@ type Engine struct {
 
 	// Delta-descriptor ship cache (master side): wireShipped[node*3+slot]
 	// is the last descriptor entry shipped full for that directed edge,
-	// valid while wireShippedOK. An unchanged entry re-ships as a 9-byte
-	// ref instead of the 49-byte full form. Cleared whenever a frame
-	// carries a model block or tile reset — the workers clear their edge
-	// caches on exactly the same flags, so both sides stay coherent.
-	wireShipped   []WireEntry
-	wireShippedOK []bool
+	// or the zero entry, which no descriptor entry equals (node 0 is a
+	// tip). An unchanged entry re-ships as a 9-byte ref instead of the
+	// 49-byte full form. Cleared whenever a frame carries a model block or
+	// tile reset — the workers clear their edge caches on exactly the same
+	// flags, so both sides stay coherent.
+	wireShipped []WireEntry
 
 	// Worker-side edge cache (remote.go): per directed edge, the last
 	// fully shipped entry with its rebuilt P matrices and tip LUTs, so a
@@ -336,22 +336,17 @@ type Engine struct {
 	wireCache   []wireEdgeCache
 	wireFillIdx []int
 
-	// job inputs published by the master before posting a job code:
-	// the endpoint views of the edge being evaluated/differentiated,
-	// the subtree view of an insertion scan (its candidates' views are
-	// in scanCands), and the site-LL output.
-	jobVA, jobVB childView
-	jobVS        childView
-	jobDst       []float64
-
-	// wire metadata of the current job, recorded alongside the resolved
-	// views so a distributed Dispatcher can re-encode the job for
-	// remote ranks (see remote.go): the job's branch length (an edge
-	// job's edge, a scan's pendant branch) and the symbolic (tip taxon /
-	// directed-edge) form of each view.
-	jobT      float64
-	jobWire   [2]WireView
-	jobNViews int
+	// job inputs published before posting a job code: the job's branch
+	// length (an edge job's edge, a scan's pendant branch), the symbolic
+	// (tip taxon / directed-edge) form of its views — the two endpoints of
+	// an edge job, the subtree of an insertion scan, whose candidates'
+	// views are in scanCands — which is what a distributed Dispatcher
+	// ships, those views resolved against the local arena (prepJob), and
+	// the site-LL output.
+	jobT    float64
+	jobWire [2]WireView
+	jobV    [2]childView
+	jobDst  []float64
 
 	// modelEpoch counts invalidation points at which model state
 	// (parameters, rate treatments, weights) may have changed; a
@@ -935,24 +930,25 @@ func (e *Engine) EvaluateEdge(a, b int) float64 {
 	e.queueTraversal(a, slotA)
 	e.queueTraversal(b, slotB)
 	e.prepareTraversal()
-	t := e.tree.EdgeLength(a, b)
-	e.ensureP()
-	e.fillP(t, e.pEval)
-	e.setEdgeJob(a, slotA, b, slotB, t)
+	e.setEdgeJob(a, slotA, b, slotB, e.tree.EdgeLength(a, b))
 	e.evalCount++
 	e.dispatch(threads.JobEvaluate)
 	return e.pool.SumSlots(0)
 }
 
 // setEdgeJob publishes the two endpoint views of an edge job (evaluate,
-// makenewz, site-LL) in both resolved (jobVA/jobVB) and wire form.
+// makenewz, site-LL) and its branch length.
 func (e *Engine) setEdgeJob(a, slotA, b, slotB int, t float64) {
-	e.jobVA = e.viewOf(a, slotA)
-	e.jobVB = e.viewOf(b, slotB)
 	e.jobWire[0] = e.wireViewOf(a, slotA)
 	e.jobWire[1] = e.wireViewOf(b, slotB)
-	e.jobNViews = 2
 	e.jobT = t
+}
+
+// fillEvalP fills pEval with the matrices at the job's branch length:
+// the prep of the evaluate and site-LL jobs.
+func (e *Engine) fillEvalP() {
+	e.ensureP()
+	e.fillP(e.jobT, e.pEval)
 }
 
 // PartitionLogLikelihoods returns the per-partition log-likelihood

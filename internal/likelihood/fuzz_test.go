@@ -2,6 +2,7 @@ package likelihood
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -16,19 +17,83 @@ import (
 // can hand the decoders after slipping past no CRC at all, e.g. over
 // the in-proc chan transport.
 
-// validJobFrame hand-builds the smallest well-formed job frame: a
-// JobNewview with no model block, no views and no entries.
-func validJobFrame() []byte {
-	b := []byte{byte(threads.JobNewview), 0}
-	b = binary.LittleEndian.AppendUint32(b, 16) // MaxNode
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.125))
-	b = append(b, 0)                           // NViews
-	b = binary.LittleEndian.AppendUint32(b, 0) // entry count
+// wireJobFrame hand-builds a job frame of a code without payload: no
+// model block, branch length 0.125, the given views and full entries.
+// wireJobFrame(threads.JobNewview, 16, nil) is the smallest well-formed
+// frame.
+func wireJobFrame(code threads.JobCode, maxNode uint32, views []WireView, entries ...WireEntry) []byte {
+	b := appendU32([]byte{byte(code), 0}, maxNode)
+	b = append(appendF64(b, 0.125), byte(len(views)))
+	for _, v := range views {
+		b = appendView(b, v)
+	}
+	b = appendU32(b, uint32(len(entries)))
+	for _, we := range entries {
+		b = append(b, wireEntFull)
+		for _, v := range []int32{we.Node, we.Slot, we.C1, we.C1Slot, we.C1Tax, we.C2, we.C2Slot, we.C2Tax} {
+			b = appendI32(b, v)
+		}
+		b = appendF64(appendF64(b, we.Len1), we.Len2)
+	}
 	return b
 }
 
+// outOfRangeFrames are job frames that decode cleanly but name what no
+// master over modelFrame's 12 taxa can send: a destination node below 0
+// or at the frame's node capacity and beyond, a tip of a 10 000th or of
+// a negative taxon, an evaluation with one view, a node capacity of
+// 2^31. Each of them once panicked inside ExecWireJob.
+func outOfRangeFrames() map[string][]byte {
+	tips := WireEntry{Node: 12, C1Tax: 0, C2Tax: 1, Len1: 0.1, Len2: 0.1}
+	neg, high := tips, tips
+	neg.Node, high.Node = -1, 150
+	tip := func(taxon int32) WireView { return WireView{Tip: true, Taxon: taxon} }
+	return map[string][]byte{
+		"entry node -1":          wireJobFrame(threads.JobNewview, 16, nil, neg),
+		"entry node 150 of 16":   wireJobFrame(threads.JobNewview, 16, nil, high),
+		"tip view taxon 9999":    wireJobFrame(threads.JobEvaluate, 16, []WireView{tip(9999), tip(1)}),
+		"tip view taxon -1":      wireJobFrame(threads.JobEvaluate, 16, []WireView{tip(1), tip(-1)}),
+		"evaluate with one view": wireJobFrame(threads.JobEvaluate, 16, []WireView{tip(0)}),
+		"node capacity 2^31":     wireJobFrame(threads.JobNewview, 1<<31, nil, tips),
+	}
+}
+
+// TestExecWireJobRejectsOutOfRange holds a worker to refusing, as
+// ErrWireDesync, every frame of outOfRangeFrames, while the same frames
+// with their ids in range execute.
+func TestExecWireJobRejectsOutOfRange(t *testing.T) {
+	_, newWorker, geom := modelFrame(t)
+	tips := WireEntry{Node: 12, C1Tax: 0, C2Tax: 1, Len1: 0.1, Len2: 0.1}
+	eval := []WireView{{Tip: true, Taxon: 2}, {Node: 12, Slot: 0}}
+	for name, frame := range map[string][]byte{
+		"newview":  wireJobFrame(threads.JobNewview, 16, nil, tips),
+		"evaluate": wireJobFrame(threads.JobEvaluate, 16, eval, tips),
+	} {
+		job, err := DecodeWireJob(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := newWorker().ExecWireJob(job, geom); err != nil {
+			t.Fatalf("%s in range: %v", name, err)
+		}
+	}
+	for name, frame := range outOfRangeFrames() {
+		job, err := DecodeWireJob(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := newWorker().ExecWireJob(job, geom); !errors.Is(err, ErrWireDesync) {
+			t.Errorf("%s: ExecWireJob returned %v, want ErrWireDesync", name, err)
+		}
+	}
+}
+
+// FuzzDecodeDescriptor decodes every input as a job frame and executes
+// what decodes on a fresh worker engine, twice — the second run replays
+// the edge cache the first one filled — stopping at the first error, as
+// a worker's session does.
 func FuzzDecodeDescriptor(f *testing.F) {
-	frame := validJobFrame()
+	frame := wireJobFrame(threads.JobNewview, 16, nil)
 	f.Add([]byte{})
 	f.Add(frame)
 	f.Add(frame[:len(frame)-3]) // truncated
@@ -58,26 +123,32 @@ func FuzzDecodeDescriptor(f *testing.F) {
 	// one pattern's rate category beyond the shipped rates and negative.
 	// The init frame carries no categories (a worker's treatment arrives
 	// with its first job), so this is where a category enters a rank.
-	model, eng, geom := modelFrame(f)
+	model, newWorker, geom := modelFrame(f)
 	f.Add(model)
 	for _, c := range []int32{1, 7, -1, math.MinInt32} {
 		bad := append([]byte(nil), model...)
-		binary.LittleEndian.PutUint32(bad[modelFrameCatOffset(eng.nPatterns):], uint32(c))
+		binary.LittleEndian.PutUint32(bad[modelFrameCatOffset(geom.StripeHi):], uint32(c))
 		if j, err := DecodeWireJob(bad); err != nil || j.Model.Parts[0].CatAssign[0] != int(c) {
 			f.Fatalf("patched category %d did not land: %v", c, err)
 		}
 		f.Add(bad)
+	}
+	for _, frame := range outOfRangeFrames() {
+		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var j WireJob
 		_ = DecodeWireJobInto(&j, data)
 		// Decode again into the same struct: slab reuse must be as safe
 		// on a hostile frame as on the steady-state path.
-		if err := DecodeWireJobInto(&j, data); err == nil && j.Model != nil {
-			// Whatever decoded must install or be refused, never panic
-			// — and must never leave a category the kernels would follow
-			// out of their matrix block.
-			_ = eng.ApplyWireModel(j.Model, geom)
+		if err := DecodeWireJobInto(&j, data); err == nil {
+			// Whatever decoded must run or be refused, never panic — and
+			// must never leave a category the kernels would follow out of
+			// their matrix block.
+			eng := newWorker()
+			for pass := 0; pass < 2 && err == nil; pass++ {
+				_, err = eng.ExecWireJob(&j, geom)
+			}
 			for i := range eng.parts {
 				ps := &eng.parts[i]
 				for _, c := range ps.rates.PatternCategory {
@@ -91,18 +162,21 @@ func FuzzDecodeDescriptor(f *testing.F) {
 }
 
 // modelFrame returns a scan frame carrying the model-sync block of a
-// small one-partition CAT engine, and a worker engine (with its
-// geometry) over the same patterns to install such blocks on.
-func modelFrame(t testing.TB) ([]byte, *Engine, *WorkerGeom) {
+// small one-partition CAT engine over 12 taxa, and a builder of worker
+// engines (with their geometry) over the same patterns to run such
+// frames on.
+func modelFrame(t testing.TB) ([]byte, func() *Engine, *WorkerGeom) {
 	_, master, _ := scanFrame(t, 1, true)
 	frame := append([]byte(nil), master.EncodeWireJob(threads.JobInsertScan, true, false)...)
-	n := master.nPatterns
-	geom := &WorkerGeom{StripeLo: 0, StripeHi: n, MasterParts: 1, PartMap: []int{0}, ClipOff: []int{0}}
-	worker, err := BuildWorkerEngine(&WorkerInit{Rank: 1, Ranks: 2, Threads: 1, Geom: *geom, Pat: master.pat, IsCAT: true, NCats: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return frame, worker, geom
+	geom := &WorkerGeom{StripeLo: 0, StripeHi: master.nPatterns, MasterParts: 1, PartMap: []int{0}, ClipOff: []int{0}}
+	init := &WorkerInit{Rank: 1, Ranks: 2, Threads: 1, Geom: *geom, Pat: master.pat, IsCAT: true, NCats: 1}
+	return frame, func() *Engine {
+		worker, err := BuildWorkerEngine(init)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return worker
+	}, geom
 }
 
 // modelFrameCatOffset is the byte offset of pattern 0's rate category in

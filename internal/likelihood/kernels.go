@@ -78,20 +78,6 @@ type childView struct {
 	stride int       // 4 for tips, nCat*4 for internal CLVs
 }
 
-func (e *Engine) viewOf(node, slot int) childView {
-	n := &e.tree.Nodes[node]
-	if n.IsTip() {
-		return childView{tip: true, vec: e.tipVecOf(n.Taxon), stride: 4}
-	}
-	off := e.clvOffset(node, slot)
-	so := e.scaleOffset(node, slot)
-	return childView{
-		vec:    e.arena[off : off+e.tileFloats : off+e.tileFloats],
-		scale:  e.scaleArena[so : so+e.tileScale : so+e.tileScale],
-		stride: e.nCat * 4,
-	}
-}
-
 // viewCoeffs returns the affine coefficients of a view's lane-block
 // offset: the base of pattern k, category c is a0 + k*aStep + c*aCat.
 // Tips are flat 4-wide over global patterns (no category axis);
@@ -565,14 +551,14 @@ func boolIdx(cond bool, a, b int) int {
 }
 
 // evaluateRange computes one worker's weighted log-likelihood partial
-// across the edge whose endpoint views the master stored in jobVA and
-// jobVB, using the per-partition transition matrices already in pEval.
-// The total is the sum of per-partition components — linked branch
-// lengths, independent models. Each component is also recorded in the
-// worker's wide reduction slot, so one JobEvaluate dispatch yields the
-// per-partition decomposition (PartitionLogLikelihoods) for free;
-// every wide entry is overwritten, including partitions disjoint from
-// this worker's range (wide rows are not cleared between jobs).
+// across the edge whose endpoint views are in jobV, using the
+// per-partition transition matrices already in pEval. The total is the
+// sum of per-partition components — linked branch lengths, independent
+// models. Each component is also recorded in the worker's wide
+// reduction slot, so one JobEvaluate dispatch yields the per-partition
+// decomposition (PartitionLogLikelihoods) for free; every wide entry is
+// overwritten, including partitions disjoint from this worker's range
+// (wide rows are not cleared between jobs).
 func (e *Engine) evaluateRange(w int, r threads.Range) float64 {
 	ws := e.pool.WideSlot(w)
 	sum := 0.0
@@ -600,14 +586,14 @@ func (e *Engine) evaluateChunk(blk *workerScratch, ps *partState, lo, hi int) fl
 }
 
 // edgeLogSites leaves in blk.logs, in pattern order, the log site
-// likelihoods across the edge views jobVA/jobVB of the (tile-axis, so
+// likelihoods across the edge views in jobV of the (tile-axis, so
 // live) patterns in [lo, hi) — at most logBlockLen patterns within
 // partition ps — scale corrections applied. It is the block step shared
 // by the evaluate and site-LL kernels: join the patterns into blk.site,
 // take all their logarithms with one logBlock call, then correct each
 // for its views' rescaling counters.
 func (e *Engine) edgeLogSites(blk *workerScratch, ps *partState, lo, hi int) {
-	va, vb := &e.jobVA, &e.jobVB
+	va, vb := &e.jobV[0], &e.jobV[1]
 	nCat := e.nCat
 	freqs := ps.model.Freqs
 	pEval := e.pEval[ps.pOff:]
@@ -661,7 +647,7 @@ func (e *Engine) edgeLogSites(blk *workerScratch, ps *partState, lo, hi int) {
 }
 
 // siteLLRange fills one worker's window of jobDst — alignment axis —
-// with per-pattern log likelihoods at the edge views in jobVA/jobVB.
+// with per-pattern log likelihoods at the edge views in jobV.
 // Zero-weight patterns get 0.
 func (e *Engine) siteLLRange(w int, r threads.Range) {
 	clear(e.jobDst[r.Lo:r.Hi]) // the dead patterns; the chunks write the rest
@@ -704,10 +690,7 @@ func (e *Engine) SiteLogLikelihoods(dst []float64) []float64 {
 	e.queueTraversal(a, slotA)
 	e.queueTraversal(b, slotB)
 	e.prepareTraversal()
-	e.ensureP()
-	t := e.tree.EdgeLength(a, b)
-	e.fillP(t, e.pEval)
-	e.setEdgeJob(a, slotA, b, slotB, t)
+	e.setEdgeJob(a, slotA, b, slotB, e.tree.EdgeLength(a, b))
 	e.jobDst = dst
 	e.dispatch(threads.JobSiteLL)
 	e.jobDst = nil
@@ -715,7 +698,7 @@ func (e *Engine) SiteLogLikelihoods(dst []float64) []float64 {
 }
 
 // derivativesRange computes one worker's partials of d(lnL)/dt and
-// d²(lnL)/dt² across the edge views in jobVA/jobVB — the quantities
+// d²(lnL)/dt² across the edge views in jobV — the quantities
 // RAxML's makenewz feeds its Newton–Raphson iteration. The derivative
 // matrices pEval/pD1/pD2 were filled by the master for every partition;
 // the branch length is shared, so per-partition derivative partials
@@ -734,8 +717,8 @@ func (e *Engine) derivativesRange(r threads.Range) (d1, d2 float64) {
 }
 
 func (e *Engine) derivativesChunk(ps *partState, lo, hi int) (d1, d2 float64) {
-	va := e.jobVA
-	vb := e.jobVB
+	va := e.jobV[0]
+	vb := e.jobV[1]
 	nCat := e.nCat
 	freqs := ps.model.Freqs
 	pEval := e.pEval[ps.pOff:]
@@ -800,21 +783,27 @@ func (e *Engine) derivativesChunk(ps *partState, lo, hi int) (d1, d2 float64) {
 // (a, slotA) and (b, slotB) at branch length t and returns the reduced
 // derivatives. Callers must have refreshed the views (refreshViews);
 // each Newton iteration then costs exactly one barrier crossing. This
-// is the LEGACY full-matrix kernel — per-iteration PDeriv fills on the
-// master, three 4×4 matrix products per (site, category) in the
+// is the LEGACY full-matrix kernel — per-iteration PDeriv fills
+// (fillDerivP), three 4×4 matrix products per (site, category) in the
 // workers — kept as the golden reference behind SetLegacyMakenewz;
 // production branch optimization runs the eigen-basis sumtable path
 // (makenewz.go).
 func (e *Engine) branchDerivatives(a, slotA, b, slotB int, t float64) (d1, d2 float64) {
-	e.ensureP()
-	for i := range e.parts {
-		ps := &e.parts[i]
-		for c := 0; c < ps.rates.NumCats(); c++ {
-			ps.model.PDeriv(t, ps.rates.Rates[c], &e.pEval[ps.pOff+c], &e.pD1[ps.pOff+c], &e.pD2[ps.pOff+c])
-		}
-	}
 	e.setEdgeJob(a, slotA, b, slotB, t)
 	e.beginTraversal() // views are fresh: empty descriptor, pure reduction
 	e.dispatch(threads.JobMakenewz)
 	return e.pool.SumSlots2(0, 1)
+}
+
+// fillDerivP fills pEval, pD1 and pD2 with every partition's matrices and
+// their first two derivatives at the job's branch length: the prep of
+// the JobMakenewz job.
+func (e *Engine) fillDerivP() {
+	e.ensureP()
+	for i := range e.parts {
+		ps := &e.parts[i]
+		for c := 0; c < ps.rates.NumCats(); c++ {
+			ps.model.PDeriv(e.jobT, ps.rates.Rates[c], &e.pEval[ps.pOff+c], &e.pD1[ps.pOff+c], &e.pD2[ps.pOff+c])
+		}
+	}
 }

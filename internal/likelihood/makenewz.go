@@ -72,10 +72,7 @@ import (
 // the offset formula of docs/memory-layout.md applies with the tile
 // base at 0. Allocated on first use, reused for every later branch.
 func (e *Engine) ensureSumtable() {
-	if cap(e.sumtable) < e.tileFloats {
-		e.sumtable = make([]float64, e.tileFloats)
-	}
-	e.sumtable = e.sumtable[:e.tileFloats]
+	e.sumtable = resize(e.sumtable, e.tileFloats)
 }
 
 // makenewzSetup posts ONE JobMakenewzSetup for edge (a, b): its
@@ -86,7 +83,6 @@ func (e *Engine) ensureSumtable() {
 // crossing. Returns d(lnL)/dt and d²(lnL)/dt² at t, the same bits a
 // makenewzCore(t) after the setup returns.
 func (e *Engine) makenewzSetup(a, slotA, b, slotB int, t float64) (d1, d2 float64) {
-	e.ensureSumtable()
 	e.beginTraversal()
 	e.queueTraversal(a, slotA)
 	e.queueTraversal(b, slotB)
@@ -155,13 +151,12 @@ func (e *Engine) makenewzFactors(t float64) {
 func (e *Engine) makenewzCore(t float64) (d1, d2 float64) {
 	e.makenewzFactors(t)
 	e.jobT = t
-	e.jobNViews = 0 // workers need only the factors and their sumtable
 	e.beginTraversal()
 	return e.makenewzDerivatives(threads.JobMakenewzCore)
 }
 
 // makenewzSetupRange fills one worker's stripe of the sumtable arena
-// from the endpoint views in jobVA/jobVB, one partition chunk at a
+// from the endpoint views in jobV, one partition chunk at a
 // time (the eigenbasis differs per partition).
 func (e *Engine) makenewzSetupRange(w int, r threads.Range) {
 	for pi := range e.parts {
@@ -175,7 +170,7 @@ func (e *Engine) makenewzSetupRange(w int, r threads.Range) {
 // makenewzSetupChunk projects one partition chunk (tile axis: live
 // patterns only) through the kernel table's mkzSetup.
 func (e *Engine) makenewzSetupChunk(blk *workerScratch, ps *partState, lo, hi int) {
-	va, vb := &e.jobVA, &e.jobVB
+	va, vb := &e.jobV[0], &e.jobV[1]
 	blk.left, blk.right = ps.model.SumtableBasis()
 	st := e.nCat * 4
 	base := ps.fOff - ps.tlo*st

@@ -42,10 +42,11 @@ import (
 // ErrWireDesync marks an ExecWireJob failure that only a mangled or
 // desynchronized stream can cause: a frame that decoded, yet names state
 // the master's own engine would have refused (a rate category outside
-// the shipped category rates). A worker treats it like a frame that did
-// not decode — it closes its link and dies, so the master sees a
-// dead rank and restripes — where a plain error is the job's own failure
-// and is reported back as such.
+// the shipped category rates, a node, slot, taxon or view count outside
+// the init frame's taxa and the job code). A worker treats it like a
+// frame that did not decode — it closes its link and dies, so the master
+// sees a dead rank and restripes — where a plain error is the job's own
+// failure and is reported back as such.
 var ErrWireDesync = errors.New("likelihood: wire stream desynchronized")
 
 // WireView is the symbolic form of one job view (an endpoint of the
@@ -130,10 +131,8 @@ type WireModelPart struct {
 	CatAssign                        []int
 }
 
-// WireJob is one decoded job frame. T is the job's branch length: the
-// edge of an edge job, the pendant branch of an insertion scan. Views
-// are the two endpoint views of an edge job, or the subtree view of a
-// scan, whose candidates are in Cands.
+// WireJob is one decoded job frame: the code's views, payload (Cands or
+// Factors) and branch length T, as jobTable has them.
 type WireJob struct {
 	Code    threads.JobCode
 	MaxNode int
@@ -151,32 +150,28 @@ type WireJob struct {
 	Entries []WireEntry
 }
 
-// WireFactors is the makenewz factor payload, carried by every
-// JobMakenewzCore frame and by the JobMakenewzSetup frame (whose job
-// ends with the core reduction at the starting length): per MASTER
-// partition, the matrix-category count and the three eigen exponential
-// factor blocks (4 float64 per category each, for the likelihood and the
-// first- and second-derivative weights — gtr.Model.ExpEigen's output).
-// This is the *whole* per-Newton-iteration wire payload of the
-// distributed core job: ~100 bytes per 4-category partition, no P
-// matrices, no model block. Every rank computes its sumtable stripe from
-// its own CLVs during JobMakenewzSetup; whether the stripe then stays
-// there (and each Newton iteration ships one of these blocks) or rides
-// home once on the setup partial (and no core frame is ever sent) is the
+// WireFactors is the makenewz codes' payload (the setup job ends with
+// the core reduction at the starting length): per MASTER partition, the
+// matrix-category count and the three eigen exponential factor blocks
+// (4 float64 per category each, for the likelihood and the first- and
+// second-derivative weights — gtr.Model.ExpEigen's output). This is the
+// *whole* per-Newton-iteration wire payload of the distributed core
+// job: ~100 bytes per 4-category partition, no P matrices, no model
+// block. Every rank computes its sumtable stripe from its own CLVs
+// during JobMakenewzSetup; whether the stripe then stays there (and
+// each Newton iteration ships one of these blocks) or rides home once
+// on the setup partial (and no core frame is ever sent) is the
 // dispatcher's choice — see Engine.makenewzDerivatives. A worker rank
-// copies the blocks of its own partitions into its local factor
-// scratch (applyWireFactors), re-indexed by the init-time geometry.
+// copies the blocks of its own partitions into its local factor scratch
+// (applyWireFactors), re-indexed by the init-time geometry.
 type WireFactors struct {
 	Cats        []int     // per master partition matrix-category count
 	Exp, D1, D2 []float64 // concatenated blocks, 4·Cats[i] each, master order
 }
 
 // WirePartial is one rank's decoded reduction partial: the two fixed
-// reduction slots, the wide components (JobEvaluate: one per MASTER
-// partition; JobInsertScan: one per candidate; none otherwise), and the
-// per-pattern block — the site-log-likelihood stripe of a JobSiteLL, the
-// sumtable rows (nCat·4 per pattern, stripe pattern order, no segment
-// padding) of a gathered JobMakenewzSetup, empty otherwise.
+// reduction slots, then the wide components and the per-pattern block in
+// the job code's shape (partialShape).
 //
 // Vec stays in wire form (little-endian float64) and ALIASES the frame
 // it was decoded from: the master decodes it exactly once, straight into
@@ -187,9 +182,6 @@ type WirePartial struct {
 	Wide  []float64
 	Vec   []byte
 }
-
-// VecLen returns the number of float64 in the per-pattern block.
-func (p *WirePartial) VecLen() int { return len(p.Vec) / 8 }
 
 // WorkerGeom is the stripe geometry a worker rank holds from its init
 // frame and applies to every job.
@@ -206,14 +198,12 @@ type WorkerGeom struct {
 }
 
 // WireMaster is what a distributed Dispatcher requires of its runner:
-// the planning engine must encode the job in flight — as one frame
-// (EncodeWireJob) or as a header plus chunked entry ranges interleaved
-// with the deferred P-fill (WireJobHeader / WireJobEntries /
-// FillTravChunk / WireJobFrame) — and absorb remote partials. *Engine
-// implements it.
+// the planning engine must encode the job in flight as a header plus
+// entry ranges interleaved with the deferred P-fill (WireJobHeader /
+// WireJobEntries / FillTravChunk / WireJobFrame) and absorb remote
+// partials. *Engine implements it.
 type WireMaster interface {
 	threads.JobRunner
-	EncodeWireJob(code threads.JobCode, includeModel, reset bool) []byte
 	// WireJobHeader starts a frame: job code, flags, capacity, optional
 	// model block, views, factor block and the entry count. Returns the
 	// header bytes and the number of descriptor entries to follow.
@@ -229,45 +219,37 @@ type WireMaster interface {
 	// window-relative entry range [lo, hi); idempotent per entry.
 	FillTravChunk(lo, hi int)
 	WireEpochs() (model, topo uint64)
-	// WireWideLen returns how many wide components every rank's partial
-	// of the job in flight must carry; the dispatcher treats any other
-	// count as a desynchronized stream.
-	WireWideLen(code threads.JobCode) int
-	// WireVecLen returns how many per-pattern float64 the partial of the
-	// rank owning `stripe` must carry for the job in flight; again any
-	// other count is a desynchronized stream.
-	WireVecLen(code threads.JobCode, stripe threads.Range) int
+	// WirePartialLen returns how many wide components and how many
+	// per-pattern float64 the partial of the rank owning `stripe` must
+	// carry for the job in flight; the dispatcher treats any other count
+	// as a desynchronized stream.
+	WirePartialLen(code threads.JobCode, stripe threads.Range) (wide, vec int)
 	// AbsorbRemoteVec lands a rank's per-pattern block (wire form) at its
 	// stripe's place in the job's destination.
 	AbsorbRemoteVec(code threads.JobCode, stripeLo int, vec []byte)
 }
 
-// WireWideLen implements WireMaster: one wide component per partition
-// for an evaluation, one per candidate for an insertion scan.
-func (e *Engine) WireWideLen(code threads.JobCode) int {
-	switch code {
-	case threads.JobEvaluate:
-		return len(e.parts)
-	case threads.JobInsertScan:
-		return len(e.scanCands)
+// WirePartialLen implements WireMaster from the code's partial shape:
+// one wide component per partition or per scan candidate; one
+// log-likelihood per pattern of the stripe, or one sumtable row per live
+// pattern of it when the master gathers the rows. The rank's tile axis is
+// the stripe's live patterns under the same weights, so the master's tile
+// map counts them.
+func (e *Engine) WirePartialLen(code threads.JobCode, stripe threads.Range) (wide, vec int) {
+	switch jobTable[code].partial {
+	case partialParts:
+		return len(e.parts), 0
+	case partialCands:
+		return len(e.scanCands), 0
+	case partialSites:
+		return 0, stripe.Len()
+	case partialRows:
+		if e.gatherSumtable {
+			lo, hi := e.tileSpan(stripe)
+			return 0, (hi - lo) * e.nCat * 4
+		}
 	}
-	return 0
-}
-
-// WireVecLen implements WireMaster: one log-likelihood per pattern of the
-// stripe for a site-LL job, one sumtable row per live pattern of it for a
-// makenewz setup whose rows the master gathers, nothing otherwise. The
-// rank's tile axis is the stripe's live patterns under the same weights,
-// so the master's tile map counts them.
-func (e *Engine) WireVecLen(code threads.JobCode, stripe threads.Range) int {
-	switch {
-	case code == threads.JobSiteLL:
-		return stripe.Len()
-	case code == threads.JobMakenewzSetup && e.gatherSumtable:
-		lo, hi := e.tileSpan(stripe)
-		return (hi - lo) * e.nCat * 4
-	}
-	return 0
+	return 0, 0
 }
 
 // WireEpochs returns the engine's model and topology epochs; a
@@ -485,10 +467,9 @@ const (
 // window, the job's views and branch lengths, optionally a model-sync
 // block and a tile-reset marker — into a frame the same engine decodes
 // with DecodeWireJob on a remote rank. Must be called between the
-// master's prepareTraversal and the job's completion (a distributed
-// Dispatcher calls it at the top of Post). The returned buffer is
-// reused by the next call. Kept as the whole-frame convenience over
-// the chunked WireJobHeader/WireJobEntries pair.
+// master's prepareTraversal and the job's completion. The returned
+// buffer is reused by the next call. The whole-frame form of the
+// WireJobHeader/WireJobEntries pair a distributed Dispatcher uses.
 func (e *Engine) EncodeWireJob(code threads.JobCode, includeModel, reset bool) []byte {
 	_, n := e.WireJobHeader(code, includeModel, reset)
 	if n > 0 {
@@ -499,31 +480,22 @@ func (e *Engine) EncodeWireJob(code threads.JobCode, includeModel, reset bool) [
 
 // WireJobHeader resets the wire buffer and encodes everything up to and
 // including the descriptor entry count: job code, flags, node capacity,
-// optional model-sync block, branch length, views, and the candidate
-// block of an insertion scan or the factor block of a makenewz setup
-// or core job. It returns the header bytes and the
+// optional model-sync block, branch length, the code's views and its
+// payload (jobTable). It returns the header bytes and the
 // number of entries WireJobEntries calls must append. A frame carrying
 // a model block or reset marker clears the delta ship cache — the
 // workers clear their edge caches on the same flags, keeping both ends
 // coherent without any extra traffic.
 func (e *Engine) WireJobHeader(code threads.JobCode, includeModel, reset bool) ([]byte, int) {
 	if includeModel || reset {
-		for i := range e.wireShippedOK {
-			e.wireShippedOK[i] = false
-		}
+		clear(e.wireShipped)
 	}
 	if includeModel {
 		e.modelBlocks++
 	}
 	maxNode := e.tree.MaxNodeID()
-	if n := 3 * maxNode; len(e.wireShippedOK) < n {
-		shipped := make([]WireEntry, n)
-		copy(shipped, e.wireShipped)
-		e.wireShipped = shipped
-		ok := make([]bool, n)
-		copy(ok, e.wireShippedOK)
-		e.wireShippedOK = ok
-	}
+	e.wireShipped = growTo(e.wireShipped, 3*maxNode)
+	s := &jobTable[code]
 	b := e.wireBuf[:0]
 	b = append(b, byte(code))
 	var flags byte
@@ -533,7 +505,7 @@ func (e *Engine) WireJobHeader(code threads.JobCode, includeModel, reset bool) (
 	if reset {
 		flags |= jobFlagReset
 	}
-	if code == threads.JobMakenewzSetup && e.gatherSumtable {
+	if s.partial == partialRows && e.gatherSumtable {
 		flags |= jobFlagGather
 	}
 	b = append(b, flags)
@@ -542,16 +514,12 @@ func (e *Engine) WireJobHeader(code threads.JobCode, includeModel, reset bool) (
 		b = e.appendWireModel(b)
 	}
 	b = appendF64(b, e.jobT)
-	nv := e.jobNViews
-	if code == threads.JobNewview {
-		nv = 0 // pure descriptor walk: stale view metadata is not part of the job
+	b = append(b, byte(s.views))
+	for _, v := range e.jobWire[:s.views] {
+		b = appendView(b, v)
 	}
-	b = append(b, byte(nv))
-	for i := 0; i < nv; i++ {
-		b = appendView(b, e.jobWire[i])
-	}
-	switch code {
-	case threads.JobInsertScan:
+	switch s.payload {
+	case payloadCands:
 		b = appendU32(b, uint32(len(e.scanCands)))
 		for i := range e.scanCands {
 			c := &e.scanCands[i].wire
@@ -559,7 +527,7 @@ func (e *Engine) WireJobHeader(code threads.JobCode, includeModel, reset bool) (
 			b = appendView(b, c.Y)
 			b = appendF64(b, c.T)
 		}
-	case threads.JobMakenewzSetup, threads.JobMakenewzCore:
+	case payloadFactors:
 		b = e.appendWireFactors(b)
 	}
 	n := e.travHi - e.travLo
@@ -595,7 +563,7 @@ func (e *Engine) WireJobEntries(lo, hi int) []byte {
 			we.C2Tax = int32(ent.right.taxon)
 		}
 		idx := p.Node*3 + p.Slot
-		if e.wireShippedOK[idx] && e.wireShipped[idx] == we {
+		if e.wireShipped[idx] == we {
 			b = append(b, wireEntRef)
 			b = appendI32(b, we.Node)
 			b = appendI32(b, we.Slot)
@@ -613,7 +581,6 @@ func (e *Engine) WireJobEntries(lo, hi int) []byte {
 		b = appendF64(b, we.Len1)
 		b = appendF64(b, we.Len2)
 		e.wireShipped[idx] = we
-		e.wireShippedOK[idx] = true
 	}
 	e.wireBuf = b
 	return b[start:]
@@ -681,10 +648,7 @@ func decodeWireFactors(r *wireReader, reuse *WireFactors) *WireFactors {
 			D2:  make([]float64, 0, capHint),
 		}
 	}
-	if cap(f.Cats) < np {
-		f.Cats = make([]int, np)
-	}
-	f.Cats = f.Cats[:np]
+	f.Cats = resize(f.Cats, np)
 	f.Exp = f.Exp[:0]
 	f.D1 = f.D1[:0]
 	f.D2 = f.D2[:0]
@@ -760,7 +724,13 @@ func DecodeWireJobInto(j *WireJob, buf []byte) error {
 	flags := r.u8()
 	j.Reset = flags&jobFlagReset != 0
 	j.Gather = flags&jobFlagGather != 0
-	if j.Gather && j.Code != threads.JobMakenewzSetup {
+	s := jobOf(j.Code)
+	switch {
+	case r.err != nil:
+		return r.err
+	case s == nil:
+		return fmt.Errorf("likelihood: job frame of unknown code %d", j.Code)
+	case j.Gather && s.partial != partialRows:
 		return fmt.Errorf("likelihood: job frame of code %d asks for sumtable rows", j.Code)
 	}
 	j.MaxNode = int(r.u32())
@@ -779,8 +749,8 @@ func DecodeWireJobInto(j *WireJob, buf []byte) error {
 	j.Cands = j.Cands[:0]
 	reuse := j.Factors
 	j.Factors = nil
-	switch j.Code {
-	case threads.JobInsertScan:
+	switch s.payload {
+	case payloadCands:
 		// The remaining bytes bound a hostile count before anything is
 		// allocated for it.
 		n := int(r.u32())
@@ -788,14 +758,12 @@ func DecodeWireJobInto(j *WireJob, buf []byte) error {
 			r.fail()
 		}
 		if r.err == nil {
-			if cap(j.Cands) < n {
-				j.Cands = make([]WireCand, 0, n)
-			}
+			j.Cands = slices.Grow(j.Cands, n)
 			for i := 0; i < n; i++ {
 				j.Cands = append(j.Cands, WireCand{X: r.view(), Y: r.view(), T: r.f64()})
 			}
 		}
-	case threads.JobMakenewzSetup, threads.JobMakenewzCore:
+	case payloadFactors:
 		j.Factors = decodeWireFactors(r, reuse)
 	}
 	n := int(r.u32())
@@ -806,9 +774,7 @@ func DecodeWireJobInto(j *WireJob, buf []byte) error {
 		if r.off+n*9 > len(r.b) {
 			r.fail()
 		} else {
-			if cap(j.Entries) < n {
-				j.Entries = make([]WireEntry, 0, n)
-			}
+			j.Entries = slices.Grow(j.Entries, n)
 			for i := 0; i < n && r.err == nil; i++ {
 				switch kind := r.u8(); kind {
 				case wireEntFull:
@@ -878,31 +844,20 @@ func decodeWireModel(r *wireReader) *WireModel {
 // engines have no attached tree, so the master ships the capacity with
 // every job frame; ensureArena is the tree-driven wrapper.
 func (e *Engine) EnsureNodeCapacity(maxNode int) {
-	n := maxNode * 3
-	if len(e.tileOf) >= n {
-		return
-	}
 	old := len(e.tileOf)
-	tiles := make([]int32, n)
-	copy(tiles, e.tileOf)
-	for i := old; i < n; i++ {
-		tiles[i] = noTile
+	e.tileOf = growTo(e.tileOf, 3*maxNode)
+	for i := old; i < len(e.tileOf); i++ {
+		e.tileOf[i] = noTile
 	}
-	e.tileOf = tiles
-	valid := make([]bool, n)
-	copy(valid, e.valid)
-	e.valid = valid
+	e.valid = growTo(e.valid, 3*maxNode)
 }
 
-// ResetTiles releases every directed-edge -> tile binding back to the
-// free list (the worker-side mirror of AttachTree: the master's next
-// descriptors name a fresh topology, so stale bindings must not leak
-// values across trees).
-func (e *Engine) ResetTiles() {
-	e.releaseTiles()
-	for i := range e.valid {
-		e.valid[i] = false
+// growTo returns s extended with zero values to length n, contents kept.
+func growTo[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
 	}
+	return s
 }
 
 // ApplyWireModel installs a model-sync block onto a worker engine,
@@ -970,11 +925,7 @@ func (e *Engine) ApplyWireModel(m *WireModel, g *WorkerGeom) error {
 // them, at zero cost. No tree is consulted: tip children arrive
 // pre-resolved.
 func (e *Engine) prepareWireTraversal(entries []WireEntry, maxNode int) error {
-	if n := 3 * maxNode; len(e.wireCache) < n {
-		grown := make([]wireEdgeCache, n)
-		copy(grown, e.wireCache)
-		e.wireCache = grown
-	}
+	e.wireCache = growTo(e.wireCache, 3*maxNode)
 	e.trav = e.trav[:0]
 	e.wireFillIdx = e.wireFillIdx[:0]
 	n := len(entries)
@@ -1028,20 +979,8 @@ func (e *Engine) prepareWireTraversal(entries []WireEntry, maxNode int) error {
 		ent.pR = c.p[nc:]
 		e.trav = append(e.trav, ent)
 	}
-	// Bind tiles and resolve offsets in entry order, exactly as the
-	// master binds its own arena.
 	for i := range e.trav {
-		ent := &e.trav[i]
-		ent.dstOff = e.clvOffset(ent.pub.Node, ent.pub.Slot)
-		ent.dstScaleOff = e.scaleOffset(ent.pub.Node, ent.pub.Slot)
-		if !ent.left.tip {
-			ent.left.off = e.clvOffset(ent.pub.C1, ent.pub.C1Slot)
-			ent.left.scaleOff = e.scaleOffset(ent.pub.C1, ent.pub.C1Slot)
-		}
-		if !ent.right.tip {
-			ent.right.off = e.clvOffset(ent.pub.C2, ent.pub.C2Slot)
-			ent.right.scaleOff = e.scaleOffset(ent.pub.C2, ent.pub.C2Slot)
-		}
+		e.bindTravEntry(&e.trav[i])
 	}
 	e.memoSync()
 	misses := 0
@@ -1053,7 +992,7 @@ func (e *Engine) prepareWireTraversal(entries []WireEntry, maxNode int) error {
 	return nil
 }
 
-// wireChildView materializes a shipped view against the local arena.
+// wireChildView materializes a symbolic view against the local arena.
 func (e *Engine) wireChildView(v WireView) childView {
 	if v.Tip {
 		return childView{tip: true, vec: e.tipVecOf(int(v.Taxon)), stride: 4}
@@ -1067,14 +1006,51 @@ func (e *Engine) wireChildView(v WireView) childView {
 	}
 }
 
-// ExecWireJob replays one decoded job frame on a worker engine: apply
-// capacity/reset/model state, resolve the descriptor locally, rebuild
-// the job's transition matrices from the shipped branch lengths, run
-// the job over the local thread crew (one local barrier crossing) and
-// return the encoded reduction partial — an evaluation's wide components
-// indexed by MASTER partition, a scan's by candidate, the site-LL vector
-// over the local stripe.
+// checkWireJob refuses, as ErrWireDesync, a decoded job this engine
+// cannot hold although the master's would: a code outside the job
+// table, a view count other than the code's, a node capacity beyond the
+// 2·taxa nodes a tree over the init frame's taxa has, or a node, slot or
+// taxon outside them in an entry, a view or a candidate. Ref entries
+// name only their edge; the rest comes from an edge cache entry that
+// passed here when it was shipped full.
+func (e *Engine) checkWireJob(job *WireJob, s *jobSpec) error {
+	taxa := e.pat.NumTaxa()
+	taxon := func(tax int32) bool { return tax >= 0 && int(tax) < taxa }
+	edge := func(node, slot int32) bool { return node >= 0 && int(node) < job.MaxNode && slot >= 0 && slot < 3 }
+	child := func(tax, node, slot int32) bool { return taxon(tax) || tax < 0 && edge(node, slot) }
+	view := func(v WireView) bool { return v.Tip && taxon(v.Taxon) || !v.Tip && edge(v.Node, v.Slot) }
+	ok := s != nil && job.NViews == s.views && job.MaxNode <= 2*taxa
+	for i := 0; ok && i < job.NViews; i++ {
+		ok = view(job.Views[i])
+	}
+	for i := 0; ok && i < len(job.Cands); i++ {
+		ok = view(job.Cands[i].X) && view(job.Cands[i].Y)
+	}
+	for i := 0; ok && i < len(job.Entries); i++ {
+		we := &job.Entries[i]
+		ok = edge(we.Node, we.Slot) && (we.Ref || child(we.C1Tax, we.C1, we.C1Slot) && child(we.C2Tax, we.C2, we.C2Slot))
+	}
+	if !ok {
+		return fmt.Errorf("%w: job code %d, %d views, %d nodes over %d taxa: a view count, node, slot or taxon out of range",
+			ErrWireDesync, job.Code, job.NViews, job.MaxNode, taxa)
+	}
+	return nil
+}
+
+// ExecWireJob replays one decoded job frame on a worker engine: check
+// its ids (checkWireJob), apply capacity/reset/model state, resolve the
+// descriptor locally, install the code's payload, run the code's prep —
+// the matrices the master built, rebuilt from the shipped branch length
+// — run the job over the local thread crew (one local barrier crossing)
+// and return the encoded reduction partial in the code's shape: an
+// evaluation's wide components indexed by MASTER partition, a scan's by
+// candidate, the site-LL vector over the local stripe, a gathered
+// setup's sumtable rows.
 func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
+	s := jobOf(job.Code)
+	if err := e.checkWireJob(job, s); err != nil {
+		return nil, err
+	}
 	e.EnsureNodeCapacity(job.MaxNode)
 	if job.Reset || job.Model != nil {
 		// The master cleared its delta ship cache when it encoded these
@@ -1085,7 +1061,11 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 		}
 	}
 	if job.Reset {
-		e.ResetTiles()
+		// The worker-side mirror of AttachTree: the master's next
+		// descriptors name a fresh topology, so stale bindings must not
+		// leak values across trees.
+		e.releaseTiles()
+		clear(e.valid)
 	}
 	if job.Model != nil {
 		if err := e.ApplyWireModel(job.Model, g); err != nil {
@@ -1096,91 +1076,50 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 		return nil, err
 	}
 	e.ensureP()
-	switch job.Code {
-	case threads.JobNewview:
-		// descriptor walk only
-	case threads.JobEvaluate, threads.JobSiteLL:
-		e.fillP(job.T, e.pEval)
-	case threads.JobMakenewz:
-		for i := range e.parts {
-			ps := &e.parts[i]
-			for c := 0; c < ps.rates.NumCats(); c++ {
-				ps.model.PDeriv(job.T, ps.rates.Rates[c], &e.pEval[ps.pOff+c], &e.pD1[ps.pOff+c], &e.pD2[ps.pOff+c])
-			}
-		}
-	case threads.JobMakenewzSetup, threads.JobMakenewzCore:
-		// Setup fills this rank's sumtable stripe from its own CLVs and
-		// core reads it back; only the tiny factor block arrives, with
-		// the setup for its closing reduction and per iteration after. A
-		// gathered setup skips that reduction (RunJob) and ships the
-		// stripe's rows instead.
-		e.ensureSumtable()
-		e.gatherSumtable = job.Gather
-		if err := e.applyWireFactors(job.Factors, g); err != nil {
-			return nil, err
-		}
-	case threads.JobInsertScan:
-		if job.NViews != 1 {
-			return nil, fmt.Errorf("likelihood: scan frame has %d views, want the subtree view", job.NViews)
-		}
-		e.jobWire[0], e.jobT = job.Views[0], job.T
+	e.jobWire, e.jobT, e.gatherSumtable = job.Views, job.T, job.Gather
+	switch s.payload {
+	case payloadCands:
 		e.sizeScanCands(len(job.Cands))
 		for i, c := range job.Cands {
 			e.scanCands[i].wire = c
 		}
-		e.prepareScan()
-	default:
-		return nil, fmt.Errorf("likelihood: wire job code %d not executable", job.Code)
-	}
-	if job.Code != threads.JobInsertScan {
-		for i := 0; i < job.NViews; i++ {
-			v := e.wireChildView(job.Views[i])
-			if i == 0 {
-				e.jobVA = v
-			} else {
-				e.jobVB = v
-			}
+	case payloadFactors:
+		// Setup fills this rank's sumtable stripe from its own CLVs and
+		// core reads it back; only the tiny factor block arrives.
+		if err := e.applyWireFactors(job.Factors, g); err != nil {
+			return nil, err
 		}
 	}
-	if job.Code == threads.JobSiteLL {
-		if cap(e.wireSiteLL) < e.nPatterns {
-			e.wireSiteLL = make([]float64, e.nPatterns)
-		}
-		e.jobDst = e.wireSiteLL[:e.nPatterns]
+	e.prepJob(s)
+	if s.partial == partialSites {
+		e.wireSiteLL = resize(e.wireSiteLL, e.nPatterns)
+		e.jobDst = e.wireSiteLL
 	}
 	e.pool.Post(e, job.Code)
 
-	// Encode the partial: fixed slots, master-indexed wide components,
-	// optional per-pattern block (site-LL stripe or sumtable rows).
+	// Encode the partial: fixed slots, the wide block, the per-pattern
+	// block.
 	b := e.wirePartialBuf[:0]
 	s0, s1 := e.pool.SumSlots2(0, 1)
 	b = appendF64(b, s0)
 	b = appendF64(b, s1)
-	switch job.Code {
-	case threads.JobEvaluate:
-		b = appendU32(b, uint32(g.MasterParts))
-		if cap(e.wireWide) < g.MasterParts {
-			e.wireWide = make([]float64, g.MasterParts)
-		}
-		wide := e.wireWide[:g.MasterParts]
-		for i := range wide {
-			wide[i] = 0
-		}
+	switch {
+	case s.partial == partialParts:
+		e.wireWide = resize(e.wireWide, g.MasterParts)
+		wide := e.wireWide
+		clear(wide)
 		for li := range e.parts {
 			wide[g.PartMap[li]] = e.pool.SumWide(li)
 		}
-		b = appendF64Block(b, wide)
-	case threads.JobInsertScan:
+		b = appendU32(appendF64s(b, wide), 0)
+	case s.partial == partialCands:
 		b = appendU32(b, uint32(len(e.scanCands)))
 		for i := range e.scanCands {
 			b = appendF64(b, e.pool.SumWide(i))
 		}
-	default:
 		b = appendU32(b, 0)
-	}
-	switch {
-	case job.Code == threads.JobSiteLL:
-		b = appendF64s(b, e.jobDst)
+	case s.partial == partialSites:
+		b = appendF64s(appendU32(b, 0), e.jobDst)
 		e.jobDst = nil
 	case job.Gather:
 		// The rows of the stripe's live patterns in pattern order: each
@@ -1188,25 +1127,16 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 		// is exactly tileN·nCat·4 float64 whatever either side's tile
 		// geometry.
 		st := e.nCat * 4
-		b = appendU32(b, uint32(e.tileN*st))
+		b = appendU32(appendU32(b, 0), uint32(e.tileN*st))
 		for i := range e.parts {
 			ps := &e.parts[i]
 			b = appendF64Block(b, e.sumtable[ps.fOff:ps.fOff+(ps.thi-ps.tlo)*st])
 		}
 	default:
-		b = appendU32(b, 0)
+		b = appendU32(appendU32(b, 0), 0)
 	}
 	e.wirePartialBuf = b
 	return b, nil
-}
-
-// DecodeWirePartial decodes a reduction partial into a fresh struct.
-func DecodeWirePartial(buf []byte) (*WirePartial, error) {
-	p := &WirePartial{}
-	if err := DecodeWirePartialInto(p, buf); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // DecodeWirePartialInto decodes a reduction partial into p, reusing its
@@ -1250,9 +1180,9 @@ func DecodeWirePartialInto(p *WirePartial, buf []byte) error {
 // arena for a gathered JobMakenewzSetup — at the place of the stripe
 // starting at (alignment-axis) pattern stripeLo. Called by a distributed
 // Dispatcher from inside Post, which has checked the block against
-// WireVecLen.
+// WirePartialLen.
 func (e *Engine) AbsorbRemoteVec(code threads.JobCode, stripeLo int, vec []byte) {
-	if code == threads.JobSiteLL {
+	if jobTable[code].partial == partialSites {
 		decodeF64Block(e.jobDst[stripeLo:stripeLo+len(vec)/8], vec)
 		return
 	}
@@ -1287,6 +1217,10 @@ type WorkerInit struct {
 	IsCAT       bool
 	NCats       int // GAMMA category count (CLV width); 1 for CAT
 }
+
+// maxCLVCats is the widest CLV a worker builds: sixteen times the four
+// GAMMA categories the master uses.
+const maxCLVCats = 64
 
 // EncodeWorkerInit encodes the init frame.
 func EncodeWorkerInit(w *WorkerInit) []byte {
@@ -1339,7 +1273,7 @@ func DecodeWorkerInit(buf []byte) (*WorkerInit, error) {
 	w.NCats = int(r.i32())
 
 	nTaxa := int(r.u32())
-	if r.err != nil || nTaxa < 0 || nTaxa > 1<<24 {
+	if r.err != nil || nTaxa < 0 || nTaxa > (len(r.b)-r.off)/4 {
 		r.fail()
 		return nil, r.err
 	}
@@ -1382,7 +1316,20 @@ func DecodeWorkerInit(buf []byte) (*WorkerInit, error) {
 	if r.off != len(r.b) {
 		return nil, fmt.Errorf("likelihood: init frame has %d trailing bytes", len(r.b)-r.off)
 	}
+	// The engine is built from the frame, so it must describe the stripe
+	// it carries — weights and partitions tiling the patterns, a partition
+	// map into the master's partitions — at a CLV width a worker holds.
 	w.Pat = msa.FromParts(names, data, weights, parts)
+	g, ranges, lo := &w.Geom, w.Pat.PartRanges(), 0
+	ok := len(weights) == nPat && len(g.PartMap) == len(ranges) && len(g.ClipOff) == len(ranges) &&
+		g.StripeLo >= 0 && g.StripeHi-g.StripeLo == nPat && g.MasterParts <= 1<<20 && w.NCats >= 1 && w.NCats <= maxCLVCats
+	for i, pr := range ranges {
+		ok = ok && pr.Lo == lo && pr.Hi > lo && g.PartMap[i] >= 0 && g.PartMap[i] < g.MasterParts && g.ClipOff[i] >= 0
+		lo = pr.Hi
+	}
+	if !ok || lo != nPat {
+		return nil, fmt.Errorf("likelihood: init frame geometry does not describe its %d-pattern stripe", nPat)
+	}
 	return w, nil
 }
 
@@ -1410,5 +1357,9 @@ func BuildWorkerEngine(w *WorkerInit) (*Engine, error) {
 	} else {
 		pool = threads.NewPool(w.Threads, w.Pat.NumPatterns())
 	}
-	return NewPartitioned(w.Pat, set, Config{Pool: pool})
+	eng, err := NewPartitioned(w.Pat, set, Config{Pool: pool})
+	if err != nil {
+		pool.Close() // no engine owns the crew's goroutines
+	}
+	return eng, err
 }

@@ -238,8 +238,8 @@ func TestWirePartialRoundTrip(t *testing.T) {
 	b = appendF64(b, -100)
 	b = appendF64(b, -23.5)
 	b = appendF64s(b, []float64{1, 2, 3})
-	p, err := DecodeWirePartial(b)
-	if err != nil {
+	p := &WirePartial{}
+	if err := DecodeWirePartialInto(p, b); err != nil {
 		t.Fatal(err)
 	}
 	if p.Slots != [2]float64{-123.5, 4.25} {
@@ -248,12 +248,12 @@ func TestWirePartialRoundTrip(t *testing.T) {
 	if len(p.Wide) != 2 || p.Wide[0] != -100 || p.Wide[1] != -23.5 {
 		t.Fatalf("wide %v", p.Wide)
 	}
-	vec := make([]float64, p.VecLen())
+	vec := make([]float64, len(p.Vec)/8)
 	decodeF64Block(vec, p.Vec)
 	if len(vec) != 3 || vec[2] != 3 {
 		t.Fatalf("vec %v", vec)
 	}
-	if _, err := DecodeWirePartial(b[:9]); err == nil {
+	if err := DecodeWirePartialInto(&WirePartial{}, b[:9]); err == nil {
 		t.Fatal("truncated partial decoded without error")
 	}
 }
@@ -278,12 +278,12 @@ func TestWireRowsCrossBitExact(t *testing.T) {
 	b = appendF64(b, 0)
 	b = appendU32(b, 0)
 	b = appendF64s(b, rows)
-	p, err := DecodeWirePartial(b)
-	if err != nil {
+	p := &WirePartial{}
+	if err := DecodeWirePartialInto(p, b); err != nil {
 		t.Fatal(err)
 	}
-	if p.VecLen() != len(rows) {
-		t.Fatalf("block of %d values decoded as %d", len(rows), p.VecLen())
+	if len(p.Vec)/8 != len(rows) {
+		t.Fatalf("block of %d values decoded as %d", len(rows), len(p.Vec)/8)
 	}
 	got := make([]float64, len(rows))
 	decodeF64Block(got, p.Vec)

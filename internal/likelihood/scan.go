@@ -54,10 +54,7 @@ func (e *Engine) EvaluateInsertion(subRoot, attach, x, y int) float64 {
 // fold in worker, then rank order.
 func (e *Engine) EvaluateInsertions(subRoot, attach int, cands []tree.Edge, out []float64) []float64 {
 	n := len(cands)
-	if cap(out) < n {
-		out = make([]float64, n)
-	}
-	out = out[:n]
+	out = resize(out, n)
 	if n == 0 {
 		return out
 	}
@@ -80,9 +77,7 @@ func (e *Engine) EvaluateInsertions(subRoot, attach int, cands []tree.Edge, out 
 	e.prepareTraversal()
 
 	e.jobWire[0] = e.wireViewOf(subRoot, slotSub)
-	e.jobNViews = 1
 	e.jobT = e.tree.EdgeLength(subRoot, attach)
-	e.prepareScan()
 	e.dispatch(threads.JobInsertScan)
 	for i := range out {
 		out[i] = e.pool.SumWide(i)
@@ -93,23 +88,18 @@ func (e *Engine) EvaluateInsertions(subRoot, attach int, cands []tree.Edge, out 
 // sizeScanCands sizes the candidate batch to n entries, keeping the
 // backing array.
 func (e *Engine) sizeScanCands(n int) {
-	if cap(e.scanCands) < n {
-		e.scanCands = make([]scanCand, n)
-	}
-	e.scanCands = e.scanCands[:n]
+	e.scanCands = resize(e.scanCands, n)
 }
 
-// prepareScan readies a scan whose subtree view (jobWire[0]), pendant
-// length (jobT) and candidate wire forms (scanCands) are set and whose
-// descriptor is prepared, so every tile the views name is bound: it
-// resolves the views against the local arena, fills the matrices —
-// through the memo: the pendant length rarely changes between the scans
-// of a pass, and most candidates were scanned by an earlier prune — and
-// sizes the wide reduction rows to one partial per candidate. Shared by
-// the master (EvaluateInsertions) and the worker path (ExecWireJob),
-// which therefore hold identical matrices.
+// prepareScan, the prep of JobInsertScan, readies a scan whose subtree
+// view (jobV[0]), pendant length (jobT) and candidate wire forms
+// (scanCands) are set and whose descriptor is prepared, so every tile
+// the views name is bound: it resolves the candidates' views against the
+// local arena, fills the matrices — through the memo: the pendant length
+// rarely changes between the scans of a pass, and most candidates were
+// scanned by an earlier prune — and sizes the wide reduction rows to one
+// partial per candidate.
 func (e *Engine) prepareScan() {
-	e.jobVS = e.wireChildView(e.jobWire[0])
 	for i := range e.scanCands {
 		sc := &e.scanCands[i]
 		sc.vx = e.wireChildView(sc.wire.X)
@@ -117,16 +107,9 @@ func (e *Engine) prepareScan() {
 	}
 	e.ensureP()
 	e.fillP(e.jobT, e.pPend)
-	if cap(e.pendProd) < e.tileFloats {
-		e.pendProd = make([]float64, e.tileFloats)
-	}
-	e.pendProd = e.pendProd[:e.tileFloats]
+	e.pendProd = resize(e.pendProd, e.tileFloats)
 	n := len(e.scanCands)
-	if need := n * e.totalCats; cap(e.scanP) < need {
-		e.scanP = make([][16]float64, need)
-	} else {
-		e.scanP = e.scanP[:need]
-	}
+	e.scanP = resize(e.scanP, n*e.totalCats)
 	e.memoSync()
 	misses := 0
 	for i := range e.scanCands {
@@ -153,7 +136,7 @@ func (e *Engine) fillScanHalves(lo, hi int) {
 // insertScanRange computes one worker's partial of the three-way CLV
 // join at every candidate insertion point of the batch — the candidate's
 // views with its P(txy/2) matrices toward x and toward y, and the
-// subtree view jobVS through pPend — and leaves candidate i's in entry i
+// subtree view jobV[0] through pPend — and leaves candidate i's in entry i
 // of the worker's wide reduction row. The subtree's factor of the join,
 // (P_pend·sub), is the same for every candidate, so the worker first
 // leaves it in its own stripe of pendProd and every candidate's join
@@ -183,7 +166,7 @@ func (e *Engine) insertScanRange(w int, r threads.Range) {
 // table's pendant entry, at the patterns' tile-segment offsets (a tip
 // subtree gets a category axis here: the matrices differ).
 func (e *Engine) pendantChunk(ps *partState, lo, hi int) {
-	vs := &e.jobVS
+	vs := &e.jobV[0]
 	st := e.nCat * 4
 	var pcat []int
 	if e.isCAT {
@@ -231,7 +214,7 @@ func pendantScalar(out, sv []float64, ss int, pPend [][16]float64, pcat []int, t
 // order, so the partial sum accumulates exactly as a per-pattern loop
 // would.
 func (e *Engine) insertScanChunk(blk *workerScratch, ps *partState, lo, hi int, sc *scanCand, pHalf [][16]float64) float64 {
-	vx, vy, vs := &sc.vx, &sc.vy, &e.jobVS
+	vx, vy, vs := &sc.vx, &sc.vy, &e.jobV[0]
 	npc := ps.rates.NumCats()
 	pHalf = pHalf[ps.pOff : ps.pOff+npc]
 	x0, xStep, _ := viewCoeffs(vx, ps)

@@ -151,15 +151,26 @@ func (e *Engine) queueTraversal(node, slot int) {
 	e.valid[idx] = true
 }
 
-// childOf resolves a descriptor child to its executable form, binding
-// arena tiles as needed (master-side only).
-func (e *Engine) childOf(node, slot int) travChild {
-	n := &e.tree.Nodes[node]
-	if n.IsTip() {
-		return travChild{tip: true, taxon: n.Taxon}
+// bindTravEntry binds the entry's destination tile and resolves the
+// arena offsets of its internal children (tip children are already
+// marked), the master and a worker rank alike binding in entry order.
+func (e *Engine) bindTravEntry(ent *travEntry) {
+	p := &ent.pub
+	ent.dstOff, ent.dstScaleOff = e.clvOffset(p.Node, p.Slot), e.scaleOffset(p.Node, p.Slot)
+	if !ent.left.tip {
+		ent.left.off, ent.left.scaleOff = e.clvOffset(p.C1, p.C1Slot), e.scaleOffset(p.C1, p.C1Slot)
 	}
-	off := e.clvOffset(node, slot)
-	return travChild{off: off, scaleOff: e.scaleOffset(node, slot)}
+	if !ent.right.tip {
+		ent.right.off, ent.right.scaleOff = e.clvOffset(p.C2, p.C2Slot), e.scaleOffset(p.C2, p.C2Slot)
+	}
+}
+
+// tipChild is the descriptor child node as the master's tree has it: a
+// tip with its taxon, or an internal CLV whose offsets bindTravEntry
+// resolves.
+func (e *Engine) tipChild(node int) travChild {
+	n := &e.tree.Nodes[node]
+	return travChild{tip: n.IsTip(), taxon: n.Taxon}
 }
 
 // fillTipLUT precomputes the left/right contribution of a tip child for
@@ -223,10 +234,7 @@ func (e *Engine) prepareTraversal() {
 	e.ensureP()
 	nc := e.totalCats
 	need := 2 * nc * n
-	if cap(e.travP) < need {
-		e.travP = make([][16]float64, need)
-	}
-	e.travP = e.travP[:need]
+	e.travP = resize(e.travP, need)
 
 	// Size the tip-lookup arena: one 16 x nc x 4 table (all partitions'
 	// blocks) per tip child.
@@ -240,19 +248,14 @@ func (e *Engine) prepareTraversal() {
 			tips++
 		}
 	}
-	if cap(e.travLUT) < tips*lutSize {
-		e.travLUT = make([]float64, tips*lutSize)
-	}
-	e.travLUT = e.travLUT[:tips*lutSize]
+	e.travLUT = resize(e.travLUT, tips*lutSize)
 
 	off := 0
 	lutOff := 0
 	for i := range e.trav {
 		ent := &e.trav[i]
-		ent.dstOff = e.clvOffset(ent.pub.Node, ent.pub.Slot)
-		ent.dstScaleOff = e.scaleOffset(ent.pub.Node, ent.pub.Slot)
-		ent.left = e.childOf(ent.pub.C1, ent.pub.C1Slot)
-		ent.right = e.childOf(ent.pub.C2, ent.pub.C2Slot)
+		ent.left, ent.right = e.tipChild(ent.pub.C1), e.tipChild(ent.pub.C2)
+		e.bindTravEntry(ent)
 		ent.pL = e.travP[off : off+nc]
 		ent.pR = e.travP[off+nc : off+2*nc]
 		off += 2 * nc
@@ -372,12 +375,13 @@ func (e *Engine) fillWireIdxMatrices(k0, k1 int) {
 	}
 }
 
-// dispatch posts the prepared descriptor (and the follow-on kernel
-// selected by code) to the pool. Batched mode — the default — posts
+// dispatch readies the job (prepJob) and posts the prepared descriptor
+// (and the follow-on kernel selected by code) to the pool. Batched mode — the default — posts
 // everything as one job: one barrier crossing per traversal. Per-node
 // mode posts every descriptor entry as its own job, reproducing the
 // pre-descriptor dispatch cost for benchmarking (BenchmarkTraversalDispatch).
 func (e *Engine) dispatch(code threads.JobCode) {
+	e.prepJob(&jobTable[code])
 	n := len(e.trav)
 	if e.perNodeDispatch {
 		for i := 0; i < n; i++ {
@@ -445,15 +449,121 @@ func (e *Engine) walkTraversal(r threads.Range) {
 	}
 }
 
+// jobSpec is everything one likelihood job code means, for the master
+// that plans and posts it and for a worker rank that replays its frame:
+// jobTable holds one entry per code, and the kernels, the wire codec and
+// the distributed dispatcher read a code's meaning from there.
+type jobSpec struct {
+	// kernel runs over one worker's range after the descriptor walk,
+	// writing its reduction partial into the worker's slot or wide row.
+	kernel func(e *Engine, w int, r threads.Range)
+	// steps are the kernel steps per pattern JobWork counts beyond the
+	// descriptor, plus candSteps per scan candidate.
+	steps, candSteps int
+	// views is how many job views the frame ships (jobWire[:views]).
+	views int
+	// payload is the header block that follows the views.
+	payload wirePayload
+	// prep readies what the kernel reads beyond the views — matrices at
+	// jobT, scratch — on the master before it posts and on a worker before
+	// it runs the frame (prepJob).
+	prep func(e *Engine)
+	// partial is what a rank's partial carries beyond its two slots.
+	partial partialShape
+}
+
+// wirePayload is the header block of a job frame after its views.
+type wirePayload uint8
+
+const (
+	payloadNone    wirePayload = iota
+	payloadCands               // the insertion-scan candidates
+	payloadFactors             // the makenewz factor block
+)
+
+// partialShape is what a rank's reduction partial carries besides its
+// two fixed slots: wide components or a per-pattern block.
+type partialShape uint8
+
+const (
+	partialSlots partialShape = iota // nothing
+	partialParts                     // one wide component per master partition
+	partialCands                     // one wide component per scan candidate
+	partialSites                     // the stripe's site log-likelihoods
+	partialRows                      // the stripe's sumtable rows, when the frame gathers
+)
+
+// jobTable is the job vocabulary of the likelihood engine, indexed by
+// code. Adding a code, or changing what one ships, touches one entry.
+var jobTable = [...]jobSpec{
+	threads.JobNewview: {kernel: func(*Engine, int, threads.Range) {}},
+	threads.JobEvaluate: {
+		kernel: func(e *Engine, w int, r threads.Range) { e.pool.Slot(w)[0] = e.evaluateRange(w, r) },
+		steps:  1, views: 2, prep: (*Engine).fillEvalP, partial: partialParts,
+	},
+	threads.JobMakenewz: {
+		kernel: func(e *Engine, w int, r threads.Range) {
+			s := e.pool.Slot(w)
+			s[0], s[1] = e.derivativesRange(r)
+		},
+		steps: 1, views: 2, prep: (*Engine).fillDerivP,
+	},
+	threads.JobMakenewzSetup: {
+		kernel: func(e *Engine, w int, r threads.Range) {
+			e.makenewzSetupRange(w, r)
+			// Whoever gathers the rows sums over the whole axis itself.
+			s := e.pool.Slot(w)
+			s[0], s[1] = 0, 0
+			if !e.gatherSumtable {
+				s[0], s[1] = e.makenewzCoreRange(w, r)
+			}
+		},
+		steps: 1, views: 2, payload: payloadFactors, prep: (*Engine).ensureSumtable, partial: partialRows,
+	},
+	threads.JobMakenewzCore: {
+		kernel: func(e *Engine, w int, r threads.Range) {
+			s := e.pool.Slot(w)
+			s[0], s[1] = e.makenewzCoreRange(w, r)
+		},
+		steps: 1, payload: payloadFactors, prep: (*Engine).ensureSumtable,
+	},
+	threads.JobSiteLL: {
+		kernel: (*Engine).siteLLRange,
+		steps:  1, views: 2, prep: (*Engine).fillEvalP, partial: partialSites,
+	},
+	threads.JobInsertScan: {
+		kernel: (*Engine).insertScanRange,
+		steps:  1, candSteps: 2, views: 1, payload: payloadCands, prep: (*Engine).prepareScan, partial: partialCands,
+	},
+}
+
+// jobOf returns the table entry of a likelihood job code, nil for any
+// other code.
+func jobOf(code threads.JobCode) *jobSpec {
+	if code < 0 || int(code) >= len(jobTable) || jobTable[code].kernel == nil {
+		return nil
+	}
+	return &jobTable[code]
+}
+
+// prepJob resolves the job's views against the local arena and runs its
+// prep: the one step of a job the master (dispatch) and a worker rank
+// (ExecWireJob) share, so both hold identical matrices.
+func (e *Engine) prepJob(s *jobSpec) {
+	for i := 0; i < s.views; i++ {
+		e.jobV[i] = e.wireChildView(e.jobWire[i])
+	}
+	if s.prep != nil {
+		s.prep(e)
+	}
+}
+
 // RunJob implements threads.JobRunner: the engine executes posted job
 // codes over one worker's pattern range. Every code first walks the
 // pending traversal window (usually the whole descriptor; empty for
-// pure reductions), then runs its own kernel, writing reduction
-// partials into the worker's preallocated slot (or its wide row, for
-// the per-partition and per-candidate reductions). If the job was
-// aborted the follow-on kernel is skipped and the slot zeroed: the
-// master rolls the descriptor back (rollbackTraversal) and the job's
-// result is discarded.
+// pure reductions), then runs its table kernel. If the job was aborted
+// the kernel is skipped and the slot zeroed: the master rolls the
+// descriptor back (rollbackTraversal) and the job's result is discarded.
 func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 	e.walkTraversal(r)
 	if e.pool.Aborted() {
@@ -461,51 +571,18 @@ func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 		s[0], s[1] = 0, 0
 		return
 	}
-	switch code {
-	case threads.JobNewview:
-		// descriptor walk only
-	case threads.JobEvaluate:
-		e.pool.Slot(w)[0] = e.evaluateRange(w, r)
-	case threads.JobMakenewz:
-		s := e.pool.Slot(w)
-		s[0], s[1] = e.derivativesRange(r)
-	case threads.JobMakenewzSetup:
-		e.makenewzSetupRange(w, r)
-		s := e.pool.Slot(w)
-		if e.gatherSumtable {
-			// Whoever gathers the rows sums over the whole axis itself.
-			s[0], s[1] = 0, 0
-		} else {
-			s[0], s[1] = e.makenewzCoreRange(w, r)
-		}
-	case threads.JobMakenewzCore:
-		s := e.pool.Slot(w)
-		s[0], s[1] = e.makenewzCoreRange(w, r)
-	case threads.JobSiteLL:
-		e.siteLLRange(w, r)
-	case threads.JobInsertScan:
-		e.insertScanRange(w, r)
-	default:
-		panic(fmt.Sprintf("likelihood: unknown job code %d", code))
-	}
+	jobTable[code].kernel(e, w, r)
 }
 
 // JobWork implements threads.WorkEstimator: the kernel steps per pattern
-// of the job about to be posted — one per descriptor entry in the window,
-// one for the reduction kernel that follows it (two per candidate and one
-// pendant product for a scan) — times the CLV categories every step
-// covers, times the share of the patterns that are live: a range visits
-// only those (compact.go). The pool runs a job too short to share on the
-// master alone.
+// of the job about to be posted — one per descriptor entry in the window
+// plus the code's own (jobSpec.steps, candSteps) — times the CLV
+// categories every step covers, times the share of the patterns that are
+// live: a range visits only those (compact.go). The pool runs a job too
+// short to share on the master alone.
 func (e *Engine) JobWork(code threads.JobCode) int {
-	steps := e.travHi - e.travLo
-	switch code {
-	case threads.JobNewview:
-	case threads.JobInsertScan:
-		steps += 2*len(e.scanCands) + 1
-	default:
-		steps++
-	}
+	s := &jobTable[code]
+	steps := e.travHi - e.travLo + s.steps + s.candSteps*len(e.scanCands)
 	return steps * e.nCat * e.tileN / e.nPatterns
 }
 
