@@ -238,28 +238,31 @@ func Raxml(args []string, stdout io.Writer) error {
 		}, *runName, *outDir, stdout)
 	}
 	if *fine {
-		switch *analysis {
-		case "e":
-			return withFineLinks(*fineNet, opts.Ranks, spawn, stdout, func(links []fabric.Link) error {
-				return runEvaluateFine(pat, opts, links, *userTree, *runName, *outDir, stdout)
-			})
-		case "d":
-			return withFineLinks(*fineNet, opts.Ranks, spawn, stdout, func(links []fabric.Link) error {
-				return runMultiSearchFine(pat, opts, links, *bootstraps, *runName, *outDir, stdout)
-			})
-		default:
+		if *analysis != "d" && *analysis != "e" {
 			return fmt.Errorf("-fine supports -f e and -f d (got -f %q); the other analyses use the coarse grain", *analysis)
 		}
+		return runFine(opts.Ranks, *fineNet, spawn, stdout, func(links []fabric.Link) error {
+			if *analysis == "e" {
+				fmt.Fprintf(stdout, "Fine-grained evaluation: %d ranks x %d workers serve one likelihood\n",
+					opts.Ranks, opts.Workers)
+				return runEvaluate(pat, opts, links, *userTree, *runName, *outDir, stdout)
+			}
+			fmt.Fprintf(stdout, "Fine-grained ML searches: %d sequential searches, each over %d ranks x %d workers\n",
+				*bootstraps, opts.Ranks, opts.Workers)
+			return runMultiSearch(pat, opts, links, *bootstraps, *runName, *outDir, stdout)
+		})
 	}
 	switch *analysis {
 	case "a":
 		return runComprehensive(pat, opts, *alignFile, *runName, *outDir, stdout)
 	case "d":
-		return runMultiSearch(pat, opts, *bootstraps, *runName, *outDir, stdout)
+		fmt.Fprintf(stdout, "Multiple ML searches: %d searches over %d ranks x %d workers\n",
+			*bootstraps, opts.Ranks, opts.Workers)
+		return runMultiSearch(pat, opts, nil, *bootstraps, *runName, *outDir, stdout)
 	case "b":
 		return runBootstrapsOnly(pat, opts, *runName, *outDir, stdout)
 	case "e":
-		return runEvaluate(pat, opts, *userTree, *runName, *outDir, stdout)
+		return runEvaluate(pat, opts, nil, *userTree, *runName, *outDir, stdout)
 	case "s":
 		return runSupport(pat, *userTree, *treesFile, *runName, *outDir, stdout)
 	default:
@@ -267,25 +270,9 @@ func Raxml(args []string, stdout io.Writer) error {
 	}
 }
 
-func runEvaluate(pat *msa.Patterns, opts core.Options, userTree, runName, outDir string, stdout io.Writer) error {
-	return runEvaluateWith(pat, userTree, runName, outDir, stdout, func(t *tree.Tree) (*core.EvaluationResult, error) {
-		return core.EvaluateTree(pat, t, opts)
-	})
-}
-
-// runEvaluateFine is -f e over the distributed fine grain: the same
-// inputs and outputs, with the one evaluation striped over R x T
-// workers instead of T threads.
-func runEvaluateFine(pat *msa.Patterns, opts core.Options, links []fabric.Link, userTree, runName, outDir string, stdout io.Writer) error {
-	fmt.Fprintf(stdout, "Fine-grained evaluation: %d ranks x %d workers serve one likelihood\n",
-		opts.Ranks, opts.Workers)
-	return runEvaluateWith(pat, userTree, runName, outDir, stdout, func(t *tree.Tree) (*core.EvaluationResult, error) {
-		return core.EvaluateTreeFine(pat, t, opts, links)
-	})
-}
-
-func runEvaluateWith(pat *msa.Patterns, userTree, runName, outDir string, stdout io.Writer,
-	eval func(t *tree.Tree) (*core.EvaluationResult, error)) error {
+// runEvaluate is -f e: the coarse grain's, or with links the fine
+// grain's (-fine).
+func runEvaluate(pat *msa.Patterns, opts core.Options, links []fabric.Link, userTree, runName, outDir string, stdout io.Writer) error {
 	if userTree == "" {
 		return fmt.Errorf("-f e requires -t <tree file>")
 	}
@@ -297,7 +284,7 @@ func runEvaluateWith(pat *msa.Patterns, userTree, runName, outDir string, stdout
 	if err != nil {
 		return err
 	}
-	res, err := eval(t)
+	res, err := core.EvaluateTree(pat, t, opts, links)
 	if err != nil {
 		return err
 	}
@@ -416,29 +403,13 @@ per-rank stage times:
 	return nil
 }
 
-func runMultiSearch(pat *msa.Patterns, opts core.Options, searches int, runName, outDir string, stdout io.Writer) error {
-	fmt.Fprintf(stdout, "Multiple ML searches: %d searches over %d ranks x %d workers\n",
-		searches, opts.Ranks, opts.Workers)
-	res, err := core.RunMultiSearch(pat, searches, opts)
+// runMultiSearch is -f d: the coarse grain's, or with links the fine
+// grain's (-fine).
+func runMultiSearch(pat *msa.Patterns, opts core.Options, links []fabric.Link, searches int, runName, outDir string, stdout io.Writer) error {
+	res, err := core.RunMultiSearch(pat, searches, opts, links)
 	if err != nil {
 		return err
 	}
-	return writeMultiSearch(res, runName, outDir, stdout)
-}
-
-// runMultiSearchFine is -f d over the distributed fine grain: the
-// searches run sequentially, each one on the full R x T grid.
-func runMultiSearchFine(pat *msa.Patterns, opts core.Options, links []fabric.Link, searches int, runName, outDir string, stdout io.Writer) error {
-	fmt.Fprintf(stdout, "Fine-grained ML searches: %d sequential searches, each over %d ranks x %d workers\n",
-		searches, opts.Ranks, opts.Workers)
-	res, err := core.RunFineSearches(pat, searches, opts, links)
-	if err != nil {
-		return err
-	}
-	return writeMultiSearch(res, runName, outDir, stdout)
-}
-
-func writeMultiSearch(res *core.MultiSearchResult, runName, outDir string, stdout io.Writer) error {
 	core.SortOutcomes(res.All)
 	bestPath := filepath.Join(outDir, "RAxML_bestTree."+runName)
 	if err := os.WriteFile(bestPath, []byte(res.Best.Newick+"\n"), 0o644); err != nil {

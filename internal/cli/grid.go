@@ -86,20 +86,11 @@ func runGrid(pat *msa.Patterns, opts core.Options, p gridParams, runName, outDir
 			return fabric.InjectFaults(l, fabric.RandomFaultPlan(seed*1000+int64(id)))
 		}
 	}
-	var sup *grid.Supervisor
-	switch p.transport {
-	case "", "chan":
-		fleet.SpawnLocal(p.workers)
-	case "tcp":
-		stop, s, err := spawnGridWorkers(fleet, p.workers, p.spawn, stdout)
-		if err != nil {
-			return err
-		}
-		sup = s
-		defer stop()
-	default:
-		return fmt.Errorf("unknown -grid-transport %q (want chan or tcp)", p.transport)
+	stop, sup, err := startWorkers(fleet, p.workers, p.transport, p.spawn, stdout)
+	if err != nil {
+		return err
 	}
+	defer stop()
 	fleet.StartHeartbeats(grid.DefaultHeartbeatInterval)
 
 	fmt.Fprintf(stdout, "Grid analysis: %d ML starts + %d bootstrap replicates over %d worker ranks (%s), %d threads/rank\n",
@@ -157,13 +148,46 @@ func runGrid(pat *msa.Patterns, opts core.Options, p gridParams, runName, outDir
 	return writeGridResult(res, analysis, p, tracePath, runName, outDir, elapsed, stdout)
 }
 
-// spawnGridWorkers starts n supervised worker processes dialing back
-// over TCP and blocks until the fleet has admitted them all. The
-// supervisor respawns workers that die unexpectedly (each replacement
-// dials back and enters the free pool as a late joiner); the returned
-// stop function ends the supervision, reaps the processes and closes
-// the listener. The workers inherit spawn's flags.
-func spawnGridWorkers(fleet *grid.Fleet, n int, spawn workerArgs, stdout io.Writer) (stop func(), sup *grid.Supervisor, err error) {
+// workerArgs is what a master hands down to every worker process it
+// spawns, in every mode: the kernel set, so all ranks compute
+// with the same one, and — when the master records a CPU profile — a
+// profile path of the worker's own, so the far half of a wire round
+// trip can be read next to the near one.
+type workerArgs struct {
+	kernels    string
+	cpuProfile string // the master's -cpuprofile ("" = none)
+	firstSlot  int    // the number spawn slot 0 goes by: 0 for a grid fleet, 1 for -fine ranks
+}
+
+// argv returns the flags for the worker in spawn slot `slot`: its
+// profile lands in <master's file>.worker<firstSlot+slot>. A respawned
+// worker reuses its slot's name and overwrites it.
+func (w workerArgs) argv(slot int) []string {
+	args := []string{"-kernels", w.kernels}
+	if w.cpuProfile != "" {
+		args = append(args, "-cpuprofile", fmt.Sprintf("%s.worker%d", w.cpuProfile, w.firstSlot+slot))
+	}
+	return args
+}
+
+// startWorkers admits n workers to the fleet — the one way -grid,
+// -serve and -fine start theirs. Over chan they are goroutines of this
+// process. Over tcp they are supervised copies of this binary dialing
+// back over loopback, and it blocks until the fleet has admitted them
+// all; the supervisor respawns a worker that dies unexpectedly (the
+// replacement dials back and enters the free pool as a late joiner).
+// The returned stop ends the supervision, reaps the processes and
+// closes the listener; sup is nil over chan. The workers inherit
+// spawn's flags.
+func startWorkers(fleet *grid.Fleet, n int, transport string, spawn workerArgs, stdout io.Writer) (stop func(), sup *grid.Supervisor, err error) {
+	switch transport {
+	case "", "chan":
+		fleet.SpawnLocal(n)
+		return func() {}, nil, nil
+	case "tcp":
+	default:
+		return nil, nil, fmt.Errorf("unknown transport %q (want chan or tcp)", transport)
+	}
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, nil, fmt.Errorf("locating own binary for worker spawn: %w", err)
@@ -207,7 +231,7 @@ func spawnGridWorkers(fleet *grid.Fleet, n int, spawn workerArgs, stdout io.Writ
 
 // shutdownFleet is the teardown order of a fleet of spawned workers:
 // stop supervising, then send the shutdown frames, and leave the reaping
-// to the stop function spawnGridWorkers returned. A worker obeys its
+// to the stop function startWorkers returned. A worker obeys its
 // shutdown frame by exiting, which a supervisor still supervising would
 // take for a crash — and sleep a respawn backoff the exit has to wait
 // out. sup is nil on the chan transport.

@@ -80,21 +80,11 @@ func runServe(p serveParams, stdout io.Writer) error {
 	tracer := grid.NewTracer(traceFile)
 
 	fleet := grid.NewFleet(tracer)
-	stopWorkers := func() {}
-	var sup *grid.Supervisor
-	switch p.transport {
-	case "", "chan":
-		fleet.SpawnLocal(p.workers)
-	case "tcp":
-		stop, s, err := spawnGridWorkers(fleet, p.workers, p.spawn, stdout)
-		if err != nil {
-			return err
-		}
-		stopWorkers, sup = stop, s
-	default:
-		return fmt.Errorf("unknown -grid-transport %q (want chan or tcp)", p.transport)
+	stop, sup, err := startWorkers(fleet, p.workers, p.transport, p.spawn, stdout)
+	if err != nil {
+		return err
 	}
-	defer stopWorkers()
+	defer stop()
 	// A long-lived fleet needs the background liveness sweep: a worker
 	// that dies while the queue is empty is evicted (and, under the
 	// supervisor, replaced) long before the next submission leases it.

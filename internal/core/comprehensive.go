@@ -190,7 +190,7 @@ func Run(pat *msa.Patterns, opts Options) (*Result, error) {
 		}
 	}()
 	first := func(id int) error {
-		r, err := newRank(pat, opts, id)
+		r, err := newRank(pat, opts, id, nil)
 		if err != nil {
 			return err
 		}

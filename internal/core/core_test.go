@@ -469,7 +469,7 @@ func TestOutputsIdenticalAcrossKernelsAndInvalidation(t *testing.T) {
 			}
 		}()
 		opts := Options{Ranks: 2, Workers: workers, SeedParsimony: 41, Model: GTRCAT}
-		res, err := RunFineSearches(pat, 1, opts, nil)
+		res, err := RunMultiSearch(pat, 1, opts, serveLinks(t, 1))
 		if err != nil {
 			t.Fatal(err)
 		}

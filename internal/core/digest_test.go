@@ -105,7 +105,7 @@ func TestCoarseRankDigests(t *testing.T) {
 
 	for _, ranks := range []int{1, 3} {
 		name := fmt.Sprintf("multisearch/R=%d", ranks)
-		res, err := RunMultiSearch(single, 4, quickOpts(ranks, 1, 4))
+		res, err := RunMultiSearch(single, 4, quickOpts(ranks, 1, 4), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"raxml/internal/fabric"
 	"raxml/internal/likelihood"
 	"raxml/internal/msa"
 	"raxml/internal/tree"
@@ -29,24 +30,27 @@ type EvaluationResult struct {
 
 // EvaluateTree optimizes branch lengths and (optionally, per the model
 // settings implied by opts) model parameters on the fixed topology and
-// returns the result. The topology itself is never changed.
-func EvaluateTree(pat *msa.Patterns, t *tree.Tree, opts Options) (*EvaluationResult, error) {
+// returns the result. The topology itself is never changed. Given links
+// to fine-grain workers, the engine is striped over them (-fine).
+func EvaluateTree(pat *msa.Patterns, t *tree.Tree, opts Options, links []fabric.Link) (*EvaluationResult, error) {
 	opts = opts.withDefaults()
 	if t.NumTaxa() != pat.NumTaxa() {
 		return nil, fmt.Errorf("core: tree has %d taxa, alignment has %d", t.NumTaxa(), pat.NumTaxa())
 	}
-	pool := newPool(pat, opts.Workers)
-	defer pool.Close()
-	eng, err := newEngine(pat, opts, pool)
-	if err != nil {
-		return nil, err
-	}
-	return evaluateOn(eng, t)
+	var res *EvaluationResult
+	err := forkRanks(1, func(id int) error {
+		r, err := newRank(pat, opts, id, links)
+		if err != nil {
+			return err
+		}
+		defer r.close()
+		res, err = evaluateOn(r.eng, t)
+		return err
+	})
+	return res, err
 }
 
-// evaluateOn runs the -f e optimization recipe on an already built
-// engine — the same code path serves the single-process pool and the
-// distributed finegrain pool (EvaluateTreeFine).
+// evaluateOn runs the -f e optimization recipe on a rank's engine.
 func evaluateOn(eng *likelihood.Engine, t *tree.Tree) (*EvaluationResult, error) {
 	start := time.Now()
 	work := t.Clone()
@@ -67,53 +71,4 @@ func evaluateOn(eng *likelihood.Engine, t *tree.Tree) (*EvaluationResult, error)
 		TreeLength:    work.TotalLength(),
 		Elapsed:       time.Since(start),
 	}, nil
-}
-
-// EvaluateTrees scores several topologies (RAxML -f e with a multi-tree
-// file), distributing them over opts.Ranks ranks with the usual
-// ceil-division rule; the fixed-topology evaluations are independent, so
-// the coarse grain applies exactly as for searches. Results are returned
-// in input order.
-func EvaluateTrees(pat *msa.Patterns, trees []*tree.Tree, opts Options) ([]*EvaluationResult, error) {
-	opts = opts.withDefaults()
-	if len(trees) == 0 {
-		return nil, fmt.Errorf("core: no trees to evaluate")
-	}
-	results := make([]*EvaluationResult, len(trees))
-	errs := make([]error, opts.Ranks)
-	perRank := ceilDiv(len(trees), opts.Ranks)
-	done := make(chan int, opts.Ranks)
-	for rank := 0; rank < opts.Ranks; rank++ {
-		go func(rank int) {
-			defer func() { done <- rank }()
-			lo := rank * perRank
-			hi := lo + perRank
-			if hi > len(trees) {
-				hi = len(trees)
-			}
-			for i := lo; i < hi; i++ {
-				res, err := EvaluateTree(pat, trees[i], Options{
-					Workers:       opts.Workers,
-					Model:         opts.Model,
-					Alpha:         opts.Alpha,
-					SeedParsimony: opts.SeedParsimony,
-					SeedBootstrap: opts.SeedBootstrap,
-				})
-				if err != nil {
-					errs[rank] = err
-					return
-				}
-				results[i] = res
-			}
-		}(rank)
-	}
-	for i := 0; i < opts.Ranks; i++ {
-		<-done
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }

@@ -12,7 +12,7 @@ func TestEvaluateTreeImprovesBranchLengths(t *testing.T) {
 	pat := testPatterns(t, 10, 400, 51)
 	// A random topology with arbitrary branch lengths.
 	start := tree.Random(pat.Names, rng.New(3))
-	res, err := EvaluateTree(pat, start, Options{Workers: 2})
+	res, err := EvaluateTree(pat, start, Options{Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,13 +38,13 @@ func TestEvaluateTreeImprovesBranchLengths(t *testing.T) {
 func TestEvaluateTreeBetterThanUnoptimized(t *testing.T) {
 	pat := testPatterns(t, 8, 300, 52)
 	start := tree.Caterpillar(pat.Names)
-	res, err := EvaluateTree(pat, start, Options{Workers: 1})
+	res, err := EvaluateTree(pat, start, Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Evaluate the same topology with default branch lengths on a fresh
 	// engine: optimization must not be worse.
-	res2, err := EvaluateTree(pat, res.Tree, Options{Workers: 1})
+	res2, err := EvaluateTree(pat, res.Tree, Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,40 +56,7 @@ func TestEvaluateTreeBetterThanUnoptimized(t *testing.T) {
 func TestEvaluateTreeRejectsWrongTaxa(t *testing.T) {
 	pat := testPatterns(t, 8, 100, 53)
 	other := tree.Caterpillar([]string{"a", "b", "c", "d"})
-	if _, err := EvaluateTree(pat, other, Options{}); err == nil {
+	if _, err := EvaluateTree(pat, other, Options{}, nil); err == nil {
 		t.Fatal("accepted tree over wrong taxon set")
-	}
-}
-
-func TestEvaluateTreesDistributed(t *testing.T) {
-	pat := testPatterns(t, 8, 250, 54)
-	trees := []*tree.Tree{
-		tree.Caterpillar(pat.Names),
-		tree.Balanced(pat.Names),
-		tree.Caterpillar(pat.Names),
-	}
-	results, err := EvaluateTrees(pat, trees, Options{Ranks: 2, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("%d results, want 3", len(results))
-	}
-	// Identical topologies must score identically (determinism across
-	// the rank split).
-	if math.Abs(results[0].LogLikelihood-results[2].LogLikelihood) > 1e-9 {
-		t.Fatalf("same topology scored differently: %.10f vs %.10f",
-			results[0].LogLikelihood, results[2].LogLikelihood)
-	}
-	// Different topologies generally score differently.
-	if results[0].LogLikelihood == results[1].LogLikelihood {
-		t.Log("caterpillar and balanced scored identically (possible but unusual)")
-	}
-}
-
-func TestEvaluateTreesEmpty(t *testing.T) {
-	pat := testPatterns(t, 8, 100, 55)
-	if _, err := EvaluateTrees(pat, nil, Options{}); err == nil {
-		t.Fatal("accepted empty tree list")
 	}
 }

@@ -6,12 +6,35 @@ import (
 
 	"raxml/internal/fabric"
 	"raxml/internal/finegrain"
-	"raxml/internal/likelihood"
 	"raxml/internal/msa"
-	"raxml/internal/rng"
 	"raxml/internal/seqgen"
 	"raxml/internal/tree"
 )
+
+// serveLinks starts n in-proc fine-grain workers and returns the master
+// ends of their links, which the test's cleanup closes; every worker
+// must then end cleanly.
+func serveLinks(t *testing.T, n int) []fabric.Link {
+	t.Helper()
+	links := make([]fabric.Link, n)
+	served := make(chan error, n)
+	for i := range links {
+		m, w := fabric.LinkPair()
+		links[i] = m
+		go func() { served <- finegrain.ServeSessions(w) }()
+	}
+	t.Cleanup(func() {
+		for _, l := range links {
+			l.Close()
+		}
+		for range links {
+			if err := <-served; err != nil {
+				t.Errorf("worker exit: %v", err)
+			}
+		}
+	})
+	return links
+}
 
 // TestEvaluateTreeFineMatchesSingleProcess runs the -f e recipe over a
 // 2-rank x 2-thread distributed engine and over the plain in-process
@@ -28,11 +51,11 @@ func TestEvaluateTreeFineMatchesSingleProcess(t *testing.T) {
 	}
 	opts := Options{Workers: 2, Ranks: 2, Model: GTRCAT, EmpiricalFreqs: true}
 
-	ref, err := EvaluateTree(pat, truth, Options{Workers: 1, Model: GTRCAT, EmpiricalFreqs: true})
+	ref, err := EvaluateTree(pat, truth, Options{Workers: 1, Model: GTRCAT, EmpiricalFreqs: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvaluateTreeFine(pat, truth, opts, nil)
+	res, err := EvaluateTree(pat, truth, opts, serveLinks(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +68,12 @@ func TestEvaluateTreeFineMatchesSingleProcess(t *testing.T) {
 }
 
 // TestFineDeadRankIsAnError: a -fine run whose rank 2 dies between two
-// dispatches — its worker's end of the LinkPair closes, as a killed
-// process's socket does — returns an error naming the dead rank instead
-// of panicking out through the Dispatcher contract, and the surviving
-// worker is released and ends cleanly.
+// dispatches — its link severs after the init frame and one job's round
+// trip, as a killed process's socket does — returns an error naming the
+// dead rank instead of panicking out through the Dispatcher contract,
+// and the surviving worker is released and ends cleanly.
 func TestFineDeadRankIsAnError(t *testing.T) {
-	a, _, err := seqgen.Generate(seqgen.Config{Taxa: 10, Chars: 600, Seed: 3, TreeScale: 0.5, Alpha: 0.9})
+	a, truth, err := seqgen.Generate(seqgen.Config{Taxa: 10, Chars: 600, Seed: 3, TreeScale: 0.5, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,38 +81,15 @@ func TestFineDeadRankIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var links, workers [2]fabric.Link
-	served := make(chan error, len(links))
-	for i := range links {
-		links[i], workers[i] = fabric.LinkPair()
-		go func() { served <- finegrain.ServeSessions(workers[i]) }()
-	}
+	links := serveLinks(t, 2)
+	rank2 := fabric.InjectFaults(links[1], &fabric.FaultPlan{SeverAfter: 4})
 	opts := Options{Workers: 1, Ranks: 3, Model: GTRCAT, EmpiricalFreqs: true}
-	dispatched := false
-	err = WithFineEngine(pat, opts, links[:], func(eng *likelihood.Engine) error {
-		if err := eng.AttachTree(tree.Random(pat.Names, rng.New(4))); err != nil {
-			return err
-		}
-		_ = eng.LogLikelihood()
-		dispatched = true
-		workers[1].Close()
-		eng.InvalidateAll()
-		_ = eng.LogLikelihood()
-		return nil
-	})
-	if !dispatched {
-		t.Fatalf("the healthy dispatch failed: %v", err)
-	}
+	_, err = EvaluateTree(pat, truth, opts, []fabric.Link{links[0], rank2})
 	if dead := fabric.AsRankDead(err); dead == nil || dead.Rank != 2 {
-		t.Fatalf("WithFineEngine over a dead rank returned %v, want a RankDeadError for rank 2", err)
+		t.Fatalf("EvaluateTree over a dead rank returned %v, want a RankDeadError for rank 2", err)
 	}
-	for _, l := range links {
-		l.Close()
-	}
-	for range links {
-		if err := <-served; err != nil {
-			t.Errorf("worker exit: %v", err)
-		}
+	if got := rank2.InjectStats().Count(fabric.FaultSever); got != 1 {
+		t.Fatalf("rank 2's link severed %d times, want once mid-run", got)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestRunFineSearchesDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Workers: 2, Ranks: 2, Model: GTRCAT, EmpiricalFreqs: true, SeedParsimony: 7}
-	res, err := RunFineSearches(pat, 1, opts, nil)
+	res, err := RunMultiSearch(pat, 1, opts, serveLinks(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

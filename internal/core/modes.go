@@ -5,11 +5,9 @@ import (
 	"sort"
 	"time"
 
+	"raxml/internal/fabric"
 	"raxml/internal/gtr"
-	"raxml/internal/likelihood"
 	"raxml/internal/msa"
-	"raxml/internal/parsimony"
-	"raxml/internal/search"
 	"raxml/internal/threads"
 	"raxml/internal/tree"
 )
@@ -54,25 +52,34 @@ type MultiSearchResult struct {
 // over opts.Ranks ranks with ceil(searches/p) searches each (the same
 // overshoot rule as bootstraps in Table 2). The search preset is
 // opts.ThoroughSettings or search.Thorough().
-func RunMultiSearch(pat *msa.Patterns, searches int, opts Options) (*MultiSearchResult, error) {
+//
+// Given links to fine-grain workers (-fine), the searches run one after
+// another on a single rank whose engine is striped over them, and
+// opts.Ranks is not read; nil links give the coarse grain's opts.Ranks
+// ranks.
+func RunMultiSearch(pat *msa.Patterns, searches int, opts Options, links []fabric.Link) (*MultiSearchResult, error) {
 	opts = opts.withDefaults()
 	if searches < 1 {
 		return nil, fmt.Errorf("core: %d searches requested", searches)
 	}
-	perRank := ceilDiv(searches, opts.Ranks)
+	ranks := opts.Ranks
+	if len(links) > 0 {
+		ranks = 1
+	}
+	// A start-tree key names one search; these searches have none.
+	opts.StartTrees = nil
+	perRank := ceilDiv(searches, ranks)
 	start := time.Now()
 
-	all := make([][]SearchOutcome, opts.Ranks)
-	err := forkRanks(opts.Ranks, func(id int) error {
-		r, err := newRank(pat, opts, id)
+	all := make([][]SearchOutcome, ranks)
+	err := forkRanks(ranks, func(id int) error {
+		r, err := newRank(pat, opts, id, links)
 		if err != nil {
 			return err
 		}
-		defer r.pool.Close()
-		pars := parsimony.New(pat, r.pool)
-		settings := settingsOr(opts.ThoroughSettings, search.Thorough())
+		defer r.close()
 		for i := 0; i < perRank; i++ {
-			res, err := search.Run(r.eng, pars.StepwiseAddition(r.parsRNG), settings)
+			res, err := SearchOn(r.eng, pat, r.pool, opts, r.parsRNG)
 			if err != nil {
 				return err
 			}
@@ -141,11 +148,11 @@ func RunBootstraps(pat *msa.Patterns, opts Options) (*BootstrapResult, error) {
 
 	perRank := make([][]*tree.Tree, opts.Ranks)
 	err := forkRanks(opts.Ranks, func(id int) error {
-		r, err := newRank(pat, opts, id)
+		r, err := newRank(pat, opts, id, nil)
 		if err != nil {
 			return err
 		}
-		defer r.pool.Close()
+		defer r.close()
 		reps, err := r.bootstraps(sched.BootstrapsPerProcess)
 		if err != nil {
 			return err
@@ -191,8 +198,8 @@ func newPool(pat *msa.Patterns, workers int) *threads.Pool {
 // buildPartitionSet assembles the per-partition model instances the
 // options imply: one GTR model plus rate treatment per partition,
 // optimized independently by the search stages, under linked branch
-// lengths. The distributed (finegrain) wiring needs the set before the
-// engine exists — worker ranks are initialized with its shape.
+// lengths. A rank striped over fine-grain workers needs the set before
+// its engine exists — the workers are initialized with its shape.
 func buildPartitionSet(pat *msa.Patterns, opts Options) (*gtr.PartitionSet, error) {
 	set := gtr.NewPartitionSet(pat.NumParts())
 	for i, pr := range pat.PartRanges() {
@@ -207,22 +214,6 @@ func buildPartitionSet(pat *msa.Patterns, opts Options) (*gtr.PartitionSet, erro
 		}
 	}
 	return set, nil
-}
-
-// newEngine builds a per-rank likelihood engine per the options.
-func newEngine(pat *msa.Patterns, opts Options, pool *threads.Pool) (*likelihood.Engine, error) {
-	set, err := buildPartitionSet(pat, opts)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
-	if err != nil {
-		return nil, err
-	}
-	if opts.EmpiricalFreqs {
-		eng.EstimateEmpiricalFreqs()
-	}
-	return eng, nil
 }
 
 // SortOutcomes orders search outcomes by descending log-likelihood with

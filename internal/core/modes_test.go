@@ -11,7 +11,7 @@ import (
 func TestMultiSearchSerial(t *testing.T) {
 	pat := testPatterns(t, 10, 300, 31)
 	opts := quickOpts(1, 1, 4)
-	res, err := RunMultiSearch(pat, 4, opts)
+	res, err := RunMultiSearch(pat, 4, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestMultiSearchSerial(t *testing.T) {
 func TestMultiSearchHybridOvershoot(t *testing.T) {
 	// 5 searches over 3 ranks → ceil(5/3)=2 per rank → 6 total.
 	pat := testPatterns(t, 8, 200, 32)
-	res, err := RunMultiSearch(pat, 5, quickOpts(3, 1, 4))
+	res, err := RunMultiSearch(pat, 5, quickOpts(3, 1, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestMultiSearchHybridOvershoot(t *testing.T) {
 
 func TestMultiSearchReproducible(t *testing.T) {
 	pat := testPatterns(t, 8, 200, 33)
-	r1, err := RunMultiSearch(pat, 4, quickOpts(2, 1, 4))
+	r1, err := RunMultiSearch(pat, 4, quickOpts(2, 1, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunMultiSearch(pat, 4, quickOpts(2, 1, 4))
+	r2, err := RunMultiSearch(pat, 4, quickOpts(2, 1, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestMultiSearchMoreStartsNotWorse(t *testing.T) {
 	// score, since the result is a max over searches that include the
 	// smaller run's searches (same seeds, same rank count).
 	pat := testPatterns(t, 10, 300, 34)
-	few, err := RunMultiSearch(pat, 1, quickOpts(1, 1, 4))
+	few, err := RunMultiSearch(pat, 1, quickOpts(1, 1, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := RunMultiSearch(pat, 5, quickOpts(1, 1, 4))
+	many, err := RunMultiSearch(pat, 5, quickOpts(1, 1, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestMultiSearchMoreStartsNotWorse(t *testing.T) {
 
 func TestMultiSearchRejectsBadCount(t *testing.T) {
 	pat := testPatterns(t, 8, 100, 35)
-	if _, err := RunMultiSearch(pat, 0, quickOpts(1, 1, 4)); err == nil {
+	if _, err := RunMultiSearch(pat, 0, quickOpts(1, 1, 4), nil); err == nil {
 		t.Fatal("accepted 0 searches")
 	}
 }
@@ -207,7 +207,7 @@ func TestMultiSearchWithCustomSettings(t *testing.T) {
 	s := search.Fast()
 	s.MinRadius, s.MaxRadius = 2, 2
 	opts.ThoroughSettings = &s
-	res, err := RunMultiSearch(pat, 2, opts)
+	res, err := RunMultiSearch(pat, 2, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 
+	"raxml/internal/fabric"
+	"raxml/internal/finegrain"
 	"raxml/internal/likelihood"
 	"raxml/internal/msa"
 	"raxml/internal/rapidbs"
@@ -26,31 +28,62 @@ import (
 // on both (Section 2.4) — and one pool and one engine serving all of
 // its work, so the worker crew, the CLV arena and the traversal-
 // descriptor buffer are reused across every replicate and search stage
-// (the persistent-crew structure of the paper's Pthreads layer). The
-// pool is the caller's to close.
+// (the persistent-crew structure of the paper's Pthreads layer).
+//
+// A rank given links to fine-grain workers is the paper's fine grain
+// (RAxML's _FINE_GRAIN_MPI): its engine posts through a finegrain.Pool
+// striped over the workers at the links' far ends, and the rank runs
+// stripe 0 itself. Its pool then builds parsimony start trees only,
+// which stay master-side over the full axis.
 type rank struct {
 	id             int
 	opts           Options
 	parsRNG, bsRNG *rng.RNG
 	pool           *threads.Pool
+	fine           *finegrain.Pool // the engine's dispatcher when it is striped over links
 	eng            *likelihood.Engine
 }
 
-func newRank(pat *msa.Patterns, opts Options, id int) (*rank, error) {
-	pool := newPool(pat, opts.Workers)
-	eng, err := newEngine(pat, opts, pool)
-	if err != nil {
-		pool.Close()
-		return nil, err
-	}
-	return &rank{
+// newRank builds rank id's streams, crew and engine. The caller closes
+// the rank.
+func newRank(pat *msa.Patterns, opts Options, id int, links []fabric.Link) (*rank, error) {
+	r := &rank{
 		id:      id,
 		opts:    opts,
 		parsRNG: rng.ForRank(opts.SeedParsimony, id),
 		bsRNG:   rng.ForRank(opts.SeedBootstrap, id),
-		pool:    pool,
-		eng:     eng,
-	}, nil
+		pool:    newPool(pat, opts.Workers),
+	}
+	set, err := buildPartitionSet(pat, opts)
+	if err != nil {
+		r.close()
+		return nil, err
+	}
+	var d likelihood.Dispatcher = r.pool
+	if len(links) > 0 {
+		if r.fine, err = finegrain.NewPool(links, pat, set, opts.Workers); err != nil {
+			r.close()
+			return nil, err
+		}
+		d = r.fine
+	}
+	if r.eng, err = likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: d}); err != nil {
+		r.close()
+		return nil, err
+	}
+	if opts.EmpiricalFreqs {
+		r.eng.EstimateEmpiricalFreqs()
+	}
+	return r, nil
+}
+
+// close stops the rank's crews and ends its lease on its fine-grain
+// workers; the links stay open.
+func (r *rank) close() {
+	r.pool.Close()
+	if r.fine != nil {
+		r.fine.Release()
+	}
 }
 
 // bootstraps runs n rapid-bootstrap replicates on the rank's streams.
@@ -66,7 +99,9 @@ func (r *rank) bootstraps(n int) ([]*rapidbs.Replicate, error) {
 // coarse grain's mpirun — and returns once every rank has. A rank that
 // panics fails with an error naming it instead of taking the process
 // down; when several ranks fail, the lowest rank's error is returned,
-// whatever order they failed in.
+// whatever order they failed in. A fine-grain worker that dies under a
+// rank is such a panic (finegrain.Pool.Post has no error return), and
+// its error keeps its fabric.RankDeadError.
 func forkRanks(n int, body func(rank int) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -76,7 +111,11 @@ func forkRanks(n int, body func(rank int) error) error {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					errs[r] = fmt.Errorf("core: rank %d panicked: %v", r, p)
+					if err, ok := p.(error); ok && fabric.AsRankDead(err) != nil {
+						errs[r] = fmt.Errorf("core: rank %d: %w", r, err)
+					} else {
+						errs[r] = fmt.Errorf("core: rank %d panicked: %v", r, p)
+					}
 				}
 			}()
 			if err := body(r); err != nil {

@@ -43,10 +43,11 @@
 // (GathersSumtable), so a branch costs one Post instead of one per
 // iteration.
 //
-// A pool's ranks are fabric.Links, one per remote rank: in-proc
-// LinkPairs for Run-hosted hybrids and tests, TCP links to spawned
-// `raxml -grid-worker` processes for `-fine -fine-transport tcp` and
-// the grid. See docs/hybrid-topology.md for the wire protocol.
+// A pool's ranks are fabric.Links, one per remote rank, leased from a
+// grid fleet for -fine as for -grid: in-proc LinkPairs to worker
+// goroutines (chan), TCP links to spawned `raxml -grid-worker`
+// processes (tcp); Run hosts a whole hybrid on LinkPairs for tests.
+// See docs/hybrid-topology.md for the wire protocol.
 package finegrain
 
 import (
@@ -284,9 +285,10 @@ func (p *Pool) LocalPool() *threads.Pool { return p.local }
 // so a broken one means that rank is gone. Failures panic — the
 // Dispatcher contract has no error return — but only after every rank
 // has been received from, and the panic value is the wrapped *error*,
-// so RunRecovering turns it back into the error of the body that
-// posted (the grid scheduler then re-stripes the pool over survivors
-// and resumes from checkpoint; the -fine drivers report the dead rank).
+// so a recover turns it back into the error of the body that posted
+// (RunRecovering: the grid scheduler then re-stripes the pool over
+// survivors and resumes from checkpoint; core's rank fork: -fine
+// reports the dead rank).
 func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 	wm, ok := runner.(likelihood.WireMaster)
 	if !ok {
@@ -581,8 +583,8 @@ func RunRecovering(body func(*likelihood.Engine) error, eng *likelihood.Engine) 
 
 // Run hosts an in-proc R×t hybrid: ranks 1..R-1 serve their stripes
 // over LinkPairs, and rank 0 builds the distributed pool and a
-// full-axis master engine over the master ends and runs body. This is
-// the zero-setup entry point used by core's hybrid wiring and tests. The engine handed to body
+// full-axis master engine over the master ends and runs body — the
+// zero-setup harness of the tests. The engine handed to body
 // evaluates over all R×t workers; body runs on the master only.
 func Run(ranks, threadsPerRank int, pat *msa.Patterns, set *gtr.PartitionSet, body func(eng *likelihood.Engine, pool *Pool) error) error {
 	if ranks < 1 {

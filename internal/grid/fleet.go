@@ -69,6 +69,10 @@ type Worker struct {
 	dead  bool
 }
 
+// Link returns the master end of the worker's link, the leaseholder's
+// to post over until the lease is returned.
+func (w *Worker) Link() fabric.Link { return w.link }
+
 // NewFleet creates an empty fleet.
 func NewFleet(tracer *Tracer) *Fleet {
 	f := &Fleet{tracer: tracer, workers: make(map[int]*Worker)}

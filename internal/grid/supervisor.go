@@ -146,6 +146,18 @@ func (s *Supervisor) watch(slot int, cmd *exec.Cmd) {
 	}
 }
 
+// Slot reports which slot's current process has the given pid.
+func (s *Supervisor) Slot(pid int) (int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for slot, cmd := range s.procs {
+		if cmd != nil && cmd.Process.Pid == pid {
+			return slot, true
+		}
+	}
+	return 0, false
+}
+
 // Respawns reports how many replacement workers the supervisor has
 // spawned (for metrics; the initial population does not count).
 func (s *Supervisor) Respawns() int64 { return s.respawns.Load() }

@@ -58,6 +58,19 @@ func TestSupervisorRespawnsKilledWorker(t *testing.T) {
 	if got := spawned.Load(); got != 3 {
 		t.Fatalf("spawned %d processes after one kill, want 3", got)
 	}
+	// Slot finds a worker by its PID: the replacement holds slot 0 now,
+	// and the killed process holds none.
+	sup.mu.Lock()
+	fresh, other := sup.procs[0].Process.Pid, sup.procs[1].Process.Pid
+	sup.mu.Unlock()
+	for pid, want := range map[int]int{fresh: 0, other: 1} {
+		if slot, ok := sup.Slot(pid); !ok || slot != want {
+			t.Fatalf("Slot(%d) = %d, %v; want slot %d", pid, slot, ok, want)
+		}
+	}
+	if slot, ok := sup.Slot(victim.Pid); ok {
+		t.Fatalf("the killed process still holds slot %d", slot)
+	}
 
 	// Stop: no further spawns, every process reaped, watchers exited
 	// (Stop's wg.Wait would hang otherwise).

@@ -162,7 +162,7 @@ func (a *Analysis) mlJob(id string, index int, res *Result) *Job {
 					opts.StartTrees = a.StartTrees
 					opts.StartTreeKey = fmt.Sprintf("%s/ml/%d", a.StartTreeKeyBase, index)
 				}
-				sr, err := core.SearchOn(eng, a.Pat, opts, rng.ForRank(a.Opts.SeedParsimony, mlSeedBase+index))
+				sr, err := core.SearchOn(eng, a.Pat, nil, opts, rng.ForRank(a.Opts.SeedParsimony, mlSeedBase+index))
 				if err != nil {
 					return err
 				}

@@ -182,7 +182,7 @@ func Artifacts(quick bool) ([]*figures.Artifact, error) {
 // over Options.Ranks ranks (ceil(searches/ranks) each), returning every
 // outcome and the global best.
 func MultiSearch(pat *Patterns, searches int, opts Options) (*core.MultiSearchResult, error) {
-	return core.RunMultiSearch(pat, searches, opts)
+	return core.RunMultiSearch(pat, searches, opts, nil)
 }
 
 // Bootstraps runs the paper's analysis type 2: Options.Bootstraps rapid
@@ -207,5 +207,5 @@ func GreedyConsensus(trees []*tree.Tree) (*consensus.Tree, error) {
 // Evaluate optimizes branch lengths and model parameters on a fixed
 // topology (RAxML -f e) and returns the optimized tree and score.
 func Evaluate(pat *Patterns, t *tree.Tree, opts Options) (*core.EvaluationResult, error) {
-	return core.EvaluateTree(pat, t, opts)
+	return core.EvaluateTree(pat, t, opts, nil)
 }
