@@ -209,20 +209,31 @@ func (rc *RateCategories) Clone() *RateCategories {
 // categorization of individually optimized per-site rates (default 25
 // categories).
 func ClusterCAT(perPattern []float64, maxCats int) *RateCategories {
+	rc := &RateCategories{}
+	ClusterCATInto(rc, perPattern, maxCats)
+	return rc
+}
+
+// ClusterCATInto is ClusterCAT writing its treatment into rc, reusing
+// the backing arrays of rc.Rates and rc.PatternCategory: once they have
+// held a treatment of as many patterns and categories, it allocates
+// nothing.
+func ClusterCATInto(rc *RateCategories, perPattern []float64, maxCats int) {
 	n := len(perPattern)
-	if n == 0 || maxCats < 1 {
-		return NewUniform(n)
+	rc.Probs = nil
+	if rc.PatternCategory == nil || cap(rc.PatternCategory) < n {
+		rc.PatternCategory = make([]int, n)
 	}
-	clamped := make([]float64, n)
+	assign := rc.PatternCategory[:n]
+	rc.PatternCategory = assign
+	if n == 0 || maxCats < 1 {
+		clear(assign)
+		rc.Rates = append(rc.Rates[:0], 1)
+		return
+	}
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for i, r := range perPattern {
-		if r < MinCATRate {
-			r = MinCATRate
-		}
-		if r > MaxCATRate {
-			r = MaxCATRate
-		}
-		clamped[i] = r
+	for _, r := range perPattern {
+		r = clampCAT(r)
 		if r < lo {
 			lo = r
 		}
@@ -232,57 +243,69 @@ func ClusterCAT(perPattern []float64, maxCats int) *RateCategories {
 	}
 	if hi/lo < 1.0001 || maxCats == 1 {
 		// effectively homogeneous
-		rc := NewUniform(n)
-		rc.Rates[0] = meanOf(clamped)
+		sum := 0.0
+		for _, r := range perPattern {
+			sum += clampCAT(r)
+		}
+		clear(assign)
+		rc.Rates = append(rc.Rates[:0], sum/float64(n))
 		rc.normalizeCAT(nil)
-		return rc
+		return
 	}
 	k := maxCats
-	// log-spaced centers between lo and hi
-	centers := make([]float64, k)
+	// log-spaced centers between lo and hi, held as their logarithms in
+	// rc.Rates until the means below replace them
 	logLo, logHi := math.Log(lo), math.Log(hi)
-	for i := range centers {
-		frac := float64(i) / float64(k-1)
-		centers[i] = math.Exp(logLo + frac*(logHi-logLo))
+	logC := rc.Rates[:0]
+	for c := 0; c < k; c++ {
+		frac := float64(c) / float64(k-1)
+		logC = append(logC, math.Log(math.Exp(logLo+frac*(logHi-logLo))))
 	}
-	assign := make([]int, n)
-	for i, r := range clamped {
+	for i, r := range perPattern {
 		// nearest center in log space; centers are sorted so binary search
-		lr := math.Log(r)
-		j := sort.Search(k, func(c int) bool { return math.Log(centers[c]) >= lr })
+		lr := math.Log(clampCAT(r))
+		j := sort.Search(k, func(c int) bool { return logC[c] >= lr })
 		best := j
 		if j >= k {
 			best = k - 1
 		}
 		if j > 0 {
-			if best >= k || math.Abs(math.Log(centers[j-1])-lr) <= math.Abs(math.Log(centers[best])-lr) {
+			if best >= k || math.Abs(logC[j-1]-lr) <= math.Abs(logC[best]-lr) {
 				best = j - 1
 			}
 		}
 		assign[i] = best
 	}
-	// replace each center with the mean of its members; drop empty cats
-	sums := make([]float64, k)
-	counts := make([]int, k)
-	for i, c := range assign {
-		sums[c] += clamped[i]
-		counts[c]++
-	}
-	remap := make([]int, k)
-	var finalRates []float64
+	// Replace each center with the mean of its members and drop empty
+	// categories. Category c sums its members in pattern order and
+	// relabels them with its final index, which is at most c, so no later
+	// category counts them again.
+	rates := logC[:0]
 	for c := 0; c < k; c++ {
-		if counts[c] == 0 {
-			remap[c] = -1
-			continue
+		sum, count, idx := 0.0, 0, len(rates)
+		for i, a := range assign {
+			if a == c {
+				sum += clampCAT(perPattern[i])
+				count++
+				assign[i] = idx
+			}
 		}
-		remap[c] = len(finalRates)
-		finalRates = append(finalRates, sums[c]/float64(counts[c]))
+		if count > 0 {
+			rates = append(rates, sum/float64(count))
+		}
 	}
-	for i := range assign {
-		assign[i] = remap[assign[i]]
+	rc.Rates = rates
+}
+
+// clampCAT bounds a per-site rate to [MinCATRate, MaxCATRate].
+func clampCAT(r float64) float64 {
+	if r < MinCATRate {
+		r = MinCATRate
 	}
-	rc := &RateCategories{Rates: finalRates, PatternCategory: assign}
-	return rc
+	if r > MaxCATRate {
+		r = MaxCATRate
+	}
+	return r
 }
 
 // MinCATRate and MaxCATRate bound per-site rates, as in RAxML.
@@ -318,11 +341,3 @@ func (rc *RateCategories) normalizeCAT(weights []int) {
 
 // Normalize makes the weighted mean CAT rate 1; exported wrapper.
 func (rc *RateCategories) Normalize(weights []int) { rc.normalizeCAT(weights) }
-
-func meanOf(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}

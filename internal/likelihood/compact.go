@@ -53,9 +53,10 @@ func (e *Engine) installWeights(w []int) {
 // layoutTiles derives the tile axis from the active weights and lays
 // everything on it out again: partition spans and segment offsets, the
 // tile size, the arenas (tile bindings are kept, their contents are
-// stale), the tip state rows and vectors and the CAT categories.
+// stale), the tip state rows and vectors and the CAT categories. Every
+// buffer was reserved at the full axis's width (reserve), so a layout
+// only re-slices.
 func (e *Engine) layoutTiles() {
-	e.tilePos = resize(e.tilePos, e.nPatterns+1)
 	e.tileIdx = e.tileIdx[:0]
 	for k, w := range e.weights {
 		e.tilePos[k] = int32(len(e.tileIdx))
@@ -67,8 +68,7 @@ func (e *Engine) layoutTiles() {
 	e.tilePos[e.nPatterns] = int32(e.tileN)
 
 	n := e.tileN
-	e.tileCodeBuf = resize(e.tileCodeBuf, len(e.pat.Data)*n)
-	e.tileCodes = resize(e.tileCodes, len(e.pat.Data))
+	e.tileCodeBuf = e.tileCodeBuf[:len(e.pat.Data)*n]
 	for t, row := range e.pat.Data {
 		dst := e.tileCodeBuf[t*n : (t+1)*n : (t+1)*n]
 		for j, k := range e.tileIdx {
@@ -85,17 +85,17 @@ func (e *Engine) layoutTiles() {
 		ps.keep = e.tileIdx[ps.tlo:ps.thi]
 		ps.bindCats()
 		ps.fOff, ps.sOff = e.tileFloats, e.tileScale
-		e.tileFloats += padTo((ps.thi-ps.tlo)*e.nCat*4, 8)
-		e.tileScale += padTo(ps.thi-ps.tlo, 16)
+		f, sc := segmentSize(ps.thi-ps.tlo, e.nCat)
+		e.tileFloats, e.tileScale = e.tileFloats+f, e.tileScale+sc
 	}
-	e.arena = resize(e.arena, e.nTiles*e.tileFloats)
-	e.scaleArena = resize(e.scaleArena, e.nTiles*e.tileScale)
+	e.arena = e.arena[:e.nTiles*e.tileFloats]
+	e.scaleArena = e.scaleArena[:e.nTiles*e.tileScale]
 	e.buildTipVectors()
 }
 
 // gatherTileWeights brings the active weights onto the tile axis.
 func (e *Engine) gatherTileWeights() {
-	e.tileW = resize(e.tileW, e.tileN)
+	e.tileW = e.tileW[:e.tileN]
 	for i, k := range e.tileIdx {
 		e.tileW[i] = e.weights[k]
 	}
@@ -113,15 +113,15 @@ func (e *Engine) tileSpan(r threads.Range) (lo, hi int) {
 func (e *Engine) TilePatterns() int { return e.tileN }
 
 // bindCats gathers the CAT categories of the partition's live patterns
-// into pcat (nil for a GAMMA treatment). Before the engine's first layout
-// keep is empty; layoutTiles binds again.
+// into pcat (nil for a GAMMA treatment), whose width reserve sets. Before
+// the engine's first layout keep is empty; layoutTiles binds again.
 func (ps *partState) bindCats() {
 	pc := ps.rates.PatternCategory
 	if pc == nil {
 		ps.pcat = nil
 		return
 	}
-	ps.pcat = resize(ps.pcat, len(ps.keep))
+	ps.pcat = ps.pcat[:len(ps.keep)]
 	for i, k := range ps.keep {
 		ps.pcat[i] = pc[int(k)-ps.lo]
 	}

@@ -40,11 +40,12 @@
 // (segment + local_pattern·nCat·4 + cat·4 + state) and padded to whole
 // 64-byte cache lines, so a worker's stripe of any partition's CLV is
 // one contiguous, streamable block and stripe boundaries snapped
-// relative to partition starts never share a line. Directed edges are
-// bound to tiles lazily on first use through a free list, so SPR-heavy
-// searches and bootstrap replicates reuse tiles instead of growing the
-// heap. See docs/memory-layout.md for the layout sketch and offset
-// formulas.
+// relative to partition starts never share a line. The arena is
+// allocated once, in New, with room for every directed view of the
+// taxa−2 internal nodes at the full-axis tile size; directed edges are
+// bound to tiles lazily on first use through a free list, and binding,
+// bootstrap replicates and searches only re-slice it. See
+// docs/memory-layout.md for the layout sketch and offset formulas.
 //
 // Traversal descriptors. Lazy CLV maintenance is split from execution,
 // mirroring RAxML's traversalInfo machinery (see traversal.go): the
@@ -240,11 +241,15 @@ type Engine struct {
 	// category c, state s is
 	//
 	//	tileOf[node*3+slot]*tileFloats + p.fOff + (k-p.tlo)*nCat*4 + c*4 + s
+	//
+	// Both arenas are allocated in New with capacity for maxTiles tiles
+	// at the full-axis tile size (reserve); tileFor binds inside it.
 	arena      []float64
 	scaleArena []int32
 	tileOf     []int32
 	freeTiles  []int32
 	nTiles     int
+	maxTiles   int
 	tileFloats int
 	tileScale  int
 
@@ -409,6 +414,9 @@ type Engine struct {
 	// (node, parent) stack of that walk and of invalidateSide.
 	edgeSweep []tree.Edge
 	walkStack [][2]int
+
+	// siteRates is the scratch of OptimizePerSiteRates (optimize.go).
+	siteRates siteRateScratch
 }
 
 // Config carries the optional knobs of New.
@@ -523,16 +531,55 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 		}
 	}
 	e.weights = append([]int(nil), pat.Weights...)
+	e.reserve()
 	e.layoutTiles()
 	e.ensureP()
 	return e, nil
+}
+
+// reserve allocates the engine's pattern-axis working set, once. The
+// arenas get room for 3·(taxa−2) tiles — every directed view of an
+// unrooted tree's internal nodes; tips use the tip vectors — at the
+// full-axis tile size, and every buffer laid out on a pattern axis gets
+// the whole alignment's width. A replicate's compacted axis, the return
+// to full weights, a search and a tile binding then only re-slice them
+// (layoutTiles, tileFor), so the engine's footprint is fixed here and no
+// grown-out copy is left for the collector.
+func (e *Engine) reserve() {
+	taxa, n := e.pat.NumTaxa(), e.nPatterns
+	floats, scale := 0, 0
+	for i := range e.parts {
+		ps := &e.parts[i]
+		f, sc := segmentSize(ps.hi-ps.lo, e.nCat)
+		floats, scale = floats+f, scale+sc
+		if e.isCAT {
+			ps.pcat = make([]int, 0, ps.hi-ps.lo)
+		}
+	}
+	e.maxTiles = 3 * (taxa - 2)
+	e.arena = make([]float64, 0, e.maxTiles*floats)
+	e.scaleArena = make([]int32, 0, e.maxTiles*scale)
+	e.freeTiles = make([]int32, 0, e.maxTiles)
+	e.tilePos = make([]int32, n+1)
+	e.tileIdx = make([]int32, 0, n)
+	e.tileW = make([]int, 0, n)
+	e.tileCodes = make([][]msa.State, taxa)
+	e.tileCodeBuf = make([]msa.State, 0, taxa*n)
+	e.tipFlat = make([]float64, 0, taxa*n*4)
+	e.sumtable = make([]float64, 0, floats)
+	e.pendProd = make([]float64, 0, floats)
+	// A tree of taxa tips has 2·taxa−3 edges and 2·taxa−2 nodes, the
+	// bound of every walk's stack.
+	e.edgeSweep = make([]tree.Edge, 0, 2*taxa-3)
+	e.walkStack = make([][2]int, 0, 2*taxa-2)
+	e.siteRates.reserve(e)
 }
 
 // buildTipVectors lays every taxon's tip CLV out over the tile axis: a
 // 1 in each state its code admits, 0 elsewhere.
 func (e *Engine) buildTipVectors() {
 	n := e.tileN * 4
-	e.tipFlat = resize(e.tipFlat, len(e.tileCodes)*n)
+	e.tipFlat = e.tipFlat[:len(e.tileCodes)*n]
 	for taxon, row := range e.tileCodes {
 		v := e.tipFlat[taxon*n : (taxon+1)*n]
 		for k, s := range row {
@@ -646,8 +693,9 @@ func EstimateMemoryBytesPartitioned(taxa int, partPatterns []int, nCat int) int6
 			return 0
 		}
 		patterns += np
-		perTile += int64(padTo(np*nCat*4, 8)) * 8
-		perScale += int64(padTo(np, 16)) * 4
+		f, sc := segmentSize(np, nCat)
+		perTile += int64(f) * 8
+		perScale += int64(sc) * 4
 	}
 	tiles := int64(taxa-2) * 3
 	tips := int64(taxa) * int64(patterns) * 4 * 8
@@ -710,7 +758,10 @@ func (e *Engine) releaseTiles() {
 
 // tileFor returns the arena tile bound to the directed edge
 // (node, slot), binding one lazily on first use: free-listed tiles are
-// reused before the arena grows by one tile.
+// reused before the next reserved tile is sliced in. A tree over the
+// engine's taxa has 3·(taxa−2) internal views and a worker refuses a
+// frame naming any other (checkWireJob), so running out of reserved
+// tiles is a bug, not a reason to grow.
 func (e *Engine) tileFor(node, slot int) int32 {
 	idx := node*3 + slot
 	t := e.tileOf[idx]
@@ -721,10 +772,14 @@ func (e *Engine) tileFor(node, slot int) int32 {
 		t = e.freeTiles[n-1]
 		e.freeTiles = e.freeTiles[:n-1]
 	} else {
+		if e.nTiles == e.maxTiles {
+			panic(fmt.Sprintf("likelihood: directed edge (%d, %d) needs tile %d, but %d taxa reserve %d (3 per internal node)",
+				node, slot, e.nTiles+1, e.pat.NumTaxa(), e.maxTiles))
+		}
 		t = int32(e.nTiles)
 		e.nTiles++
-		e.arena = append(e.arena, make([]float64, e.tileFloats)...)
-		e.scaleArena = append(e.scaleArena, make([]int32, e.tileScale)...)
+		e.arena = e.arena[:e.nTiles*e.tileFloats]
+		e.scaleArena = e.scaleArena[:e.nTiles*e.tileScale]
 	}
 	e.tileOf[idx] = t
 	return t
@@ -742,9 +797,14 @@ func (e *Engine) scaleOffset(node, slot int) int {
 	return int(e.tileOf[node*3+slot]) * e.tileScale
 }
 
-// padTo rounds n up to the next multiple of q — tile and segment
-// strides are padded to whole 64-byte cache lines so segments never
-// share a line.
+// segmentSize returns the strides of one partition's tile segment over n
+// patterns: nCat·4 float64 and one int32 scale counter per pattern, each
+// padded to whole 64-byte cache lines so segments never share a line.
+func segmentSize(n, nCat int) (floats, scale int) {
+	return padTo(n*nCat*4, 8), padTo(n, 16)
+}
+
+// padTo rounds n up to the next multiple of q.
 func padTo(n, q int) int {
 	return (n + q - 1) / q * q
 }

@@ -42,15 +42,20 @@ func wireJobFrame(code threads.JobCode, maxNode uint32, views []WireView, entrie
 // master over modelFrame's 12 taxa can send: a destination node below 0
 // or at the frame's node capacity and beyond, a tip of a 10 000th or of
 // a negative taxon, an evaluation with one view, a node capacity of
-// 2^31. Each of them once panicked inside ExecWireJob.
+// 2^31. Each of them once panicked inside ExecWireJob. A newview into a
+// tip's node or into node 22 of a 24-node capacity is refused too: 12
+// taxa have 10 internal nodes, ids 12 to 21, and the engine reserves
+// tiles for their 30 directed views only.
 func outOfRangeFrames() map[string][]byte {
 	tips := WireEntry{Node: 12, C1Tax: 0, C2Tax: 1, Len1: 0.1, Len2: 0.1}
-	neg, high := tips, tips
-	neg.Node, high.Node = -1, 150
+	neg, high, tipNode, extra := tips, tips, tips, tips
+	neg.Node, high.Node, tipNode.Node, extra.Node = -1, 150, 3, 22
 	tip := func(taxon int32) WireView { return WireView{Tip: true, Taxon: taxon} }
 	return map[string][]byte{
 		"entry node -1":          wireJobFrame(threads.JobNewview, 16, nil, neg),
 		"entry node 150 of 16":   wireJobFrame(threads.JobNewview, 16, nil, high),
+		"entry node 3 (a tip)":   wireJobFrame(threads.JobNewview, 16, nil, tipNode),
+		"entry node 22 of 24":    wireJobFrame(threads.JobNewview, 24, nil, extra),
 		"tip view taxon 9999":    wireJobFrame(threads.JobEvaluate, 16, []WireView{tip(9999), tip(1)}),
 		"tip view taxon -1":      wireJobFrame(threads.JobEvaluate, 16, []WireView{tip(1), tip(-1)}),
 		"evaluate with one view": wireJobFrame(threads.JobEvaluate, 16, []WireView{tip(0)}),

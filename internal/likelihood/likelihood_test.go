@@ -751,17 +751,36 @@ func BenchmarkOptimizeAllBranches(b *testing.B) {
 
 // TestOptimizeAllBranchesAllocs pins one warm branch-length sweep — 57
 // Newton-optimized edges, each followed by a precise InvalidateEdge —
-// at a handful of allocations: the DFS edge order, the invalidation
-// walk and every descriptor, factor and reduction buffer are reused
-// engine state (ROADMAP direction 1, "pin the allocations").
+// at no allocation: the DFS edge order and the invalidation walk are
+// sized in New, and every descriptor, factor and reduction buffer is
+// reused engine state (ROADMAP direction 1, "pin the allocations").
 func TestOptimizeAllBranchesAllocs(t *testing.T) {
 	pat := randomPatterns(t, rng.New(77), 30, 300)
 	e := newEngine(t, pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), 1)
 	if err := e.AttachTree(tree.Random(pat.Names, rng.New(78))); err != nil {
 		t.Fatal(err)
 	}
-	e.OptimizeAllBranches(1, 0) // warm: arena, sumtable and scratch sized
-	if allocs := testing.AllocsPerRun(5, func() { e.OptimizeAllBranches(1, 0) }); allocs > 16 {
-		t.Fatalf("warm OptimizeAllBranches sweep allocates %.0f times, want <= 16", allocs)
+	e.OptimizeAllBranches(1, 0) // warm: descriptor, matrix memo and factor scratch sized
+	if allocs := testing.AllocsPerRun(5, func() { e.OptimizeAllBranches(1, 0) }); allocs != 0 {
+		t.Fatalf("warm OptimizeAllBranches sweep allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestOptimizePerSiteRatesAllocs pins the CAT rate re-estimation, after
+// one call at its grid size and category bound, at no allocation: the
+// grid, the per-pattern optimum, the site log-likelihoods and the saved,
+// uniform and clustered treatments are engine scratch, and the
+// clustering reuses its treatment's arrays (gtr.ClusterCATInto).
+func TestOptimizePerSiteRatesAllocs(t *testing.T) {
+	a := randomAlignment(t, rng.New(79), 12, 400)
+	e, pat := partitionedEngine(t, a, 2, 2, func(pat *msa.Patterns, pr msa.PartRange) (*gtr.Model, *gtr.RateCategories) {
+		return gtr.Default(), gtr.NewUniform(pr.Len())
+	})
+	if err := e.AttachTree(tree.Random(pat.Names, rng.New(80))); err != nil {
+		t.Fatal(err)
+	}
+	e.OptimizePerSiteRates(6, 8)
+	if allocs := testing.AllocsPerRun(3, func() { e.OptimizePerSiteRates(6, 8) }); allocs != 0 {
+		t.Fatalf("OptimizePerSiteRates allocates %.0f times after its first call, want 0", allocs)
 	}
 }

@@ -70,9 +70,10 @@ import (
 // ensureSumtable sizes the persistent sumtable arena: one tile's worth
 // of float64 (the same padded per-partition segments as a CLV tile), so
 // the offset formula of docs/memory-layout.md applies with the tile
-// base at 0. Allocated on first use, reused for every later branch.
+// base at 0. Reserved in New at the full axis's tile size; sliced to the
+// current tile on first use and for every later branch.
 func (e *Engine) ensureSumtable() {
-	e.sumtable = resize(e.sumtable, e.tileFloats)
+	e.sumtable = e.sumtable[:e.tileFloats]
 }
 
 // makenewzSetup posts ONE JobMakenewzSetup for edge (a, b): its

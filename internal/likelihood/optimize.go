@@ -303,7 +303,9 @@ func restoreRates(m *gtr.Model, rates [6]float64, partition string, cause error)
 // This mirrors RAxML's optimizeRateCategories: a handful of full-tree
 // site-likelihood sweeps (one per candidate rate, covering every
 // partition simultaneously — partitions are independent given the
-// tree), then per-partition clustering.
+// tree), then per-partition clustering. Its buffers are the engine's
+// (siteRateScratch): once a call has run at gridSize and maxCats, the
+// next allocates nothing.
 func (e *Engine) OptimizePerSiteRates(maxCats, gridSize int) float64 {
 	if !e.isCAT {
 		return e.LogLikelihood()
@@ -311,11 +313,12 @@ func (e *Engine) OptimizePerSiteRates(maxCats, gridSize int) float64 {
 	if gridSize < 2 {
 		gridSize = 8
 	}
-	grid := make([]float64, gridSize)
+	s := &e.siteRates
+	s.grid = resize(s.grid, gridSize)
 	logLo := math.Log(gtr.MinCATRate)
 	logHi := math.Log(gtr.MaxCATRate)
-	for i := range grid {
-		grid[i] = math.Exp(logLo + (logHi-logLo)*float64(i)/float64(gridSize-1))
+	for i := range s.grid {
+		s.grid[i] = math.Exp(logLo + (logHi-logLo)*float64(i)/float64(gridSize-1))
 	}
 
 	// Evaluate per-pattern log-likelihood under each uniform candidate
@@ -324,56 +327,47 @@ func (e *Engine) OptimizePerSiteRates(maxCats, gridSize int) float64 {
 	// the engine's treatments); only their contents are swapped.
 	// Every switch goes through installRates. The treatments installed
 	// here are built below or were installed before, so a rejection is a
-	// bug in this function or in gtr.ClusterCAT, not bad input.
+	// bug in this function or in gtr.ClusterCATInto, not bad input.
 	install := func(i int, rc gtr.RateCategories) {
 		if err := e.parts[i].installRates(rc); err != nil {
 			panic(fmt.Sprintf("likelihood: OptimizePerSiteRates: %v", err))
 		}
 	}
-	saved := make([]*gtr.RateCategories, len(e.parts))
-	uniformAssign := make([][]int, len(e.parts))
 	for i := range e.parts {
-		saved[i] = e.parts[i].rates.Clone()
-		uniformAssign[i] = make([]int, e.parts[i].hi-e.parts[i].lo)
+		copyRates(&s.saved[i], e.parts[i].rates)
 	}
-	bestRate := make([]float64, e.nPatterns)
-	bestLL := make([]float64, e.nPatterns)
-	for i := range bestLL {
-		bestLL[i] = math.Inf(-1)
+	for i := range s.bestLL {
+		s.bestLL[i] = math.Inf(-1)
 	}
-	scratch := make([]float64, e.nPatterns)
-	for _, rate := range grid {
+	for _, rate := range s.grid {
 		for i := range e.parts {
-			install(i, gtr.RateCategories{
-				Rates:           []float64{rate},
-				PatternCategory: uniformAssign[i],
-			})
+			s.uniform[i].Rates[0] = rate
+			install(i, s.uniform[i])
 		}
 		e.InvalidateAll()
-		e.SiteLogLikelihoods(scratch)
+		e.SiteLogLikelihoods(s.siteLL)
 		for k := 0; k < e.nPatterns; k++ {
 			if e.weights[k] == 0 {
 				continue
 			}
-			if scratch[k] > bestLL[k] {
-				bestLL[k] = scratch[k]
-				bestRate[k] = rate
+			if s.siteLL[k] > s.bestLL[k] {
+				s.bestLL[k] = s.siteLL[k]
+				s.bestRate[k] = rate
 			}
 		}
 	}
 	// Patterns with zero weight keep a neutral rate.
 	for k := 0; k < e.nPatterns; k++ {
 		if e.weights[k] == 0 {
-			bestRate[k] = 1
+			s.bestRate[k] = 1
 		}
 	}
 	// Cluster per partition over its own local rate estimates.
-	clustered := make([]*gtr.RateCategories, len(e.parts))
 	for i := range e.parts {
 		ps := &e.parts[i]
-		c := gtr.ClusterCAT(bestRate[ps.lo:ps.hi], maxCats)
+		c := &s.clustered[i]
+		gtr.ClusterCATInto(c, s.bestRate[ps.lo:ps.hi], maxCats)
 		c.Normalize(e.weights[ps.lo:ps.hi])
-		clustered[i] = c
 		install(i, *c)
 	}
 	e.InvalidateAll()
@@ -383,18 +377,64 @@ func (e *Engine) OptimizePerSiteRates(maxCats, gridSize int) float64 {
 	// saved treatments (possible on degenerate data), roll back — all
 	// partitions together, keeping the engine in one consistent state.
 	for i := range e.parts {
-		install(i, *saved[i])
+		install(i, s.saved[i])
 	}
 	e.InvalidateAll()
 	llSaved := e.LogLikelihood()
 	if ll >= llSaved {
 		for i := range e.parts {
-			install(i, *clustered[i])
+			install(i, s.clustered[i])
 		}
 		e.InvalidateAll()
 		return ll
 	}
 	return llSaved
+}
+
+// siteRateScratch holds OptimizePerSiteRates' buffers for the engine's
+// life: the candidate-rate grid, every pattern's best rate, its site
+// log-likelihood there and under the candidate being swept (alignment
+// axis), and per partition the uniform treatment of a sweep, a copy of
+// the treatment on entry and the clustered one. installRates adopts the
+// slices of what it installs, so the treatment live after a call is one
+// of saved or clustered. The next call copies it into saved and then
+// installs the uniform sweep before it rewrites clustered, so saved and
+// clustered are never written while installed; the uniform rate is
+// rewritten only to be installed again at once.
+type siteRateScratch struct {
+	grid                     []float64
+	bestRate, bestLL, siteLL []float64
+	uniform, saved           []gtr.RateCategories
+	clustered                []gtr.RateCategories
+}
+
+// reserve sizes the pattern-axis buffers of a CAT engine (a GAMMA
+// engine never re-estimates per-site rates).
+func (s *siteRateScratch) reserve(e *Engine) {
+	if !e.isCAT {
+		return
+	}
+	s.bestRate = make([]float64, e.nPatterns)
+	s.bestLL = make([]float64, e.nPatterns)
+	s.siteLL = make([]float64, e.nPatterns)
+	np := len(e.parts)
+	s.uniform = make([]gtr.RateCategories, np)
+	s.saved = make([]gtr.RateCategories, np)
+	s.clustered = make([]gtr.RateCategories, np)
+	rates := make([]float64, np)
+	for i := range e.parts {
+		n := e.parts[i].hi - e.parts[i].lo
+		s.uniform[i] = gtr.RateCategories{Rates: rates[i : i+1 : i+1], PatternCategory: make([]int, n)}
+		s.saved[i].PatternCategory = make([]int, 0, n)
+		s.clustered[i].PatternCategory = make([]int, 0, n)
+	}
+}
+
+// copyRates makes dst a copy of src in dst's own backing arrays.
+func copyRates(dst, src *gtr.RateCategories) {
+	dst.Rates = append(dst.Rates[:0], src.Rates...)
+	dst.Probs = append(dst.Probs[:0], src.Probs...)
+	dst.PatternCategory = append(dst.PatternCategory[:0], src.PatternCategory...)
 }
 
 // EstimateEmpiricalFreqs sets every partition's base frequencies from

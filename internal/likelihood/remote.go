@@ -1009,14 +1009,18 @@ func (e *Engine) wireChildView(v WireView) childView {
 // checkWireJob refuses, as ErrWireDesync, a decoded job this engine
 // cannot hold although the master's would: a code outside the job
 // table, a view count other than the code's, a node capacity beyond the
-// 2·taxa nodes a tree over the init frame's taxa has, or a node, slot or
-// taxon outside them in an entry, a view or a candidate. Ref entries
-// name only their edge; the rest comes from an edge cache entry that
-// passed here when it was shipped full.
+// 2·taxa nodes a tree over the init frame's taxa has, or a slot or
+// taxon outside them in an entry, a view or a candidate, or a node there
+// that is not an internal node below the capacity: internal nodes have
+// the ids [taxa, 2·taxa−2), so every directed view a frame can name is
+// one of the 3·(taxa−2) the engine reserved tiles for. Ref entries name
+// only their edge; the rest comes from an edge cache entry that passed
+// here when it was shipped full.
 func (e *Engine) checkWireJob(job *WireJob, s *jobSpec) error {
 	taxa := e.pat.NumTaxa()
+	nodes := min(job.MaxNode, 2*taxa-2)
 	taxon := func(tax int32) bool { return tax >= 0 && int(tax) < taxa }
-	edge := func(node, slot int32) bool { return node >= 0 && int(node) < job.MaxNode && slot >= 0 && slot < 3 }
+	edge := func(node, slot int32) bool { return int(node) >= taxa && int(node) < nodes && slot >= 0 && slot < 3 }
 	child := func(tax, node, slot int32) bool { return taxon(tax) || tax < 0 && edge(node, slot) }
 	view := func(v WireView) bool { return v.Tip && taxon(v.Taxon) || !v.Tip && edge(v.Node, v.Slot) }
 	ok := s != nil && job.NViews == s.views && job.MaxNode <= 2*taxa

@@ -107,7 +107,7 @@ func (e *Engine) prepareScan() {
 	}
 	e.ensureP()
 	e.fillP(e.jobT, e.pPend)
-	e.pendProd = resize(e.pendProd, e.tileFloats)
+	e.pendProd = e.pendProd[:e.tileFloats]
 	n := len(e.scanCands)
 	e.scanP = resize(e.scanP, n*e.totalCats)
 	e.memoSync()
