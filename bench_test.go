@@ -242,7 +242,7 @@ func BenchmarkAblationLazyVsFullSPR(b *testing.B) {
 				b.Fatal(err)
 			}
 			eng.InvalidateAll()
-			for _, cand := range tr.RegraftCandidates(p, 5) {
+			for _, cand := range tr.AppendRegraftCandidates(nil, p, 5) {
 				_ = eng.EvaluateInsertion(root, p.Attach, cand.A, cand.B)
 			}
 			tr.PlugBack(p)
@@ -256,7 +256,7 @@ func BenchmarkAblationLazyVsFullSPR(b *testing.B) {
 				b.Fatal(err)
 			}
 			eng.InvalidateAll()
-			for _, cand := range tr.RegraftCandidates(p, 5) {
+			for _, cand := range tr.AppendRegraftCandidates(nil, p, 5) {
 				if err := tr.Plug(p, cand); err != nil {
 					b.Fatal(err)
 				}

@@ -59,8 +59,10 @@ func AsRankDead(err error) *RankDeadError {
 // ProtocolVersion is the fabric wire protocol generation, announced in
 // every hello frame. Version 2 added the per-frame CRC32C to the TCP
 // framing and the version word to the hellos; a v1 peer's 4-byte hello
-// is rejected at accept time rather than silently misframed.
-const ProtocolVersion uint32 = 2
+// is rejected at accept time rather than silently misframed. Version 3
+// ships every descriptor entry whole in one job frame per dispatch (no
+// delta refs, no fragments), so a v2 peer is refused at the hello too.
+const ProtocolVersion uint32 = 3
 
 // castagnoli is the CRC32C polynomial table used for frame checksums
 // (hardware-accelerated on amd64/arm64).

@@ -42,7 +42,7 @@ type sendLogLink struct {
 
 func (s *sendLogLink) Send(tag byte, payload []byte) error {
 	err := s.Link.Send(tag, payload)
-	if tag == TagJob || tag == TagJobFrag {
+	if tag == TagJob {
 		s.log.add('s')
 	}
 	return err
@@ -75,23 +75,21 @@ func (p *runLogPool) Post(runner threads.JobRunner, code threads.JobCode) {
 }
 
 // TestFrameLeavesBeforeLocalStripe is the order a dispatch has to keep
-// for the two stripes to overlap: every frame of the job has been
-// written to every rank — each Send has returned — before the local crew
-// runs its first range, for a single-frame job and for a fragmented one.
+// for the two stripes to overlap: the job's one frame has been written to
+// every rank — each Send has returned — before the local crew runs its
+// first range, for a short descriptor and for a full traversal of at
+// least 64 entries.
 func TestFrameLeavesBeforeLocalStripe(t *testing.T) {
 	const ranks = 3
-	pat := makeData(t, 12, 900, 2, 37)
 	for _, tc := range []struct {
 		name string
-		frag int // forced fragment size (0: the product's thresholds)
+		taxa int
 	}{
-		{"single frame", 0},
-		{"fragmented", 4},
+		{"single frame", 12},
+		{"long descriptor", 70},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.frag > 0 {
-				forceFrag(t, tc.frag)
-			}
+			pat := makeData(t, tc.taxa, 900, 2, 37)
 			topo := tree.Random(pat.Names, rng.New(38))
 			log := &dispatchLog{}
 			links := serveRanks(t, false, ranks-1)
@@ -121,10 +119,9 @@ func TestFrameLeavesBeforeLocalStripe(t *testing.T) {
 				d0 := eng.DispatchCount()
 				job()
 				events, dispatches := log.take(), int(eng.DispatchCount()-d0)
-				// Per dispatch: a run of sends (a multiple of the remote
-				// ranks), then a run of local ranges. A send after a range
-				// within one dispatch would show as more send runs than
-				// dispatches.
+				// Per dispatch: one send per remote rank, then a run of
+				// local ranges. A send after a range within one dispatch
+				// would show as more send runs than dispatches.
 				sends, runs, sendRuns := 0, 0, 0
 				for i := range events {
 					if events[i] == 'r' {
@@ -136,14 +133,14 @@ func TestFrameLeavesBeforeLocalStripe(t *testing.T) {
 						sendRuns++
 					}
 				}
-				if dispatches == 0 || runs == 0 || sends < dispatches*(ranks-1) || sends%(ranks-1) != 0 {
+				if dispatches == 0 || runs == 0 || sends != dispatches*(ranks-1) {
 					t.Fatalf("%s: %d dispatches logged %d sends and %d local ranges (%q)", name, dispatches, sends, runs, events)
 				}
 				if events[0] != 's' || sendRuns != dispatches {
 					t.Errorf("%s: a frame left after the local stripe had started: %d dispatches, %d runs of sends (%q)", name, dispatches, sendRuns, events)
 				}
-				if tc.frag > 0 && name == "full traversal" && sends <= dispatches*(ranks-1) {
-					t.Errorf("%s: %d sends over %d dispatches — the forced threshold did not fragment the descriptor", name, sends, dispatches)
+				if n := len(eng.LastTraversal()); name == "full traversal" && n < tc.taxa-2 {
+					t.Errorf("%s: a %d-entry descriptor over %d taxa", name, n, tc.taxa)
 				}
 			}
 		})

@@ -16,16 +16,6 @@ import (
 	"raxml/internal/tree"
 )
 
-// forceFrag shrinks the fragmentation thresholds so the small test
-// descriptors exercise the multi-fragment scatter path, restoring the
-// defaults on cleanup.
-func forceFrag(t testing.TB, entries int) {
-	t.Helper()
-	minWas, sizeWas := fragMinEntries, fragEntries
-	fragMinEntries, fragEntries = entries, entries
-	t.Cleanup(func() { fragMinEntries, fragEntries = minWas, sizeWas })
-}
-
 // severLink wraps one master link and, once severed, fails every frame
 // the way a cut link fails: Send and Recv both return a raw, untyped
 // error — naming the rank is the pool's job.
@@ -60,7 +50,6 @@ func (s *severLink) Recv() (byte, []byte, error) {
 // remain releasable. This is the failure shape the grid supervisor
 // recovers from (re-stripe over survivors).
 func TestSeveredLinkSurfacesRankDead(t *testing.T) {
-	forceFrag(t, 4) // sever must hit the fragmented scatter path too
 	pat := makeData(t, 10, 600, 2, 31)
 	topo := tree.Random(pat.Names, rng.New(5))
 
@@ -129,7 +118,7 @@ func TestPostAllocationFree(t *testing.T) {
 	}
 	_ = eng.LogLikelihood()
 	e := topo.Edges()[0]
-	for i := 0; i < 32; i++ { // warm free lists, slabs and delta caches
+	for i := 0; i < 32; i++ { // warm free lists, slabs and the memo
 		_ = eng.EvaluateEdge(e.A, e.B)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
@@ -141,7 +130,7 @@ func TestPostAllocationFree(t *testing.T) {
 	// The insertion scan on warm views, batched and through the
 	// one-candidate wrapper: frame, candidate block, wide partial and
 	// fold all reuse their slabs too.
-	p, cands := pruneForScan(t, topo)
+	p, cands := pruneForScan(t, topo, 6)
 	scores := make([]float64, len(cands))
 	for i := 0; i < 8; i++ {
 		eng.EvaluateInsertions(p.Root, p.Attach, cands, scores)
@@ -162,9 +151,9 @@ func TestPostAllocationFree(t *testing.T) {
 // abortStorm hammers the engine with full relikelihoods while a second
 // goroutine keeps aborting whatever job is in flight, then checks an
 // undisturbed evaluation still matches the reference — i.e. an abort
-// that lands mid-scatter (fragmentation is forced down so every
-// dispatch is multi-frame) still collects every rank's partial and
-// rolls the descriptor back without poisoning the delta caches.
+// that lands mid-dispatch still collects every rank's partial and rolls
+// the descriptor back on the master without leaving a rank's tiles or
+// memo out of step.
 func abortStorm(t *testing.T, pool *Pool, eng *likelihood.Engine, want float64) {
 	t.Helper()
 	stop := make(chan struct{})
@@ -194,7 +183,6 @@ func abortStorm(t *testing.T, pool *Pool, eng *likelihood.Engine, want float64) 
 
 // TestAbortMidScatterChan runs the abort storm over in-proc LinkPairs.
 func TestAbortMidScatterChan(t *testing.T) {
-	forceFrag(t, 4)
 	pat := makeData(t, 12, 900, 2, 23)
 	topo := tree.Random(pat.Names, rng.New(11))
 	ref := refEngine(t, pat, true)
@@ -217,7 +205,6 @@ func TestAbortMidScatterChan(t *testing.T) {
 
 // TestAbortMidScatterTCP runs the abort storm over real TCP links.
 func TestAbortMidScatterTCP(t *testing.T) {
-	forceFrag(t, 4)
 	pat := makeData(t, 10, 600, 2, 29)
 	topo := tree.Random(pat.Names, rng.New(13))
 	ref := refEngine(t, pat, true)
@@ -231,80 +218,6 @@ func TestAbortMidScatterTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	abortStorm(t, pool, eng, want)
-}
-
-// TestFragmentedDeltaWireTraffic pins the two wire optimizations
-// working together: with fragmentation forced on, a first full-tree
-// dispatch ships every descriptor entry in full, and an immediately
-// repeated traversal of the same topology ships the same entries as
-// 9-byte delta refs — the second dispatch's bytes must come in well
-// under the first's — while both reproduce the reference likelihood to
-// 1e-10. Each is one dispatch: the frames jobFrames counts out, one
-// partial back, on every rank's link.
-func TestFragmentedDeltaWireTraffic(t *testing.T) {
-	forceFrag(t, 4)
-	pat := makeData(t, 12, 900, 2, 41)
-	topo := tree.Random(pat.Names, rng.New(19))
-	ref := refEngine(t, pat, false)
-	if err := ref.AttachTree(topo.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.LogLikelihood()
-
-	eng, _, links := countedGrid(t, false, 3, 2, pat, makeSet(t, pat, false))
-	if err := eng.AttachTree(topo.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	_ = eng.LogLikelihood() // ships the model block once
-
-	// ship runs one relikelihood, checks its bits and its frames, and
-	// returns the bytes it sent to rank 1.
-	ship := func(what string) int64 {
-		d0, c0 := eng.DispatchCount(), counts(links)
-		if got := eng.LogLikelihood(); relDiff(got, want) > 1e-10 {
-			t.Errorf("%s: %.12f vs reference %.12f", what, got, want)
-		}
-		if d := eng.DispatchCount() - d0; d != 1 {
-			t.Fatalf("%s: %d dispatches, want 1", what, d)
-		}
-		checkFrames(t, what, links, c0, jobFrames(len(eng.LastTraversal())), 1)
-		return links[0].bytesSent.Load() - c0[0].bytesSent
-	}
-
-	// Re-attaching the same topology bumps the topo epoch: the reset
-	// clears both delta caches, so the full traversal re-ships every entry
-	// in 49-byte full form (no model block — the model epoch did not
-	// move). This is the fair baseline for the ref dispatch.
-	if err := eng.AttachTree(topo.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	full := ship("fragmented full ship")
-	if jobFrames(len(eng.LastTraversal())) < 3 {
-		t.Fatalf("a %d-entry full traversal is not fragmented under the forced threshold", len(eng.LastTraversal()))
-	}
-
-	// A branch-length-style invalidation staleness with unchanged
-	// entries: the same traversal re-ships as 9-byte refs.
-	e := topo.Edges()[0]
-	eng.InvalidateEdge(e.A, e.B)
-	delta := ship("delta re-ship")
-
-	if full == 0 || delta == 0 {
-		t.Fatalf("no traffic recorded: full=%d delta=%d", full, delta)
-	}
-	if delta*2 >= full {
-		t.Errorf("delta re-ship cost %d bytes vs %d full — refs are not shrinking the frames", delta, full)
-	}
-}
-
-// jobFrames is how many frames Post writes to each rank for a
-// descriptor of n entries: a header fragment plus one per fragEntries
-// range once n reaches fragMinEntries, a single frame below that.
-func jobFrames(n int) int64 {
-	if n < fragMinEntries {
-		return 1
-	}
-	return 1 + int64((n+fragEntries-1)/fragEntries)
 }
 
 // TestTCPDispatchLatencySmoke is the CI smoke bound on TCP dispatch
@@ -339,9 +252,9 @@ func TestTCPDispatchLatencySmoke(t *testing.T) {
 }
 
 // pruneForScan prunes the first subtree of topo with at least eight
-// regraft candidates within radius 6, leaving it dangling, and returns
-// it with those candidates.
-func pruneForScan(t testing.TB, topo *tree.Tree) (*tree.PrunedSubtree, []tree.Edge) {
+// regraft candidates within radius, leaving it dangling, and returns it
+// with those candidates.
+func pruneForScan(t testing.TB, topo *tree.Tree, radius int) (*tree.PrunedSubtree, []tree.Edge) {
 	t.Helper()
 	for _, edge := range topo.Edges() {
 		for _, dir := range [][2]int{{edge.A, edge.B}, {edge.B, edge.A}} {
@@ -352,7 +265,7 @@ func pruneForScan(t testing.TB, topo *tree.Tree) (*tree.PrunedSubtree, []tree.Ed
 			if err != nil {
 				continue
 			}
-			if cands := topo.RegraftCandidates(p, 6); len(cands) >= 8 {
+			if cands := topo.AppendRegraftCandidates(nil, p, radius); len(cands) >= 8 {
 				return p, cands
 			}
 			topo.PlugBack(p)
@@ -369,18 +282,19 @@ func tcpGrid(t testing.TB, ranks, threadsPerRank int, pat *msa.Patterns, cat boo
 	return newPool(t, serveRanks(t, true, ranks-1), pat, makeSet(t, pat, cat), threadsPerRank)
 }
 
-// scanOnce drives one cold batched scan on a distributed engine and
-// checks its cost on the wire — one dispatch, `frames` frames out and
-// one partial back on every rank's link, no model block — and its bits:
-// every score equals the warm one-candidate call on the same engine and
-// grid.
-func scanOnce(t *testing.T, eng *likelihood.Engine, links []*countingLink, topo *tree.Tree, frames func(entries int) int64) {
+// scanOnce drives one cold batched scan of the candidates within radius
+// on a distributed engine, whose descriptor must have at least minEntries
+// entries, and checks its cost on the wire — one dispatch, one frame out
+// and one partial back on every rank's link, no model block — and its
+// bits: every score equals the warm one-candidate call on the same engine
+// and grid.
+func scanOnce(t *testing.T, eng *likelihood.Engine, links []*countingLink, topo *tree.Tree, radius, minEntries int) {
 	t.Helper()
 	if err := eng.AttachTree(topo); err != nil {
 		t.Fatal(err)
 	}
 	_ = eng.LogLikelihood() // ships the model block and the tile reset
-	p, cands := pruneForScan(t, topo)
+	p, cands := pruneForScan(t, topo, radius)
 	eng.InvalidateEdge(p.OrigA, p.OrigB)
 	eng.InvalidateNode(p.Attach)
 
@@ -388,13 +302,13 @@ func scanOnce(t *testing.T, eng *likelihood.Engine, links []*countingLink, topo 
 	blocks0 := eng.ModelBlocksEncoded()
 	got := eng.EvaluateInsertions(p.Root, p.Attach, cands, nil)
 	entries := len(eng.LastTraversal())
-	if entries == 0 {
-		t.Fatal("the scan after a prune queued no view")
+	if entries < minEntries {
+		t.Fatalf("the scan after a prune queued %d views, want at least %d", entries, minEntries)
 	}
 	if d := eng.DispatchCount() - d0; d != 1 {
 		t.Errorf("%d candidates, %d stale views: %d dispatches, want 1", len(cands), entries, d)
 	}
-	checkFrames(t, fmt.Sprintf("scan over a %d-entry descriptor", entries), links, c0, frames(entries), 1)
+	checkFrames(t, fmt.Sprintf("scan over a %d-entry descriptor", entries), links, c0, 1, 1)
 	if n := eng.ModelBlocksEncoded() - blocks0; n != 0 {
 		t.Errorf("scan shipped %d model blocks, want 0", n)
 	}
@@ -414,29 +328,22 @@ func TestScanIsOneDispatch(t *testing.T) {
 	pat := makeData(t, 16, 600, 2, 61)
 	topo := tree.Random(pat.Names, rng.New(62))
 	eng, _, links := countedGrid(t, false, 2, 2, pat, makeSet(t, pat, true))
-	scanOnce(t, eng, links, topo, func(int) int64 { return 1 })
+	scanOnce(t, eng, links, topo, 6, 1)
 }
 
-// TestScanFragmented forces the union descriptor of a batched scan over
-// the fragmentation threshold, over in-proc and TCP links: the header
-// fragment carries the candidate block, the entry fragments follow, and
-// it is still one broadcast, one reduction and the same bits.
-func TestScanFragmented(t *testing.T) {
-	forceFrag(t, 4)
-	pat := makeData(t, 16, 600, 2, 67)
-	fragmented := func(entries int) int64 {
-		if entries < fragMinEntries {
-			t.Fatalf("%d-entry descriptor is under the forced threshold %d", entries, fragMinEntries)
-		}
-		return jobFrames(entries)
-	}
+// TestLongScanIsOneFrame scans every regraft candidate of a 70-taxon
+// tree over the wire, a union descriptor of at least 64 entries, over
+// in-proc and TCP links: the candidate block and every entry ride one
+// frame, and it is still one broadcast, one reduction and the same bits.
+func TestLongScanIsOneFrame(t *testing.T) {
+	pat := makeData(t, 70, 600, 2, 67)
 	t.Run("chan", func(t *testing.T) {
 		eng, _, links := countedGrid(t, false, 2, 1, pat, makeSet(t, pat, false))
-		scanOnce(t, eng, links, tree.Random(pat.Names, rng.New(68)), fragmented)
+		scanOnce(t, eng, links, tree.Random(pat.Names, rng.New(68)), 1<<20, 64)
 	})
 	t.Run("tcp", func(t *testing.T) {
 		eng, _, links := countedGrid(t, true, 3, 2, pat, makeSet(t, pat, true))
-		scanOnce(t, eng, links, tree.Random(pat.Names, rng.New(69)), fragmented)
+		scanOnce(t, eng, links, tree.Random(pat.Names, rng.New(69)), 1<<20, 64)
 	})
 }
 
@@ -475,7 +382,7 @@ func TestShortWidePartialSurfacesRankDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = eng.LogLikelihood()
-	p, cands := pruneForScan(t, topo)
+	p, cands := pruneForScan(t, topo, 6)
 	eng.InvalidateNode(p.Attach)
 	_ = eng.EvaluateInsertions(p.Root, p.Attach, cands, nil) // healthy scan first
 
@@ -516,7 +423,7 @@ type badCategoryLink struct {
 
 func (b *badCategoryLink) Send(tag byte, payload []byte) error {
 	const modelFlag = 1 // likelihood's jobFlagModel
-	if b.armed.Load() && (tag == TagJob || tag == TagJobFrag) && len(payload) > b.offset+4 && payload[1]&modelFlag != 0 {
+	if b.armed.Load() && tag == TagJob && len(payload) > b.offset+4 && payload[1]&modelFlag != 0 {
 		payload = append([]byte(nil), payload...)
 		binary.LittleEndian.PutUint32(payload[b.offset:], uint32(b.category))
 	}

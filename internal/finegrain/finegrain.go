@@ -86,23 +86,6 @@ const (
 	TagPing
 	// TagPong answers a ping (worker -> master).
 	TagPong
-	// TagJobFrag carries one fragment of a chunked job frame: the worker
-	// appends fragments to its reassembly buffer and executes when the
-	// closing TagJob frame arrives. Fragmentation is what lets the
-	// master fill the P matrices of earlier descriptor entries while
-	// the worker is still receiving them (master -> workers).
-	TagJobFrag
-)
-
-// Fragmentation thresholds: descriptors of at least fragMinEntries ship
-// as a header fragment plus fragEntries-sized entry fragments, so the
-// master's deferred P-fill of one range runs while the ranks reassemble
-// it; shorter descriptors (every makenewz iteration, empty-descriptor
-// reductions) stay single-frame. Package variables so tests can force fragmentation
-// on small data.
-var (
-	fragMinEntries = 64
-	fragEntries    = 64
 )
 
 // sumtableGatherCrossover is the largest remote sumtable — bytes per
@@ -124,8 +107,7 @@ const sumtableGatherCrossover = 128 << 10
 // SumtableGatherLimit is the threshold NewPool compares a pool's remote
 // sumtable bytes against, once, to decide whether that pool gathers. A
 // variable only so tests can force either side on small data (0: never
-// gather; a huge value: always), as with the fragmentation thresholds
-// above; nothing in the product assigns it.
+// gather; a huge value: always); nothing in the product assigns it.
 var SumtableGatherLimit = sumtableGatherCrossover
 
 // Progress guards. Variables, not constants, so chaos runs tighten
@@ -271,13 +253,10 @@ func (p *Pool) LocalPool() *threads.Pool { return p.local }
 // those of a sequential fold. The runner must be the master's likelihood
 // engine (it implements likelihood.WireMaster).
 //
-// Long descriptors ship fragmented: the header goes out first, then
-// each fragEntries-sized entry range is delta-encoded and sent, and its
-// P matrices are filled while the ranks reassemble it; the last range
-// closes the frame with TagJob. Short descriptors (makenewz iterations,
-// evaluations) are one frame, sent before the master fills its own
-// matrices. Either way every frame is on the wire before the local
-// stripe starts.
+// Every job is one TagJob frame carrying the whole descriptor window,
+// sent before the master fills its own P matrices (FillTravChunk), so
+// the fill overlaps the ranks' receive and the frame is on the wire
+// before the local stripe starts.
 //
 // Any link failure — a Send or Recv error, an expired dispatch
 // deadline — is typed here, and only here, as a fabric.RankDeadError
@@ -305,7 +284,7 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 	includeModel := modelEpoch != p.shippedModel
 	reset := topoEpoch != p.shippedTopo
 
-	header, n := wm.WireJobHeader(code, includeModel, reset)
+	frame := wm.EncodeWireJob(code, includeModel, reset)
 
 	// Straggler guard: bound this dispatch's wait for every rank's
 	// partial. Armed before the first frame goes out; cleared again once
@@ -317,21 +296,8 @@ func (p *Pool) Post(runner threads.JobRunner, code threads.JobCode) {
 			fabric.SetLinkRecvDeadline(l, dl)
 		}
 	}
-	if n >= fragMinEntries {
-		p.send(TagJobFrag, header)
-		for lo := 0; lo < n; lo += fragEntries {
-			hi, tag := lo+fragEntries, TagJobFrag
-			if hi >= n {
-				hi, tag = n, TagJob
-			}
-			p.send(tag, wm.WireJobEntries(lo, hi))
-			wm.FillTravChunk(lo, hi)
-		}
-	} else {
-		wm.WireJobEntries(0, n)
-		p.send(TagJob, wm.WireJobFrame())
-		wm.FillTravChunk(0, n)
-	}
+	p.send(TagJob, frame)
+	wm.FillTravChunk()
 	p.shippedModel, p.shippedTopo = modelEpoch, topoEpoch
 
 	p.local.Post(runner, code)
@@ -482,16 +448,15 @@ func (p *Pool) AlignRangesAt(quantum int, starts []int) { p.local.AlignRangesAt(
 func (p *Pool) ForkJoin(n, grain int, fn func(lo, hi int)) { p.local.ForkJoin(n, grain, fn) }
 
 // ForkJoinRange forwards a windowed fill to the local crew (the
-// pipelined dispatch path fills one descriptor chunk at a time).
+// deferred P-fill of a posted descriptor window).
 func (p *Pool) ForkJoinRange(lo, hi, grain int, fn func(lo, hi int)) {
 	p.local.ForkJoinRange(lo, hi, grain, fn)
 }
 
 // PipelinesFill reports whether the pool overlaps the P-matrix fill
 // with the dispatch: the engine then defers the fill at traversal
-// planning and Post completes it after the frame (or each fragment)
-// has been sent. A single-rank grid has no wire to overlap with, so it
-// fills eagerly.
+// planning and Post completes it after the frame has been sent. A
+// single-rank grid has no wire to overlap with, so it fills eagerly.
 func (p *Pool) PipelinesFill() bool { return len(p.links) > 0 }
 
 // Dispatches counts jobs posted (each Post is one local barrier

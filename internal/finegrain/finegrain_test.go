@@ -168,36 +168,45 @@ func TestGoldenDistributedLikelihood(t *testing.T) {
 // TestOneBroadcastOneReductionPerDispatch asserts the acceptance
 // invariant: a partitioned full-tree relikelihood over the finegrain
 // pool is exactly one descriptor broadcast plus one reduction per pool
-// dispatch — one frame out and one partial back on every rank's link.
+// dispatch — one frame out and one partial back on every rank's link —
+// over 10 taxa and over 70, whose full traversal is a descriptor of 68
+// entries.
 func TestOneBroadcastOneReductionPerDispatch(t *testing.T) {
-	pat := makeData(t, 10, 800, 3, 11)
-	topo := tree.Random(pat.Names, rng.New(5))
-	eng, _, links := countedGrid(t, false, 3, 2, pat, makeSet(t, pat, true))
-	if err := eng.AttachTree(topo.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	eng.LogLikelihood() // warm: arena bound, first model block shipped
+	for _, taxa := range []int{10, 70} {
+		t.Run(fmt.Sprintf("%d taxa", taxa), func(t *testing.T) {
+			pat := makeData(t, taxa, 800, 3, 11)
+			topo := tree.Random(pat.Names, rng.New(5))
+			eng, _, links := countedGrid(t, false, 3, 2, pat, makeSet(t, pat, true))
+			if err := eng.AttachTree(topo.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			eng.LogLikelihood() // warm: arena bound, first model block shipped
 
-	for step := 0; step < 3; step++ {
-		d0, c0 := eng.DispatchCount(), counts(links)
-		eng.InvalidateAll() // full tree goes stale
-		if ll := eng.LogLikelihood(); math.IsNaN(ll) {
-			t.Fatal("NaN likelihood")
-		}
-		if d := eng.DispatchCount() - d0; d != 1 {
-			t.Fatalf("full-tree relikelihood used %d dispatches, want 1", d)
-		}
-		checkFrames(t, "full-tree relikelihood", links, c0, 1, 1)
-	}
+			for step := 0; step < 3; step++ {
+				d0, c0 := eng.DispatchCount(), counts(links)
+				eng.InvalidateAll() // full tree goes stale
+				if ll := eng.LogLikelihood(); math.IsNaN(ll) {
+					t.Fatal("NaN likelihood")
+				}
+				if d := eng.DispatchCount() - d0; d != 1 {
+					t.Fatalf("full-tree relikelihood used %d dispatches, want 1", d)
+				}
+				if n := len(eng.LastTraversal()); n != taxa-2 {
+					t.Fatalf("full-tree relikelihood planned %d entries, want %d", n, taxa-2)
+				}
+				checkFrames(t, "full-tree relikelihood", links, c0, 1, 1)
+			}
 
-	// The per-partition decomposition rides the same single dispatch.
-	d0, c0 := eng.DispatchCount(), counts(links)
-	eng.InvalidateAll()
-	eng.PartitionLogLikelihoods(nil)
-	if d := eng.DispatchCount() - d0; d != 1 {
-		t.Fatalf("PartitionLogLikelihoods used %d dispatches, want 1", d)
+			// The per-partition decomposition rides the same single dispatch.
+			d0, c0 := eng.DispatchCount(), counts(links)
+			eng.InvalidateAll()
+			eng.PartitionLogLikelihoods(nil)
+			if d := eng.DispatchCount() - d0; d != 1 {
+				t.Fatalf("PartitionLogLikelihoods used %d dispatches, want 1", d)
+			}
+			checkFrames(t, "PartitionLogLikelihoods", links, c0, 1, 1)
+		})
 	}
-	checkFrames(t, "PartitionLogLikelihoods", links, c0, 1, 1)
 }
 
 // TestSPRFuzzDistributed drives the distributed engine through a random
@@ -232,31 +241,26 @@ func TestSPRFuzzDistributed(t *testing.T) {
 
 		for step := 0; step < 20; step++ {
 			switch r.Intn(3) {
-			case 0: // SPR: prune a random subtree, regraft into a random edge
+			case 0: // SPR as the search makes it: dangling prune, plug into a random edge of the main component
 				edges := topo.Edges()
 				var p *tree.PrunedSubtree
-				var err error
 				for try := 0; try < 50 && p == nil; try++ {
 					edge := edges[r.Intn(len(edges))]
 					if topo.Nodes[edge.B].IsTip() {
 						continue
 					}
-					p, err = topo.Prune(edge.A, edge.B)
-					if err != nil {
-						p = nil
-					}
+					p, _ = topo.DanglingPrune(edge.A, edge.B)
 				}
 				if p == nil {
 					continue
 				}
-				// Regraft targets must lie in the main component (Regraft
-				// does not reject edges inside the pruned subtree).
-				rem := topo.RegraftCandidates(p, 1<<20)
-				if err := topo.Regraft(p, rem[r.Intn(len(rem))]); err != nil {
-					topo.Restore(p)
-					continue
+				eng.InvalidateEdge(p.OrigA, p.OrigB)
+				eng.InvalidateNode(p.Attach)
+				cands := topo.AppendRegraftCandidates(nil, p, 1<<20)
+				if err := topo.Plug(p, cands[r.Intn(len(cands))]); err != nil {
+					t.Fatal(err)
 				}
-				eng.InvalidateAll()
+				eng.InvalidateNode(p.Attach)
 				check(step, "spr")
 			case 1: // branch-length edit with precise invalidation
 				edges := topo.Edges()
@@ -334,7 +338,7 @@ func sprLockstepDistributed(t *testing.T, pat *msa.Patterns, topo *tree.Tree) {
 				a.InvalidateEdge(pa.OrigA, pa.OrigB)
 				a.InvalidateNode(attach)
 				b.InvalidateAll()
-				cands := ta.RegraftCandidates(pa, 1+r.Intn(6))
+				cands := ta.AppendRegraftCandidates(nil, pa, 1+r.Intn(6))
 				d0 := a.DispatchCount()
 				batch = a.EvaluateInsertions(root, attach, cands, batch)
 				if d := a.DispatchCount() - d0; d != 1 {

@@ -63,7 +63,7 @@ func memoProgram(t *testing.T, pat *msa.Patterns) []uint64 {
 			}
 			e.InvalidateEdge(p.OrigA, p.OrigB)
 			e.InvalidateNode(attach)
-			cands := topo.RegraftCandidates(p, 1+r.Intn(6))
+			cands := topo.AppendRegraftCandidates(nil, p, 1+r.Intn(6))
 			batch = e.EvaluateInsertions(root, attach, cands, batch)
 			put(batch...)
 			target := cands[r.Intn(len(cands))]

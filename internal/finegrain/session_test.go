@@ -36,15 +36,12 @@ func (l *recordLink) Send(tag byte, payload []byte) error {
 	return l.Link.Send(tag, payload)
 }
 
-// recordSession runs one real lease over a served worker and returns the
-// frames its master sent: the init, a full evaluation (fragmented when
-// frag > 0), a branch optimization and site log-likelihoods, an insertion
-// scan, a ping, and the release.
-func recordSession(t testing.TB, cat bool, genes, frag int) []frame {
-	if frag > 0 {
-		forceFrag(t, frag)
-	}
-	pat := makeData(t, 8, 240, genes, 61)
+// recordSession runs one real lease over a served worker of `taxa` taxa
+// and returns the frames its master sent: the init, a full evaluation (a
+// descriptor of taxa−2 entries), a branch optimization and site
+// log-likelihoods, an insertion scan, a ping, and the release.
+func recordSession(t testing.TB, cat bool, taxa, genes int) []frame {
+	pat := makeData(t, taxa, 240, genes, 61)
 	topo := tree.Random(pat.Names, rng.New(62))
 	rec := &recordLink{linkShim: linkShim{serveRanks(t, false, 1)[0]}}
 	pool, err := NewPool([]fabric.Link{rec}, pat, makeSet(t, pat, cat), 1)
@@ -62,7 +59,7 @@ func recordSession(t testing.TB, cat bool, genes, frag int) []frame {
 	e := topo.Edges()[2]
 	eng.OptimizeBranch(e.A, e.B)
 	eng.SiteLogLikelihoods(nil)
-	p, cands := pruneForScan(t, topo)
+	p, cands := pruneForScan(t, topo, 6)
 	eng.EvaluateInsertions(p.Root, p.Attach, cands, nil)
 	if err := rec.Send(TagPing, nil); err != nil {
 		t.Fatal(err)
@@ -130,7 +127,7 @@ func serve(exitCloses bool) (fabric.Link, chan error) {
 // still in its session, exited (ServeSessions returns nil), failed (it
 // returns an error) or dead (it also closed its link itself).
 func TestSessionProtocolTable(t *testing.T) {
-	session := recordSession(t, true, 1, 0)
+	session := recordSession(t, true, 8, 1)
 	init, job := session[0].payload, session[1].payload
 	if session[0].tag != TagInit || session[1].tag != TagJob {
 		t.Fatalf("recorded session opens with tags %d, %d", session[0].tag, session[1].tag)
@@ -178,14 +175,12 @@ func TestSessionProtocolTable(t *testing.T) {
 		"idle shutdown":         {state: idle, tag: TagShutdown, next: exits},
 		"idle broken link":      {state: idle, breakLink: true, next: exits},
 		"idle job":              {state: idle, tag: TagJob, payload: job, next: dies},
-		"idle fragment":         {state: idle, tag: TagJobFrag, payload: job, next: dies},
 		"idle partial":          {state: idle, tag: TagPartial, next: dies},
 		"idle error":            {state: idle, tag: TagErr, payload: []byte("x"), next: dies},
 		"idle released":         {state: idle, tag: TagReleased, next: dies},
 		"idle pong":             {state: idle, tag: TagPong, next: dies},
 		"idle unknown tag":      {state: idle, tag: 200, next: dies},
 		"session job":           {state: inSession, tag: TagJob, payload: job, reply: TagPartial, next: inSession},
-		"session fragment":      {state: inSession, tag: TagJobFrag, payload: job[:len(job)/2], next: inSession},
 		"session corrupt job":   {state: inSession, tag: TagJob, payload: []byte{0xff}, next: dies},
 		"session desync job":    {state: inSession, tag: TagJob, payload: desync, next: dies},
 		"session failing job":   {state: inSession, tag: TagJob, payload: failing, reply: TagErr, next: fails},
@@ -249,11 +244,7 @@ func TestSessionProtocolTable(t *testing.T) {
 				// session: an idle worker refuses it and dies.
 				send(TagPing, nil)
 				expect(TagPong)
-				rest := job
-				if c.tag == TagJobFrag {
-					rest = job[len(job)/2:]
-				}
-				send(TagJob, rest)
+				send(TagJob, job)
 				if c.next == inSession {
 					expect(TagPartial)
 				} else {
@@ -277,11 +268,12 @@ func TestSessionProtocolTable(t *testing.T) {
 // FuzzServeSessions feeds ServeSessions a sequence of frames (the
 // encodeFrames form) over a LinkPair, then closes the master end: the
 // worker must end — whatever the frames did to its state — without a
-// panic and without a hang. The seeds are recorded real sessions, CAT on
-// one partition and GAMMA on two, fragmented and not.
+// panic and without a hang. The seeds are recorded real sessions, GAMMA
+// on two partitions over 8 taxa and CAT on one over 70, whose full
+// evaluation ships a 68-entry descriptor in one frame.
 func FuzzServeSessions(f *testing.F) {
-	f.Add(encodeFrames(recordSession(f, false, 2, 0)))
-	f.Add(encodeFrames(recordSession(f, true, 1, 4))) // fragments from here on
+	f.Add(encodeFrames(recordSession(f, false, 8, 2)))
+	f.Add(encodeFrames(recordSession(f, true, 70, 1)))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, served := serve(true)

@@ -103,14 +103,9 @@ func serveSession(l fabric.Link, initPayload []byte) (done bool, err error) {
 		defer pool.Close()
 	}
 	geom := &init.Geom
-	// Session-lifetime reassembly buffer and decoded-job slabs: TagJobFrag
-	// fragments accumulate in frag until the closing TagJob frame, and
-	// every frame decodes into the same WireJob so the steady-state serve
+	// Every frame decodes into the same WireJob, so the steady-state serve
 	// loop reuses its entry/view/partial slabs instead of reallocating.
-	var (
-		job  likelihood.WireJob
-		frag []byte
-	)
+	var job likelihood.WireJob
 	for {
 		tag, payload, err := l.Recv()
 		if err != nil {
@@ -125,17 +120,8 @@ func serveSession(l fabric.Link, initPayload []byte) (done bool, err error) {
 			if l.Send(TagPong, nil) != nil {
 				return true, nil
 			}
-		case TagJobFrag:
-			frag = append(frag, payload...)
-			fabric.RecycleLink(l, payload)
 		case TagJob:
-			buf := payload
-			if len(frag) > 0 {
-				frag = append(frag, payload...)
-				buf = frag
-			}
-			decErr := likelihood.DecodeWireJobInto(&job, buf)
-			frag = frag[:0]
+			decErr := likelihood.DecodeWireJobInto(&job, payload)
 			fabric.RecycleLink(l, payload)
 			if decErr != nil {
 				// Corrupt job frame: the stream is desynced, so close the

@@ -315,29 +315,26 @@ func TestSPRFuzzInvalidationExact(t *testing.T) {
 
 	for step := 0; step < 25; step++ {
 		switch r.Intn(3) {
-		case 0: // SPR: prune a random subtree, regraft into a random edge
+		case 0: // SPR as the search makes it: dangling prune, plug into a random edge of the main component
 			edges := tr.Edges()
 			var p *tree.PrunedSubtree
-			var err error
 			for try := 0; try < 50 && p == nil; try++ {
 				edge := edges[r.Intn(len(edges))]
 				if tr.Nodes[edge.B].IsTip() {
 					continue
 				}
-				p, err = tr.Prune(edge.A, edge.B)
-				if err != nil {
-					p = nil
-				}
+				p, _ = tr.DanglingPrune(edge.A, edge.B)
 			}
 			if p == nil {
 				continue
 			}
-			rem := tr.Edges()
-			if err := tr.Regraft(p, rem[r.Intn(len(rem))]); err != nil {
-				tr.Restore(p)
-				continue
+			e.InvalidateEdge(p.OrigA, p.OrigB)
+			e.InvalidateNode(p.Attach)
+			cands := tr.AppendRegraftCandidates(nil, p, 1<<20)
+			if err := tr.Plug(p, cands[r.Intn(len(cands))]); err != nil {
+				t.Fatal(err)
 			}
-			e.InvalidateAll()
+			e.InvalidateNode(p.Attach)
 			check(step, "spr")
 		case 1: // branch-length edit with precise invalidation
 			edges := tr.Edges()
@@ -404,7 +401,7 @@ func sprLockstep(t *testing.T, r *rng.RNG, steps int, a, b *Engine, ta, tb *tree
 		a.InvalidateNode(pa.Attach)
 		b.InvalidateAll()
 
-		cands := ta.RegraftCandidates(pa, 1+r.Intn(8))
+		cands := ta.AppendRegraftCandidates(nil, pa, 1+r.Intn(8))
 		da, db := a.DispatchCount(), b.DispatchCount()
 		batch = a.EvaluateInsertions(root, attach, cands, batch)
 		for i, c := range cands {
@@ -516,8 +513,7 @@ func sprLockstepCases(t *testing.T) {
 
 // ---------- arena bookkeeping regressions ----------
 
-// TestRepeatedAttachTreeNoStaleState is the regression test for the
-// ensureArena single-grow fix: repeated AttachTree calls must neither
+// TestRepeatedAttachTreeNoStaleState: repeated AttachTree calls must neither
 // leak validity flags (a CLV from tree N observable under tree N+1) nor
 // grow the arena (tiles are recycled through the free list).
 func TestRepeatedAttachTreeNoStaleState(t *testing.T) {
@@ -552,11 +548,12 @@ func TestRepeatedAttachTreeNoStaleState(t *testing.T) {
 	}
 }
 
-// TestEnsureArenaGrowsForNewNodes covers the bookkeeping grow path:
-// when the tree's node arena grows (stepwise addition, SPR scratch
-// nodes), the new directed-edge entries must come up unbound and
-// invalid in one grow.
-func TestEnsureArenaGrowsForNewNodes(t *testing.T) {
+// TestNodeIDsBoundedByTaxa covers the directed-edge bookkeeping New
+// sizes for the 2·taxa node ids a tree over the engine's taxa can use: a
+// node the tree allocates after AttachTree is already covered, unbound
+// and invalid, without the bookkeeping moving, and a tree whose node
+// arena outgrows that bound is refused instead of indexed past it.
+func TestNodeIDsBoundedByTaxa(t *testing.T) {
 	r := rng.New(56)
 	pat := randomPatterns(t, r, 8, 60)
 	e := newEngine(t, pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), 1)
@@ -565,32 +562,35 @@ func TestEnsureArenaGrowsForNewNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = e.LogLikelihood()
-	before := len(e.tileOf)
+	tileOf, valid := sliceData(e.tileOf), sliceData(e.valid)
 
 	// Grow the tree's node arena without touching topology.
 	id := tr.NewInternal()
-	e.ensureArena()
-	if len(e.tileOf) != tr.MaxNodeID()*3 {
-		t.Fatalf("bookkeeping %d entries, want %d", len(e.tileOf), tr.MaxNodeID()*3)
-	}
-	if len(e.tileOf) <= before {
-		t.Fatal("bookkeeping did not grow with the node arena")
-	}
-	for i := before; i < len(e.tileOf); i++ {
+	for i := id * 3; i < id*3+3; i++ {
 		if e.tileOf[i] != noTile || e.valid[i] {
-			t.Fatalf("new entry %d born bound/valid (tile %d, valid %v)", i, e.tileOf[i], e.valid[i])
+			t.Fatalf("entry %d of new node %d born bound/valid (tile %d, valid %v)", i, id, e.tileOf[i], e.valid[i])
 		}
 	}
-	// Old bindings and likelihood survive the grow.
+	// Old bindings and likelihood are untouched.
 	got := e.LogLikelihood()
 	fresh := newEngine(t, pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), 1)
 	if err := fresh.AttachTree(tr.Clone()); err != nil {
 		t.Fatal(err)
 	}
 	if want := fresh.LogLikelihood(); math.Abs(got-want) > 1e-9*math.Abs(want) {
-		t.Fatalf("after grow: %.12f vs fresh %.12f", got, want)
+		t.Fatalf("after a new node: %.12f vs fresh %.12f", got, want)
 	}
-	_ = id
+	if sliceData(e.tileOf) != tileOf || sliceData(e.valid) != valid {
+		t.Error("the directed-edge bookkeeping was reallocated after New")
+	}
+
+	big := tr.Clone()
+	for big.MaxNodeID() <= 2*pat.NumTaxa() {
+		big.NewInternal()
+	}
+	if err := e.AttachTree(big); err == nil {
+		t.Fatalf("a tree with %d node ids over %d taxa was attached", big.MaxNodeID(), pat.NumTaxa())
+	}
 }
 
 // TestTileFreeListReuse asserts the free list actually recycles tiles:

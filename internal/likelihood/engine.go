@@ -235,8 +235,10 @@ type Engine struct {
 	// 64-byte cache lines (8 float64 / 16 int32) so each segment starts
 	// on its own line and partition-relative stripe snapping keeps
 	// workers off each other's lines. tileOf[node*3+slot] maps a
-	// directed edge to its tile (noTile until first needed); freeTiles
-	// recycles tiles released by AttachTree. The float64 offset of
+	// directed edge to its tile (noTile until first needed), for the
+	// 2·taxa node ids a tree over the engine's taxa (or a frame a worker
+	// admits, checkWireJob) can name; freeTiles recycles tiles released by
+	// AttachTree. The float64 offset of
 	// directed CLV (node, slot) at tile-axis pattern k (in partition p),
 	// category c, state s is
 	//
@@ -314,32 +316,13 @@ type Engine struct {
 
 	// travFillNext is the absolute descriptor index up to which P
 	// matrices and tip LUTs are filled. A pipelining Dispatcher (see
-	// fillPipeliner) defers the fill from prepareTraversal into chunked
-	// FillTravChunk calls interleaved with frame encodes, so P-fills of
-	// later entries overlap the shipping of earlier ones; non-pipelining
-	// pools fill everything in prepareTraversal and leave this == len.
-	// fillTravFn/fillWireFn are the bound fill methods, created once so
-	// the hot path never re-allocates a method-value closure.
+	// fillPipeliner) defers the fill from prepareTraversal to a
+	// FillTravChunk call after the frame has left; other pools fill
+	// everything in prepareTraversal and leave this == len. fillTravFn is
+	// the bound fill method, created once so the hot path never
+	// re-allocates a method-value closure.
 	travFillNext int
 	fillTravFn   func(lo, hi int)
-	fillWireFn   func(lo, hi int)
-
-	// Delta-descriptor ship cache (master side): wireShipped[node*3+slot]
-	// is the last descriptor entry shipped full for that directed edge,
-	// or the zero entry, which no descriptor entry equals (node 0 is a
-	// tip). An unchanged entry re-ships as a 9-byte ref instead of the
-	// 49-byte full form. Cleared whenever a frame carries a model block or
-	// tile reset — the workers clear their edge caches on exactly the same
-	// flags, so both sides stay coherent.
-	wireShipped []WireEntry
-
-	// Worker-side edge cache (remote.go): per directed edge, the last
-	// fully shipped entry with its rebuilt P matrices and tip LUTs, so a
-	// ref entry reuses the cached matrices bit-identically instead of
-	// recomputing them. wireFillIdx collects the indices of entries that
-	// DO need a fill this job.
-	wireCache   []wireEdgeCache
-	wireFillIdx []int
 
 	// job inputs published before posting a job code: the job's branch
 	// length (an edge job's edge, a scan's pendant branch), the symbolic
@@ -522,7 +505,6 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 	}
 	e.scratch = make([]workerScratch, e.pool.Workers())
 	e.fillTravFn = e.fillTravMatrices
-	e.fillWireFn = e.fillWireIdxMatrices
 	e.fillScanFn = e.fillScanHalves
 	e.tipCodeMask = make([]uint16, pat.NumTaxa())
 	for taxon, row := range pat.Data {
@@ -560,6 +542,11 @@ func (e *Engine) reserve() {
 	e.arena = make([]float64, 0, e.maxTiles*floats)
 	e.scaleArena = make([]int32, 0, e.maxTiles*scale)
 	e.freeTiles = make([]int32, 0, e.maxTiles)
+	e.tileOf = make([]int32, 3*2*taxa)
+	for i := range e.tileOf {
+		e.tileOf[i] = noTile
+	}
+	e.valid = make([]bool, 3*2*taxa)
 	e.tilePos = make([]int32, n+1)
 	e.tileIdx = make([]int32, 0, n)
 	e.tileW = make([]int, 0, n)
@@ -728,20 +715,14 @@ func (e *Engine) AttachTree(t *tree.Tree) error {
 	if t.NumTaxa() != e.pat.NumTaxa() {
 		return fmt.Errorf("likelihood: tree has %d taxa, patterns have %d", t.NumTaxa(), e.pat.NumTaxa())
 	}
+	if 3*t.MaxNodeID() > len(e.tileOf) {
+		return fmt.Errorf("likelihood: tree has %d node ids, %d taxa allow %d", t.MaxNodeID(), t.NumTaxa(), len(e.tileOf)/3)
+	}
 	e.tree = t
-	e.ensureArena()
 	e.releaseTiles()
 	e.InvalidateAll()
 	e.topoEpoch++
 	return nil
-}
-
-// ensureArena grows the per-directed-edge bookkeeping (tile bindings
-// and validity flags) to the tree's node-arena size; worker-mode
-// engines size the same bookkeeping from the wire via
-// EnsureNodeCapacity (remote.go), which holds the single grow path.
-func (e *Engine) ensureArena() {
-	e.EnsureNodeCapacity(e.tree.MaxNodeID())
 }
 
 // releaseTiles unbinds every directed edge from its tile and returns
@@ -983,7 +964,6 @@ func (e *Engine) LogLikelihood() float64 {
 // crossing) regardless of how much of the tree went stale and of how
 // many partitions the alignment has.
 func (e *Engine) EvaluateEdge(a, b int) float64 {
-	e.ensureArena()
 	slotA := e.slotOf(a, b)
 	slotB := e.slotOf(b, a)
 	e.beginTraversal()

@@ -18,7 +18,7 @@ import (
 // the in-proc chan transport.
 
 // wireJobFrame hand-builds a job frame of a code without payload: no
-// model block, branch length 0.125, the given views and full entries.
+// model block, branch length 0.125, the given views and entries.
 // wireJobFrame(threads.JobNewview, 16, nil) is the smallest well-formed
 // frame.
 func wireJobFrame(code threads.JobCode, maxNode uint32, views []WireView, entries ...WireEntry) []byte {
@@ -29,7 +29,6 @@ func wireJobFrame(code threads.JobCode, maxNode uint32, views []WireView, entrie
 	}
 	b = appendU32(b, uint32(len(entries)))
 	for _, we := range entries {
-		b = append(b, wireEntFull)
 		for _, v := range []int32{we.Node, we.Slot, we.C1, we.C1Slot, we.C1Tax, we.C2, we.C2Slot, we.C2Tax} {
 			b = appendI32(b, v)
 		}
@@ -94,9 +93,9 @@ func TestExecWireJobRejectsOutOfRange(t *testing.T) {
 }
 
 // FuzzDecodeDescriptor decodes every input as a job frame and executes
-// what decodes on a fresh worker engine, twice — the second run replays
-// the edge cache the first one filled — stopping at the first error, as
-// a worker's session does.
+// what decodes on a fresh worker engine, twice — the second run meets the
+// tiles and memo blocks the first one left — stopping at the first
+// error, as a worker's session does.
 func FuzzDecodeDescriptor(f *testing.F) {
 	frame := wireJobFrame(threads.JobNewview, 16, nil)
 	f.Add([]byte{})

@@ -681,7 +681,6 @@ func (e *Engine) SiteLogLikelihoods(dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, e.nPatterns)
 	}
-	e.ensureArena()
 	a := 0
 	b := e.tree.Nodes[0].Neighbors[0]
 	slotA := e.slotOf(a, b)

@@ -438,9 +438,15 @@ func TestTopologyChangeDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = e.LogLikelihood()
-	// NNI then InvalidateAll: engine must agree with a fresh engine.
+	// An SPR move then InvalidateAll: engine must agree with a fresh
+	// engine.
 	ie := tr.InternalEdges()[0]
-	if err := tr.NNI(tree.NNIMove{Edge: ie, Variant: 0}); err != nil {
+	p, err := tr.DanglingPrune(ie.A, ie.B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := tr.AppendRegraftCandidates(nil, p, 1<<20)
+	if err := tr.Plug(p, cands[len(cands)-1]); err != nil {
 		t.Fatal(err)
 	}
 	e.InvalidateAll()
@@ -451,7 +457,7 @@ func TestTopologyChangeDetected(t *testing.T) {
 	}
 	want := e2.LogLikelihood()
 	if math.Abs(got-want) > 1e-9*math.Abs(want) {
-		t.Fatalf("after NNI: %.10f vs fresh engine %.10f", got, want)
+		t.Fatalf("after SPR: %.10f vs fresh engine %.10f", got, want)
 	}
 }
 

@@ -38,7 +38,6 @@ const (
 // the per-partition derivative partials simply add, so the partitioned
 // iteration is the same loop.
 func (e *Engine) OptimizeBranch(a, b int) float64 {
-	e.ensureArena()
 	slotA := e.slotOf(a, b)
 	slotB := e.slotOf(b, a)
 	if e.legacyMakenewz {
@@ -148,7 +147,6 @@ func (e *Engine) edgesDFS() []tree.Edge {
 // OptimizeBranch carry at most the one view the previous branch's
 // length change invalidated. Returns the number of branches optimized.
 func (e *Engine) OptimizeJunction(center int) int {
-	e.ensureArena()
 	n := &e.tree.Nodes[center]
 	var views [6][2]int
 	nv := 0

@@ -291,35 +291,26 @@ func TestPartitionedSPRFuzzInvalidationExact(t *testing.T) {
 
 	for step := 0; step < 15; step++ {
 		switch r.Intn(3) {
-		case 0: // SPR: prune a random subtree, regraft into a random edge
+		case 0: // SPR as the search makes it: dangling prune, plug into a random edge of the main component
 			edges := tr.Edges()
 			var p *tree.PrunedSubtree
-			var err error
 			for try := 0; try < 50 && p == nil; try++ {
 				edge := edges[r.Intn(len(edges))]
 				if tr.Nodes[edge.B].IsTip() {
 					continue
 				}
-				p, err = tr.Prune(edge.A, edge.B)
-				if err != nil {
-					p = nil
-				}
+				p, _ = tr.DanglingPrune(edge.A, edge.B)
 			}
 			if p == nil {
 				continue
 			}
-			// Candidates exclude edges inside the pruned component
-			// (regrafting there would create a cycle).
-			cands := tr.RegraftCandidates(p, 1<<20)
-			if len(cands) == 0 {
-				tr.Restore(p)
-				continue
+			e.InvalidateEdge(p.OrigA, p.OrigB)
+			e.InvalidateNode(p.Attach)
+			cands := tr.AppendRegraftCandidates(nil, p, 1<<20)
+			if err := tr.Plug(p, cands[r.Intn(len(cands))]); err != nil {
+				t.Fatal(err)
 			}
-			if err := tr.Regraft(p, cands[r.Intn(len(cands))]); err != nil {
-				tr.Restore(p)
-				continue
-			}
-			e.InvalidateAll()
+			e.InvalidateNode(p.Attach)
 			check(step, "spr")
 		case 1: // branch-length edit with precise invalidation
 			edges := tr.Edges()

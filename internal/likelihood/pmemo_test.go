@@ -119,7 +119,7 @@ func memoLockstep(t *testing.T, r *rng.RNG, steps int, a, b *Engine, names []str
 			e.InvalidateEdge(pa.OrigA, pa.OrigB)
 			e.InvalidateNode(pa.Attach)
 		}
-		cands := ta.RegraftCandidates(pa, 1+r.Intn(8))
+		cands := ta.AppendRegraftCandidates(nil, pa, 1+r.Intn(8))
 		sa = a.EvaluateInsertions(root, at, cands, sa)
 		sb = b.EvaluateInsertions(root, at, cands, sb)
 		for i := range cands {

@@ -76,38 +76,17 @@ const (
 // resolved to taxa: compute directed CLV (Node, Slot) from children
 // (C1, C1Slot) and (C2, C2Slot) across branches Len1/Len2. A
 // non-negative CxTaxon marks a tip child (the remote rank has no tree
-// to look it up in). Ref marks a delta reference: only (Node, Slot)
-// crossed the wire and the rest of the entry — children, lengths, and
-// the rebuilt P matrices/LUTs — comes from the receiving rank's edge
-// cache, keyed by the same directed edge.
+// to look it up in). Every entry ships whole, wireEntryBytes of it.
 type WireEntry struct {
 	Node, Slot        int32
 	C1, C1Slot, C1Tax int32
 	C2, C2Slot, C2Tax int32
 	Len1, Len2        float64
-	Ref               bool
 }
 
-// wireEdgeCache is one directed edge's slot in a worker engine's
-// delta-descriptor cache: the last entry shipped full for the edge plus
-// the P matrices (pL then pR, e.totalCats categories each) and tip LUTs
-// rebuilt from it. A ref entry replays all of it without recomputation
-// — bit-identical, since the cached matrices were produced by the exact
-// code a full entry would run. The cache lives until a frame carries a
-// model block or tile reset (ExecWireJob clears it on the same flags
-// that clear the master's ship cache).
-type wireEdgeCache struct {
-	ok         bool
-	ent        WireEntry
-	p          [][16]float64
-	lutL, lutR []float64
-}
-
-// Descriptor entry kinds on the wire (first byte of every entry).
-const (
-	wireEntFull byte = 0 // full 48-byte entry follows
-	wireEntRef  byte = 1 // 8-byte (node, slot) ref into the edge cache
-)
+// wireEntryBytes is the encoded size of a WireEntry: eight int32 and two
+// f64.
+const wireEntryBytes = 8*4 + 2*8
 
 // WireModel is the model-sync block: full per-partition model state
 // plus the active pattern weights over the master's full pattern axis.
@@ -198,26 +177,13 @@ type WorkerGeom struct {
 }
 
 // WireMaster is what a distributed Dispatcher requires of its runner:
-// the planning engine must encode the job in flight as a header plus
-// entry ranges interleaved with the deferred P-fill (WireJobHeader /
-// WireJobEntries / FillTravChunk / WireJobFrame) and absorb remote
-// partials. *Engine implements it.
+// the planning engine must encode the job in flight (EncodeWireJob),
+// complete its deferred P-fill once the frame has left (FillTravChunk)
+// and absorb remote partials. *Engine implements it.
 type WireMaster interface {
 	threads.JobRunner
-	// WireJobHeader starts a frame: job code, flags, capacity, optional
-	// model block, views, factor block and the entry count. Returns the
-	// header bytes and the number of descriptor entries to follow.
-	WireJobHeader(code threads.JobCode, includeModel, reset bool) (header []byte, entries int)
-	// WireJobEntries appends the window-relative entry range [lo, hi) in
-	// delta form and returns exactly the appended bytes. Appended ranges
-	// accumulate: WireJobFrame returns the whole frame so far.
-	WireJobEntries(lo, hi int) []byte
-	// WireJobFrame returns the complete frame encoded so far (header
-	// plus every appended entry range).
-	WireJobFrame() []byte
-	// FillTravChunk completes the deferred P-matrix/LUT fill for the
-	// window-relative entry range [lo, hi); idempotent per entry.
-	FillTravChunk(lo, hi int)
+	EncodeWireJob(code threads.JobCode, includeModel, reset bool) []byte
+	FillTravChunk()
 	WireEpochs() (model, topo uint64)
 	// WirePartialLen returns how many wide components and how many
 	// per-pattern float64 the partial of the rank owning `stripe` must
@@ -463,38 +429,16 @@ const (
 	jobFlagGather
 )
 
-// EncodeWireJob encodes the job in flight — the prepared descriptor
-// window, the job's views and branch lengths, optionally a model-sync
-// block and a tile-reset marker — into a frame the same engine decodes
-// with DecodeWireJob on a remote rank. Must be called between the
-// master's prepareTraversal and the job's completion. The returned
-// buffer is reused by the next call. The whole-frame form of the
-// WireJobHeader/WireJobEntries pair a distributed Dispatcher uses.
+// EncodeWireJob encodes the job in flight — job code, flags, node
+// capacity, optionally a model-sync block, the branch length, the code's
+// views and payload (jobTable) and every entry of the prepared descriptor
+// window — into a frame the same engine decodes with DecodeWireJob on a
+// remote rank. Must be called between the master's prepareTraversal and
+// the job's completion. The returned buffer is reused by the next call.
 func (e *Engine) EncodeWireJob(code threads.JobCode, includeModel, reset bool) []byte {
-	_, n := e.WireJobHeader(code, includeModel, reset)
-	if n > 0 {
-		e.WireJobEntries(0, n)
-	}
-	return e.wireBuf
-}
-
-// WireJobHeader resets the wire buffer and encodes everything up to and
-// including the descriptor entry count: job code, flags, node capacity,
-// optional model-sync block, branch length, the code's views and its
-// payload (jobTable). It returns the header bytes and the
-// number of entries WireJobEntries calls must append. A frame carrying
-// a model block or reset marker clears the delta ship cache — the
-// workers clear their edge caches on the same flags, keeping both ends
-// coherent without any extra traffic.
-func (e *Engine) WireJobHeader(code threads.JobCode, includeModel, reset bool) ([]byte, int) {
-	if includeModel || reset {
-		clear(e.wireShipped)
-	}
 	if includeModel {
 		e.modelBlocks++
 	}
-	maxNode := e.tree.MaxNodeID()
-	e.wireShipped = growTo(e.wireShipped, 3*maxNode)
 	s := &jobTable[code]
 	b := e.wireBuf[:0]
 	b = append(b, byte(code))
@@ -509,7 +453,7 @@ func (e *Engine) WireJobHeader(code threads.JobCode, includeModel, reset bool) (
 		flags |= jobFlagGather
 	}
 	b = append(b, flags)
-	b = appendU32(b, uint32(maxNode))
+	b = appendU32(b, uint32(e.tree.MaxNodeID()))
 	if includeModel {
 		b = e.appendWireModel(b)
 	}
@@ -530,64 +474,32 @@ func (e *Engine) WireJobHeader(code threads.JobCode, includeModel, reset bool) (
 	case payloadFactors:
 		b = e.appendWireFactors(b)
 	}
-	n := e.travHi - e.travLo
-	b = appendU32(b, uint32(n))
-	e.wireBuf = b
-	return b, n
-}
-
-// WireJobEntries appends the window-relative descriptor range [lo, hi)
-// to the frame in delta form: an entry identical to the last one
-// shipped full for its directed edge (same children, same lengths,
-// cache not invalidated since) goes out as a 9-byte ref; everything
-// else goes out full and refreshes the ship cache. Returns exactly the
-// appended bytes, valid until the next call that appends to the frame
-// (the dispatcher sends each range before it encodes the next).
-func (e *Engine) WireJobEntries(lo, hi int) []byte {
-	b := e.wireBuf
-	start := len(b)
 	window := e.trav[e.travLo:e.travHi]
-	for i := lo; i < hi; i++ {
+	b = appendU32(b, uint32(len(window)))
+	for i := range window {
 		ent := &window[i]
 		p := &ent.pub
-		we := WireEntry{
-			Node: int32(p.Node), Slot: int32(p.Slot),
-			C1: int32(p.C1), C1Slot: int32(p.C1Slot), C1Tax: -1,
-			C2: int32(p.C2), C2Slot: int32(p.C2Slot), C2Tax: -1,
-			Len1: p.Len1, Len2: p.Len2,
-		}
+		c1Tax, c2Tax := int32(-1), int32(-1)
 		if ent.left.tip {
-			we.C1Tax = int32(ent.left.taxon)
+			c1Tax = int32(ent.left.taxon)
 		}
 		if ent.right.tip {
-			we.C2Tax = int32(ent.right.taxon)
+			c2Tax = int32(ent.right.taxon)
 		}
-		idx := p.Node*3 + p.Slot
-		if e.wireShipped[idx] == we {
-			b = append(b, wireEntRef)
-			b = appendI32(b, we.Node)
-			b = appendI32(b, we.Slot)
-			continue
-		}
-		b = append(b, wireEntFull)
-		b = appendI32(b, we.Node)
-		b = appendI32(b, we.Slot)
-		b = appendI32(b, we.C1)
-		b = appendI32(b, we.C1Slot)
-		b = appendI32(b, we.C1Tax)
-		b = appendI32(b, we.C2)
-		b = appendI32(b, we.C2Slot)
-		b = appendI32(b, we.C2Tax)
-		b = appendF64(b, we.Len1)
-		b = appendF64(b, we.Len2)
-		e.wireShipped[idx] = we
+		b = appendI32(b, int32(p.Node))
+		b = appendI32(b, int32(p.Slot))
+		b = appendI32(b, int32(p.C1))
+		b = appendI32(b, int32(p.C1Slot))
+		b = appendI32(b, c1Tax)
+		b = appendI32(b, int32(p.C2))
+		b = appendI32(b, int32(p.C2Slot))
+		b = appendI32(b, c2Tax)
+		b = appendF64(b, p.Len1)
+		b = appendF64(b, p.Len2)
 	}
 	e.wireBuf = b
-	return b[start:]
+	return b
 }
-
-// WireJobFrame returns the complete frame encoded so far.
-func (e *Engine) WireJobFrame() []byte { return e.wireBuf }
 
 // appendWireModel appends the model-sync block: active weights over the
 // full pattern axis plus every partition's parameters and rate
@@ -766,34 +678,22 @@ func DecodeWireJobInto(j *WireJob, buf []byte) error {
 	case payloadFactors:
 		j.Factors = decodeWireFactors(r, reuse)
 	}
+	// The remaining bytes bound the entry count before anything is sized
+	// from it.
 	n := int(r.u32())
 	j.Entries = j.Entries[:0]
-	if r.err == nil && n > 0 {
-		// Every entry is at least 9 bytes (kind + node + slot), which
-		// bounds a hostile count before the loop runs.
-		if r.off+n*9 > len(r.b) {
-			r.fail()
-		} else {
-			j.Entries = slices.Grow(j.Entries, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				switch kind := r.u8(); kind {
-				case wireEntFull:
-					j.Entries = append(j.Entries, WireEntry{
-						Node: r.i32(), Slot: r.i32(),
-						C1: r.i32(), C1Slot: r.i32(), C1Tax: r.i32(),
-						C2: r.i32(), C2Slot: r.i32(), C2Tax: r.i32(),
-						Len1: r.f64(), Len2: r.f64(),
-					})
-				case wireEntRef:
-					j.Entries = append(j.Entries, WireEntry{
-						Node: r.i32(), Slot: r.i32(), Ref: true,
-					})
-				default:
-					if r.err == nil {
-						r.err = fmt.Errorf("likelihood: descriptor entry %d has kind %d", i, kind)
-					}
-				}
-			}
+	if r.err == nil && (n < 0 || n > (len(r.b)-r.off)/wireEntryBytes) {
+		r.fail()
+	}
+	if r.err == nil {
+		j.Entries = slices.Grow(j.Entries, n)
+		for i := 0; i < n; i++ {
+			j.Entries = append(j.Entries, WireEntry{
+				Node: r.i32(), Slot: r.i32(),
+				C1: r.i32(), C1Slot: r.i32(), C1Tax: r.i32(),
+				C2: r.i32(), C2Slot: r.i32(), C2Tax: r.i32(),
+				Len1: r.f64(), Len2: r.f64(),
+			})
 		}
 	}
 	if r.err != nil {
@@ -838,27 +738,6 @@ func decodeWireModel(r *wireReader) *WireModel {
 // ---------------------------------------------------------------------
 // Worker-mode engine operations
 // ---------------------------------------------------------------------
-
-// EnsureNodeCapacity sizes the per-directed-edge bookkeeping (tile
-// bindings, validity flags) for node ids below maxNode. Worker-mode
-// engines have no attached tree, so the master ships the capacity with
-// every job frame; ensureArena is the tree-driven wrapper.
-func (e *Engine) EnsureNodeCapacity(maxNode int) {
-	old := len(e.tileOf)
-	e.tileOf = growTo(e.tileOf, 3*maxNode)
-	for i := old; i < len(e.tileOf); i++ {
-		e.tileOf[i] = noTile
-	}
-	e.valid = growTo(e.valid, 3*maxNode)
-}
-
-// growTo returns s extended with zero values to length n, contents kept.
-func growTo[T any](s []T, n int) []T {
-	if len(s) < n {
-		s = append(s, make([]T, n-len(s))...)
-	}
-	return s
-}
 
 // ApplyWireModel installs a model-sync block onto a worker engine,
 // slicing the per-pattern vectors (weights, CAT assignments) down to
@@ -915,81 +794,33 @@ func (e *Engine) ApplyWireModel(m *WireModel, g *WorkerGeom) error {
 	return nil
 }
 
-// prepareWireTraversal is the worker-mode prepareTraversal: it resolves
-// a shipped descriptor window against the LOCAL arena (binding tiles in
-// entry order, exactly as the master binds its own) and rebuilds every
-// FULL entry's per-partition transition matrices and tip lookup tables
-// from the entry's branch lengths into the edge cache — the worker-side
-// P rebuild that keeps job frames small. Ref entries replay their
-// cached content and matrices untouched: bit-identical to recomputing
-// them, at zero cost. No tree is consulted: tip children arrive
-// pre-resolved.
-func (e *Engine) prepareWireTraversal(entries []WireEntry, maxNode int) error {
-	e.wireCache = growTo(e.wireCache, 3*maxNode)
-	e.trav = e.trav[:0]
-	e.wireFillIdx = e.wireFillIdx[:0]
-	n := len(entries)
-	e.travLo, e.travHi = 0, n
-	e.travFillNext = n // workers fill (or replay) everything below
-	if n == 0 {
-		return nil
-	}
-	e.ensureP()
-	nc := e.totalCats
-	lutSize := 16 * nc * 4
+// prepareWireTraversal is the worker-mode planner: it lays a shipped
+// descriptor window out as the master's own (tip children from the
+// frame, not from a tree) and plans it with prepareTraversal — tiles bound
+// in the LOCAL arena in entry order, exactly as the master binds its own,
+// and every entry's transition matrices and tip lookup tables rebuilt from
+// its branch lengths through the memo, the worker-side P rebuild that
+// keeps job frames small.
+func (e *Engine) prepareWireTraversal(entries []WireEntry) {
+	e.beginTraversal()
 	for i := range entries {
 		we := &entries[i]
-		idx := int(we.Node)*3 + int(we.Slot)
-		c := &e.wireCache[idx]
-		if we.Ref {
-			if !c.ok || len(c.p) != 2*nc {
-				return fmt.Errorf("likelihood: delta ref to directed edge (%d, %d) with no cached entry", we.Node, we.Slot)
-			}
-		} else {
-			if len(c.p) != 2*nc {
-				c.p = make([][16]float64, 2*nc)
-			}
-			c.ent = *we
-			c.ent.Ref = false
-			c.ok = true
-			e.wireFillIdx = append(e.wireFillIdx, i)
-		}
-		src := &c.ent
 		ent := travEntry{pub: TraversalEntry{
-			Node: int(src.Node), Slot: int(src.Slot),
-			C1: int(src.C1), C1Slot: int(src.C1Slot),
-			C2: int(src.C2), C2Slot: int(src.C2Slot),
-			Len1: src.Len1, Len2: src.Len2,
+			Node: int(we.Node), Slot: int(we.Slot),
+			C1: int(we.C1), C1Slot: int(we.C1Slot),
+			C2: int(we.C2), C2Slot: int(we.C2Slot),
+			Len1: we.Len1, Len2: we.Len2,
 		}}
-		if src.C1Tax >= 0 {
-			ent.left = travChild{tip: true, taxon: int(src.C1Tax)}
-			if len(c.lutL) != lutSize {
-				c.lutL = make([]float64, lutSize)
-			}
-			ent.lutL = c.lutL
+		if we.C1Tax >= 0 {
+			ent.left = travChild{tip: true, taxon: int(we.C1Tax)}
 		}
-		if src.C2Tax >= 0 {
-			ent.right = travChild{tip: true, taxon: int(src.C2Tax)}
-			if len(c.lutR) != lutSize {
-				c.lutR = make([]float64, lutSize)
-			}
-			ent.lutR = c.lutR
+		if we.C2Tax >= 0 {
+			ent.right = travChild{tip: true, taxon: int(we.C2Tax)}
 		}
-		ent.pL = c.p[:nc]
-		ent.pR = c.p[nc:]
 		e.trav = append(e.trav, ent)
 	}
-	for i := range e.trav {
-		e.bindTravEntry(&e.trav[i])
-	}
-	e.memoSync()
-	misses := 0
-	for _, i := range e.wireFillIdx {
-		misses += e.planTravEntry(&e.trav[i])
-	}
-	e.forkFill(0, len(e.wireFillIdx), misses, e.fillWireFn)
-	e.newviewCount += int64(n)
-	return nil
+	e.prepareTraversal()
+	e.travLo, e.travHi = 0, len(e.trav)
 }
 
 // wireChildView materializes a symbolic view against the local arena.
@@ -1013,9 +844,7 @@ func (e *Engine) wireChildView(v WireView) childView {
 // taxon outside them in an entry, a view or a candidate, or a node there
 // that is not an internal node below the capacity: internal nodes have
 // the ids [taxa, 2·taxa−2), so every directed view a frame can name is
-// one of the 3·(taxa−2) the engine reserved tiles for. Ref entries name
-// only their edge; the rest comes from an edge cache entry that passed
-// here when it was shipped full.
+// one of the 3·(taxa−2) the engine reserved tiles for.
 func (e *Engine) checkWireJob(job *WireJob, s *jobSpec) error {
 	taxa := e.pat.NumTaxa()
 	nodes := min(job.MaxNode, 2*taxa-2)
@@ -1032,7 +861,7 @@ func (e *Engine) checkWireJob(job *WireJob, s *jobSpec) error {
 	}
 	for i := 0; ok && i < len(job.Entries); i++ {
 		we := &job.Entries[i]
-		ok = edge(we.Node, we.Slot) && (we.Ref || child(we.C1Tax, we.C1, we.C1Slot) && child(we.C2Tax, we.C2, we.C2Slot))
+		ok = edge(we.Node, we.Slot) && child(we.C1Tax, we.C1, we.C1Slot) && child(we.C2Tax, we.C2, we.C2Slot)
 	}
 	if !ok {
 		return fmt.Errorf("%w: job code %d, %d views, %d nodes over %d taxa: a view count, node, slot or taxon out of range",
@@ -1042,7 +871,7 @@ func (e *Engine) checkWireJob(job *WireJob, s *jobSpec) error {
 }
 
 // ExecWireJob replays one decoded job frame on a worker engine: check
-// its ids (checkWireJob), apply capacity/reset/model state, resolve the
+// its ids (checkWireJob), apply reset/model state, resolve the
 // descriptor locally, install the code's payload, run the code's prep —
 // the matrices the master built, rebuilt from the shipped branch length
 // — run the job over the local thread crew (one local barrier crossing)
@@ -1054,15 +883,6 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 	s := jobOf(job.Code)
 	if err := e.checkWireJob(job, s); err != nil {
 		return nil, err
-	}
-	e.EnsureNodeCapacity(job.MaxNode)
-	if job.Reset || job.Model != nil {
-		// The master cleared its delta ship cache when it encoded these
-		// flags; clear the edge cache on the same trigger so refs can
-		// never replay matrices built under a stale model or topology.
-		for i := range e.wireCache {
-			e.wireCache[i].ok = false
-		}
 	}
 	if job.Reset {
 		// The worker-side mirror of AttachTree: the master's next
@@ -1076,9 +896,7 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if err := e.prepareWireTraversal(job.Entries, job.MaxNode); err != nil {
-		return nil, err
-	}
+	e.prepareWireTraversal(job.Entries)
 	e.ensureP()
 	e.jobWire, e.jobT, e.gatherSumtable = job.Views, job.T, job.Gather
 	switch s.payload {

@@ -56,11 +56,13 @@ func TestPartitionLogLikelihoodsOneDispatch(t *testing.T) {
 }
 
 // TestWireJobRoundTrip pins the job-frame codec: a prepared descriptor
-// plus job metadata must decode to exactly what was encoded, including
-// the optional model block and reset marker.
+// plus job metadata must decode to exactly what was encoded, field for
+// field, including the optional model block and reset marker. The tree
+// has 70 taxa, so the full traversal is a descriptor of 68 entries: one
+// frame whose every entry ships whole, wireEntryBytes of it.
 func TestWireJobRoundTrip(t *testing.T) {
 	r := rng.New(77)
-	pat := randomPatterns(t, r, 8, 120)
+	pat := randomPatterns(t, r, 70, 120)
 	e := newEngine(t, pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), 1)
 	tr := tree.Random(pat.Names, r)
 	if err := e.AttachTree(tr); err != nil {
@@ -78,6 +80,9 @@ func TestWireJobRoundTrip(t *testing.T) {
 	e.prepareTraversal()
 	e.travLo, e.travHi = 0, len(e.trav)
 	e.setEdgeJob(a, slotA, b, slotB, 0.125)
+	if len(e.trav) < 64 {
+		t.Fatalf("full traversal of %d taxa has %d entries, want at least 64", pat.NumTaxa(), len(e.trav))
+	}
 
 	frame := e.EncodeWireJob(threads.JobEvaluate, true, true)
 	job, err := DecodeWireJob(frame)
@@ -93,21 +98,29 @@ func TestWireJobRoundTrip(t *testing.T) {
 	if job.T != 0.125 {
 		t.Fatalf("branch length %g, want 0.125", job.T)
 	}
-	if job.NViews != 2 {
-		t.Fatalf("NViews %d, want 2", job.NViews)
+	if job.NViews != 2 || job.Views != e.jobWire {
+		t.Fatalf("views %d %+v, want 2 %+v", job.NViews, job.Views, e.jobWire)
 	}
 	if len(job.Entries) != len(e.trav) {
 		t.Fatalf("%d entries, want %d", len(job.Entries), len(e.trav))
 	}
-	for i, we := range job.Entries {
-		pub := e.trav[i].pub
-		if int(we.Node) != pub.Node || int(we.Slot) != pub.Slot ||
-			int(we.C1) != pub.C1 || int(we.C2) != pub.C2 ||
-			we.Len1 != pub.Len1 || we.Len2 != pub.Len2 {
-			t.Fatalf("entry %d: %+v vs %+v", i, we, pub)
+	taxon := func(c travChild) int32 {
+		if c.tip {
+			return int32(c.taxon)
 		}
-		if (we.C1Tax >= 0) != e.trav[i].left.tip || (we.C2Tax >= 0) != e.trav[i].right.tip {
-			t.Fatalf("entry %d tip flags mismatch", i)
+		return -1
+	}
+	for i, got := range job.Entries {
+		ent := &e.trav[i]
+		p := ent.pub
+		want := WireEntry{
+			Node: int32(p.Node), Slot: int32(p.Slot),
+			C1: int32(p.C1), C1Slot: int32(p.C1Slot), C1Tax: taxon(ent.left),
+			C2: int32(p.C2), C2Slot: int32(p.C2Slot), C2Tax: taxon(ent.right),
+			Len1: p.Len1, Len2: p.Len2,
+		}
+		if got != want {
+			t.Fatalf("entry %d: %+v, want %+v", i, got, want)
 		}
 	}
 	m := job.Model
@@ -129,6 +142,9 @@ func TestWireJobRoundTrip(t *testing.T) {
 	}
 	if job2.Model != nil || job2.Reset {
 		t.Fatal("flagless frame decoded with model/reset present")
+	}
+	if want := 1 + 1 + 4 + 8 + 1 + 2*wireViewBytes + 4 + len(e.trav)*wireEntryBytes; len(frame2) != want {
+		t.Fatalf("flagless frame is %d bytes, want %d (%d whole entries)", len(frame2), want, len(e.trav))
 	}
 
 	// Truncations must error, not panic or misread.
@@ -338,89 +354,6 @@ func TestWorkerInitRoundTrip(t *testing.T) {
 	for k, w := range out.Pat.Weights {
 		if w != pat.Weights[48+k] {
 			t.Fatalf("weight %d: %d vs %d", k, w, pat.Weights[48+k])
-		}
-	}
-}
-
-// TestWireJobDeltaRefs pins the delta-descriptor codec: re-encoding an
-// unchanged descriptor replaces every 49-byte full entry with a 9-byte
-// (node, slot) ref against the master's ship cache, the refs decode
-// with the Ref flag set and the right identity, and a reset (or model)
-// flag clears the cache so the next frame ships full entries again.
-func TestWireJobDeltaRefs(t *testing.T) {
-	r := rng.New(78)
-	pat := randomPatterns(t, r, 8, 120)
-	e := newEngine(t, pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), 1)
-	tr := tree.Random(pat.Names, r)
-	if err := e.AttachTree(tr); err != nil {
-		t.Fatal(err)
-	}
-
-	plan := func() {
-		a := 0
-		b := e.tree.Nodes[0].Neighbors[0]
-		e.beginTraversal()
-		e.queueTraversal(a, e.slotOf(a, b))
-		e.queueTraversal(b, e.slotOf(b, a))
-		e.prepareTraversal()
-		e.travLo, e.travHi = 0, len(e.trav)
-	}
-
-	plan()
-	n := len(e.trav)
-	if n == 0 {
-		t.Fatal("stale tree produced an empty descriptor")
-	}
-	full := append([]byte(nil), e.EncodeWireJob(threads.JobNewview, false, true)...)
-
-	// Same plan again: every entry is unchanged, so the frame must
-	// shrink by the full-vs-ref per-entry difference exactly.
-	e.InvalidateAll() // marks every view stale; flags below keep the ship cache warm
-	plan()
-	if len(e.trav) != n {
-		t.Fatalf("replanned descriptor has %d entries, want %d", len(e.trav), n)
-	}
-	delta := append([]byte(nil), e.EncodeWireJob(threads.JobNewview, false, false)...)
-	if want := len(full) - n*40; len(delta) != want {
-		t.Fatalf("delta frame is %d bytes, want %d (%d entries at 9 instead of 49 bytes)",
-			len(delta), want, n)
-	}
-	job, err := DecodeWireJob(delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(job.Entries) != n {
-		t.Fatalf("delta frame decoded %d entries, want %d", len(job.Entries), n)
-	}
-	fullJob, err := DecodeWireJob(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, we := range job.Entries {
-		if !we.Ref {
-			t.Fatalf("entry %d decoded as full, want ref", i)
-		}
-		if we.Node != fullJob.Entries[i].Node || we.Slot != fullJob.Entries[i].Slot {
-			t.Fatalf("ref %d is (%d,%d), full shipped (%d,%d)",
-				i, we.Node, we.Slot, fullJob.Entries[i].Node, fullJob.Entries[i].Slot)
-		}
-	}
-
-	// A reset flag clears the ship cache: the same entries go full again.
-	e.InvalidateAll()
-	plan()
-	again := e.EncodeWireJob(threads.JobNewview, false, true)
-	if len(again) != len(full) {
-		t.Fatalf("post-reset frame is %d bytes, want %d (refs must not survive a reset)",
-			len(again), len(full))
-	}
-	againJob, err := DecodeWireJob(again)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, we := range againJob.Entries {
-		if we.Ref {
-			t.Fatalf("entry %d still shipped as ref after reset", i)
 		}
 	}
 }

@@ -58,7 +58,6 @@ func (e *Engine) EvaluateInsertions(subRoot, attach int, cands []tree.Edge, out 
 	if n == 0 {
 		return out
 	}
-	e.ensureArena()
 	slotSub := e.slotOf(subRoot, attach)
 	e.beginTraversal()
 	e.queueTraversal(subRoot, slotSub)

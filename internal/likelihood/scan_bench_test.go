@@ -57,7 +57,7 @@ func scanBenchEngine(b *testing.B, rates *gtr.RateCategories, radius, minCands i
 		if err != nil {
 			continue
 		}
-		cands := tr.RegraftCandidates(p, radius)
+		cands := tr.AppendRegraftCandidates(nil, p, radius)
 		if len(cands) < minCands {
 			tr.PlugBack(p)
 			continue

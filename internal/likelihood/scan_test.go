@@ -26,7 +26,7 @@ func danglingScan(t testing.TB, tr *tree.Tree, radius int) (*tree.PrunedSubtree,
 			if err != nil {
 				continue
 			}
-			if cands := tr.RegraftCandidates(p, radius); len(cands) >= 8 {
+			if cands := tr.AppendRegraftCandidates(nil, p, radius); len(cands) >= 8 {
 				return p, cands
 			}
 			tr.PlugBack(p)

@@ -43,8 +43,9 @@ func (p *tapPool) Post(r threads.JobRunner, code threads.JobCode) {
 // sliceData is the address of s's backing array.
 func sliceData[T any](s []T) unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(s)) }
 
-// backingArrays names the backing array of the arenas and of every
-// buffer New sizes by the pattern axis.
+// backingArrays names the backing array of the arenas, of the
+// directed-edge bookkeeping and of every buffer New sizes by the pattern
+// axis.
 func backingArrays(e *Engine) map[string]unsafe.Pointer {
 	m := map[string]unsafe.Pointer{
 		"arena":       sliceData(e.arena),
@@ -56,6 +57,8 @@ func backingArrays(e *Engine) map[string]unsafe.Pointer {
 		"tileCodes":   sliceData(e.tileCodes),
 		"tileCodeBuf": sliceData(e.tileCodeBuf),
 		"tipFlat":     sliceData(e.tipFlat),
+		"tileOf":      sliceData(e.tileOf),
+		"valid":       sliceData(e.valid),
 		"sumtable":    sliceData(e.sumtable),
 		"pendProd":    sliceData(e.pendProd),
 		"edgeSweep":   sliceData(e.edgeSweep),
@@ -72,7 +75,9 @@ func backingArrays(e *Engine) map[string]unsafe.Pointer {
 // TestEngineSizedOnce holds New to allocating an engine's pattern-axis
 // working set once: the arenas for 3·(taxa−2) tiles at the full axis's
 // tile size — exactly EstimateMemoryBytesPartitioned with the tip
-// vectors — and every tile-axis buffer at the full width. A relikelihood,
+// vectors — the directed-edge bookkeeping for the 2·taxa node ids a
+// frame or a tree may name, and every tile-axis buffer at the full
+// width. A relikelihood,
 // a branch sweep, an insertion scan, five bootstrap replicates (each
 // compacting the tile axis to its own live patterns) and the return to
 // the alignment's weights must leave every backing array where New put

@@ -94,11 +94,11 @@ type travEntry struct {
 // at all: copying hits and filling tip LUTs is not worth a crossing.
 const pFillGrain = 2
 
-// fillPipeliner is implemented by Dispatchers that interleave the
-// master-side P-matrix fill with frame encoding and shipping
-// (finegrain.Pool): prepareTraversal then defers the fill, and the pool
-// drives it chunk by chunk through WireMaster.FillTravChunk so P-fills
-// of later descriptor entries overlap the scatter of earlier ones.
+// fillPipeliner is implemented by Dispatchers that ship a job frame
+// before the master's own P-matrix fill (finegrain.Pool):
+// prepareTraversal then defers the fill, and the pool completes it through
+// WireMaster.FillTravChunk once the frame is on the wire, so the fill
+// overlaps the ranks' receive.
 type fillPipeliner interface {
 	PipelinesFill() bool
 }
@@ -142,31 +142,20 @@ func (e *Engine) queueTraversal(node, slot int) {
 	}
 	e.queueTraversal(children[0], childSlots[0])
 	e.queueTraversal(children[1], childSlots[1])
-	e.trav = append(e.trav, travEntry{pub: TraversalEntry{
-		Node: node, Slot: slot,
-		C1: children[0], C1Slot: childSlots[0],
-		C2: children[1], C2Slot: childSlots[1],
-		Len1: lengths[0], Len2: lengths[1],
-	}})
+	e.trav = append(e.trav, travEntry{
+		pub: TraversalEntry{
+			Node: node, Slot: slot,
+			C1: children[0], C1Slot: childSlots[0],
+			C2: children[1], C2Slot: childSlots[1],
+			Len1: lengths[0], Len2: lengths[1],
+		},
+		left: e.tipChild(children[0]), right: e.tipChild(children[1]),
+	})
 	e.valid[idx] = true
 }
 
-// bindTravEntry binds the entry's destination tile and resolves the
-// arena offsets of its internal children (tip children are already
-// marked), the master and a worker rank alike binding in entry order.
-func (e *Engine) bindTravEntry(ent *travEntry) {
-	p := &ent.pub
-	ent.dstOff, ent.dstScaleOff = e.clvOffset(p.Node, p.Slot), e.scaleOffset(p.Node, p.Slot)
-	if !ent.left.tip {
-		ent.left.off, ent.left.scaleOff = e.clvOffset(p.C1, p.C1Slot), e.scaleOffset(p.C1, p.C1Slot)
-	}
-	if !ent.right.tip {
-		ent.right.off, ent.right.scaleOff = e.clvOffset(p.C2, p.C2Slot), e.scaleOffset(p.C2, p.C2Slot)
-	}
-}
-
 // tipChild is the descriptor child node as the master's tree has it: a
-// tip with its taxon, or an internal CLV whose offsets bindTravEntry
+// tip with its taxon, or an internal CLV whose offsets prepareTraversal
 // resolves.
 func (e *Engine) tipChild(node int) travChild {
 	n := &e.tree.Nodes[node]
@@ -218,14 +207,17 @@ func fillTipLUT(lut []float64, pm [][16]float64, mask uint16) {
 
 // prepareTraversal resolves the queued descriptor for execution in two
 // passes. The first, serial, pass binds destination tiles in the CLV
-// arena, resolves child offsets (earlier entries' destinations become
-// later entries' inputs) and carves each entry's matrix and lookup
-// slices out of the shared arenas — work that mutates engine state and
-// must stay on the master. The second pass fills every entry's
-// per-partition transition matrices and tip lookup tables; entries are
-// independent there, so all but the shortest descriptors fork the fill
-// over the crew (no job code is posted — see the file comment on
-// dispatch accounting). Workers only ever read the result.
+// arena, resolves internal children's offsets (earlier entries'
+// destinations become later entries' inputs) and carves each entry's
+// matrix and lookup slices out of the shared arenas — work that mutates
+// engine state and must stay on the master. The second pass fills every
+// entry's per-partition transition matrices and tip lookup tables;
+// entries are independent there, so all but the shortest descriptors
+// fork the fill over the crew (no job code is posted — see the file
+// comment on dispatch accounting). Workers only ever read the result.
+// Tip children come marked in the entries — from the tree on the master
+// (queueTraversal), from the frame on a worker rank
+// (prepareWireTraversal) — so both plan a window the same way.
 func (e *Engine) prepareTraversal() {
 	n := len(e.trav)
 	if n == 0 {
@@ -233,18 +225,17 @@ func (e *Engine) prepareTraversal() {
 	}
 	e.ensureP()
 	nc := e.totalCats
-	need := 2 * nc * n
-	e.travP = resize(e.travP, need)
+	e.travP = resize(e.travP, 2*nc*n)
 
 	// Size the tip-lookup arena: one 16 x nc x 4 table (all partitions'
 	// blocks) per tip child.
 	lutSize := 16 * nc * 4
 	tips := 0
 	for i := range e.trav {
-		if e.tree.Nodes[e.trav[i].pub.C1].IsTip() {
+		if e.trav[i].left.tip {
 			tips++
 		}
-		if e.tree.Nodes[e.trav[i].pub.C2].IsTip() {
+		if e.trav[i].right.tip {
 			tips++
 		}
 	}
@@ -254,8 +245,14 @@ func (e *Engine) prepareTraversal() {
 	lutOff := 0
 	for i := range e.trav {
 		ent := &e.trav[i]
-		ent.left, ent.right = e.tipChild(ent.pub.C1), e.tipChild(ent.pub.C2)
-		e.bindTravEntry(ent)
+		p := &ent.pub
+		ent.dstOff, ent.dstScaleOff = e.clvOffset(p.Node, p.Slot), e.scaleOffset(p.Node, p.Slot)
+		if !ent.left.tip {
+			ent.left.off, ent.left.scaleOff = e.clvOffset(p.C1, p.C1Slot), e.scaleOffset(p.C1, p.C1Slot)
+		}
+		if !ent.right.tip {
+			ent.right.off, ent.right.scaleOff = e.clvOffset(p.C2, p.C2Slot), e.scaleOffset(p.C2, p.C2Slot)
+		}
 		ent.pL = e.travP[off : off+nc]
 		ent.pR = e.travP[off+nc : off+2*nc]
 		off += 2 * nc
@@ -270,11 +267,9 @@ func (e *Engine) prepareTraversal() {
 		}
 	}
 	e.newviewCount += int64(n)
-	if fp, ok := e.pool.(fillPipeliner); ok && fp.PipelinesFill() && !e.perNodeDispatch {
-		// Deferred: the pool interleaves FillTravChunk with the chunked
-		// encode so P-fills overlap the scatter. Per-node ablation mode
-		// posts entry-sized windows and fills them one Post at a time,
-		// so it must not defer here.
+	if fp, ok := e.pool.(fillPipeliner); ok && fp.PipelinesFill() {
+		// Deferred: the pool ships the frame first and completes the fill
+		// with FillTravChunk, so the P-fill overlaps the scatter.
 		e.travFillNext = 0
 		return
 	}
@@ -320,21 +315,15 @@ func (e *Engine) forkFill(lo, hi, misses int, fill func(lo, hi int)) {
 	e.memo.commit()
 }
 
-// FillTravChunk fills P matrices and tip LUTs for the window-relative
-// descriptor range [lo, hi) of a deferred (pipelined) fill. Idempotent:
-// already-filled prefixes are skipped, so re-posting a window (per-node
-// ablation) or a no-op pool (non-deferred prepare) costs nothing. Part
-// of the WireMaster contract.
-func (e *Engine) FillTravChunk(lo, hi int) {
-	lo += e.travLo
-	hi += e.travLo
-	if lo < e.travFillNext {
-		lo = e.travFillNext
+// FillTravChunk completes the deferred P-matrix and tip-LUT fill of the
+// posted window. Idempotent: entries already filled are skipped, so a
+// window an eager prepare filled costs nothing, and the per-node ablation,
+// which posts the descriptor one entry-sized window at a time, fills each
+// entry as its window goes out. Part of the WireMaster contract.
+func (e *Engine) FillTravChunk() {
+	if lo := max(e.travLo, e.travFillNext); lo < e.travHi {
+		e.fillTravWindow(lo, e.travHi)
 	}
-	if hi <= lo {
-		return
-	}
-	e.fillTravWindow(lo, hi)
 }
 
 // fillTravMatrices computes the per-partition transition matrices and
@@ -363,15 +352,6 @@ func (e *Engine) fillTravEntry(i int) {
 		if ent.lutR != nil {
 			fillTipLUT(ent.lutR[64*ps.pOff:64*(ps.pOff+npc)], ent.pR[ps.pOff:ps.pOff+npc], e.tipCodeMask[ent.right.taxon])
 		}
-	}
-}
-
-// fillWireIdxMatrices fills entries e.wireFillIdx[k0:k1] — the
-// worker-side fill over only the freshly shipped (non-ref) entries of a
-// delta descriptor.
-func (e *Engine) fillWireIdxMatrices(k0, k1 int) {
-	for k := k0; k < k1; k++ {
-		e.fillTravEntry(e.wireFillIdx[k])
 	}
 }
 

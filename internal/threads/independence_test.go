@@ -71,7 +71,7 @@ func indepProgram(t *testing.T, e *likelihood.Engine, pat *msa.Patterns) []uint6
 			if err != nil {
 				continue
 			}
-			cands := tr.RegraftCandidates(p, 64)
+			cands := tr.AppendRegraftCandidates(nil, p, 64)
 			if len(cands) < 40 {
 				tr.PlugBack(p)
 				continue

@@ -399,24 +399,20 @@ func TestSPRUndo(t *testing.T) {
 		if !found {
 			return true
 		}
-		p, err := tr.Prune(root, attach)
+		p, err := tr.DanglingPrune(root, attach)
 		if err != nil {
 			return true // not all prunes are legal; fine
 		}
-		cands := tr.RegraftCandidates(p, 3)
-		if len(cands) == 0 {
-			tr.Restore(p)
-			return true
-		}
+		cands := tr.AppendRegraftCandidates(nil, p, 3)
 		e := cands[r.Intn(len(cands))]
-		if err := tr.Regraft(p, e); err != nil {
-			tr.Restore(p)
+		if err := tr.Plug(p, e); err != nil {
 			return false
 		}
 		if err := tr.Validate(); err != nil {
 			return false
 		}
-		tr.UndoSPR(p, e)
+		tr.UnplugKeepDangling(p, e)
+		tr.PlugBack(p)
 		if err := tr.Validate(); err != nil {
 			return false
 		}
@@ -435,68 +431,21 @@ func TestRegraftCandidatesRadius(t *testing.T) {
 	tr := Caterpillar(names(12))
 	// prune tip 0's subtree (its attachment edge is at one end of the chain)
 	att := tr.Nodes[0].Neighbors[0]
-	p, err := tr.Prune(0, att)
+	p, err := tr.DanglingPrune(0, att)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Restore(p)
-	small := tr.RegraftCandidates(p, 1)
-	large := tr.RegraftCandidates(p, 8)
+	defer tr.PlugBack(p)
+	small := tr.AppendRegraftCandidates(nil, p, 1)
+	large := tr.AppendRegraftCandidates(nil, p, 8)
 	if len(small) >= len(large) {
 		t.Fatalf("radius 1 found %d candidates, radius 8 found %d; want strictly more at larger radius",
 			len(small), len(large))
 	}
-	all := tr.RegraftCandidates(p, 1000)
-	if want := len(tr.Edges()); len(all) != want {
-		t.Fatalf("unbounded radius found %d candidates, want all %d edges", len(all), want)
-	}
-}
-
-func TestNNISelfInverse(t *testing.T) {
-	tr := Random(names(10), rng.New(21))
-	orig, _ := FormatNewick(tr, nil)
-	ie := tr.InternalEdges()
-	if len(ie) == 0 {
-		t.Fatal("no internal edges in 10-taxon tree")
-	}
-	m := NNIMove{Edge: ie[0], Variant: 0}
-	if err := tr.NNI(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("after NNI: %v", err)
-	}
-	moved, _ := FormatNewick(tr, nil)
-	if moved == orig {
-		t.Fatal("NNI did not change the tree")
-	}
-	if err := tr.NNI(m); err != nil {
-		t.Fatal(err)
-	}
-	back, _ := FormatNewick(tr, nil)
-	ta, _ := ParseNewick(orig, tr.TaxonNames)
-	tb, _ := ParseNewick(back, tr.TaxonNames)
-	if d, _ := RobinsonFoulds(ta, tb); d != 0 {
-		t.Fatal("NNI applied twice did not restore the topology")
-	}
-}
-
-func TestNNIProducesDistinctNeighbors(t *testing.T) {
-	tr := Random(names(8), rng.New(31))
-	ie := tr.InternalEdges()[0]
-	t0 := tr.Clone()
-	t1 := tr.Clone()
-	if err := t0.NNI(NNIMove{Edge: ie, Variant: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := t1.NNI(NNIMove{Edge: ie, Variant: 1}); err != nil {
-		t.Fatal(err)
-	}
-	d01, _ := RobinsonFoulds(t0, t1)
-	d0o, _ := RobinsonFoulds(t0, tr)
-	d1o, _ := RobinsonFoulds(t1, tr)
-	if d01 == 0 || d0o == 0 || d1o == 0 {
-		t.Fatalf("NNI variants should give 3 distinct topologies (d01=%d d0o=%d d1o=%d)", d01, d0o, d1o)
+	// Every edge but the dangling pendant one is in the main component.
+	all := tr.AppendRegraftCandidates(nil, p, 1000)
+	if want := len(tr.Edges()) - 1; len(all) != want {
+		t.Fatalf("unbounded radius found %d candidates, want all %d edges of the main component", len(all), want)
 	}
 }
 
