@@ -389,6 +389,15 @@ per-rank stage times:
 			rep.ThoroughScore)
 		visited += rep.BootstrapPatterns
 	}
+	if opts.Workers > 1 {
+		// Who ran a range differs run to run, so these lines do too.
+		info.WriteString("per-rank crew (threads.Pool.Counters):\n")
+		for _, rep := range res.Ranks {
+			c := rep.Crew
+			fmt.Fprintf(&info, "  rank %d: %d dispatches, %d inline, %d published, %d taken, %d wakes\n",
+				rep.Rank, rep.Dispatches, c.Inline, c.Published, c.Taken, c.Wakes)
+		}
+	}
 	if res.TotalBootstraps > 0 {
 		fmt.Fprintf(&info, "bootstrap patterns visited per replicate: %.2f of %d\n",
 			float64(visited)/float64(res.TotalBootstraps), pat.NumPatterns())

@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,6 +78,43 @@ func TestRaxmlComprehensive(t *testing.T) {
 	}
 	if visited < 0.5*float64(patterns) || visited > 0.8*float64(patterns) {
 		t.Errorf("replicates visit %.2f of %d patterns", visited, patterns)
+	}
+	if strings.Contains(string(info), "crew") {
+		t.Error("RAxML_info of a -T 1 run reports a crew")
+	}
+}
+
+// TestRaxmlInfoCrewCounters reads the per-rank crew lines RAxML_info gets
+// at -T > 1: one per rank, every dispatch either inline or published,
+// no more wakes than publications.
+func TestRaxmlInfoCrewCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full analysis skipped in -short mode")
+	}
+	dir := t.TempDir()
+	align := writeTestAlignment(t, dir)
+	if err := Raxml([]string{"-s", align, "-n", "crew", "-N", "4", "-R", "2", "-T", "2", "-w", dir}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.ReadFile(filepath.Join(dir, "RAxML_info.crew"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, crew, ok := strings.Cut(string(info), "per-rank crew (threads.Pool.Counters):\n")
+	if !ok {
+		t.Fatalf("no crew section in RAxML_info:\n%s", info)
+	}
+	lines := strings.Split(crew, "\n")
+	for r := 0; r < 2; r++ {
+		var rank int
+		var dispatches, inline, published, taken, wakes int64
+		if _, err := fmt.Sscanf(lines[r], "  rank %d: %d dispatches, %d inline, %d published, %d taken, %d wakes",
+			&rank, &dispatches, &inline, &published, &taken, &wakes); err != nil || rank != r {
+			t.Fatalf("crew line %d %q: rank %d, %v", r, lines[r], rank, err)
+		}
+		if dispatches == 0 || inline+published != dispatches || wakes > published {
+			t.Errorf("rank %d: %d dispatches split %d inline + %d published, %d wakes", r, dispatches, inline, published, wakes)
+		}
 	}
 }
 

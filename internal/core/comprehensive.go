@@ -8,6 +8,7 @@ import (
 	"raxml/internal/msa"
 	"raxml/internal/rapidbs"
 	"raxml/internal/search"
+	"raxml/internal/threads"
 	"raxml/internal/tree"
 )
 
@@ -141,6 +142,10 @@ type RankReport struct {
 	// nodes×traversals — the synchronization overhead the paper's
 	// Pthreads layer amortizes.
 	Dispatches int64
+	// Crew splits Dispatches by how the rank's pool ran them (inline,
+	// published, helper ranges the master took, wakes). Which goroutine
+	// took a range differs run to run: a diagnostic, never a result.
+	Crew threads.Counters
 	// BootstrapPatterns sums, over the rank's replicates, the patterns each
 	// replicate's kernels visited (rapidbs.Replicate.Patterns).
 	BootstrapPatterns int
@@ -326,6 +331,7 @@ func (r *analysisRank) slowAndThorough() error {
 	r.rep.ThoroughScore = res.LogLikelihood
 	r.rep.Times.Thorough = time.Since(t0)
 	r.rep.Dispatches = r.pool.Dispatches()
+	r.rep.Crew = r.pool.Counters()
 	r.best = res.Tree
 	r.pool.Close()
 	return nil

@@ -101,13 +101,24 @@ func TestScanIsOneDispatch(t *testing.T) {
 	}
 }
 
-// abortingPool is a one-worker pool that raises AbortJob at its
-// armed-th abort poll — deterministically in the middle of a descriptor
-// walk, which polls once per entry.
+// abortingPool is a pool that raises AbortJob at its armed-th abort
+// poll — deterministically in the middle of a descriptor walk, which
+// polls once per entry. Its poll counter is not shared-safe, so every job
+// states no work and the pool runs all ranges on the posting goroutine.
 type abortingPool struct {
 	*threads.Pool
 	armed, polls int
 }
+
+func (p *abortingPool) Post(runner threads.JobRunner, code threads.JobCode) {
+	p.Pool.Post(inlineRunner{runner}, code)
+}
+
+// inlineRunner states no work for any job, so the pool keeps it on the
+// posting goroutine.
+type inlineRunner struct{ threads.JobRunner }
+
+func (inlineRunner) JobWork(threads.JobCode) int { return 0 }
 
 func (p *abortingPool) Aborted() bool {
 	p.polls++
@@ -121,10 +132,9 @@ func (p *abortingPool) Aborted() bool {
 // descriptor walk: the rollback must un-mark every view the batch
 // queued — the subtree's and every candidate's — and a repeat must score
 // exactly what an engine that was never aborted scores. On the 3-worker
-// pool the scan is too short to publish even to a spinning crew (20
-// patterns per range), so the master walks all three ranges itself: the
-// abort raised in range 0 must stop the ranges it runs for the helpers
-// too.
+// pool the master walks all three ranges itself (abortingPool states no
+// work): the abort raised in range 0 must stop the ranges it runs for the
+// helpers too.
 func TestScanAbortMidBatch(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { scanAbortMidBatch(t, workers) })

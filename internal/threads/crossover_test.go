@@ -3,6 +3,7 @@ package threads
 import (
 	"fmt"
 	"math"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -63,15 +64,17 @@ func (p *Pool) awaitParked() {
 	}
 }
 
-// BenchmarkPostCrossover is the table behind both crossovers: one Post of a
-// job of `work` units per range (JobWork × the widest range) on a
-// 2-worker pool, forced to either side of the rule — inline (the master
-// runs both ranges) or fork (published) — with the helper hot (posts back
-// to back, the helper inside its spin window) or parked (every post waits
-// for the helper to be asleep on jobCond first; only the Post is timed).
-// postCrossover sits where fork stops losing in the parked column and
-// spinCrossover where it does in the hot one; see docs/profiling.md, "What
-// parking looks like".
+// BenchmarkPostCrossover is the synthetic table beside likelihood's
+// BenchmarkKernelCrossover, which fits both crossovers on the real
+// kernels: one Post of a job of `work` units per range (JobWork × the
+// widest range) on a 2-worker pool, forced to either side of the rule —
+// inline (the master runs both ranges) or fork (published) — with the
+// helper hot (posts back to back, the helper inside its spin window) or
+// parked (every post waits for the helper to be asleep on jobCond first;
+// only the Post is timed).
+// Where fork stops losing in the parked column and in the hot one is
+// where the crossovers sit; see docs/profiling.md, "What parking looks
+// like".
 func BenchmarkPostCrossover(b *testing.B) {
 	const patterns = 512 // 256 per range: 8 KB per buffer and range, L1-resident
 	defer func(post, spin int) { postCrossover, spinCrossover = post, spin }(postCrossover, spinCrossover)
@@ -106,4 +109,57 @@ func BenchmarkPostCrossover(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkSpinBudget is the table behind spinBudget: on a 2-worker pool
+// the master does `gap` of serial work — a busy wait on the clock, as a
+// search's bookkeeping and matrix fills are — before each post of a job
+// of 4k units per range, published whatever the crew's state (both
+// crossovers forced to 0). The helper spins for `budget` before it
+// parks. ns/op is the whole cycle, gap included; cpu_ns/op is the
+// process's CPU time per cycle, spin included; wakes/op is the share of
+// posts that found the helper asleep. Where wakes/op is 1 the cycle
+// pays a park and a wake: the difference to a row where it is 0 is their
+// cost, the price a spin budget is held against.
+func BenchmarkSpinBudget(b *testing.B) {
+	const patterns = 512
+	defer func(budget time.Duration, post, spin int) {
+		spinBudget, postCrossover, spinCrossover = budget, post, spin
+	}(spinBudget, postCrossover, spinCrossover)
+	postCrossover, spinCrossover = 0, 0
+	for _, gap := range []time.Duration{20, 60, 150, 500} {
+		for _, budget := range []time.Duration{50, 200, 800} {
+			b.Run(fmt.Sprintf("gap=%dus/budget=%dus", gap, budget), func(b *testing.B) {
+				spinBudget = budget * time.Microsecond // before the helper reads it
+				p := NewPool(2, patterns)
+				defer p.Close()
+				rn := newNewviewLike(patterns, 4<<10/(patterns/2)*3/4)
+				p.Post(rn, JobNewview) // warm
+				before := p.Counters()
+				cpu0 := processCPU()
+				t0 := time.Now()
+				for i := 0; i < b.N; i++ {
+					for s := time.Now(); time.Since(s) < gap*time.Microsecond; {
+					}
+					p.Post(rn, JobNewview)
+				}
+				wall := time.Since(t0)
+				cpu := processCPU() - cpu0
+				c := p.Counters()
+				n := float64(b.N)
+				b.ReportMetric(float64(wall.Nanoseconds())/n, "ns/op")
+				b.ReportMetric(float64(cpu.Nanoseconds())/n, "cpu_ns/op")
+				b.ReportMetric(float64(c.Wakes-before.Wakes)/n, "wakes/op")
+			})
+		}
+	}
+}
+
+// processCPU is the user and system time the process has used so far.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

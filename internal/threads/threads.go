@@ -23,11 +23,19 @@
 //     own range when it sees the job generation, and the master, done
 //     with range 0, claims and runs every range nobody has started, so
 //     it only ever waits for ranges in execution — spinning briefly,
-//     then parking, as the helpers do for the next generation. A helper
-//     that is parked, descheduled or late costs the master that helper's
-//     range, never a wait: W workers degrade to one worker's speed, not
-//     below it. Results cannot depend on the executor, because slots,
-//     wide rows and runner scratch are indexed by range.
+//     then parking. A helper that is parked, descheduled or late costs
+//     the master that helper's range, never a wait: W workers degrade to
+//     one worker's speed, not below it. Results cannot depend on the
+//     executor, because slots, wide rows and runner scratch are indexed
+//     by range.
+//
+//   - A crew kept hot through a search. Between jobs a helper spins for
+//     spinBudget before it parks — as RAxML's workers spin on threadJob —
+//     so the posts of a search, tens of microseconds apart, find the crew
+//     awake. The spin yields its P every 64 loads, so a crew larger than
+//     GOMAXPROCS (-R 2 -T 2 on two cores) shares the Ps with its
+//     masters. An idle crew parks within a fraction of a millisecond and
+//     costs nothing.
 //
 //   - Work-aware dispatch. A runner that implements JobWork tells the
 //     pool what a job costs; a job too short to pay for the crossing is
@@ -61,6 +69,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Range is a half-open interval of pattern indices assigned to a worker.
@@ -136,13 +145,14 @@ type WorkEstimator interface {
 // every range on the master: postCrossover when a helper is asleep on
 // jobCond and the post has to wake it, spinCrossover when the whole crew
 // is still spinning and hears of the job for the price of a cache miss.
-// Measured by BenchmarkPostCrossover (its parked and hot columns); the
-// table is in docs/profiling.md. Variables only so the package's tests can
-// force either side (0 publishes every job, math.MaxInt none that states
-// its work).
+// Fitted on the real kernels by likelihood's BenchmarkKernelCrossover
+// (its parked and hot columns; BenchmarkPostCrossover is the synthetic
+// table beside it); the tables are in docs/profiling.md. Variables only so
+// the package's tests can force either side (0 publishes every job,
+// math.MaxInt none that states its work).
 var (
 	postCrossover = 16384
-	spinCrossover = 4096
+	spinCrossover = 512
 )
 
 // SlotWidth is the number of float64 accumulators in one worker's
@@ -162,11 +172,21 @@ type slot struct {
 // lines (8 float64), keeping adjacent workers' rows off shared lines.
 const wideQuantum = 8
 
-// spinIters bounds the busy-wait before a waiter parks on its condition
-// variable. Within tight optimization loops the next job arrives in
-// well under this budget; between jobs (master doing serial work) the
-// crew parks and costs nothing.
+// spinIters bounds the busy-wait of the master behind ranges in
+// execution (awaitCrew): about 20–40 µs, after which it parks on its
+// condition variable.
 const spinIters = 4096
+
+// spinBudget is how long a helper spins for the next job before it
+// parks — the competitive spin of Karlin et al. (SOSP 1991): spin about
+// as long as blocking costs. Here a park costs a futex and a late start at the next wake, and until that
+// wake every job below postCrossover runs on the master alone. The posts
+// of a search come well inside the budget, so the crew stays hot and a
+// job is published from spinCrossover; between searches the crew parks
+// and costs nothing. Fitted with BenchmarkSpinBudget (docs/profiling.md,
+// "What parking looks like"). A variable only so the package's benchmarks
+// can sweep it.
+var spinBudget = 200 * time.Microsecond
 
 // Bits of Pool.assign above the per-range mask: assignOn marks the mask as
 // set, assignHold stalls the helpers before they claim.
@@ -405,9 +425,11 @@ func (p *Pool) workerLoop(w int) {
 // awaitJob blocks until a job generation newer than *seen is published
 // (spin first, then park) and records it. Returns false on shutdown. A
 // parked helper sleeps through generations published without a wake
-// (forks); the master runs their ranges.
+// (forks); the master runs their ranges. The spin yields every 64 loads,
+// and only there reads the clock: the wait parks after spinBudget.
 func (p *Pool) awaitJob(seen *uint64) bool {
-	for i := 0; i < spinIters; i++ {
+	var start time.Time
+	for i := 1; ; i++ {
 		if g := p.gen.Load(); g != *seen {
 			*seen = g
 			return true
@@ -415,8 +437,14 @@ func (p *Pool) awaitJob(seen *uint64) bool {
 		if p.stop.Load() {
 			return false
 		}
-		if i&63 == 63 {
-			runtime.Gosched()
+		if i&63 != 0 {
+			continue
+		}
+		runtime.Gosched()
+		if i == 64 {
+			start = time.Now()
+		} else if time.Since(start) >= spinBudget {
+			break
 		}
 	}
 	p.jobMu.Lock()
