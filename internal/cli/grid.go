@@ -16,7 +16,6 @@ import (
 	"raxml/internal/finegrain"
 	"raxml/internal/grid"
 	"raxml/internal/msa"
-	"raxml/internal/tree"
 )
 
 // This file wires the elastic grid scheduler (-grid) into the raxml
@@ -263,30 +262,12 @@ func writeGridResult(res *grid.Result, a *grid.Analysis, p gridParams, tracePath
 		paths = append(paths, path)
 		return nil
 	}
-	if len(res.Starts) > 0 {
-		if err := write("RAxML_bestTree", res.Best.Newick+"\n"); err != nil {
-			return err
-		}
-		if res.BestAnnotated != "" {
-			if err := write("RAxML_bipartitions", res.BestAnnotated+"\n"); err != nil {
-				return err
-			}
-		}
+	outputs, err := res.Outputs()
+	if err != nil {
+		return err
 	}
-	if len(res.Replicates) > 0 {
-		var all strings.Builder
-		for _, r := range res.Replicates {
-			nw, err := tree.FormatNewick(r.Tree, nil)
-			if err != nil {
-				return err
-			}
-			all.WriteString(nw)
-			all.WriteByte('\n')
-		}
-		if err := write("RAxML_bootstrap", all.String()); err != nil {
-			return err
-		}
-		if err := write("RAxML_GreedyConsensusTree", res.ConsensusNewick+"\n"); err != nil {
+	for _, o := range outputs {
+		if err := write(o.File, o.Content); err != nil {
 			return err
 		}
 	}

@@ -62,7 +62,10 @@ func AsRankDead(err error) *RankDeadError {
 // is rejected at accept time rather than silently misframed. Version 3
 // ships every descriptor entry whole in one job frame per dispatch (no
 // delta refs, no fragments), so a v2 peer is refused at the hello too.
-const ProtocolVersion uint32 = 3
+// Version 4 sends a worker the whole alignment and its stripe in the
+// init frame, and every block naming a partition uses the master's
+// numbering, so a v3 peer is refused as well.
+const ProtocolVersion uint32 = 4
 
 // castagnoli is the CRC32C polynomial table used for frame checksums
 // (hardware-accelerated on amd64/arm64).

@@ -85,8 +85,11 @@ func BenchmarkOptimizeBranchRemote(b *testing.B) {
 		if pat.NumPatterns() < n {
 			b.Fatalf("%d sites compress to %d patterns, need %d", 3*n, pat.NumPatterns(), n)
 		}
-		pat, _, _ = pat.Slice(0, n)
-		return pat
+		data := make([][]msa.State, pat.NumTaxa())
+		for i, row := range pat.Data {
+			data[i] = row[:n]
+		}
+		return msa.FromParts(pat.Names, data, pat.Weights[:n], nil)
 	}
 	loop := func(b *testing.B, eng *likelihood.Engine, topo *tree.Tree) error {
 		tr := topo.Clone()

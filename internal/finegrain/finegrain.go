@@ -6,9 +6,10 @@
 // The in-process hybrid (threads.Pool) stripes the pattern axis over a
 // thread crew sharing one CLV arena. This package adds one more level
 // to that same structure: the axis is first striped over R fabric
-// ranks, each rank owns its stripe outright — the stripe's pattern
-// data, tip vectors and a CLV arena covering only the stripe — and
-// each rank subdivides its stripe over its own t-thread crew. The
+// ranks, and each rank subdivides its stripe over its own t-thread
+// crew. Every rank builds the master's engine — the whole alignment,
+// every partition, global pattern indices — over a crew covering its
+// stripe, so its tip vectors and CLV arena cover only the stripe. The
 // resulting R×t grid is the paper's MPI×Pthreads topology with the
 // rank stripes made explicit.
 //
@@ -176,8 +177,9 @@ type Pool struct {
 // job-local rank r is links[r-1]; nil is the 1-rank, master-local pool
 // — whose workers are serving (ServeSessions): it cuts the pattern axis
 // into one even, partition-aligned stripe per rank, ships every remote
-// rank its WorkerInit (stripe pattern data + geometry + treatment
-// shape), and starts the master's own local thread crew over stripe 0.
+// rank its WorkerInit (the whole pattern set, the rank's stripe, the
+// treatment shape), and starts the master's own local thread crew over
+// stripe 0.
 // The links stay the caller's: Release ends the lease, closing them is
 // the owner's business.
 //
@@ -210,17 +212,9 @@ func NewPool(links []fabric.Link, pat *msa.Patterns, set *gtr.PartitionSet, thre
 		rankErr: make([]error, ranks),
 	}
 	for r := 1; r < ranks; r++ {
-		sp, partIndex, clipOff := pat.Slice(stripes[r].Lo, stripes[r].Hi)
 		init := &likelihood.WorkerInit{
-			Rank: r, Ranks: ranks, Threads: threadsPerRank,
-			Geom: likelihood.WorkerGeom{
-				StripeLo: stripes[r].Lo, StripeHi: stripes[r].Hi,
-				MasterParts: pat.NumParts(),
-				PartMap:     partIndex, ClipOff: clipOff,
-			},
-			Pat:   sp,
-			IsCAT: set.IsCAT(),
-			NCats: set.ClvCats(),
+			Threads: threadsPerRank, Stripe: stripes[r], Pat: pat,
+			IsCAT: set.IsCAT(), NCats: set.ClvCats(),
 		}
 		if err := links[r-1].Send(TagInit, likelihood.EncodeWorkerInit(init)); err != nil {
 			return nil, fmt.Errorf("finegrain: init rank %d: %w", r, &fabric.RankDeadError{Rank: r, Err: err})
@@ -443,12 +437,9 @@ func (p *Pool) SumWide(i int) float64 {
 // boundaries were snapped to the same quantum at construction.
 func (p *Pool) AlignRangesAt(quantum int, starts []int) { p.local.AlignRangesAt(quantum, starts) }
 
-// ForkJoin forwards master-side precomputation to the local crew (an
-// uncounted fork: Dispatches does not move).
-func (p *Pool) ForkJoin(n, grain int, fn func(lo, hi int)) { p.local.ForkJoin(n, grain, fn) }
-
-// ForkJoinRange forwards a windowed fill to the local crew (the
-// deferred P-fill of a posted descriptor window).
+// ForkJoinRange forwards master-side precomputation to the local crew
+// (an uncounted fork: Dispatches does not move), such as the deferred
+// P-fill of a posted descriptor window.
 func (p *Pool) ForkJoinRange(lo, hi, grain int, fn func(lo, hi int)) {
 	p.local.ForkJoinRange(lo, hi, grain, fn)
 }

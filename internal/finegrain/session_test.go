@@ -143,9 +143,8 @@ func TestSessionProtocolTable(t *testing.T) {
 	failing = append(failing, 0, 0, 0, 0, 0, 0, 0, 0, 0) // no views, no factor partition, no entries
 	// An init frame that decodes, over three taxa: no engine is built.
 	threeTaxa := likelihood.EncodeWorkerInit(&likelihood.WorkerInit{
-		Rank: 1, Ranks: 2, Threads: 2, IsCAT: true, NCats: 1,
-		Geom: likelihood.WorkerGeom{StripeHi: 2, MasterParts: 1, PartMap: []int{0}, ClipOff: []int{0}},
-		Pat:  msa.FromParts([]string{"a", "b", "c"}, [][]msa.State{{1, 2}, {2, 4}, {4, 8}}, []int{1, 1}, nil),
+		Threads: 2, Stripe: threads.Range{Lo: 1, Hi: 2}, IsCAT: true, NCats: 1,
+		Pat: msa.FromParts([]string{"a", "b", "c"}, [][]msa.State{{1, 2}, {2, 4}, {4, 8}}, []int{1, 1}, nil),
 	})
 
 	// Where a cell leaves the worker: still idle, still in its session,

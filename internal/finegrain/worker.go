@@ -12,7 +12,7 @@ import (
 // ServeSessions runs a worker rank over its link to the master: an idle
 // loop that the master leases into finegrain *sessions* and returns to
 // between them. One worker process thus serves many coarse jobs over
-// its lifetime, each with its own stripe geometry and engine — and a
+// its lifetime, each with its own stripe and engine — and a
 // `-fine` run is simply one lease (every state × frame cell:
 // docs/hybrid-topology.md, "Session protocol"):
 //
@@ -79,8 +79,8 @@ func ServeSessions(l fabric.Link) error {
 	}
 }
 
-// serveSession executes one lease: build the stripe engine from the
-// init payload, then serve job frames until the master releases the
+// serveSession executes one lease: build the engine from the init
+// payload, then serve job frames until the master releases the
 // worker (done=false: back to the idle loop), shuts it down or goes
 // away (done=true).
 func serveSession(l fabric.Link, initPayload []byte) (done bool, err error) {
@@ -102,7 +102,6 @@ func serveSession(l fabric.Link, initPayload []byte) (done bool, err error) {
 	if pool, ok := eng.Pool().(*threads.Pool); ok {
 		defer pool.Close()
 	}
-	geom := &init.Geom
 	// Every frame decodes into the same WireJob, so the steady-state serve
 	// loop reuses its entry/view/partial slabs instead of reallocating.
 	var job likelihood.WireJob
@@ -131,7 +130,7 @@ func serveSession(l fabric.Link, initPayload []byte) (done bool, err error) {
 				l.Close()
 				return true, fmt.Errorf("finegrain: worker job decode: %w", decErr)
 			}
-			partial, err := eng.ExecWireJob(&job, geom)
+			partial, err := eng.ExecWireJob(&job)
 			if errors.Is(err, likelihood.ErrWireDesync) {
 				// The frame decoded but names state the master cannot have
 				// sent: the same policy as a frame that did not decode.

@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"raxml/internal/bootstop"
@@ -101,6 +102,42 @@ type Result struct {
 	WCDistance float64
 	// Rounds counts bootstrap rounds run.
 	Rounds int
+}
+
+// Output is one tree output of a finished analysis: File is its RAxML
+// file-name prefix (the CLI writes File.<run name>), Key its artifact
+// name on the analysis server, Content its newline-terminated text.
+type Output struct {
+	File, Key, Content string
+}
+
+// Outputs renders res as its tree outputs, in the order they are written:
+// the best tree and its support-annotated copy when ML starts ran, the
+// replicate trees (one Newick per line) and their greedy consensus when
+// replicates ran.
+func (res *Result) Outputs() ([]Output, error) {
+	var out []Output
+	if len(res.Starts) > 0 {
+		out = append(out, Output{"RAxML_bestTree", "bestTree", res.Best.Newick + "\n"})
+		if res.BestAnnotated != "" {
+			out = append(out, Output{"RAxML_bipartitions", "bipartitions", res.BestAnnotated + "\n"})
+		}
+	}
+	if len(res.Replicates) > 0 {
+		var all strings.Builder
+		for _, r := range res.Replicates {
+			nw, err := tree.FormatNewick(r.Tree, nil)
+			if err != nil {
+				return nil, err
+			}
+			all.WriteString(nw)
+			all.WriteByte('\n')
+		}
+		out = append(out,
+			Output{"RAxML_bootstrap", "bootstrap", all.String()},
+			Output{"RAxML_GreedyConsensusTree", "consensus", res.ConsensusNewick + "\n"})
+	}
+	return out, nil
 }
 
 // replicateTrees returns the replicate topologies in order.

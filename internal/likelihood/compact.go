@@ -11,13 +11,19 @@ import "raxml/internal/threads"
 // The engine keeps two pattern axes. The *alignment axis* is the one the
 // outside sees: weights, site log-likelihoods, CAT assignments, partition
 // spans, and the worker ranges and rank stripes the pools cut. The *tile
-// axis* is its live (non-zero-weight) patterns in alignment order, and
-// everything a kernel touches is laid out on it: CLV tiles and scale
-// counters, tip vectors and state codes, the per-pattern CAT categories,
-// the sumtable and the pendant products. While every weight is non-zero
-// the two axes coincide. A replicate that drops or revives a pattern
-// re-lays the tiles out (layoutTiles); every cached CLV is stale at that
-// point anyway, since a weight change is a model change.
+// axis* is the live (non-zero-weight) patterns of the engine's span in
+// alignment order, and everything a kernel touches is laid out on it: CLV
+// tiles and scale counters, tip vectors and state codes, the per-pattern
+// CAT categories, the sumtable and the pendant products. While every
+// weight is non-zero and the span is the whole axis the two axes coincide.
+// A replicate that drops or revives a pattern re-lays the tiles out
+// (layoutTiles); every cached CLV is stale at that point anyway, since a
+// weight change is a model change.
+//
+// The same mechanism keeps a worker rank of a distributed grid at its
+// stripe: it holds the master's whole alignment and partition set, but
+// its crew covers its stripe only, so the patterns outside it are never
+// live and the rank's tiles are as wide as its stripe.
 //
 // A kernel maps its alignment-axis range to the tile axis through
 // tilePos (chunkOf), so a range covers exactly its own live patterns.
@@ -54,13 +60,13 @@ func (e *Engine) installWeights(w []int) {
 // everything on it out again: partition spans and segment offsets, the
 // tile size, the arenas (tile bindings are kept, their contents are
 // stale), the tip state rows and vectors and the CAT categories. Every
-// buffer was reserved at the full axis's width (reserve), so a layout
+// buffer was reserved at the span's width (reserve), so a layout
 // only re-slices.
 func (e *Engine) layoutTiles() {
 	e.tileIdx = e.tileIdx[:0]
 	for k, w := range e.weights {
 		e.tilePos[k] = int32(len(e.tileIdx))
-		if w != 0 {
+		if w != 0 && e.span.Lo <= k && k < e.span.Hi {
 			e.tileIdx = append(e.tileIdx, int32(k))
 		}
 	}
@@ -108,9 +114,17 @@ func (e *Engine) tileSpan(r threads.Range) (lo, hi int) {
 }
 
 // TilePatterns returns how many patterns every kernel visits under the
-// active weights — the live ones; the alignment's pattern count while no
-// weight is zero.
+// active weights — the live ones of the span; the alignment's pattern
+// count while no weight is zero and the span is the whole axis.
 func (e *Engine) TilePatterns() int { return e.tileN }
+
+// visited reports whether any kernel of the engine visits the partition:
+// whether it has a live pattern inside the span. The matrices and tip
+// lookup tables of a partition that is not visited are never read, so
+// the fills skip it — on a worker rank, every partition outside its
+// stripe. Liveness only changes with the weights, which move the model
+// epoch and so empty the matrix memo.
+func (ps *partState) visited() bool { return ps.tlo < ps.thi }
 
 // bindCats gathers the CAT categories of the partition's live patterns
 // into pcat (nil for a GAMMA treatment), whose width reserve sets. Before

@@ -42,7 +42,9 @@
 // one contiguous, streamable block and stripe boundaries snapped
 // relative to partition starts never share a line. The arena is
 // allocated once, in New, with room for every directed view of the
-// taxa−2 internal nodes at the full-axis tile size; directed edges are
+// taxa−2 internal nodes at the tile size of the patterns the engine
+// computes (its span: the whole axis but on a worker rank of a
+// distributed grid, whose crew covers its stripe); directed edges are
 // bound to tiles lazily on first use through a free list, and binding,
 // bootstrap replicates and searches only re-slice it. See
 // docs/memory-layout.md for the layout sketch and offset formulas.
@@ -121,11 +123,10 @@ type Dispatcher interface {
 	SumWide(i int) float64
 	// AlignRangesAt snaps local worker stripes to tile quanta.
 	AlignRangesAt(quantum int, starts []int)
-	// ForkJoin is the master-side precomputation helper: the chunks run
-	// on the crew, but no job code is posted and no dispatch counted.
-	ForkJoin(n, grain int, fn func(lo, hi int))
-	// ForkJoinRange is ForkJoin over an arbitrary window [lo, hi) — the
-	// chunked P-fill of the overlapped dispatch pipeline runs through it.
+	// ForkJoinRange is the master-side precomputation helper over the
+	// window [lo, hi) — the chunked P-matrix fills run through it: the
+	// chunks run on the crew, but no job code is posted and no dispatch
+	// counted.
 	ForkJoinRange(lo, hi, grain int, fn func(lo, hi int))
 	// Dispatches counts the jobs posted so far.
 	Dispatches() int64
@@ -204,8 +205,14 @@ type Engine struct {
 	tree    *tree.Tree
 	weights []int
 
+	// span is the stretch of the alignment axis the engine computes: the
+	// union of its crew's ranges, the whole axis for a dispatcher that
+	// reports none. It is the whole axis everywhere but on a worker rank
+	// of a distributed grid, whose crew covers its stripe.
+	span threads.Range
+
 	// The tile axis (compact.go): the live (non-zero-weight) patterns of
-	// the alignment axis, in alignment order — the axis every CLV tile,
+	// the span, in alignment order — the axis every CLV tile,
 	// tip vector, sumtable and pendant product is laid out on. tilePos[k]
 	// counts the live patterns before alignment pattern k (nPatterns+1
 	// entries) and tileIdx[i] is the alignment pattern at tile position
@@ -245,7 +252,7 @@ type Engine struct {
 	//	tileOf[node*3+slot]*tileFloats + p.fOff + (k-p.tlo)*nCat*4 + c*4 + s
 	//
 	// Both arenas are allocated in New with capacity for maxTiles tiles
-	// at the full-axis tile size (reserve); tileFor binds inside it.
+	// at the span's tile size (reserve); tileFor binds inside it.
 	arena      []float64
 	scaleArena []int32
 	tileOf     []int32
@@ -359,7 +366,6 @@ type Engine struct {
 	wireBuf        []byte
 	wirePartialBuf []byte
 	wireSiteLL     []float64
-	wireWide       []float64
 
 	// statistics
 	newviewCount int64
@@ -485,18 +491,29 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 	} else {
 		e.pool = threads.NewPool(1, e.nPatterns)
 	}
+	// The span is the union of the crew's ranges when the dispatcher
+	// reports them (a *threads.Pool, or anything embedding one), the
+	// whole axis when it does not (a distributed finegrain.Pool).
+	e.span = threads.Range{Hi: e.nPatterns}
+	if c, ok := e.pool.(interface{ Ranges() []threads.Range }); ok {
+		rs := c.Ranges()
+		e.span = threads.Range{Lo: rs[0].Lo, Hi: rs[len(rs)-1].Hi}
+		if e.span.Lo < 0 || e.span.Lo >= e.span.Hi || e.span.Hi > e.nPatterns {
+			return nil, fmt.Errorf("likelihood: the crew covers patterns [%d, %d) of %d", e.span.Lo, e.span.Hi, e.nPatterns)
+		}
+	}
 	// Snap worker stripe boundaries — relative to the starts of the
-	// segments laid out above (NOT pat.PartStarts(): New() spans a
-	// partitioned Patterns with ONE segment, and only segment starts
-	// are line-aligned in the tile layout) — so no two workers write
-	// the same 64-byte cache line of any tile segment. The binding
-	// constraint is the scale counters (16 int32 per line); 16 patterns
-	// is also a multiple of every CLV line quantum, and the padded
-	// per-segment strides keep segment starts line-aligned, so the
-	// quantum covers both arenas in every segment.
+	// segments laid out above, each partition clipped to the span (NOT
+	// pat.PartStarts(): New() spans a partitioned Patterns with ONE
+	// segment, and only segment starts are line-aligned in the tile
+	// layout) — so no two workers write the same 64-byte cache line of
+	// any tile segment. The binding constraint is the scale counters (16
+	// int32 per line); 16 patterns is also a multiple of every CLV line
+	// quantum, and the padded per-segment strides keep segment starts
+	// line-aligned, so the quantum covers both arenas in every segment.
 	starts := make([]int, len(e.parts))
 	for i := range e.parts {
-		starts[i] = e.parts[i].lo
+		starts[i] = min(max(e.parts[i].lo, e.span.Lo), e.span.Hi)
 	}
 	e.pool.AlignRangesAt(stripeQuantum, starts)
 	e.pool.EnsureWide(len(e.parts))
@@ -508,7 +525,7 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 	e.fillScanFn = e.fillScanHalves
 	e.tipCodeMask = make([]uint16, pat.NumTaxa())
 	for taxon, row := range pat.Data {
-		for _, s := range row {
+		for _, s := range row[e.span.Lo:e.span.Hi] {
 			e.tipCodeMask[taxon] |= 1 << uint(s)
 		}
 	}
@@ -521,21 +538,22 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 
 // reserve allocates the engine's pattern-axis working set, once. The
 // arenas get room for 3·(taxa−2) tiles — every directed view of an
-// unrooted tree's internal nodes; tips use the tip vectors — at the
-// full-axis tile size, and every buffer laid out on a pattern axis gets
-// the whole alignment's width. A replicate's compacted axis, the return
-// to full weights, a search and a tile binding then only re-slice them
+// unrooted tree's internal nodes; tips use the tip vectors — at the tile
+// size of the whole span, and every buffer laid out on the tile axis gets
+// the span's width. A replicate's compacted axis, the return to full
+// weights, a search and a tile binding then only re-slice them
 // (layoutTiles, tileFor), so the engine's footprint is fixed here and no
 // grown-out copy is left for the collector.
 func (e *Engine) reserve() {
-	taxa, n := e.pat.NumTaxa(), e.nPatterns
+	taxa, n := e.pat.NumTaxa(), e.span.Len()
 	floats, scale := 0, 0
 	for i := range e.parts {
 		ps := &e.parts[i]
-		f, sc := segmentSize(ps.hi-ps.lo, e.nCat)
+		np := max(0, min(ps.hi, e.span.Hi)-max(ps.lo, e.span.Lo))
+		f, sc := segmentSize(np, e.nCat)
 		floats, scale = floats+f, scale+sc
 		if e.isCAT {
-			ps.pcat = make([]int, 0, ps.hi-ps.lo)
+			ps.pcat = make([]int, 0, np)
 		}
 	}
 	e.maxTiles = 3 * (taxa - 2)
@@ -547,7 +565,7 @@ func (e *Engine) reserve() {
 		e.tileOf[i] = noTile
 	}
 	e.valid = make([]bool, 3*2*taxa)
-	e.tilePos = make([]int32, n+1)
+	e.tilePos = make([]int32, e.nPatterns+1)
 	e.tileIdx = make([]int32, 0, n)
 	e.tileW = make([]int, 0, n)
 	e.tileCodes = make([][]msa.State, taxa)

@@ -66,7 +66,7 @@ func outOfRangeFrames() map[string][]byte {
 // ErrWireDesync, every frame of outOfRangeFrames, while the same frames
 // with their ids in range execute.
 func TestExecWireJobRejectsOutOfRange(t *testing.T) {
-	_, newWorker, geom := modelFrame(t)
+	_, newWorker := modelFrame(t)
 	tips := WireEntry{Node: 12, C1Tax: 0, C2Tax: 1, Len1: 0.1, Len2: 0.1}
 	eval := []WireView{{Tip: true, Taxon: 2}, {Node: 12, Slot: 0}}
 	for name, frame := range map[string][]byte{
@@ -77,7 +77,7 @@ func TestExecWireJobRejectsOutOfRange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := newWorker().ExecWireJob(job, geom); err != nil {
+		if _, err := newWorker().ExecWireJob(job); err != nil {
 			t.Fatalf("%s in range: %v", name, err)
 		}
 	}
@@ -86,7 +86,7 @@ func TestExecWireJobRejectsOutOfRange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := newWorker().ExecWireJob(job, geom); !errors.Is(err, ErrWireDesync) {
+		if _, err := newWorker().ExecWireJob(job); !errors.Is(err, ErrWireDesync) {
 			t.Errorf("%s: ExecWireJob returned %v, want ErrWireDesync", name, err)
 		}
 	}
@@ -127,11 +127,12 @@ func FuzzDecodeDescriptor(f *testing.F) {
 	// one pattern's rate category beyond the shipped rates and negative.
 	// The init frame carries no categories (a worker's treatment arrives
 	// with its first job), so this is where a category enters a rank.
-	model, newWorker, geom := modelFrame(f)
+	model, newWorker := modelFrame(f)
 	f.Add(model)
+	nPatterns := newWorker().nPatterns
 	for _, c := range []int32{1, 7, -1, math.MinInt32} {
 		bad := append([]byte(nil), model...)
-		binary.LittleEndian.PutUint32(bad[modelFrameCatOffset(geom.StripeHi):], uint32(c))
+		binary.LittleEndian.PutUint32(bad[modelFrameCatOffset(nPatterns):], uint32(c))
 		if j, err := DecodeWireJob(bad); err != nil || j.Model.Parts[0].CatAssign[0] != int(c) {
 			f.Fatalf("patched category %d did not land: %v", c, err)
 		}
@@ -151,7 +152,7 @@ func FuzzDecodeDescriptor(f *testing.F) {
 			// their matrix block.
 			eng := newWorker()
 			for pass := 0; pass < 2 && err == nil; pass++ {
-				_, err = eng.ExecWireJob(&j, geom)
+				_, err = eng.ExecWireJob(&j)
 			}
 			for i := range eng.parts {
 				ps := &eng.parts[i]
@@ -167,20 +168,19 @@ func FuzzDecodeDescriptor(f *testing.F) {
 
 // modelFrame returns a scan frame carrying the model-sync block of a
 // small one-partition CAT engine over 12 taxa, and a builder of worker
-// engines (with their geometry) over the same patterns to run such
-// frames on.
-func modelFrame(t testing.TB) ([]byte, func() *Engine, *WorkerGeom) {
+// engines over the same patterns, each computing the whole axis, to run
+// such frames on.
+func modelFrame(t testing.TB) ([]byte, func() *Engine) {
 	_, master, _ := scanFrame(t, 1, true)
 	frame := append([]byte(nil), master.EncodeWireJob(threads.JobInsertScan, true, false)...)
-	geom := &WorkerGeom{StripeLo: 0, StripeHi: master.nPatterns, MasterParts: 1, PartMap: []int{0}, ClipOff: []int{0}}
-	init := &WorkerInit{Rank: 1, Ranks: 2, Threads: 1, Geom: *geom, Pat: master.pat, IsCAT: true, NCats: 1}
+	init := &WorkerInit{Threads: 1, Stripe: threads.Range{Hi: master.nPatterns}, Pat: master.pat, IsCAT: true, NCats: 1}
 	return frame, func() *Engine {
 		worker, err := BuildWorkerEngine(init)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return worker
-	}, geom
+	}
 }
 
 // modelFrameCatOffset is the byte offset of pattern 0's rate category in
@@ -257,14 +257,7 @@ func FuzzDecodeWorkerInit(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	init := &WorkerInit{
-		Rank: 1, Ranks: 2, Threads: 1,
-		Geom: WorkerGeom{
-			StripeLo: 0, StripeHi: pat.NumPatterns(), MasterParts: pat.NumParts(),
-			PartMap: []int{0}, ClipOff: []int{0},
-		},
-		Pat: pat, NCats: 4,
-	}
+	init := &WorkerInit{Threads: 1, Stripe: threads.Range{Lo: 1, Hi: pat.NumPatterns()}, Pat: pat, NCats: 4}
 	good := EncodeWorkerInit(init)
 	if _, err := DecodeWorkerInit(good); err != nil {
 		f.Fatal(err)

@@ -70,7 +70,7 @@ import (
 // ensureSumtable sizes the persistent sumtable arena: one tile's worth
 // of float64 (the same padded per-partition segments as a CLV tile), so
 // the offset formula of docs/memory-layout.md applies with the tile
-// base at 0. Reserved in New at the full axis's tile size; sliced to the
+// base at 0. Reserved in New at the span's tile size; sliced to the
 // current tile on first use and for every later branch.
 func (e *Engine) ensureSumtable() {
 	e.sumtable = e.sumtable[:e.tileFloats]

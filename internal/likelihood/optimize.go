@@ -406,10 +406,12 @@ type siteRateScratch struct {
 	clustered                []gtr.RateCategories
 }
 
-// reserve sizes the pattern-axis buffers of a CAT engine (a GAMMA
-// engine never re-estimates per-site rates).
+// reserve sizes the pattern-axis buffers of a CAT engine over the whole
+// axis. A GAMMA engine never re-estimates per-site rates, and neither
+// does a worker rank's: it computes the site log-likelihoods of its
+// stripe only.
 func (s *siteRateScratch) reserve(e *Engine) {
-	if !e.isCAT {
+	if !e.isCAT || e.span.Len() != e.nPatterns {
 		return
 	}
 	s.bestRate = make([]float64, e.nPatterns)

@@ -139,24 +139,38 @@ func (m *pMemo) block(blk int32) [][16]float64 {
 	return m.blocks[int(blk)*m.cats : (int(blk)+1)*m.cats]
 }
 
-// fillBlock makes dst the transition matrices of every partition and
-// rate category at branch length t, at the partitions' pOff offsets, the
-// way ref says. Branch lengths are linked across partitions; the matrices
-// still differ because every partition has its own model and category
-// rates. Safe to run concurrently for refs of one plan.
+// fillBlock makes dst the transition matrices of every visited partition
+// (partState.visited) and rate category at branch length t, at the
+// partitions' pOff offsets, the way ref says. Branch lengths are linked
+// across partitions; the matrices still differ because every partition
+// has its own model and category rates. Safe to run concurrently for
+// refs of one plan.
 func (e *Engine) fillBlock(t float64, dst [][16]float64, ref memoRef) {
 	if ref.hit {
-		copy(dst, e.memo.block(ref.blk))
+		e.copyVisited(dst, e.memo.block(ref.blk))
 		return
 	}
 	for i := range e.parts {
 		ps := &e.parts[i]
+		if !ps.visited() {
+			continue
+		}
 		for c := 0; c < ps.rates.NumCats(); c++ {
 			ps.model.P(t, ps.rates.Rates[c], &dst[ps.pOff+c])
 		}
 	}
 	if ref.blk >= 0 {
-		copy(e.memo.block(ref.blk), dst)
+		e.copyVisited(e.memo.block(ref.blk), dst)
+	}
+}
+
+// copyVisited copies the matrices of every visited partition from src to
+// dst, both laid out as pEval.
+func (e *Engine) copyVisited(dst, src [][16]float64) {
+	for i := range e.parts {
+		if ps := &e.parts[i]; ps.visited() {
+			copy(dst[ps.pOff:ps.pOff+ps.rates.NumCats()], src[ps.pOff:])
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"raxml/internal/gtr"
 	"raxml/internal/msa"
 	"raxml/internal/rng"
+	"raxml/internal/threads"
 	"raxml/internal/tree"
 )
 
@@ -156,7 +157,7 @@ func TestInstallRatesFromWire(t *testing.T) {
 	r := rng.New(63)
 	pat := randomPatterns(t, r, 6, 90)
 	n := pat.NumPatterns()
-	geom := &WorkerGeom{StripeLo: 0, StripeHi: n, MasterParts: 1, PartMap: []int{0}, ClipOff: []int{0}}
+	stripe := threads.Range{Lo: n / 3, Hi: n}
 	model := gtr.Default()
 	block := func(assign []int, rates []float64) *WireModel {
 		return &WireModel{
@@ -164,13 +165,13 @@ func TestInstallRatesFromWire(t *testing.T) {
 			Parts: []WireModelPart{{Rates: model.Rates, Freqs: model.Freqs, CatRates: rates, CatAssign: assign}},
 		}
 	}
-	e, err := BuildWorkerEngine(&WorkerInit{Ranks: 2, Rank: 1, Threads: 1, Geom: *geom, Pat: pat, IsCAT: true, NCats: 1})
+	e, err := BuildWorkerEngine(&WorkerInit{Threads: 1, Stripe: stripe, Pat: pat, IsCAT: true, NCats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := make([]int, n)
 	good[3], good[n-1] = 2, 1
-	if err := e.ApplyWireModel(block(good, []float64{0.4, 1, 3}), geom); err != nil {
+	if err := e.ApplyWireModel(block(good, []float64{0.4, 1, 3})); err != nil {
 		t.Fatal(err)
 	}
 	checkRatesInstalled(t, e, "after a sound model block")
@@ -180,7 +181,7 @@ func TestInstallRatesFromWire(t *testing.T) {
 	for name, c := range map[string]int{"out of range": 3, "negative": -1} {
 		bad := append([]int(nil), good...)
 		bad[n/2] = c
-		err := e.ApplyWireModel(block(bad, []float64{0.4, 1, 3}), geom)
+		err := e.ApplyWireModel(block(bad, []float64{0.4, 1, 3}))
 		if !errors.Is(err, ErrWireDesync) {
 			t.Fatalf("%s category on the wire: %v, want ErrWireDesync", name, err)
 		}
@@ -190,7 +191,7 @@ func TestInstallRatesFromWire(t *testing.T) {
 		}
 	}
 
-	g, err := BuildWorkerEngine(&WorkerInit{Ranks: 2, Rank: 1, Threads: 1, Geom: *geom, Pat: pat, NCats: 4})
+	g, err := BuildWorkerEngine(&WorkerInit{Threads: 1, Stripe: stripe, Pat: pat, NCats: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestInstallRatesFromWire(t *testing.T) {
 		Weights: pat.Weights,
 		Parts:   []WireModelPart{{Rates: model.Rates, Freqs: model.Freqs, GammaRates: []float64{0.5, 1.5}, GammaProbs: []float64{0.5, 0.5}}},
 	}
-	if err := g.ApplyWireModel(narrow, geom); !errors.Is(err, ErrWireDesync) {
+	if err := g.ApplyWireModel(narrow); !errors.Is(err, ErrWireDesync) {
 		t.Fatalf("2-category GAMMA block for a 4-category engine: %v, want ErrWireDesync", err)
 	}
 }

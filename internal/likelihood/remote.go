@@ -15,11 +15,14 @@ import (
 // This file is the wire half of the distributed (finegrain) dispatcher:
 // the compact binary codec for traversal-descriptor jobs and the
 // worker-mode execution path that replays them on a remote rank's
-// stripe engine. It reproduces RAxML's _FINE_GRAIN_MPI design
+// engine. It reproduces RAxML's _FINE_GRAIN_MPI design
 // (genericParallelization.c): the master plans exactly as for threads —
 // one traversal descriptor, one job code — and the remote workers are
-// just more crew members whose "shared memory" is a stripe of the
-// pattern axis they own outright.
+// just more crew members. A worker rank builds the master's engine —
+// the whole alignment, every partition in the master's numbering —
+// over a crew that covers its stripe only, so every index on the wire
+// means the same on both sides and only the stripe's patterns are ever
+// laid out in its arena.
 //
 // What goes on the wire is deliberately *symbolic*, not resolved:
 // descriptor entries carry (node, slot) directed-edge ids, tip taxa and
@@ -89,12 +92,12 @@ type WireEntry struct {
 const wireEntryBytes = 8*4 + 2*8
 
 // WireModel is the model-sync block: full per-partition model state
-// plus the active pattern weights over the master's full pattern axis.
-// It is rank-independent — the same block is broadcast to every rank,
-// and each rank slices the per-pattern vectors down to its stripe — so
-// a model change still costs exactly one broadcast.
+// plus the active pattern weights over the whole pattern axis. It is
+// rank-independent — the same block is broadcast to every rank, and each
+// rank installs it whole — so a model change still costs exactly one
+// broadcast.
 type WireModel struct {
-	Weights []int // full master pattern axis
+	Weights []int // the whole pattern axis
 	IsCAT   bool
 	Parts   []WireModelPart
 }
@@ -104,7 +107,7 @@ type WireModelPart struct {
 	Rates [6]float64
 	Freqs [4]float64
 	// CatRates/CatAssign are the CAT treatment (assignments indexed
-	// partition-locally over the master's full partition span);
+	// partition-locally over the whole partition);
 	// GammaRates/GammaProbs the GAMMA treatment.
 	CatRates, GammaRates, GammaProbs []float64
 	CatAssign                        []int
@@ -130,7 +133,7 @@ type WireJob struct {
 }
 
 // WireFactors is the makenewz codes' payload (the setup job ends with
-// the core reduction at the starting length): per MASTER partition, the
+// the core reduction at the starting length): per partition, the
 // matrix-category count and the three eigen exponential factor blocks
 // (4 float64 per category each, for the likelihood and the first- and
 // second-derivative weights — gtr.Model.ExpEigen's output). This is the
@@ -141,11 +144,11 @@ type WireJob struct {
 // each Newton iteration ships one of these blocks) or rides home once
 // on the setup partial (and no core frame is ever sent) is the
 // dispatcher's choice — see Engine.makenewzDerivatives. A worker rank
-// copies the blocks of its own partitions into its local factor scratch
-// (applyWireFactors), re-indexed by the init-time geometry.
+// copies the blocks into its factor scratch (applyWireFactors): its
+// partitions and their matrix offsets are the master's.
 type WireFactors struct {
-	Cats        []int     // per master partition matrix-category count
-	Exp, D1, D2 []float64 // concatenated blocks, 4·Cats[i] each, master order
+	Cats        []int     // per partition matrix-category count
+	Exp, D1, D2 []float64 // concatenated blocks, 4·Cats[i] each, partition order
 }
 
 // WirePartial is one rank's decoded reduction partial: the two fixed
@@ -160,20 +163,6 @@ type WirePartial struct {
 	Slots [2]float64
 	Wide  []float64
 	Vec   []byte
-}
-
-// WorkerGeom is the stripe geometry a worker rank holds from its init
-// frame and applies to every job.
-type WorkerGeom struct {
-	// StripeLo/StripeHi is the rank's stripe on the master pattern axis.
-	StripeLo, StripeHi int
-	// MasterParts is the master's partition count (width of Wide).
-	MasterParts int
-	// PartMap maps local partition index -> master partition index.
-	PartMap []int
-	// ClipOff is the local partition's pattern offset inside its master
-	// partition (for slicing partition-local per-pattern vectors).
-	ClipOff []int
 }
 
 // WireMaster is what a distributed Dispatcher requires of its runner:
@@ -523,7 +512,7 @@ func (e *Engine) appendWireModel(b []byte) []byte {
 	return b
 }
 
-// appendWireFactors appends the makenewz factor block: every master
+// appendWireFactors appends the makenewz factor block: every
 // partition's category count followed by its Exp/D1/D2 blocks from the
 // factor scratch makenewzFactors just filled.
 func (e *Engine) appendWireFactors(b []byte) []byte {
@@ -583,37 +572,27 @@ func decodeWireFactors(r *wireReader, reuse *WireFactors) *WireFactors {
 }
 
 // applyWireFactors installs a shipped factor block into the worker
-// engine's factor scratch, re-indexing master partitions to the rank's
-// local partitions via the init-time geometry. Must run after ensureP
-// (local pOff offsets fresh).
-func (e *Engine) applyWireFactors(f *WireFactors, g *WorkerGeom) error {
+// engine's factor scratch. The block is laid out as the master's scratch
+// and the worker's partitions are the master's, so it lands whole once
+// every partition's category count matches. Must run after ensureP
+// (pOff offsets fresh).
+func (e *Engine) applyWireFactors(f *WireFactors) error {
 	if f == nil {
 		return fmt.Errorf("likelihood: makenewz frame without factor block")
 	}
-	if len(f.Cats) != g.MasterParts {
-		return fmt.Errorf("likelihood: factor block has %d partitions, expected %d", len(f.Cats), g.MasterParts)
+	if len(f.Cats) != len(e.parts) {
+		return fmt.Errorf("likelihood: factor block has %d partitions, expected %d", len(f.Cats), len(e.parts))
+	}
+	for i := range e.parts {
+		if nc := e.parts[i].rates.NumCats(); f.Cats[i] != nc {
+			return fmt.Errorf("likelihood: factor block partition %d carries %d categories, the engine has %d",
+				i, f.Cats[i], nc)
+		}
 	}
 	e.ensureFactorScratch()
-	for li := range e.parts {
-		ps := &e.parts[li]
-		mi := g.PartMap[li]
-		nc := ps.rates.NumCats()
-		if f.Cats[mi] != nc {
-			return fmt.Errorf("likelihood: factor block partition %d carries %d categories, local engine has %d",
-				mi, f.Cats[mi], nc)
-		}
-		moff := 0
-		for q := 0; q < mi; q++ {
-			moff += f.Cats[q] * 4
-		}
-		if moff+nc*4 > len(f.Exp) {
-			return fmt.Errorf("likelihood: factor block truncated at partition %d", mi)
-		}
-		lo := ps.pOff * 4
-		copy(e.mkzExp[lo:lo+nc*4], f.Exp[moff:moff+nc*4])
-		copy(e.mkzD1[lo:lo+nc*4], f.D1[moff:moff+nc*4])
-		copy(e.mkzD2[lo:lo+nc*4], f.D2[moff:moff+nc*4])
-	}
+	copy(e.mkzExp, f.Exp)
+	copy(e.mkzD1, f.D1)
+	copy(e.mkzD2, f.D2)
 	return nil
 }
 
@@ -739,38 +718,37 @@ func decodeWireModel(r *wireReader) *WireModel {
 // Worker-mode engine operations
 // ---------------------------------------------------------------------
 
-// ApplyWireModel installs a model-sync block onto a worker engine,
-// slicing the per-pattern vectors (weights, CAT assignments) down to
-// the rank's stripe using the init-time geometry.
-func (e *Engine) ApplyWireModel(m *WireModel, g *WorkerGeom) error {
-	if len(m.Parts) != g.MasterParts {
-		return fmt.Errorf("likelihood: model block has %d partitions, expected %d", len(m.Parts), g.MasterParts)
+// ApplyWireModel installs a model-sync block onto a worker engine: its
+// weights and partitions are the master's, so every vector installs
+// whole, and every partition's rate treatment is checked and installed.
+func (e *Engine) ApplyWireModel(m *WireModel) error {
+	if len(m.Parts) != len(e.parts) {
+		return fmt.Errorf("likelihood: model block has %d partitions, expected %d", len(m.Parts), len(e.parts))
 	}
-	if len(m.Weights) < g.StripeHi || g.StripeHi-g.StripeLo != e.nPatterns {
-		return fmt.Errorf("likelihood: model block weights cover %d patterns, stripe is [%d, %d)", len(m.Weights), g.StripeLo, g.StripeHi)
+	if len(m.Weights) != e.nPatterns {
+		return fmt.Errorf("likelihood: model block weights cover %d patterns, the axis has %d", len(m.Weights), e.nPatterns)
 	}
-	e.installWeights(m.Weights[g.StripeLo:g.StripeHi])
+	e.installWeights(m.Weights)
 	for li := range e.parts {
 		ps := &e.parts[li]
-		wp := &m.Parts[g.PartMap[li]]
-		if err := ps.model.SetRates(wp.Rates); err != nil {
-			return fmt.Errorf("likelihood: model sync partition %d: %v", li, err)
-		}
-		if err := ps.model.SetFreqs(wp.Freqs); err != nil {
-			return fmt.Errorf("likelihood: model sync partition %d: %v", li, err)
+		wp := &m.Parts[li]
+		// No kernel here reads the eigensystem of a partition outside the
+		// stripe, so it is not decomposed; a block that makes the
+		// partition visited (new weights, installed above) installs it.
+		if ps.visited() {
+			if err := ps.model.SetRates(wp.Rates); err != nil {
+				return fmt.Errorf("likelihood: model sync partition %d: %v", li, err)
+			}
+			if err := ps.model.SetFreqs(wp.Freqs); err != nil {
+				return fmt.Errorf("likelihood: model sync partition %d: %v", li, err)
+			}
 		}
 		var rc gtr.RateCategories
 		if m.IsCAT {
 			if !ps.rates.IsCAT() {
 				return fmt.Errorf("likelihood: model sync partition %d: CAT block for GAMMA engine", li)
 			}
-			n := ps.hi - ps.lo
-			off := g.ClipOff[li]
-			if len(wp.CatAssign) < off+n {
-				return fmt.Errorf("likelihood: model sync partition %d: %d assignments, need [%d, %d)",
-					li, len(wp.CatAssign), off, off+n)
-			}
-			rc = gtr.RateCategories{Rates: wp.CatRates, PatternCategory: wp.CatAssign[off : off+n]}
+			rc = gtr.RateCategories{Rates: wp.CatRates, PatternCategory: wp.CatAssign}
 		} else {
 			if ps.rates.IsCAT() {
 				return fmt.Errorf("likelihood: model sync partition %d: GAMMA block for CAT engine", li)
@@ -797,7 +775,7 @@ func (e *Engine) ApplyWireModel(m *WireModel, g *WorkerGeom) error {
 // prepareWireTraversal is the worker-mode planner: it lays a shipped
 // descriptor window out as the master's own (tip children from the
 // frame, not from a tree) and plans it with prepareTraversal — tiles bound
-// in the LOCAL arena in entry order, exactly as the master binds its own,
+// in the rank's arena in entry order, exactly as the master binds its own,
 // and every entry's transition matrices and tip lookup tables rebuilt from
 // its branch lengths through the memo, the worker-side P rebuild that
 // keeps job frames small.
@@ -875,11 +853,11 @@ func (e *Engine) checkWireJob(job *WireJob, s *jobSpec) error {
 // descriptor locally, install the code's payload, run the code's prep —
 // the matrices the master built, rebuilt from the shipped branch length
 // — run the job over the local thread crew (one local barrier crossing)
-// and return the encoded reduction partial in the code's shape: an
-// evaluation's wide components indexed by MASTER partition, a scan's by
-// candidate, the site-LL vector over the local stripe, a gathered
-// setup's sumtable rows.
-func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
+// and return the encoded reduction partial in the code's shape
+// (WirePartialLen over the rank's span): an evaluation's wide components
+// by partition, a scan's by candidate, the site-LL vector over the
+// stripe, a gathered setup's sumtable rows.
+func (e *Engine) ExecWireJob(job *WireJob) ([]byte, error) {
 	s := jobOf(job.Code)
 	if err := e.checkWireJob(job, s); err != nil {
 		return nil, err
@@ -892,7 +870,7 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 		clear(e.valid)
 	}
 	if job.Model != nil {
-		if err := e.ApplyWireModel(job.Model, g); err != nil {
+		if err := e.ApplyWireModel(job.Model); err != nil {
 			return nil, err
 		}
 	}
@@ -908,7 +886,7 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 	case payloadFactors:
 		// Setup fills this rank's sumtable stripe from its own CLVs and
 		// core reads it back; only the tiny factor block arrives.
-		if err := e.applyWireFactors(job.Factors, g); err != nil {
+		if err := e.applyWireFactors(job.Factors); err != nil {
 			return nil, err
 		}
 	}
@@ -920,42 +898,30 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 	e.pool.Post(e, job.Code)
 
 	// Encode the partial: fixed slots, the wide block, the per-pattern
-	// block.
+	// block, in the counts the master expects of this rank's stripe.
 	b := e.wirePartialBuf[:0]
 	s0, s1 := e.pool.SumSlots2(0, 1)
-	b = appendF64(b, s0)
-	b = appendF64(b, s1)
+	b = appendF64(appendF64(b, s0), s1)
+	wide, vec := e.WirePartialLen(job.Code, e.span)
+	b = appendU32(b, uint32(wide))
+	for i := 0; i < wide; i++ {
+		b = appendF64(b, e.pool.SumWide(i))
+	}
+	b = appendU32(b, uint32(vec))
 	switch {
-	case s.partial == partialParts:
-		e.wireWide = resize(e.wireWide, g.MasterParts)
-		wide := e.wireWide
-		clear(wide)
-		for li := range e.parts {
-			wide[g.PartMap[li]] = e.pool.SumWide(li)
-		}
-		b = appendU32(appendF64s(b, wide), 0)
-	case s.partial == partialCands:
-		b = appendU32(b, uint32(len(e.scanCands)))
-		for i := range e.scanCands {
-			b = appendF64(b, e.pool.SumWide(i))
-		}
-		b = appendU32(b, 0)
 	case s.partial == partialSites:
-		b = appendF64s(appendU32(b, 0), e.jobDst)
+		b = appendF64Block(b, e.jobDst[e.span.Lo:e.span.Hi])
 		e.jobDst = nil
 	case job.Gather:
 		// The rows of the stripe's live patterns in pattern order: each
-		// local partition's segment without its line padding, so the block
-		// is exactly tileN·nCat·4 float64 whatever either side's tile
+		// partition's segment without its line padding, so the block is
+		// exactly tileN·nCat·4 float64 whatever either side's tile
 		// geometry.
 		st := e.nCat * 4
-		b = appendU32(appendU32(b, 0), uint32(e.tileN*st))
 		for i := range e.parts {
 			ps := &e.parts[i]
 			b = appendF64Block(b, e.sumtable[ps.fOff:ps.fOff+(ps.thi-ps.tlo)*st])
 		}
-	default:
-		b = appendU32(appendU32(b, 0), 0)
 	}
 	e.wirePartialBuf = b
 	return b, nil
@@ -1027,17 +993,16 @@ func (e *Engine) AbsorbRemoteVec(code threads.JobCode, stripeLo int, vec []byte)
 // Worker init
 // ---------------------------------------------------------------------
 
-// WorkerInit is everything a remote rank needs to build its stripe
-// engine: the stripe's pattern data (local axis), geometry, the rate
-// treatment *shape* (real parameters arrive with the first job's model
-// block), and the local thread count.
+// WorkerInit is everything a remote rank needs to build its engine: the
+// master's whole pattern set and the stripe of it the rank computes, the
+// rate treatment *shape* (real parameters arrive with the first job's
+// model block), and the local thread count.
 type WorkerInit struct {
-	Rank, Ranks int
-	Threads     int
-	Geom        WorkerGeom
-	Pat         *msa.Patterns
-	IsCAT       bool
-	NCats       int // GAMMA category count (CLV width); 1 for CAT
+	Threads int
+	Stripe  threads.Range
+	Pat     *msa.Patterns
+	IsCAT   bool
+	NCats   int // GAMMA category count (CLV width); 1 for CAT
 }
 
 // maxCLVCats is the widest CLV a worker builds: sixteen times the four
@@ -1047,14 +1012,9 @@ const maxCLVCats = 64
 // EncodeWorkerInit encodes the init frame.
 func EncodeWorkerInit(w *WorkerInit) []byte {
 	var b []byte
-	b = appendI32(b, int32(w.Rank))
-	b = appendI32(b, int32(w.Ranks))
 	b = appendI32(b, int32(w.Threads))
-	b = appendI32(b, int32(w.Geom.StripeLo))
-	b = appendI32(b, int32(w.Geom.StripeHi))
-	b = appendI32(b, int32(w.Geom.MasterParts))
-	b = appendInts(b, w.Geom.PartMap)
-	b = appendInts(b, w.Geom.ClipOff)
+	b = appendI32(b, int32(w.Stripe.Lo))
+	b = appendI32(b, int32(w.Stripe.Hi))
 	b = appendBool(b, w.IsCAT)
 	b = appendI32(b, int32(w.NCats))
 
@@ -1070,8 +1030,9 @@ func EncodeWorkerInit(w *WorkerInit) []byte {
 		}
 	}
 	b = appendInts(b, p.Weights)
-	b = appendU32(b, uint32(len(p.Parts)))
-	for _, pr := range p.Parts {
+	parts := p.PartRanges()
+	b = appendU32(b, uint32(len(parts)))
+	for _, pr := range parts {
 		b = appendString(b, pr.Name)
 		b = appendI32(b, int32(pr.Lo))
 		b = appendI32(b, int32(pr.Hi))
@@ -1083,14 +1044,8 @@ func EncodeWorkerInit(w *WorkerInit) []byte {
 func DecodeWorkerInit(buf []byte) (*WorkerInit, error) {
 	r := &wireReader{b: buf}
 	w := &WorkerInit{}
-	w.Rank = int(r.i32())
-	w.Ranks = int(r.i32())
 	w.Threads = int(r.i32())
-	w.Geom.StripeLo = int(r.i32())
-	w.Geom.StripeHi = int(r.i32())
-	w.Geom.MasterParts = int(r.i32())
-	w.Geom.PartMap = r.ints()
-	w.Geom.ClipOff = r.ints()
+	w.Stripe = threads.Range{Lo: int(r.i32()), Hi: int(r.i32())}
 	w.IsCAT = r.bool()
 	w.NCats = int(r.i32())
 
@@ -1138,31 +1093,37 @@ func DecodeWorkerInit(buf []byte) (*WorkerInit, error) {
 	if r.off != len(r.b) {
 		return nil, fmt.Errorf("likelihood: init frame has %d trailing bytes", len(r.b)-r.off)
 	}
-	// The engine is built from the frame, so it must describe the stripe
-	// it carries — weights and partitions tiling the patterns, a partition
-	// map into the master's partitions — at a CLV width a worker holds.
+	// The engine is built from the frame, so it must describe what it
+	// carries — weights and partitions tiling the patterns, a non-empty
+	// stripe inside them — at a CLV width a worker holds.
 	w.Pat = msa.FromParts(names, data, weights, parts)
-	g, ranges, lo := &w.Geom, w.Pat.PartRanges(), 0
-	ok := len(weights) == nPat && len(g.PartMap) == len(ranges) && len(g.ClipOff) == len(ranges) &&
-		g.StripeLo >= 0 && g.StripeHi-g.StripeLo == nPat && g.MasterParts <= 1<<20 && w.NCats >= 1 && w.NCats <= maxCLVCats
-	for i, pr := range ranges {
-		ok = ok && pr.Lo == lo && pr.Hi > lo && g.PartMap[i] >= 0 && g.PartMap[i] < g.MasterParts && g.ClipOff[i] >= 0
+	s, lo := w.Stripe, 0
+	ok := len(weights) == nPat && 0 <= s.Lo && s.Lo < s.Hi && s.Hi <= nPat && w.NCats >= 1 && w.NCats <= maxCLVCats
+	for _, pr := range w.Pat.PartRanges() {
+		ok = ok && pr.Lo == lo && pr.Hi > lo
 		lo = pr.Hi
 	}
 	if !ok || lo != nPat {
-		return nil, fmt.Errorf("likelihood: init frame geometry does not describe its %d-pattern stripe", nPat)
+		return nil, fmt.Errorf("likelihood: init frame does not describe a stripe of its %d patterns", nPat)
 	}
 	return w, nil
 }
 
-// BuildWorkerEngine constructs a remote rank's stripe engine from its
-// init frame: placeholder default models and treatment shapes (the
-// first job's model block overwrites them), a local thread crew over
-// the stripe's own pattern axis.
+// BuildWorkerEngine constructs a remote rank's engine from its init
+// frame the way the master builds its own — NewPartitioned over the whole
+// pattern set with every partition, placeholder default models and
+// treatment shapes (the first job's model block overwrites them) — over a
+// thread crew that covers the rank's stripe only, in alignment-axis
+// indices. The crew's ranges are the engine's span, so its tiles are laid
+// out over the stripe alone. The stripe is cut over the threads by
+// pattern count when it holds one partition and by weight when it holds
+// several; the engine snaps the cuts relative to the partition starts
+// clipped to the stripe.
 func BuildWorkerEngine(w *WorkerInit) (*Engine, error) {
-	n := w.Pat.NumParts()
-	set := gtr.NewPartitionSet(n)
-	for i, pr := range w.Pat.PartRanges() {
+	ranges := w.Pat.PartRanges()
+	set := gtr.NewPartitionSet(len(ranges))
+	held := 0
+	for i, pr := range ranges {
 		if w.IsCAT {
 			set.Rates[i] = gtr.NewUniform(pr.Len())
 		} else {
@@ -1172,12 +1133,15 @@ func BuildWorkerEngine(w *WorkerInit) (*Engine, error) {
 			}
 			set.Rates[i] = g
 		}
+		if max(pr.Lo, w.Stripe.Lo) < min(pr.Hi, w.Stripe.Hi) {
+			held++
+		}
 	}
 	var pool *threads.Pool
-	if n > 1 {
-		pool = threads.NewPoolWeighted(w.Threads, w.Pat.Weights)
+	if held > 1 {
+		pool = threads.NewPoolStripe(w.Threads, w.Pat.Weights, w.Stripe.Lo, w.Stripe.Hi)
 	} else {
-		pool = threads.NewPool(w.Threads, w.Pat.NumPatterns())
+		pool = threads.NewPoolStripeEven(w.Threads, w.Stripe.Lo, w.Stripe.Hi)
 	}
 	eng, err := NewPartitioned(w.Pat, set, Config{Pool: pool})
 	if err != nil {

@@ -2,9 +2,11 @@ package likelihood
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"raxml/internal/gtr"
+	"raxml/internal/msa"
 	"raxml/internal/rng"
 	"raxml/internal/threads"
 	"raxml/internal/tree"
@@ -318,42 +320,25 @@ func TestWireRowsCrossBitExact(t *testing.T) {
 	}
 }
 
-// TestWorkerInitRoundTrip pins the init codec over a partitioned slice.
+// TestWorkerInitRoundTrip pins the init codec over a partitioned
+// alignment: the whole pattern set, its partitions and the stripe cross.
 func TestWorkerInitRoundTrip(t *testing.T) {
-	r := rng.New(5)
-	pat := randomPatterns(t, r, 6, 200)
-	sp, partIndex, clipOff := pat.Slice(48, 176)
-	in := &WorkerInit{
-		Rank: 2, Ranks: 4, Threads: 3,
-		Geom: WorkerGeom{
-			StripeLo: 48, StripeHi: 176, MasterParts: pat.NumParts(),
-			PartMap: partIndex, ClipOff: clipOff,
-		},
-		Pat: sp, IsCAT: true, NCats: 1,
+	pat, err := msa.CompressPartitioned(randomAlignment(t, rng.New(5), 6, 300), msa.ContiguousPartitions(300, 3))
+	if err != nil {
+		t.Fatal(err)
 	}
+	in := &WorkerInit{Threads: 3, Stripe: threads.Range{Lo: 48, Hi: 176}, Pat: pat, IsCAT: true, NCats: 1}
 	out, err := DecodeWorkerInit(EncodeWorkerInit(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rank != 2 || out.Ranks != 4 || out.Threads != 3 {
+	if out.Threads != 3 || out.Stripe != in.Stripe || !out.IsCAT || out.NCats != 1 {
 		t.Fatalf("header: %+v", out)
 	}
-	if out.Geom.StripeLo != 48 || out.Geom.StripeHi != 176 {
-		t.Fatalf("stripe: %+v", out.Geom)
+	if !reflect.DeepEqual(out.Pat.PartRanges(), pat.PartRanges()) || pat.NumParts() != 3 {
+		t.Fatalf("partitions %v crossed as %v", pat.PartRanges(), out.Pat.PartRanges())
 	}
-	if out.Pat.NumTaxa() != pat.NumTaxa() || out.Pat.NumPatterns() != 128 {
-		t.Fatalf("stripe patterns: %d taxa, %d patterns", out.Pat.NumTaxa(), out.Pat.NumPatterns())
-	}
-	for i := range out.Pat.Data {
-		for k, s := range out.Pat.Data[i] {
-			if s != pat.Data[i][48+k] {
-				t.Fatalf("taxon %d pattern %d: %v vs %v", i, k, s, pat.Data[i][48+k])
-			}
-		}
-	}
-	for k, w := range out.Pat.Weights {
-		if w != pat.Weights[48+k] {
-			t.Fatalf("weight %d: %d vs %d", k, w, pat.Weights[48+k])
-		}
+	if !reflect.DeepEqual(out.Pat.Names, pat.Names) || !reflect.DeepEqual(out.Pat.Data, pat.Data) || !reflect.DeepEqual(out.Pat.Weights, pat.Weights) {
+		t.Fatal("the pattern set did not cross whole")
 	}
 }

@@ -345,6 +345,9 @@ func (e *Engine) fillTravEntry(i int) {
 	e.fillBlock(ent.pub.Len2, ent.pR, ent.memoR)
 	for pi := range e.parts {
 		ps := &e.parts[pi]
+		if !ps.visited() {
+			continue
+		}
 		npc := ps.rates.NumCats()
 		if ent.lutL != nil {
 			fillTipLUT(ent.lutL[64*ps.pOff:64*(ps.pOff+npc)], ent.pL[ps.pOff:ps.pOff+npc], e.tipCodeMask[ent.left.taxon])
@@ -467,7 +470,7 @@ type partialShape uint8
 
 const (
 	partialSlots partialShape = iota // nothing
-	partialParts                     // one wide component per master partition
+	partialParts                     // one wide component per partition
 	partialCands                     // one wide component per scan candidate
 	partialSites                     // the stripe's site log-likelihoods
 	partialRows                      // the stripe's sumtable rows, when the frame gathers
@@ -557,13 +560,13 @@ func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 // JobWork implements threads.WorkEstimator: the kernel steps per pattern
 // of the job about to be posted — one per descriptor entry in the window
 // plus the code's own (jobSpec.steps, candSteps) — times the CLV
-// categories every step covers, times the share of the patterns that are
-// live: a range visits only those (compact.go). The pool runs a job too
-// short to share on the master alone.
+// categories every step covers, times the share of the span's patterns
+// that are live: a range visits only those (compact.go). The pool runs a
+// job too short to share on the master alone.
 func (e *Engine) JobWork(code threads.JobCode) int {
 	s := &jobTable[code]
 	steps := e.travHi - e.travLo + s.steps + s.candSteps*len(e.scanCands)
-	return steps * e.nCat * e.tileN / e.nPatterns
+	return steps * e.nCat * e.tileN / e.span.Len()
 }
 
 // SetPerNodeDispatch toggles the per-node dispatch ablation: when

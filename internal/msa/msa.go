@@ -301,56 +301,16 @@ func (p *Patterns) Resample(r *rng.RNG) []int {
 
 // FromParts assembles a Patterns directly from its components — the
 // deserialization constructor for pattern sets that crossed a process
-// boundary (a distributed rank's stripe). ColumnPattern/SitePartition
-// are left nil: a stripe cannot be expanded or resampled, it is pure
-// kernel input. numChars is set to the weight mass so TotalWeight and
-// reporting stay meaningful.
+// boundary (the alignment a distributed worker rank receives).
+// ColumnPattern/SitePartition are left nil: such a set cannot be expanded
+// or resampled, it is pure kernel input. numChars is set to the weight
+// mass so TotalWeight and reporting stay meaningful.
 func FromParts(names []string, data [][]State, weights []int, parts []PartRange) *Patterns {
 	p := &Patterns{Names: names, Data: data, Weights: weights, Parts: parts}
 	for _, w := range weights {
 		p.numChars += w
 	}
 	return p
-}
-
-// Slice returns the pattern stripe [lo, hi) as a standalone Patterns:
-// rows and weights sliced (copied), partitions clipped to the stripe
-// and rebased to a local axis starting at 0, empty partitions dropped.
-// PartIndex maps each retained partition to its index in the source;
-// clipOff gives each retained partition's pattern offset inside its
-// source partition. This is the unit of stripe ownership in the
-// distributed worker pool: each rank holds exactly one slice.
-func (p *Patterns) Slice(lo, hi int) (s *Patterns, partIndex, clipOff []int) {
-	if lo < 0 || hi > p.NumPatterns() || hi < lo {
-		panic(fmt.Sprintf("msa: Slice [%d, %d) outside [0, %d)", lo, hi, p.NumPatterns()))
-	}
-	s = &Patterns{
-		Names:   append([]string(nil), p.Names...),
-		Data:    make([][]State, p.NumTaxa()),
-		Weights: append([]int(nil), p.Weights[lo:hi]...),
-	}
-	for i, row := range p.Data {
-		s.Data[i] = append([]State(nil), row[lo:hi]...)
-	}
-	for _, w := range s.Weights {
-		s.numChars += w
-	}
-	for pi, pr := range p.PartRanges() {
-		clo, chi := pr.Lo, pr.Hi
-		if clo < lo {
-			clo = lo
-		}
-		if chi > hi {
-			chi = hi
-		}
-		if clo >= chi {
-			continue
-		}
-		s.Parts = append(s.Parts, PartRange{Name: pr.Name, Lo: clo - lo, Hi: chi - lo})
-		partIndex = append(partIndex, pi)
-		clipOff = append(clipOff, clo-pr.Lo)
-	}
-	return s, partIndex, clipOff
 }
 
 // Subsample returns the pattern indices with non-zero weight in w, a

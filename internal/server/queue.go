@@ -9,7 +9,6 @@ import (
 	"raxml/internal/core"
 	"raxml/internal/grid"
 	"raxml/internal/search"
-	"raxml/internal/tree"
 )
 
 // Admission-control errors, mapped to HTTP statuses by the API layer.
@@ -270,30 +269,12 @@ func (s *Server) storeArtifacts(run *Run, a *grid.Analysis, res *grid.Result) er
 		arts[name] = hash
 		return nil
 	}
-	if len(res.Starts) > 0 {
-		if err := put("bestTree", res.Best.Newick+"\n"); err != nil {
-			return err
-		}
-		if res.BestAnnotated != "" {
-			if err := put("bipartitions", res.BestAnnotated+"\n"); err != nil {
-				return err
-			}
-		}
+	outputs, err := res.Outputs()
+	if err != nil {
+		return err
 	}
-	if len(res.Replicates) > 0 {
-		var all strings.Builder
-		for _, rep := range res.Replicates {
-			nw, err := tree.FormatNewick(rep.Tree, nil)
-			if err != nil {
-				return err
-			}
-			all.WriteString(nw)
-			all.WriteByte('\n')
-		}
-		if err := put("bootstrap", all.String()); err != nil {
-			return err
-		}
-		if err := put("consensus", res.ConsensusNewick+"\n"); err != nil {
+	for _, o := range outputs {
+		if err := put(o.Key, o.Content); err != nil {
 			return err
 		}
 	}

@@ -333,6 +333,22 @@ func NewPoolStripe(workers int, weights []int, lo, hi int) *Pool {
 	return newPool(w, ranges)
 }
 
+// NewPoolStripeEven is NewPool over the stripe [lo, hi) of a wider axis:
+// ranges of (nearly) equal pattern count, carrying global pattern
+// indices like NewPoolStripe's.
+func NewPoolStripeEven(workers, lo, hi int) *Pool {
+	if lo < 0 || hi < lo {
+		panic(fmt.Sprintf("threads: stripe [%d, %d)", lo, hi))
+	}
+	w := clampWorkers(workers, hi-lo)
+	ranges := SplitEven(hi-lo, w)
+	for i := range ranges {
+		ranges[i].Lo += lo
+		ranges[i].Hi += lo
+	}
+	return newPool(w, ranges)
+}
+
 func clampWorkers(workers, n int) int {
 	if workers < 1 {
 		workers = 1

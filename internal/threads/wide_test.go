@@ -94,6 +94,26 @@ func TestNewPoolStripe(t *testing.T) {
 	}
 }
 
+// TestNewPoolStripeEven: the by-count stripe constructor cuts [lo, hi)
+// exactly as NewPool cuts [0, hi−lo), shifted to global indices, and
+// clamps its workers to the stripe width.
+func TestNewPoolStripeEven(t *testing.T) {
+	for _, tc := range []struct{ workers, lo, hi int }{{3, 40, 90}, {2, 7, 8}, {64, 10, 14}, {4, 0, 101}} {
+		p := NewPoolStripeEven(tc.workers, tc.lo, tc.hi)
+		ref := NewPool(tc.workers, tc.hi-tc.lo)
+		if p.Workers() != ref.Workers() {
+			t.Fatalf("%+v: %d workers, NewPool has %d", tc, p.Workers(), ref.Workers())
+		}
+		for i, r := range ref.Ranges() {
+			if got := p.Ranges()[i]; got != (Range{r.Lo + tc.lo, r.Hi + tc.lo}) {
+				t.Fatalf("%+v: range %d is %v, NewPool's shifted is [%d, %d)", tc, i, got, r.Lo+tc.lo, r.Hi+tc.lo)
+			}
+		}
+		p.Close()
+		ref.Close()
+	}
+}
+
 // TestAlignBoundariesStandalone pins the exported boundary snapping
 // against the Pool method it was extracted from.
 func TestAlignBoundariesStandalone(t *testing.T) {
