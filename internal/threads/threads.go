@@ -325,12 +325,7 @@ func NewPoolStripe(workers int, weights []int, lo, hi int) *Pool {
 		panic(fmt.Sprintf("threads: stripe [%d, %d) outside [0, %d)", lo, hi, len(weights)))
 	}
 	w := clampWorkers(workers, hi-lo)
-	ranges := SplitWeighted(weights[lo:hi], w)
-	for i := range ranges {
-		ranges[i].Lo += lo
-		ranges[i].Hi += lo
-	}
-	return newPool(w, ranges)
+	return newStripePool(w, SplitWeighted(weights[lo:hi], w), lo)
 }
 
 // NewPoolStripeEven is NewPool over the stripe [lo, hi) of a wider axis:
@@ -341,12 +336,17 @@ func NewPoolStripeEven(workers, lo, hi int) *Pool {
 		panic(fmt.Sprintf("threads: stripe [%d, %d)", lo, hi))
 	}
 	w := clampWorkers(workers, hi-lo)
-	ranges := SplitEven(hi-lo, w)
+	return newStripePool(w, SplitEven(hi-lo, w), lo)
+}
+
+// newStripePool is newPool over ranges cut on a stripe's own axis,
+// moved to the stripe's start lo on the wider one.
+func newStripePool(workers int, ranges []Range, lo int) *Pool {
 	for i := range ranges {
 		ranges[i].Lo += lo
 		ranges[i].Hi += lo
 	}
-	return newPool(w, ranges)
+	return newPool(workers, ranges)
 }
 
 func clampWorkers(workers, n int) int {
