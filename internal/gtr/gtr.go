@@ -32,9 +32,15 @@ type Model struct {
 
 	// Eigensystem of the symmetrized, normalized rate matrix:
 	// Q = diag(π)^-1/2 · S · diag(π)^1/2 with S symmetric.
-	eval [4]float64    // eigenvalues of Q (≤ 0, one zero)
-	evec [4][4]float64 // right eigenvectors of Q (columns)
-	inv  [4][4]float64 // inverse of evec (rows)
+	eig Eigensystem
+}
+
+// Eigensystem is the eigendecomposition of a model's Q that P(t) =
+// Evec · diag(exp(Eval·t)) · Inv is computed from.
+type Eigensystem struct {
+	Eval [4]float64    // eigenvalues of Q (≤ 0, one zero)
+	Evec [4][4]float64 // right eigenvectors of Q (columns)
+	Inv  [4][4]float64 // inverse of Evec (rows)
 }
 
 // JukesCantor returns the equal-rates, equal-frequencies special case;
@@ -73,10 +79,8 @@ func New(rates [6]float64, freqs [4]float64) (*Model, error) {
 	if math.Abs(sum-1) > 1e-6 {
 		return nil, fmt.Errorf("gtr: frequencies sum to %g, want 1", sum)
 	}
-	for i, r := range rates {
-		if r <= 0 {
-			return nil, fmt.Errorf("gtr: exchangeability %d = %g must be positive", i, r)
-		}
+	if err := checkRates(rates); err != nil {
+		return nil, err
 	}
 	m := &Model{Rates: rates, Freqs: freqs}
 	if err := m.decompose(); err != nil {
@@ -152,12 +156,12 @@ func (m *Model) decompose() error {
 	if err != nil {
 		return err
 	}
-	m.eval = eval
+	m.eig.Eval = eval
 	// Right eigenvectors of Q: diag(1/√π)·U; inverse: Uᵀ·diag(√π).
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			m.evec[i][j] = invSqrtPi[i] * evec[i][j]
-			m.inv[j][i] = evec[i][j] * sqrtPi[i]
+			m.eig.Evec[i][j] = invSqrtPi[i] * evec[i][j]
+			m.eig.Inv[j][i] = evec[i][j] * sqrtPi[i]
 		}
 	}
 	return nil
@@ -232,26 +236,40 @@ func jacobiEigen(a [4][4]float64) ([4]float64, [4][4]float64, error) {
 // likelihood kernel consumes — a category's matrix is one contiguous
 // 128-byte block (two cache lines), indexable with constant offsets and
 // loadable as four 4-lane rows (see docs/kernels.md).
+//
+// P is the pinned reference of the kernels' transition-matrix block:
+// entry (i, j) is ((0 + w_i0·Inv[0][j]) + w_i1·Inv[1][j]) + … with
+// w_ik = Evec[i][k]·exp(Eval[k]·tt) rounded once and shared by the row,
+// and every product converted explicitly, so no build may contract a
+// product into the sum (FMA) and the AVX2 twin rounds the same way. The
+// products are spelled out: the compiler keeps them in registers, which
+// it does not for an inner k loop.
 func (m *Model) P(t, rate float64, dst *[16]float64) {
 	tt := t * rate
 	if tt < 0 {
 		tt = 0
 	}
-	var expl [4]float64
-	for k := 0; k < 4; k++ {
-		expl[k] = math.Exp(m.eval[k] * tt)
-	}
+	e := &m.eig
+	x0 := math.Exp(float64(e.Eval[0] * tt))
+	x1 := math.Exp(float64(e.Eval[1] * tt))
+	x2 := math.Exp(float64(e.Eval[2] * tt))
+	x3 := math.Exp(float64(e.Eval[3] * tt))
 	for i := 0; i < 4; i++ {
+		ev := &e.Evec[i]
+		w0, w1 := float64(ev[0]*x0), float64(ev[1]*x1)
+		w2, w3 := float64(ev[2]*x2), float64(ev[3]*x3)
+		row := (*[4]float64)(dst[i*4:])
 		for j := 0; j < 4; j++ {
 			sum := 0.0
-			for k := 0; k < 4; k++ {
-				sum += m.evec[i][k] * expl[k] * m.inv[k][j]
-			}
+			sum += float64(w0 * e.Inv[0][j])
+			sum += float64(w1 * e.Inv[1][j])
+			sum += float64(w2 * e.Inv[2][j])
+			sum += float64(w3 * e.Inv[3][j])
 			// clamp tiny negative rounding noise
 			if sum < 0 {
 				sum = 0
 			}
-			dst[i*4+j] = sum
+			row[j] = sum
 		}
 	}
 }
@@ -266,16 +284,16 @@ func (m *Model) PDeriv(t, rate float64, p, d1, d2 *[16]float64) {
 	}
 	var expl, dexpl, ddexpl [4]float64
 	for k := 0; k < 4; k++ {
-		e := math.Exp(m.eval[k] * tt)
+		e := math.Exp(m.eig.Eval[k] * tt)
 		expl[k] = e
-		dexpl[k] = m.eval[k] * rate * e
-		ddexpl[k] = m.eval[k] * rate * m.eval[k] * rate * e
+		dexpl[k] = m.eig.Eval[k] * rate * e
+		ddexpl[k] = m.eig.Eval[k] * rate * m.eig.Eval[k] * rate * e
 	}
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			var s, s1, s2 float64
 			for k := 0; k < 4; k++ {
-				w := m.evec[i][k] * m.inv[k][j]
+				w := m.eig.Evec[i][k] * m.eig.Inv[k][j]
 				s += w * expl[k]
 				s1 += w * dexpl[k]
 				s2 += w * ddexpl[k]
@@ -290,8 +308,11 @@ func (m *Model) PDeriv(t, rate float64, p, d1, d2 *[16]float64) {
 	}
 }
 
-// Eigenvalues returns the eigenvalues of the normalized Q (diagnostics).
-func (m *Model) Eigenvalues() [4]float64 { return m.eval }
+// Eigensystem returns the model's eigensystem — the inputs of P, for
+// kernels that fill P(t·r) for many categories at once. It is the
+// model's own and read only: it changes with every SetRates, SetFreqs
+// and SetParams.
+func (m *Model) Eigensystem() *Eigensystem { return &m.eig }
 
 // SumtableBasis returns the two eigen-projection matrices of the
 // makenewz sumtable decomposition. Writing P(t·r) through the
@@ -310,8 +331,8 @@ func (m *Model) Eigenvalues() [4]float64 { return m.eval }
 func (m *Model) SumtableBasis() (left, right [16]float64) {
 	for s := 0; s < 4; s++ {
 		for k := 0; k < 4; k++ {
-			left[s*4+k] = m.Freqs[s] * m.evec[s][k]
-			right[k*4+s] = m.inv[k][s]
+			left[s*4+k] = m.Freqs[s] * m.eig.Evec[s][k]
+			right[k*4+s] = m.eig.Inv[k][s]
 		}
 	}
 	return left, right
@@ -330,11 +351,11 @@ func (m *Model) ExpEigen(t, rate float64, e0, e1, e2 *[4]float64) {
 		tt = 0
 	}
 	for k := 0; k < 4; k++ {
-		lr := m.eval[k] * rate
-		ex := math.Exp(m.eval[k] * tt)
+		lr := float64(m.eig.Eval[k] * rate)
+		ex := math.Exp(float64(m.eig.Eval[k] * tt))
 		e0[k] = ex
-		e1[k] = lr * ex
-		e2[k] = lr * lr * ex
+		e1[k] = float64(lr * ex)
+		e2[k] = float64(float64(lr*lr) * ex)
 	}
 }
 
@@ -347,10 +368,8 @@ func (m *Model) Clone() *Model {
 // SetRates re-parameterizes the exchangeabilities and recomputes the
 // eigensystem; used by model optimization.
 func (m *Model) SetRates(rates [6]float64) error {
-	for i, r := range rates {
-		if r <= 0 {
-			return fmt.Errorf("gtr: exchangeability %d = %g must be positive", i, r)
-		}
+	if err := checkRates(rates); err != nil {
+		return err
 	}
 	m.Rates = rates
 	return m.decompose()
@@ -359,18 +378,53 @@ func (m *Model) SetRates(rates [6]float64) error {
 // SetFreqs re-parameterizes base frequencies and recomputes the
 // eigensystem.
 func (m *Model) SetFreqs(freqs [4]float64) error {
+	f, err := normalizeFreqs(freqs)
+	if err != nil {
+		return err
+	}
+	m.Freqs = f
+	return m.decompose()
+}
+
+// SetParams installs exchangeabilities and base frequencies together and
+// recomputes the eigensystem once: the model SetRates followed by
+// SetFreqs leaves, bit for bit, at half the decompositions. Nothing
+// changes when either parameter set is rejected.
+func (m *Model) SetParams(rates [6]float64, freqs [4]float64) error {
+	if err := checkRates(rates); err != nil {
+		return err
+	}
+	f, err := normalizeFreqs(freqs)
+	if err != nil {
+		return err
+	}
+	m.Rates, m.Freqs = rates, f
+	return m.decompose()
+}
+
+// checkRates rejects non-positive exchangeabilities.
+func checkRates(rates [6]float64) error {
+	for i, r := range rates {
+		if r <= 0 {
+			return fmt.Errorf("gtr: exchangeability %d = %g must be positive", i, r)
+		}
+	}
+	return nil
+}
+
+// normalizeFreqs scales positive frequencies to sum to 1.
+func normalizeFreqs(freqs [4]float64) ([4]float64, error) {
 	sum := 0.0
 	for _, f := range freqs {
 		if f <= 0 {
-			return fmt.Errorf("gtr: frequencies must be positive")
+			return freqs, fmt.Errorf("gtr: frequencies must be positive")
 		}
 		sum += f
 	}
 	for i := range freqs {
 		freqs[i] /= sum
 	}
-	m.Freqs = freqs
-	return m.decompose()
+	return freqs, nil
 }
 
 // EmpiricalFreqs estimates base frequencies from per-state counts,

@@ -2,6 +2,7 @@ package gtr
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -178,7 +179,7 @@ func TestEigenvaluesNonPositive(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		m := randomModel(r)
 		zero := 0
-		for _, ev := range m.Eigenvalues() {
+		for _, ev := range m.Eigensystem().Eval {
 			if ev > 1e-9 {
 				t.Fatalf("positive eigenvalue %g", ev)
 			}
@@ -554,9 +555,117 @@ func TestSumtableBasisDiagonalizesP(t *testing.T) {
 	// The left projection is exactly the π-weighted eigenvector matrix.
 	for s := 0; s < 4; s++ {
 		for k := 0; k < 4; k++ {
-			if left[s*4+k] != m.Freqs[s]*m.evec[s][k] {
+			if left[s*4+k] != m.Freqs[s]*m.eig.Evec[s][k] {
 				t.Fatalf("left[%d][%d] != π_s·evec", s, k)
 			}
 		}
 	}
+}
+
+// pTripleLoop is P as first written — the triple loop recomputing
+// evec[i][k]·expl[k] for every j — with each product converted
+// explicitly so no build contracts it: the oracle P is pinned to.
+func pTripleLoop(m *Model, t, rate float64, dst *[16]float64) {
+	tt := t * rate
+	if tt < 0 {
+		tt = 0
+	}
+	var expl [4]float64
+	for k := 0; k < 4; k++ {
+		expl[k] = math.Exp(float64(m.eig.Eval[k] * tt))
+	}
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			sum := 0.0
+			for k := 0; k < 4; k++ {
+				sum += float64(float64(m.eig.Evec[i][k]*expl[k]) * m.eig.Inv[k][j])
+			}
+			if sum < 0 {
+				sum = 0
+			}
+			dst[i*4+j] = sum
+		}
+	}
+}
+
+// TestPMatchesTripleLoop: hoisting evec[i][k]·expl[k] out of the j loop
+// moves no bit, nor does ExpEigen's factor form, on random models, rates
+// and branch lengths (including t = 0 and lengths that underflow).
+func TestPMatchesTripleLoop(t *testing.T) {
+	r := rng.New(20)
+	for trial := 0; trial < 20000; trial++ {
+		m := randomModel(r)
+		tv := []float64{0, 1e-8, r.Float64(), 15 * r.Float64(), 30}[trial%5]
+		rate := math.Exp(math.Log(1e-3) + math.Log(5e4)*r.Float64())
+		var got, want [16]float64
+		m.P(tv, rate, &got)
+		pTripleLoop(m, tv, rate, &want)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d t=%g rate=%g: P[%d] = %#x, triple loop %#x", trial, tv, rate, i,
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+		var e0, e1, e2 [4]float64
+		m.ExpEigen(tv, rate, &e0, &e1, &e2)
+		tt := max(tv*rate, 0)
+		for k := 0; k < 4; k++ {
+			lr := float64(m.eig.Eval[k] * rate)
+			ex := math.Exp(float64(m.eig.Eval[k] * tt))
+			want := [3]float64{ex, float64(lr * ex), float64(float64(lr*lr) * ex)}
+			for d, g := range [3]float64{e0[k], e1[k], e2[k]} {
+				if math.Float64bits(g) != math.Float64bits(want[d]) {
+					t.Fatalf("trial %d: ExpEigen e%d[%d] = %#x, want %#x", trial, d, k, math.Float64bits(g), math.Float64bits(want[d]))
+				}
+			}
+		}
+	}
+}
+
+// TestSetParams: one install of both parameter sets leaves the bits of
+// SetRates followed by SetFreqs, and a rejected set changes nothing.
+func TestSetParams(t *testing.T) {
+	r := rng.New(21)
+	for trial := 0; trial < 200; trial++ {
+		src := randomModel(r)
+		freqs := src.Freqs
+		freqs[trial%4] *= 1.5 // unnormalized
+		a, b := JukesCantor(), JukesCantor()
+		if err := a.SetParams(src.Rates, freqs); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.SetRates(src.Rates); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.SetFreqs(freqs); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(modelBits(a), modelBits(b)) {
+			t.Fatalf("trial %d: SetParams %+v, SetRates+SetFreqs %+v", trial, *a, *b)
+		}
+	}
+	m := randomModel(r)
+	before := *m
+	if err := m.SetParams([6]float64{1, 1, 0, 1, 1, 1}, m.Freqs); err == nil {
+		t.Fatal("zero exchangeability accepted")
+	}
+	if err := m.SetParams(m.Rates, [4]float64{0.5, 0.5, 0, 0}); err == nil {
+		t.Fatal("zero frequency accepted")
+	}
+	if !slices.Equal(modelBits(m), modelBits(&before)) {
+		t.Fatal("a rejected SetParams changed the model")
+	}
+}
+
+// modelBits lists the bits of every parameter and of the eigensystem.
+func modelBits(m *Model) []uint64 {
+	xs := append(append(m.Rates[:], m.Freqs[:]...), m.eig.Eval[:]...)
+	for i := 0; i < 4; i++ {
+		xs = append(append(xs, m.eig.Evec[i][:]...), m.eig.Inv[i][:]...)
+	}
+	bits := make([]uint64, len(xs))
+	for i, x := range xs {
+		bits[i] = math.Float64bits(x)
+	}
+	return bits
 }

@@ -274,10 +274,10 @@ type Engine struct {
 	// axis, shared across categories and partitions (tip states are
 	// model-free).
 	tipFlat []float64
-	// tipCodeMask[taxon] has bit c set iff ambiguity code c occurs in
-	// the taxon's pattern row — the tip lookup tables are only filled
-	// for codes that can be indexed.
-	tipCodeMask []uint16
+	// tipCodes[taxon] lists, in increasing order, the ambiguity codes
+	// 1..15 that occur in the taxon's pattern row over the span — the
+	// tip lookup tables are only filled for codes that can be indexed.
+	tipCodes [][]msa.State
 
 	// scratch transition matrices, indexed [part.pOff + category]
 	// (master-computed, read-only inside parallel sections). pPend holds
@@ -523,10 +523,16 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 	e.scratch = make([]workerScratch, e.pool.Workers())
 	e.fillTravFn = e.fillTravMatrices
 	e.fillScanFn = e.fillScanHalves
-	e.tipCodeMask = make([]uint16, pat.NumTaxa())
+	e.tipCodes = make([][]msa.State, pat.NumTaxa())
 	for taxon, row := range pat.Data {
+		var mask uint16
 		for _, s := range row[e.span.Lo:e.span.Hi] {
-			e.tipCodeMask[taxon] |= 1 << uint(s)
+			mask |= 1 << uint(s)
+		}
+		for code := msa.State(1); code < 16; code++ {
+			if mask&(1<<uint(code)) != 0 {
+				e.tipCodes[taxon] = append(e.tipCodes[taxon], code)
+			}
 		}
 	}
 	e.weights = append([]int(nil), pat.Weights...)

@@ -5,6 +5,7 @@ package likelihood
 import (
 	"math"
 
+	"raxml/internal/gtr"
 	"raxml/internal/msa"
 )
 
@@ -15,12 +16,30 @@ import (
 // operation sequence as the scalar references (no FMA contraction), so
 // the two paths produce bit-identical CLVs, scale counters, sumtables,
 // Newton partials, site likelihoods and logarithms;
-// kernels_equiv_test.go enforces that. The wrappers below hoist every
+// kernels_equiv_test.go enforces that. The transition-matrix block and
+// the makenewz eigen factors are the one place with FMA: their
+// exponentials run math.Exp's own sequence, fused where math.Exp fuses,
+// so they equal gtr.Model.P and ExpEigen bit for bit
+// (kernels_pblock_test.go). The wrappers below hoist every
 // bound the assembly relies on. Availability is probed once via
 // CPUID/XGETBV: the OS must have enabled YMM state and the CPU must
 // report AVX2.
 
-var haveAVX2 = detectAVX2()
+var haveAVX2, haveFMA = detectAVX2()
+
+// mathFMA is whether math.Exp runs its FMA sequence here, which the
+// exponentials of pBlockAsm and expFactorsAsm must then run too. math
+// takes it when the CPU reports AVX and FMA with YMM state enabled
+// (haveFMA) and GODEBUG has not switched either off; rather than
+// re-derive the second half, ask math.Exp itself at an input where the
+// two sequences round differently (expProbe; TestExpBlockMatchesMathExp
+// checks both bit patterns against the transcriptions).
+var mathFMA = haveFMA && math.Float64bits(math.Exp(math.Float64frombits(expProbe))) == expProbeFMA
+
+const (
+	expProbe    = 0xBFEFF484D76AB400 // ≈ -0.9985985
+	expProbeFMA = 0x3FD793CA3D5D52FD // the plain sequence ends in ...FC
+)
 
 var avx2Kernels = kernelTable{
 	name:          "avx2",
@@ -37,6 +56,8 @@ var avx2Kernels = kernelTable{
 	pendant:       pendantAsm,
 	scanJoinCAT:   scanJoinCATAsm,
 	scanJoinGamma: scanJoinGammaAsm,
+	pBlock:        pBlockAsm,
+	expFactors:    expFactorsAsm,
 }
 
 func avx2Supported() bool { return haveAVX2 }
@@ -48,26 +69,29 @@ func avx2KernelTable() *kernelTable {
 	return &avx2Kernels
 }
 
-func detectAVX2() bool {
+// detectAVX2 probes for AVX2, and for FMA as math sees it: both need
+// the OS to save YMM state and the CPU to report AVX.
+func detectAVX2() (avx2, fma bool) {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
-		return false
+		return false, false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const (
+		fmaBit     = 1 << 12
 		osxsaveBit = 1 << 27
 		avxBit     = 1 << 28
 	)
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return false
+		return false, false
 	}
 	xcr0, _ := xgetbv()
 	if xcr0&6 != 6 { // OS saves/restores XMM and YMM state
-		return false
+		return false, false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	const avx2Bit = 1 << 5
-	return ebx7&avx2Bit != 0
+	return ebx7&avx2Bit != 0, ecx1&fmaBit != 0
 }
 
 // cpuid executes CPUID with the given leaf and subleaf.
@@ -435,5 +459,76 @@ func scanJoinGamma4(n int, out, xv []float64, xs, xc int, yv []float64, ys, yc i
 		}
 		scanJoinAVX2(n, &out[0], &xv[c*xc], xs*8, &yv[c*yc], ys*8, &pv[c*4], 128,
 			&pHalf[c], &zeroCats[0], &freqs[0], probs[c], &w[0], mode)
+	}
+}
+
+// pBlockAVX2 fills dst[c] = P(t·rates[c]) for c < n, n ≥ 1, and returns
+// how many categories it filled before the first whose exponentials
+// leave math.Exp's normal path (n when none does). fma selects
+// math.Exp's FMA sequence. eig holds Eval at byte 0, Evec at 32 and Inv
+// at 160.
+//
+//go:noescape
+func pBlockAVX2(n int, t float64, rates *float64, dst *[16]float64, eig *gtr.Eigensystem, fma bool) (done int)
+
+// expBlockAVX2 sets dst[i] = exp(src[i]) for i < n, n a positive
+// multiple of 4, by math.Exp's sequence (the FMA one when fma is set);
+// lanes outside its normal path come back garbage and make special
+// non-zero. dst may be src.
+//
+//go:noescape
+func expBlockAVX2(n int, dst, src *float64, fma bool) (special int)
+
+// pBlockAsm runs the categories through the assembly, and each category
+// the assembly stops at — an exponential that would underflow to a
+// subnormal or zero, overflow, or is not finite — through gtr.Model.P,
+// whose math.Exp takes the exit the assembly left out.
+func pBlockAsm(m *gtr.Model, t float64, rates []float64, dst [][16]float64) {
+	n := len(rates)
+	if n == 0 {
+		return
+	}
+	_ = dst[n-1]
+	eig := m.Eigensystem()
+	for c := 0; c < n; c++ {
+		c += pBlockAVX2(n-c, t, &rates[c], &dst[c], eig, mathFMA)
+		if c < n {
+			m.P(t, rates[c], &dst[c])
+		}
+	}
+}
+
+// expFactorsAsm computes every category's exponents in e0, takes their
+// exponentials there in one assembly pass, and derives e1/e2 as
+// gtr.Model.ExpEigen does. A lane outside math.Exp's normal path sends
+// the whole call to the scalar reference.
+func expFactorsAsm(m *gtr.Model, t float64, rates []float64, e0, e1, e2 []float64) {
+	n := len(rates) * 4
+	if n == 0 {
+		return
+	}
+	_, _, _ = e0[n-1], e1[n-1], e2[n-1]
+	eval := &m.Eigensystem().Eval
+	for c, r := range rates {
+		tt := t * r
+		if tt < 0 {
+			tt = 0
+		}
+		x := (*[4]float64)(e0[c*4:])
+		for k, l := range eval {
+			x[k] = float64(l * tt)
+		}
+	}
+	if expBlockAVX2(n, &e0[0], &e0[0], mathFMA) != 0 {
+		expFactorsScalar(m, t, rates, e0, e1, e2)
+		return
+	}
+	for c, r := range rates {
+		for k, l := range eval {
+			lr := float64(l * r)
+			ex := e0[c*4+k]
+			e1[c*4+k] = float64(lr * ex)
+			e2[c*4+k] = float64(float64(lr*lr) * ex)
+		}
 	}
 }

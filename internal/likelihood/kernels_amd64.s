@@ -877,3 +877,287 @@ pendmat:
 	JNZ  pendloop
 	VZEROUPPER
 	RET
+
+// The exponential of the transition-matrix block: math.Exp's amd64
+// routine (src/math/exp_amd64.s) four lanes at a time. Its constants,
+// written with the same literals, so they assemble to the same bits.
+CONST4(expOverflow, 7.09782712893384e+02)
+CONST4(expLog2e, 1.4426950408889634073599246810018920)
+CONST4(expLn2U, 0.69314718055966295651160180568695068359375)
+CONST4(expLn2L, 0.28235290563031577122588448175013436025525412068e-12)
+CONST4(expSixteenth, 0.0625)
+CONST4(expHalf, 0.5)
+CONST4(expOne, 1.0)
+CONST4(expTwo, 2.0)
+CONST4(expT3, 1.6666666666666666667e-1)
+CONST4(expT4, 4.1666666666666666667e-2)
+CONST4(expT5, 8.3333333333333333333e-3)
+CONST4(expT6, 1.3888888888888888889e-3)
+CONST4(expT7, 1.9841269841269841270e-4)
+CONST4(expT8, 2.4801587301587301587e-5)
+
+// Four int32 lanes: the exponent bias, and the bounds of a biased
+// exponent that math.Exp scales on its normal path, [1, 0x7FE].
+DATA expBias<>+0(SB)/4, $0x3FF
+DATA expBias<>+4(SB)/4, $0x3FF
+DATA expBias<>+8(SB)/4, $0x3FF
+DATA expBias<>+12(SB)/4, $0x3FF
+GLOBL expBias<>(SB), RODATA, $16
+DATA expMinExp<>+0(SB)/4, $1
+DATA expMinExp<>+4(SB)/4, $1
+DATA expMinExp<>+8(SB)/4, $1
+DATA expMinExp<>+12(SB)/4, $1
+GLOBL expMinExp<>(SB), RODATA, $16
+DATA expMaxExp<>+0(SB)/4, $0x7FE
+DATA expMaxExp<>+4(SB)/4, $0x7FE
+DATA expMaxExp<>+8(SB)/4, $0x7FE
+DATA expMaxExp<>+12(SB)/4, $0x7FE
+GLOBL expMaxExp<>(SB), RODATA, $16
+
+// EXPHEAD starts exp(Y0): Y4 = all-ones in the lanes math.Exp sends to
+// its overflow or not-finite exits (x > Overflow, NaN, +Inf), X3 = the
+// four exponents k = CVTSD2SL(x·log2e) in int32 lanes (the current
+// rounding mode, as CVTSD2SL), Y1 = k as float64.
+#define EXPHEAD \
+	VCMPPD     $6, expOverflow<>(SB), Y0, Y4 \
+	VMULPD     expLog2e<>(SB), Y0, Y1        \
+	VCVTPD2DQY Y1, X3                        \
+	VCVTDQ2PD  X3, Y1
+
+// EXPFMA is math.Exp's avxfma sequence: r = x - k·ln2 in two fused
+// steps, r/16, the degree-8 Taylor polynomial by fused Horner steps,
+// y = r·poly, three squarings y = (y+2)·y and a last one fused with +1.
+// Y0 = the fraction, Y1 and Y2 clobbered.
+#define EXPFMA \
+	VFNMADD231PD expLn2U<>(SB), Y1, Y0 \
+	VFNMADD231PD expLn2L<>(SB), Y1, Y0 \
+	VMULPD       expSixteenth<>(SB), Y0, Y0 \
+	VMOVUPD      expT8<>(SB), Y1 \
+	VFMADD213PD  expT7<>(SB), Y0, Y1 \
+	VFMADD213PD  expT6<>(SB), Y0, Y1 \
+	VFMADD213PD  expT5<>(SB), Y0, Y1 \
+	VFMADD213PD  expT4<>(SB), Y0, Y1 \
+	VFMADD213PD  expT3<>(SB), Y0, Y1 \
+	VFMADD213PD  expHalf<>(SB), Y0, Y1 \
+	VFMADD213PD  expOne<>(SB), Y0, Y1 \
+	VMULPD       Y1, Y0, Y0 \
+	VADDPD       expTwo<>(SB), Y0, Y1 \
+	VMULPD       Y1, Y0, Y0 \
+	VADDPD       expTwo<>(SB), Y0, Y1 \
+	VMULPD       Y1, Y0, Y0 \
+	VADDPD       expTwo<>(SB), Y0, Y1 \
+	VMULPD       Y1, Y0, Y0 \
+	VADDPD       expTwo<>(SB), Y0, Y1 \
+	VFMADD213PD  expOne<>(SB), Y1, Y0
+
+// EXPPLAIN is math.Exp's sequence without FMA: the same steps, every
+// product and sum rounded on its own, four squarings, then +1.
+#define EXPPLAIN \
+	VMULPD expLn2U<>(SB), Y1, Y2 \
+	VSUBPD Y2, Y0, Y0 \
+	VMULPD expLn2L<>(SB), Y1, Y2 \
+	VSUBPD Y2, Y0, Y0 \
+	VMULPD expSixteenth<>(SB), Y0, Y0 \
+	VMULPD expT8<>(SB), Y0, Y1 \
+	VADDPD expT7<>(SB), Y1, Y1 \
+	VMULPD Y0, Y1, Y1 \
+	VADDPD expT6<>(SB), Y1, Y1 \
+	VMULPD Y0, Y1, Y1 \
+	VADDPD expT5<>(SB), Y1, Y1 \
+	VMULPD Y0, Y1, Y1 \
+	VADDPD expT4<>(SB), Y1, Y1 \
+	VMULPD Y0, Y1, Y1 \
+	VADDPD expT3<>(SB), Y1, Y1 \
+	VMULPD Y0, Y1, Y1 \
+	VADDPD expHalf<>(SB), Y1, Y1 \
+	VMULPD Y0, Y1, Y1 \
+	VADDPD expOne<>(SB), Y1, Y1 \
+	VMULPD Y1, Y0, Y0 \
+	VADDPD expTwo<>(SB), Y0, Y1 \
+	VMULPD Y1, Y0, Y0 \
+	VADDPD expTwo<>(SB), Y0, Y1 \
+	VMULPD Y1, Y0, Y0 \
+	VADDPD expTwo<>(SB), Y0, Y1 \
+	VMULPD Y1, Y0, Y0 \
+	VADDPD expTwo<>(SB), Y0, Y1 \
+	VMULPD Y1, Y0, Y0 \
+	VADDPD expOne<>(SB), Y0, Y0
+
+// EXPTAIL is math.Exp's ldexp: Y0 ·= 2^k through the biased exponent
+// k+0x3FF shifted into place. Lanes whose biased exponent is outside
+// [1, 0x7FE] — math.Exp's denormal, underflow and overflow exits — join
+// Y4. X3 is the exponent vector of EXPHEAD; X5, X6, Y3 clobbered.
+#define EXPTAIL \
+	VPADDD    expBias<>(SB), X3, X3 \
+	VMOVDQU   expMinExp<>(SB), X6 \
+	VPCMPGTD  X3, X6, X6 \
+	VPCMPGTD  expMaxExp<>(SB), X3, X5 \
+	VPOR      X5, X6, X6 \
+	VPMOVSXDQ X6, Y6 \
+	VPOR      Y6, Y4, Y4 \
+	VPMOVZXDQ X3, Y3 \
+	VPSLLQ    $52, Y3, Y3 \
+	VMULPD    Y3, Y0, Y0
+
+// func expBlockAVX2(n int, dst, src *float64, fma bool) (special int)
+//
+// dst[i] = exp(src[i]) for i < n, n a positive multiple of 4, by
+// math.Exp's operation sequence — the FMA one when fma is set — four
+// lanes at a time. Lanes that leave math.Exp's normal path come back
+// garbage and make special non-zero; the Go side redoes them. dst may
+// be src.
+TEXT ·expBlockAVX2(SB), NOSPLIT, $0-40
+	MOVQ    n+0(FP), CX
+	MOVQ    dst+8(FP), DI
+	MOVQ    src+16(FP), SI
+	MOVBLZX fma+24(FP), R9
+	VPXOR   Y15, Y15, Y15 // special-lane accumulator
+
+exploop:
+	VMOVUPD (SI), Y0
+	EXPHEAD
+	TESTQ R9, R9
+	JEQ   expplain
+	EXPFMA
+	JMP   exptail
+
+expplain:
+	EXPPLAIN
+
+exptail:
+	EXPTAIL
+	VPOR    Y4, Y15, Y15
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JNZ     exploop
+	VMOVMSKPD Y15, AX
+	MOVQ    AX, special+32(FP)
+	VZEROUPPER
+	RET
+
+// PROW writes row i of a transition matrix from the four exponentials
+// in Y0: w = evec[i] .* expl, then acc = 0 + bcast(w[0])·inv[0], acc +=
+// bcast(w[k])·inv[k] for k = 1..3 (inv rows in Y8–Y11, +0 in Y13) —
+// gtr.Model.P's association — and lanes with acc < 0 set to +0 by a
+// compare and mask, so NaN and -0 pass as they do there.
+#define PROW(evoff, rowoff) \
+	VMULPD  evoff(R8), Y0, Y5 \
+	VPERMPD $0x00, Y5, Y6     \
+	VMULPD  Y8, Y6, Y6        \
+	VADDPD  Y6, Y13, Y7       \
+	VPERMPD $0x55, Y5, Y6     \
+	VMULPD  Y9, Y6, Y6        \
+	VADDPD  Y6, Y7, Y7        \
+	VPERMPD $0xAA, Y5, Y6     \
+	VMULPD  Y10, Y6, Y6       \
+	VADDPD  Y6, Y7, Y7        \
+	VPERMPD $0xFF, Y5, Y6     \
+	VMULPD  Y11, Y6, Y6       \
+	VADDPD  Y6, Y7, Y7        \
+	VCMPPD  $1, Y13, Y7, Y6   \
+	VANDNPD Y7, Y6, Y7        \
+	VMOVUPD Y7, rowoff(DI)
+
+// func pBlockAVX2(n int, t float64, rates *float64, dst *[16]float64, eig *gtr.Eigensystem, fma bool) (done int)
+//
+// dst[c] = P(t·rates[c]) for c < n, n ≥ 1, exactly as gtr.Model.P
+// computes it: tt = t·rate with negative values clamped to +0 by a
+// compare and mask, x = eval·tt, the four exponentials by math.Exp's
+// sequence (EXPHEAD/EXPFMA or EXPPLAIN/EXPTAIL), the rows by PROW. eig
+// holds Eval at 0, Evec at 32 and Inv at 160. Up to eight categories at
+// a time, the exponentials go first, into the frame — their dependency
+// chains are independent, so the core overlaps them — and the rows
+// after. The kernel stops before the first category with an exponential
+// outside math.Exp's normal path and returns how many categories it
+// filled; the Go side fills that one through gtr.Model.P and resumes.
+TEXT ·pBlockAVX2(SB), NOSPLIT, $256-56
+	MOVQ    n+0(FP), CX
+	VMOVSD  t+8(FP), X14
+	MOVQ    rates+16(FP), SI
+	MOVQ    dst+24(FP), DI
+	MOVQ    eig+32(FP), R8
+	MOVBLZX fma+40(FP), R9
+	VXORPD  Y13, Y13, Y13
+	VMOVUPD 0(R8), Y12
+	VMOVUPD 160(R8), Y8
+	VMOVUPD 192(R8), Y9
+	VMOVUPD 224(R8), Y10
+	VMOVUPD 256(R8), Y11
+	XORQ    DX, DX // categories done
+
+pbchunk:
+	MOVQ CX, BX
+	SUBQ DX, BX
+	CMPQ BX, $8
+	JLE  pbexps
+	MOVQ $8, BX // this chunk's categories
+
+pbexps:
+	XORQ R10, R10 // category in the chunk
+	XORQ R11, R11 // bit j: category j has a special lane
+	MOVQ SP, R12  // its exponentials in the frame
+
+pbexp:
+	VMOVSD       (SI)(R10*8), X0
+	VMULSD       X14, X0, X0   // tt = t·rate
+	VCMPSD       $1, X13, X0, X1
+	VANDNPD      X0, X1, X0    // tt < 0 → +0
+	VBROADCASTSD X0, Y0
+	VMULPD       Y12, Y0, Y0   // x = eval·tt
+	EXPHEAD
+	TESTQ R9, R9
+	JEQ   pbplain
+	EXPFMA
+	JMP   pbtail
+
+pbplain:
+	EXPPLAIN
+
+pbtail:
+	EXPTAIL
+	VMOVUPD   Y0, (R12)
+	VMOVMSKPD Y4, AX
+	TESTQ     AX, AX
+	JEQ       pbnext
+	BTSQ      R10, R11
+
+pbnext:
+	ADDQ $32, R12
+	INCQ R10
+	CMPQ R10, BX
+	JLT  pbexp
+	TESTQ R11, R11
+	JEQ   pbrows
+	BSFQ  R11, BX // rows only up to the first special category
+
+pbrows:
+	TESTQ BX, BX
+	JEQ   pbadvance
+	MOVQ  SP, R12
+	MOVQ  BX, R10
+
+pbrow:
+	VMOVUPD (R12), Y0
+	PROW(32, 0)
+	PROW(64, 32)
+	PROW(96, 64)
+	PROW(128, 96)
+	ADDQ $32, R12
+	ADDQ $128, DI
+	DECQ R10
+	JNZ  pbrow
+
+pbadvance:
+	ADDQ  BX, DX
+	LEAQ  (SI)(BX*8), SI
+	TESTQ R11, R11
+	JNE   pbdone
+	CMPQ  DX, CX
+	JLT   pbchunk
+
+pbdone:
+	MOVQ DX, done+48(FP)
+	VZEROUPPER
+	RET

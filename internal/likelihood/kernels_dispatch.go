@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"raxml/internal/gtr"
 	"raxml/internal/msa"
 )
 
@@ -50,7 +51,11 @@ const (
 // len(w) patterns, writing one clamped site likelihood per pattern; the
 // subtree enters as its pendant products, which the pendant entry
 // computes once per scan; the GAMMA join handles any category count,
-// its AVX2 twin taking the nCat == 4 case.
+// its AVX2 twin taking the nCat == 4 case. pBlock fills one partition's
+// category matrices dst[c] = P(t·rates[c]) and expFactors its makenewz
+// eigen factors (gtr.Model.ExpEigen, category c at [4c, 4c+4) of
+// e0/e1/e2); their AVX2 twins take the exponentials four lanes at a
+// time, bit for bit as math.Exp (kernels_amd64.go).
 type kernelTable struct {
 	name          string
 	newviewII4    func(dst, lv, rv []float64, pL, pR [][16]float64, lsc, rsc, dsc []int32)
@@ -66,6 +71,8 @@ type kernelTable struct {
 	pendant       func(out, sv []float64, ss int, pPend [][16]float64, pcat []int, top int, nCat int)
 	scanJoinCAT   func(out, xv, yv, pv []float64, pcat []int, top int, pHalf [][16]float64, freqs *[4]float64, w []int)
 	scanJoinGamma func(out, xv []float64, xs int, yv []float64, ys int, pv []float64, pHalf [][16]float64, freqs *[4]float64, probs []float64, w []int)
+	pBlock        func(m *gtr.Model, t float64, rates []float64, dst [][16]float64)
+	expFactors    func(m *gtr.Model, t float64, rates []float64, e0, e1, e2 []float64)
 }
 
 var scalarKernels = kernelTable{
@@ -83,6 +90,8 @@ var scalarKernels = kernelTable{
 	pendant:       pendantScalar,
 	scanJoinCAT:   scanJoinCATScalar,
 	scanJoinGamma: scanJoinGammaScalar,
+	pBlock:        pBlockScalar,
+	expFactors:    expFactorsScalar,
 }
 
 // kernelMode is the process-wide selection applied to engines built
@@ -132,6 +141,23 @@ func activeKernelTable() *kernelTable {
 			}
 		}
 		return &scalarKernels
+	}
+}
+
+// pBlockScalar is the reference transition-matrix block: gtr.Model.P
+// for each category.
+func pBlockScalar(m *gtr.Model, t float64, rates []float64, dst [][16]float64) {
+	for c, r := range rates {
+		m.P(t, r, &dst[c])
+	}
+}
+
+// expFactorsScalar is the reference eigen-factor block:
+// gtr.Model.ExpEigen for each category.
+func expFactorsScalar(m *gtr.Model, t float64, rates []float64, e0, e1, e2 []float64) {
+	for c, r := range rates {
+		o := c * 4
+		m.ExpEigen(t, r, (*[4]float64)(e0[o:o+4]), (*[4]float64)(e1[o:o+4]), (*[4]float64)(e2[o:o+4]))
 	}
 }
 

@@ -134,13 +134,8 @@ func (e *Engine) makenewzFactors(t float64) {
 	e.ensureFactorScratch()
 	for i := range e.parts {
 		ps := &e.parts[i]
-		for c := 0; c < ps.rates.NumCats(); c++ {
-			o := (ps.pOff + c) * 4
-			ps.model.ExpEigen(t, ps.rates.Rates[c],
-				(*[4]float64)(e.mkzExp[o:o+4]),
-				(*[4]float64)(e.mkzD1[o:o+4]),
-				(*[4]float64)(e.mkzD2[o:o+4]))
-		}
+		o := ps.pOff * 4
+		e.kern.expFactors(ps.model, t, ps.rates.Rates, e.mkzExp[o:], e.mkzD1[o:], e.mkzD2[o:])
 	}
 }
 

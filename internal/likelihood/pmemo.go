@@ -10,8 +10,9 @@ import (
 // branch length an earlier descriptor or scan already used — a prune
 // changes three edges and re-walks dozens — so the engine keeps the
 // blocks it computed, keyed by the bits of t, for as long as the model
-// they were computed under stands. A hit copies the bytes gtr.Model.P
-// wrote for the same (t, rate, eigensystem); no output bit can move.
+// they were computed under stands. A hit copies the bytes the kernel
+// table's pBlock (gtr.Model.P, bit for bit) wrote for the same
+// (t, rate, eigensystem); no output bit can move.
 //
 // One memo per engine, no lock: an engine has one master goroutine, which
 // does every lookup in the serial pass of a plan; the forked fill that
@@ -155,9 +156,7 @@ func (e *Engine) fillBlock(t float64, dst [][16]float64, ref memoRef) {
 		if !ps.visited() {
 			continue
 		}
-		for c := 0; c < ps.rates.NumCats(); c++ {
-			ps.model.P(t, ps.rates.Rates[c], &dst[ps.pOff+c])
-		}
+		e.kern.pBlock(ps.model, t, ps.rates.Rates, dst[ps.pOff:])
 	}
 	if ref.blk >= 0 {
 		e.copyVisited(e.memo.block(ref.blk), dst)

@@ -2,6 +2,7 @@ package likelihood
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"raxml/internal/gtr"
@@ -202,4 +203,70 @@ func TestInstallRatesFromWire(t *testing.T) {
 	if err := g.ApplyWireModel(narrow); !errors.Is(err, ErrWireDesync) {
 		t.Fatalf("2-category GAMMA block for a 4-category engine: %v, want ErrWireDesync", err)
 	}
+}
+
+// TestWireModelEigensystem: a synced model is decomposed once, from both
+// parameter sets together, and lands on the bits of a model built from
+// them — those of gtr.New over the installed parameters and those of the
+// SetRates-then-SetFreqs install it replaced.
+func TestWireModelEigensystem(t *testing.T) {
+	r := rng.New(64)
+	pat := randomPatterns(t, r, 6, 90)
+	e, err := BuildWorkerEngine(&WorkerInit{Threads: 1, Stripe: threads.Range{Lo: 0, Hi: pat.NumPatterns()}, Pat: pat, NCats: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 50; trial++ {
+		var rates [6]float64
+		var freqs [4]float64
+		for i := range rates {
+			rates[i] = 0.1 + 5*r.Float64()
+		}
+		for i := range freqs {
+			freqs[i] = 0.05 + r.Float64() // not normalized: the install normalizes
+		}
+		block := &WireModel{
+			Weights: append([]int(nil), pat.Weights...),
+			Parts: []WireModelPart{{Rates: rates, Freqs: freqs,
+				GammaRates: []float64{0.1, 0.5, 1.2, 2.2}, GammaProbs: []float64{0.25, 0.25, 0.25, 0.25}}},
+		}
+		if err := e.ApplyWireModel(block); err != nil {
+			t.Fatal(err)
+		}
+		got := e.parts[0].model
+		fresh, err := gtr.New(got.Rates, got.Freqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twoStep := gtr.Default()
+		if err := twoStep.SetRates(rates); err != nil {
+			t.Fatal(err)
+		}
+		if err := twoStep.SetFreqs(freqs); err != nil {
+			t.Fatal(err)
+		}
+		for name, want := range map[string]*gtr.Model{"gtr.New": fresh, "SetRates+SetFreqs": twoStep} {
+			if !sameModelBits(got, want) {
+				t.Fatalf("trial %d: installed model differs from %s", trial, name)
+			}
+		}
+	}
+}
+
+// sameModelBits compares parameters and eigensystems bit for bit.
+func sameModelBits(a, b *gtr.Model) bool {
+	ea, eb := a.Eigensystem(), b.Eigensystem()
+	var xs, ys []float64
+	xs = append(append(append(xs, a.Rates[:]...), a.Freqs[:]...), ea.Eval[:]...)
+	ys = append(append(append(ys, b.Rates[:]...), b.Freqs[:]...), eb.Eval[:]...)
+	for i := 0; i < 4; i++ {
+		xs = append(append(xs, ea.Evec[i][:]...), ea.Inv[i][:]...)
+		ys = append(append(ys, eb.Evec[i][:]...), eb.Inv[i][:]...)
+	}
+	for i := range xs {
+		if math.Float64bits(xs[i]) != math.Float64bits(ys[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -736,10 +736,7 @@ func (e *Engine) ApplyWireModel(m *WireModel) error {
 		// stripe, so it is not decomposed; a block that makes the
 		// partition visited (new weights, installed above) installs it.
 		if ps.visited() {
-			if err := ps.model.SetRates(wp.Rates); err != nil {
-				return fmt.Errorf("likelihood: model sync partition %d: %v", li, err)
-			}
-			if err := ps.model.SetFreqs(wp.Freqs); err != nil {
+			if err := ps.model.SetParams(wp.Rates, wp.Freqs); err != nil {
 				return fmt.Errorf("likelihood: model sync partition %d: %v", li, err)
 			}
 		}

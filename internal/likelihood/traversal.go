@@ -2,7 +2,9 @@ package likelihood
 
 import (
 	"fmt"
+	"math/bits"
 
+	"raxml/internal/msa"
 	"raxml/internal/threads"
 )
 
@@ -163,29 +165,23 @@ func (e *Engine) tipChild(node int) travChild {
 }
 
 // fillTipLUT precomputes the left/right contribution of a tip child for
-// every ambiguity code the taxon actually uses (mask bit per code):
-// lut[(code*nc + c)*4 + s] = Σ_{j in code} P_c[s][j]. The per-pattern
-// kernel work for a tip child collapses to four loads. Summation visits
-// states in increasing order, exactly like the matrix-vector product
-// over a 0/1 tip CLV it replaces, so results are bit-identical. Plain
-// unambiguous codes (the overwhelming majority) are straight P-column
-// copies. For partitioned engines this is called once per partition
-// with that partition's matrix and LUT blocks.
-func fillTipLUT(lut []float64, pm [][16]float64, mask uint16) {
+// every ambiguity code the taxon actually uses (codes, from
+// Engine.tipCodes): lut[(code*nc + c)*4 + s] = Σ_{j in code} P_c[s][j].
+// The per-pattern kernel work for a tip child collapses to four loads.
+// Summation visits states in increasing order, exactly like the
+// matrix-vector product over a 0/1 tip CLV it replaces, so results are
+// bit-identical. Plain unambiguous codes (the overwhelming majority) are
+// straight P-column copies. For partitioned engines this is called once
+// per partition with that partition's matrix and LUT blocks.
+func fillTipLUT(lut []float64, pm [][16]float64, codes []msa.State) {
 	nc := len(pm)
-	for c := 0; c < nc; c++ {
+	for c := range pm {
 		p := &pm[c]
-		for code := 1; code < 16; code++ {
-			if mask&(1<<uint(code)) == 0 {
-				continue
-			}
-			base := (code*nc + c) * 4
+		for _, code := range codes {
+			base := (int(code)*nc + c) * 4
 			if code&(code-1) == 0 {
 				// single state: the P column itself
-				j := 0
-				for code>>uint(j+1) != 0 {
-					j++
-				}
+				j := bits.TrailingZeros8(uint8(code))
 				lut[base+0] = p[0*4+j]
 				lut[base+1] = p[1*4+j]
 				lut[base+2] = p[2*4+j]
@@ -350,10 +346,10 @@ func (e *Engine) fillTravEntry(i int) {
 		}
 		npc := ps.rates.NumCats()
 		if ent.lutL != nil {
-			fillTipLUT(ent.lutL[64*ps.pOff:64*(ps.pOff+npc)], ent.pL[ps.pOff:ps.pOff+npc], e.tipCodeMask[ent.left.taxon])
+			fillTipLUT(ent.lutL[64*ps.pOff:64*(ps.pOff+npc)], ent.pL[ps.pOff:ps.pOff+npc], e.tipCodes[ent.left.taxon])
 		}
 		if ent.lutR != nil {
-			fillTipLUT(ent.lutR[64*ps.pOff:64*(ps.pOff+npc)], ent.pR[ps.pOff:ps.pOff+npc], e.tipCodeMask[ent.right.taxon])
+			fillTipLUT(ent.lutR[64*ps.pOff:64*(ps.pOff+npc)], ent.pR[ps.pOff:ps.pOff+npc], e.tipCodes[ent.right.taxon])
 		}
 	}
 }

@@ -85,6 +85,7 @@ func (c *claimRunner) post(t *testing.T, work int, what string) {
 // return (the master never waits for a range nobody started), reduce to
 // the bits an undisturbed pool produces, and be counted exactly.
 func TestPostCompletesWithHelperHeld(t *testing.T) {
+	atLeastTwoPs(t)
 	for _, crew := range []string{"hot", "parked"} {
 		t.Run(crew, func(t *testing.T) {
 			p := NewPool(3, 300)
@@ -141,6 +142,7 @@ func TestPostCompletesWithHelperHeld(t *testing.T) {
 // alone: its stale claim must fail, so no range runs twice and no slot is
 // overwritten, and the helper then rejoins the protocol.
 func TestLateHelperCannotClaimBackwards(t *testing.T) {
+	atLeastTwoPs(t)
 	p := NewPool(2, 200)
 	defer p.Close()
 	p.assign.Store(assignHold)
@@ -173,6 +175,7 @@ func TestLateHelperCannotClaimBackwards(t *testing.T) {
 // claim, so it cannot park — from spinCrossover; a runner that states
 // nothing is published, and the 1-worker pool counts neither.
 func TestCountersSplitDispatches(t *testing.T) {
+	atLeastTwoPs(t)
 	p := NewPool(2, 512)
 	defer p.Close()
 	if p.wakeSteps != postCrossover/256 || p.spinSteps != spinCrossover/256 {
@@ -205,6 +208,62 @@ func TestCountersSplitDispatches(t *testing.T) {
 	qc.post(t, 0, "serial")
 	if got := q.Counters(); got != (Counters{}) || q.Dispatches() != 1 {
 		t.Fatalf("1-worker pool counters %+v after %d dispatches, want none and 1", got, q.Dispatches())
+	}
+}
+
+// atLeastTwoPs raises GOMAXPROCS to 2 for the rest of the test when it
+// is 1: a crew built on one P runs every job that states its work inline,
+// and the test counts publications.
+func atLeastTwoPs(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev == 1 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// TestOnePRunsStatedJobsInline: a crew built under GOMAXPROCS=1 publishes
+// no job that states its work, however large, and leaves the slots a
+// published job leaves on a crew with two Ps; it forks inline, as one
+// chunk; a job without an estimate is still published.
+func TestOnePRunsStatedJobsInline(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	p := NewPool(3, 300)
+	runtime.GOMAXPROCS(max(prev, 2))
+	defer runtime.GOMAXPROCS(prev)
+	defer p.Close()
+	q := NewPool(3, 300)
+	defer q.Close()
+	c, d := newClaimRunner(p), newClaimRunner(q)
+	for _, work := range []int{0, p.spinSteps, p.wakeSteps, math.MaxInt / 1024} {
+		c.post(t, work, "one P")
+		d.post(t, math.MaxInt/1024, "two Ps")
+		for w := 0; w < p.Workers(); w++ {
+			if a, b := math.Float64bits(p.Slot(w)[0]), math.Float64bits(q.Slot(w)[0]); a != b {
+				t.Fatalf("work %d: slot %d %#x on one P, %#x published", work, w, a, b)
+			}
+		}
+	}
+	if got := p.Counters(); got.Published != 0 || got.Inline != 4 {
+		t.Fatalf("one P: counters %+v, want 4 inline and none published", got)
+	}
+	if got := q.Counters(); got.Published != 4 {
+		t.Fatalf("two Ps: counters %+v, want 4 published", got)
+	}
+	chunks := 0
+	p.ForkJoin(300, 1, func(lo, hi int) {
+		if lo != 0 || hi != 300 {
+			t.Fatalf("one P: fork chunk [%d, %d), want the whole [0, 300)", lo, hi)
+		}
+		chunks++
+	})
+	if got := p.Counters(); chunks != 1 || got.Taken != 0 {
+		t.Fatalf("one P: fork ran %d chunks and counters read %+v, want 1 chunk and none taken", chunks, got)
+	}
+	c.round++
+	p.Post(noWork{c}, JobEvaluate)
+	c.check(t, "no estimate")
+	if got := p.Counters().Published; got != 1 {
+		t.Fatalf("one P: a job without an estimate published %d times, want 1", got)
 	}
 }
 

@@ -42,9 +42,10 @@
 //     run by the master over all W ranges without publishing a
 //     generation. What the crossing costs depends on the crew: a helper
 //     asleep has to be woken (postCrossover), a spinning crew only has to
-//     notice (spinCrossover). One Post is one dispatch and at most one
-//     barrier crossing; Dispatches counts the former, Counters splits
-//     them.
+//     notice (spinCrossover). A crew built under GOMAXPROCS=1 has no
+//     second P to run a helper on, so it runs every such job inline.
+//     One Post is one dispatch and at most one barrier crossing;
+//     Dispatches counts the former, Counters splits them.
 //
 //   - Reduction slots. Every worker owns a cache-line padded slot of
 //     float64 accumulators, preallocated at pool construction. Kernels
@@ -224,6 +225,10 @@ type Pool struct {
 	// published to a crew with a helper asleep and to a spinning one: the
 	// two crossovers over the longest range.
 	wakeSteps, spinSteps int
+	// oneP is whether GOMAXPROCS was 1 when the crew was built: a helper
+	// can then only run on the master's P, never beside it, so every job
+	// that states its work runs inline.
+	oneP bool
 
 	// wide is the variable-width reduction storage: one row of
 	// wideWidth float64 per worker at stride wideStride (padded to
@@ -366,6 +371,7 @@ func newPool(workers int, ranges []Range) *Pool {
 		return p // inline execution; no goroutines, no barrier
 	}
 	p.setCrossoverSteps()
+	p.oneP = runtime.GOMAXPROCS(0) == 1
 	p.cells = make([]claimCell, workers)
 	p.forkFn = p.runFork
 	p.jobCond = sync.NewCond(&p.jobMu)
@@ -527,11 +533,15 @@ func (p *Pool) post(runner JobRunner, code JobCode, fn func(worker int, r Range)
 
 // tooShort reports whether the runner states less work for the job than
 // it takes to publish it to the crew as it stands: asleep, so that the
-// post would have to wake a helper, or all spinning.
+// post would have to wake a helper, or all spinning. On one P no stated
+// work is enough: a helper could only take the P from the master.
 func (p *Pool) tooShort(runner JobRunner, code JobCode) bool {
 	est, ok := runner.(WorkEstimator)
 	if !ok {
 		return false
+	}
+	if p.oneP {
+		return true
 	}
 	need := p.spinSteps
 	if p.parked.Load() > 0 {
@@ -843,8 +853,8 @@ func (p *Pool) ForkJoin(n, grain int, fn func(lo, hi int)) {
 // posts no job code, leaves Dispatches and the abort flag alone, and the
 // one-dispatch-per-traversal accounting of the descriptor engine counts
 // job codes only. fn must confine writes to its [lo, hi) chunk. Small
-// inputs (fewer than 2·grain items) and single-worker pools run inline on
-// the caller; no call allocates.
+// inputs (fewer than 2·grain items), single-worker pools and crews built
+// on one P run inline on the caller; no call allocates.
 func (p *Pool) ForkJoinRange(lo, hi, grain int, fn func(lo, hi int)) {
 	n := hi - lo
 	if n <= 0 {
@@ -854,7 +864,7 @@ func (p *Pool) ForkJoinRange(lo, hi, grain int, fn func(lo, hi int)) {
 		grain = 1
 	}
 	chunks := min(p.workers, n/grain)
-	if chunks <= 1 {
+	if chunks <= 1 || p.oneP {
 		fn(lo, hi)
 		return
 	}

@@ -525,6 +525,7 @@ func TestNewPoolPartitionedWeightedAligned(t *testing.T) {
 }
 
 func TestForkJoinCoversAllChunks(t *testing.T) {
+	atLeastTwoPs(t) // a crew built on one P forks inline
 	for _, workers := range []int{1, 4} {
 		p := NewPool(workers, 256)
 		visited := make([]int32, 1000)
