@@ -102,19 +102,6 @@ func (t *Table) Len() int {
 	return total
 }
 
-// Snapshot returns a plain map copy of the table.
-func (t *Table) Snapshot() map[string]int {
-	out := make(map[string]int)
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		for k, v := range t.shards[i].counts {
-			out[k] += v
-		}
-		t.shards[i].mu.Unlock()
-	}
-	return out
-}
-
 // Criterion configures the WC-style convergence test.
 type Criterion struct {
 	// Permutations is the number of random half/half splits examined
@@ -213,11 +200,6 @@ type Runner struct {
 	MaxReplicates int
 	// Criterion is the convergence test.
 	Criterion Criterion
-}
-
-// DefaultRunner mirrors RAxML's autoMRE defaults.
-func DefaultRunner() Runner {
-	return Runner{BatchSize: 50, MaxReplicates: 1000, Criterion: DefaultCriterion()}
 }
 
 // Run repeatedly calls generate(count) for more replicate trees until

@@ -85,10 +85,11 @@ func TestAddTreesBatch(t *testing.T) {
 	if err := table.AddTrees(trees); err != nil {
 		t.Fatal(err)
 	}
-	snap := table.Snapshot()
 	total := 0
-	for _, v := range snap {
-		total += v
+	for i := range table.shards {
+		for _, v := range table.shards[i].counts {
+			total += v
+		}
 	}
 	if want := 20 * (9 - 3); total != want {
 		t.Fatalf("total split insertions %d, want %d", total, want)
@@ -211,7 +212,7 @@ func TestRunnerHitsCapOnUnstableData(t *testing.T) {
 }
 
 func TestRunnerPropagatesGeneratorError(t *testing.T) {
-	r := DefaultRunner()
+	r := Runner{BatchSize: 50, MaxReplicates: 1000, Criterion: DefaultCriterion()}
 	_, _, err := r.Run(func(int) ([]*tree.Tree, error) {
 		return nil, fmt.Errorf("boom")
 	}, rng.New(1))

@@ -270,16 +270,3 @@ func escapeName(name string) string {
 	}
 	return name
 }
-
-// ContainsTaxon reports whether the node's subtree contains the taxon.
-func (n *Node) ContainsTaxon(taxon int) bool {
-	if n.Taxon == taxon {
-		return true
-	}
-	for _, c := range n.Children {
-		if c.ContainsTaxon(taxon) {
-			return true
-		}
-	}
-	return false
-}

@@ -152,7 +152,7 @@ func TestConsensusContainsAllTaxa(t *testing.T) {
 		t.Fatal(err)
 	}
 	for taxon := 0; taxon < 9; taxon++ {
-		if !cons.Root.ContainsTaxon(taxon) {
+		if !containsTaxon(cons.Root, taxon) {
 			t.Fatalf("taxon %d missing from consensus", taxon)
 		}
 	}
@@ -207,4 +207,17 @@ func TestMajorityHalfSupportNotIncluded(t *testing.T) {
 		t.Fatalf("consensus has %d splits, want only the %d unanimous ones",
 			cons.NumInternalSplits(), shared)
 	}
+}
+
+// containsTaxon reports whether the node's subtree contains the taxon.
+func containsTaxon(n *Node, taxon int) bool {
+	if n.Taxon == taxon {
+		return true
+	}
+	for _, c := range n.Children {
+		if containsTaxon(c, taxon) {
+			return true
+		}
+	}
+	return false
 }

@@ -32,7 +32,7 @@ func TestAnalysisAllocationChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	footprint := likelihood.EstimateMemoryBytes(pat.NumTaxa(), pat.NumPatterns(), 4)
+	footprint := likelihood.EstimateMemoryBytesPartitioned(pat.NumTaxa(), []int{pat.NumPatterns()}, 4)
 	const slack = 2 << 20
 
 	var m0, m1 runtime.MemStats

@@ -81,21 +81,4 @@ func (s Schedule) TotalSlow() int { return s.Processes * s.SlowPerProcess }
 // rank (the serial code's single search is the p = 1 case).
 func (s Schedule) TotalThorough() int { return s.Processes * s.ThoroughPerProcess }
 
-// SerialEquivalent returns the schedule the non-MPI code would use for
-// the same specified bootstrap count: NewSchedule(1, N).
-func (s Schedule) SerialEquivalent() Schedule {
-	return NewSchedule(1, s.SpecifiedBootstraps)
-}
-
-// StageWork returns the per-rank work counts as a 4-slot array ordered
-// (bootstraps, fast, slow, thorough); the performance model consumes it.
-func (s Schedule) StageWork() [4]int {
-	return [4]int{
-		s.BootstrapsPerProcess,
-		s.FastPerProcess,
-		s.SlowPerProcess,
-		s.ThoroughPerProcess,
-	}
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

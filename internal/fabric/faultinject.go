@@ -245,9 +245,6 @@ func InjectFaults(l Link, plan *FaultPlan) *FaultLink {
 // InjectStats exposes the injection counters.
 func (l *FaultLink) InjectStats() *FaultStats { return &l.stats }
 
-// Plan returns the schedule this link runs.
-func (l *FaultLink) Plan() *FaultPlan { return l.plan }
-
 // sever closes the underlying link, emulating the peer machine
 // vanishing: both ends' pending and future calls fail, exactly like a
 // SIGKILLed worker's socket.

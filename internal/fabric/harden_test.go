@@ -220,7 +220,8 @@ func TestFrameCRCDetectsWireCorruption(t *testing.T) {
 	defer link.Close()
 	before := CorruptFrames()
 	_, _, err = link.Recv()
-	if AsFrameCorrupt(err) == nil {
+	var fce *FrameCorruptError
+	if !errors.As(err, &fce) {
 		t.Fatalf("Recv over a corrupted stream got %v, want FrameCorruptError", err)
 	}
 	if got := CorruptFrames(); got != before+1 {
@@ -504,7 +505,8 @@ func TestFaultLinkCorruptAndSever(t *testing.T) {
 	if tag, _, err := fl.Recv(); err != nil || tag != 0 {
 		t.Fatalf("frame 1: tag %d err %v", tag, err)
 	}
-	if _, _, err := fl.Recv(); AsFrameCorrupt(err) == nil {
+	var fce *FrameCorruptError
+	if _, _, err := fl.Recv(); !errors.As(err, &fce) {
 		t.Fatalf("frame 2 got %v, want FrameCorruptError", err)
 	}
 	if CorruptFrames() != before+1 {

@@ -88,16 +88,6 @@ func (e *FrameCorruptError) Error() string {
 	return fmt.Sprintf("fabric: corrupt frame (tag %d, %d bytes): crc %08x, want %08x", e.Tag, e.Len, e.Got, e.Want)
 }
 
-// AsFrameCorrupt extracts a FrameCorruptError from err's chain (nil if
-// none).
-func AsFrameCorrupt(err error) *FrameCorruptError {
-	var fce *FrameCorruptError
-	if errors.As(err, &fce) {
-		return fce
-	}
-	return nil
-}
-
 // corruptFrames counts frames rejected process-wide — by the TCP CRC
 // check or by the fault injector emulating one — for the server's
 // health metrics.

@@ -179,7 +179,7 @@ func TestRankStripesBalancedByPatterns(t *testing.T) {
 			pat := skewedWeights(makeData(t, 10, 2400, tc.genes, 43))
 			n := pat.NumPatterns()
 			starts := pat.PartStarts()
-			leaseCap := n/(2*stripeQuantum) - 1 // workers; the master is one more rank
+			leaseCap := n/(2*likelihood.StripeQuantum) - 1 // workers; the master is one more rank
 			if leaseCap < 3 {
 				t.Fatalf("%d patterns allow a lease of %d workers: the case is too small", n, leaseCap)
 			}
@@ -208,7 +208,7 @@ func TestRankStripesBalancedByPatterns(t *testing.T) {
 							}
 							onStart = onStart || st == s.Lo
 						}
-						if !onStart && (s.Lo-seg)%stripeQuantum != 0 {
+						if !onStart && (s.Lo-seg)%likelihood.StripeQuantum != 0 {
 							t.Errorf("%d ranks: rank %d's stripe starts at %d, neither a partition start nor a quantum from %d", ranks, r, s.Lo, seg)
 						}
 					}
@@ -218,7 +218,7 @@ func TestRankStripesBalancedByPatterns(t *testing.T) {
 					// Snapping moves a boundary by at most half a quantum, so
 					// the bound is checked where a stripe is long enough for
 					// that to be under 10% of it.
-					if mean := float64(n) / float64(ranks); mean >= 10*stripeQuantum && float64(widest) > 1.1*mean {
+					if mean := float64(n) / float64(ranks); mean >= 10*likelihood.StripeQuantum && float64(widest) > 1.1*mean {
 						t.Errorf("%d ranks over %d patterns: widest stripe %d is %.2f of the mean", ranks, n, widest, float64(widest)/mean)
 					}
 					return nil

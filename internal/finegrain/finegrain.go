@@ -128,12 +128,6 @@ var (
 	ReleaseTimeout = 30 * time.Second
 )
 
-// stripeQuantum is the pattern quantum rank stripes snap to, relative
-// to partition starts — the same 16-pattern (whole-cache-line) quantum
-// the likelihood engine uses for thread stripes, so rank boundaries
-// land exactly where thread boundaries are allowed to land.
-const stripeQuantum = 16
-
 // Pool is the master-side endpoint of a distributed worker group. It
 // implements likelihood.Dispatcher: the master's likelihood engine
 // posts job codes to it exactly as it would to a threads.Pool. The
@@ -198,7 +192,7 @@ func NewPool(links []fabric.Link, pat *msa.Patterns, set *gtr.PartitionSet, thre
 	// weighs (and a bootstrap replicate reweighs the axis without
 	// restriping it), so an even cut is the balanced one.
 	stripes := threads.SplitEven(pat.NumPatterns(), ranks)
-	threads.AlignBoundaries(stripes, stripeQuantum, pat.PartStarts())
+	threads.AlignBoundaries(stripes, likelihood.StripeQuantum, pat.PartStarts())
 	for r, s := range stripes {
 		if s.Len() == 0 {
 			return nil, fmt.Errorf("finegrain: rank %d's stripe is empty (%d ranks over %d patterns)",
@@ -236,9 +230,6 @@ func (p *Pool) Stripes() []threads.Range { return p.stripes }
 // sumtable rows home on the makenewz setup partial (the engine then
 // posts no JobMakenewzCore at all). Never true on a single-rank grid.
 func (p *Pool) GathersSumtable() bool { return p.gather }
-
-// LocalPool returns the master's own thread crew (stripe 0).
-func (p *Pool) LocalPool() *threads.Pool { return p.local }
 
 // Post implements likelihood.Dispatcher. A dispatch has one blocking
 // point: the master writes every rank's frame itself, runs its own
@@ -453,13 +444,6 @@ func (p *Pool) PipelinesFill() bool { return len(p.links) > 0 }
 // Dispatches counts jobs posted (each Post is one local barrier
 // crossing plus one broadcast/reduction pair).
 func (p *Pool) Dispatches() int64 { return p.local.Dispatches() }
-
-// AbortJob cancels the local crew's job cooperatively. Remote ranks
-// finish their stripe of the job — their partials are collected and
-// discarded with the rest of the aborted result; the master's rollback
-// re-marks the descriptor stale everywhere, so the next dispatch
-// rewrites whatever remote ranks computed.
-func (p *Pool) AbortJob() { p.local.AbortJob() }
 
 // Aborted reports whether the local job was asked to stop.
 func (p *Pool) Aborted() bool { return p.local.Aborted() }

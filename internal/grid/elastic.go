@@ -10,11 +10,6 @@ import (
 	"raxml/internal/msa"
 )
 
-// stripeQuantum mirrors finegrain's 16-pattern rank-stripe quantum; the
-// lease cap keeps every rank's stripe comfortably above it so NewPool
-// never sees an empty stripe.
-const stripeQuantum = 16
-
 // Elastic runs body over a likelihood engine striped across the job's
 // current lease of fine-grain workers, re-striping and retrying when a
 // leased rank dies. Each attempt:
@@ -75,7 +70,7 @@ func (f *Fleet) leaseShare(jobID string, g *Grid, pat *msa.Patterns) []*Worker {
 	}
 	free := f.NumFree()
 	want := (free + running - 1) / running
-	if cap := pat.NumPatterns()/(2*stripeQuantum) - 1; want > cap {
+	if cap := pat.NumPatterns()/(2*likelihood.StripeQuantum) - 1; want > cap {
 		want = cap
 	}
 	if budget := g.leaseBudget(); budget >= 0 && want > budget {

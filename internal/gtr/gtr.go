@@ -18,9 +18,6 @@ import (
 	"math"
 )
 
-// NumStates is the DNA alphabet size.
-const NumStates = 4
-
 // Model is a GTR substitution model with precomputed eigensystem.
 type Model struct {
 	// Rates holds the six exchangeabilities in order AC, AG, AT, CG, CT,

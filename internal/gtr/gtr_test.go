@@ -352,9 +352,9 @@ func TestNewUniform(t *testing.T) {
 
 func TestClusterCAT(t *testing.T) {
 	perPattern := []float64{0.1, 0.11, 0.12, 1.0, 1.05, 9.5, 10.0}
-	rc := ClusterCAT(perPattern, 3)
+	rc := clusterCAT(perPattern, 3)
 	if !rc.IsCAT() {
-		t.Fatal("ClusterCAT should return CAT treatment")
+		t.Fatal("ClusterCATInto should build a CAT treatment")
 	}
 	if rc.NumCats() > 3 {
 		t.Fatalf("got %d categories, want <= 3", rc.NumCats())
@@ -372,7 +372,7 @@ func TestClusterCAT(t *testing.T) {
 }
 
 func TestClusterCATBounds(t *testing.T) {
-	rc := ClusterCAT([]float64{1e-9, 1e9}, 4)
+	rc := clusterCAT([]float64{1e-9, 1e9}, 4)
 	for _, r := range rc.Rates {
 		if r < MinCATRate-1e-12 || r > MaxCATRate+1e-12 {
 			t.Fatalf("category rate %g outside [%g, %g]", r, MinCATRate, MaxCATRate)
@@ -381,14 +381,14 @@ func TestClusterCATBounds(t *testing.T) {
 }
 
 func TestClusterCATHomogeneous(t *testing.T) {
-	rc := ClusterCAT([]float64{1, 1, 1, 1}, 25)
+	rc := clusterCAT([]float64{1, 1, 1, 1}, 25)
 	if rc.NumCats() != 1 {
 		t.Fatalf("homogeneous rates produced %d categories", rc.NumCats())
 	}
 }
 
 func TestNormalizeCAT(t *testing.T) {
-	rc := ClusterCAT([]float64{0.5, 0.5, 2.0, 2.0}, 4)
+	rc := clusterCAT([]float64{0.5, 0.5, 2.0, 2.0}, 4)
 	weights := []int{1, 1, 1, 1}
 	rc.Normalize(weights)
 	mean := 0.0
@@ -668,4 +668,11 @@ func modelBits(m *Model) []uint64 {
 		bits[i] = math.Float64bits(x)
 	}
 	return bits
+}
+
+// clusterCAT is ClusterCATInto into a fresh treatment.
+func clusterCAT(perPattern []float64, maxCats int) *RateCategories {
+	rc := &RateCategories{}
+	ClusterCATInto(rc, perPattern, maxCats)
+	return rc
 }

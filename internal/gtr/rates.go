@@ -203,21 +203,13 @@ func (rc *RateCategories) Clone() *RateCategories {
 	return c
 }
 
-// ClusterCAT builds a CAT treatment from per-pattern rates: rates are
-// clustered into at most maxCats categories on a log-spaced grid and each
-// pattern is assigned its nearest category, mirroring RAxML's
-// categorization of individually optimized per-site rates (default 25
-// categories).
-func ClusterCAT(perPattern []float64, maxCats int) *RateCategories {
-	rc := &RateCategories{}
-	ClusterCATInto(rc, perPattern, maxCats)
-	return rc
-}
-
-// ClusterCATInto is ClusterCAT writing its treatment into rc, reusing
-// the backing arrays of rc.Rates and rc.PatternCategory: once they have
-// held a treatment of as many patterns and categories, it allocates
-// nothing.
+// ClusterCATInto builds a CAT treatment from per-pattern rates into rc:
+// rates are clustered into at most maxCats categories on a log-spaced
+// grid and each pattern is assigned its nearest category, mirroring
+// RAxML's categorization of individually optimized per-site rates
+// (default 25 categories). It reuses the backing arrays of rc.Rates and
+// rc.PatternCategory: once they have held a treatment of as many
+// patterns and categories, it allocates nothing.
 func ClusterCATInto(rc *RateCategories, perPattern []float64, maxCats int) {
 	n := len(perPattern)
 	rc.Probs = nil

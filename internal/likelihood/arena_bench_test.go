@@ -54,7 +54,7 @@ func benchTreatments(b *testing.B, pat *msa.Patterns) []benchTreatment {
 			for i := range perSite {
 				perSite[i] = 0.25 + 2*r.Float64()
 			}
-			return gtr.ClusterCAT(perSite, 25)
+			return clusterCAT(perSite, 25)
 		}},
 		{"GAMMA", func() *gtr.RateCategories {
 			rc, err := gtr.NewGamma(0.8, 4)
@@ -202,7 +202,8 @@ func BenchmarkNewviewPartitioned(b *testing.B) {
 				if workers > runtime.NumCPU() {
 					b.Skipf("%d workers oversubscribe %d CPUs: timings would measure the scheduler", workers, runtime.NumCPU())
 				}
-				pool := threads.NewPoolPartitioned(workers, pat.Weights, pat.PartStarts(), 16)
+				pool := threads.NewPoolWeighted(workers, pat.Weights)
+				pool.AlignRangesAt(StripeQuantum, pat.PartStarts())
 				defer pool.Close()
 				set := &gtr.PartitionSet{}
 				r := rng.New(5)
@@ -212,7 +213,7 @@ func BenchmarkNewviewPartitioned(b *testing.B) {
 						perSite[i] = 0.25 + 2*r.Float64()
 					}
 					set.Models = append(set.Models, gtr.Default())
-					set.Rates = append(set.Rates, gtr.ClusterCAT(perSite, 25))
+					set.Rates = append(set.Rates, clusterCAT(perSite, 25))
 				}
 				e, err := NewPartitioned(pat, set, Config{Pool: pool})
 				if err != nil {

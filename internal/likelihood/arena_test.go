@@ -215,7 +215,7 @@ func TestArenaMatchesPerSliceGoldenCAT(t *testing.T) {
 		perSite[i] = 0.25 + 2*r.Float64()
 	}
 	for _, workers := range []int{1, 3} {
-		rates := gtr.ClusterCAT(perSite, 8)
+		rates := clusterCAT(perSite, 8)
 		model := gtr.Default()
 		tr := tree.Random(pat.Names, rng.New(32))
 		e := newEngine(t, pat, model, rates, workers)
@@ -619,7 +619,7 @@ func TestTileFreeListReuse(t *testing.T) {
 		}
 	}
 	// The fully populated arena stays within the exact estimate.
-	est := EstimateMemoryBytes(pat.NumTaxa(), pat.NumPatterns(), 1)
+	est := EstimateMemoryBytesPartitioned(pat.NumTaxa(), []int{pat.NumPatterns()}, 1)
 	if m := e.MemoryBytes(); m > est {
 		t.Fatalf("footprint %d exceeds exact estimate %d", m, est)
 	}

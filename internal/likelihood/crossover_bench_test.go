@@ -66,7 +66,7 @@ func crossoverEngine(b *testing.B, taxa, chars int, gamma bool) (*Engine, *cross
 		for i := range perSite {
 			perSite[i] = 0.25 + 2*r.Float64()
 		}
-		rates = gtr.ClusterCAT(perSite, 25)
+		rates = clusterCAT(perSite, 25)
 	}
 	pool := &crossoverPool{Pool: threads.NewPool(2, pat.NumPatterns())}
 	b.Cleanup(pool.Close)

@@ -82,7 +82,7 @@ const (
 // noTile marks a directed edge with no arena tile bound yet.
 const noTile = int32(-1)
 
-// stripeQuantum is the pattern quantum worker stripes are snapped to:
+// StripeQuantum is the pattern quantum worker stripes are snapped to:
 // 16 patterns is a whole number of 64-byte cache lines for every tiled
 // buffer (2 CAT patterns/line, 1+ GAMMA patterns/line, 16 int32 scale
 // counters/line), and partition segments are padded to the same lines,
@@ -90,8 +90,10 @@ const noTile = int32(-1)
 // lines in both arenas. It is also a whole number of SIMD lane blocks:
 // a worker's chunk always holds complete 4-lane pattern blocks, so the
 // dispatched vector kernels (kernels_dispatch.go) stream [16]float64
-// blocks without ever splitting a pattern across workers.
-const stripeQuantum = 16
+// blocks without ever splitting a pattern across workers. Rank stripes
+// (finegrain) snap to it as well, so rank boundaries land exactly where
+// thread boundaries are allowed to land.
+const StripeQuantum = 16
 
 // Dispatcher is the fine-grained execution substrate the engine posts
 // its job codes to. *threads.Pool — the in-process Pthreads analogue —
@@ -130,8 +132,8 @@ type Dispatcher interface {
 	ForkJoinRange(lo, hi, grain int, fn func(lo, hi int))
 	// Dispatches counts the jobs posted so far.
 	Dispatches() int64
-	// AbortJob / Aborted are the cooperative-cancel pair.
-	AbortJob()
+	// Aborted reports whether the job in flight was asked to stop
+	// (cooperative cancel: kernels poll it between descriptor entries).
 	Aborted() bool
 }
 
@@ -515,7 +517,7 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 	for i := range e.parts {
 		starts[i] = min(max(e.parts[i].lo, e.span.Lo), e.span.Hi)
 	}
-	e.pool.AlignRangesAt(stripeQuantum, starts)
+	e.pool.AlignRangesAt(StripeQuantum, starts)
 	e.pool.EnsureWide(len(e.parts))
 	if g, ok := e.pool.(sumtableGatherer); ok {
 		e.gatherSumtable = g.GathersSumtable()
@@ -634,18 +636,6 @@ func (e *Engine) Rates() *gtr.RateCategories { return e.parts[0].rates }
 // NumPartitions returns the number of alignment partitions.
 func (e *Engine) NumPartitions() int { return len(e.parts) }
 
-// PartitionModel returns partition i's substitution model.
-func (e *Engine) PartitionModel(i int) *gtr.Model { return e.parts[i].model }
-
-// PartitionRates returns partition i's rate treatment.
-func (e *Engine) PartitionRates(i int) *gtr.RateCategories { return e.parts[i].rates }
-
-// PartitionRange returns partition i's span on the pattern axis.
-func (e *Engine) PartitionRange(i int) msa.PartRange {
-	p := &e.parts[i]
-	return msa.PartRange{Name: p.name, Lo: p.lo, Hi: p.hi}
-}
-
 // Patterns returns the engine's pattern set.
 func (e *Engine) Patterns() *msa.Patterns { return e.pat }
 
@@ -675,16 +665,6 @@ func (e *Engine) MemoryBytes() int64 {
 		int64(len(e.memo.blocks))*16*8
 }
 
-// EstimateMemoryBytes predicts the fully populated CLV-arena footprint
-// of a single-partition engine over an alignment with the given
-// dimensions; see EstimateMemoryBytesPartitioned for the general form.
-// GTRCAT uses nCat = 1 per pattern; GTRGAMMA nCat = 4 — the 4x memory
-// ratio is why RAxML (and this reproduction) default large analyses to
-// CAT.
-func EstimateMemoryBytes(taxa, patterns, nCat int) int64 {
-	return EstimateMemoryBytesPartitioned(taxa, []int{patterns}, nCat)
-}
-
 // EstimateMemoryBytesPartitioned predicts the fully populated CLV-arena
 // footprint of an engine over a partitioned alignment, exactly: only
 // the taxa−2 internal nodes of an unrooted tree carry directed CLVs
@@ -692,7 +672,9 @@ func EstimateMemoryBytes(taxa, patterns, nCat int) int64 {
 // holds one segment per partition of 4·nCat float64 per pattern plus an
 // int32 scaling counter per pattern (every segment stride padded to
 // whole 64-byte cache lines), and each taxon owns a flat 4-wide tip
-// vector over the concatenated pattern axis.
+// vector over the concatenated pattern axis. GTRCAT uses nCat = 1 per
+// pattern; GTRGAMMA nCat = 4 — the 4x memory ratio is why RAxML (and
+// this reproduction) default large analyses to CAT.
 func EstimateMemoryBytesPartitioned(taxa int, partPatterns []int, nCat int) int64 {
 	if taxa < 2 || nCat < 1 || len(partPatterns) == 0 {
 		return 0

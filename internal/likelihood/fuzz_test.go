@@ -73,7 +73,7 @@ func TestExecWireJobRejectsOutOfRange(t *testing.T) {
 		"newview":  wireJobFrame(threads.JobNewview, 16, nil, tips),
 		"evaluate": wireJobFrame(threads.JobEvaluate, 16, eval, tips),
 	} {
-		job, err := DecodeWireJob(frame)
+		job, err := decodeWireJob(frame)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -82,7 +82,7 @@ func TestExecWireJobRejectsOutOfRange(t *testing.T) {
 		}
 	}
 	for name, frame := range outOfRangeFrames() {
-		job, err := DecodeWireJob(frame)
+		job, err := decodeWireJob(frame)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -133,7 +133,7 @@ func FuzzDecodeDescriptor(f *testing.F) {
 	for _, c := range []int32{1, 7, -1, math.MinInt32} {
 		bad := append([]byte(nil), model...)
 		binary.LittleEndian.PutUint32(bad[modelFrameCatOffset(nPatterns):], uint32(c))
-		if j, err := DecodeWireJob(bad); err != nil || j.Model.Parts[0].CatAssign[0] != int(c) {
+		if j, err := decodeWireJob(bad); err != nil || j.Model.Parts[0].CatAssign[0] != int(c) {
 			f.Fatalf("patched category %d did not land: %v", c, err)
 		}
 		f.Add(bad)

@@ -118,13 +118,6 @@ func SetKernelMode(mode string) error {
 	return nil
 }
 
-// ActiveKernelName reports which kernel set an engine constructed now
-// would bind — the resolved form of the current mode.
-func ActiveKernelName() string { return activeKernelTable().name }
-
-// KernelName reports the kernel set this engine bound at construction.
-func (e *Engine) KernelName() string { return e.kern.name }
-
 func activeKernelTable() *kernelTable {
 	switch kernelMode {
 	case KernelScalar:

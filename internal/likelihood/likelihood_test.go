@@ -210,7 +210,7 @@ func TestMatchesBruteForceCATCategories(t *testing.T) {
 	for i := range perSite {
 		perSite[i] = 0.25 + 2*r.Float64()
 	}
-	rates := gtr.ClusterCAT(perSite, 4)
+	rates := clusterCAT(perSite, 4)
 	tr := tree.Random(pat.Names, r)
 	e := newEngine(t, pat, model, rates, 3)
 	if err := e.AttachTree(tr); err != nil {
@@ -638,18 +638,18 @@ func TestMemoryAccounting(t *testing.T) {
 		t.Fatalf("memory did not grow after evaluation: %d -> %d", before, after)
 	}
 	// Fully populated footprint is bounded by the static estimate.
-	est := EstimateMemoryBytes(pat.NumTaxa(), pat.NumPatterns(), 1)
+	est := EstimateMemoryBytesPartitioned(pat.NumTaxa(), []int{pat.NumPatterns()}, 1)
 	if after > est {
 		t.Fatalf("actual footprint %d exceeds estimate %d", after, est)
 	}
 	// GAMMA needs ~4x the CAT footprint (the paper's Section-7 memory
 	// pressure at large pattern counts).
-	catEst := EstimateMemoryBytes(125, 19436, 1)
-	gammaEst := EstimateMemoryBytes(125, 19436, 4)
+	catEst := EstimateMemoryBytesPartitioned(125, []int{19436}, 1)
+	gammaEst := EstimateMemoryBytesPartitioned(125, []int{19436}, 4)
 	if ratio := float64(gammaEst) / float64(catEst); ratio < 3 || ratio > 4.5 {
 		t.Fatalf("GAMMA/CAT memory ratio %.2f, want ~4", ratio)
 	}
-	if EstimateMemoryBytes(0, 10, 1) != 0 {
+	if EstimateMemoryBytesPartitioned(0, []int{10}, 1) != 0 {
 		t.Fatal("degenerate estimate should be 0")
 	}
 }
@@ -789,4 +789,11 @@ func TestOptimizePerSiteRatesAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(3, func() { e.OptimizePerSiteRates(6, 8) }); allocs != 0 {
 		t.Fatalf("OptimizePerSiteRates allocates %.0f times after its first call, want 0", allocs)
 	}
+}
+
+// clusterCAT is ClusterCATInto into a fresh treatment.
+func clusterCAT(perPattern []float64, maxCats int) *gtr.RateCategories {
+	rc := &gtr.RateCategories{}
+	gtr.ClusterCATInto(rc, perPattern, maxCats)
+	return rc
 }

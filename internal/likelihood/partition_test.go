@@ -77,7 +77,8 @@ func partitionedEngine(t *testing.T, a *msa.Alignment, nParts, workers int,
 		set.Models = append(set.Models, m)
 		set.Rates = append(set.Rates, rc)
 	}
-	pool := threads.NewPoolPartitioned(workers, pat.Weights, pat.PartStarts(), 16)
+	pool := threads.NewPoolWeighted(workers, pat.Weights)
+	pool.AlignRangesAt(StripeQuantum, pat.PartStarts())
 	t.Cleanup(pool.Close)
 	e, err := NewPartitioned(pat, set, Config{Pool: pool})
 	if err != nil {
@@ -397,12 +398,12 @@ func TestPartitionedOptimizersDiverge(t *testing.T) {
 	if err := e.AttachTree(tr); err != nil {
 		t.Fatal(err)
 	}
-	rates0 := e.PartitionRates(0)
-	rates1 := e.PartitionRates(1)
+	rates0 := e.parts[0].rates
+	rates1 := e.parts[1].rates
 
 	e.EstimateEmpiricalFreqs()
-	f0 := e.PartitionModel(0).Freqs
-	f1 := e.PartitionModel(1).Freqs
+	f0 := e.parts[0].model.Freqs
+	f1 := e.parts[1].model.Freqs
 	if f0 == f1 {
 		t.Fatalf("empirical frequencies identical across differently composed genes: %v", f0)
 	}
@@ -415,7 +416,7 @@ func TestPartitionedOptimizersDiverge(t *testing.T) {
 	if after < before-1e-6 {
 		t.Fatalf("OptimizeModel degraded lnL: %.6f -> %.6f", before, after)
 	}
-	if e.PartitionRates(0) != rates0 || e.PartitionRates(1) != rates1 {
+	if e.parts[0].rates != rates0 || e.parts[1].rates != rates1 {
 		t.Fatal("optimization replaced the rate-treatment instances instead of mutating them")
 	}
 }
@@ -433,17 +434,17 @@ func TestPartitionedPerSiteRatesCAT(t *testing.T) {
 	if err := e.AttachTree(tr); err != nil {
 		t.Fatal(err)
 	}
-	r0, r1 := e.PartitionRates(0), e.PartitionRates(1)
+	r0, r1 := e.parts[0].rates, e.parts[1].rates
 	before := e.LogLikelihood()
 	after := e.OptimizePerSiteRates(8, 6)
 	if after < before-1e-6 {
 		t.Fatalf("OptimizePerSiteRates degraded lnL: %.6f -> %.6f", before, after)
 	}
-	if e.PartitionRates(0) != r0 || e.PartitionRates(1) != r1 {
+	if e.parts[0].rates != r0 || e.parts[1].rates != r1 {
 		t.Fatal("per-site rate optimization replaced the rate-treatment instances")
 	}
 	for i, pr := range pat.PartRanges() {
-		rc := e.PartitionRates(i)
+		rc := e.parts[i].rates
 		if len(rc.PatternCategory) != pr.Len() {
 			t.Fatalf("partition %d assignment covers %d patterns, want %d (local indexing)",
 				i, len(rc.PatternCategory), pr.Len())
@@ -458,7 +459,7 @@ func TestPartitionedPerSiteRatesCAT(t *testing.T) {
 	// the optimized state (validity bookkeeping survived the sweeps).
 	got := e.LogLikelihood()
 	set := &gtr.PartitionSet{
-		Models: []*gtr.Model{e.PartitionModel(0).Clone(), e.PartitionModel(1).Clone()},
+		Models: []*gtr.Model{e.parts[0].model.Clone(), e.parts[1].model.Clone()},
 		Rates:  []*gtr.RateCategories{r0.Clone(), r1.Clone()},
 	}
 	fresh, err := NewPartitioned(pat, set, Config{})
@@ -561,9 +562,5 @@ func TestPartitionedMemoryEstimateExact(t *testing.T) {
 	est := EstimateMemoryBytesPartitioned(pat.NumTaxa(), sizes, 1)
 	if m := e.MemoryBytes(); m > est {
 		t.Fatalf("footprint %d exceeds exact partitioned estimate %d", m, est)
-	}
-	// The single-partition wrapper is the one-element special case.
-	if EstimateMemoryBytes(10, 90, 4) != EstimateMemoryBytesPartitioned(10, []int{90}, 4) {
-		t.Fatal("EstimateMemoryBytes disagrees with its partitioned generalization")
 	}
 }

@@ -136,10 +136,10 @@ func TestInstallRatesThroughPerSiteOptimizer(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkRatesInstalled(t, e, "after construction")
-			held := []*gtr.RateCategories{e.PartitionRates(0), e.PartitionRates(1)}
+			held := []*gtr.RateCategories{e.parts[0].rates, e.parts[1].rates}
 			ll := e.OptimizePerSiteRates(6, 8)
 			checkRatesInstalled(t, e, "after OptimizePerSiteRates")
-			if e.PartitionRates(0) != held[0] || e.PartitionRates(1) != held[1] {
+			if e.parts[0].rates != held[0] || e.parts[1].rates != held[1] {
 				t.Fatal("OptimizePerSiteRates replaced a treatment pointer")
 			}
 			if got := e.LogLikelihood(); got != ll {

@@ -421,7 +421,7 @@ const (
 // EncodeWireJob encodes the job in flight — job code, flags, node
 // capacity, optionally a model-sync block, the branch length, the code's
 // views and payload (jobTable) and every entry of the prepared descriptor
-// window — into a frame the same engine decodes with DecodeWireJob on a
+// window — into a frame the same engine decodes with DecodeWireJobInto on a
 // remote rank. Must be called between the master's prepareTraversal and
 // the job's completion. The returned buffer is reused by the next call.
 func (e *Engine) EncodeWireJob(code threads.JobCode, includeModel, reset bool) []byte {
@@ -594,15 +594,6 @@ func (e *Engine) applyWireFactors(f *WireFactors) error {
 	copy(e.mkzD1, f.D1)
 	copy(e.mkzD2, f.D2)
 	return nil
-}
-
-// DecodeWireJob decodes a job frame into a fresh WireJob.
-func DecodeWireJob(buf []byte) (*WireJob, error) {
-	j := &WireJob{}
-	if err := DecodeWireJobInto(j, buf); err != nil {
-		return nil, err
-	}
-	return j, nil
 }
 
 // DecodeWireJobInto decodes a job frame into j, reusing j's entry and

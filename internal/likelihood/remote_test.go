@@ -36,9 +36,8 @@ func TestPartitionLogLikelihoodsOneDispatch(t *testing.T) {
 	// Cross-check against the site-log-likelihood definition.
 	site := e.SiteLogLikelihoods(nil)
 	for i := 0; i < e.NumPartitions(); i++ {
-		pr := e.PartitionRange(i)
 		want := 0.0
-		for k := pr.Lo; k < pr.Hi; k++ {
+		for k := e.parts[i].lo; k < e.parts[i].hi; k++ {
 			want += float64(e.Weights()[k]) * site[k]
 		}
 		if math.Abs(comps[i]-want) > 1e-9*math.Max(1, math.Abs(want)) {
@@ -87,7 +86,7 @@ func TestWireJobRoundTrip(t *testing.T) {
 	}
 
 	frame := e.EncodeWireJob(threads.JobEvaluate, true, true)
-	job, err := DecodeWireJob(frame)
+	job, err := decodeWireJob(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,7 @@ func TestWireJobRoundTrip(t *testing.T) {
 
 	// Without the flags, neither block is present.
 	frame2 := e.EncodeWireJob(threads.JobEvaluate, false, false)
-	job2, err := DecodeWireJob(append([]byte(nil), frame2...))
+	job2, err := decodeWireJob(append([]byte(nil), frame2...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestWireJobRoundTrip(t *testing.T) {
 
 	// Truncations must error, not panic or misread.
 	for _, cut := range []int{1, 7, len(frame) / 2, len(frame) - 1} {
-		if _, err := DecodeWireJob(frame[:cut]); err == nil {
+		if _, err := decodeWireJob(frame[:cut]); err == nil {
 			t.Fatalf("truncated frame (%d bytes) decoded without error", cut)
 		}
 	}
@@ -189,7 +188,7 @@ func TestWireMakenewzCoreRoundTrip(t *testing.T) {
 	if len(frame) > 512 {
 		t.Fatalf("core frame is %d bytes; a per-iteration frame must stay matrix- and model-free", len(frame))
 	}
-	job, err := DecodeWireJob(frame)
+	job, err := decodeWireJob(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +207,7 @@ func TestWireMakenewzCoreRoundTrip(t *testing.T) {
 		}
 	}
 	for _, cut := range []int{3, len(frame) / 2, len(frame) - 1} {
-		if _, err := DecodeWireJob(frame[:cut]); err == nil {
+		if _, err := decodeWireJob(frame[:cut]); err == nil {
 			t.Fatalf("truncated core frame (%d bytes) decoded without error", cut)
 		}
 	}
@@ -218,7 +217,7 @@ func TestWireMakenewzCoreRoundTrip(t *testing.T) {
 	e.InvalidateAll()
 	e.makenewzSetup(a, slotA, b, slotB, 0.25)
 	setup := e.EncodeWireJob(threads.JobMakenewzSetup, false, false)
-	sj, err := DecodeWireJob(setup)
+	sj, err := decodeWireJob(setup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +237,7 @@ func TestWireMakenewzCoreRoundTrip(t *testing.T) {
 
 	// No other job code carries a factor block.
 	e.setEdgeJob(a, slotA, b, slotB, 0.25)
-	ej, err := DecodeWireJob(e.EncodeWireJob(threads.JobEvaluate, false, false))
+	ej, err := decodeWireJob(e.EncodeWireJob(threads.JobEvaluate, false, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,4 +340,13 @@ func TestWorkerInitRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(out.Pat.Names, pat.Names) || !reflect.DeepEqual(out.Pat.Data, pat.Data) || !reflect.DeepEqual(out.Pat.Weights, pat.Weights) {
 		t.Fatal("the pattern set did not cross whole")
 	}
+}
+
+// decodeWireJob decodes a job frame into a fresh WireJob.
+func decodeWireJob(buf []byte) (*WireJob, error) {
+	j := &WireJob{}
+	if err := DecodeWireJobInto(j, buf); err != nil {
+		return nil, err
+	}
+	return j, nil
 }

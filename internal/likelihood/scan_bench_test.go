@@ -22,7 +22,7 @@ var scanBenchCases = []struct {
 		for i := range perSite {
 			perSite[i] = 0.25 + 2*r.Float64()
 		}
-		return gtr.ClusterCAT(perSite, 25)
+		return clusterCAT(perSite, 25)
 	}},
 	{"GAMMA", func(b *testing.B, patterns int) *gtr.RateCategories {
 		rc, err := gtr.NewGamma(0.8, 4)

@@ -237,7 +237,7 @@ func scanFrame(t testing.TB, n int, cold bool) (frame []byte, e *Engine, cands [
 func TestWireScanRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 7, 40} {
 		frame, e, cands := scanFrame(t, n, true)
-		job, err := DecodeWireJob(frame)
+		job, err := decodeWireJob(frame)
 		if err != nil {
 			t.Fatalf("N=%d: %v", n, err)
 		}
@@ -260,7 +260,7 @@ func TestWireScanRoundTrip(t *testing.T) {
 			t.Fatalf("N=%d warm frame is %d bytes, want %d (%d per candidate)", n, len(warm), want, wireCandBytes)
 		}
 		for _, cut := range []int{15, len(frame) / 2, len(frame) - 1} {
-			if _, err := DecodeWireJob(frame[:cut]); err == nil {
+			if _, err := decodeWireJob(frame[:cut]); err == nil {
 				t.Fatalf("N=%d: truncated scan frame (%d bytes) decoded without error", n, cut)
 			}
 		}

@@ -316,7 +316,7 @@ func TestStripeCutsSnapOnClippedStarts(t *testing.T) {
 			t.Fatal(err)
 		}
 		local := threads.NewPoolWeighted(workers, pat.Weights[lo:hi])
-		local.AlignRangesAt(stripeQuantum, []int{0, parts[1].Lo - lo, parts[2].Lo - lo})
+		local.AlignRangesAt(StripeQuantum, []int{0, parts[1].Lo - lo, parts[2].Lo - lo})
 		for i, r := range local.Ranges() {
 			if got := crew.Ranges()[i]; got != (threads.Range{Lo: r.Lo + lo, Hi: r.Hi + lo}) {
 				t.Errorf("%d workers: range %d is %v, the rebased axis cuts [%d, %d)", workers, i, got, r.Lo+lo, r.Hi+lo)

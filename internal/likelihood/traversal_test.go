@@ -6,6 +6,7 @@ import (
 
 	"raxml/internal/gtr"
 	"raxml/internal/rng"
+	"raxml/internal/threads"
 	"raxml/internal/tree"
 )
 
@@ -229,7 +230,7 @@ func TestAbortLeavesEngineConsistent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				e.Pool().AbortJob()
+				e.Pool().(*threads.Pool).AbortJob()
 			}
 		}
 	}()

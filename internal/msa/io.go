@@ -168,32 +168,6 @@ func ParseFASTA(r io.Reader) (*Alignment, error) {
 	return a, a.Validate()
 }
 
-// WriteFASTA writes the alignment in FASTA format with 70-column wrapping.
-func WriteFASTA(w io.Writer, a *Alignment) error {
-	bw := bufio.NewWriter(w)
-	for i, name := range a.Names {
-		if _, err := fmt.Fprintf(bw, ">%s\n", name); err != nil {
-			return err
-		}
-		seq := a.Seqs[i]
-		for off := 0; off < len(seq); off += 70 {
-			end := off + 70
-			if end > len(seq) {
-				end = len(seq)
-			}
-			for _, s := range seq[off:end] {
-				if err := bw.WriteByte(DecodeState(s)); err != nil {
-					return err
-				}
-			}
-			if err := bw.WriteByte('\n'); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
 // Sniff parses alignment data in either FASTA or PHYLIP format, detected
 // from the first non-blank byte.
 func Sniff(data []byte) (*Alignment, error) {

@@ -12,7 +12,6 @@ package msa
 
 import (
 	"fmt"
-	"sort"
 
 	"raxml/internal/rng"
 )
@@ -30,9 +29,6 @@ const (
 	// Gap is the fully ambiguous state used for '-', '?', 'N', etc.
 	Gap State = 0x0F
 )
-
-// NumStates is the alphabet size of the DNA model.
-const NumStates = 4
 
 // encode maps an input byte to its 4-bit state set.
 var encode = func() [256]State {
@@ -146,15 +142,6 @@ func (a *Alignment) Validate() error {
 	return nil
 }
 
-// Column returns the states of column j as a freshly allocated slice.
-func (a *Alignment) Column(j int) []State {
-	col := make([]State, a.NumTaxa())
-	for i := range a.Seqs {
-		col[i] = a.Seqs[i][j]
-	}
-	return col
-}
-
 // Patterns is the compressed form of an alignment: the distinct columns
 // with their multiplicities. All likelihood and parsimony computation —
 // and therefore all fine-grained parallelism in this reproduction — runs
@@ -191,16 +178,6 @@ func (p *Patterns) NumPatterns() int { return len(p.Weights) }
 
 // NumChars returns the column count of the source alignment.
 func (p *Patterns) NumChars() int { return p.numChars }
-
-// TotalWeight returns the sum of pattern weights (== NumChars for the
-// original weighting; may differ for externally supplied weight vectors).
-func (p *Patterns) TotalWeight() int {
-	t := 0
-	for _, w := range p.Weights {
-		t += w
-	}
-	return t
-}
 
 // Compress reduces an alignment to its distinct site patterns.
 //
@@ -248,23 +225,6 @@ func Compress(a *Alignment) (*Patterns, error) {
 	return p, nil
 }
 
-// Expand reconstructs a full alignment from the patterns (columns ordered
-// by ColumnPattern). It is the inverse of Compress up to column order and
-// is used by property tests.
-func (p *Patterns) Expand() *Alignment {
-	a := &Alignment{
-		Names: append([]string(nil), p.Names...),
-		Seqs:  make([][]State, p.NumTaxa()),
-	}
-	for i := range a.Seqs {
-		a.Seqs[i] = make([]State, p.numChars)
-		for j, k := range p.ColumnPattern {
-			a.Seqs[i][j] = p.Data[i][k]
-		}
-	}
-	return a
-}
-
 // Resample draws one bootstrap replicate: characters are resampled with
 // replacement, expressed as a new weight vector over the existing pattern
 // set. The returned slice has NumPatterns entries summing to NumChars.
@@ -304,31 +264,11 @@ func (p *Patterns) Resample(r *rng.RNG) []int {
 // boundary (the alignment a distributed worker rank receives).
 // ColumnPattern/SitePartition are left nil: such a set cannot be expanded
 // or resampled, it is pure kernel input. numChars is set to the weight
-// mass so TotalWeight and reporting stay meaningful.
+// mass so reporting stays meaningful.
 func FromParts(names []string, data [][]State, weights []int, parts []PartRange) *Patterns {
 	p := &Patterns{Names: names, Data: data, Weights: weights, Parts: parts}
 	for _, w := range weights {
 		p.numChars += w
 	}
 	return p
-}
-
-// Subsample returns the pattern indices with non-zero weight in w, a
-// convenience for kernels that skip zero-weight patterns.
-func Subsample(w []int) []int {
-	var idx []int
-	for k, wk := range w {
-		if wk > 0 {
-			idx = append(idx, k)
-		}
-	}
-	return idx
-}
-
-// SortedPatternSummary returns the pattern weights in descending order;
-// used in diagnostics and tests of compression behaviour.
-func (p *Patterns) SortedPatternSummary() []int {
-	w := append([]int(nil), p.Weights...)
-	sort.Sort(sort.Reverse(sort.IntSlice(w)))
-	return w
 }

@@ -1,7 +1,10 @@
 package msa
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -92,9 +95,6 @@ func TestCompressBasic(t *testing.T) {
 	if p.NumChars() != 5 {
 		t.Fatalf("NumChars = %d, want 5", p.NumChars())
 	}
-	if got := p.TotalWeight(); got != 5 {
-		t.Fatalf("TotalWeight = %d, want 5", got)
-	}
 	if p.Weights[0] != 2 || p.Weights[1] != 2 || p.Weights[2] != 1 {
 		t.Fatalf("weights = %v, want [2 2 1]", p.Weights)
 	}
@@ -116,7 +116,7 @@ func TestCompressExpandRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back := p.Expand()
+		back := expand(p)
 		if back.NumTaxa() != nTaxa || back.NumChars() != nChars {
 			return false
 		}
@@ -200,19 +200,6 @@ func TestResampleReproducible(t *testing.T) {
 	}
 }
 
-func TestSubsample(t *testing.T) {
-	idx := Subsample([]int{0, 3, 0, 1, 0, 2})
-	want := []int{1, 3, 5}
-	if len(idx) != len(want) {
-		t.Fatalf("Subsample = %v, want %v", idx, want)
-	}
-	for i := range want {
-		if idx[i] != want[i] {
-			t.Fatalf("Subsample = %v, want %v", idx, want)
-		}
-	}
-}
-
 func TestPHYLIPRoundTrip(t *testing.T) {
 	a := alignFromPairs(
 		"alpha", "ACGTACGT",
@@ -290,7 +277,7 @@ func TestFASTARoundTrip(t *testing.T) {
 		"tax4", strings.Repeat("CCGA", 40),
 	)
 	var buf bytes.Buffer
-	if err := WriteFASTA(&buf, a); err != nil {
+	if err := writeFASTA(&buf, a); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ParseFASTA(&buf)
@@ -326,31 +313,6 @@ func TestSniff(t *testing.T) {
 	}
 }
 
-func TestColumn(t *testing.T) {
-	a := alignFromPairs("t1", "AC", "t2", "GT", "t3", "AC", "t4", "GT")
-	col := a.Column(1)
-	want := []State{C, T, C, T}
-	for i := range want {
-		if col[i] != want[i] {
-			t.Fatalf("Column(1) = %v, want %v", col, want)
-		}
-	}
-}
-
-func TestSortedPatternSummary(t *testing.T) {
-	a := alignFromPairs(
-		"t1", "AAAAC",
-		"t2", "AAAAC",
-		"t3", "CCCCA",
-		"t4", "CCCCT",
-	)
-	p, _ := Compress(a)
-	sum := p.SortedPatternSummary()
-	if sum[0] != 4 || sum[1] != 1 {
-		t.Fatalf("summary = %v, want [4 1]", sum)
-	}
-}
-
 func BenchmarkCompress(b *testing.B) {
 	a := randomAlignment(rng.New(3), 125, 2000)
 	b.ResetTimer()
@@ -369,4 +331,46 @@ func BenchmarkResample(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = p.Resample(r)
 	}
+}
+
+// expand reconstructs a full alignment from the patterns (columns ordered
+// by ColumnPattern): the inverse of Compress up to column order.
+func expand(p *Patterns) *Alignment {
+	a := &Alignment{
+		Names: append([]string(nil), p.Names...),
+		Seqs:  make([][]State, p.NumTaxa()),
+	}
+	for i := range a.Seqs {
+		a.Seqs[i] = make([]State, p.numChars)
+		for j, k := range p.ColumnPattern {
+			a.Seqs[i][j] = p.Data[i][k]
+		}
+	}
+	return a
+}
+
+// writeFASTA writes the alignment in FASTA format with 70-column wrapping.
+func writeFASTA(w io.Writer, a *Alignment) error {
+	bw := bufio.NewWriter(w)
+	for i, name := range a.Names {
+		if _, err := fmt.Fprintf(bw, ">%s\n", name); err != nil {
+			return err
+		}
+		seq := a.Seqs[i]
+		for off := 0; off < len(seq); off += 70 {
+			end := off + 70
+			if end > len(seq) {
+				end = len(seq)
+			}
+			for _, s := range seq[off:end] {
+				if err := bw.WriteByte(DecodeState(s)); err != nil {
+					return err
+				}
+			}
+			if err := bw.WriteByte('\n'); err != nil {
+				return err
+			}
+		}
+	}
+	return bw.Flush()
 }

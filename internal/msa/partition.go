@@ -36,19 +36,6 @@ type PartitionDef struct {
 	Ranges []SiteRange
 }
 
-// NumSites returns the number of columns the definition covers. Ranges
-// are counted as written — CompressPartitioned rejects definitions that
-// reach past the alignment, so there is nothing to clamp here.
-func (d *PartitionDef) NumSites() int {
-	n := 0
-	for _, r := range d.Ranges {
-		for s := r.Lo; s < r.Hi; s += r.Stride {
-			n++
-		}
-	}
-	return n
-}
-
 // ParsePartitionFile reads a RAxML-style -q partition file. Each
 // non-blank line is
 //

@@ -127,8 +127,3 @@ func (m Machine) ThreadSpeedup(threads, patterns int) float64 {
 	sync := syncOverhead * t * t / float64(patterns)
 	return t * boost / (1 + bw + sync)
 }
-
-// ParallelEfficiency returns ThreadSpeedup/threads.
-func (m Machine) ParallelEfficiency(threads, patterns int) float64 {
-	return m.ThreadSpeedup(threads, patterns) / float64(threads)
-}

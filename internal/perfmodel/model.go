@@ -139,16 +139,6 @@ func Speedup(spec Spec) (float64, error) {
 	return SerialTime(spec.Machine, spec.Data, spec.Bootstraps) / t.Total, nil
 }
 
-// Efficiency returns the parallel efficiency (speedup per core), the
-// quantity of Figs. 2 and 5–7.
-func Efficiency(spec Spec) (float64, error) {
-	s, err := Speedup(spec)
-	if err != nil {
-		return 0, err
-	}
-	return s / float64(spec.Cores()), nil
-}
-
 // Config is one (ranks, threads) decomposition with its modeled time.
 type Config struct {
 	Ranks, Threads int
@@ -228,15 +218,6 @@ func SingleProcessCurve(m Machine, d DataSet, bootstraps int, seed int64) ([]Poi
 		out = append(out, Point{Cores: th, Value: s})
 	}
 	return out, nil
-}
-
-// EfficiencyCurve transforms a speedup curve into parallel efficiency.
-func EfficiencyCurve(points []Point) []Point {
-	out := make([]Point, len(points))
-	for i, p := range points {
-		out[i] = Point{Cores: p.Cores, Value: p.Value / float64(p.Cores)}
-	}
-	return out
 }
 
 // StageBreakdown returns the per-stage times versus cores at a fixed

@@ -113,7 +113,7 @@ func TestSuperlinearityFig8(t *testing.T) {
 	// Fig. 8: from 1 to 4 cores all machines except Dash show
 	// superlinear speedup; Dash is ~linear.
 	for _, m := range Machines() {
-		eff := m.ParallelEfficiency(4, 19436)
+		eff := m.ThreadSpeedup(4, 19436) / 4
 		if m.Name == "Dash" {
 			if eff > 1.001 {
 				t.Errorf("Dash superlinear at 4 threads (eff %.3f); paper says linear", eff)
@@ -133,7 +133,7 @@ func TestAbeEfficiencyDropsFastest(t *testing.T) {
 	dash := machine(t, "Dash")
 	// Relative efficiency loss from 4 to 8 threads.
 	drop := func(m Machine) float64 {
-		return m.ParallelEfficiency(4, 19436) - m.ParallelEfficiency(8, 19436)
+		return m.ThreadSpeedup(4, 19436)/4 - m.ThreadSpeedup(8, 19436)/8
 	}
 	if drop(abe) <= drop(dash) {
 		t.Errorf("Abe 4→8 efficiency drop %.3f <= Dash's %.3f", drop(abe), drop(dash))
@@ -276,11 +276,12 @@ func TestEfficiencyBumpAt40And80Cores(t *testing.T) {
 	dash := machine(t, "Dash")
 	d := dataset(t, 1846)
 	eff := func(ranks int) float64 {
-		e, err := Efficiency(Spec{Machine: dash, Data: d, Ranks: ranks, Threads: 8, Bootstraps: 100})
+		spec := Spec{Machine: dash, Data: d, Ranks: ranks, Threads: 8, Bootstraps: 100}
+		s, err := Speedup(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e
+		return s / float64(spec.Cores())
 	}
 	if eff(5) <= eff(4) {
 		t.Errorf("efficiency at 40c (%.3f) not above 32c (%.3f)", eff(5), eff(4))
@@ -402,10 +403,9 @@ func TestCurvesShapes(t *testing.T) {
 	if len(sp) != 4 { // 1,2,4,8 threads
 		t.Fatalf("single-process curve has %d points, want 4", len(sp))
 	}
-	eff := EfficiencyCurve(curve)
-	for i := range eff {
-		if eff[i].Value > 1.2 {
-			t.Fatalf("efficiency %.2f at %d cores implausible", eff[i].Value, eff[i].Cores)
+	for _, p := range curve {
+		if eff := p.Value / float64(p.Cores); eff > 1.2 {
+			t.Fatalf("efficiency %.2f at %d cores implausible", eff, p.Cores)
 		}
 	}
 }

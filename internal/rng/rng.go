@@ -87,11 +87,6 @@ func (r *RNG) Uint64() uint64 {
 	return x * 0x2545f4914f6cdd1d
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform pseudo-random int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -148,26 +143,6 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomly permutes n elements using the swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Multinomial draws n samples from k equally likely bins and returns the
-// per-bin counts. It is the primitive behind bootstrap column resampling:
-// each bootstrap replicate re-weights alignment columns with a multinomial
-// draw of (characters) samples over (characters) bins.
-func (r *RNG) Multinomial(n, k int) []int {
-	counts := make([]int, k)
-	for i := 0; i < n; i++ {
-		counts[r.Intn(k)]++
-	}
-	return counts
 }
 
 // Split returns a new generator whose stream is decorrelated from r's

@@ -187,28 +187,6 @@ func TestPermUnbiasedFirstElement(t *testing.T) {
 	}
 }
 
-func TestMultinomialConservesTotal(t *testing.T) {
-	prop := func(seed int64, nRaw, kRaw uint8) bool {
-		n := int(nRaw)%500 + 1
-		k := int(kRaw)%50 + 1
-		counts := New(seed).Multinomial(n, k)
-		if len(counts) != k {
-			return false
-		}
-		total := 0
-		for _, c := range counts {
-			if c < 0 {
-				return false
-			}
-			total += c
-		}
-		return total == n
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSplitDecorrelates(t *testing.T) {
 	parent := New(12345)
 	child := parent.Split()
@@ -230,19 +208,6 @@ func TestSplitDeterministic(t *testing.T) {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("Split is not deterministic")
 		}
-	}
-}
-
-func TestShuffleMatchesPermSemantics(t *testing.T) {
-	r := New(23)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, v := range xs {
-		if seen[v] {
-			t.Fatalf("shuffle duplicated element %d", v)
-		}
-		seen[v] = true
 	}
 }
 

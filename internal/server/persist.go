@@ -32,9 +32,24 @@ type persistedRun struct {
 
 func (s *Server) queuePath() string { return filepath.Join(s.cfg.DataDir, "queue.json") }
 
+// errPersist marks an error of writing the queue image: the request was
+// applied in memory, but a restart would not see it.
+var errPersist = errors.New("server: persisting the queue")
+
 // persistQueue snapshots every queued run to disk. Safe to call from
-// any goroutine not holding s.mu.
+// any goroutine not holding s.mu. persistMu is held from the snapshot
+// through the rename, so concurrent calls share the one tmp path in
+// turn and the last snapshot taken is the last one renamed into place.
 func (s *Server) persistQueue() error {
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
+	if err := s.writeQueue(); err != nil {
+		return fmt.Errorf("%w: %w", errPersist, err)
+	}
+	return nil
+}
+
+func (s *Server) writeQueue() error {
 	s.mu.Lock()
 	var pq persistedQueue
 	pq.Version = 1

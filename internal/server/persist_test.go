@@ -1,0 +1,96 @@
+package server
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+)
+
+// TestConcurrentSubmitsAllPersisted submits N runs at once while a
+// blocking run holds the only running slot, so all N stay queued. Every
+// Submit writes the queue image; whichever write lands last must hold
+// all N, so a server restarted over the same DataDir re-admits them.
+// Run it under -race as well.
+func TestConcurrentSubmitsAllPersisted(t *testing.T) {
+	align := testAlignment(t)
+	dataDir := t.TempDir()
+	s, fleet := newTestServer(t, 0, Config{MaxRunning: 1, DataDir: dataDir})
+	started, release := stubExecute(s)
+	blocker, _, err := s.Submit(Submission{Alignment: align, Params: testParams(1), Tenant: "blocker"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := nextStarted(t, started); id != blocker.ID {
+		t.Fatalf("started %s, want the blocker %s", id, blocker.ID)
+	}
+	defer close(release)
+
+	const n = 8
+	ids := make([]string, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run, _, err := s.Submit(Submission{Alignment: align, Params: testParams(int64(100 + i)), Tenant: "alice"})
+			if err == nil {
+				ids[i] = run.ID
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+
+	s2, err := New(Config{Fleet: fleet, DataDir: dataDir, MaxRunning: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Drain()
+	for i, id := range ids {
+		if _, ok := s2.Get(id); !ok {
+			t.Errorf("restarted server lost acknowledged submit %d (%s)", i, id)
+		}
+	}
+}
+
+// TestPersistErrorReachesCaller makes the queue image's rename fail — a
+// directory stands where queue.json goes — and checks that Submit and
+// Cancel return the error instead of acknowledging a run a restart
+// would not see.
+func TestPersistErrorReachesCaller(t *testing.T) {
+	align := testAlignment(t)
+	dataDir := t.TempDir()
+	s, _ := newTestServer(t, 0, Config{MaxRunning: 1, DataDir: dataDir})
+	started, release := stubExecute(s)
+	defer close(release)
+	if _, _, err := s.Submit(Submission{Alignment: align, Params: testParams(1), Tenant: "blocker"}); err != nil {
+		t.Fatal(err)
+	}
+	nextStarted(t, started)
+	queue := filepath.Join(dataDir, "queue.json")
+	if err := os.Remove(queue); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(queue, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(queue, "keep"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	run, _, err := s.Submit(Submission{Alignment: align, Params: testParams(2), Tenant: "alice"})
+	if !errors.Is(err, errPersist) {
+		t.Fatalf("Submit with an unwritable queue image returned %v, want a persist error", err)
+	}
+	if err := s.Cancel(run.ID); !errors.Is(err, errPersist) {
+		t.Fatalf("Cancel with an unwritable queue image returned %v, want a persist error", err)
+	}
+}

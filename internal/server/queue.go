@@ -335,8 +335,7 @@ func (s *Server) Cancel(id string) error {
 		s.mu.Unlock()
 		lg.event("run-canceled", map[string]any{"run": run.ID})
 		lg.close()
-		s.persistQueue()
-		return nil
+		return s.persistQueue()
 	case StateRunning:
 		run.canceledByUser = true
 		g := run.grid

@@ -13,6 +13,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -90,6 +91,8 @@ type Server struct {
 
 	// execute runs one run's analysis; tests substitute it.
 	execute func(*Run) error
+
+	persistMu sync.Mutex // serializes persistQueue; taken before mu
 
 	mu           sync.Mutex
 	runs         map[string]*Run
@@ -229,8 +232,7 @@ func (s *Server) Submit(sub Submission) (*Run, bool, error) {
 		}
 		s.scheduleLocked()
 		s.mu.Unlock()
-		s.persistQueue()
-		return existing, true, nil
+		return existing, true, s.persistQueue()
 	}
 	run := newRun(id, sub.Tenant, alignHash, partHash, p)
 	if err := s.enqueueLocked(run); err != nil {
@@ -241,8 +243,7 @@ func (s *Server) Submit(sub Submission) (*Run, bool, error) {
 	s.order = append(s.order, id)
 	s.scheduleLocked()
 	s.mu.Unlock()
-	s.persistQueue()
-	return run, true, nil
+	return run, true, s.persistQueue()
 }
 
 // Get looks a run up by ID.
@@ -252,9 +253,6 @@ func (s *Server) Get(id string) (*Run, bool) {
 	run, ok := s.runs[id]
 	return run, ok
 }
-
-// Cache exposes the warm cache (tests and metrics assertions).
-func (s *Server) Cache() *WarmCache { return s.cache }
 
 // Drain is the graceful-shutdown path (SIGTERM): stop admitting, cancel
 // running grids cooperatively — each running job checkpoints at its
@@ -321,6 +319,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	case err == ErrDraining:
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	case errors.Is(err, errPersist):
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	default:
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -428,7 +429,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	if err := s.Cancel(r.PathValue("id")); err != nil {
+	if err := s.Cancel(r.PathValue("id")); errors.Is(err, errPersist) {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	} else if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}

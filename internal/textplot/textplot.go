@@ -6,7 +6,6 @@ package textplot
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -156,30 +155,4 @@ func (t *Table) CSV() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortRowsByIntColumn sorts rows numerically by the given column when
-// cells parse as integers (non-parsing cells sort last, stable).
-func (t *Table) SortRowsByIntColumn(col int) {
-	parse := func(s string) (int, bool) {
-		n := 0
-		if s == "" {
-			return 0, false
-		}
-		for _, c := range s {
-			if c < '0' || c > '9' {
-				return 0, false
-			}
-			n = n*10 + int(c-'0')
-		}
-		return n, true
-	}
-	sort.SliceStable(t.Rows, func(i, j int) bool {
-		a, okA := parse(t.Rows[i][col])
-		b, okB := parse(t.Rows[j][col])
-		if okA && okB {
-			return a < b
-		}
-		return okA && !okB
-	})
 }

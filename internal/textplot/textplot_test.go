@@ -84,18 +84,3 @@ func TestTableCSV(t *testing.T) {
 		t.Error("header row missing")
 	}
 }
-
-func TestSortRowsByIntColumn(t *testing.T) {
-	tab := &Table{
-		Headers: []string{"n", "v"},
-		Rows:    [][]string{{"10", "a"}, {"2", "b"}, {"-", "c"}, {"1", "d"}},
-	}
-	tab.SortRowsByIntColumn(0)
-	got := []string{tab.Rows[0][0], tab.Rows[1][0], tab.Rows[2][0], tab.Rows[3][0]}
-	want := []string{"1", "2", "10", "-"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sorted order %v, want %v", got, want)
-		}
-	}
-}

@@ -111,7 +111,7 @@ func TestPostCompletesWithHelperHeld(t *testing.T) {
 					c.check(t, "closure")
 				default:
 					c.post(t, p.wakeSteps, "at the crossover")
-					p.ForkJoin(len(cells), 2, func(lo, hi int) {
+					p.ForkJoinRange(0, len(cells), 2, func(lo, hi int) {
 						for k := lo; k < hi; k++ {
 							cells[k]++
 						}
@@ -250,7 +250,7 @@ func TestOnePRunsStatedJobsInline(t *testing.T) {
 		t.Fatalf("two Ps: counters %+v, want 4 published", got)
 	}
 	chunks := 0
-	p.ForkJoin(300, 1, func(lo, hi int) {
+	p.ForkJoinRange(0, 300, 1, func(lo, hi int) {
 		if lo != 0 || hi != 300 {
 			t.Fatalf("one P: fork chunk [%d, %d), want the whole [0, 300)", lo, hi)
 		}

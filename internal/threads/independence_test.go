@@ -139,7 +139,8 @@ func TestRangeExecutorIndependence(t *testing.T) {
 				set.Models = append(set.Models, gtr.Default())
 				set.Rates = append(set.Rates, indepCAT(0, pr.Len(), catRates[:2+i]))
 			}
-			pool := threads.NewPoolPartitioned(workers, pat.Weights, pat.PartStarts(), 16)
+			pool := threads.NewPoolWeighted(workers, pat.Weights)
+			pool.AlignRangesAt(likelihood.StripeQuantum, pat.PartStarts())
 			e, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
 			if err != nil {
 				t.Fatal(err)

@@ -149,7 +149,7 @@ func TestDispatchCounter(t *testing.T) {
 		rn := &sumRunner{pool: p, data: make([]float64, 300), execs: make([]int64, p.Workers())}
 		p.Post(rn, JobEvaluate)
 		p.ParallelFor(func(w int, r Range) {})
-		_ = p.ReduceSum(func(w int, r Range) float64 { return 0 })
+		_ = p.reduceSum(func(w int, r Range) float64 { return 0 })
 		if got := p.Dispatches(); got != 3 {
 			t.Fatalf("workers=%d: %d dispatches recorded, want 3", workers, got)
 		}

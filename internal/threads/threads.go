@@ -60,9 +60,8 @@
 // the serial code path is literally the same code, as in RAxML where
 // the standalone binary is the single-thread special case.
 //
-// ParallelFor and ReduceSum remain as closure-based conveniences for
-// tests and one-off kernels; they run through the same job engine under
-// a reserved internal job code.
+// ForkJoinRange runs closures over the crew through the same job engine,
+// under a reserved internal job code.
 package threads
 
 import (
@@ -86,7 +85,7 @@ func (r Range) Len() int { return r.Hi - r.Lo }
 type JobCode int32
 
 const (
-	// jobClosure is the reserved internal code behind ParallelFor.
+	// jobClosure is the reserved internal code behind ForkJoinRange.
 	jobClosure JobCode = iota
 	// JobNewview walks a traversal descriptor, computing every stale
 	// conditional likelihood vector over the worker's pattern range.
@@ -305,19 +304,6 @@ func NewPoolWeighted(workers int, weights []int) *Pool {
 	return newPool(w, SplitWeighted(weights, w))
 }
 
-// NewPoolPartitioned creates a pool for a partitioned (multi-gene)
-// pattern axis: ranges balance total pattern weight (as NewPoolWeighted)
-// and stripe boundaries are immediately snapped to quantum multiples
-// relative to the partition starts (as AlignRangesAt), so one job
-// posting covers the concatenated (partition, pattern-stripe) units
-// with weighted, cache-aligned stripes that never split a cache line
-// inside any partition's tile segment.
-func NewPoolPartitioned(workers int, weights []int, starts []int, quantum int) *Pool {
-	p := NewPoolWeighted(workers, weights)
-	p.AlignRangesAt(quantum, starts)
-	return p
-}
-
 // NewPoolStripe creates a pool whose workers cover only the pattern
 // stripe [lo, hi) of a wider axis, with ranges balanced by the weight
 // mass inside the stripe. Worker ranges carry *global* pattern indices,
@@ -431,7 +417,7 @@ func (p *Pool) workerLoop(w int) {
 		if c := cell.Load(); c >= seen || !cell.CompareAndSwap(c, seen) {
 			continue
 		}
-		// Re-read the stripe each job: AlignRanges may have snapped the
+		// Re-read the stripe each job: AlignRangesAt may have snapped the
 		// boundaries after this worker started (the master's generation
 		// store orders that write before this read).
 		p.execute(w, p.ranges[w])
@@ -501,7 +487,7 @@ func (p *Pool) Post(runner JobRunner, code JobCode) {
 	p.post(runner, code, nil)
 }
 
-// post is the counted dispatch behind Post and ParallelFor: serialize on
+// post is the counted dispatch behind Post: serialize on
 // postMu, count the dispatch, clear the abort flag and run the job — on
 // the master alone when the runner says it is too short to share.
 func (p *Pool) post(runner JobRunner, code JobCode, fn func(worker int, r Range)) {
@@ -618,22 +604,13 @@ func (p *Pool) awaitCrew(want int64) {
 	p.barMu.Unlock()
 }
 
-// AlignRanges snaps the pool's internal stripe boundaries to multiples
-// of quantum patterns. Engines whose buffers tile the pattern axis call
-// this once so that no two workers ever write the same cache line of a
-// tile (e.g. a GTRCAT CLV packs two 32-byte patterns per 64-byte line:
-// quantum 2 keeps stripe edges off shared lines). Equivalent to
-// AlignRangesAt with a single segment covering the whole axis.
-func (p *Pool) AlignRanges(quantum int) {
-	p.AlignRangesAt(quantum, nil)
-}
-
 // AlignRangesAt snaps the pool's stripe boundaries to quantum-pattern
-// multiples *relative to segment starts* — the partition-aware form of
-// AlignRanges. `starts` lists the pattern-axis offsets where aligned
-// segments begin (a partitioned CLV arena pads each partition's segment
-// to whole cache lines, so alignment is only meaningful relative to the
-// containing partition's start); nil or empty means one segment at 0.
+// multiples *relative to segment starts*, so that no two workers ever
+// write the same cache line of a tile. `starts` lists the pattern-axis
+// offsets where aligned segments begin (a partitioned CLV arena pads
+// each partition's segment to whole cache lines, so alignment is only
+// meaningful relative to the containing partition's start); nil or
+// empty means one segment at 0.
 // A boundary snaps to the nearest segment-relative quantum multiple,
 // clamped to the containing segment's end — landing exactly on a
 // partition boundary is always line-safe because segments are padded.
@@ -792,9 +769,6 @@ func (p *Pool) SumWide(i int) float64 {
 	return sum
 }
 
-// WideWidth returns the current wide-slot width (0 before EnsureWide).
-func (p *Pool) WideWidth() int { return p.wideWidth }
-
 // AbortJob requests cooperative cancellation of the job in flight.
 // Long-running kernels poll Aborted between descriptor entries and
 // bail out early; the barrier still completes normally, so the pool
@@ -807,38 +781,6 @@ func (p *Pool) AbortJob() { p.abort.Store(true) }
 
 // Aborted reports whether the current job has been asked to stop.
 func (p *Pool) Aborted() bool { return p.abort.Load() }
-
-// ParallelFor executes fn once per worker over that worker's pattern
-// range and returns when all workers finished (barrier semantics).
-// fn must only write to data indexed within its range or to the
-// per-worker slot it owns. This is the closure-based convenience path;
-// hot engine loops post job codes instead.
-func (p *Pool) ParallelFor(fn func(worker int, r Range)) {
-	p.post(nil, jobClosure, fn)
-}
-
-// ReduceSum executes fn per worker and returns the sum of the per-worker
-// results: the reduction pattern behind log-likelihood evaluation and
-// branch-length derivative accumulation.
-func (p *Pool) ReduceSum(fn func(worker int, r Range) float64) float64 {
-	p.ParallelFor(func(w int, r Range) {
-		p.slots[w].v[0] = fn(w, r)
-	})
-	return p.SumSlots(0)
-}
-
-// ReduceSum2 is ReduceSum for functions producing two sums at once.
-func (p *Pool) ReduceSum2(fn func(worker int, r Range) (float64, float64)) (float64, float64) {
-	p.ParallelFor(func(w int, r Range) {
-		p.slots[w].v[0], p.slots[w].v[1] = fn(w, r)
-	})
-	return p.SumSlots2(0, 1)
-}
-
-// ForkJoin is ForkJoinRange over [0, n).
-func (p *Pool) ForkJoin(n, grain int, fn func(lo, hi int)) {
-	p.ForkJoinRange(0, n, grain, fn)
-}
 
 // ForkJoinRange runs fn over [lo, hi) split into contiguous chunks of at
 // least `grain` items, at most one per worker, and returns when all
@@ -967,8 +909,3 @@ func SplitWeighted(weights []int, k int) []Range {
 	}
 	return out
 }
-
-// DefaultWorkers returns a sensible worker count for the host: the
-// number of available CPUs, the quantity the paper calls "cores per
-// node" when running one rank per node.
-func DefaultWorkers() int { return runtime.NumCPU() }

@@ -157,7 +157,7 @@ func TestReduceSumMatchesSerial(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, 7} {
 		p := NewPool(workers, len(data))
-		got := p.ReduceSum(func(w int, r Range) float64 {
+		got := p.reduceSum(func(w int, r Range) float64 {
 			s := 0.0
 			for i := r.Lo; i < r.Hi; i++ {
 				s += data[i]
@@ -166,7 +166,7 @@ func TestReduceSumMatchesSerial(t *testing.T) {
 		})
 		p.Close()
 		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("workers=%d: ReduceSum=%g want %g", workers, got, want)
+			t.Fatalf("workers=%d: reduceSum=%g want %g", workers, got, want)
 		}
 	}
 }
@@ -185,9 +185,9 @@ func TestReduceSumDeterministicAcrossRuns(t *testing.T) {
 		}
 		return s
 	}
-	first := p.ReduceSum(f)
+	first := p.reduceSum(f)
 	for trial := 0; trial < 50; trial++ {
-		if got := p.ReduceSum(f); got != first {
+		if got := p.reduceSum(f); got != first {
 			t.Fatalf("trial %d: reduction not bit-identical: %v vs %v", trial, got, first)
 		}
 	}
@@ -196,11 +196,11 @@ func TestReduceSumDeterministicAcrossRuns(t *testing.T) {
 func TestReduceSum2(t *testing.T) {
 	p := NewPool(3, 300)
 	defer p.Close()
-	a, b := p.ReduceSum2(func(w int, r Range) (float64, float64) {
-		return float64(r.Len()), 2 * float64(r.Len())
+	p.ParallelFor(func(w int, r Range) {
+		p.Slot(w)[0], p.Slot(w)[1] = float64(r.Len()), 2*float64(r.Len())
 	})
-	if a != 300 || b != 600 {
-		t.Fatalf("ReduceSum2 = (%g, %g), want (300, 600)", a, b)
+	if a, b := p.SumSlots2(0, 1); a != 300 || b != 600 {
+		t.Fatalf("SumSlots2 = (%g, %g), want (300, 600)", a, b)
 	}
 }
 
@@ -281,7 +281,7 @@ func BenchmarkReduceSumKernel(b *testing.B) {
 			p := NewPool(workers, len(data))
 			defer p.Close()
 			for i := 0; i < b.N; i++ {
-				_ = p.ReduceSum(func(w int, r Range) float64 {
+				_ = p.reduceSum(func(w int, r Range) float64 {
 					s := 0.0
 					for j := r.Lo; j < r.Hi; j++ {
 						s += data[j]
@@ -297,7 +297,7 @@ func TestAlignRangesSnapsBoundaries(t *testing.T) {
 	const n, workers, quantum = 1288, 4, 16
 	p := NewPool(workers, n)
 	defer p.Close()
-	p.AlignRanges(quantum)
+	p.AlignRangesAt(quantum, nil)
 	lo := 0
 	for i, r := range p.Ranges() {
 		if r.Lo != lo {
@@ -327,7 +327,7 @@ func TestAlignRangesSmallWorkloadNoOp(t *testing.T) {
 	p := NewPool(workers, n)
 	defer p.Close()
 	want := append([]Range(nil), p.Ranges()...)
-	p.AlignRanges(quantum)
+	p.AlignRangesAt(quantum, nil)
 	for i, r := range p.Ranges() {
 		if r != want[i] {
 			t.Fatalf("worker %d: stripe changed %v -> %v on a small workload", i, want[i], r)
@@ -339,7 +339,7 @@ func TestAlignRangesSmallWorkloadNoOp(t *testing.T) {
 }
 
 func TestAlignRangesNarrowWeightedStripeStaysNonEmpty(t *testing.T) {
-	// Regression test for the NewPoolWeighted + AlignRanges interaction:
+	// Regression test for the NewPoolWeighted + AlignRangesAt interaction:
 	// a weighted split can produce a stripe narrower than the quantum
 	// even when the total span is large. Snapping must be per-boundary —
 	// a move that would empty a stripe is skipped while every other
@@ -364,7 +364,7 @@ func TestAlignRangesNarrowWeightedStripeStaysNonEmpty(t *testing.T) {
 	if !narrow {
 		t.Skip("weighted split produced no narrow stripe; probe needs retuning")
 	}
-	p.AlignRanges(16)
+	p.AlignRangesAt(16, nil)
 	assertRangesCover(t, p.Ranges(), 1288)
 	snapped := 0
 	for i, r := range p.Ranges() {
@@ -496,6 +496,9 @@ func TestAlignRangesAtProperty(t *testing.T) {
 	}
 }
 
+// TestNewPoolPartitionedWeightedAligned builds a partitioned crew as the
+// engine does (NewPoolWeighted, then AlignRangesAt on the partition
+// starts) and checks that snapping keeps the weighted split balanced.
 func TestNewPoolPartitionedWeightedAligned(t *testing.T) {
 	n := 1288
 	weights := make([]int, n)
@@ -503,7 +506,8 @@ func TestNewPoolPartitionedWeightedAligned(t *testing.T) {
 		weights[i] = 1 + i%3
 	}
 	starts := []int{0, 500, 900}
-	p := NewPoolPartitioned(4, weights, starts, 16)
+	p := NewPoolWeighted(4, weights)
+	p.AlignRangesAt(16, starts)
 	defer p.Close()
 	assertRangesCover(t, p.Ranges(), n)
 	mass := func(r Range) int {
@@ -530,7 +534,7 @@ func TestForkJoinCoversAllChunks(t *testing.T) {
 		p := NewPool(workers, 256)
 		visited := make([]int32, 1000)
 		var calls int32
-		p.ForkJoin(len(visited), 8, func(lo, hi int) {
+		p.ForkJoinRange(0, len(visited), 8, func(lo, hi int) {
 			atomic.AddInt32(&calls, 1)
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&visited[i], 1)
@@ -569,7 +573,7 @@ func TestForkJoinCoversAllChunks(t *testing.T) {
 			t.Fatalf("workers=%d: windowed fork chunks span %d..%d items", workers, minLen, maxLen)
 		}
 		if d := p.Dispatches(); d != 0 {
-			t.Fatalf("workers=%d: ForkJoin counted %d pool dispatches, want 0", workers, d)
+			t.Fatalf("workers=%d: ForkJoinRange counted %d pool dispatches, want 0", workers, d)
 		}
 		p.Close()
 	}
@@ -577,9 +581,9 @@ func TestForkJoinCoversAllChunks(t *testing.T) {
 	p := NewPool(4, 256)
 	defer p.Close()
 	sum := 0
-	p.ForkJoin(3, 8, func(lo, hi int) { sum += hi - lo })
+	p.ForkJoinRange(0, 3, 8, func(lo, hi int) { sum += hi - lo })
 	if sum != 3 {
-		t.Fatalf("inline ForkJoin covered %d of 3 items", sum)
+		t.Fatalf("inline ForkJoinRange covered %d of 3 items", sum)
 	}
 	p.ForkJoinRange(5, 5, 1, func(lo, hi int) { t.Fatalf("empty window ran [%d, %d)", lo, hi) })
 }
@@ -598,17 +602,17 @@ func TestForkJoinOnCrewIsFreeOfSideEffects(t *testing.T) {
 			cells[i]++
 		}
 	}
-	p.ForkJoin(len(cells), 2, fill) // warm
+	p.ForkJoinRange(0, len(cells), 2, fill) // warm
 	if avg := testing.AllocsPerRun(200, func() {
-		p.ForkJoin(len(cells), 2, fill)
+		p.ForkJoinRange(0, len(cells), 2, fill)
 		p.ForkJoinRange(8, 40, 2, fill)
 	}); avg != 0 {
-		t.Fatalf("ForkJoin allocates %.1f times per call pair, want 0", avg)
+		t.Fatalf("ForkJoinRange allocates %.1f times per call pair, want 0", avg)
 	}
 	rn := &sumRunner{pool: p, data: make([]float64, 300), execs: make([]int64, p.Workers())}
 	p.Post(rn, JobEvaluate)
 	p.AbortJob()
-	p.ForkJoin(len(cells), 2, fill)
+	p.ForkJoinRange(0, len(cells), 2, fill)
 	if !p.Aborted() {
 		t.Fatal("a fork cleared the abort flag")
 	}

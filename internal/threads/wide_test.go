@@ -11,8 +11,8 @@ func TestWideSlots(t *testing.T) {
 	p := NewPool(4, 64)
 	defer p.Close()
 	p.EnsureWide(3)
-	if p.WideWidth() != 3 {
-		t.Fatalf("WideWidth = %d, want 3", p.WideWidth())
+	if p.wideWidth != 3 {
+		t.Fatalf("wide width = %d, want 3", p.wideWidth)
 	}
 	p.ParallelFor(func(w int, r Range) {
 		ws := p.WideSlot(w)
@@ -31,12 +31,12 @@ func TestWideSlots(t *testing.T) {
 	}
 	// Growing reallocates; shrinking requests are no-ops.
 	p.EnsureWide(2)
-	if p.WideWidth() != 3 {
-		t.Fatalf("EnsureWide(2) shrank width to %d", p.WideWidth())
+	if p.wideWidth != 3 {
+		t.Fatalf("EnsureWide(2) shrank width to %d", p.wideWidth)
 	}
 	p.EnsureWide(10)
-	if p.WideWidth() != 10 {
-		t.Fatalf("EnsureWide(10) gave width %d", p.WideWidth())
+	if p.wideWidth != 10 {
+		t.Fatalf("EnsureWide(10) gave width %d", p.wideWidth)
 	}
 	p.ParallelFor(func(w int, r Range) {
 		ws := p.WideSlot(w)
@@ -126,7 +126,7 @@ func TestAlignBoundariesStandalone(t *testing.T) {
 
 	p := NewPoolWeighted(4, weights)
 	defer p.Close()
-	p.AlignRanges(16)
+	p.AlignRangesAt(16, nil)
 	viaPool := p.Ranges()
 
 	for i := range standalone {

@@ -3,7 +3,6 @@ package tree
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // Bipartition is a split of the taxon set induced by removing one edge,
@@ -156,14 +155,3 @@ func RobinsonFoulds(a, b *Tree) (int, error) {
 // MaxRFDistance returns the maximum possible RF distance for n taxa,
 // used to normalize: 2*(n-3).
 func MaxRFDistance(n int) int { return 2 * (n - 3) }
-
-// SortedBipartitionKeys returns the split keys in sorted order, a helper
-// for deterministic iteration in tests and reports.
-func SortedBipartitionKeys(set map[string]Bipartition) []string {
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

@@ -91,17 +91,6 @@ func New(taxonNames []string) *Tree {
 // NumTaxa returns the number of taxa in the tree's taxon set.
 func (t *Tree) NumTaxa() int { return len(t.TaxonNames) }
 
-// NumNodes returns the number of in-use nodes.
-func (t *Tree) NumNodes() int {
-	n := 0
-	for i := range t.Nodes {
-		if t.Nodes[i].InUse {
-			n++
-		}
-	}
-	return n
-}
-
 // MaxNodeID returns the arena size; likelihood engines size their CLV
 // arrays with it.
 func (t *Tree) MaxNodeID() int { return len(t.Nodes) }
@@ -299,42 +288,6 @@ func (t *Tree) Validate() error {
 		return fmt.Errorf("tree: disconnected (%d of %d nodes reachable)", count, inUse)
 	}
 	return nil
-}
-
-// Traverse visits nodes depth-first from the given start node, calling
-// visit(node, parent) in pre-order. Parent is -1 for the start node.
-func (t *Tree) Traverse(start int, visit func(node, parent int)) {
-	type frame struct{ node, parent int }
-	stack := []frame{{start, -1}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		visit(f.node, f.parent)
-		for _, v := range t.Nodes[f.node].Neighbors {
-			if v >= 0 && v != f.parent {
-				stack = append(stack, frame{v, f.node})
-			}
-		}
-	}
-}
-
-// PostOrder returns (node, parent) pairs in post-order from the virtual
-// root edge (a,b): children always precede their parent. The likelihood
-// engine evaluates conditional vectors in exactly this order.
-func (t *Tree) PostOrder(a, b int) [][2]int {
-	var order [][2]int
-	var walk func(node, parent int)
-	walk = func(node, parent int) {
-		for _, v := range t.Nodes[node].Neighbors {
-			if v >= 0 && v != parent {
-				walk(v, node)
-			}
-		}
-		order = append(order, [2]int{node, parent})
-	}
-	walk(a, b)
-	walk(b, a)
-	return order
 }
 
 // SubtreeTips returns the taxa on node's side of the edge (node, parent).

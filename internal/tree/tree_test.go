@@ -197,29 +197,6 @@ func TestParseMultiNewick(t *testing.T) {
 	}
 }
 
-func TestPostOrderParentsLast(t *testing.T) {
-	tr := Random(names(12), rng.New(9))
-	e := tr.Edges()[0]
-	order := tr.PostOrder(e.A, e.B)
-	pos := map[int]int{}
-	for i, pair := range order {
-		pos[pair[0]] = i
-	}
-	if len(order) != tr.NumNodes() {
-		t.Fatalf("post-order visited %d nodes, want %d", len(order), tr.NumNodes())
-	}
-	for _, pair := range order {
-		node, parent := pair[0], pair[1]
-		for _, v := range tr.Nodes[node].Neighbors {
-			if v >= 0 && v != parent {
-				if pos[v] > pos[node] {
-					t.Fatalf("child %d visited after parent %d", v, node)
-				}
-			}
-		}
-	}
-}
-
 func TestSubtreeTips(t *testing.T) {
 	//     t0   t2
 	//       \ /

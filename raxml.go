@@ -37,9 +37,7 @@ import (
 
 	"raxml/internal/consensus"
 	"raxml/internal/core"
-	"raxml/internal/figures"
 	"raxml/internal/msa"
-	"raxml/internal/perfmodel"
 	"raxml/internal/seqgen"
 	"raxml/internal/tree"
 )
@@ -58,22 +56,11 @@ func (r *Result) AnnotatedNewick() (string, error) {
 	return tree.FormatNewick(r.BestTree, r.Support)
 }
 
-// Newick renders the best tree without annotations.
-func (r *Result) Newick() (string, error) {
-	return tree.FormatNewick(r.BestTree, nil)
-}
-
-// Model type selectors, re-exported.
-const (
-	GTRCAT   = core.GTRCAT
-	GTRGAMMA = core.GTRGAMMA
-)
+// GTRCAT is the CAT model type selector, re-exported.
+const GTRCAT = core.GTRCAT
 
 // Patterns is a compressed alignment, the input of every analysis.
 type Patterns = msa.Patterns
-
-// Alignment is an uncompressed multiple sequence alignment.
-type Alignment = msa.Alignment
 
 // ParseAlignment reads PHYLIP or FASTA data (auto-detected) and
 // compresses it to site patterns.
@@ -158,25 +145,6 @@ func Generate(cfg GenerateConfig) (*Patterns, *tree.Tree, error) {
 	return pat, truth, nil
 }
 
-// BenchmarkDataSets returns the five Table-3 data-set descriptions with
-// generator configs for their synthetic stand-ins.
-func BenchmarkDataSets() []seqgen.PaperDataSet { return seqgen.PaperDataSets() }
-
-// Machines returns the Table-4 benchmark computer models.
-func Machines() []perfmodel.Machine { return perfmodel.Machines() }
-
-// ModelRun simulates a (machine, data set, ranks, threads) run on the
-// calibrated performance model and returns the stage times.
-func ModelRun(spec perfmodel.Spec) (perfmodel.Times, error) {
-	return perfmodel.Simulate(spec)
-}
-
-// Artifacts regenerates every table and figure of the paper (quick=true
-// scales the real-run pieces down to CI time).
-func Artifacts(quick bool) ([]*figures.Artifact, error) {
-	return figures.All(quick)
-}
-
 // MultiSearch runs the paper's analysis type 1: `searches` independent
 // maximum-likelihood searches from randomized starting trees distributed
 // over Options.Ranks ranks (ceil(searches/ranks) each), returning every
@@ -202,10 +170,4 @@ func MajorityConsensus(trees []*tree.Tree) (*consensus.Tree, error) {
 // replicate trees.
 func GreedyConsensus(trees []*tree.Tree) (*consensus.Tree, error) {
 	return consensus.Greedy(trees)
-}
-
-// Evaluate optimizes branch lengths and model parameters on a fixed
-// topology (RAxML -f e) and returns the optimized tree and score.
-func Evaluate(pat *Patterns, t *tree.Tree, opts Options) (*core.EvaluationResult, error) {
-	return core.EvaluateTree(pat, t, opts, nil)
 }

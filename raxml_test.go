@@ -66,22 +66,6 @@ func TestComprehensiveFacadeEndToEnd(t *testing.T) {
 	if !strings.HasSuffix(nw, ");") {
 		t.Fatalf("annotated newick malformed: %s", nw)
 	}
-	plain, err := res.Newick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain == "" {
-		t.Fatal("empty newick")
-	}
-}
-
-func TestMachinesFacade(t *testing.T) {
-	if len(Machines()) != 4 {
-		t.Fatal("expected the 4 Table-4 machines")
-	}
-	if len(BenchmarkDataSets()) != 5 {
-		t.Fatal("expected the 5 Table-3 data sets")
-	}
 }
 
 func TestMultiSearchFacade(t *testing.T) {
