@@ -7,6 +7,7 @@ import (
 
 	"raxml/internal/fabric"
 	"raxml/internal/gtr"
+	"raxml/internal/likelihood"
 	"raxml/internal/msa"
 	"raxml/internal/threads"
 	"raxml/internal/tree"
@@ -204,7 +205,7 @@ func buildPartitionSet(pat *msa.Patterns, opts Options) (*gtr.PartitionSet, erro
 	set := gtr.NewPartitionSet(pat.NumParts())
 	for i, pr := range pat.PartRanges() {
 		if opts.Model == GTRGAMMA {
-			g, err := gtr.NewGamma(opts.Alpha, 4)
+			g, err := gtr.NewGamma(opts.Alpha, likelihood.GammaCats)
 			if err != nil {
 				return nil, err
 			}

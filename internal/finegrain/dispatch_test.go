@@ -148,78 +148,6 @@ func TestPostAllocationFree(t *testing.T) {
 	}
 }
 
-// abortStorm hammers the engine with full relikelihoods while a second
-// goroutine keeps aborting whatever job is in flight, then checks an
-// undisturbed evaluation still matches the reference — i.e. an abort
-// that lands mid-dispatch still collects every rank's partial and rolls
-// the descriptor back on the master without leaving a rank's tiles or
-// memo out of step.
-func abortStorm(t *testing.T, pool *Pool, eng *likelihood.Engine, want float64) {
-	t.Helper()
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				pool.AbortJob()
-			}
-		}
-	}()
-	for i := 0; i < 30; i++ {
-		eng.InvalidateAll()
-		_ = eng.LogLikelihood() // result may be garbage; state must not be
-	}
-	close(stop)
-	<-done
-
-	if got := eng.LogLikelihood(); relDiff(got, want) > 1e-10 {
-		t.Errorf("after abort storm: distributed %.12f vs reference %.12f", got, want)
-	}
-}
-
-// TestAbortMidScatterChan runs the abort storm over in-proc LinkPairs.
-func TestAbortMidScatterChan(t *testing.T) {
-	pat := makeData(t, 12, 900, 2, 23)
-	topo := tree.Random(pat.Names, rng.New(11))
-	ref := refEngine(t, pat, true)
-	if err := ref.AttachTree(topo.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.LogLikelihood()
-
-	err := Run(3, 2, pat, makeSet(t, pat, true), func(eng *likelihood.Engine, pool *Pool) error {
-		if err := eng.AttachTree(topo.Clone()); err != nil {
-			return err
-		}
-		abortStorm(t, pool, eng, want)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAbortMidScatterTCP runs the abort storm over real TCP links.
-func TestAbortMidScatterTCP(t *testing.T) {
-	pat := makeData(t, 10, 600, 2, 29)
-	topo := tree.Random(pat.Names, rng.New(13))
-	ref := refEngine(t, pat, true)
-	if err := ref.AttachTree(topo.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.LogLikelihood()
-
-	eng, pool := tcpGrid(t, 3, 1, pat, true)
-	if err := eng.AttachTree(topo.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	abortStorm(t, pool, eng, want)
-}
-
 // TestTCPDispatchLatencySmoke is the CI smoke bound on TCP dispatch
 // latency: a steady-state evaluation dispatch over the loopback — two
 // frames on the wire, kernel, fold — must come back in well under a

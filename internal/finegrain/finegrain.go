@@ -445,9 +445,6 @@ func (p *Pool) PipelinesFill() bool { return len(p.links) > 0 }
 // crossing plus one broadcast/reduction pair).
 func (p *Pool) Dispatches() int64 { return p.local.Dispatches() }
 
-// Aborted reports whether the local job was asked to stop.
-func (p *Pool) Aborted() bool { return p.local.Aborted() }
-
 // Release ends the pool's lease on its remote ranks without
 // terminating them: each rank gets a TagRelease frame and the master
 // drains its link — discarding partials of any abandoned in-flight job

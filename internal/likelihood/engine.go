@@ -95,6 +95,11 @@ const noTile = int32(-1)
 // thread boundaries are allowed to land.
 const StripeQuantum = 16
 
+// GammaCats is the category count of every GAMMA treatment an engine
+// runs: the four-category discrete Γ, which the newview and makenewz
+// kernels are written for. The constructors refuse any other count.
+const GammaCats = 4
+
 // Dispatcher is the fine-grained execution substrate the engine posts
 // its job codes to. *threads.Pool — the in-process Pthreads analogue —
 // is the canonical implementation; finegrain.Pool implements the same
@@ -103,7 +108,7 @@ const StripeQuantum = 16
 // written against this interface so the single-process and distributed
 // hybrids run exactly the same planning, kernel and reduction code:
 // the contract is job codes in, deterministic worker-order (and, for
-// the distributed pool, rank-order) reductions out, cooperative abort.
+// the distributed pool, rank-order) reductions out.
 type Dispatcher interface {
 	// Post runs one job code over every worker's range and returns when
 	// all have finished: one dispatch and at most one barrier crossing (a
@@ -132,9 +137,6 @@ type Dispatcher interface {
 	ForkJoinRange(lo, hi, grain int, fn func(lo, hi int))
 	// Dispatches counts the jobs posted so far.
 	Dispatches() int64
-	// Aborted reports whether the job in flight was asked to stop
-	// (cooperative cancel: kernels poll it between descriptor entries).
-	Aborted() bool
 }
 
 // sumtableGatherer is implemented by distributed dispatchers that can
@@ -228,7 +230,7 @@ type Engine struct {
 	tileCodeBuf      []msa.State
 
 	nPatterns int
-	nCat      int  // CLV categories per pattern: 1 for CAT, k for GAMMA
+	nCat      int  // CLV categories per pattern: 1 for CAT, GammaCats for GAMMA
 	isCAT     bool // uniform across partitions (gtr.PartitionSet.Validate)
 	totalCats int  // Σ per-partition matrix category counts (ensureP)
 
@@ -459,6 +461,9 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 	if len(spans) != set.NumPartitions() {
 		return nil, fmt.Errorf("likelihood: %d partition spans for %d model instances",
 			len(spans), set.NumPartitions())
+	}
+	if !set.IsCAT() && set.ClvCats() != GammaCats {
+		return nil, fmt.Errorf("likelihood: GAMMA with %d categories, the engine runs %d", set.ClvCats(), GammaCats)
 	}
 	e := &Engine{
 		pat:       pat,

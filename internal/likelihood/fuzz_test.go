@@ -263,6 +263,15 @@ func FuzzDecodeWorkerInit(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good)
+	// Frames whose CLV width is not the one their rate treatment runs.
+	for _, w := range []WorkerInit{{NCats: 8}, {IsCAT: true, NCats: GammaCats}} {
+		w.Threads, w.Stripe, w.Pat = init.Threads, init.Stripe, pat
+		frame := EncodeWorkerInit(&w)
+		if _, err := DecodeWorkerInit(frame); err == nil {
+			f.Fatalf("init frame with IsCAT %v and NCats %d decoded", w.IsCAT, w.NCats)
+		}
+		f.Add(frame)
+	}
 	// The one index an init frame hands the kernels is the tip state
 	// code (rate categories arrive with the first job's model block, see
 	// FuzzDecodeDescriptor): the same frame with codes past the sixteen a

@@ -57,12 +57,12 @@ import (
 // combinations (tip x tip, tip x inner, inner x inner) and the two rate
 // treatments are specialized so the inner loop carries no per-pattern
 // branches beyond the rescale test. Tip children cost four lookup-table
-// loads instead of a 4x4 matrix-vector product. Every shape a search
-// runs — the three child-kind combinations under CAT and under GAMMA at
-// nCat == 4 — together with the makenewz setup and core loops goes
-// through the engine's kernel table (kernels_dispatch.go), where an AVX2
-// assembly implementation can replace the scalar reference; the loops
-// left inline below are the generic-nCat GAMMA fallback and the
+// loads instead of a 4x4 matrix-vector product. Every newview shape —
+// the three child-kind combinations under CAT and under GAMMA, whose
+// engines always run GammaCats categories — together with the makenewz
+// setup and core loops goes through the engine's kernel table
+// (kernels_dispatch.go), where an AVX2 assembly implementation can
+// replace the scalar reference; the loops left inline below are the
 // evaluate-side kernels.
 
 // childView describes one input of an evaluate-side kernel: either a
@@ -284,62 +284,29 @@ func newviewIICATScalar(dst, lv, rv []float64, pL, pR [][16]float64, pcat []int,
 	}
 }
 
-// newviewChunkGamma is the multi-category (GAMMA) newview over one
-// partition chunk: nCat 4-wide blocks per pattern, category c using the
-// partition's transition matrices pL[c]/pR[c]; rescaling considers the
-// maximum across all categories of a pattern. At nCat == 4 — the GAMMA
-// shape every search runs — all three child-kind combinations dispatch
-// through the engine's kernel table; the loops below are the generic
-// nCat fallback.
+// newviewChunkGamma is the GAMMA newview over one partition chunk:
+// GammaCats 4-wide blocks per pattern, category c using the partition's
+// transition matrices pL[c]/pR[c]; rescaling considers the maximum
+// across all categories of a pattern. All three child-kind combinations
+// dispatch through the engine's kernel table.
 func (e *Engine) newviewChunkGamma(ent *travEntry, ps *partState, lo, hi int) {
-	nCat := e.nCat
-	st := nCat * 4
+	const st = GammaCats * 4
 	l0, l1 := lo-ps.tlo, hi-ps.tlo
-	n := l1 - l0
 	dBase := ent.dstOff + ps.fOff
 	dst := e.arena[dBase+l0*st : dBase+l1*st : dBase+l1*st]
 	sBase := ent.dstScaleOff + ps.sOff
 	dsc := e.scaleArena[sBase+l0 : sBase+l1 : sBase+l1]
-	pL := ent.pL[ps.pOff : ps.pOff+nCat]
-	pR := ent.pR[ps.pOff : ps.pOff+nCat]
+	pL := ent.pL[ps.pOff : ps.pOff+GammaCats]
+	pR := ent.pR[ps.pOff : ps.pOff+GammaCats]
 	left, right := ent.left, ent.right
 
 	switch {
 	case left.tip && right.tip:
 		codesL := e.tileCodes[left.taxon][lo:hi]
 		codesR := e.tileCodes[right.taxon][lo:hi]
-		lutL := ent.lutL[64*ps.pOff : 64*(ps.pOff+nCat)]
-		lutR := ent.lutR[64*ps.pOff : 64*(ps.pOff+nCat)]
-		if nCat == 4 {
-			e.kern.newviewTT4(dst, codesL, codesR, lutL, lutR, dsc)
-			return
-		}
-		for k := 0; k < n; k++ {
-			lc := int(codesL[k]) * st
-			rc := int(codesR[k]) * st
-			o := k * st
-			small := true
-			for c := 0; c < nCat; c++ {
-				l := (*[4]float64)(lutL[lc+c*4:])
-				rr := (*[4]float64)(lutR[rc+c*4:])
-				v0 := l[0] * rr[0]
-				v1 := l[1] * rr[1]
-				v2 := l[2] * rr[2]
-				v3 := l[3] * rr[3]
-				small = small && v0 < scaleThreshold && v1 < scaleThreshold &&
-					v2 < scaleThreshold && v3 < scaleThreshold
-				d := (*[4]float64)(dst[o+c*4:])
-				d[0], d[1], d[2], d[3] = v0, v1, v2, v3
-			}
-			var sc int32
-			if small {
-				for i := o; i < o+st; i++ {
-					dst[i] *= scaleFactor
-				}
-				sc = 1
-			}
-			dsc[k] = sc
-		}
+		lutL := ent.lutL[64*ps.pOff : 64*(ps.pOff+GammaCats)]
+		lutR := ent.lutR[64*ps.pOff : 64*(ps.pOff+GammaCats)]
+		e.kern.newviewTT4(dst, codesL, codesR, lutL, lutR, dsc)
 
 	case left.tip != right.tip:
 		tip, inner := left, right
@@ -348,43 +315,13 @@ func (e *Engine) newviewChunkGamma(ent *travEntry, ps *partState, lo, hi int) {
 			tip, inner = right, left
 			lut, pm = ent.lutR, pL
 		}
-		lut = lut[64*ps.pOff : 64*(ps.pOff+nCat)]
+		lut = lut[64*ps.pOff : 64*(ps.pOff+GammaCats)]
 		codes := e.tileCodes[tip.taxon][lo:hi]
 		iBase := inner.off + ps.fOff
 		iv := e.arena[iBase+l0*st : iBase+l1*st : iBase+l1*st]
 		isBase := inner.scaleOff + ps.sOff
 		isc := e.scaleArena[isBase+l0 : isBase+l1 : isBase+l1]
-		if nCat == 4 {
-			e.kern.newviewTI4(dst, codes, lut, iv, pm, isc, dsc)
-			return
-		}
-		for k := 0; k < n; k++ {
-			tb := int(codes[k]) * st
-			o := k * st
-			small := true
-			for c := 0; c < nCat; c++ {
-				t := (*[4]float64)(lut[tb+c*4:])
-				cv := (*[4]float64)(iv[o+c*4:])
-				c0, c1, c2, c3 := cv[0], cv[1], cv[2], cv[3]
-				p := &pm[c]
-				v0 := t[0] * ((p[0]*c0 + p[1]*c1) + (p[2]*c2 + p[3]*c3))
-				v1 := t[1] * ((p[4]*c0 + p[5]*c1) + (p[6]*c2 + p[7]*c3))
-				v2 := t[2] * ((p[8]*c0 + p[9]*c1) + (p[10]*c2 + p[11]*c3))
-				v3 := t[3] * ((p[12]*c0 + p[13]*c1) + (p[14]*c2 + p[15]*c3))
-				small = small && v0 < scaleThreshold && v1 < scaleThreshold &&
-					v2 < scaleThreshold && v3 < scaleThreshold
-				d := (*[4]float64)(dst[o+c*4:])
-				d[0], d[1], d[2], d[3] = v0, v1, v2, v3
-			}
-			sc := isc[k]
-			if small {
-				for i := o; i < o+st; i++ {
-					dst[i] *= scaleFactor
-				}
-				sc++
-			}
-			dsc[k] = sc
-		}
+		e.kern.newviewTI4(dst, codes, lut, iv, pm, isc, dsc)
 
 	default: // inner x inner
 		lBase := left.off + ps.fOff
@@ -395,41 +332,7 @@ func (e *Engine) newviewChunkGamma(ent *travEntry, ps *partState, lo, hi int) {
 		rsBase := right.scaleOff + ps.sOff
 		lsc := e.scaleArena[lsBase+l0 : lsBase+l1 : lsBase+l1]
 		rsc := e.scaleArena[rsBase+l0 : rsBase+l1 : rsBase+l1]
-		if nCat == 4 {
-			e.kern.newviewII4(dst, lv, rv, pL, pR, lsc, rsc, dsc)
-			return
-		}
-		for k := 0; k < n; k++ {
-			o := k * st
-			small := true
-			for c := 0; c < nCat; c++ {
-				l := (*[4]float64)(lv[o+c*4:])
-				rr := (*[4]float64)(rv[o+c*4:])
-				c0, c1, c2, c3 := l[0], l[1], l[2], l[3]
-				e0, e1, e2, e3 := rr[0], rr[1], rr[2], rr[3]
-				pa, pb := &pL[c], &pR[c]
-				v0 := ((pa[0]*c0 + pa[1]*c1) + (pa[2]*c2 + pa[3]*c3)) *
-					((pb[0]*e0 + pb[1]*e1) + (pb[2]*e2 + pb[3]*e3))
-				v1 := ((pa[4]*c0 + pa[5]*c1) + (pa[6]*c2 + pa[7]*c3)) *
-					((pb[4]*e0 + pb[5]*e1) + (pb[6]*e2 + pb[7]*e3))
-				v2 := ((pa[8]*c0 + pa[9]*c1) + (pa[10]*c2 + pa[11]*c3)) *
-					((pb[8]*e0 + pb[9]*e1) + (pb[10]*e2 + pb[11]*e3))
-				v3 := ((pa[12]*c0 + pa[13]*c1) + (pa[14]*c2 + pa[15]*c3)) *
-					((pb[12]*e0 + pb[13]*e1) + (pb[14]*e2 + pb[15]*e3))
-				small = small && v0 < scaleThreshold && v1 < scaleThreshold &&
-					v2 < scaleThreshold && v3 < scaleThreshold
-				d := (*[4]float64)(dst[o+c*4:])
-				d[0], d[1], d[2], d[3] = v0, v1, v2, v3
-			}
-			sc := lsc[k] + rsc[k]
-			if small {
-				for i := o; i < o+st; i++ {
-					dst[i] *= scaleFactor
-				}
-				sc++
-			}
-			dsc[k] = sc
-		}
+		e.kern.newviewII4(dst, lv, rv, pL, pR, lsc, rsc, dsc)
 	}
 }
 
@@ -539,15 +442,6 @@ func newviewTI4Scalar(dst []float64, codes []msa.State, lut, iv []float64, pm []
 		}
 		dsc[k] = sc
 	}
-}
-
-// boolIdx returns a when cond is true, else b: selects the tip (flat,
-// global-pattern) versus internal (segmented, per-category) CLV offset.
-func boolIdx(cond bool, a, b int) int {
-	if cond {
-		return a
-	}
-	return b
 }
 
 // evaluateRange computes one worker's weighted log-likelihood partial

@@ -225,8 +225,7 @@ func (e *Engine) makenewzCoreRange(w int, r threads.Range) (d1, d2 float64) {
 }
 
 func (e *Engine) makenewzCoreChunk(blk *workerScratch, ps *partState, lo, hi int) (d1, d2 float64) {
-	nCat := e.nCat
-	st := nCat * 4
+	st := e.nCat * 4
 	l0, l1 := lo-ps.tlo, hi-ps.tlo
 	base := ps.fOff
 	tbl := e.sumtable[base+l0*st : base+l1*st : base+l1*st]
@@ -241,45 +240,20 @@ func (e *Engine) makenewzCoreChunk(blk *workerScratch, ps *partState, lo, hi int
 		return e.kern.mkzCoreCAT(tbl, w, ps.pcat[l0:l1], ps.maxCat, wE, w1, w2)
 	}
 
+	// Fold the category probabilities into the factor block once per
+	// chunk, then hand the branch-light 16-wide reduction to the bound
+	// kernel (scalar reference or AVX2 asm).
 	probs := ps.rates.Probs
-	if nCat == 4 {
-		// Fold the category probabilities into the factor block once per
-		// chunk, then hand the branch-light 16-wide reduction to the
-		// bound kernel (scalar reference or AVX2 asm).
-		pw := &blk.pw
-		for c := 0; c < 4; c++ {
-			pr := probs[c]
-			for j := 0; j < 4; j++ {
-				pw[c*4+j] = pr * wE[c*4+j]
-				pw[16+c*4+j] = pr * w1[c*4+j]
-				pw[32+c*4+j] = pr * w2[c*4+j]
-			}
+	pw := &blk.pw
+	for c := 0; c < GammaCats; c++ {
+		pr := probs[c]
+		for j := 0; j < 4; j++ {
+			pw[c*4+j] = pr * wE[c*4+j]
+			pw[16+c*4+j] = pr * w1[c*4+j]
+			pw[32+c*4+j] = pr * w2[c*4+j]
 		}
-		return e.kern.mkzCoreG4(tbl, w, pw)
 	}
-
-	var s1, s2 float64
-	for k, wk := range w {
-		o := k * st
-		var siteL, siteD1, siteD2 float64
-		for cat := 0; cat < nCat; cat++ {
-			t := (*[4]float64)(tbl[o+cat*4:])
-			t0, t1, t2, t3 := t[0], t[1], t[2], t[3]
-			c := cat * 4
-			pr := probs[cat]
-			siteL += pr * ((wE[c]*t0 + wE[c+1]*t1) + (wE[c+2]*t2 + wE[c+3]*t3))
-			siteD1 += pr * ((w1[c]*t0 + w1[c+1]*t1) + (w1[c+2]*t2 + w1[c+3]*t3))
-			siteD2 += pr * ((w2[c]*t0 + w2[c+1]*t1) + (w2[c+2]*t2 + w2[c+3]*t3))
-		}
-		if siteL < math.SmallestNonzeroFloat64 {
-			continue
-		}
-		inv := 1 / siteL
-		ratio := siteD1 * inv
-		s1 += float64(wk) * ratio
-		s2 += float64(wk) * (siteD2*inv - ratio*ratio)
-	}
-	return s1, s2
+	return e.kern.mkzCoreG4(tbl, w, pw)
 }
 
 // mkzCoreCATScalar is the scalar reference of the CAT makenewz core

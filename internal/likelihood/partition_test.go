@@ -506,6 +506,20 @@ func TestNewPartitionedValidation(t *testing.T) {
 	if _, err := NewPartitioned(pat, set, Config{}); err == nil {
 		t.Fatal("partition count mismatch accepted")
 	}
+	// A uniform GAMMA set passes gtr's validation at any category count;
+	// the engine's kernels run GammaCats only.
+	g8, err := gtr.NewGamma(1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Models = []*gtr.Model{gtr.Default(), gtr.Default()}
+	set.Rates = []*gtr.RateCategories{g8, g8.Clone()}
+	if err := set.Validate([]int{pr[0].Len(), pr[1].Len()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPartitioned(pat, set, Config{}); err == nil {
+		t.Fatal("8-category GAMMA set accepted")
+	}
 }
 
 // TestNewIgnoresPartStartsForStripeSnapping is the regression test for

@@ -990,12 +990,8 @@ type WorkerInit struct {
 	Stripe  threads.Range
 	Pat     *msa.Patterns
 	IsCAT   bool
-	NCats   int // GAMMA category count (CLV width); 1 for CAT
+	NCats   int // CLV width: 1 for CAT, GammaCats for GAMMA
 }
-
-// maxCLVCats is the widest CLV a worker builds: sixteen times the four
-// GAMMA categories the master uses.
-const maxCLVCats = 64
 
 // EncodeWorkerInit encodes the init frame.
 func EncodeWorkerInit(w *WorkerInit) []byte {
@@ -1083,10 +1079,17 @@ func DecodeWorkerInit(buf []byte) (*WorkerInit, error) {
 	}
 	// The engine is built from the frame, so it must describe what it
 	// carries — weights and partitions tiling the patterns, a non-empty
-	// stripe inside them — at a CLV width a worker holds.
+	// stripe inside them — at the CLV width of its rate treatment.
+	width := GammaCats
+	if w.IsCAT {
+		width = 1
+	}
+	if w.NCats != width {
+		return nil, fmt.Errorf("likelihood: init frame has %d CLV categories, its rate treatment has %d", w.NCats, width)
+	}
 	w.Pat = msa.FromParts(names, data, weights, parts)
 	s, lo := w.Stripe, 0
-	ok := len(weights) == nPat && 0 <= s.Lo && s.Lo < s.Hi && s.Hi <= nPat && w.NCats >= 1 && w.NCats <= maxCLVCats
+	ok := len(weights) == nPat && 0 <= s.Lo && s.Lo < s.Hi && s.Hi <= nPat
 	for _, pr := range w.Pat.PartRanges() {
 		ok = ok && pr.Lo == lo && pr.Hi > lo
 		lo = pr.Hi

@@ -2,7 +2,6 @@ package likelihood
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"testing"
 
@@ -98,108 +97,6 @@ func TestScanIsOneDispatch(t *testing.T) {
 	d0 = batched.DispatchCount()
 	if out := batched.EvaluateInsertions(pa.Root, pa.Attach, nil, got); len(out) != 0 || batched.DispatchCount() != d0 {
 		t.Fatalf("empty batch returned %d scores and cost %d dispatches", len(out), batched.DispatchCount()-d0)
-	}
-}
-
-// abortingPool is a pool that raises AbortJob at its armed-th abort
-// poll — deterministically in the middle of a descriptor walk, which
-// polls once per entry. Its poll counter is not shared-safe, so every job
-// states no work and the pool runs all ranges on the posting goroutine.
-type abortingPool struct {
-	*threads.Pool
-	armed, polls int
-}
-
-func (p *abortingPool) Post(runner threads.JobRunner, code threads.JobCode) {
-	p.Pool.Post(inlineRunner{runner}, code)
-}
-
-// inlineRunner states no work for any job, so the pool keeps it on the
-// posting goroutine.
-type inlineRunner struct{ threads.JobRunner }
-
-func (inlineRunner) JobWork(threads.JobCode) int { return 0 }
-
-func (p *abortingPool) Aborted() bool {
-	p.polls++
-	if p.polls == p.armed {
-		p.Pool.AbortJob()
-	}
-	return p.Pool.Aborted()
-}
-
-// TestScanAbortMidBatch aborts a batched scan in the middle of its
-// descriptor walk: the rollback must un-mark every view the batch
-// queued — the subtree's and every candidate's — and a repeat must score
-// exactly what an engine that was never aborted scores. On the 3-worker
-// pool the master walks all three ranges itself (abortingPool states no
-// work): the abort raised in range 0 must stop the ranges it runs for the
-// helpers too.
-func TestScanAbortMidBatch(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { scanAbortMidBatch(t, workers) })
-	}
-}
-
-func scanAbortMidBatch(t *testing.T, workers int) {
-	pat := randomPatterns(t, rng.New(911), 16, 60)
-	pool := &abortingPool{Pool: threads.NewPool(workers, pat.NumPatterns())}
-	t.Cleanup(pool.Close)
-	e, err := New(pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), Config{Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin := newEngine(t, pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), workers)
-	ta := tree.Random(pat.Names, rng.New(912))
-	tb := ta.Clone()
-	if err := e.AttachTree(ta); err != nil {
-		t.Fatal(err)
-	}
-	if err := twin.AttachTree(tb); err != nil {
-		t.Fatal(err)
-	}
-	pa, cands := danglingScan(t, ta, 6)
-	pb, err := tb.DanglingPrune(pa.Root, pa.Attach)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.InvalidateAll()
-	twin.InvalidateAll()
-
-	pool.armed = pool.polls + 4 // the walk's 4th poll: three entries done
-	e.EvaluateInsertions(pa.Root, pa.Attach, cands, nil)
-	if !pool.Pool.Aborted() {
-		t.Fatal("the scan was not aborted")
-	}
-	queued := e.LastTraversal()
-	if len(queued) < 8 {
-		t.Fatalf("aborted batch queued only %d views", len(queued))
-	}
-	for _, ent := range queued {
-		if e.valid[ent.Node*3+ent.Slot] {
-			t.Fatalf("view (%d, %d) still marked valid after the aborted batch", ent.Node, ent.Slot)
-		}
-	}
-
-	got := e.EvaluateInsertions(pa.Root, pa.Attach, cands, nil)
-	if n := len(e.LastTraversal()); n != len(queued) {
-		t.Fatalf("repeat queued %d views, the aborted batch %d", n, len(queued))
-	}
-	want := twin.EvaluateInsertions(pa.Root, pa.Attach, cands, nil)
-	for i := range cands {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("candidate %d after the abort: %.17g vs never-aborted %.17g", i, got[i], want[i])
-		}
-	}
-	ta.PlugBack(pa)
-	e.InvalidateNode(pa.Attach)
-	tb.PlugBack(pb)
-	twin.InvalidateNode(pa.Attach)
-	if a, b := e.LogLikelihood(), twin.LogLikelihood(); math.Float64bits(a) != math.Float64bits(b) {
-		t.Fatalf("likelihood after the aborted scan %.17g vs never-aborted %.17g", a, b)
-	}
-	if c := pool.Counters(); c.Published != 0 || (workers > 1 && c.Inline != pool.Dispatches()) {
-		t.Fatalf("counters %+v over %d dispatches: the abort poll counter needs every range on the master", c, pool.Dispatches())
 	}
 }
 

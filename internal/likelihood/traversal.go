@@ -366,17 +366,10 @@ func (e *Engine) dispatch(code threads.JobCode) {
 		for i := 0; i < n; i++ {
 			e.travLo, e.travHi = i, i+1
 			e.pool.Post(e, threads.JobNewview)
-			if e.pool.Aborted() {
-				e.rollbackTraversal()
-				return
-			}
 		}
 		e.travLo, e.travHi = n, n
 		if code != threads.JobNewview {
 			e.pool.Post(e, code)
-		}
-		if e.pool.Aborted() {
-			e.rollbackTraversal()
 		}
 		return
 	}
@@ -385,21 +378,6 @@ func (e *Engine) dispatch(code threads.JobCode) {
 	}
 	e.travLo, e.travHi = 0, n
 	e.pool.Post(e, code)
-	if e.pool.Aborted() {
-		e.rollbackTraversal()
-	}
-}
-
-// rollbackTraversal un-marks every CLV the current descriptor promised
-// to compute. queueTraversal flags CLVs valid at plan time; when a job
-// is aborted mid-walk some of them were never written (and workers may
-// disagree on how far they got), so the whole plan must be re-marked
-// stale or later evaluations would silently read garbage. The aborted
-// job's own result is meaningless and must be discarded by the caller.
-func (e *Engine) rollbackTraversal() {
-	for i := range e.trav {
-		e.valid[e.trav[i].pub.Node*3+e.trav[i].pub.Slot] = false
-	}
 }
 
 // refreshViews builds and executes one descriptor covering all the
@@ -417,13 +395,9 @@ func (e *Engine) refreshViews(views ...[2]int) {
 // walkTraversal executes the posted descriptor window over one worker's
 // pattern range: the worker-side half of the job engine. Entries run in
 // descriptor order; pattern k of an entry depends only on pattern k of
-// its children, so ranges never interact. Polls the pool's abort flag
-// between entries.
+// its children, so ranges never interact.
 func (e *Engine) walkTraversal(r threads.Range) {
 	for i := e.travLo; i < e.travHi; i++ {
-		if e.pool.Aborted() {
-			return
-		}
 		e.newviewRange(&e.trav[i], r)
 	}
 }
@@ -540,16 +514,9 @@ func (e *Engine) prepJob(s *jobSpec) {
 // RunJob implements threads.JobRunner: the engine executes posted job
 // codes over one worker's pattern range. Every code first walks the
 // pending traversal window (usually the whole descriptor; empty for
-// pure reductions), then runs its table kernel. If the job was aborted
-// the kernel is skipped and the slot zeroed: the master rolls the
-// descriptor back (rollbackTraversal) and the job's result is discarded.
+// pure reductions), then runs its table kernel.
 func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 	e.walkTraversal(r)
-	if e.pool.Aborted() {
-		s := e.pool.Slot(w)
-		s[0], s[1] = 0, 0
-		return
-	}
 	jobTable[code].kernel(e, w, r)
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"raxml/internal/gtr"
 	"raxml/internal/rng"
-	"raxml/internal/threads"
 	"raxml/internal/tree"
 )
 
@@ -204,50 +203,5 @@ func TestOptimizeBranchDispatchBudget(t *testing.T) {
 	if want := int64(e.LastNewtonIterations()); used != want || want > newtonMaxIter {
 		t.Fatalf("OptimizeBranch on a fully stale tree used %d dispatches for %d Newton iterations (at most %d)",
 			used, want, newtonMaxIter)
-	}
-}
-
-// TestAbortLeavesEngineConsistent hammers the engine with evaluations
-// while another goroutine repeatedly aborts whatever job is in flight.
-// Aborted evaluations return garbage by contract, but the engine must
-// roll its descriptor bookkeeping back, so a final undisturbed
-// evaluation — with no explicit InvalidateAll — must still match a
-// fresh engine exactly.
-func TestAbortLeavesEngineConsistent(t *testing.T) {
-	r := rng.New(37)
-	pat := randomPatterns(t, r, 30, 200)
-	tr := tree.Random(pat.Names, r)
-	e := newEngine(t, pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), 4)
-	if err := e.AttachTree(tr); err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				e.Pool().(*threads.Pool).AbortJob()
-			}
-		}
-	}()
-	for i := 0; i < 50; i++ {
-		e.InvalidateAll()
-		_ = e.LogLikelihood() // result may be garbage; state must not be
-	}
-	close(stop)
-	<-done
-
-	got := e.LogLikelihood() // undisturbed, incremental on surviving CLVs
-	fresh := newEngine(t, pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), 1)
-	if err := fresh.AttachTree(tr.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	want := fresh.LogLikelihood()
-	if math.Abs(got-want) > 1e-9*math.Abs(want) {
-		t.Fatalf("after abort storm: %.12f vs fresh engine %.12f", got, want)
 	}
 }

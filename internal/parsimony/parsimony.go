@@ -318,23 +318,15 @@ func (e *Engine) insertionScores(t *tree.Tree, taxon int) ([]tree.Edge, []int) {
 // RunJob implements threads.JobRunner: walk the descriptor's views over
 // the live patterns of the worker's range, keeping their costs in the
 // range's row, then reduce either every candidate's score into the
-// worker's wide row or the anchor edge's into its slot. The slot is
-// zeroed up front so an aborted job can never leak a previous job's
-// partial (the pool is shared with the likelihood engine) into the
-// score reduction; an aborted job is meaningless and must be discarded
-// by the caller.
+// worker's wide row or the anchor edge's into its slot.
 func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 	if code != threads.JobParsimony {
 		panic(fmt.Sprintf("parsimony: unknown job code %d", code))
 	}
-	e.pool.Slot(w)[0] = 0
 	lo, hi := int(e.livePos[r.Lo]), int(e.livePos[r.Hi])
 	wt := e.liveW[lo:hi]
 	cost := e.costs[w*e.costStride : (w+1)*e.costStride]
 	for i := range e.steps {
-		if e.pool.Aborted() {
-			return
-		}
 		s := &e.steps[i]
 		cost[s.dstID] = cost[s.lID] + cost[s.rID] + fitchSpan(s.dst[lo:hi], s.l[lo:hi], s.r[lo:hi], wt)
 	}

@@ -43,7 +43,24 @@ var errPersist = errors.New("server: persisting the queue")
 func (s *Server) persistQueue() error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
-	if err := s.writeQueue(); err != nil {
+	return s.persistLocked()
+}
+
+// repersistQueue writes the queue image again if the last write failed,
+// so an idempotent resubmit acknowledges only a run a restart will see.
+func (s *Server) repersistQueue() error {
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
+	if !s.persistFailed {
+		return nil
+	}
+	return s.persistLocked()
+}
+
+func (s *Server) persistLocked() error {
+	err := s.writeQueue()
+	s.persistFailed = err != nil
+	if err != nil {
 		return fmt.Errorf("%w: %w", errPersist, err)
 	}
 	return nil

@@ -62,13 +62,15 @@ func TestConcurrentSubmitsAllPersisted(t *testing.T) {
 }
 
 // TestPersistErrorReachesCaller makes the queue image's rename fail — a
-// directory stands where queue.json goes — and checks that Submit and
-// Cancel return the error instead of acknowledging a run a restart
-// would not see.
+// directory stands where queue.json goes — and checks that Submit, an
+// identical resubmit and Cancel return the error instead of
+// acknowledging a run a restart would not see. Once the obstruction is
+// gone, the resubmit writes the image, so a restarted server re-admits
+// the run.
 func TestPersistErrorReachesCaller(t *testing.T) {
 	align := testAlignment(t)
 	dataDir := t.TempDir()
-	s, _ := newTestServer(t, 0, Config{MaxRunning: 1, DataDir: dataDir})
+	s, fleet := newTestServer(t, 0, Config{MaxRunning: 1, DataDir: dataDir})
 	started, release := stubExecute(s)
 	defer close(release)
 	if _, _, err := s.Submit(Submission{Alignment: align, Params: testParams(1), Tenant: "blocker"}); err != nil {
@@ -76,20 +78,44 @@ func TestPersistErrorReachesCaller(t *testing.T) {
 	}
 	nextStarted(t, started)
 	queue := filepath.Join(dataDir, "queue.json")
-	if err := os.Remove(queue); err != nil {
-		t.Fatal(err)
+	obstruct := func() {
+		t.Helper()
+		if err := os.Remove(queue); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(queue, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(queue, "keep"), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.Mkdir(queue, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(queue, "keep"), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	obstruct()
 
-	run, _, err := s.Submit(Submission{Alignment: align, Params: testParams(2), Tenant: "alice"})
+	sub := Submission{Alignment: align, Params: testParams(2), Tenant: "alice"}
+	run, _, err := s.Submit(sub)
 	if !errors.Is(err, errPersist) {
 		t.Fatalf("Submit with an unwritable queue image returned %v, want a persist error", err)
 	}
+	if _, created, err := s.Submit(sub); created || !errors.Is(err, errPersist) {
+		t.Fatalf("identical resubmit with an unwritable queue image returned created=%v, %v; want the dedup path and a persist error", created, err)
+	}
+	if err := os.RemoveAll(queue); err != nil {
+		t.Fatal(err)
+	}
+	if _, created, err := s.Submit(sub); created || err != nil {
+		t.Fatalf("identical resubmit once the queue image is writable returned created=%v, %v; want the dedup path and nil", created, err)
+	}
+	s2, err := New(Config{Fleet: fleet, DataDir: dataDir, MaxRunning: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Drain()
+	if _, ok := s2.Get(run.ID); !ok {
+		t.Fatalf("restarted server lost the acknowledged resubmit %s", run.ID)
+	}
+
+	obstruct()
 	if err := s.Cancel(run.ID); !errors.Is(err, errPersist) {
 		t.Fatalf("Cancel with an unwritable queue image returned %v, want a persist error", err)
 	}

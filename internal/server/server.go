@@ -92,7 +92,8 @@ type Server struct {
 	// execute runs one run's analysis; tests substitute it.
 	execute func(*Run) error
 
-	persistMu sync.Mutex // serializes persistQueue; taken before mu
+	persistMu     sync.Mutex // serializes persistQueue; taken before mu
+	persistFailed bool       // the last queue image write failed; under persistMu
 
 	mu           sync.Mutex
 	runs         map[string]*Run
@@ -211,7 +212,7 @@ func (s *Server) Submit(sub Submission) (*Run, bool, error) {
 		if st != StateFailed && st != StateCanceled {
 			s.mu.Unlock()
 			s.metrics.dedupHits.Add(1)
-			return existing, false, nil
+			return existing, false, s.repersistQueue()
 		}
 		// A failed or canceled run may be resubmitted: it re-enters the
 		// queue as a fresh attempt under the same identity, reusing any

@@ -96,50 +96,6 @@ func (c *coverRunner) RunJob(code JobCode, w int, r Range) {
 	}
 }
 
-// abortRunner simulates a long descriptor walk: every worker loops over
-// many entries, polling the pool's abort flag between entries; worker 0
-// requests the abort partway through.
-type abortRunner struct {
-	pool    *Pool
-	entries int64
-	done    []int64
-}
-
-func (a *abortRunner) RunJob(code JobCode, w int, r Range) {
-	for i := int64(0); i < a.entries; i++ {
-		if a.pool.Aborted() {
-			return
-		}
-		if w == 0 && i == 3 {
-			a.pool.AbortJob()
-			return
-		}
-		atomic.AddInt64(&a.done[w], 1)
-	}
-}
-
-func TestAbortDuringJob(t *testing.T) {
-	p := NewPool(4, 4000)
-	defer p.Close()
-	rn := &abortRunner{pool: p, entries: 1 << 40, done: make([]int64, p.Workers())}
-	p.Post(rn, JobNewview) // must return despite the huge entry count
-	if !p.Aborted() {
-		t.Fatal("abort flag not visible after the job")
-	}
-	// The pool survives an aborted job: the next post clears the flag
-	// and runs normally.
-	var ran int64
-	p.ParallelFor(func(w int, r Range) {
-		if p.Aborted() {
-			t.Error("abort flag leaked into the next job")
-		}
-		atomic.AddInt64(&ran, 1)
-	})
-	if ran != int64(p.Workers()) {
-		t.Fatalf("post-abort job ran on %d of %d workers", ran, p.Workers())
-	}
-}
-
 func TestDispatchCounter(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		p := NewPool(workers, 300)

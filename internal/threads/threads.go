@@ -258,7 +258,6 @@ type Pool struct {
 	gen     atomic.Uint64 // job generation counter; the master is its only writer
 	cells   []claimCell   // per range: the last generation claimed
 	arrived atomic.Int64  // helper-run ranges of the current job that finished
-	abort   atomic.Bool   // cooperative cancel of the current job
 	stop    atomic.Bool   // pool shutdown
 
 	dispatches atomic.Int64 // total Posts
@@ -482,14 +481,14 @@ func (p *Pool) execute(w int, r Range) {
 // Post runs one job code over every pattern range and returns when all
 // ranges have finished: one dispatch, at most one barrier crossing. The
 // job's inputs must already be stored in the runner; posting allocates
-// nothing. The abort flag is cleared on entry.
+// nothing.
 func (p *Pool) Post(runner JobRunner, code JobCode) {
 	p.post(runner, code, nil)
 }
 
-// post is the counted dispatch behind Post: serialize on
-// postMu, count the dispatch, clear the abort flag and run the job — on
-// the master alone when the runner says it is too short to share.
+// post is the counted dispatch behind Post: serialize on postMu, count
+// the dispatch and run the job — on the master alone when the runner
+// says it is too short to share.
 func (p *Pool) post(runner JobRunner, code JobCode, fn func(worker int, r Range)) {
 	p.postMu.Lock()
 	if p.closed {
@@ -497,7 +496,6 @@ func (p *Pool) post(runner JobRunner, code JobCode, fn func(worker int, r Range)
 		panic("threads: job posted on closed Pool")
 	}
 	p.dispatches.Add(1)
-	p.abort.Store(false)
 	switch a := p.assign.Load(); {
 	case p.workers == 1:
 		p.runner, p.code, p.fn = runner, code, fn
@@ -769,19 +767,6 @@ func (p *Pool) SumWide(i int) float64 {
 	return sum
 }
 
-// AbortJob requests cooperative cancellation of the job in flight.
-// Long-running kernels poll Aborted between descriptor entries and
-// bail out early; the barrier still completes normally, so the pool
-// remains usable. The flag is cleared by the next Post. An aborted
-// job's outputs (reduction slots, destination buffers) are undefined:
-// callers must discard the result, and runners must restore any
-// invariants they staged before posting (see the likelihood engine's
-// rollbackTraversal).
-func (p *Pool) AbortJob() { p.abort.Store(true) }
-
-// Aborted reports whether the current job has been asked to stop.
-func (p *Pool) Aborted() bool { return p.abort.Load() }
-
 // ForkJoinRange runs fn over [lo, hi) split into contiguous chunks of at
 // least `grain` items, at most one per worker, and returns when all
 // chunks finished. This is a *master-side* utility for serial-bottleneck
@@ -792,7 +777,7 @@ func (p *Pool) Aborted() bool { return p.abort.Load() }
 // job's ranges and go through the same claim cells, but a fork never
 // wakes a parked helper: a hot crew shares the fill, a cold one leaves
 // every chunk to the master. The fork is NOT a counted dispatch — it
-// posts no job code, leaves Dispatches and the abort flag alone, and the
+// posts no job code and leaves Dispatches alone, and the
 // one-dispatch-per-traversal accounting of the descriptor engine counts
 // job codes only. fn must confine writes to its [lo, hi) chunk. Small
 // inputs (fewer than 2·grain items), single-worker pools and crews built

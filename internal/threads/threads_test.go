@@ -590,8 +590,7 @@ func TestForkJoinCoversAllChunks(t *testing.T) {
 
 // TestForkJoinOnCrewIsFreeOfSideEffects pins what lets the fork run on
 // the crew between two posts of the descriptor engine: it allocates
-// nothing, it is not a counted dispatch, it leaves a pending abort
-// request for the job it was raised against, and posted jobs interleave
+// nothing, it is not a counted dispatch, and posted jobs interleave
 // with it freely.
 func TestForkJoinOnCrewIsFreeOfSideEffects(t *testing.T) {
 	p := NewPool(3, 300)
@@ -611,15 +610,8 @@ func TestForkJoinOnCrewIsFreeOfSideEffects(t *testing.T) {
 	}
 	rn := &sumRunner{pool: p, data: make([]float64, 300), execs: make([]int64, p.Workers())}
 	p.Post(rn, JobEvaluate)
-	p.AbortJob()
 	p.ForkJoinRange(0, len(cells), 2, fill)
-	if !p.Aborted() {
-		t.Fatal("a fork cleared the abort flag")
-	}
 	p.Post(rn, JobEvaluate)
-	if p.Aborted() {
-		t.Fatal("the next Post did not clear the abort flag")
-	}
 	if d := p.Dispatches(); d != 2 {
 		t.Fatalf("%d dispatches counted for 2 posts and several forks", d)
 	}
