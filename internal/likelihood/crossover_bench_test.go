@@ -1,6 +1,7 @@
 package likelihood
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -29,8 +30,11 @@ func (c *crossoverPool) Post(r threads.JobRunner, code threads.JobCode) {
 	c.Pool.Post(r, code)
 }
 
-// shared hides a runner's JobWork, so the pool publishes every job.
+// shared states more work than any crew declines, so the pool publishes
+// every job and its gain keeps the spin bank full.
 type shared struct{ threads.JobRunner }
+
+func (shared) JobWork(threads.JobCode) int { return math.MaxInt32 }
 
 // crossoverShapes are the two inputs of the repository benchmark's -T
 // workloads, mkdata's defaults at the input's dimensions: `wide` (790
@@ -47,7 +51,7 @@ var crossoverShapes = []struct {
 
 // crossoverEngine builds an engine of one shape over a crossoverPool, on
 // a random tree with every view fresh.
-func crossoverEngine(b *testing.B, taxa, chars int, gamma bool) (*Engine, *crossoverPool, *tree.Tree) {
+func crossoverEngine(b testing.TB, taxa, chars int, gamma bool) (*Engine, *crossoverPool, *tree.Tree) {
 	a, _, err := seqgen.Generate(seqgen.Config{Taxa: taxa, Chars: chars, Seed: 1, TreeScale: 0.5, Alpha: 0.8})
 	if err != nil {
 		b.Fatal(err)
@@ -85,7 +89,7 @@ func crossoverEngine(b *testing.B, taxa, chars int, gamma bool) (*Engine, *cross
 // twoEntryView returns a directed view whose refresh, with every view
 // stale, is a walk of two descriptor entries: an inner node over a tip
 // and a cherry.
-func twoEntryView(b *testing.B, e *Engine, tr *tree.Tree) [2]int {
+func twoEntryView(b testing.TB, e *Engine, tr *tree.Tree) [2]int {
 	for x := range tr.Nodes {
 		for s := range tr.Nodes[x].Neighbors {
 			e.InvalidateAll()
@@ -106,25 +110,39 @@ func twoEntryView(b *testing.B, e *Engine, tr *tree.Tree) [2]int {
 // job to time and the call that posts it.
 var crossoverJobs = []struct {
 	name  string
-	ready func(b *testing.B, e *Engine, tr *tree.Tree) (threads.JobCode, func())
+	ready func(b testing.TB, e *Engine, tr *tree.Tree) (threads.JobCode, func())
 }{
-	{"newview", func(b *testing.B, e *Engine, tr *tree.Tree) (threads.JobCode, func()) {
+	{"newview", func(b testing.TB, e *Engine, tr *tree.Tree) (threads.JobCode, func()) {
 		v := twoEntryView(b, e, tr)
 		return threads.JobNewview, func() { e.refreshViews(v) }
 	}},
-	{"evaluate", func(b *testing.B, e *Engine, tr *tree.Tree) (threads.JobCode, func()) {
+	{"evaluate", func(b testing.TB, e *Engine, tr *tree.Tree) (threads.JobCode, func()) {
 		return threads.JobEvaluate, func() { e.LogLikelihood() }
 	}},
-	{"makenewz_setup", func(b *testing.B, e *Engine, tr *tree.Tree) (threads.JobCode, func()) {
+	{"makenewz_setup", func(b testing.TB, e *Engine, tr *tree.Tree) (threads.JobCode, func()) {
 		a, nb := 0, tr.Nodes[0].Neighbors[0]
 		return threads.JobMakenewzSetup, func() { e.makenewzSetup(a, e.slotOf(a, nb), nb, e.slotOf(nb, a), 0.1) }
 	}},
-	{"makenewz_core", func(b *testing.B, e *Engine, tr *tree.Tree) (threads.JobCode, func()) {
+	{"makenewz_core", func(b testing.TB, e *Engine, tr *tree.Tree) (threads.JobCode, func()) {
 		a, nb := 0, tr.Nodes[0].Neighbors[0]
 		e.makenewzSetup(a, e.slotOf(a, nb), nb, e.slotOf(nb, a), 0.1)
 		return threads.JobMakenewzCore, func() { e.makenewzCore(0.1) }
 	}},
-	{"insert_scan", func(b *testing.B, e *Engine, tr *tree.Tree) (threads.JobCode, func()) {
+	{"relikelihood", func(b testing.TB, e *Engine, tr *tree.Tree) (threads.JobCode, func()) {
+		return threads.JobEvaluate, func() { e.InvalidateAll(); e.LogLikelihood() }
+	}},
+	{"site_ll", func(b testing.TB, e *Engine, tr *tree.Tree) (threads.JobCode, func()) {
+		dst := make([]float64, e.nPatterns)
+		e.SiteLogLikelihoods(dst)
+		return threads.JobSiteLL, func() { e.SiteLogLikelihoods(dst) }
+	}},
+	{"makenewz_legacy", func(b testing.TB, e *Engine, tr *tree.Tree) (threads.JobCode, func()) {
+		a, nb := 0, tr.Nodes[0].Neighbors[0]
+		sa, sb := e.slotOf(a, nb), e.slotOf(nb, a)
+		e.refreshViews([2]int{a, sa}, [2]int{nb, sb})
+		return threads.JobMakenewz, func() { e.branchDerivatives(a, sa, nb, sb, 0.1) }
+	}},
+	{"insert_scan", func(b testing.TB, e *Engine, tr *tree.Tree) (threads.JobCode, func()) {
 		const cands = 8
 		for _, edge := range tr.Edges() {
 			if tr.Nodes[edge.A].IsTip() || tr.Nodes[edge.B].IsTip() {
@@ -148,35 +166,51 @@ var crossoverJobs = []struct {
 	}},
 }
 
-// BenchmarkKernelCrossover is the table behind threads.spinCrossover and
-// threads.postCrossover on the real kernels: one job of the engine — a
-// two-entry newview walk, an evaluate, a makenewz setup, a makenewz core
-// iteration, an 8-candidate insertion scan — as the engine posts it on a
+// BenchmarkKernelCrossover is the sweep the pool's cost table
+// (threads/cost.go) is fitted on: one job of the engine — a two-entry
+// newview walk, an evaluate, a full relikelihood, a site log-likelihood
+// pass, a makenewz setup, a makenewz core iteration, a legacy makenewz
+// reduction, an 8-candidate insertion scan — as the engine posts it on a
 // 2-worker pool over the inputs of the repository benchmark's -T
 // workloads, run by the master over both ranges (inline, what the pool
-// does below the crossover) or published to the crew: hot, posts back to
-// back so the helper is inside its spin window, or parked, the master
-// busy for a millisecond before every post while the helper falls asleep
-// (only the post is timed). `work` is the job's JobWork times the widest
-// range, the figure the pool holds against the crossovers; wakes/op says
-// the parked rows found the helper asleep. docs/profiling.md, "What
-// parking looks like", has the table.
+// does when publishing does not pay) or published to the crew: hot,
+// posts back to back so the helper is inside its spin, or parked, the
+// master busy for 1.5 ms before every post while the helper falls asleep
+// (only the post is timed). work_ns is the job's JobWork times
+// the widest range: the time the table predicts for one range. The fit:
+// an inline row's step_ps is the row its code's StepCost should hold to
+// predict the row exactly, its descriptor walk priced at the committed
+// newview row; every row's fixed_ns is what its post cost beyond the
+// kernel time the table predicts for it — all ranges inline, the widest
+// one published — which hotCost and wakeCost are fitted to on the hot
+// and parked rows; an inline post is charged its kernels alone.
+// wakes/op says the parked rows found the helper asleep.
+// docs/profiling.md, "The cost table", has the sweep.
 func BenchmarkKernelCrossover(b *testing.B) {
-	const park = time.Millisecond // well past the helper's spin budget
+	const park = 1500 * time.Microsecond // past the longest spin the bank pays for (1 ms)
 	for _, sh := range crossoverShapes {
 		for _, job := range crossoverJobs {
 			for _, side := range []string{"inline", "hot", "parked"} {
 				b.Run(sh.name+"/"+job.name+"/"+side, func(b *testing.B) {
 					e, pool, tr := crossoverEngine(b, sh.taxa, sh.chars, sh.gamma)
 					code, post := job.ready(b, e, tr)
-					widest := 0
+					total, widest := 0, 0
 					for _, r := range pool.Ranges() {
+						total += r.Len()
 						widest = max(widest, r.Len())
 					}
-					var total time.Duration
+					var elapsed time.Duration
 					var wakes int64
+					var work int
+					// walk and own are the job's steps (descriptor entries and
+					// its code's own); cats the CLV categories a step covers
+					// per pattern of the span, live share applied.
+					var walk, own, cats float64
 					pool.armed, pool.timed = code, func(r threads.JobRunner, code threads.JobCode) {
-						b.ReportMetric(float64(r.(threads.WorkEstimator).JobWork(code)*widest), "work")
+						work = r.(threads.WorkEstimator).JobWork(code)
+						s := &jobTable[code]
+						walk, own = float64(e.travHi-e.travLo), float64(s.steps+s.candSteps*len(e.scanCands))
+						cats = float64(e.tileN) / float64(e.span.Len()) * float64(e.nCat)
 						before := pool.Counters().Wakes
 						for i := 0; i < b.N; i++ {
 							switch side {
@@ -185,7 +219,7 @@ func BenchmarkKernelCrossover(b *testing.B) {
 								for w, rg := range pool.Ranges() {
 									r.RunJob(code, w, rg)
 								}
-								total += time.Since(t0)
+								elapsed += time.Since(t0)
 							case "parked":
 								// Serial work on the master, not a sleep: only the
 								// helper goes idle, as between the posts of a search.
@@ -195,7 +229,7 @@ func BenchmarkKernelCrossover(b *testing.B) {
 							default:
 								t0 := time.Now()
 								pool.Pool.Post(shared{r}, code)
-								total += time.Since(t0)
+								elapsed += time.Since(t0)
 							}
 						}
 						wakes = pool.Counters().Wakes - before
@@ -204,7 +238,20 @@ func BenchmarkKernelCrossover(b *testing.B) {
 					if pool.timed != nil {
 						b.Fatalf("%s posted no job %d", job.name, code)
 					}
-					b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "ns/op")
+					ns := float64(elapsed.Nanoseconds()) / float64(b.N)
+					span := widest
+					if side == "inline" {
+						span = total
+						ps := ns * 1e3 / float64(total)
+						if own == 0 {
+							b.ReportMetric(ps/(walk*cats), "step_ps")
+						} else {
+							b.ReportMetric((ps-walk*cats*float64(threads.StepCost(threads.JobNewview)))/(own*cats), "step_ps")
+						}
+					}
+					b.ReportMetric(ns, "ns/op")
+					b.ReportMetric(float64(work)*float64(widest)/1e3, "work_ns")
+					b.ReportMetric(ns-float64(work)*float64(span)/1e3, "fixed_ns")
 					b.ReportMetric(float64(wakes)/float64(b.N), "wakes/op")
 				})
 			}

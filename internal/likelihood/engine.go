@@ -862,6 +862,14 @@ func (e *Engine) InvalidateNode(v int) {
 
 // invalidateSide walks the component on `from`'s side of edge
 // (from, acrossTo), marking stale every view that contains the edge.
+// The walk stops at a view that is stale already: queueTraversal marks a
+// view valid only after both its inputs, and every view beyond one
+// containing the edge takes it as an input (directly or through views
+// between), so all of them are stale too. Only at the nodes an edit
+// rewired can a flag of the old topology sit beyond a stale view; the
+// edit's own InvalidateNode marks those, so an edit's invalidations
+// together mark what walks over the whole side would
+// (TestInvalidationWalkStopsAtStaleViews).
 func (e *Engine) invalidateSide(from, acrossTo int) {
 	// Each stack entry is (node, parent), parent being the node's first
 	// hop toward the changed edge.
@@ -873,7 +881,7 @@ func (e *Engine) invalidateSide(from, acrossTo int) {
 			// clv(node, slot→parent) cuts the edge toward the change, so
 			// its view excludes it and stays valid; every other view from
 			// this node contains the changed edge.
-			if nb < 0 || nb == parent {
+			if nb < 0 || nb == parent || !e.valid[node*3+slot] {
 				continue
 			}
 			e.valid[node*3+slot] = false

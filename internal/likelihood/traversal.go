@@ -411,7 +411,8 @@ type jobSpec struct {
 	// writing its reduction partial into the worker's slot or wide row.
 	kernel func(e *Engine, w int, r threads.Range)
 	// steps are the kernel steps per pattern JobWork counts beyond the
-	// descriptor, plus candSteps per scan candidate.
+	// descriptor, plus candSteps per scan candidate, each priced at the
+	// code's row of the pool's cost table (threads.StepCost).
 	steps, candSteps int
 	// views is how many job views the frame ships (jobWire[:views]).
 	views int
@@ -520,16 +521,18 @@ func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 	jobTable[code].kernel(e, w, r)
 }
 
-// JobWork implements threads.WorkEstimator: the kernel steps per pattern
-// of the job about to be posted — one per descriptor entry in the window
-// plus the code's own (jobSpec.steps, candSteps) — times the CLV
+// JobWork implements threads.WorkEstimator: the predicted picoseconds
+// per pattern of the job about to be posted — one newview step per
+// descriptor entry in the window plus the code's own (jobSpec.steps,
+// candSteps), each at its code's threads.StepCost — times the CLV
 // categories every step covers, times the share of the span's patterns
 // that are live: a range visits only those (compact.go). The pool runs a
-// job too short to share on the master alone.
+// job that does not pay for the crossing on the master alone.
 func (e *Engine) JobWork(code threads.JobCode) int {
 	s := &jobTable[code]
-	steps := e.travHi - e.travLo + s.steps + s.candSteps*len(e.scanCands)
-	return steps * e.nCat * e.tileN / e.span.Len()
+	walk := (e.travHi - e.travLo) * threads.StepCost(threads.JobNewview)
+	own := (s.steps + s.candSteps*len(e.scanCands)) * threads.StepCost(code)
+	return (walk + own) * e.nCat * e.tileN / e.span.Len()
 }
 
 // SetPerNodeDispatch toggles the per-node dispatch ablation: when

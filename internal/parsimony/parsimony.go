@@ -343,20 +343,18 @@ func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 }
 
 // JobWork implements threads.WorkEstimator: the job's view steps and
-// candidate joins (the anchor reduction counting as a step), in the
-// pool's units of one CLV category of one newview entry per pattern. On
-// a 2-vCPU Xeon guest BenchmarkPostCrossover's inline rows put that unit
-// at ~3.5 ns (step_ns 4.7 for 4/3 of a unit) and BenchmarkFitchKernels
-// puts a view step at ~1.8 ns per pattern and a candidate join at
-// ~2.8 ns: a step is 1/2 unit, a join 4/5. The pool multiplies by its
-// widest alignment-axis range, of which a range visits only the live
-// share.
+// candidate joins (the anchor reduction counting as a step), priced at
+// the cost table's parsimony row, which is one view step per pattern
+// (threads.StepCost). BenchmarkFitchKernels puts a view step at ~1.8 ns
+// per pattern and a candidate join at ~2.8 ns: a join is 8/5 of a step.
+// The pool prices it over the patterns publishing takes off the master
+// (threads.Pool.Gain), of which a range visits only the live share.
 func (e *Engine) JobWork(threads.JobCode) int {
-	tenths := 5*len(e.steps) + 8*len(e.cands)
+	fifths := 5*len(e.steps) + 8*len(e.cands)
 	if len(e.cands) == 0 {
-		tenths += 5
+		fifths += 5
 	}
-	return tenths * len(e.liveIdx) / (10 * e.pat.NumPatterns())
+	return fifths * threads.StepCost(threads.JobParsimony) / 5 * len(e.liveIdx) / e.pat.NumPatterns()
 }
 
 // fitchSpan is one view step over a span of the live axis: dst gets the

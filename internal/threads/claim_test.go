@@ -110,7 +110,7 @@ func TestPostCompletesWithHelperHeld(t *testing.T) {
 					p.ParallelFor(func(w int, r Range) { c.RunJob(JobEvaluate, w, r) })
 					c.check(t, "closure")
 				default:
-					c.post(t, p.wakeSteps, "at the crossover")
+					c.post(t, publishFrom(p, true), "at the crossover")
 					p.ForkJoinRange(0, len(cells), 2, func(lo, hi int) {
 						for k := lo; k < hi; k++ {
 							cells[k]++
@@ -170,17 +170,18 @@ func TestLateHelperCannotClaimBackwards(t *testing.T) {
 }
 
 // TestCountersSplitDispatches pins the dispatch rule itself: with a
-// helper asleep a job is published from postCrossover, the work that pays
-// for the wake, and with the crew awake — here held just short of its
-// claim, so it cannot park — from spinCrossover; a runner that states
-// nothing is published, and the 1-worker pool counts neither.
+// helper asleep a job is published from the work whose gain pays for the
+// wake, and with the crew awake — here held just short of its claim, so
+// it cannot park — from the work that pays for the cache miss; a runner
+// that states nothing is published, and the 1-worker pool counts
+// neither.
 func TestCountersSplitDispatches(t *testing.T) {
 	atLeastTwoPs(t)
 	p := NewPool(2, 512)
 	defer p.Close()
-	if p.wakeSteps != postCrossover/256 || p.spinSteps != spinCrossover/256 {
-		t.Fatalf("2 ranges of 256 patterns publish from %d steps asleep and %d awake, want %d and %d",
-			p.wakeSteps, p.spinSteps, postCrossover/256, spinCrossover/256)
+	wake, hot := publishFrom(p, true), publishFrom(p, false)
+	if hot >= wake {
+		t.Fatalf("a hot crew publishes from %d ps per pattern, a parked one from %d: waking must cost more", hot, wake)
 	}
 	p.assign.Store(assignHold)
 	defer p.assign.Store(0)
@@ -193,10 +194,10 @@ func TestCountersSplitDispatches(t *testing.T) {
 			t.Fatalf("%s: counters %+v, want %+v", what, got, want)
 		}
 	}
-	step(p.wakeSteps-1, "asleep, below", Counters{Inline: 1})
-	step(p.wakeSteps, "asleep, at", Counters{Inline: 1, Published: 1, Wakes: 1})
-	step(p.spinSteps-1, "awake, below", Counters{Inline: 2, Published: 1, Wakes: 1})
-	step(p.spinSteps, "awake, at", Counters{Inline: 2, Published: 2, Wakes: 1})
+	step(wake-1, "asleep, below", Counters{Inline: 1})
+	step(wake, "asleep, at", Counters{Inline: 1, Published: 1, Wakes: 1})
+	step(hot-1, "awake, below", Counters{Inline: 2, Published: 1, Wakes: 1})
+	step(hot, "awake, at", Counters{Inline: 2, Published: 2, Wakes: 1})
 	c.round++
 	p.Post(noWork{c}, JobEvaluate)
 	c.check(t, "no estimate")
@@ -208,6 +209,30 @@ func TestCountersSplitDispatches(t *testing.T) {
 	qc.post(t, 0, "serial")
 	if got := q.Counters(); got != (Counters{}) || q.Dispatches() != 1 {
 		t.Fatalf("1-worker pool counters %+v after %d dispatches, want none and 1", got, q.Dispatches())
+	}
+}
+
+// publishFrom is the least work a job can state and be published to p's
+// crew, parked or hot: where Gain turns positive.
+func publishFrom(p *Pool, parked bool) int {
+	lo, hi := 0, 1
+	for p.Gain(hi, parked) <= 0 {
+		hi *= 2
+	}
+	for lo+1 < hi {
+		if mid := (lo + hi) / 2; p.Gain(mid, parked) > 0 {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// awaitParked spins until every helper waits on jobCond.
+func (p *Pool) awaitParked() {
+	for int(p.parked.Load()) != p.workers-1 {
+		time.Sleep(20 * time.Microsecond)
 	}
 }
 
@@ -234,7 +259,7 @@ func TestOnePRunsStatedJobsInline(t *testing.T) {
 	q := NewPool(3, 300)
 	defer q.Close()
 	c, d := newClaimRunner(p), newClaimRunner(q)
-	for _, work := range []int{0, p.spinSteps, p.wakeSteps, math.MaxInt / 1024} {
+	for _, work := range []int{0, publishFrom(q, false), publishFrom(q, true), math.MaxInt / 1024} {
 		c.post(t, work, "one P")
 		d.post(t, math.MaxInt/1024, "two Ps")
 		for w := 0; w < p.Workers(); w++ {

@@ -29,23 +29,28 @@
 //     executor, because slots, wide rows and runner scratch are indexed
 //     by range.
 //
-//   - A crew kept hot through a search. Between jobs a helper spins for
-//     spinBudget before it parks — as RAxML's workers spin on threadJob —
-//     so the posts of a search, tens of microseconds apart, find the crew
-//     awake. The spin yields its P every 64 loads, so a crew larger than
-//     GOMAXPROCS (-R 2 -T 2 on two cores) shares the Ps with its
-//     masters. An idle crew parks within a fraction of a millisecond and
-//     costs nothing.
+//   - A crew kept hot while it pays. After its range a helper spins for
+//     the next job — as RAxML's workers spin on threadJob — only while
+//     the spin bank holds credit: the wall time the cost table (cost.go)
+//     credits recent publications with on a hot crew, less the time the
+//     crew has spun for them. A search whose jobs are long enough to
+//     share keeps its crew awake from one post to the next; a crew whose
+//     publications save less than its spin costs parks after its range,
+//     and the jobs after it meet the cost of a wake. The spin yields its
+//     P every 64 loads, so a crew larger than GOMAXPROCS (-R 2 -T 2 on
+//     two cores) shares the Ps with its masters. An idle crew parks
+//     within a millisecond and costs nothing.
 //
 //   - Work-aware dispatch. A runner that implements JobWork tells the
-//     pool what a job costs; a job too short to pay for the crossing is
-//     run by the master over all W ranges without publishing a
-//     generation. What the crossing costs depends on the crew: a helper
-//     asleep has to be woken (postCrossover), a spinning crew only has to
-//     notice (spinCrossover). A crew built under GOMAXPROCS=1 has no
-//     second P to run a helper on, so it runs every such job inline.
-//     One Post is one dispatch and at most one barrier crossing;
-//     Dispatches counts the former, Counters splits them.
+//     pool what a job costs in the table's units; the pool publishes it
+//     only when the table predicts the master's inline time over all W
+//     ranges to exceed the widest range's time plus the crossing for the
+//     crew as it stands — waking a parked helper, or a cache miss for a
+//     spinning one (Gain). Any other job runs on the master over all W
+//     ranges without publishing a generation. A crew built under
+//     GOMAXPROCS=1 has no second P to run a helper on, so it runs every
+//     such job inline. One Post is one dispatch and at most one barrier
+//     crossing; Dispatches counts the former, Counters splits them.
 //
 //   - Reduction slots. Every worker owns a cache-line padded slot of
 //     float64 accumulators, preallocated at pool construction. Kernels
@@ -131,29 +136,15 @@ type JobRunner interface {
 }
 
 // WorkEstimator is the one optional interface Post looks for on the
-// runner it is handed. JobWork returns the kernel steps per pattern of
-// the job about to be posted, in units of one CLV category of one
-// descriptor entry; the pool multiplies by its widest range and runs a
-// job below the crossover on the master alone. A runner without the
-// method is always published.
+// runner it is handed. JobWork returns the predicted time, in
+// picoseconds, of the job about to be posted per pattern of a range: its
+// steps per pattern, each priced at its code's StepCost. The pool
+// multiplies by its ranges (Gain) and runs a job that does not pay for
+// the crossing on the master alone. A runner without the method is
+// always published.
 type WorkEstimator interface {
 	JobWork(code JobCode) int
 }
-
-// The crossovers are the work of one range — JobWork times the widest
-// range's patterns — from which publishing a job stops losing to running
-// every range on the master: postCrossover when a helper is asleep on
-// jobCond and the post has to wake it, spinCrossover when the whole crew
-// is still spinning and hears of the job for the price of a cache miss.
-// Fitted on the real kernels by likelihood's BenchmarkKernelCrossover
-// (its parked and hot columns; BenchmarkPostCrossover is the synthetic
-// table beside it); the tables are in docs/profiling.md. Variables only so
-// the package's tests can force either side (0 publishes every job,
-// math.MaxInt none that states its work).
-var (
-	postCrossover = 16384
-	spinCrossover = 512
-)
 
 // SlotWidth is the number of float64 accumulators in one worker's
 // reduction slot — enough for every current reduction (log-likelihood,
@@ -176,17 +167,6 @@ const wideQuantum = 8
 // execution (awaitCrew): about 20–40 µs, after which it parks on its
 // condition variable.
 const spinIters = 4096
-
-// spinBudget is how long a helper spins for the next job before it
-// parks — the competitive spin of Karlin et al. (SOSP 1991): spin about
-// as long as blocking costs. Here a park costs a futex and a late start at the next wake, and until that
-// wake every job below postCrossover runs on the master alone. The posts
-// of a search come well inside the budget, so the crew stays hot and a
-// job is published from spinCrossover; between searches the crew parks
-// and costs nothing. Fitted with BenchmarkSpinBudget (docs/profiling.md,
-// "What parking looks like"). A variable only so the package's benchmarks
-// can sweep it.
-var spinBudget = 200 * time.Microsecond
 
 // Bits of Pool.assign above the per-range mask: assignOn marks the mask as
 // set, assignHold stalls the helpers before they claim.
@@ -220,10 +200,9 @@ type Pool struct {
 	workers int
 	ranges  []Range
 	slots   []slot
-	// wakeSteps and spinSteps are the JobWork from which a post is
-	// published to a crew with a helper asleep and to a spinning one: the
-	// two crossovers over the longest range.
-	wakeSteps, spinSteps int
+	// total and widest are the patterns of all ranges and of the longest
+	// one: what the master runs inline and what the crew runs in parallel.
+	total, widest int
 	// oneP is whether GOMAXPROCS was 1 when the crew was built: a helper
 	// can then only run on the master's P, never beside it, so every job
 	// that states its work runs inline.
@@ -259,6 +238,10 @@ type Pool struct {
 	cells   []claimCell   // per range: the last generation claimed
 	arrived atomic.Int64  // helper-run ranges of the current job that finished
 	stop    atomic.Bool   // pool shutdown
+	// bank is the spin bank: the hot gains of recent publications
+	// (publish) less the time helpers spun for the next job since
+	// (awaitJob).
+	bank atomic.Int64
 
 	dispatches atomic.Int64 // total Posts
 	counters   Counters
@@ -355,7 +338,7 @@ func newPool(workers int, ranges []Range) *Pool {
 	if workers == 1 {
 		return p // inline execution; no goroutines, no barrier
 	}
-	p.setCrossoverSteps()
+	p.setShape()
 	p.oneP = runtime.GOMAXPROCS(0) == 1
 	p.cells = make([]claimCell, workers)
 	p.forkFn = p.runFork
@@ -368,16 +351,14 @@ func newPool(workers int, ranges []Range) *Pool {
 	return p
 }
 
-// setCrossoverSteps restates the crossovers in JobWork units for the
-// current ranges: work·widest < c exactly when work < ⌈c/widest⌉, without
-// a product that could overflow.
-func (p *Pool) setCrossoverSteps() {
-	widest := 1
+// setShape records the patterns of all ranges and of the widest, the
+// figures Gain prices a job over.
+func (p *Pool) setShape() {
+	p.total, p.widest = 0, 0
 	for _, r := range p.ranges {
-		widest = max(widest, r.Len())
+		p.total += r.Len()
+		p.widest = max(p.widest, r.Len())
 	}
-	ceil := func(c int) int { return c/widest + min(c%widest, 1) }
-	p.wakeSteps, p.spinSteps = ceil(postCrossover), ceil(spinCrossover)
 }
 
 // pinned decodes the test hook word a for helper range w: whether an
@@ -430,28 +411,31 @@ func (p *Pool) workerLoop(w int) {
 }
 
 // awaitJob blocks until a job generation newer than *seen is published
-// (spin first, then park) and records it. Returns false on shutdown. A
-// parked helper sleeps through generations published without a wake
-// (forks); the master runs their ranges. The spin yields every 64 loads,
-// and only there reads the clock: the wait parks after spinBudget.
+// and records it: spin for the helper's share of the spin bank, debiting
+// what it spun (spent), then park. Returns false on shutdown. A parked
+// helper sleeps through generations published without a wake (forks);
+// the master runs their ranges. The spin yields every 64 loads; it reads
+// the clock there, when it starts and when the job comes.
 func (p *Pool) awaitJob(seen *uint64) bool {
-	var start time.Time
-	for i := 1; ; i++ {
-		if g := p.gen.Load(); g != *seen {
-			*seen = g
-			return true
-		}
-		if p.stop.Load() {
-			return false
-		}
-		if i&63 != 0 {
-			continue
-		}
-		runtime.Gosched()
-		if i == 64 {
-			start = time.Now()
-		} else if time.Since(start) >= spinBudget {
-			break
+	if share := spinShare(p.bank.Load(), p.workers-1); share > 0 {
+		start := time.Now()
+		for i := 1; ; i++ {
+			if g := p.gen.Load(); g != *seen {
+				p.bank.Add(-spent(time.Since(start), share))
+				*seen = g
+				return true
+			}
+			if p.stop.Load() {
+				return false
+			}
+			if i&63 != 0 {
+				continue
+			}
+			runtime.Gosched()
+			if spun := time.Since(start); spun >= share {
+				p.bank.Add(-spent(spun, share))
+				break
+			}
 		}
 	}
 	p.jobMu.Lock()
@@ -487,8 +471,8 @@ func (p *Pool) Post(runner JobRunner, code JobCode) {
 }
 
 // post is the counted dispatch behind Post: serialize on postMu, count
-// the dispatch and run the job — on the master alone when the runner
-// says it is too short to share.
+// the dispatch and run the job — on the master alone unless publishing
+// it pays.
 func (p *Pool) post(runner JobRunner, code JobCode, fn func(worker int, r Range)) {
 	p.postMu.Lock()
 	if p.closed {
@@ -500,7 +484,7 @@ func (p *Pool) post(runner JobRunner, code JobCode, fn func(worker int, r Range)
 	case p.workers == 1:
 		p.runner, p.code, p.fn = runner, code, fn
 		p.execute(0, p.ranges[0])
-	case a&assignOn == 0 && p.tooShort(runner, code):
+	case a&assignOn == 0 && !p.publishes(runner, code):
 		// The crew never learns of this job: no generation, no shared
 		// atomics, no wake. Ranges, slots and scratch are the published
 		// job's, so the result is too.
@@ -515,23 +499,27 @@ func (p *Pool) post(runner JobRunner, code JobCode, fn func(worker int, r Range)
 	p.postMu.Unlock()
 }
 
-// tooShort reports whether the runner states less work for the job than
-// it takes to publish it to the crew as it stands: asleep, so that the
-// post would have to wake a helper, or all spinning. On one P no stated
-// work is enough: a helper could only take the P from the master.
-func (p *Pool) tooShort(runner JobRunner, code JobCode) bool {
+// publishes reports whether the job pays for publishing to the crew as
+// it stands — a helper asleep, so that the post would have to wake it,
+// or all spinning — and credits the spin bank for it (publish). On one P
+// no stated work pays: a helper could only take the P from the master. A
+// runner that states no work is always published, for no credit.
+func (p *Pool) publishes(runner JobRunner, code JobCode) bool {
 	est, ok := runner.(WorkEstimator)
 	if !ok {
-		return false
-	}
-	if p.oneP {
 		return true
 	}
-	need := p.spinSteps
-	if p.parked.Load() > 0 {
-		need = p.wakeSteps
+	if p.oneP {
+		return false
 	}
-	return est.JobWork(code) < need
+	work, parked := est.JobWork(code), p.parked.Load() > 0
+	for {
+		b := p.bank.Load()
+		pub, nb := p.publish(work, parked, b)
+		if !pub || p.bank.CompareAndSwap(b, nb) {
+			return pub
+		}
+	}
 }
 
 // run executes one job over the ranges of a crew, counted (post) or not
@@ -631,7 +619,7 @@ func (p *Pool) AlignRangesAt(quantum int, starts []int) {
 	p.postMu.Lock()
 	defer p.postMu.Unlock()
 	AlignBoundaries(p.ranges, quantum, starts)
-	p.setCrossoverSteps()
+	p.setShape()
 }
 
 // AlignBoundaries snaps the boundaries of a contiguous range partition
