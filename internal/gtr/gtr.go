@@ -229,10 +229,12 @@ func jacobiEigen(a [4][4]float64) ([4]float64, [4][4]float64, error) {
 
 // P fills dst with the transition probability matrix P(t·rate) for branch
 // length t scaled by a rate-category multiplier, in flat row-major form:
-// dst[i*4+j] = P(j|i, t). The flat [16]float64 layout is the one every
-// likelihood kernel consumes — a category's matrix is one contiguous
-// 128-byte block (two cache lines), indexable with constant offsets and
-// loadable as four 4-lane rows (see docs/kernels.md).
+// dst[i*4+j] = P(j|i, t). A category's matrix is one contiguous 128-byte
+// block (two cache lines). The likelihood kernels consume its transpose:
+// the engine stores every matrix column-major (dst[j*4+i] = P(j|i, t)),
+// so a matrix-vector product is four broadcast columns with no shuffle,
+// and its transition-matrix block transposes what P writes
+// (docs/kernels.md).
 //
 // P is the pinned reference of the kernels' transition-matrix block:
 // entry (i, j) is ((0 + w_i0·Inv[0][j]) + w_i1·Inv[1][j]) + … with
@@ -273,7 +275,8 @@ func (m *Model) P(t, rate float64, dst *[16]float64) {
 
 // PDeriv fills p, d1 and d2 with P(t·rate) and its first and second
 // derivatives with respect to t, in the same flat row-major layout as P.
-// The legacy full-matrix branch-length kernel consumes these.
+// The legacy full-matrix branch-length kernel consumes these, transposed
+// into the engine's column layout.
 func (m *Model) PDeriv(t, rate float64, p, d1, d2 *[16]float64) {
 	tt := t * rate
 	if tt < 0 {

@@ -38,7 +38,7 @@ func TestCostTableDecisions(t *testing.T) {
 		"narrow/CAT/newview":         {false, false},
 		"narrow/CAT/evaluate":        {false, false},
 		"narrow/CAT/relikelihood":    {true, false},
-		"narrow/CAT/site_ll":         {true, false},
+		"narrow/CAT/site_ll":         {false, false},
 		"narrow/CAT/makenewz_setup":  {false, false},
 		"narrow/CAT/makenewz_core":   {false, false},
 		"narrow/CAT/makenewz_legacy": {true, false},

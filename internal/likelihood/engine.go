@@ -283,8 +283,10 @@ type Engine struct {
 	// tip lookup tables are only filled for codes that can be indexed.
 	tipCodes [][]msa.State
 
-	// scratch transition matrices, indexed [part.pOff + category]
-	// (master-computed, read-only inside parallel sections). pPend holds
+	// scratch transition matrices, indexed [part.pOff + category], each
+	// column-major (P(j|s) at [j*4+s], docs/kernels.md) like every
+	// matrix the engine hands a kernel (master-computed, read-only inside
+	// parallel sections). pPend holds
 	// the pendant-branch matrices of the insertion scan, pEval/pD1/pD2
 	// serve the evaluate and makenewz kernels. Per-entry newview matrices
 	// live in the traversal arena, per-candidate scan matrices in scanP.

@@ -28,28 +28,29 @@ import (
 // with one chunk per range and zero extra per-pattern work.
 //
 // SIMD shape. All kernels are written in 4-lane form against the flat
-// [16]float64 transition matrices (docs/kernels.md): per pattern the
-// loop materializes one *[4]float64 lane block and one *[16]float64
-// matrix via slice-to-array-pointer casts — a single bounds check each —
-// and every 4-term dot product is associated pairwise,
+// [16]float64 transition matrices, which the engine stores column-major,
+// P(j|s) at p[j*4+s] (docs/kernels.md): per pattern the loop
+// materializes one *[4]float64 lane block and one *[16]float64 matrix
+// via slice-to-array-pointer casts — a single bounds check each — and
+// every matrix-vector product is associated pairwise, lane s being
 //
-//	(p0·c0 + p1·c1) + (p2·c2 + p3·c3)
+//	(p[s]·c0 + p[4+s]·c1) + (p[8+s]·c2 + p[12+s]·c3)
 //
 // which is both the association the compiler can keep in two
-// independent dependency chains and exactly the reduction tree of the
-// AVX2 VHADDPD path (kernels_amd64.s), so the scalar and asm kernels
-// agree bit for bit. The rescale test is a short-circuit comparison
-// chain — `small && v < threshold && …` — whose first live lane kills
-// the rest of the chain, so the common case costs one predictable
-// branch per category (a running-maximum formulation costs four
-// data-dependent branches and mispredicts constantly; the AVX2 GAMMA
-// kernels reach the same decision via VMAXPD and one compare — "all
-// lanes below threshold" ⟺ "max lane below threshold" — and the AVX2
-// CAT kernels via one 4-lane compare and its mask). No kernel meets a
-// zero-weight pattern: ranges arrive mapped onto the tile axis, the live
-// patterns of the replicate (compact.go). The kernel-table entries still
-// honour a zero weight — the reductions skip it — which is what lets a
-// range drop its dead patterns without moving a bit.
+// independent dependency chains and exactly the AVX2 path's
+// broadcast-column product (c_j broadcast against column j,
+// kernels_amd64.s), so the scalar and asm kernels agree bit for bit. The
+// rescale test is a short-circuit comparison chain — `small && v <
+// threshold && …` — whose first live lane kills the rest of the chain,
+// so the common case costs one predictable branch per category (a
+// running-maximum formulation costs four data-dependent branches and
+// mispredicts constantly; the AVX2 kernels reach the same decision with
+// 4-lane compares, ANDed over a GAMMA pattern's categories, and one mask
+// test). No kernel meets a zero-weight pattern: ranges arrive mapped onto
+// the tile axis, the live patterns of the replicate (compact.go). The
+// kernel-table entries still honour a zero weight — the reductions skip
+// it — which is what lets a range drop its dead patterns without moving
+// a bit.
 //
 // The newview kernels are written against the flat CLV arena: each
 // worker materializes its contiguous pattern stripe of the destination
@@ -60,10 +61,10 @@ import (
 // loads instead of a 4x4 matrix-vector product. Every newview shape —
 // the three child-kind combinations under CAT and under GAMMA, whose
 // engines always run GammaCats categories — together with the makenewz
-// setup and core loops goes through the engine's kernel table
-// (kernels_dispatch.go), where an AVX2 assembly implementation can
-// replace the scalar reference; the loops left inline below are the
-// evaluate-side kernels.
+// setup and core loops and the edge evaluation goes through the engine's
+// kernel table (kernels_dispatch.go), where an AVX2 assembly
+// implementation can replace the scalar reference; the loop left inline
+// below is the legacy makenewz reduction.
 
 // childView describes one input of an evaluate-side kernel: either a
 // tip (flat 4-wide vector over global patterns, no scaling) or an
@@ -95,12 +96,13 @@ func viewCoeffs(v *childView, ps *partState) (a0, aStep, aCat int) {
 // inline at every hot call site rather than through a helper: its cost
 // (16 muls + 12 adds) is over the compiler's inline budget, and a real
 // call per (pattern, category) would dominate the loop. Every expansion
-// uses the same pairwise association
+// uses the same pairwise association over the column-major matrix,
 //
-//	v_r = (p[4r]*c0 + p[4r+1]*c1) + (p[4r+2]*c2 + p[4r+3]*c3)
+//	v_s = (p[s]*c0 + p[4+s]*c1) + (p[8+s]*c2 + p[12+s]*c3)
 //
-// which is exactly the VHADDPD reduction tree of the AVX2 path, so the
-// scalar and assembly kernels round identically at every step.
+// which is lane s of the AVX2 path's (c0·col0 + c1·col1) + (c2·col2 +
+// c3·col3), so the scalar and assembly kernels round identically at
+// every step.
 
 // newviewRange combines the CLVs of one traversal entry's two children
 // across their branches into the entry's directed CLV, over one worker's
@@ -233,10 +235,10 @@ func newviewTICATScalar(dst []float64, codes []msa.State, lut, iv []float64, pm 
 		c := (*[4]float64)(iv[k*4:])
 		c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 		p := &pm[pc]
-		v0 := t[0] * ((p[0]*c0 + p[1]*c1) + (p[2]*c2 + p[3]*c3))
-		v1 := t[1] * ((p[4]*c0 + p[5]*c1) + (p[6]*c2 + p[7]*c3))
-		v2 := t[2] * ((p[8]*c0 + p[9]*c1) + (p[10]*c2 + p[11]*c3))
-		v3 := t[3] * ((p[12]*c0 + p[13]*c1) + (p[14]*c2 + p[15]*c3))
+		v0 := t[0] * ((p[0]*c0 + p[4]*c1) + (p[8]*c2 + p[12]*c3))
+		v1 := t[1] * ((p[1]*c0 + p[5]*c1) + (p[9]*c2 + p[13]*c3))
+		v2 := t[2] * ((p[2]*c0 + p[6]*c1) + (p[10]*c2 + p[14]*c3))
+		v3 := t[3] * ((p[3]*c0 + p[7]*c1) + (p[11]*c2 + p[15]*c3))
 		sc := isc[k]
 		if v0 < scaleThreshold && v1 < scaleThreshold && v2 < scaleThreshold && v3 < scaleThreshold {
 			v0 *= scaleFactor
@@ -262,14 +264,14 @@ func newviewIICATScalar(dst, lv, rv []float64, pL, pR [][16]float64, pcat []int,
 		c0, c1, c2, c3 := l[0], l[1], l[2], l[3]
 		e0, e1, e2, e3 := rr[0], rr[1], rr[2], rr[3]
 		pa, pb := &pL[pc], &pR[pc]
-		v0 := ((pa[0]*c0 + pa[1]*c1) + (pa[2]*c2 + pa[3]*c3)) *
-			((pb[0]*e0 + pb[1]*e1) + (pb[2]*e2 + pb[3]*e3))
-		v1 := ((pa[4]*c0 + pa[5]*c1) + (pa[6]*c2 + pa[7]*c3)) *
-			((pb[4]*e0 + pb[5]*e1) + (pb[6]*e2 + pb[7]*e3))
-		v2 := ((pa[8]*c0 + pa[9]*c1) + (pa[10]*c2 + pa[11]*c3)) *
-			((pb[8]*e0 + pb[9]*e1) + (pb[10]*e2 + pb[11]*e3))
-		v3 := ((pa[12]*c0 + pa[13]*c1) + (pa[14]*c2 + pa[15]*c3)) *
-			((pb[12]*e0 + pb[13]*e1) + (pb[14]*e2 + pb[15]*e3))
+		v0 := ((pa[0]*c0 + pa[4]*c1) + (pa[8]*c2 + pa[12]*c3)) *
+			((pb[0]*e0 + pb[4]*e1) + (pb[8]*e2 + pb[12]*e3))
+		v1 := ((pa[1]*c0 + pa[5]*c1) + (pa[9]*c2 + pa[13]*c3)) *
+			((pb[1]*e0 + pb[5]*e1) + (pb[9]*e2 + pb[13]*e3))
+		v2 := ((pa[2]*c0 + pa[6]*c1) + (pa[10]*c2 + pa[14]*c3)) *
+			((pb[2]*e0 + pb[6]*e1) + (pb[10]*e2 + pb[14]*e3))
+		v3 := ((pa[3]*c0 + pa[7]*c1) + (pa[11]*c2 + pa[15]*c3)) *
+			((pb[3]*e0 + pb[7]*e1) + (pb[11]*e2 + pb[15]*e3))
 		sc := lsc[k] + rsc[k]
 		if v0 < scaleThreshold && v1 < scaleThreshold && v2 < scaleThreshold && v3 < scaleThreshold {
 			v0 *= scaleFactor
@@ -339,8 +341,9 @@ func (e *Engine) newviewChunkGamma(ent *travEntry, ps *partState, lo, hi int) {
 // newviewII4Scalar is the scalar reference of the nCat == 4 GAMMA
 // inner×inner newview: n patterns of 16 lanes each, 4 matrices per
 // child. The AVX2 implementation (kernels_amd64.s) computes the same
-// pairwise-associated products and is pinned to this function bit for
-// bit by TestKernelEquivalence.
+// pairwise-associated products, takes the same rescale decision (all 16
+// lanes below scaleThreshold, a NaN lane never) and is pinned to this
+// function bit for bit by TestKernelEquivalence.
 func newviewII4Scalar(dst, lv, rv []float64, pL, pR [][16]float64, lsc, rsc, dsc []int32) {
 	pL = pL[:4]
 	pR = pR[:4]
@@ -355,14 +358,14 @@ func newviewII4Scalar(dst, lv, rv []float64, pL, pR [][16]float64, lsc, rsc, dsc
 			c0, c1, c2, c3 := l[cb], l[cb+1], l[cb+2], l[cb+3]
 			e0, e1, e2, e3 := rr[cb], rr[cb+1], rr[cb+2], rr[cb+3]
 			pa, pb := &pL[c], &pR[c]
-			v0 := ((pa[0]*c0 + pa[1]*c1) + (pa[2]*c2 + pa[3]*c3)) *
-				((pb[0]*e0 + pb[1]*e1) + (pb[2]*e2 + pb[3]*e3))
-			v1 := ((pa[4]*c0 + pa[5]*c1) + (pa[6]*c2 + pa[7]*c3)) *
-				((pb[4]*e0 + pb[5]*e1) + (pb[6]*e2 + pb[7]*e3))
-			v2 := ((pa[8]*c0 + pa[9]*c1) + (pa[10]*c2 + pa[11]*c3)) *
-				((pb[8]*e0 + pb[9]*e1) + (pb[10]*e2 + pb[11]*e3))
-			v3 := ((pa[12]*c0 + pa[13]*c1) + (pa[14]*c2 + pa[15]*c3)) *
-				((pb[12]*e0 + pb[13]*e1) + (pb[14]*e2 + pb[15]*e3))
+			v0 := ((pa[0]*c0 + pa[4]*c1) + (pa[8]*c2 + pa[12]*c3)) *
+				((pb[0]*e0 + pb[4]*e1) + (pb[8]*e2 + pb[12]*e3))
+			v1 := ((pa[1]*c0 + pa[5]*c1) + (pa[9]*c2 + pa[13]*c3)) *
+				((pb[1]*e0 + pb[5]*e1) + (pb[9]*e2 + pb[13]*e3))
+			v2 := ((pa[2]*c0 + pa[6]*c1) + (pa[10]*c2 + pa[14]*c3)) *
+				((pb[2]*e0 + pb[6]*e1) + (pb[10]*e2 + pb[14]*e3))
+			v3 := ((pa[3]*c0 + pa[7]*c1) + (pa[11]*c2 + pa[15]*c3)) *
+				((pb[3]*e0 + pb[7]*e1) + (pb[11]*e2 + pb[15]*e3))
 			small = small && v0 < scaleThreshold && v1 < scaleThreshold &&
 				v2 < scaleThreshold && v3 < scaleThreshold
 			d[cb], d[cb+1], d[cb+2], d[cb+3] = v0, v1, v2, v3
@@ -425,10 +428,10 @@ func newviewTI4Scalar(dst []float64, codes []msa.State, lut, iv []float64, pm []
 			cb := c * 4
 			c0, c1, c2, c3 := cv[cb], cv[cb+1], cv[cb+2], cv[cb+3]
 			p := &pm[c]
-			v0 := t[cb] * ((p[0]*c0 + p[1]*c1) + (p[2]*c2 + p[3]*c3))
-			v1 := t[cb+1] * ((p[4]*c0 + p[5]*c1) + (p[6]*c2 + p[7]*c3))
-			v2 := t[cb+2] * ((p[8]*c0 + p[9]*c1) + (p[10]*c2 + p[11]*c3))
-			v3 := t[cb+3] * ((p[12]*c0 + p[13]*c1) + (p[14]*c2 + p[15]*c3))
+			v0 := t[cb] * ((p[0]*c0 + p[4]*c1) + (p[8]*c2 + p[12]*c3))
+			v1 := t[cb+1] * ((p[1]*c0 + p[5]*c1) + (p[9]*c2 + p[13]*c3))
+			v2 := t[cb+2] * ((p[2]*c0 + p[6]*c1) + (p[10]*c2 + p[14]*c3))
+			v3 := t[cb+3] * ((p[3]*c0 + p[7]*c1) + (p[11]*c2 + p[15]*c3))
 			small = small && v0 < scaleThreshold && v1 < scaleThreshold &&
 				v2 < scaleThreshold && v3 < scaleThreshold
 			d[cb], d[cb+1], d[cb+2], d[cb+3] = v0, v1, v2, v3
@@ -471,9 +474,9 @@ func (e *Engine) evaluateChunk(blk *workerScratch, ps *partState, lo, hi int) fl
 	sum := 0.0
 	for b := lo; b < hi; b += logBlockLen {
 		end := min(b+logBlockLen, hi)
-		e.edgeLogSites(blk, ps, b, end)
-		for k, wk := range e.tileW[b:end] {
-			sum += float64(wk) * blk.logs[k]
+		e.edgeLogSites(blk, ps, b, end, e.tileW[b:end])
+		for _, wl := range blk.logs[:end-b] {
+			sum += wl
 		}
 	}
 	return sum
@@ -482,61 +485,95 @@ func (e *Engine) evaluateChunk(blk *workerScratch, ps *partState, lo, hi int) fl
 // edgeLogSites leaves in blk.logs, in pattern order, the log site
 // likelihoods across the edge views in jobV of the (tile-axis, so
 // live) patterns in [lo, hi) — at most logBlockLen patterns within
-// partition ps — scale corrections applied. It is the block step shared
-// by the evaluate and site-LL kernels: join the patterns into blk.site,
-// take all their logarithms with one logBlock call, then correct each
-// for its views' rescaling counters.
-func (e *Engine) edgeLogSites(blk *workerScratch, ps *partState, lo, hi int) {
+// partition ps — scale corrections applied and, when w is not nil,
+// multiplied by the patterns' weights w. It is the block step shared by
+// the evaluate and site-LL kernels, three kernel-table calls: the
+// evaluate entry joins the patterns into blk.site, logBlock takes all
+// their logarithms, and siteTail corrects each for its views' rescaling
+// counters (a tip's are zero) and weighs it.
+func (e *Engine) edgeLogSites(blk *workerScratch, ps *partState, lo, hi int, w []int) {
 	va, vb := &e.jobV[0], &e.jobV[1]
-	nCat := e.nCat
-	freqs := ps.model.Freqs
-	pEval := e.pEval[ps.pOff:]
-	var pcat []int
+	n := hi - lo
+	a0, aStep, _ := viewCoeffs(va, ps)
+	b0, bStep, _ := viewCoeffs(vb, ps)
+	var (
+		pcat  []int
+		probs []float64
+	)
 	if e.isCAT {
-		pcat = ps.pcat
+		pcat = ps.pcat[lo-ps.tlo : hi-ps.tlo]
+	} else {
+		probs = ps.rates.Probs
 	}
-	probs := ps.rates.Probs
-	a0, aStep, aCat := viewCoeffs(va, ps)
-	b0, bStep, bCat := viewCoeffs(vb, ps)
+	e.kern.evaluate(blk.site[:n], va.vec[a0+lo*aStep:a0+hi*aStep], aStep, vb.vec[b0+lo*bStep:b0+hi*bStep], bStep,
+		e.pEval[ps.pOff:ps.pOff+ps.rates.NumCats()], pcat, ps.maxCat, &ps.model.Freqs, probs)
+	e.kern.logBlock(&blk.logs, &blk.site, n)
+	so := ps.sOff + lo - ps.tlo
+	e.kern.siteTail(blk.logs[:n], scaleBlock(va, so, n), scaleBlock(vb, so, n), zeroScale[:n], w)
+}
 
-	for k := lo; k < hi; k++ {
+// evaluateScalar is the scalar reference of the evaluate entry: the
+// site likelihoods across one edge of n = len(out) patterns, clamped to
+// SmallestNonzeroFloat64 (NaN stays NaN). The views' pattern strides
+// as/bs are 4 floats for a tip (every category reads the same block) and
+// nCat·4 for an inner CLV (category c at +4c). Under CAT (pcat non-nil,
+// one category per pattern) pattern k goes through pm[pcat[k]] and its
+// site is the category's likelihood; under GAMMA category c goes through
+// pm[c] and the site is Σ probs[c]·catL in category order. A category's
+// likelihood Σ_s (freqs[s]·a_s)·(P·b)_s adds its state terms in order and
+// skips a state whose a_s is zero — a tip's absent states, whatever the
+// dot. The explicit conversions pin every product to its own rounding,
+// as in the scan join.
+func evaluateScalar(out, av []float64, as int, bv []float64, bs int, pm [][16]float64, pcat []int, top int, freqs *[4]float64, probs []float64) {
+	ac, bc := catStep(as), catStep(bs)
+	nCat := len(probs)
+	if pcat != nil {
+		nCat = 1
+	}
+	for k := range out {
 		var site float64
 		for cat := 0; cat < nCat; cat++ {
-			pc := cat
+			p := &pm[cat]
 			if pcat != nil {
-				pc = pcat[k-ps.tlo]
+				p = &pm[pcat[k]]
 			}
-			p := &pEval[pc]
-			av := (*[4]float64)(va.vec[a0+k*aStep+cat*aCat:])
-			bv := (*[4]float64)(vb.vec[b0+k*bStep+cat*bCat:])
-			vb0, vb1, vb2, vb3 := bv[0], bv[1], bv[2], bv[3]
+			a := (*[4]float64)(av[k*as+cat*ac:])
+			b := (*[4]float64)(bv[k*bs+cat*bc:])
+			b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
 			catL := 0.0
 			for s := 0; s < 4; s++ {
-				as := av[s]
-				if as == 0 {
+				if a[s] == 0 {
 					continue
 				}
-				dot := (p[s*4]*vb0 + p[s*4+1]*vb1) + (p[s*4+2]*vb2 + p[s*4+3]*vb3)
-				catL += freqs[s] * as * dot
+				dot := (float64(p[s]*b0) + float64(p[4+s]*b1)) + (float64(p[8+s]*b2) + float64(p[12+s]*b3))
+				catL += float64(float64(freqs[s]*a[s]) * dot)
 			}
-			if e.isCAT {
+			if pcat != nil {
 				site = catL
 			} else {
-				site += probs[cat] * catL
+				site += float64(probs[cat] * catL)
 			}
 		}
-		blk.site[k-lo] = clampSite(site)
+		out[k] = clampSite(site)
 	}
-	e.kern.logBlock(&blk.logs, &blk.site, hi-lo)
+}
 
-	for k := lo; k < hi; k++ {
-		so := ps.sOff + k - ps.tlo
-		if va.scale != nil {
-			blk.logs[k-lo] -= float64(va.scale[so]) * logScaleFactor
+// siteTailScalar is the scalar reference of the site tail: each of the
+// len(logs) log site likelihoods less its three views' rescaling counters
+// times logScaleFactor, in the order x, y, s, then multiplied by its
+// pattern's weight when w is not nil. A zero counter subtracts +0, which
+// returns the log's own bits, so a view without counters (a tip) passes
+// zeroScale.
+func siteTailScalar(logs []float64, sx, sy, ss []int32, w []int) {
+	for i := range logs {
+		l := logs[i]
+		l -= float64(sx[i]) * logScaleFactor
+		l -= float64(sy[i]) * logScaleFactor
+		l -= float64(ss[i]) * logScaleFactor
+		if w != nil {
+			l = float64(w[i]) * l
 		}
-		if vb.scale != nil {
-			blk.logs[k-lo] -= float64(vb.scale[so]) * logScaleFactor
-		}
+		logs[i] = l
 	}
 }
 
@@ -559,7 +596,7 @@ func (e *Engine) siteLLChunk(blk *workerScratch, ps *partState, lo, hi int) {
 	dst := e.jobDst
 	for b := lo; b < hi; b += logBlockLen {
 		end := min(b+logBlockLen, hi)
-		e.edgeLogSites(blk, ps, b, end)
+		e.edgeLogSites(blk, ps, b, end, nil)
 		for i, at := range ps.keep[b-ps.tlo : end-ps.tlo] {
 			dst[at] = blk.logs[i]
 		}
@@ -648,9 +685,9 @@ func (e *Engine) derivativesChunk(ps *partState, lo, hi int) (d1, d2 float64) {
 					continue
 				}
 				fa := freqs[s] * as
-				catL += fa * ((p[s*4]*vb0 + p[s*4+1]*vb1) + (p[s*4+2]*vb2 + p[s*4+3]*vb3))
-				catD1 += fa * ((pd1[s*4]*vb0 + pd1[s*4+1]*vb1) + (pd1[s*4+2]*vb2 + pd1[s*4+3]*vb3))
-				catD2 += fa * ((pd2[s*4]*vb0 + pd2[s*4+1]*vb1) + (pd2[s*4+2]*vb2 + pd2[s*4+3]*vb3))
+				catL += fa * ((p[s]*vb0 + p[4+s]*vb1) + (p[8+s]*vb2 + p[12+s]*vb3))
+				catD1 += fa * ((pd1[s]*vb0 + pd1[4+s]*vb1) + (pd1[8+s]*vb2 + pd1[12+s]*vb3))
+				catD2 += fa * ((pd2[s]*vb0 + pd2[4+s]*vb1) + (pd2[8+s]*vb2 + pd2[12+s]*vb3))
 			}
 			if e.isCAT {
 				siteL, siteD1, siteD2 = catL, catD1, catD2
@@ -689,14 +726,17 @@ func (e *Engine) branchDerivatives(a, slotA, b, slotB int, t float64) (d1, d2 fl
 }
 
 // fillDerivP fills pEval, pD1 and pD2 with every partition's matrices and
-// their first two derivatives at the job's branch length: the prep of
-// the JobMakenewz job.
+// their first two derivatives at the job's branch length, in the
+// engine's column layout: the prep of the JobMakenewz job.
 func (e *Engine) fillDerivP() {
 	e.ensureP()
 	for i := range e.parts {
 		ps := &e.parts[i]
-		for c := 0; c < ps.rates.NumCats(); c++ {
-			ps.model.PDeriv(e.jobT, ps.rates.Rates[c], &e.pEval[ps.pOff+c], &e.pD1[ps.pOff+c], &e.pD2[ps.pOff+c])
+		for c := ps.pOff; c < ps.pOff+ps.rates.NumCats(); c++ {
+			ps.model.PDeriv(e.jobT, ps.rates.Rates[c-ps.pOff], &e.pEval[c], &e.pD1[c], &e.pD2[c])
+			transpose4(&e.pEval[c])
+			transpose4(&e.pD1[c])
+			transpose4(&e.pD2[c])
 		}
 	}
 }

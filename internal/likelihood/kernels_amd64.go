@@ -12,8 +12,10 @@ import (
 // AVX2 kernel bindings. The assembly (kernels_amd64.s) implements the
 // kernel table's entries — the CAT and the nCat == 4 GAMMA newview
 // shapes, the makenewz setup and core reductions, the insertion-scan
-// join and the blocked logarithm — with the same pairwise-associated IEEE
-// operation sequence as the scalar references (no FMA contraction), so
+// join, the edge evaluation, the blocked logarithm and the site tail —
+// with the same pairwise-associated IEEE operation sequence as the
+// scalar references (no FMA contraction; every matrix product a
+// broadcast-column product over the engine's column-major matrices), so
 // the two paths produce bit-identical CLVs, scale counters, sumtables,
 // Newton partials, site likelihoods and logarithms;
 // kernels_equiv_test.go enforces that. The transition-matrix block and
@@ -56,6 +58,8 @@ var avx2Kernels = kernelTable{
 	pendant:       pendantAsm,
 	scanJoinCAT:   scanJoinCATAsm,
 	scanJoinGamma: scanJoinGammaAsm,
+	evaluate:      evaluateAsm,
+	siteTail:      siteTailAsm,
 	pBlock:        pBlockAsm,
 	expFactors:    expFactorsAsm,
 }
@@ -282,6 +286,8 @@ func mkzCoreCATAsm(tbl []float64, w, pcat []int, top int, wE, w1, w2 []float64) 
 	return d1, d2
 }
 
+// mkzSetupAsm hands the assembly the columns of right, whose product
+// with each b block it takes as a broadcast-column product.
 func mkzSetupAsm(dst, av []float64, as int, bv []float64, bs int, nCat int, left, right *[16]float64) {
 	n := len(dst) / (nCat * 4)
 	if n == 0 {
@@ -289,7 +295,9 @@ func mkzSetupAsm(dst, av []float64, as int, bv []float64, bs int, nCat int, left
 	}
 	ac, bc := catStep(as), catStep(bs)
 	_, _ = av[(n-1)*as+(nCat-1)*ac+3], bv[(n-1)*bs+(nCat-1)*bc+3]
-	mkzSetupAVX2(n, nCat, &dst[0], &av[0], as*8, ac*8, &bv[0], bs*8, bc*8, &left[0], &right[0])
+	cols := *right
+	transpose4(&cols)
+	mkzSetupAVX2(n, nCat, &dst[0], &av[0], as*8, ac*8, &bv[0], bs*8, bc*8, &left[0], &cols[0])
 }
 
 // logBlockAVX2 takes the logarithm of n lanes, n a positive multiple
@@ -316,10 +324,94 @@ func scanJoinAVX2(n int, out, x *float64, xs int, y *float64, ys int, p *float64
 //go:noescape
 func pendantAVX2(n int, out *float64, os int, s *float64, ss int, pm *[16]float64, pcat *int)
 
+// evaluateAVX2 is one rate-category pass of the edge evaluation over n
+// patterns, n a positive multiple of 4: out = (out +) prob·catL, with the
+// views' pattern strides as/bs in bytes and pattern k's matrix at
+// pm[pcat[k]]. Mode bit 0 accumulates into out, bit 1 clamps the sites.
+//
+//go:noescape
+func evaluateAVX2(n int, out, a *float64, as int, b *float64, bs int, pm *[16]float64, pcat *int, freqs *float64, prob float64, mode int)
+
+// siteTailAVX2 is the site tail over n lanes, n a positive multiple of 4;
+// w may be nil.
+//
+//go:noescape
+func siteTailAVX2(n int, logs *float64, sx, sy, ss *int32, w *int, lsf float64)
+
+// The mode bits of a category pass of the scan join and the evaluate
+// kernel: accumulate into the output block, and finish its sites.
 const (
-	scanJoinAccumulate = 1 << iota
-	scanJoinFinish
+	passAccumulate = 1 << iota
+	passFinish
 )
+
+// passMode is the mode of category pass c of nCat: every pass after the
+// first accumulates, the last finishes.
+func passMode(c, nCat int) int {
+	mode := 0
+	if c > 0 {
+		mode |= passAccumulate
+	}
+	if c == nCat-1 {
+		mode |= passFinish
+	}
+	return mode
+}
+
+// evaluateAsm runs whole 4-pattern groups through the assembly — one
+// pass under CAT at probability 1 (an exact multiplication), one pass per
+// category under GAMMA — and the 1..3 trailing patterns through the
+// scalar reference, which computes each pattern's bits on its own. At
+// most logBlockLen patterns per call.
+func evaluateAsm(out, av []float64, as int, bv []float64, bs int, pm [][16]float64, pcat []int, top int, freqs *[4]float64, probs []float64) {
+	n := len(out)
+	n4 := n &^ 3
+	if n4 > 0 {
+		ac, bc := catStep(as), catStep(bs)
+		if pcat != nil { // CAT: one category per pattern
+			_, _ = av[(n4-1)*as+3], bv[(n4-1)*bs+3]
+			_, _ = pcat[n4-1], pm[top]
+			evaluateAVX2(n4, &out[0], &av[0], as*8, &bv[0], bs*8, &pm[0], &pcat[0], &freqs[0], 1, passFinish)
+		} else {
+			nCat := len(probs)
+			_, _ = av[(n4-1)*as+(nCat-1)*ac+3], bv[(n4-1)*bs+(nCat-1)*bc+3]
+			_, _ = pm[nCat-1], zeroCats[n4-1]
+			for c, pr := range probs {
+				evaluateAVX2(n4, &out[0], &av[c*ac], as*8, &bv[c*bc], bs*8, &pm[c], &zeroCats[0], &freqs[0], pr, passMode(c, nCat))
+			}
+		}
+	}
+	if n4 < n {
+		var tail []int
+		if pcat != nil {
+			tail = pcat[n4:]
+		}
+		evaluateScalar(out[n4:], av[n4*as:], as, bv[n4*bs:], bs, pm, tail, top, freqs, probs)
+	}
+}
+
+// siteTailAsm runs whole 4-lane groups through the assembly and the 1..3
+// trailing lanes through the scalar reference.
+func siteTailAsm(logs []float64, sx, sy, ss []int32, w []int) {
+	n := len(logs)
+	n4 := n &^ 3
+	if n4 > 0 {
+		_, _, _ = sx[n4-1], sy[n4-1], ss[n4-1]
+		var wp *int
+		if w != nil {
+			_ = w[n4-1]
+			wp = &w[0]
+		}
+		siteTailAVX2(n4, &logs[0], &sx[0], &sy[0], &ss[0], wp, logScaleFactor)
+	}
+	if n4 < n {
+		var tail []int
+		if w != nil {
+			tail = w[n4:]
+		}
+		siteTailScalar(logs[n4:], sx[n4:], sy[n4:], ss[n4:], tail)
+	}
+}
 
 // logBlockAsm pads the block to whole 4-lane vectors with ones (src is
 // scratch; the block arrays always have the room), runs the assembly,
@@ -365,39 +457,23 @@ func pendantAsm(out, sv []float64, ss int, pPend [][16]float64, pcat []int, top 
 	}
 }
 
-// scanJoinCATAsm runs the block through the assembly in one finishing
-// pass at probability 1 (an exact multiplication): whole 4-pattern
-// groups in place, the 1..3 trailing patterns as one more group copied
-// into scratch and padded with zero-weight lanes, which the pass
-// overwrites with 1 and the copy back drops.
+// scanJoinCATAsm runs whole 4-pattern groups through the assembly in
+// one finishing pass at probability 1 (an exact multiplication) and the
+// 1..3 trailing patterns through the scalar reference, which computes
+// each pattern's bits on its own.
 func scanJoinCATAsm(out, xv, yv, pv []float64, pcat []int, top int, pHalf [][16]float64, freqs *[4]float64, w []int) {
 	n := len(w)
-	if n == 0 {
-		return
-	}
-	// Hoist every bound the assembly relies on; pHalf[top] covers the
-	// matrix indices, which it follows unchecked.
-	_, _, _, _ = out[n-1], xv[n*4-1], yv[n*4-1], pv[n*4-1]
-	_, _ = pcat[n-1], pHalf[top]
 	n4 := n &^ 3
 	if n4 > 0 {
+		// Hoist every bound the assembly relies on; pHalf[top] covers the
+		// matrix indices, which it follows unchecked.
+		_, _, _, _ = out[n4-1], xv[n4*4-1], yv[n4*4-1], pv[n4*4-1]
+		_, _ = pcat[n4-1], pHalf[top]
 		scanJoinAVX2(n4, &out[0], &xv[0], 32, &yv[0], 32, &pv[0], 32,
-			&pHalf[0], &pcat[0], &freqs[0], 1, &w[0], scanJoinFinish)
+			&pHalf[0], &pcat[0], &freqs[0], 1, &w[0], passFinish)
 	}
 	if n4 < n {
-		var (
-			px, py, pp [16]float64
-			po         [4]float64
-			pc, pw     [4]int
-		)
-		copy(px[:], xv[n4*4:n*4])
-		copy(py[:], yv[n4*4:n*4])
-		copy(pp[:], pv[n4*4:n*4])
-		copy(pc[:], pcat[n4:n])
-		copy(pw[:], w[n4:])
-		scanJoinAVX2(4, &po[0], &px[0], 32, &py[0], 32, &pp[0], 32,
-			&pHalf[0], &pc[0], &freqs[0], 1, &pw[0], scanJoinFinish)
-		copy(out[n4:], po[:n-n4])
+		scanJoinCATScalar(out[n4:], xv[n4*4:], yv[n4*4:], pv[n4*4:], pcat[n4:], top, pHalf, freqs, w[n4:])
 	}
 }
 
@@ -405,60 +481,32 @@ func scanJoinCATAsm(out, xv, yv, pv []float64, pcat []int, top int, pHalf [][16]
 // pattern uses the pass's own category matrix.
 var zeroCats [logBlockLen]int
 
-// scanJoinGammaAsm runs the nCat == 4 join through scanJoinGamma4: whole
-// 4-pattern groups in place, the trailing patterns as one padded group
-// in scratch (as scanJoinCATAsm). Other category counts take the scalar
-// reference. At most logBlockLen patterns per call.
+// scanJoinGammaAsm runs the whole 4-pattern groups of an nCat == 4 join
+// through the assembly, one pass per rate category: category c reads
+// each view at +c blocks (inner CLV, category step xc/yc = 4 floats) or
+// in place (tip, step 0), the pendant products at +c blocks and matrix
+// pHalf[c], accumulates probs[c]·catL into out in category order, and the
+// last pass finishes the sites. The 1..3 trailing patterns, and every
+// pattern of another category count, take the scalar reference. At most
+// logBlockLen patterns per call.
 func scanJoinGammaAsm(out, xv []float64, xs int, yv []float64, ys int, pv []float64, pHalf [][16]float64, freqs *[4]float64, probs []float64, w []int) {
 	n := len(w)
-	if len(probs) != 4 {
-		scanJoinGammaScalar(out, xv, xs, yv, ys, pv, pHalf, freqs, probs, w)
-		return
-	}
-	if n == 0 {
-		return
-	}
-	xc, yc := catStep(xs), catStep(ys)
-	_, _, _ = out[n-1], pHalf[3], pv[n*16-1]
-	_, _ = xv[(n-1)*xs+3*xc+3], yv[(n-1)*ys+3*yc+3]
-	_ = zeroCats[n-1]
 	n4 := n &^ 3
+	if len(probs) != 4 {
+		n4 = 0
+	}
 	if n4 > 0 {
-		scanJoinGamma4(n4, out, xv, xs, xc, yv, ys, yc, pv, pHalf, freqs, probs, w)
+		xc, yc := catStep(xs), catStep(ys)
+		_, _, _ = out[n4-1], pHalf[3], pv[n4*16-1]
+		_, _ = xv[(n4-1)*xs+3*xc+3], yv[(n4-1)*ys+3*yc+3]
+		_ = zeroCats[n4-1]
+		for c := 0; c < 4; c++ {
+			scanJoinAVX2(n4, &out[0], &xv[c*xc], xs*8, &yv[c*yc], ys*8, &pv[c*4], 128,
+				&pHalf[c], &zeroCats[0], &freqs[0], probs[c], &w[0], passMode(c, 4))
+		}
 	}
 	if n4 < n {
-		var (
-			px, py, pp [64]float64
-			po         [4]float64
-			pw         [4]int
-		)
-		copy(px[:], xv[n4*xs:])
-		copy(py[:], yv[n4*ys:])
-		copy(pp[:], pv[n4*16:])
-		copy(pw[:], w[n4:])
-		scanJoinGamma4(4, po[:], px[:], xs, xc, py[:], ys, yc, pp[:], pHalf, freqs, probs, pw[:])
-		copy(out[n4:], po[:n-n4])
-	}
-}
-
-// scanJoinGamma4 is the nCat == 4 join over the first n patterns of its
-// arguments, n a positive multiple of 4, as four assembly passes, one
-// per rate category: category c reads each view at +c blocks (inner
-// CLV, category step xc/yc = 4 floats) or in place (tip, step 0), the
-// pendant products at +c blocks and matrix pHalf[c], accumulates
-// probs[c]·catL into out in category order, and the last pass finishes
-// the sites. The caller has checked every bound.
-func scanJoinGamma4(n int, out, xv []float64, xs, xc int, yv []float64, ys, yc int, pv []float64, pHalf [][16]float64, freqs *[4]float64, probs []float64, w []int) {
-	for c := 0; c < 4; c++ {
-		mode := 0
-		if c > 0 {
-			mode |= scanJoinAccumulate
-		}
-		if c == 3 {
-			mode |= scanJoinFinish
-		}
-		scanJoinAVX2(n, &out[0], &xv[c*xc], xs*8, &yv[c*yc], ys*8, &pv[c*4], 128,
-			&pHalf[c], &zeroCats[0], &freqs[0], probs[c], &w[0], mode)
+		scanJoinGammaScalar(out[n4:], xv[n4*xs:], xs, yv[n4*ys:], ys, pv[n4*len(probs)*4:], pHalf, freqs, probs, w[n4:])
 	}
 }
 
@@ -482,7 +530,8 @@ func expBlockAVX2(n int, dst, src *float64, fma bool) (special int)
 // pBlockAsm runs the categories through the assembly, and each category
 // the assembly stops at — an exponential that would underflow to a
 // subnormal or zero, overflow, or is not finite — through gtr.Model.P,
-// whose math.Exp takes the exit the assembly left out.
+// whose math.Exp takes the exit the assembly left out, transposed into
+// the column layout the assembly writes.
 func pBlockAsm(m *gtr.Model, t float64, rates []float64, dst [][16]float64) {
 	n := len(rates)
 	if n == 0 {
@@ -494,6 +543,7 @@ func pBlockAsm(m *gtr.Model, t float64, rates []float64, dst [][16]float64) {
 		c += pBlockAVX2(n-c, t, &rates[c], &dst[c], eig, mathFMA)
 		if c < n {
 			m.P(t, rates[c], &dst[c])
+			transpose4(&dst[c])
 		}
 	}
 }

@@ -4,11 +4,16 @@
 
 // AVX2 implementations of the kernel table's entries (see
 // kernels_dispatch.go and docs/kernels.md). All are written to be
-// bit-identical to their scalar references: every 4-term dot product is
-// a VMULPD followed by the VHADDPD / VPERM2F128 / VBLENDPD / VADDPD
-// combine — the same pairwise association the scalar code spells out —
-// and no FMA contraction is used anywhere, so scalar and asm round
-// identically at every step.
+// bit-identical to their scalar references. Every transition matrix the
+// engine hands a kernel is column-major (P[j*4+s] = P(j|s)), so a product
+// P·x is four VBROADCASTSD of x, four VMULPD against the columns and
+// three VADDPD, (x0·col0 + x1·col1) + (x2·col2 + x3·col3): lane s is the
+// pairwise sum (P[s][0]x0 + P[s][1]x1) + (P[s][2]x2 + P[s][3]x3) the
+// scalar references spell out, with no shuffle at all. No FMA
+// contraction is used outside the exponentials of pBlock and expFactors
+// (which follow math.Exp), so scalar and asm round identically at every
+// step. The makenewz core's per-pattern 16-term reductions keep their
+// horizontal adds.
 
 // scaleThresh = 1e-256, scaleFact = 1e256 (engine.go constants),
 // one = 1.0, tiny = math.SmallestNonzeroFloat64.
@@ -40,32 +45,59 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// matvec4(matrix at mbase, lane vector in Y0) -> dot vector in Ydst.
-// t_r = P[r] .* c (VMULPD); h01 = [t0lo t1lo t0hi t1hi],
-// h23 = [t2lo t3lo t2hi t3hi] (VHADDPD); perm = [t0hi t1hi t2lo t3lo],
-// blend = [t0lo t1lo t2hi t3hi]; dst = perm + blend = row dots.
-#define MATVEC4(mbase, moff, dst) \
-	VMULPD  moff+0(mbase), Y0, Y1  \
-	VMULPD  moff+32(mbase), Y0, Y2 \
-	VMULPD  moff+64(mbase), Y0, Y3 \
-	VMULPD  moff+96(mbase), Y0, Y4 \
-	VHADDPD Y2, Y1, Y5             \
-	VHADDPD Y4, Y3, Y6             \
-	VPERM2F128 $0x21, Y6, Y5, Y7   \
-	VBLENDPD $12, Y6, Y5, Y8       \
-	VADDPD  Y8, Y7, dst
+// COLPROD: dst = P·x for the column-major matrix at moff(mb) and the
+// 4-lane vector at xoff(xb): x_j broadcast against column j, summed
+// (x0·col0 + x1·col1) + (x2·col2 + x3·col3). t1, t2 are clobbered.
+#define COLPROD(xoff, xb, moff, mb, dst, t1, t2) \
+	VBROADCASTSD xoff+0(xb), dst   \
+	VMULPD       moff+0(mb), dst, dst \
+	VBROADCASTSD xoff+8(xb), t1    \
+	VMULPD       moff+32(mb), t1, t1 \
+	VADDPD       t1, dst, dst      \
+	VBROADCASTSD xoff+16(xb), t1   \
+	VMULPD       moff+64(mb), t1, t1 \
+	VBROADCASTSD xoff+24(xb), t2   \
+	VMULPD       moff+96(mb), t2, t2 \
+	VADDPD       t2, t1, t1        \
+	VADDPD       t1, dst, dst
+
+// The GAMMA newview kernels: GammaCats 4-lane blocks per pattern. The
+// rescale decision is the scalar chain's — all 16 lanes below
+// scaleThreshold — as a running AND in Y12 of each block's VCMPPD $1
+// (less-than, ordered: a NaN lane is never small) against the broadcast
+// threshold in Y15; GRESCALE then multiplies the stored block by 1e256
+// (Y13) and counts when the mask is full.
+
+// GSMALL folds the lanes of v below the threshold into Y12.
+#define GSMALL(v) \
+	VCMPPD $1, Y15, v, Y14 \
+	VANDPD Y14, Y12, Y12
+
+// GRESCALE: when every lane of the pattern at DI was small, multiply its
+// 16 lanes by 1e256 and add one to cnt; tmp is a scratch register.
+#define GRESCALE(tmp, cnt, skip) \
+	VMOVMSKPD Y12, tmp     \
+	CMPL    tmp, $15       \
+	JNE     skip           \
+	VMULPD  0(DI), Y13, Y0 \
+	VMOVUPD Y0, 0(DI)      \
+	VMULPD  32(DI), Y13, Y0 \
+	VMOVUPD Y0, 32(DI)     \
+	VMULPD  64(DI), Y13, Y0 \
+	VMOVUPD Y0, 64(DI)     \
+	VMULPD  96(DI), Y13, Y0 \
+	VMOVUPD Y0, 96(DI)     \
+	INCL    cnt
 
 // One GAMMA category of the inner×inner newview: lane block c of the
 // left/right child CLVs through matrices c of pL/pR, product stored to
-// dst, running max in Y12.
+// dst and folded into the rescale mask.
 #define NVCAT(c) \
-	VMOVUPD (c*32)(SI), Y0   \
-	MATVEC4(R8, c*128, Y9)   \
-	VMOVUPD (c*32)(DX), Y0   \
-	MATVEC4(R9, c*128, Y10)  \
+	COLPROD(c*32, SI, c*128, R8, Y9, Y1, Y2)  \
+	COLPROD(c*32, DX, c*128, R9, Y10, Y3, Y4) \
 	VMULPD  Y10, Y9, Y11     \
 	VMOVUPD Y11, (c*32)(DI)  \
-	VMAXPD  Y11, Y12, Y12
+	GSMALL(Y11)
 
 // func newviewII4AVX2(n int, dst, lv, rv *float64, pL, pR *[16]float64, lsc, rsc, dsc *int32)
 TEXT ·newviewII4AVX2(SB), NOSPLIT, $0-72
@@ -79,10 +111,10 @@ TEXT ·newviewII4AVX2(SB), NOSPLIT, $0-72
 	MOVQ rsc+56(FP), R11
 	MOVQ dsc+64(FP), R12
 	VBROADCASTSD scaleFact<>(SB), Y13
-	VMOVSD scaleThresh<>(SB), X15
+	VBROADCASTSD scaleThresh<>(SB), Y15
 
 nvloop:
-	VXORPD Y12, Y12, Y12
+	VPCMPEQQ Y12, Y12, Y12
 	NVCAT(0)
 	NVCAT(1)
 	NVCAT(2)
@@ -91,25 +123,7 @@ nvloop:
 	// dsc = lsc + rsc (+1 on rescale)
 	MOVL (R10), AX
 	ADDL (R11), AX
-
-	// horizontal max of the 16 lanes, compare against the threshold
-	VEXTRACTF128 $1, Y12, X0
-	VMAXPD X0, X12, X1
-	VPERMILPD $1, X1, X2
-	VMAXSD X2, X1, X1
-	VUCOMISD X15, X1
-	JAE nvstore
-
-	// rare path: every lane below threshold, multiply block by 1e256
-	VMULPD 0(DI), Y13, Y0
-	VMOVUPD Y0, 0(DI)
-	VMULPD 32(DI), Y13, Y0
-	VMOVUPD Y0, 32(DI)
-	VMULPD 64(DI), Y13, Y0
-	VMOVUPD Y0, 64(DI)
-	VMULPD 96(DI), Y13, Y0
-	VMOVUPD Y0, 96(DI)
-	INCL AX
+	GRESCALE(BX, AX, nvstore)
 
 nvstore:
 	MOVL AX, (R12)
@@ -124,6 +138,15 @@ nvstore:
 	VZEROUPPER
 	RET
 
+// One GAMMA category of the tip×tip newview: lane block c of both
+// children's lookup blocks (bases SI + AX and DX + BX), their product
+// stored and folded into the rescale mask.
+#define TTCAT4(c) \
+	VMOVUPD (c*32)(SI)(AX*1), Y0    \
+	VMULPD  (c*32)(DX)(BX*1), Y0, Y1 \
+	VMOVUPD Y1, (c*32)(DI)          \
+	GSMALL(Y1)
+
 // func newviewTT4AVX2(n int, dst *float64, codesL, codesR *msa.State, lutL, lutR *float64, dsc *int32)
 TEXT ·newviewTT4AVX2(SB), NOSPLIT, $0-56
 	MOVQ n+0(FP), CX
@@ -134,7 +157,7 @@ TEXT ·newviewTT4AVX2(SB), NOSPLIT, $0-56
 	MOVQ lutR+40(FP), DX
 	MOVQ dsc+48(FP), R12
 	VBROADCASTSD scaleFact<>(SB), Y13
-	VMOVSD scaleThresh<>(SB), X15
+	VBROADCASTSD scaleThresh<>(SB), Y15
 
 tt4loop:
 	// code block offsets: state * 16 lanes * 8 bytes
@@ -142,41 +165,14 @@ tt4loop:
 	SHLQ $7, AX
 	MOVBLZX (R9), BX
 	SHLQ $7, BX
-	VXORPD Y12, Y12, Y12
-	VMOVUPD (SI)(AX*1), Y0
-	VMULPD  (DX)(BX*1), Y0, Y1
-	VMOVUPD Y1, (DI)
-	VMAXPD  Y1, Y12, Y12
-	VMOVUPD 32(SI)(AX*1), Y0
-	VMULPD  32(DX)(BX*1), Y0, Y1
-	VMOVUPD Y1, 32(DI)
-	VMAXPD  Y1, Y12, Y12
-	VMOVUPD 64(SI)(AX*1), Y0
-	VMULPD  64(DX)(BX*1), Y0, Y1
-	VMOVUPD Y1, 64(DI)
-	VMAXPD  Y1, Y12, Y12
-	VMOVUPD 96(SI)(AX*1), Y0
-	VMULPD  96(DX)(BX*1), Y0, Y1
-	VMOVUPD Y1, 96(DI)
-	VMAXPD  Y1, Y12, Y12
+	VPCMPEQQ Y12, Y12, Y12
+	TTCAT4(0)
+	TTCAT4(1)
+	TTCAT4(2)
+	TTCAT4(3)
 
 	XORL R13, R13
-	VEXTRACTF128 $1, Y12, X0
-	VMAXPD X0, X12, X1
-	VPERMILPD $1, X1, X2
-	VMAXSD X2, X1, X1
-	VUCOMISD X15, X1
-	JAE tt4store
-
-	VMULPD 0(DI), Y13, Y0
-	VMOVUPD Y0, 0(DI)
-	VMULPD 32(DI), Y13, Y0
-	VMOVUPD Y0, 32(DI)
-	VMULPD 64(DI), Y13, Y0
-	VMOVUPD Y0, 64(DI)
-	VMULPD 96(DI), Y13, Y0
-	VMOVUPD Y0, 96(DI)
-	MOVL $1, R13
+	GRESCALE(AX, R13, tt4store)
 
 tt4store:
 	MOVL R13, (R12)
@@ -191,13 +187,13 @@ tt4store:
 
 // One GAMMA category of the tip×inner newview: the inner child's lane
 // block through matrix c of pm, scaled elementwise by the tip's lookup
-// block (base SI + code offset AX), running max in Y12.
+// block (base SI + code offset AX), stored and folded into the rescale
+// mask.
 #define TICAT(c) \
-	VMOVUPD (c*32)(DX), Y0          \
-	MATVEC4(R9, c*128, Y9)          \
+	COLPROD(c*32, DX, c*128, R9, Y9, Y1, Y2) \
 	VMULPD  (c*32)(SI)(AX*1), Y9, Y11 \
 	VMOVUPD Y11, (c*32)(DI)         \
-	VMAXPD  Y11, Y12, Y12
+	GSMALL(Y11)
 
 // func newviewTI4AVX2(n int, dst *float64, codes *msa.State, lut, iv *float64, pm *[16]float64, isc, dsc *int32)
 TEXT ·newviewTI4AVX2(SB), NOSPLIT, $0-64
@@ -210,34 +206,19 @@ TEXT ·newviewTI4AVX2(SB), NOSPLIT, $0-64
 	MOVQ isc+48(FP), R10
 	MOVQ dsc+56(FP), R12
 	VBROADCASTSD scaleFact<>(SB), Y13
-	VMOVSD scaleThresh<>(SB), X15
+	VBROADCASTSD scaleThresh<>(SB), Y15
 
 ti4loop:
 	MOVBLZX (R8), AX
 	SHLQ $7, AX
-	VXORPD Y12, Y12, Y12
+	VPCMPEQQ Y12, Y12, Y12
 	TICAT(0)
 	TICAT(1)
 	TICAT(2)
 	TICAT(3)
 
 	MOVL (R10), BX
-	VEXTRACTF128 $1, Y12, X0
-	VMAXPD X0, X12, X1
-	VPERMILPD $1, X1, X2
-	VMAXSD X2, X1, X1
-	VUCOMISD X15, X1
-	JAE ti4store
-
-	VMULPD 0(DI), Y13, Y0
-	VMOVUPD Y0, 0(DI)
-	VMULPD 32(DI), Y13, Y0
-	VMOVUPD Y0, 32(DI)
-	VMULPD 64(DI), Y13, Y0
-	VMOVUPD Y0, 64(DI)
-	VMULPD 96(DI), Y13, Y0
-	VMOVUPD Y0, 96(DI)
-	INCL BX
+	GRESCALE(AX, BX, ti4store)
 
 ti4store:
 	MOVL BX, (R12)
@@ -289,8 +270,9 @@ mkzloop:
 	VMOVUPD 96(SI), Y3
 
 	MKZDOT(0, X14)   // siteL
-	VUCOMISD tiny<>(SB), X14
-	JB mkznext       // siteL < SmallestNonzeroFloat64: dead pattern
+	VMOVSD   tiny<>(SB), X10
+	VUCOMISD X14, X10
+	JA mkznext       // siteL < SmallestNonzeroFloat64, ordered: dead pattern
 
 	MKZDOT(128, X15) // siteD1
 	MKZDOT(256, X11) // siteD2
@@ -422,19 +404,6 @@ logloop:
 	VZEROUPPER
 	RET
 
-// SJMATVEC: Y0 = 4-lane vector, matrix at mb + AX -> row dots in dst.
-// MATVEC4 with three temporaries (Y1..Y3), same operation tree.
-#define SJMATVEC(mb, dst) \
-	VMULPD  0(mb)(AX*1), Y0, Y1  \
-	VMULPD  32(mb)(AX*1), Y0, Y2 \
-	VHADDPD Y2, Y1, Y1           \
-	VMULPD  64(mb)(AX*1), Y0, Y2 \
-	VMULPD  96(mb)(AX*1), Y0, Y3 \
-	VHADDPD Y3, Y2, Y2           \
-	VPERM2F128 $0x21, Y2, Y1, Y3 \
-	VBLENDPD $12, Y2, Y1, Y1     \
-	VADDPD  Y1, Y3, dst
-
 // SJPAT: one pattern of the scan join. The x and y lane blocks go
 // through matrix pcat[k] of pHalf (R8); the subtree's factor is the
 // pattern's pendant product block at BX, computed once per prune;
@@ -444,13 +413,12 @@ logloop:
 	MOVQ    (R13), AX  \
 	ADDQ    $8, R13    \
 	SHLQ    $7, AX     \
-	VMOVUPD (SI), Y0   \
+	ADDQ    R8, AX     \
+	COLPROD(0, SI, 0, AX, Y4, Y1, Y2) \
 	ADDQ    R10, SI    \
-	SJMATVEC(R8, Y4)   \
 	VMULPD  Y4, Y15, Y4 \
-	VMOVUPD (DX), Y0   \
+	COLPROD(0, DX, 0, AX, Y5, Y1, Y2) \
 	ADDQ    R11, DX    \
-	SJMATVEC(R8, Y5)   \
 	VMULPD  Y5, Y4, Y4 \
 	VMULPD  (BX), Y4, t \
 	ADDQ    R12, BX
@@ -525,11 +493,141 @@ sjstore:
 	VZEROUPPER
 	RET
 
+// EVPAT: one pattern of an evaluate pass. The b block goes through
+// matrix pcat[k] of pm (R8); t = (freqs*a)*dot holds the four state
+// terms, with -0.0 — which leaves any sum's bits alone — in the lanes
+// whose a is zero, the reference's skipped states. Advances the view
+// and pcat pointers.
+#define EVPAT(t) \
+	MOVQ    (R13), AX  \
+	ADDQ    $8, R13    \
+	SHLQ    $7, AX     \
+	ADDQ    R8, AX     \
+	COLPROD(0, DX, 0, AX, Y4, Y1, Y2) \
+	ADDQ    R11, DX    \
+	VMOVUPD (SI), Y5   \
+	ADDQ    R10, SI    \
+	VMULPD  Y5, Y15, Y6 \
+	VMULPD  Y4, Y6, Y6 \
+	VXORPD  Y7, Y7, Y7 \
+	VCMPPD  $0, Y7, Y5, Y7 \
+	VBLENDVPD Y7, Y12, Y6, t
+
+// func evaluateAVX2(n int, out, a *float64, as int, b *float64, bs int, pm *[16]float64, pcat *int, freqs *float64, prob float64, mode int)
+//
+// One rate-category pass of the edge evaluation over n patterns, n a
+// positive multiple of 4; as/bs are the views' pattern strides in bytes.
+// Four patterns' state terms are transposed so that the in-order state
+// sum (((0+t0)+t1)+t2)+t3 of the scalar reference runs vertically, then
+// out = 0 + prob*catL (mode bit 0 clear) or out + prob*catL (set). Mode
+// bit 1 marks the last pass: clamp to SmallestNonzeroFloat64, NaN passing
+// through.
+TEXT ·evaluateAVX2(SB), NOSPLIT, $0-88
+	MOVQ n+0(FP), CX
+	MOVQ out+8(FP), DI
+	MOVQ a+16(FP), SI
+	MOVQ as+24(FP), R10
+	MOVQ b+32(FP), DX
+	MOVQ bs+40(FP), R11
+	MOVQ pm+48(FP), R8
+	MOVQ pcat+56(FP), R13
+	MOVQ freqs+64(FP), AX
+	VMOVUPD (AX), Y15
+	VBROADCASTSD prob+72(FP), Y14
+	VBROADCASTSD tiny<>(SB), Y13
+	VBROADCASTSD negZero<>(SB), Y12
+	MOVQ mode+80(FP), R9
+
+evquad:
+	EVPAT(Y8)
+	EVPAT(Y9)
+	EVPAT(Y10)
+	EVPAT(Y11)
+
+	// transpose: Y8..Y11 = state s of the four patterns
+	VUNPCKLPD  Y9, Y8, Y0
+	VUNPCKHPD  Y9, Y8, Y1
+	VUNPCKLPD  Y11, Y10, Y2
+	VUNPCKHPD  Y11, Y10, Y3
+	VPERM2F128 $0x20, Y2, Y0, Y8
+	VPERM2F128 $0x20, Y3, Y1, Y9
+	VPERM2F128 $0x31, Y2, Y0, Y10
+	VPERM2F128 $0x31, Y3, Y1, Y11
+	VXORPD Y0, Y0, Y0
+	VADDPD Y8, Y0, Y1
+	VADDPD Y9, Y1, Y1
+	VADDPD Y10, Y1, Y1
+	VADDPD Y11, Y1, Y1
+	VMULPD Y14, Y1, Y1
+
+	TESTQ $1, R9
+	JEQ   evfirst
+	VMOVUPD (DI), Y0
+
+evfirst:
+	VADDPD Y1, Y0, Y0
+	TESTQ  $2, R9
+	JEQ    evstore
+	VMAXPD Y0, Y13, Y0 // a NaN site is the second source: it passes
+
+evstore:
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JNZ  evquad
+	VZEROUPPER
+	RET
+
+// func siteTailAVX2(n int, logs *float64, sx, sy, ss *int32, w *int, lsf float64)
+//
+// The site tail over n lanes, n a positive multiple of 4: logs[i] =
+// ((logs[i] - sx[i]*lsf) - sy[i]*lsf) - ss[i]*lsf, then times w[i] when w
+// is not nil. Counters convert exactly (VCVTDQ2PD); weights through the
+// 2^52+2^51 magic number, exact below 2^51.
+TEXT ·siteTailAVX2(SB), NOSPLIT, $0-56
+	MOVQ n+0(FP), CX
+	MOVQ logs+8(FP), DI
+	MOVQ sx+16(FP), R8
+	MOVQ sy+24(FP), R9
+	MOVQ ss+32(FP), R10
+	MOVQ w+40(FP), R11
+	VBROADCASTSD lsf+48(FP), Y15
+
+tailloop:
+	VMOVUPD   (DI), Y0
+	VCVTDQ2PD (R8), Y1
+	VMULPD    Y15, Y1, Y1
+	VSUBPD    Y1, Y0, Y0
+	VCVTDQ2PD (R9), Y1
+	VMULPD    Y15, Y1, Y1
+	VSUBPD    Y1, Y0, Y0
+	VCVTDQ2PD (R10), Y1
+	VMULPD    Y15, Y1, Y1
+	VSUBPD    Y1, Y0, Y0
+	TESTQ     R11, R11
+	JEQ       tailstore
+	VMOVDQU   (R11), Y1
+	VPADDQ    logMagic<>(SB), Y1, Y1
+	VSUBPD    logMagic<>(SB), Y1, Y1
+	VMULPD    Y0, Y1, Y0
+	ADDQ      $32, R11
+
+tailstore:
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $16, R8
+	ADDQ $16, R9
+	ADDQ $16, R10
+	SUBQ $4, CX
+	JNZ  tailloop
+	VZEROUPPER
+	RET
+
 // The CAT newview kernels: one 4-lane block per pattern, pattern k using
 // matrix pcat[k] (128-byte stride) of each inner child's matrix block and
 // the lookup-table block (code*npc + pcat[k]) (32-byte stride) of each tip
-// child. Row dots go through SJMATVEC — the MATVEC4 operation tree with
-// an indexed matrix base. The rescale test is VCMPPD $1 (less-than,
+// child. Products go through COLPROD at the pattern's matrix address. The
+// rescale test is VCMPPD $1 (less-than,
 // ordered) against the broadcast threshold plus VMOVMSKPD == 15: all four
 // lanes below scaleThreshold, false for any NaN lane — exactly the scalar
 // v0 < th && v1 < th && v2 < th && v3 < th — and the x1e256 is applied in
@@ -563,10 +661,10 @@ TEXT ·newviewIICATAVX2(SB), NOSPLIT, $0-80
 iicatloop:
 	MOVQ    (R13), AX
 	SHLQ    $7, AX
-	VMOVUPD (SI), Y0
-	SJMATVEC(R8, Y4)
-	VMOVUPD (DX), Y0
-	SJMATVEC(R9, Y5)
+	LEAQ    (R8)(AX*1), R14
+	ADDQ    R9, AX
+	COLPROD(0, SI, 0, R14, Y4, Y1, Y2)
+	COLPROD(0, DX, 0, AX, Y5, Y1, Y2)
 	VMULPD  Y5, Y4, Y4
 	MOVL    (R10), BX
 	ADDL    (R11), BX
@@ -603,15 +701,15 @@ TEXT ·newviewTICATAVX2(SB), NOSPLIT, $0-80
 	VBROADCASTSD scaleThresh<>(SB), Y15
 
 ticatloop:
-	// table block offset (code*npc + pc)*32, matrix offset pc*128
+	// table block offset (code*npc + pc)*32, matrix at pm + pc*128
 	MOVQ    (R13), AX
 	MOVBLZX (R8), BX
 	IMULQ   R11, BX
 	ADDQ    AX, BX
 	SHLQ    $5, BX
 	SHLQ    $7, AX
-	VMOVUPD (DX), Y0
-	SJMATVEC(R9, Y4)
+	ADDQ    R9, AX
+	COLPROD(0, DX, 0, AX, Y4, Y1, Y2)
 	VMULPD  (SI)(BX*1), Y4, Y4
 	MOVL    (R10), BX
 	CATRESCALE(BX, ticatstore)
@@ -677,8 +775,8 @@ GLOBL negZero<>(SB), RODATA, $8
 
 // MKZCATDOT: the four patterns' sumtable blocks in Y0..Y3, their factor
 // blocks at fb + AX/BX/DX/DI -> dst = the four 4-term dots, lane p the
-// (a0+a1)+(a2+a3) sum of pattern p — MATVEC4's reduction tree with a
-// different multiplier per row.
+// (a0+a1)+(a2+a3) sum of pattern p: a per-pattern reduction, one row per
+// pattern, through horizontal adds.
 #define MKZCATDOT(fb, dst) \
 	VMULPD  (fb)(AX*1), Y0, Y4   \
 	VMULPD  (fb)(BX*1), Y1, Y5   \
@@ -781,10 +879,11 @@ mkzcatquad:
 // The makenewz setup projection over n patterns of nCat categories;
 // aStep/bStep are the views' pattern strides and aCat/bCat their category
 // strides, all in bytes (a tip has category stride 0). The two bases stay
-// in registers: the rows of left in Y8..Y11, of right in Y12..Y15. Per
-// block lz = (L0*a0 + L1*a1) + (L2*a2 + L3*a3) with a_s broadcast — lane
-// k is the reference's sum over the rows of left — rz is MATVEC4 over the
-// rows of right, and the block stored is lz * rz.
+// in registers: the rows of left in Y8..Y11, the columns of right (the
+// wrapper transposes it) in Y12..Y15. Per block lz = (L0*a0 + L1*a1) +
+// (L2*a2 + L3*a3) with a_s broadcast — lane k is the reference's sum over
+// the rows of left — rz is the same broadcast-column product over b, and
+// the block stored is lz * rz.
 TEXT ·mkzSetupAVX2(SB), NOSPLIT, $0-88
 	MOVQ n+0(FP), CX
 	MOVQ dst+16(FP), DI
@@ -820,16 +919,17 @@ mkzsetcat:
 	VMULPD  Y11, Y2, Y2
 	VADDPD  Y2, Y1, Y1
 	VADDPD  Y1, Y0, Y0           // lz
-	VMOVUPD (R9), Y1
-	VMULPD  Y12, Y1, Y2
-	VMULPD  Y13, Y1, Y3
-	VHADDPD Y3, Y2, Y2
-	VMULPD  Y14, Y1, Y3
-	VMULPD  Y15, Y1, Y4
-	VHADDPD Y4, Y3, Y3
-	VPERM2F128 $0x21, Y3, Y2, Y4
-	VBLENDPD $12, Y3, Y2, Y2
-	VADDPD  Y2, Y4, Y1           // rz
+	VBROADCASTSD 0(R9), Y1
+	VMULPD  Y12, Y1, Y1
+	VBROADCASTSD 8(R9), Y2
+	VMULPD  Y13, Y2, Y2
+	VADDPD  Y2, Y1, Y1
+	VBROADCASTSD 16(R9), Y2
+	VMULPD  Y14, Y2, Y2
+	VBROADCASTSD 24(R9), Y3
+	VMULPD  Y15, Y3, Y3
+	VADDPD  Y3, Y2, Y2
+	VADDPD  Y2, Y1, Y1           // rz
 	VMULPD  Y1, Y0, Y0
 	VMOVUPD Y0, (DI)
 	ADDQ R10, R8
@@ -848,8 +948,8 @@ mkzsetcat:
 // func pendantAVX2(n int, out *float64, os int, s *float64, ss int, pm *[16]float64, pcat *int)
 //
 // The pendant product of an insertion scan: out[k] = pm[pcat[k]] . s[k]
-// for n 4-lane blocks (row dots by SJMATVEC), pm[0] throughout when pcat
-// is nil — a GAMMA category pass. os/ss are the block strides in bytes.
+// for n 4-lane blocks (by COLPROD), pm[0] throughout when pcat is nil —
+// a GAMMA category pass. os/ss are the block strides in bytes.
 TEXT ·pendantAVX2(SB), NOSPLIT, $0-56
 	MOVQ n+0(FP), CX
 	MOVQ out+8(FP), DI
@@ -868,8 +968,8 @@ pendloop:
 	SHLQ  $7, AX
 
 pendmat:
-	VMOVUPD (SI), Y0
-	SJMATVEC(R8, Y4)
+	LEAQ    (R8)(AX*1), R14
+	COLPROD(0, SI, 0, R14, Y4, Y1, Y2)
 	VMOVUPD Y4, (DI)
 	ADDQ R10, SI
 	ADDQ R11, DI
@@ -1037,35 +1137,35 @@ exptail:
 	VZEROUPPER
 	RET
 
-// PROW writes row i of a transition matrix from the four exponentials
-// in Y0: w = evec[i] .* expl, then acc = 0 + bcast(w[0])·inv[0], acc +=
-// bcast(w[k])·inv[k] for k = 1..3 (inv rows in Y8–Y11, +0 in Y13) —
+// PROW leaves row i of a transition matrix in acc from the four
+// exponentials in Y0: w = evec[i] .* expl, then acc = 0 + bcast(w[0])·inv[0],
+// acc += bcast(w[k])·inv[k] for k = 1..3 (inv rows in Y8–Y11, +0 in Y13) —
 // gtr.Model.P's association — and lanes with acc < 0 set to +0 by a
 // compare and mask, so NaN and -0 pass as they do there.
-#define PROW(evoff, rowoff) \
+#define PROW(evoff, acc) \
 	VMULPD  evoff(R8), Y0, Y5 \
 	VPERMPD $0x00, Y5, Y6     \
 	VMULPD  Y8, Y6, Y6        \
-	VADDPD  Y6, Y13, Y7       \
+	VADDPD  Y6, Y13, acc      \
 	VPERMPD $0x55, Y5, Y6     \
 	VMULPD  Y9, Y6, Y6        \
-	VADDPD  Y6, Y7, Y7        \
+	VADDPD  Y6, acc, acc      \
 	VPERMPD $0xAA, Y5, Y6     \
 	VMULPD  Y10, Y6, Y6       \
-	VADDPD  Y6, Y7, Y7        \
+	VADDPD  Y6, acc, acc      \
 	VPERMPD $0xFF, Y5, Y6     \
 	VMULPD  Y11, Y6, Y6       \
-	VADDPD  Y6, Y7, Y7        \
-	VCMPPD  $1, Y13, Y7, Y6   \
-	VANDNPD Y7, Y6, Y7        \
-	VMOVUPD Y7, rowoff(DI)
+	VADDPD  Y6, acc, acc      \
+	VCMPPD  $1, Y13, acc, Y6  \
+	VANDNPD acc, Y6, acc
 
 // func pBlockAVX2(n int, t float64, rates *float64, dst *[16]float64, eig *gtr.Eigensystem, fma bool) (done int)
 //
 // dst[c] = P(t·rates[c]) for c < n, n ≥ 1, exactly as gtr.Model.P
 // computes it: tt = t·rate with negative values clamped to +0 by a
 // compare and mask, x = eval·tt, the four exponentials by math.Exp's
-// sequence (EXPHEAD/EXPFMA or EXPPLAIN/EXPTAIL), the rows by PROW. eig
+// sequence (EXPHEAD/EXPFMA or EXPPLAIN/EXPTAIL), the rows by PROW,
+// transposed in registers and stored as the engine's columns. eig
 // holds Eval at 0, Evec at 32 and Inv at 160. Up to eight categories at
 // a time, the exponentials go first, into the frame — their dependency
 // chains are independent, so the core overlaps them — and the rows
@@ -1140,10 +1240,23 @@ pbrows:
 
 pbrow:
 	VMOVUPD (R12), Y0
-	PROW(32, 0)
-	PROW(64, 32)
-	PROW(96, 64)
-	PROW(128, 96)
+	PROW(32, Y1)
+	PROW(64, Y2)
+	PROW(96, Y3)
+	PROW(128, Y4)
+	// rows Y1..Y4 -> columns: column j = [r0[j] r1[j] r2[j] r3[j]]
+	VUNPCKLPD  Y2, Y1, Y5  // r0[0] r1[0] r0[2] r1[2]
+	VUNPCKHPD  Y2, Y1, Y6  // r0[1] r1[1] r0[3] r1[3]
+	VUNPCKLPD  Y4, Y3, Y7  // r2[0] r3[0] r2[2] r3[2]
+	VUNPCKHPD  Y4, Y3, Y15 // r2[1] r3[1] r2[3] r3[3]
+	VPERM2F128 $0x20, Y7, Y5, Y1
+	VPERM2F128 $0x20, Y15, Y6, Y2
+	VPERM2F128 $0x31, Y7, Y5, Y3
+	VPERM2F128 $0x31, Y15, Y6, Y4
+	VMOVUPD    Y1, 0(DI)
+	VMOVUPD    Y2, 32(DI)
+	VMOVUPD    Y3, 64(DI)
+	VMOVUPD    Y4, 96(DI)
 	ADDQ $32, R12
 	ADDQ $128, DI
 	DECQ R10

@@ -10,15 +10,16 @@ import (
 
 // Kernel dispatch. The hot inner loops — the newview shapes of both rate
 // treatments (CAT, and GAMMA at nCat == 4), the makenewz setup projection
-// and core reductions, the insertion-scan join and the blocked logarithm
-// of the log-space reductions — are reached through a per-engine kernel
-// table bound at construction, so an AVX2 assembly implementation
-// (kernels_amd64.s, amd64 && !purego builds) can replace the scalar
-// reference without a branch inside the pattern loop. The scalar
-// functions are the pinned reference: the asm performs the same
-// pairwise-associated IEEE operations and the equivalence fuzz test
-// holds the two bit-identical. docs/kernels.md describes the table and
-// the selection rules.
+// and core reductions, the insertion-scan join, the edge evaluation, and
+// the blocked logarithm and site tail of the log-space reductions — are
+// reached through a per-engine kernel table bound at construction, so an
+// AVX2 assembly implementation (kernels_amd64.s, amd64 && !purego builds)
+// can replace the scalar reference without a branch inside the pattern
+// loop. Every transition matrix an entry reads is column-major (P(j|s)
+// at [j*4+s]); pBlock writes them so. The scalar functions are the
+// pinned reference: the asm performs the same pairwise-associated IEEE
+// operations and the equivalence test holds the two bit-identical.
+// docs/kernels.md describes the table and the selection rules.
 
 // KernelMode selects which kernel implementations newly constructed
 // engines bind: the platform's best available set (auto), the portable
@@ -51,11 +52,15 @@ const (
 // len(w) patterns, writing one clamped site likelihood per pattern; the
 // subtree enters as its pendant products, which the pendant entry
 // computes once per scan; the GAMMA join handles any category count,
-// its AVX2 twin taking the nCat == 4 case. pBlock fills one partition's
-// category matrices dst[c] = P(t·rates[c]) and expFactors its makenewz
-// eigen factors (gtr.Model.ExpEigen, category c at [4c, 4c+4) of
-// e0/e1/e2); their AVX2 twins take the exponentials four lanes at a
-// time, bit for bit as math.Exp (kernels_amd64.go).
+// its AVX2 twin taking the nCat == 4 case. evaluate writes the clamped
+// site likelihoods across one edge for len(out) patterns (kernels.go,
+// evaluateScalar), and siteTail corrects a block of log site likelihoods
+// for three views' scale counters and multiplies them by their weights
+// (w nil: the site-LL pass, unweighted). pBlock fills one partition's
+// category matrices dst[c] = P(t·rates[c]), column-major, and expFactors
+// its makenewz eigen factors (gtr.Model.ExpEigen, category c at
+// [4c, 4c+4) of e0/e1/e2); their AVX2 twins take the exponentials four
+// lanes at a time, bit for bit as math.Exp (kernels_amd64.go).
 type kernelTable struct {
 	name          string
 	newviewII4    func(dst, lv, rv []float64, pL, pR [][16]float64, lsc, rsc, dsc []int32)
@@ -71,6 +76,8 @@ type kernelTable struct {
 	pendant       func(out, sv []float64, ss int, pPend [][16]float64, pcat []int, top int, nCat int)
 	scanJoinCAT   func(out, xv, yv, pv []float64, pcat []int, top int, pHalf [][16]float64, freqs *[4]float64, w []int)
 	scanJoinGamma func(out, xv []float64, xs int, yv []float64, ys int, pv []float64, pHalf [][16]float64, freqs *[4]float64, probs []float64, w []int)
+	evaluate      func(out, av []float64, as int, bv []float64, bs int, pm [][16]float64, pcat []int, top int, freqs *[4]float64, probs []float64)
+	siteTail      func(logs []float64, sx, sy, ss []int32, w []int)
 	pBlock        func(m *gtr.Model, t float64, rates []float64, dst [][16]float64)
 	expFactors    func(m *gtr.Model, t float64, rates []float64, e0, e1, e2 []float64)
 }
@@ -90,6 +97,8 @@ var scalarKernels = kernelTable{
 	pendant:       pendantScalar,
 	scanJoinCAT:   scanJoinCATScalar,
 	scanJoinGamma: scanJoinGammaScalar,
+	evaluate:      evaluateScalar,
+	siteTail:      siteTailScalar,
 	pBlock:        pBlockScalar,
 	expFactors:    expFactorsScalar,
 }
@@ -138,11 +147,24 @@ func activeKernelTable() *kernelTable {
 }
 
 // pBlockScalar is the reference transition-matrix block: gtr.Model.P
-// for each category.
+// for each category, transposed into the engine's column layout.
 func pBlockScalar(m *gtr.Model, t float64, rates []float64, dst [][16]float64) {
 	for c, r := range rates {
 		m.P(t, r, &dst[c])
+		transpose4(&dst[c])
 	}
+}
+
+// transpose4 turns a flat row-major 4×4 matrix (gtr.Model.P's
+// dst[i*4+j] = P(j|i)) into the engine's column layout
+// (dst[j*4+i] = P(j|i)) in place, and back.
+func transpose4(p *[16]float64) {
+	p[1], p[4] = p[4], p[1]
+	p[2], p[8] = p[8], p[2]
+	p[3], p[12] = p[12], p[3]
+	p[6], p[9] = p[9], p[6]
+	p[7], p[13] = p[13], p[7]
+	p[11], p[14] = p[14], p[11]
 }
 
 // expFactorsScalar is the reference eigen-factor block:

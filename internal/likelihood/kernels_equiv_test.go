@@ -11,19 +11,16 @@ import (
 )
 
 // TestKernelEquivalence is the property test pinning every non-scalar
-// kernel set to the scalar reference: randomized inputs — wide magnitude
-// spread, values parked just above and below scaleThreshold, zero
-// pattern weights, all 16 tip codes — go through both implementations
-// of each kernel-table entry. The four nCat == 4 GAMMA entries must
-// agree to 1e-12 relative with IDENTICAL scale counters; the asm is
-// designed bit-identical (same pairwise association, no FMA), so in
-// practice the comparison is exact, and the 1e-12 band is the contract
-// docs/kernels.md promises for them. Their inputs are finite: the
-// rescale decision of the scalar short-circuit chain and the asm VMAXPD
-// reduction agree on every finite input but may differ on NaN lanes,
-// which no engine path produces. The CAT newview and makenewz entries,
-// the setup projection and the scan joins are compared with == on the
-// bit patterns, NaN and infinite lanes included.
+// kernel set to the scalar reference, entry by entry: randomized inputs —
+// wide magnitude spread, whole patterns parked below scaleThreshold,
+// NaN and infinite lanes, zero pattern weights, every tip code including
+// the ambiguous ones, the CAT top category, pattern counts that are not a
+// multiple of four — go through both implementations of each kernel-table
+// entry, and every output is compared on math.Float64bits (two NaNs count
+// as equal: which payload survives an operation on two different NaNs
+// follows the operand order the compiler picked, not the arithmetic), and
+// every scale counter with ==. The matrices are the engine's column-major
+// ones; random ones serve, since every entry reads them the same way.
 func TestKernelEquivalence(t *testing.T) {
 	alt := make([]*kernelTable, 0, 1)
 	if avx2Supported() {
@@ -43,19 +40,6 @@ func TestKernelEquivalence(t *testing.T) {
 		out := make([]float64, n)
 		for i := range out {
 			out[i] = (0.05 + r.Float64()) * magnitudes[r.Intn(len(magnitudes))]
-		}
-		return out
-	}
-	randBlocks := func(r *rng.RNG, n int) []float64 {
-		// One shared magnitude per 16-lane pattern block so whole
-		// patterns sink below scaleThreshold together — the only way
-		// the rescale branch fires with real CLVs.
-		out := make([]float64, n*16)
-		for k := 0; k < n; k++ {
-			m := magnitudes[r.Intn(len(magnitudes))]
-			for i := 0; i < 16; i++ {
-				out[k*16+i] = (0.05 + r.Float64()) * m
-			}
 		}
 		return out
 	}
@@ -82,127 +66,6 @@ func TestKernelEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	checkClose := func(t *testing.T, name string, trial int, what string, idx int, ref, got float64) {
-		t.Helper()
-		if ref == got {
-			return
-		}
-		denom := math.Abs(ref)
-		if denom < 1 {
-			denom = 1
-		}
-		if math.Abs(ref-got)/denom > 1e-12 {
-			t.Fatalf("trial %d: %s[%d]: scalar %g vs %s %g", trial, what, idx, ref, name, got)
-		}
-	}
-
-	t.Run("newviewII4", func(t *testing.T) {
-		r := rng.New(0x11)
-		for trial := 0; trial < 300; trial++ {
-			n := 1 + r.Intn(48)
-			lv, rv := randBlocks(r, n), randBlocks(r, n)
-			pL, pR := randMats(r, 4), randMats(r, 4)
-			lsc, rsc := randScales(r, n), randScales(r, n)
-			ref := make([]float64, n*16)
-			refSC := make([]int32, n)
-			scalarKernels.newviewII4(ref, lv, rv, pL, pR, lsc, rsc, refSC)
-			for _, kt := range alt {
-				got := make([]float64, n*16)
-				gotSC := make([]int32, n)
-				kt.newviewII4(got, lv, rv, pL, pR, lsc, rsc, gotSC)
-				for k := 0; k < n; k++ {
-					if refSC[k] != gotSC[k] {
-						t.Fatalf("trial %d: pattern %d scale count: scalar %d vs %s %d", trial, k, refSC[k], kt.name, gotSC[k])
-					}
-				}
-				for i := range ref {
-					checkClose(t, kt.name, trial, "clv", i, ref[i], got[i])
-				}
-			}
-		}
-	})
-
-	t.Run("newviewTT4", func(t *testing.T) {
-		r := rng.New(0x22)
-		for trial := 0; trial < 300; trial++ {
-			n := 1 + r.Intn(48)
-			lutL, lutR := randVals(r, 256), randVals(r, 256)
-			codesL, codesR := randCodes(r, n), randCodes(r, n)
-			ref := make([]float64, n*16)
-			refSC := make([]int32, n)
-			scalarKernels.newviewTT4(ref, codesL, codesR, lutL, lutR, refSC)
-			for _, kt := range alt {
-				got := make([]float64, n*16)
-				gotSC := make([]int32, n)
-				kt.newviewTT4(got, codesL, codesR, lutL, lutR, gotSC)
-				for k := 0; k < n; k++ {
-					if refSC[k] != gotSC[k] {
-						t.Fatalf("trial %d: pattern %d scale count: scalar %d vs %s %d", trial, k, refSC[k], kt.name, gotSC[k])
-					}
-				}
-				for i := range ref {
-					checkClose(t, kt.name, trial, "clv", i, ref[i], got[i])
-				}
-			}
-		}
-	})
-
-	t.Run("newviewTI4", func(t *testing.T) {
-		r := rng.New(0x33)
-		for trial := 0; trial < 300; trial++ {
-			n := 1 + r.Intn(48)
-			lut := randVals(r, 256)
-			iv := randBlocks(r, n)
-			pm := randMats(r, 4)
-			codes := randCodes(r, n)
-			isc := randScales(r, n)
-			ref := make([]float64, n*16)
-			refSC := make([]int32, n)
-			scalarKernels.newviewTI4(ref, codes, lut, iv, pm, isc, refSC)
-			for _, kt := range alt {
-				got := make([]float64, n*16)
-				gotSC := make([]int32, n)
-				kt.newviewTI4(got, codes, lut, iv, pm, isc, gotSC)
-				for k := 0; k < n; k++ {
-					if refSC[k] != gotSC[k] {
-						t.Fatalf("trial %d: pattern %d scale count: scalar %d vs %s %d", trial, k, refSC[k], kt.name, gotSC[k])
-					}
-				}
-				for i := range ref {
-					checkClose(t, kt.name, trial, "clv", i, ref[i], got[i])
-				}
-			}
-		}
-	})
-
-	t.Run("mkzCoreG4", func(t *testing.T) {
-		r := rng.New(0x44)
-		for trial := 0; trial < 300; trial++ {
-			n := 1 + r.Intn(48)
-			tbl := randBlocks(r, n)
-			w := make([]int, n)
-			for i := range w {
-				// Zero weights (invariant-site columns folded elsewhere,
-				// rank stripes padding their tail) must be skipped by
-				// both paths without touching the sums.
-				if r.Intn(4) == 0 {
-					w[i] = 0
-				} else {
-					w[i] = 1 + r.Intn(50)
-				}
-			}
-			var pw [48]float64
-			for i := range pw {
-				pw[i] = (0.05 + r.Float64()) * magnitudes[r.Intn(3)]
-			}
-			refD1, refD2 := scalarKernels.mkzCoreG4(tbl, w, &pw)
-			for _, kt := range alt {
-				gotD1, gotD2 := kt.mkzCoreG4(tbl, w, &pw)
-				checkClose(t, kt.name, trial, "d1", 0, refD1, gotD1)
-				checkClose(t, kt.name, trial, "d2", 0, refD2, gotD2)
-			}
-		}
-	})
 
 	// The CAT entries. Every comparison is on math.Float64bits (two NaNs
 	// count as equal: which payload survives an operation on two
@@ -266,11 +129,16 @@ func TestKernelEquivalence(t *testing.T) {
 		return out
 	}
 	// catAssign draws n category indices below npc and returns them with
-	// the highest one drawn.
+	// the highest one drawn; a pattern in every group of four but the
+	// trailing one draws the top category npc−1 itself, the last matrix
+	// and table block the assembly indexes unchecked.
 	catAssign := func(r *rng.RNG, n, npc int) (pcat []int, top int) {
 		pcat = make([]int, n)
 		for i := range pcat {
 			pcat[i] = r.Intn(npc)
+			if i%4 == i/4%4 && i+4 <= n {
+				pcat[i] = npc - 1
+			}
 			top = max(top, pcat[i])
 		}
 		return pcat, top
@@ -293,6 +161,121 @@ func TestKernelEquivalence(t *testing.T) {
 			}
 		}
 	}
+
+	// gammaBlocks draws n 16-lane GAMMA pattern blocks, one magnitude per
+	// pattern so whole patterns sink below scaleThreshold together (the
+	// only way the rescale branch fires with real CLVs; the first pattern
+	// always does), about one lane in forty poisoned with a NaN or an
+	// infinity.
+	gammaBlocks := func(r *rng.RNG, n int) []float64 {
+		out := make([]float64, n*16)
+		for k := 0; k < n; k++ {
+			m := magnitudes[r.Intn(len(magnitudes))]
+			if k == 0 {
+				m = 1e-300
+			}
+			for i := 0; i < 16; i++ {
+				out[k*16+i] = (0.05 + r.Float64()) * m
+				switch r.Intn(80) {
+				case 0:
+					out[k*16+i] = math.NaN()
+				case 1:
+					out[k*16+i] = math.Inf(1)
+				}
+			}
+		}
+		return odd(r, out)
+	}
+	forGammaShapes := func(seed int64, f func(r *rng.RNG, n int)) {
+		r := rng.New(seed)
+		for _, n := range catNs {
+			for rep := 0; rep < 8; rep++ {
+				f(r, n)
+			}
+		}
+	}
+
+	t.Run("newviewII4", func(t *testing.T) {
+		forGammaShapes(0x11, func(r *rng.RNG, n int) {
+			lv, rv := gammaBlocks(r, n), gammaBlocks(r, n)
+			pL, pR := randMats(r, 4), randMats(r, 4)
+			lsc, rsc := randScales(r, n), randScales(r, n)
+			ref, refSC := make([]float64, n*16), make([]int32, n)
+			scalarKernels.newviewII4(ref, lv, rv, pL, pR, lsc, rsc, refSC)
+			for _, kt := range alt {
+				got, gotSC := odd(r, make([]float64, n*16)), make([]int32, n)
+				kt.newviewII4(got, lv, rv, pL, pR, lsc, rsc, gotSC)
+				checkCounters(t, kt.name, n, 4, refSC, gotSC)
+				checkBits(t, kt.name, "clv", n, 4, ref, got)
+			}
+		})
+	})
+
+	t.Run("newviewTT4", func(t *testing.T) {
+		forGammaShapes(0x22, func(r *rng.RNG, n int) {
+			lutL, lutR := gammaBlocks(r, 16), gammaBlocks(r, 16)
+			codesL, codesR := allCodes(r, n), allCodes(r, n)
+			ref, refSC := make([]float64, n*16), make([]int32, n)
+			scalarKernels.newviewTT4(ref, codesL, codesR, lutL, lutR, refSC)
+			for _, kt := range alt {
+				got, gotSC := odd(r, make([]float64, n*16)), make([]int32, n)
+				kt.newviewTT4(got, codesL, codesR, lutL, lutR, gotSC)
+				checkCounters(t, kt.name, n, 4, refSC, gotSC)
+				checkBits(t, kt.name, "clv", n, 4, ref, got)
+			}
+		})
+	})
+
+	t.Run("newviewTI4", func(t *testing.T) {
+		forGammaShapes(0x33, func(r *rng.RNG, n int) {
+			lut, iv, pm := gammaBlocks(r, 16), gammaBlocks(r, n), randMats(r, 4)
+			codes, isc := allCodes(r, n), randScales(r, n)
+			ref, refSC := make([]float64, n*16), make([]int32, n)
+			scalarKernels.newviewTI4(ref, codes, lut, iv, pm, isc, refSC)
+			for _, kt := range alt {
+				got, gotSC := odd(r, make([]float64, n*16)), make([]int32, n)
+				kt.newviewTI4(got, codes, lut, iv, pm, isc, gotSC)
+				checkCounters(t, kt.name, n, 4, refSC, gotSC)
+				checkBits(t, kt.name, "clv", n, 4, ref, got)
+			}
+		})
+	})
+
+	t.Run("mkzCoreG4", func(t *testing.T) {
+		trial := 0
+		forGammaShapes(0x44, func(r *rng.RNG, n int) {
+			trial++
+			// The sums run through the whole call, so a poisoned lane
+			// would mask everything after it: one trial in four has them.
+			tbl := randVals(r, n*16)
+			if trial%4 == 0 {
+				tbl = gammaBlocks(r, n)
+			}
+			w := make([]int, n)
+			for i := range w {
+				// Zero weights (bootstrap replicates zero about a third)
+				// must be skipped without touching the sums.
+				if r.Intn(3) != 0 {
+					w[i] = 1 + r.Intn(50)
+				}
+			}
+			// A dead site likelihood (an all-zero sumtable block under a
+			// live weight) now and then.
+			for k := 1; k < n; k += 7 {
+				clear(tbl[k*16 : k*16+16])
+				w[k] = 1 + r.Intn(50)
+			}
+			var pw [48]float64
+			for i := range pw {
+				pw[i] = (0.05 + r.Float64()) * magnitudes[r.Intn(3)]
+			}
+			refD1, refD2 := scalarKernels.mkzCoreG4(tbl, w, &pw)
+			for _, kt := range alt {
+				gotD1, gotD2 := kt.mkzCoreG4(tbl, w, &pw)
+				checkBits(t, kt.name, "d1,d2", n, 4, []float64{refD1, refD2}, []float64{gotD1, gotD2})
+			}
+		})
+	})
 
 	t.Run("newviewTTCAT", func(t *testing.T) {
 		forCATShapes(0x91, func(r *rng.RNG, n, npc int) {
@@ -563,6 +546,117 @@ func TestKernelEquivalence(t *testing.T) {
 			}
 		}
 	})
+
+	// evalView draws one endpoint view of an edge evaluation over n
+	// patterns of nCat categories: a tip (4 floats per pattern, the 0/1
+	// lanes of any code, ambiguous and empty ones included) or an inner
+	// CLV (nCat·4 floats per pattern, poisoned lanes and exact zeros — a
+	// zero lane skips its state, NaN dot or not).
+	evalView := func(r *rng.RNG, n, nCat int) scanView {
+		if r.Intn(3) == 0 {
+			vec := make([]float64, n*4)
+			for k, code := range allCodes(r, n) {
+				for s := 0; s < 4; s++ {
+					if code&(1<<uint(s)) != 0 {
+						vec[k*4+s] = 1
+					}
+				}
+			}
+			return scanView{odd(r, vec), 4}
+		}
+		vec := catBlocks(r, n*nCat)
+		for i := range vec {
+			if r.Intn(10) == 0 {
+				vec[i] = 0
+			}
+		}
+		return scanView{vec, nCat * 4}
+	}
+
+	t.Run("evaluate", func(t *testing.T) {
+		// CAT: one category per pattern, per-pattern matrices.
+		forCATShapes(0x98, func(r *rng.RNG, n, npc int) {
+			if n > logBlockLen {
+				return
+			}
+			a, b := evalView(r, n, 1), evalView(r, n, 1)
+			pm := randMats(r, npc)
+			pcat, top := catAssign(r, n, npc)
+			freqs := randFreqs(r)
+			ref := make([]float64, n)
+			scalarKernels.evaluate(ref, a.vec, a.stride, b.vec, b.stride, pm, pcat, top, freqs, nil)
+			for _, kt := range alt {
+				got := odd(r, make([]float64, n))
+				kt.evaluate(got, a.vec, a.stride, b.vec, b.stride, pm, pcat, top, freqs, nil)
+				checkBits(t, kt.name, "site", n, npc, ref, got)
+			}
+		})
+		// GAMMA: the engine's four categories, and other counts.
+		r := rng.New(0x99)
+		for _, nCat := range []int{1, 3, 4, 6} {
+			for _, n := range catNs {
+				if n > logBlockLen {
+					continue
+				}
+				for rep := 0; rep < 6; rep++ {
+					a, b := evalView(r, n, nCat), evalView(r, n, nCat)
+					pm := randMats(r, nCat)
+					probs := make([]float64, nCat)
+					for c := range probs {
+						probs[c] = 0.05 + r.Float64()
+					}
+					freqs := randFreqs(r)
+					ref := make([]float64, n)
+					scalarKernels.evaluate(ref, a.vec, a.stride, b.vec, b.stride, pm, nil, 0, freqs, probs)
+					for _, kt := range alt {
+						got := odd(r, make([]float64, n))
+						kt.evaluate(got, a.vec, a.stride, b.vec, b.stride, pm, nil, 0, freqs, probs)
+						checkBits(t, kt.name, "site", n, nCat, ref, got)
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("siteTail", func(t *testing.T) {
+		r := rng.New(0x9a)
+		specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), -math.MaxFloat64}
+		for _, n := range catNs {
+			if n > logBlockLen {
+				continue
+			}
+			for rep := 0; rep < 8; rep++ {
+				logs := make([]float64, n)
+				for i := range logs {
+					logs[i] = -745 * r.Float64()
+					if r.Intn(8) == 0 {
+						logs[i] = specials[r.Intn(len(specials))]
+					}
+				}
+				scales := func() []int32 {
+					sc := randScales(r, n)
+					for i := range sc {
+						if r.Intn(2) == 0 {
+							sc[i] = 0 // mostly none, as in a run
+						}
+					}
+					return sc
+				}
+				sx, sy, ss := scales(), scales(), scales()
+				var w []int
+				if rep%2 == 1 { // the site-LL pass weighs nothing
+					w = randWeights(r, n)
+				}
+				ref := append([]float64(nil), logs...)
+				scalarKernels.siteTail(ref, sx, sy, ss, w)
+				for _, kt := range alt {
+					got := odd(r, logs)
+					kt.siteTail(got, sx, sy, ss, w)
+					checkBits(t, kt.name, "log", n, 0, ref, got)
+				}
+			}
+		}
+	})
 }
 
 // TestScanJoinClampAndNaN pins the edges of the scan-join output
@@ -578,7 +672,8 @@ func TestScanJoinClampAndNaN(t *testing.T) {
 	}
 	// edgeCases builds a view of 8 patterns, `lanes` floats each, all
 	// 0.25 except patterns 1 and 5 (dead likelihood) and 2 and 6
-	// (poisoned): a 7-pattern call has 5 and 6 in the padded tail group.
+	// (poisoned): a 7-pattern call has 5 and 6 in the trailing patterns
+	// the assembly wrappers hand to the scalar reference.
 	edgeCases := func(lanes int) (x, one []float64) {
 		one = make([]float64, 8*lanes)
 		for i := range one {
@@ -636,6 +731,54 @@ func TestScanJoinClampAndNaN(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTipCodeAssociation pins which association each consumer of a tip
+// gives the states of an ambiguous code. The newview kernels read a tip
+// through its lookup table, whose entry for a code is fillTipLUT's
+// sequential sum ((P[s][0] + P[s][1]) + P[s][2]) + P[s][3]; the pendant
+// product, the evaluate and the scan join read the tip's 0/1 vector,
+// through a matrix product whose sum is pairwise, (P[s][0] + P[s][1]) +
+// (P[s][2] + P[s][3]). For a four-state code the two round differently
+// here, and every kernel set must keep each consumer on its own side.
+func TestTipCodeAssociation(t *testing.T) {
+	row := [4]float64{1, 1e-16, 1e-16, 1e-16}
+	seq := ((row[0] + row[1]) + row[2]) + row[3]
+	pair := (row[0] + row[1]) + (row[2] + row[3])
+	if seq == pair {
+		t.Fatalf("the row does not tell the associations apart: both give %x", math.Float64bits(seq))
+	}
+	var m [16]float64
+	for i := range m {
+		m[i] = 0.25
+	}
+	for j, v := range row {
+		m[j*4] = v // column j, state 0: the column layout
+	}
+	pm := [][16]float64{m}
+	lut := make([]float64, 64)
+	fillTipLUT(lut, pm, []msa.State{15})
+	if got := lut[15*4]; math.Float64bits(got) != math.Float64bits(seq) {
+		t.Fatalf("fillTipLUT: code 15 state 0 = %x, want the sequential sum %x", math.Float64bits(got), math.Float64bits(seq))
+	}
+	all, first := []float64{1, 1, 1, 1}, []float64{1, 0, 0, 0}
+	freqs := &[4]float64{1, 0, 0, 0}
+	for _, kt := range kernelTables() {
+		check := func(what string, got float64) {
+			t.Helper()
+			if math.Float64bits(got) != math.Float64bits(pair) {
+				t.Errorf("%s %s: %x, want the pairwise sum %x", kt.name, what, math.Float64bits(got), math.Float64bits(pair))
+			}
+		}
+		prod := make([]float64, 4)
+		kt.pendant(prod, all, 4, pm, []int{0}, 0, 1)
+		check("pendant", prod[0])
+		site := make([]float64, 1)
+		kt.evaluate(site, first, 4, all, 4, pm, []int{0}, 0, freqs, nil)
+		check("evaluate", site[0])
+		kt.scanJoinCAT(site, all, first, all, []int{0}, 0, pm, freqs, []int{1})
+		check("scanJoinCAT", site[0])
 	}
 }
 
@@ -731,8 +874,9 @@ func TestLogBlockMatchesMathLog(t *testing.T) {
 // idioms must decide identically.
 //
 // gamma parks lane values on a narrow band around scaleThreshold — the
-// branch the two GAMMA idioms (scalar chain, asm VMAXPD + single compare)
-// must take alike — and checks the CLVs and counters still match. The
+// branch the two GAMMA idioms (scalar chain, asm compare masks ANDed over
+// the categories) must take alike — and checks the CLVs and counters
+// still match. The
 // knife-edge is safe to probe because both paths compare the SAME
 // computed values against the same constant; only the control-flow
 // shape differs.

@@ -12,7 +12,8 @@ import (
 
 // pTripleLoop is gtr.Model.P as it was first written — the 4×4×4 triple
 // loop recomputing evec[i][k]·expl[k] for every j — with each product
-// converted explicitly, so that no build contracts it: the oracle the
+// converted explicitly, so that no build contracts it, and written in the
+// engine's column layout (P(j|i) at dst[j*4+i]): the oracle the
 // transition-matrix block is held to.
 func pTripleLoop(m *gtr.Model, t, rate float64, dst *[16]float64) {
 	e := m.Eigensystem()
@@ -33,7 +34,7 @@ func pTripleLoop(m *gtr.Model, t, rate float64, dst *[16]float64) {
 			if sum < 0 {
 				sum = 0
 			}
-			dst[i*4+j] = sum
+			dst[j*4+i] = sum
 		}
 	}
 }

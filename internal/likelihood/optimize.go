@@ -214,8 +214,12 @@ type ModelOptConfig struct {
 // partitioned alignment every partition's parameters are optimized in
 // turn — partitions are independent given the tree, so coordinate
 // descent over (partition, parameter) pairs converges exactly like the
-// single-partition loop. Returns the final log-likelihood.
+// single-partition loop. Returns the final log-likelihood. The
+// transition-matrix memo is paused throughout (pMemo.paused): every
+// candidate model empties it.
 func (e *Engine) OptimizeModel(cfg ModelOptConfig) float64 {
+	e.memo.paused = true
+	defer func() { e.memo.paused = false }()
 	rounds := cfg.Rounds
 	if rounds <= 0 {
 		rounds = 2

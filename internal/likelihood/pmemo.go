@@ -11,8 +11,9 @@ import (
 // changes three edges and re-walks dozens — so the engine keeps the
 // blocks it computed, keyed by the bits of t, for as long as the model
 // they were computed under stands. A hit copies the bytes the kernel
-// table's pBlock (gtr.Model.P, bit for bit) wrote for the same
-// (t, rate, eigensystem); no output bit can move.
+// table's pBlock (gtr.Model.P, bit for bit, transposed into the engine's
+// column layout) wrote for the same (t, rate, eigensystem); no output bit
+// can move.
 //
 // One memo per engine, no lock: an engine has one master goroutine, which
 // does every lookup in the serial pass of a plan; the forked fill that
@@ -66,6 +67,11 @@ type pMemo struct {
 	cats  int
 
 	bypass bool
+	// paused is set while OptimizeModel runs: every golden-section step
+	// moves the model, so a block stored there would die unread at the
+	// next memoSync. Paused, the memo answers as bypassed and keeps what
+	// it holds, which the first plan after the pause drops as stale.
+	paused bool
 	// hits counts lookups answered from the table, resets the times a full
 	// table was emptied (tests).
 	hits, resets int64
@@ -76,7 +82,7 @@ type pMemo struct {
 // plan filled the table, and sizes it on first use. Call after ensureP.
 func (e *Engine) memoSync() {
 	m := &e.memo
-	if m.bypass {
+	if m.bypass || m.paused {
 		return
 	}
 	full := m.used == m.budget
@@ -105,7 +111,7 @@ func (e *Engine) memoSync() {
 // lookup decides how the block for branch length t gets filled; master
 // only, between memoSync and commit.
 func (m *pMemo) lookup(t float64) memoRef {
-	if m.bypass {
+	if m.bypass || m.paused {
 		return memoRef{blk: -1}
 	}
 	key := math.Float64bits(t)

@@ -213,6 +213,48 @@ func TestMemoLockstep(t *testing.T) {
 	}
 }
 
+// TestOptimizeModelStoresNoBlock pins the pause: an OptimizeModel call
+// neither stores a block in the memo nor reads one from it, and scores
+// what the bypassed reference scores, bit for bit — CAT and GAMMA, the
+// latter over its Γ shape too. The first likelihood after it fills the
+// memo again.
+func TestOptimizeModelStoresNoBlock(t *testing.T) {
+	pat := randomPatterns(t, rng.New(61), 12, 120)
+	gamma, err := gtr.NewGamma(0.6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rc := range []*gtr.RateCategories{contentCAT(pat, 0, pat.NumPatterns(), []float64{0.4, 1, 2.2}), gamma} {
+		build := func() *Engine { return newEngine(t, pat, gtr.Default(), rc.Clone(), 1) }
+		e, ref := build(), withMemoBypass(build)
+		tr := tree.Random(pat.Names, rng.New(62))
+		for _, x := range []*Engine{e, ref} {
+			if err := x.AttachTree(tr.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			x.LogLikelihood()
+		}
+		used, hits := e.memo.used, e.memo.hits
+		cfg := ModelOptConfig{Rates: true, Alpha: true, Rounds: 1, Tol: 1e-2}
+		got, want := e.OptimizeModel(cfg), ref.OptimizeModel(cfg)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("OptimizeModel scores %.17g with the memo, %.17g bypassed", got, want)
+		}
+		if e.memo.used != used || e.memo.hits != hits {
+			t.Fatalf("OptimizeModel moved the memo: %d blocks and %d hits before, %d and %d after",
+				used, hits, e.memo.used, e.memo.hits)
+		}
+		if e.memo.paused {
+			t.Fatal("the memo is still paused after OptimizeModel")
+		}
+		e.InvalidateAll()
+		e.LogLikelihood()
+		if e.memo.used == 0 {
+			t.Fatal("the first likelihood after OptimizeModel stored no block")
+		}
+	}
+}
+
 // TestMemoBudgetIsCounted pins the memo's footprint: MemoryBytes grows by
 // exactly the block budget — memoBlocksPerTaxon blocks of totalCats
 // matrices per taxon — once the first matrix is filled, and not again.

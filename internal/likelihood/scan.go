@@ -199,8 +199,7 @@ func pendantScalar(out, sv []float64, ss int, pPend [][16]float64, pcat []int, t
 			s1, s2, s3, s4 := sub[0], sub[1], sub[2], sub[3]
 			d := (*[4]float64)(out[(k*nCat+cat)*4:])
 			for s := 0; s < 4; s++ {
-				sb := s * 4
-				d[s] = (float64(pp[sb]*s1) + float64(pp[sb+1]*s2)) + (float64(pp[sb+2]*s3) + float64(pp[sb+3]*s4))
+				d[s] = (float64(pp[s]*s1) + float64(pp[4+s]*s2)) + (float64(pp[8+s]*s3) + float64(pp[12+s]*s4))
 			}
 		}
 	}
@@ -209,9 +208,9 @@ func pendantScalar(out, sv []float64, ss int, pPend [][16]float64, pcat []int, t
 // insertScanChunk walks one partition chunk of one candidate in blocks
 // of logBlockLen patterns: the kernel table's scan join writes the
 // block's clamped site likelihoods, its logBlock takes their logarithms,
-// and the scale corrections and weights are then applied in pattern
-// order, so the partial sum accumulates exactly as a per-pattern loop
-// would.
+// its siteTail applies the three views' scale corrections and the
+// weights, and the weighted logs are then added in pattern order, so the
+// partial sum accumulates exactly as a per-pattern loop would.
 func (e *Engine) insertScanChunk(blk *workerScratch, ps *partState, lo, hi int, sc *scanCand, pHalf [][16]float64) float64 {
 	vx, vy, vs := &sc.vx, &sc.vy, &e.jobV[0]
 	npc := ps.rates.NumCats()
@@ -236,20 +235,9 @@ func (e *Engine) insertScanChunk(blk *workerScratch, ps *partState, lo, hi int, 
 			e.kern.scanJoinGamma(site[:n], xv, xStep, yv, yStep, pv, pHalf, &ps.model.Freqs, ps.rates.Probs, w)
 		}
 		e.kern.logBlock(logs, site, n)
-		sx := scaleBlock(vx, ps.sOff+lb, n)[:len(w)]
-		sy := scaleBlock(vy, ps.sOff+lb, n)[:len(w)]
-		ss := scaleBlock(vs, ps.sOff+lb, n)[:len(w)]
-		for i, wk := range w {
-			logSite := logs[i]
-			// A zero counter subtracts +0, which returns logSite's bits:
-			// the common pattern, rescaled in none of the three views,
-			// skips all three steps.
-			if sx[i]|sy[i]|ss[i] != 0 {
-				logSite -= float64(sx[i]) * logScaleFactor
-				logSite -= float64(sy[i]) * logScaleFactor
-				logSite -= float64(ss[i]) * logScaleFactor
-			}
-			sum += float64(wk) * logSite
+		e.kern.siteTail(logs[:n], scaleBlock(vx, ps.sOff+lb, n), scaleBlock(vy, ps.sOff+lb, n), scaleBlock(vs, ps.sOff+lb, n), w)
+		for _, wl := range logs[:n] {
+			sum += wl
 		}
 	}
 	return sum
@@ -345,9 +333,8 @@ func joinCategory(x, y, ac *[4]float64, ph *[16]float64, freqs *[4]float64) floa
 	y1, y2, y3, y4 := y[0], y[1], y[2], y[3]
 	catL := 0.0
 	for s := 0; s < 4; s++ {
-		sb := s * 4
-		ax := (float64(ph[sb]*x1) + float64(ph[sb+1]*x2)) + (float64(ph[sb+2]*x3) + float64(ph[sb+3]*x4))
-		ay := (float64(ph[sb]*y1) + float64(ph[sb+1]*y2)) + (float64(ph[sb+2]*y3) + float64(ph[sb+3]*y4))
+		ax := (float64(ph[s]*x1) + float64(ph[4+s]*x2)) + (float64(ph[8+s]*x3) + float64(ph[12+s]*x4))
+		ay := (float64(ph[s]*y1) + float64(ph[4+s]*y2)) + (float64(ph[8+s]*y3) + float64(ph[12+s]*y4))
 		catL += float64(freqs[s] * ax * ay * ac[s])
 	}
 	return catL

@@ -168,11 +168,15 @@ func (e *Engine) tipChild(node int) travChild {
 // every ambiguity code the taxon actually uses (codes, from
 // Engine.tipCodes): lut[(code*nc + c)*4 + s] = Σ_{j in code} P_c[s][j].
 // The per-pattern kernel work for a tip child collapses to four loads.
-// Summation visits states in increasing order, exactly like the
-// matrix-vector product over a 0/1 tip CLV it replaces, so results are
-// bit-identical. Plain unambiguous codes (the overwhelming majority) are
-// straight P-column copies. For partitioned engines this is called once
-// per partition with that partition's matrix and LUT blocks.
+// Summation visits states in increasing order, ((P0 + P1) + P2) + P3
+// over the code's states; the kernels that read a tip's 0/1 vector
+// instead (evaluate, pendant, scan join) sum pairwise, (P0 + P1) +
+// (P2 + P3), which differs for a four-state code —
+// TestTipCodeAssociation pins each consumer to its own. Plain
+// unambiguous codes (the overwhelming majority) are the P column itself:
+// column j of the engine's column-major matrix (p[j*4:j*4+4]) is one
+// 32-byte copy. For partitioned engines this is called once per
+// partition with that partition's matrix and LUT blocks.
 func fillTipLUT(lut []float64, pm [][16]float64, codes []msa.State) {
 	nc := len(pm)
 	for c := range pm {
@@ -182,17 +186,15 @@ func fillTipLUT(lut []float64, pm [][16]float64, codes []msa.State) {
 			if code&(code-1) == 0 {
 				// single state: the P column itself
 				j := bits.TrailingZeros8(uint8(code))
-				lut[base+0] = p[0*4+j]
-				lut[base+1] = p[1*4+j]
-				lut[base+2] = p[2*4+j]
-				lut[base+3] = p[3*4+j]
+				d := lut[base : base+4 : base+4]
+				d[0], d[1], d[2], d[3] = p[j*4], p[j*4+1], p[j*4+2], p[j*4+3]
 				continue
 			}
 			for s := 0; s < 4; s++ {
 				sum := 0.0
 				for j := 0; j < 4; j++ {
 					if code&(1<<uint(j)) != 0 {
-						sum += p[s*4+j]
+						sum += p[j*4+s]
 					}
 				}
 				lut[base+s] = sum

@@ -21,16 +21,18 @@ import (
 // newview row; an evaluate step carries its per-pattern logarithm; an
 // insertion scan states one step per candidate join half plus one; a
 // parsimony step is one Fitch view. Each row is the median over the
-// sweep's three inputs.
+// sweep's three inputs; the four rows the column-major kernels moved
+// (newview, evaluate, site-LL, scan) were re-fitted against the parent's
+// rows in alternating sweeps (docs/profiling.md, "The cost table").
 var stepCost = [...]int{
 	jobClosure:       0, // states no work: always published
-	JobNewview:       4000,
-	JobEvaluate:      24000,
+	JobNewview:       3400,
+	JobEvaluate:      8900,
 	JobMakenewz:      29500,
 	JobMakenewzSetup: 10900,
 	JobMakenewzCore:  4700,
-	JobSiteLL:        28800,
-	JobInsertScan:    5300,
+	JobSiteLL:        9500,
+	JobInsertScan:    3900,
 	JobParsimony:     1800,
 }
 
