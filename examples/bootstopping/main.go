@@ -1,7 +1,8 @@
 // Bootstopping: the paper's stated future work, working. Runs rapid
-// bootstraps in batches and stops when the WC-style convergence test
-// says the support values are stable, instead of a fixed -N count.
-// Demonstrates the parallel bipartition hash table the paper calls for.
+// bootstraps in rounds and stops when the WC-style convergence test says
+// the support values are stable, instead of a fixed -N count. The loop is
+// the one -grid-bootstop runs: a grid.Analysis whose bootstop/r job closes
+// each round, here on a master-local grid (no worker fleet).
 package main
 
 import (
@@ -9,12 +10,8 @@ import (
 	"log"
 
 	"raxml"
-	"raxml/internal/bootstop"
-	"raxml/internal/gtr"
-	"raxml/internal/likelihood"
-	"raxml/internal/rapidbs"
-	"raxml/internal/rng"
-	"raxml/internal/threads"
+	"raxml/internal/core"
+	"raxml/internal/grid"
 	"raxml/internal/tree"
 )
 
@@ -32,53 +29,36 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pool := threads.NewPool(2, pat.NumPatterns())
-		eng, err := likelihood.New(pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()),
-			likelihood.Config{Pool: pool})
-		if err != nil {
-			log.Fatal(err)
-		}
-		runner := rapidbs.NewRunner(eng)
-		bsRNG := rng.New(12345)
-		parsRNG := rng.New(12345)
-
-		generate := func(count int) ([]*tree.Tree, error) {
-			reps, err := runner.Run(count, bsRNG, parsRNG)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]*tree.Tree, len(reps))
-			for i, r := range reps {
-				out[i] = r.Tree
-			}
-			return out, nil
-		}
-
-		stopper := bootstop.Runner{
-			BatchSize:     10,
+		analysis := &grid.Analysis{
+			Pat:           pat,
+			Opts:          core.Options{SeedParsimony: 12345, SeedBootstrap: 12345},
+			Replicates:    10,
+			Bootstop:      true,
 			MaxReplicates: 60,
-			Criterion:     bootstop.DefaultCriterion(),
 		}
-		trees, batches, err := stopper.Run(generate, rng.New(99))
+		g := grid.New(grid.Config{})
+		res, err := analysis.Build(g)
 		if err != nil {
 			log.Fatal(err)
 		}
-		converged, dist, err := bootstop.Converged(trees, bootstop.DefaultCriterion(), rng.New(99))
+		if err := g.Run(); err != nil {
+			log.Fatal(err)
+		}
+		trees := make([]*tree.Tree, len(res.Replicates))
+		for i, r := range res.Replicates {
+			trees[i] = r.Tree
+		}
+		// The split tally the WC test, support values and the consensus
+		// all count through.
+		tally, err := tree.TallySplits(trees)
 		if err != nil {
 			log.Fatal(err)
 		}
 
-		// The concurrent bipartition table (the paper's future-work
-		// substrate) tallies split frequencies across all replicates.
-		table := bootstop.NewTable(pat.NumTaxa())
-		if err := table.AddTrees(trees); err != nil {
-			log.Fatal(err)
-		}
-
-		fmt.Printf("%s: %d replicates in %d batches; converged=%v (WC distance %.4f)\n",
-			cfg.label, len(trees), batches, converged, dist)
-		fmt.Printf("  distinct bipartitions observed: %d\n\n", table.Len())
-		pool.Close()
+		fmt.Printf("%s: %d replicates in %d rounds; converged=%v (WC distance %.4f)\n",
+			cfg.label, len(trees), res.Rounds, res.Converged, res.WCDistance)
+		fmt.Printf("  distinct bipartitions observed: %d\n", len(tally.Bips))
+		fmt.Printf("  greedy consensus: %s\n\n", res.ConsensusNewick)
 	}
 	fmt.Println("the fixed -N runs of the paper would have used 100 replicates in every case;")
 	fmt.Println("bootstopping adapts the count to the data, as Pattengale et al. proposed.")

@@ -1,106 +1,23 @@
-// Package bootstop implements bootstopping: the adaptive test of
-// Pattengale et al. (RECOMB 2009) that decides when enough bootstrap
-// replicates have been computed.
+// Package bootstop implements the convergence test of bootstopping: the
+// adaptive criterion of Pattengale et al. (RECOMB 2009) that decides when
+// enough bootstrap replicates have been computed.
 //
 // The paper's hybrid code handles only a fixed replicate count and names
-// bootstopping as future work, observing that "parallelization of that
-// test, which operates on bipartitions of trees stored in a hash table,
-// will require implementation of a framework for parallel operations on
-// hash tables on multi-core nodes." This package builds exactly that
-// substrate — a sharded, concurrently usable bipartition frequency table
-// — plus the WC-style convergence criterion on top of it.
+// bootstopping as future work. Here the adaptive loop is the grid
+// scheduler's: each round of bootstrap batches ends in a bootstop/r job
+// that calls Converged on every replicate so far and either adds the next
+// round or the consensus join (grid.Analysis with Bootstop set, the
+// -grid-bootstop option). The test counts splits through the one split
+// tally of the replicate set (tree.TallySplits) and sums in split-id
+// order, so its distance is a pure function of its inputs.
 package bootstop
 
 import (
-	"fmt"
-	"sync"
+	"math"
 
 	"raxml/internal/rng"
 	"raxml/internal/tree"
 )
-
-// shardCount is the number of lock shards in the table; a small power of
-// two well above typical worker counts.
-const shardCount = 64
-
-// Table is a concurrent bipartition frequency table: the "framework for
-// parallel operations on hash tables" the paper calls for. Shards are
-// selected by bipartition hash, so goroutines adding different trees
-// contend only when their splits collide in a shard.
-type Table struct {
-	n      int // taxa
-	shards [shardCount]shard
-}
-
-type shard struct {
-	mu     sync.Mutex
-	counts map[string]int
-}
-
-// NewTable creates a table for trees over n taxa.
-func NewTable(n int) *Table {
-	t := &Table{n: n}
-	for i := range t.shards {
-		t.shards[i].counts = make(map[string]int)
-	}
-	return t
-}
-
-// AddTree inserts all non-trivial bipartitions of tr. Safe for
-// concurrent use.
-func (t *Table) AddTree(tr *tree.Tree) error {
-	if tr.NumTaxa() != t.n {
-		return fmt.Errorf("bootstop: tree has %d taxa, table expects %d", tr.NumTaxa(), t.n)
-	}
-	for _, bp := range tr.Bipartitions() {
-		s := &t.shards[bp.Hash()%shardCount]
-		key := bp.Key()
-		s.mu.Lock()
-		s.counts[key]++
-		s.mu.Unlock()
-	}
-	return nil
-}
-
-// AddTrees inserts a batch of trees using one goroutine per tree,
-// exercising the table's concurrency. It returns the first error.
-func (t *Table) AddTrees(trees []*tree.Tree) error {
-	errs := make([]error, len(trees))
-	var wg sync.WaitGroup
-	for i, tr := range trees {
-		wg.Add(1)
-		go func(i int, tr *tree.Tree) {
-			defer wg.Done()
-			errs[i] = t.AddTree(tr)
-		}(i, tr)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Count returns the frequency of one bipartition.
-func (t *Table) Count(bp tree.Bipartition) int {
-	s := &t.shards[bp.Hash()%shardCount]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counts[bp.Key()]
-}
-
-// Len returns the number of distinct bipartitions recorded.
-func (t *Table) Len() int {
-	total := 0
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		total += len(t.shards[i].counts)
-		t.shards[i].mu.Unlock()
-	}
-	return total
-}
 
 // Criterion configures the WC-style convergence test.
 type Criterion struct {
@@ -134,54 +51,33 @@ func Converged(trees []*tree.Tree, c Criterion, r *rng.RNG) (bool, float64, erro
 	if c.Threshold <= 0 {
 		c.Threshold = 0.03
 	}
-	// Pre-extract bipartition sets once.
-	sets := make([]map[string]tree.Bipartition, len(trees))
-	for i, t := range trees {
-		sets[i] = t.BipartitionSet()
+	tally, err := tree.TallySplits(trees)
+	if err != nil {
+		return false, 1, err
 	}
+	// Every split of the tally is in one half or the other, so the union
+	// of the halves' splits is the whole tally and the second half's count
+	// is the total minus the first's.
 	half := len(trees) / 2
+	n1, n2 := float64(half), float64(len(trees)-half)
+	first := make([]int, len(tally.Counts))
 	totalDist := 0.0
 	for p := 0; p < c.Permutations; p++ {
-		perm := r.Perm(len(trees))
-		counts1 := map[string]int{}
-		counts2 := map[string]int{}
-		for i, idx := range perm {
-			dst := counts1
-			if i >= half {
-				dst = counts2
+		clear(first)
+		for _, idx := range r.Perm(len(trees))[:half] {
+			for _, id := range tally.Trees[idx] {
+				first[id]++
 			}
-			for k := range sets[idx] {
-				dst[k]++
-			}
-		}
-		n2 := len(trees) - half
-		union := map[string]bool{}
-		for k := range counts1 {
-			union[k] = true
-		}
-		for k := range counts2 {
-			union[k] = true
-		}
-		if len(union) == 0 {
-			continue
 		}
 		// Weighted RF between the half-sample support vectors,
 		// normalized by the total support mass so well-supported stable
 		// splits dominate the verdict (as in the published WC test).
 		var num, den float64
-		for k := range union {
-			f1 := float64(counts1[k]) / float64(half)
-			f2 := float64(counts2[k]) / float64(n2)
-			diff := f1 - f2
-			if diff < 0 {
-				diff = -diff
-			}
-			num += diff
-			if f1 > f2 {
-				den += f1
-			} else {
-				den += f2
-			}
+		for id, all := range tally.Counts {
+			f1 := float64(first[id]) / n1
+			f2 := float64(all-first[id]) / n2
+			num += math.Abs(f1 - f2)
+			den += math.Max(f1, f2)
 		}
 		if den > 0 {
 			totalDist += num / den
@@ -189,49 +85,4 @@ func Converged(trees []*tree.Tree, c Criterion, r *rng.RNG) (bool, float64, erro
 	}
 	avg := totalDist / float64(c.Permutations)
 	return avg <= c.Threshold, avg, nil
-}
-
-// Runner drives adaptive bootstrapping: generate replicates in batches,
-// test after each batch, stop at convergence or maxReplicates.
-type Runner struct {
-	// BatchSize is the number of replicates between tests (RAxML: 50).
-	BatchSize int
-	// MaxReplicates caps the total (RAxML's autoMRE: 1000).
-	MaxReplicates int
-	// Criterion is the convergence test.
-	Criterion Criterion
-}
-
-// Run repeatedly calls generate(count) for more replicate trees until
-// the criterion converges or MaxReplicates is reached. It returns all
-// trees generated and the number of batches run.
-func (r Runner) Run(generate func(count int) ([]*tree.Tree, error), testRNG *rng.RNG) ([]*tree.Tree, int, error) {
-	if r.BatchSize < 2 {
-		r.BatchSize = 50
-	}
-	if r.MaxReplicates < r.BatchSize {
-		r.MaxReplicates = r.BatchSize
-	}
-	var all []*tree.Tree
-	batches := 0
-	for len(all) < r.MaxReplicates {
-		want := r.BatchSize
-		if len(all)+want > r.MaxReplicates {
-			want = r.MaxReplicates - len(all)
-		}
-		batch, err := generate(want)
-		if err != nil {
-			return nil, batches, err
-		}
-		all = append(all, batch...)
-		batches++
-		ok, _, err := Converged(all, r.Criterion, testRNG)
-		if err != nil {
-			return nil, batches, err
-		}
-		if ok {
-			break
-		}
-	}
-	return all, batches, nil
 }

@@ -21,7 +21,6 @@ import (
 	"raxml/internal/likelihood"
 	"raxml/internal/msa"
 	"raxml/internal/seqgen"
-	"raxml/internal/support"
 	"raxml/internal/tree"
 )
 
@@ -322,11 +321,11 @@ func runSupport(pat *msa.Patterns, userTree, treesFile, runName, outDir string, 
 	if err != nil {
 		return err
 	}
-	vals, err := support.Compute(best, reps)
+	vals, err := tree.Support(best, reps)
 	if err != nil {
 		return err
 	}
-	annotated, err := support.Annotate(best, vals)
+	annotated, err := tree.FormatNewick(best, vals)
 	if err != nil {
 		return err
 	}
@@ -334,8 +333,17 @@ func runSupport(pat *msa.Patterns, userTree, treesFile, runName, outDir string, 
 	if err := os.WriteFile(outPath, []byte(annotated+"\n"), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "%d replicates; mean support %.1f%%, min %d%%\n",
-		len(reps), vals.Mean(), vals.Min())
+	mean, lowest := 0.0, 0
+	if len(vals) > 0 {
+		sum := 0
+		lowest = 100
+		for _, pct := range vals {
+			sum += pct
+			lowest = min(lowest, pct)
+		}
+		mean = float64(sum) / float64(len(vals))
+	}
+	fmt.Fprintf(stdout, "%d replicates; mean support %.1f%%, min %d%%\n", len(reps), mean, lowest)
 	fmt.Fprintf(stdout, "Annotated tree: %s\n", outPath)
 	return nil
 }

@@ -10,8 +10,9 @@ import (
 
 // TestRaxmlGrid pins the -grid CLI path: the same analysis run
 // master-local (-grid 0, the serial reference) and over a 2-worker chan
-// fleet must produce identical consensus and best-tree files, and every
-// run must leave a JSONL event trace behind.
+// fleet must produce identical consensus and best-tree files, -f s on the
+// reference's outputs must reproduce its annotated tree, and every run
+// must leave a JSONL event trace behind.
 func TestRaxmlGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid analysis skipped in -short mode")
@@ -40,6 +41,18 @@ func TestRaxmlGrid(t *testing.T) {
 	}
 
 	ref := run("gref", "0")
+	// -f s draws support from the reference run's own best tree and
+	// replicates: it must reproduce the grid's annotation byte for byte.
+	var out bytes.Buffer
+	if err := Raxml([]string{
+		"-s", align, "-n", "gsup", "-f", "s", "-w", dir,
+		"-t", filepath.Join(dir, "RAxML_bestTree.gref"), "-z", filepath.Join(dir, "RAxML_bootstrap.gref"),
+	}, &out); err != nil {
+		t.Fatalf("-f s: %v\n%s", err, out.String())
+	}
+	if sup, err := os.ReadFile(filepath.Join(dir, "RAxML_bipartitions.gsup")); err != nil || string(sup) != ref["RAxML_bipartitions"] {
+		t.Errorf("-f s annotation differs from the grid's (%v):\n got %s\nwant %s", err, sup, ref["RAxML_bipartitions"])
+	}
 	got := run("gfleet", "2")
 	for f, want := range ref {
 		if got[f] != want {

@@ -62,37 +62,30 @@ func Compatible(a, b Split) bool {
 	return disjoint(a.Bits, b.Bits) || contains(a.Bits, b.Bits) || contains(b.Bits, a.Bits)
 }
 
-// CountSplits tallies the non-trivial bipartitions of the replicate
-// trees. All trees must share one taxon set; n is its size.
-func CountSplits(trees []*tree.Tree) (map[string]*Split, int, error) {
+// CountSplits returns the distinct non-trivial bipartitions of the
+// replicate trees with their counts, by split id (ascending key order).
+// All trees must share one taxon set; n is its size.
+func CountSplits(trees []*tree.Tree) ([]*Split, int, error) {
 	if len(trees) == 0 {
 		return nil, 0, fmt.Errorf("consensus: no trees")
 	}
-	n := trees[0].NumTaxa()
-	counts := make(map[string]*Split)
-	for i, t := range trees {
-		if t.NumTaxa() != n {
-			return nil, 0, fmt.Errorf("consensus: tree %d has %d taxa, want %d", i, t.NumTaxa(), n)
-		}
-		for key, bp := range t.BipartitionSet() {
-			s, ok := counts[key]
-			if !ok {
-				words := make([]uint64, (n+63)/64)
-				for taxon := 0; taxon < n; taxon++ {
-					if bp.Contains(taxon) {
-						words[taxon/64] |= 1 << (uint(taxon) % 64)
-					}
-				}
-				s = &Split{Bits: words}
-				counts[key] = s
+	tally, err := tree.TallySplits(trees)
+	if err != nil {
+		return nil, 0, err
+	}
+	n := tally.Taxa
+	out := make([]*Split, len(tally.Bips))
+	for id, bp := range tally.Bips {
+		words := make([]uint64, (n+63)/64)
+		for taxon := 0; taxon < n; taxon++ {
+			if bp.Contains(taxon) {
+				words[taxon/64] |= 1 << (uint(taxon) % 64)
 			}
-			s.Count++
 		}
+		c := tally.Counts[id]
+		out[id] = &Split{Bits: words, Count: c, Frequency: float64(c) / float64(len(trees))}
 	}
-	for _, s := range counts {
-		s.Frequency = float64(s.Count) / float64(len(trees))
-	}
-	return counts, n, nil
+	return out, n, nil
 }
 
 // Tree is a rooted, possibly multifurcating consensus tree.
@@ -114,20 +107,11 @@ type Node struct {
 	Children []*Node
 }
 
-// sortedSplits returns the splits ordered by descending frequency with a
-// deterministic tie-break on the bitset key.
-func sortedSplits(counts map[string]*Split) []*Split {
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*Split, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, counts[k])
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Count > out[j].Count })
-	return out
+// sortedSplits orders the splits by descending frequency in place; ties
+// keep split-id (key) order.
+func sortedSplits(splits []*Split) []*Split {
+	sort.SliceStable(splits, func(i, j int) bool { return splits[i].Count > splits[j].Count })
+	return splits
 }
 
 // Majority builds the majority-rule consensus: splits occurring in more

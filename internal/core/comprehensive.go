@@ -234,12 +234,16 @@ func Run(pat *msa.Patterns, opts Options) (*Result, error) {
 		TotalBootstraps:   sched.TotalBootstraps(),
 		Options:           opts,
 	}
-	var reps []*rapidbs.Replicate
+	var reps []*tree.Tree
 	for _, r := range ranks {
 		res.Ranks = append(res.Ranks, r.rep)
-		reps = append(reps, r.reps...)
+		for _, rep := range r.reps {
+			reps = append(reps, rep.Tree)
+		}
 	}
-	res.Support = rapidbs.SupportCounts(bestTree, reps)
+	if res.Support, err = tree.Support(bestTree, reps); err != nil {
+		return nil, err
+	}
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

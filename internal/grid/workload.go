@@ -393,7 +393,9 @@ func (a *Analysis) consensusJob(res *Result, deps []string) *Job {
 				return err
 			}
 			if len(res.Replicates) > 0 {
-				res.BestSupports = rapidbs.SupportCounts(best, res.Replicates)
+				if res.BestSupports, err = tree.Support(best, res.replicateTrees()); err != nil {
+					return err
+				}
 				if res.BestAnnotated, err = tree.FormatNewick(best, res.BestSupports); err != nil {
 					return err
 				}

@@ -165,25 +165,3 @@ func EveryFifth(reps []*Replicate) []*tree.Tree {
 	}
 	return out
 }
-
-// SupportCounts tallies, for every non-trivial bipartition of ref, the
-// fraction of replicate trees containing it, in percent (0–100).
-func SupportCounts(ref *tree.Tree, reps []*Replicate) map[tree.Edge]int {
-	sets := make([]map[string]tree.Bipartition, len(reps))
-	for i, rep := range reps {
-		sets[i] = rep.Tree.BipartitionSet()
-	}
-	out := make(map[tree.Edge]int)
-	for e, bp := range ref.Bipartitions() {
-		hits := 0
-		for _, s := range sets {
-			if _, ok := s[bp.Key()]; ok {
-				hits++
-			}
-		}
-		if len(reps) > 0 {
-			out[e] = (hits*100 + len(reps)/2) / len(reps)
-		}
-	}
-	return out
-}

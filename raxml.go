@@ -15,7 +15,10 @@
 //     in rank order after they join) each running pattern-parallel
 //     workers (internal/threads, the Pthreads analogue), orchestrated by
 //     internal/core,
-//   - the WC bootstopping extension (internal/bootstop), and
+//   - split tallies over replicate sets: support values, consensus trees
+//     (internal/tree, internal/consensus) and the WC bootstopping test
+//     (internal/bootstop) that closes each adaptive round of the grid
+//     scheduler (internal/grid), and
 //   - a calibrated performance model of the paper's four benchmark
 //     clusters (internal/perfmodel) with generators for every table and
 //     figure (internal/figures).

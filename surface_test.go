@@ -26,7 +26,8 @@ import (
 //   - pkg.Name, where pkg resolves through the file's imports;
 //   - an unqualified Name inside the declaring package, outside the
 //     declaration itself and outside method receivers;
-//   - for a method, a selector .Name anywhere;
+//   - for a method, a selector .Name anywhere but on an imported
+//     package name (strings.Split names no method Split);
 //     a facade method (one of raxml.go's) only where the facade is
 //     imported, since its callers are examples/, cmd/ and bench/.
 //
@@ -116,7 +117,8 @@ func TestExportedSurface(t *testing.T) {
 // TestExportedSurfaceFixture runs the scanner on a fixture checkout of
 // two modules (testdata/surface and its bench/ module). It must flag the
 // export only a test uses, the type only its own receivers name, the
-// facade method no facade importer calls and both kinds of stale
+// facade methods no facade importer calls (one shares its name with a
+// function of an imported package) and both kinds of stale
 // allowlist entry — and not the export only the separate module calls,
 // nor an Unwrap method nothing calls.
 func TestExportedSurfaceFixture(t *testing.T) {
@@ -131,6 +133,7 @@ func TestExportedSurfaceFixture(t *testing.T) {
 	})
 	want := []string{
 		"fixture.Result.Plain (fixture.go): exported, but used by no file",
+		"fixture.Result.Println (fixture.go): exported, but used by no file",
 		"lib.Gone: allowlisted, but not declared",
 		"lib.Orphan (internal/lib/lib.go): exported, but used by no file",
 		"lib.TestOnly (internal/lib/lib.go): exported, but used by tests only",
@@ -320,6 +323,7 @@ func scanSurface(root string, declDirs, declFiles []string) (*surface, error) {
 						if e := byName[imports[x.Name]][n.Sel.Name]; e != nil {
 							mark(e)
 						}
+						return false // pkg.Name is a package-level reference, not a method call
 					}
 					for _, e := range methods[n.Sel.Name] {
 						if e.facade == "" || imported[e.facade] {

@@ -15,3 +15,7 @@ func (r *Result) Value() int { return r.v }
 // Plain has no caller where the facade is imported: the selector .Plain
 // in internal/lib is another type's method.
 func (r *Result) Plain() int { return r.v }
+
+// Println has no caller: cmd/app's fmt.Println names a function of
+// package fmt, not this method.
+func (r *Result) Println() int { return r.v }
