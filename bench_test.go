@@ -271,41 +271,6 @@ func BenchmarkAblationLazyVsFullSPR(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationWeightedSplit compares even against weight-balanced
-// pattern ranges under a bootstrap weight vector, on the real kernels: a
-// full GTRGAMMA relikelihood on a 2-worker crew. Kernel cost is per
-// pattern and category whatever a pattern weighs — only a zero weight
-// lets evaluate skip one — so the weighted split has no imbalance to
-// remove and pays for the ranges it skews.
-func BenchmarkAblationWeightedSplit(b *testing.B) {
-	pat := benchData(b, 30, 2000)
-	w := pat.Resample(rng.New(5))
-	tr := tree.Random(pat.Names, rng.New(6))
-	run := func(b *testing.B, pool *threads.Pool) {
-		defer pool.Close()
-		rc, err := gtr.NewGamma(0.8, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng, err := likelihood.New(pat, gtr.Default(), rc, likelihood.Config{Pool: pool})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.AttachTree(tr); err != nil {
-			b.Fatal(err)
-		}
-		eng.SetWeights(w)
-		_ = eng.LogLikelihood()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.InvalidateAll()
-			_ = eng.LogLikelihood()
-		}
-	}
-	b.Run("even", func(b *testing.B) { run(b, threads.NewPool(2, pat.NumPatterns())) })
-	b.Run("weighted", func(b *testing.B) { run(b, threads.NewPoolWeighted(2, w)) })
-}
-
 // BenchmarkModelSweep measures a full Table-5-style best-config sweep on
 // the performance model (all machines, all data sets, 80 cores).
 func BenchmarkModelSweep(b *testing.B) {

@@ -57,8 +57,6 @@ type Options struct {
 	SeedBootstrap int64
 	// Model selects GTRCAT (default) or GTRGAMMA.
 	Model ModelType
-	// Alpha is the initial Γ shape for GTRGAMMA (default 1.0).
-	Alpha float64
 	// EmpiricalFreqs estimates base frequencies from the data (default
 	// behaviour of RAxML) when true.
 	EmpiricalFreqs bool
@@ -102,9 +100,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.SeedBootstrap == 0 {
 		out.SeedBootstrap = 12345
-	}
-	if out.Alpha <= 0 {
-		out.Alpha = 1.0
 	}
 	return out
 }

@@ -49,7 +49,7 @@ func SearchOn(eng *likelihood.Engine, pat *msa.Patterns, crew *threads.Pool, opt
 		}
 	}
 	if crew == nil {
-		crew = newPool(pat, opts.Workers)
+		crew = threads.NewPool(opts.Workers, pat.NumPatterns())
 		defer crew.Close()
 	}
 	start := parsimony.New(pat, crew).StepwiseAddition(parsRNG)

@@ -9,7 +9,6 @@ import (
 	"raxml/internal/gtr"
 	"raxml/internal/likelihood"
 	"raxml/internal/msa"
-	"raxml/internal/threads"
 	"raxml/internal/tree"
 )
 
@@ -182,20 +181,6 @@ func RunBootstraps(pat *msa.Patterns, opts Options) (*BootstrapResult, error) {
 	return res, nil
 }
 
-// newPool builds a per-rank worker pool for the pattern set: stripes
-// balance pattern weight for multi-gene data (one job posting covers
-// the concatenated (partition, pattern-stripe) units), the plain even
-// split otherwise. The likelihood engine snaps the stripe boundaries
-// to its tile segments itself (likelihood.build aligns the supplied
-// pool against the segment starts it lays out), so no alignment
-// happens here.
-func newPool(pat *msa.Patterns, workers int) *threads.Pool {
-	if pat.NumParts() > 1 {
-		return threads.NewPoolWeighted(workers, pat.Weights)
-	}
-	return threads.NewPool(workers, pat.NumPatterns())
-}
-
 // buildPartitionSet assembles the per-partition model instances the
 // options imply: one GTR model plus rate treatment per partition,
 // optimized independently by the search stages, under linked branch
@@ -205,7 +190,7 @@ func buildPartitionSet(pat *msa.Patterns, opts Options) (*gtr.PartitionSet, erro
 	set := gtr.NewPartitionSet(pat.NumParts())
 	for i, pr := range pat.PartRanges() {
 		if opts.Model == GTRGAMMA {
-			g, err := gtr.NewGamma(opts.Alpha, likelihood.GammaCats)
+			g, err := gtr.NewGamma(1.0, likelihood.GammaCats)
 			if err != nil {
 				return nil, err
 			}

@@ -52,7 +52,7 @@ func newRank(pat *msa.Patterns, opts Options, id int, links []fabric.Link) (*ran
 		opts:    opts,
 		parsRNG: rng.ForRank(opts.SeedParsimony, id),
 		bsRNG:   rng.ForRank(opts.SeedBootstrap, id),
-		pool:    newPool(pat, opts.Workers),
+		pool:    threads.NewPool(opts.Workers, pat.NumPatterns()),
 	}
 	set, err := buildPartitionSet(pat, opts)
 	if err != nil {

@@ -163,6 +163,32 @@ func skewedWeights(pat *msa.Patterns) *msa.Patterns {
 	return &cp
 }
 
+// TestMasterCrewCutByPatterns: the master's own crew — a pool with no
+// links, t = 2 — cuts its stripe by pattern count as the rank stripes are
+// cut, so a head of the axis that carries most of the site weight leaves
+// the two threads ranges within a stripe quantum of each other after the
+// engine's snap. (A cut by weight gives the first thread a few patterns
+// and the second the rest, and the crew never pays to publish a job.)
+func TestMasterCrewCutByPatterns(t *testing.T) {
+	pat := skewedWeights(makeData(t, 10, 2400, 1, 43))
+	set := makeSet(t, pat, true)
+	pool, err := NewPool(nil, pat, set, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Release()
+	if _, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool}); err != nil {
+		t.Fatal(err)
+	}
+	rs := pool.local.Ranges()
+	if len(rs) != 2 || rs[0].Lo != 0 || rs[1].Hi != pat.NumPatterns() {
+		t.Fatalf("crew ranges %v over %d patterns", rs, pat.NumPatterns())
+	}
+	if d := rs[0].Len() - rs[1].Len(); d > likelihood.StripeQuantum || -d > likelihood.StripeQuantum {
+		t.Errorf("crew ranges %v differ by %d patterns, more than a quantum", rs, d)
+	}
+}
+
 // TestRankStripesBalancedByPatterns: rank stripes are cut by pattern
 // count — the kernels' cost — however the site weight is spread, land on
 // a stripe quantum or a partition start, and are never empty at the

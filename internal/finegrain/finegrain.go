@@ -35,7 +35,8 @@
 // kernel costs is patterns × CLV categories, not site weight: the two
 // halves of the overlap above are then the same length, and the master,
 // who has the frame on the wire before it starts, is rarely the one
-// waited for.
+// waited for. Each rank's crew cuts its stripe over its threads by the
+// same rule (threads.NewPoolStripeEven).
 //
 // One reduction does not stay where it is computed when it is small
 // enough to move: the Newton derivatives of a branch. A pool whose
@@ -219,7 +220,7 @@ func NewPool(links []fabric.Link, pat *msa.Patterns, set *gtr.PartitionSet, thre
 		remoteBytes := (pat.NumPatterns() - stripes[0].Len()) * set.ClvCats() * 4 * 8
 		p.gather = remoteBytes <= SumtableGatherLimit
 	}
-	p.local = threads.NewPoolStripe(threadsPerRank, pat.Weights, stripes[0].Lo, stripes[0].Hi)
+	p.local = threads.NewPoolStripeEven(threadsPerRank, stripes[0].Lo, stripes[0].Hi)
 	return p, nil
 }
 

@@ -10,6 +10,10 @@ import (
 	"raxml/internal/msa"
 )
 
+// maxRestripes caps re-stripe attempts per job after rank deaths: a
+// fleet losing ranks faster than that is gone.
+const maxRestripes = 8
+
 // Elastic runs body over a likelihood engine striped across the job's
 // current lease of fine-grain workers, re-striping and retrying when a
 // leased rank dies. Each attempt:
@@ -46,7 +50,7 @@ func (c *JobContext) Elastic(pat *msa.Patterns, newSet func() (*gtr.PartitionSet
 		if rde == nil {
 			return err
 		}
-		if attempt >= c.g.cfg.MaxRestripes {
+		if attempt >= maxRestripes {
 			return fmt.Errorf("grid: job %s: %d re-stripes exhausted: %w", c.job.ID, attempt, err)
 		}
 		c.g.cfg.Tracer.Event("restripe", c.job.ID, map[string]any{

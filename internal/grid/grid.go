@@ -93,9 +93,6 @@ type Config struct {
 	// ThreadsPerRank is t of the R×t grid: threads in each leased
 	// rank's crew and in the job-local crew (default 1).
 	ThreadsPerRank int
-	// MaxRestripes caps re-stripe attempts per job after rank deaths
-	// (default 8): a fleet losing ranks faster than that is gone.
-	MaxRestripes int
 	// MaxLeasedRanks caps the grid's total concurrently leased workers
 	// (0: unlimited). This is the admission-control hook: a server
 	// running several grids over one shared fleet gives each a slice of
@@ -139,9 +136,6 @@ func New(cfg Config) *Grid {
 	}
 	if cfg.ThreadsPerRank < 1 {
 		cfg.ThreadsPerRank = 1
-	}
-	if cfg.MaxRestripes < 1 {
-		cfg.MaxRestripes = 8
 	}
 	g := &Grid{
 		cfg:         cfg,

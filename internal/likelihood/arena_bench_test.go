@@ -202,7 +202,7 @@ func BenchmarkNewviewPartitioned(b *testing.B) {
 				if workers > runtime.NumCPU() {
 					b.Skipf("%d workers oversubscribe %d CPUs: timings would measure the scheduler", workers, runtime.NumCPU())
 				}
-				pool := threads.NewPoolWeighted(workers, pat.Weights)
+				pool := threads.NewPool(workers, pat.NumPatterns())
 				pool.AlignRangesAt(StripeQuantum, pat.PartStarts())
 				defer pool.Close()
 				set := &gtr.PartitionSet{}

@@ -77,7 +77,7 @@ func partitionedEngine(t *testing.T, a *msa.Alignment, nParts, workers int,
 		set.Models = append(set.Models, m)
 		set.Rates = append(set.Rates, rc)
 	}
-	pool := threads.NewPoolWeighted(workers, pat.Weights)
+	pool := threads.NewPool(workers, pat.NumPatterns())
 	pool.AlignRangesAt(StripeQuantum, pat.PartStarts())
 	t.Cleanup(pool.Close)
 	e, err := NewPartitioned(pat, set, Config{Pool: pool})

@@ -1107,13 +1107,11 @@ func DecodeWorkerInit(buf []byte) (*WorkerInit, error) {
 // thread crew that covers the rank's stripe only, in alignment-axis
 // indices. The crew's ranges are the engine's span, so its tiles are laid
 // out over the stripe alone. The stripe is cut over the threads by
-// pattern count when it holds one partition and by weight when it holds
-// several; the engine snaps the cuts relative to the partition starts
-// clipped to the stripe.
+// pattern count, as the stripes were cut over the ranks; the engine snaps
+// the cuts relative to the partition starts clipped to the stripe.
 func BuildWorkerEngine(w *WorkerInit) (*Engine, error) {
 	ranges := w.Pat.PartRanges()
 	set := gtr.NewPartitionSet(len(ranges))
-	held := 0
 	for i, pr := range ranges {
 		if w.IsCAT {
 			set.Rates[i] = gtr.NewUniform(pr.Len())
@@ -1124,16 +1122,8 @@ func BuildWorkerEngine(w *WorkerInit) (*Engine, error) {
 			}
 			set.Rates[i] = g
 		}
-		if max(pr.Lo, w.Stripe.Lo) < min(pr.Hi, w.Stripe.Hi) {
-			held++
-		}
 	}
-	var pool *threads.Pool
-	if held > 1 {
-		pool = threads.NewPoolStripe(w.Threads, w.Pat.Weights, w.Stripe.Lo, w.Stripe.Hi)
-	} else {
-		pool = threads.NewPoolStripeEven(w.Threads, w.Stripe.Lo, w.Stripe.Hi)
-	}
+	pool := threads.NewPoolStripeEven(w.Threads, w.Stripe.Lo, w.Stripe.Hi)
 	eng, err := NewPartitioned(w.Pat, set, Config{Pool: pool})
 	if err != nil {
 		pool.Close() // no engine owns the crew's goroutines

@@ -238,7 +238,7 @@ func TestSpanFromCrew(t *testing.T) {
 	}{
 		{threads.NewPool(2, n), threads.Range{Hi: n}},
 		{threads.NewPoolStripeEven(2, n/4, n/2), threads.Range{Lo: n / 4, Hi: n / 2}},
-		{threads.NewPoolStripe(3, pat.Weights, n/2, n), threads.Range{Lo: n / 2, Hi: n}},
+		{threads.NewPoolStripeEven(3, n/2, n), threads.Range{Lo: n / 2, Hi: n}},
 	} {
 		e, err := New(pat, gtr.Default(), gtr.NewUniform(n), Config{Pool: tc.pool})
 		if err != nil {
@@ -311,11 +311,11 @@ func TestStripeCutsSnapOnClippedStarts(t *testing.T) {
 		set.Rates[i] = gtr.NewUniform(pr.Len())
 	}
 	for _, workers := range []int{2, 3, 5} {
-		crew := threads.NewPoolStripe(workers, pat.Weights, lo, hi)
+		crew := threads.NewPoolStripeEven(workers, lo, hi)
 		if _, err := NewPartitioned(pat, set, Config{Pool: crew}); err != nil {
 			t.Fatal(err)
 		}
-		local := threads.NewPoolWeighted(workers, pat.Weights[lo:hi])
+		local := threads.NewPool(workers, hi-lo)
 		local.AlignRangesAt(StripeQuantum, []int{0, parts[1].Lo - lo, parts[2].Lo - lo})
 		for i, r := range local.Ranges() {
 			if got := crew.Ranges()[i]; got != (threads.Range{Lo: r.Lo + lo, Hi: r.Hi + lo}) {

@@ -24,15 +24,17 @@ import (
 // that gather the sumtable and that leave it on the ranks. The digests
 // were recorded from an engine that visited every pattern, zero-weight
 // ones included; an engine that visits only a replicate's live patterns
-// must reproduce them bit for bit.
+// must reproduce them bit for bit. A k-thread crew is cut by the rule
+// k rank stripes are cut by, so each k-thread row holds the digest of
+// the k-rank × 1-thread run (TestCrewMatchesRankStripes).
 var replicateDigests = map[string]string{
 	"cat/T1":                  "cedd19567ccee0d2",
-	"cat/T2":                  "5f5e246c3ef385ac",
-	"cat/T3":                  "974df0bc2d7f5469",
-	"gamma/T2":                "7bd2f1622f18482f",
-	"cat/3parts/T2":           "f544456569682b41",
+	"cat/T2":                  "c8dd1f0ea7fe9755",
+	"cat/T3":                  "745fed8a0806b0f7",
+	"gamma/T2":                "af4c095bdad5f0ae",
+	"cat/3parts/T2":           "3282b114ca7e4776",
 	"gamma/3parts/T3":         "947b3b5490676995",
-	"cat/R2xT2/gather":        "3eff858dd1700e4e",
+	"cat/R2xT2/gather":        "54263308ca39e22a",
 	"gamma/3parts/R3xT1/core": "947b3b5490676995",
 }
 
@@ -71,6 +73,39 @@ func TestReplicateStreamDigests(t *testing.T) {
 	}
 }
 
+// TestCrewMatchesRankStripes: a k-thread crew and k ranks of one thread
+// each, sumtable left on the ranks, cut the pattern axis by one rule —
+// an even cut by pattern count snapped to the stripe quantum at the
+// partition starts — so a replicate stream runs bit-identical on both
+// shapes, for both rate treatments, one and three partitions.
+func TestCrewMatchesRankStripes(t *testing.T) {
+	a, _, err := seqgen.Generate(seqgen.Config{Taxa: 14, Chars: 480, Seed: 21, TreeScale: 0.5, Alpha: 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := msa.Compress(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parted, err := msa.CompressPartitioned(a, msa.ContiguousPartitions(a.NumChars(), 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cat := range []bool{true, false} {
+		for _, pat := range []*msa.Patterns{single, parted} {
+			for _, k := range []int{2, 3} {
+				name := fmt.Sprintf("%s/%dparts/k=%d", map[bool]string{true: "cat", false: "gamma"}[cat], pat.NumParts(), k)
+				t.Run(name, func(t *testing.T) {
+					crew, ranks := localDigest(t, pat, cat, k), fineDigest(t, pat, cat, k, 1, 0)
+					if crew != ranks {
+						t.Errorf("a %d-thread crew streams %s, %d ranks × 1 thread stream %s", k, crew, k, ranks)
+					}
+				})
+			}
+		}
+	}
+}
+
 // replicateSet returns one model and treatment per partition of pat: a
 // distinct GTR model each, CAT with a heterogeneous assignment, or GAMMA.
 func replicateSet(t *testing.T, pat *msa.Patterns, cat bool) *gtr.PartitionSet {
@@ -100,7 +135,7 @@ func replicateSet(t *testing.T, pat *msa.Patterns, cat bool) *gtr.PartitionSet {
 // localDigest runs the stream on a thread crew of the given size.
 func localDigest(t *testing.T, pat *msa.Patterns, cat bool, workers int) string {
 	t.Helper()
-	pool := threads.NewPoolWeighted(workers, pat.Weights)
+	pool := threads.NewPool(workers, pat.NumPatterns())
 	defer pool.Close()
 	eng, err := likelihood.NewPartitioned(pat, replicateSet(t, pat, cat), likelihood.Config{Pool: pool})
 	if err != nil {

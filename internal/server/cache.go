@@ -40,24 +40,27 @@ func NewBlobStore(dir string) (*BlobStore, error) {
 
 func (s *BlobStore) path(hash string) string { return filepath.Join(s.dir, hash) }
 
-// Put stores data and returns its content address. Idempotent: a blob
-// already present is not rewritten.
-func (s *BlobStore) Put(data []byte) (string, error) {
-	hash := HashBytes(data)
+// Put stores every blob of data durably, in one batch, and returns
+// their content addresses in order. Idempotent: a blob already present
+// is not rewritten.
+func (s *BlobStore) Put(data ...[]byte) ([]string, error) {
+	hashes := make([]string, len(data))
+	files := make(map[string][]byte, len(data))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.path(hash)
-	if _, err := os.Stat(p); err == nil {
-		return hash, nil
+	for i, d := range data {
+		hashes[i] = HashBytes(d)
+		if _, err := os.Stat(s.path(hashes[i])); err != nil {
+			files[hashes[i]] = d
+		}
 	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", err
+	if len(files) == 0 {
+		return hashes, nil
 	}
-	if err := os.Rename(tmp, p); err != nil {
-		return "", err
+	if err := writeDurable(s.dir, files); err != nil {
+		return nil, err
 	}
-	return hash, nil
+	return hashes, nil
 }
 
 // Get returns the blob at hash.

@@ -14,7 +14,7 @@ import (
 // queued run — including runs a drain interrupted mid-analysis, with
 // their replicate-boundary checkpoints — survives the process. Inputs
 // are referenced by blob hash, not inlined; the blob store next to the
-// file holds the bytes. Written atomically (tmp + rename).
+// file holds the bytes. Written durably (writeDurable).
 type persistedQueue struct {
 	Version int            `json:"version"`
 	Runs    []persistedRun `json:"runs"`
@@ -30,7 +30,10 @@ type persistedRun struct {
 	Checkpoints map[string][]byte `json:"checkpoints,omitempty"`
 }
 
-func (s *Server) queuePath() string { return filepath.Join(s.cfg.DataDir, "queue.json") }
+// queueFile is the queue image's name in DataDir.
+const queueFile = "queue.json"
+
+func (s *Server) queuePath() string { return filepath.Join(s.cfg.DataDir, queueFile) }
 
 // errPersist marks an error of writing the queue image: the request was
 // applied in memory, but a restart would not see it.
@@ -94,11 +97,73 @@ func (s *Server) writeQueue() error {
 	if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
 		return err
 	}
-	tmp := s.queuePath() + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	return writeDurable(s.cfg.DataDir, map[string][]byte{queueFile: b})
+}
+
+// writeDurable replaces each file of dir named in files with its data
+// whole: every file is written to a sibling temp file and synced, the
+// temp files are renamed over their names, and the directory is synced,
+// so after a crash each name holds its old content or its new one, and a
+// returned nil means the new contents survive one. The whole batch is
+// written before any of it is synced, so the file system can commit it
+// together: a run's artifacts cost about one commit, not one per blob.
+func writeDurable(dir string, files map[string][]byte) error {
+	tmps := make(map[string]string, len(files))
+	err := writeSynced(dir, files, tmps)
+	for name, tmp := range tmps {
+		if err == nil {
+			err = os.Rename(tmp, filepath.Join(dir, name))
+		}
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, s.queuePath())
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeSynced writes each file's data to a temp file beside it, then
+// syncs and closes them all, recording every temp file it created in
+// tmps (by name).
+func writeSynced(dir string, files map[string][]byte, tmps map[string]string) error {
+	var open []*os.File
+	defer func() {
+		for _, f := range open {
+			f.Close()
+		}
+	}()
+	for name, data := range files {
+		f, err := os.OpenFile(filepath.Join(dir, name)+".tmp", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err != nil {
+			return err
+		}
+		open = append(open, f)
+		tmps[name] = f.Name()
+		if _, err := f.Write(data); err != nil {
+			return err
+		}
+	}
+	for len(open) > 0 {
+		err := open[0].Sync()
+		if cerr := open[0].Close(); err == nil {
+			err = cerr
+		}
+		open = open[1:]
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // loadQueue re-admits a previous process's persisted queue (called from

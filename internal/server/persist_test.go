@@ -120,3 +120,39 @@ func TestPersistErrorReachesCaller(t *testing.T) {
 		t.Fatalf("Cancel with an unwritable queue image returned %v, want a persist error", err)
 	}
 }
+
+// TestWriteDurableReplacesWhole: writeDurable leaves each file with its
+// new content and nothing of the old — a shorter image does not keep the
+// old tail — and no temp file, whether the renames succeed or a
+// directory standing at one of the names makes the batch fail.
+func TestWriteDurableReplacesWhole(t *testing.T) {
+	dir := t.TempDir()
+	for _, batch := range []map[string][]byte{
+		{"queue.json": []byte("a longer first image"), "blob": []byte("first blob")},
+		{"queue.json": []byte("short")},
+	} {
+		if err := writeDurable(dir, batch); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range batch {
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != string(data) {
+				t.Fatalf("%s holds %q (%v), want %q", name, got, err, data)
+			}
+		}
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "blocked", "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeDurable(dir, map[string][]byte{"blocked": []byte("x"), "other": []byte("y")}); err == nil {
+		t.Fatal("writeDurable over a non-empty directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) == ".tmp" {
+			t.Errorf("%s left behind", e.Name())
+		}
+	}
+}

@@ -183,7 +183,6 @@ func (s *Server) executeRun(run *Run) error {
 	g := grid.New(grid.Config{
 		Fleet:          s.cfg.Fleet,
 		Tracer:         tracer,
-		Concurrency:    s.cfg.GridConcurrency,
 		ThreadsPerRank: s.cfg.ThreadsPerRank,
 		MaxLeasedRanks: s.ranksBudget(),
 		Checkpoints:    seed,
@@ -225,18 +224,10 @@ func (s *Server) executeRun(run *Run) error {
 }
 
 // ranksBudget is the per-run leased-rank cap: an equal slice of the
-// live fleet per admission slot (at least 1), or the configured
-// per-run cap if tighter.
+// live fleet per admission slot, at least 1.
 func (s *Server) ranksBudget() int {
 	_, alive, _, _, _ := s.cfg.Fleet.Stats()
-	budget := alive / s.cfg.MaxRunning
-	if budget < 1 {
-		budget = 1
-	}
-	if s.cfg.MaxRanksPerRun > 0 && budget > s.cfg.MaxRanksPerRun {
-		budget = s.cfg.MaxRanksPerRun
-	}
-	return budget
+	return max(alive/s.cfg.MaxRunning, 1)
 }
 
 // progressSink folds per-run grid events into the run record and the
@@ -260,23 +251,18 @@ func (s *Server) progressSink(run *Run) grid.Sink {
 // artifacts: best/annotated/bootstrap/consensus trees, the info
 // summary, and the run's own event trace.
 func (s *Server) storeArtifacts(run *Run, a *grid.Analysis, res *grid.Result) error {
-	arts := make(map[string]string)
-	put := func(name, content string) error {
-		hash, err := s.blobs.Put([]byte(content))
-		if err != nil {
-			return err
-		}
-		arts[name] = hash
-		return nil
+	var names []string
+	var contents [][]byte
+	put := func(name, content string) {
+		names = append(names, name)
+		contents = append(contents, []byte(content))
 	}
 	outputs, err := res.Outputs()
 	if err != nil {
 		return err
 	}
 	for _, o := range outputs {
-		if err := put(o.Key, o.Content); err != nil {
-			return err
-		}
+		put(o.Key, o.Content)
 	}
 	var info strings.Builder
 	fmt.Fprintf(&info, `run %s (%s, tenant %s)
@@ -289,11 +275,15 @@ best final log-likelihood: %.6f (start %d)
 		len(res.Starts), len(res.Replicates), a.Batch, res.Rounds,
 		res.Converged, res.WCDistance,
 		res.Best.LogLikelihood, res.Best.Index)
-	if err := put("info", info.String()); err != nil {
+	put("info", info.String())
+	put("events", string(run.log.dump()))
+	hashes, err := s.blobs.Put(contents...)
+	if err != nil {
 		return err
 	}
-	if err := put("events", string(run.log.dump())); err != nil {
-		return err
+	arts := make(map[string]string, len(names))
+	for i, name := range names {
+		arts[name] = hashes[i]
 	}
 	run.mu.Lock()
 	run.artifacts = arts

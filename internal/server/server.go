@@ -45,11 +45,6 @@ type Config struct {
 	MaxRunningPerTenant int
 	// MaxQueuedPerTenant caps one tenant's queued runs (default 16).
 	MaxQueuedPerTenant int
-	// MaxRanksPerRun tightens the per-run leased-rank budget below the
-	// default fair slice alive/MaxRunning (0: just the fair slice).
-	MaxRanksPerRun int
-	// GridConcurrency is each run's concurrent-job cap (default 2).
-	GridConcurrency int
 	// ThreadsPerRank is t of the R×t fine grain (default 1).
 	ThreadsPerRank int
 	// Supervisor, when set, is the worker-process supervisor behind a
@@ -67,9 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueuedPerTenant < 1 {
 		c.MaxQueuedPerTenant = 16
-	}
-	if c.GridConcurrency < 1 {
-		c.GridConcurrency = 2
 	}
 	if c.ThreadsPerRank < 1 {
 		c.ThreadsPerRank = 1
@@ -194,15 +186,17 @@ func (s *Server) Submit(sub Submission) (*Run, bool, error) {
 		sub.Tenant = "anonymous"
 	}
 	p := sub.Params.withDefaults()
-	alignHash, err := s.blobs.Put(sub.Alignment)
+	inputs := [][]byte{sub.Alignment}
+	if len(sub.Partition) > 0 {
+		inputs = append(inputs, sub.Partition)
+	}
+	hashes, err := s.blobs.Put(inputs...)
 	if err != nil {
 		return nil, false, err
 	}
-	partHash := ""
-	if len(sub.Partition) > 0 {
-		if partHash, err = s.blobs.Put(sub.Partition); err != nil {
-			return nil, false, err
-		}
+	alignHash, partHash := hashes[0], ""
+	if len(hashes) > 1 {
+		partHash = hashes[1]
 	}
 	id := DeriveRunID(alignHash, partHash, p)
 

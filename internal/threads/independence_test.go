@@ -106,7 +106,7 @@ func TestRangeExecutorIndependence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pool := threads.NewPoolWeighted(workers, pat.Weights)
+			pool := threads.NewPool(workers, pat.NumPatterns())
 			e, err := likelihood.New(pat, gtr.Default(), indepCAT(0, pat.NumPatterns(), catRates), likelihood.Config{Pool: pool})
 			if err != nil {
 				t.Fatal(err)
@@ -139,7 +139,7 @@ func TestRangeExecutorIndependence(t *testing.T) {
 				set.Models = append(set.Models, gtr.Default())
 				set.Rates = append(set.Rates, indepCAT(0, pr.Len(), catRates[:2+i]))
 			}
-			pool := threads.NewPoolWeighted(workers, pat.Weights)
+			pool := threads.NewPool(workers, pat.NumPatterns())
 			pool.AlignRangesAt(likelihood.StripeQuantum, pat.PartStarts())
 			e, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
 			if err != nil {

@@ -77,11 +77,11 @@ func TestPostWorkerCountClamped(t *testing.T) {
 			t.Fatalf("pattern %d covered %d times", i, c)
 		}
 	}
-	// Weighted construction clamps identically.
-	q := NewPoolWeighted(9, []int{3, 1})
+	// A stripe constructor clamps to the stripe's width.
+	q := NewPoolStripeEven(9, 7, 9)
 	defer q.Close()
 	if q.Workers() != 2 {
-		t.Fatalf("weighted pool over 2 patterns kept %d workers, want 2", q.Workers())
+		t.Fatalf("pool over a 2-pattern stripe kept %d workers, want 2", q.Workers())
 	}
 }
 

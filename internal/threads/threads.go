@@ -59,7 +59,10 @@
 //     allocation-free.
 //
 // A Pool with W workers partitions [0, n) patterns into W contiguous
-// ranges balanced by pattern weight mass. The master executes range 0
+// ranges of (nearly) equal pattern count — the rule rank stripes are cut
+// by, since a kernel costs the same per pattern whatever the pattern
+// weighs — which the engine then snaps to its tile quantum
+// (AlignRangesAt). The master executes range 0
 // on the posting goroutine itself; W-1 helper goroutines stand by for
 // the rest. A Pool with 1 worker executes inline on the caller's goroutine:
 // the serial code path is literally the same code, as in RAxML where
@@ -273,53 +276,26 @@ type Pool struct {
 // show). The posting goroutine acts as worker 0; workers-1 helper
 // goroutines are spawned.
 func NewPool(workers, nPatterns int) *Pool {
-	w := clampWorkers(workers, nPatterns)
-	return newPool(w, SplitEven(nPatterns, w))
-}
-
-// NewPoolWeighted creates a pool whose ranges balance total pattern
-// weight rather than pattern count, mirroring RAxML's weighted pattern
-// distribution: a bootstrap replicate concentrates weight on few
-// patterns, and unweighted splitting would idle most workers.
-func NewPoolWeighted(workers int, weights []int) *Pool {
-	w := clampWorkers(workers, len(weights))
-	return newPool(w, SplitWeighted(weights, w))
-}
-
-// NewPoolStripe creates a pool whose workers cover only the pattern
-// stripe [lo, hi) of a wider axis, with ranges balanced by the weight
-// mass inside the stripe. Worker ranges carry *global* pattern indices,
-// so engines indexing the full axis run unchanged — this is the local
-// crew of one rank of a distributed (finegrain) pool, where every rank
-// owns one stripe of the shared pattern axis and subdivides it among
-// its own threads. weights spans the full axis.
-func NewPoolStripe(workers int, weights []int, lo, hi int) *Pool {
-	if lo < 0 || hi > len(weights) || hi < lo {
-		panic(fmt.Sprintf("threads: stripe [%d, %d) outside [0, %d)", lo, hi, len(weights)))
-	}
-	w := clampWorkers(workers, hi-lo)
-	return newStripePool(w, SplitWeighted(weights[lo:hi], w), lo)
+	return NewPoolStripeEven(workers, 0, nPatterns)
 }
 
 // NewPoolStripeEven is NewPool over the stripe [lo, hi) of a wider axis:
-// ranges of (nearly) equal pattern count, carrying global pattern
-// indices like NewPoolStripe's.
+// ranges of (nearly) equal pattern count, carrying *global* pattern
+// indices, so engines indexing the full axis run unchanged. This is the
+// crew of one rank of a distributed (finegrain) pool, where every rank
+// owns one stripe of the shared pattern axis and subdivides it among its
+// own threads by the rule the rank stripes were cut with.
 func NewPoolStripeEven(workers, lo, hi int) *Pool {
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("threads: stripe [%d, %d)", lo, hi))
 	}
 	w := clampWorkers(workers, hi-lo)
-	return newStripePool(w, SplitEven(hi-lo, w), lo)
-}
-
-// newStripePool is newPool over ranges cut on a stripe's own axis,
-// moved to the stripe's start lo on the wider one.
-func newStripePool(workers int, ranges []Range, lo int) *Pool {
+	ranges := SplitEven(hi-lo, w)
 	for i := range ranges {
 		ranges[i].Lo += lo
 		ranges[i].Hi += lo
 	}
-	return newPool(workers, ranges)
+	return newPool(w, ranges)
 }
 
 func clampWorkers(workers, n int) int {
@@ -601,13 +577,12 @@ func (p *Pool) awaitCrew(want int64) {
 // clamped to the containing segment's end — landing exactly on a
 // partition boundary is always line-safe because segments are padded.
 //
-// Each boundary moves by at most quantum/2 patterns, so weighted splits
-// (NewPoolWeighted) shift at most quantum/2 patterns of weight per
-// edge. Snapping is per-boundary: a boundary whose move would empty an
-// adjacent stripe keeps its exact (weighted) position while the other
-// boundaries still snap — degenerate stripes (a very narrow partition,
-// a weight spike) therefore never disappear and never disable snapping
-// elsewhere. When the *average* stripe is under 2·quantum patterns the
+// Each boundary moves by at most quantum/2 patterns, so an even cut
+// stays within a quantum of even. Snapping is per-boundary: a boundary
+// whose move would empty an adjacent stripe keeps its exact position
+// while the other boundaries still snap — degenerate stripes (a very
+// narrow partition) therefore never disappear and never disable
+// snapping elsewhere. When the *average* stripe is under 2·quantum patterns the
 // whole call is a no-op: such workloads are latency-bound, not
 // bandwidth-bound, and rebalancing them would cost more than a shared
 // line. Must not be called concurrently with a posted job; the next
@@ -845,40 +820,6 @@ func SplitEven(n, k int) []Range {
 		}
 		out[i] = Range{lo, lo + size}
 		lo += size
-	}
-	return out
-}
-
-// SplitWeighted partitions [0, n) into k contiguous ranges of
-// approximately equal total weight using a greedy threshold sweep.
-// Zero-weight prefixes/suffixes land in the adjacent range.
-func SplitWeighted(weights []int, k int) []Range {
-	n := len(weights)
-	if k < 1 {
-		panic(fmt.Sprintf("threads: SplitWeighted with k=%d", k))
-	}
-	total := 0
-	for _, w := range weights {
-		total += w
-	}
-	if total == 0 {
-		return SplitEven(n, k)
-	}
-	out := make([]Range, k)
-	lo := 0
-	acc := 0
-	for i := 0; i < k; i++ {
-		target := (total*(i+1) + k/2) / k
-		hi := lo
-		for hi < n && acc < target {
-			acc += weights[hi]
-			hi++
-		}
-		if i == k-1 {
-			hi = n
-		}
-		out[i] = Range{lo, hi}
-		lo = hi
 	}
 	return out
 }

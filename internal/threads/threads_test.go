@@ -42,66 +42,6 @@ func TestSplitEvenCoversAll(t *testing.T) {
 	}
 }
 
-func TestSplitWeightedCoversAll(t *testing.T) {
-	prop := func(seed int64, kRaw uint8) bool {
-		k := int(kRaw)%8 + 1
-		weights := make([]int, 50)
-		s := seed
-		for i := range weights {
-			s = s*6364136223846793005 + 1442695040888963407
-			weights[i] = int(uint64(s)>>58) % 20
-		}
-		rs := SplitWeighted(weights, k)
-		lo := 0
-		for _, r := range rs {
-			if r.Lo != lo || r.Hi < r.Lo {
-				return false
-			}
-			lo = r.Hi
-		}
-		return lo == len(weights)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSplitWeightedBalances(t *testing.T) {
-	// Heavy weight at the front: unweighted split would give worker 0
-	// nearly all the mass.
-	weights := make([]int, 100)
-	for i := range weights {
-		if i < 10 {
-			weights[i] = 100
-		} else {
-			weights[i] = 1
-		}
-	}
-	rs := SplitWeighted(weights, 4)
-	mass := func(r Range) int {
-		m := 0
-		for i := r.Lo; i < r.Hi; i++ {
-			m += weights[i]
-		}
-		return m
-	}
-	total := 0
-	for _, w := range weights {
-		total += w
-	}
-	for i, r := range rs {
-		m := mass(r)
-		if m > total {
-			t.Fatalf("range %d mass %d exceeds total", i, m)
-		}
-	}
-	// The first range should NOT contain all heavy patterns' mass plus more:
-	// it should hold roughly total/4.
-	if m := mass(rs[0]); m > total/2 {
-		t.Fatalf("weighted split left %d of %d mass in first range", m, total)
-	}
-}
-
 func TestPoolClampsWorkers(t *testing.T) {
 	p := NewPool(16, 4)
 	defer p.Close()
@@ -239,26 +179,6 @@ func TestInlinePoolNoGoroutines(t *testing.T) {
 	p.Close()
 }
 
-func TestWeightedPool(t *testing.T) {
-	weights := make([]int, 64)
-	for i := range weights {
-		weights[i] = i
-	}
-	p := NewPoolWeighted(4, weights)
-	defer p.Close()
-	covered := make([]bool, 64)
-	p.ParallelFor(func(w int, r Range) {
-		for i := r.Lo; i < r.Hi; i++ {
-			covered[i] = true
-		}
-	})
-	for i, c := range covered {
-		if !c {
-			t.Fatalf("pattern %d not covered by weighted pool", i)
-		}
-	}
-}
-
 func BenchmarkParallelForOverhead(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run("workers="+string(rune('0'+workers)), func(b *testing.B) {
@@ -338,32 +258,13 @@ func TestAlignRangesSmallWorkloadNoOp(t *testing.T) {
 	}
 }
 
-func TestAlignRangesNarrowWeightedStripeStaysNonEmpty(t *testing.T) {
-	// Regression test for the NewPoolWeighted + AlignRangesAt interaction:
-	// a weighted split can produce a stripe narrower than the quantum
-	// even when the total span is large. Snapping must be per-boundary —
-	// a move that would empty a stripe is skipped while every other
-	// boundary still snaps — instead of the old global no-op that
-	// disabled cache alignment for the whole pool.
-	weights := make([]int, 1288)
-	for i := range weights {
-		weights[i] = 1
-	}
-	// Pile weight onto a narrow band so one worker's stripe is thin.
-	for i := 100; i < 104; i++ {
-		weights[i] = 1000
-	}
-	p := NewPoolWeighted(4, weights)
+func TestAlignRangesNarrowStripeStaysNonEmpty(t *testing.T) {
+	// A stripe narrower than the quantum inside a wide axis: snapping
+	// must be per-boundary — a move that would empty a stripe is skipped
+	// while every other boundary still snaps — instead of a global no-op
+	// that disables cache alignment for the whole pool.
+	p := newPool(4, []Range{{0, 100}, {100, 103}, {103, 700}, {700, 1288}})
 	defer p.Close()
-	narrow := false
-	for _, r := range p.Ranges() {
-		if r.Len() < 32 {
-			narrow = true
-		}
-	}
-	if !narrow {
-		t.Skip("weighted split produced no narrow stripe; probe needs retuning")
-	}
 	p.AlignRangesAt(16, nil)
 	assertRangesCover(t, p.Ranges(), 1288)
 	snapped := 0
@@ -430,15 +331,10 @@ func TestAlignRangesAtDegenerateNarrowPartition(t *testing.T) {
 	// A partition far narrower than the quantum: boundaries that land
 	// inside it can only snap to its edges; stripes must stay non-empty
 	// and the cover intact.
-	const n, workers, quantum = 512, 4, 16
-	starts := []int{0, 253, 256} // 3-pattern partition in the middle
-	weights := make([]int, n)
-	for i := range weights {
-		weights[i] = 1
-	}
-	// Force a worker boundary into the narrow partition.
-	weights[254] = 600
-	p := NewPoolWeighted(workers, weights)
+	const n, workers, quantum = 1016, 4, 16
+	// A 3-pattern partition in the middle, holding the even cut at 254.
+	starts := []int{0, 253, 256}
+	p := NewPool(workers, n)
 	defer p.Close()
 	before := append([]Range(nil), p.Ranges()...)
 	p.AlignRangesAt(quantum, starts)
@@ -455,19 +351,14 @@ func TestAlignRangesAtProperty(t *testing.T) {
 		workers := int(wRaw)%6 + 2
 		quantum := []int{2, 4, 8, 16}[int(qRaw)%4]
 		n := 64*workers + int(uint64(seed)%257)
-		weights := make([]int, n)
 		s := seed
-		for i := range weights {
-			s = s*6364136223846793005 + 1442695040888963407
-			weights[i] = int(uint64(s)>>59) % 9
-		}
 		var starts []int
 		for off := 0; off < n; {
 			starts = append(starts, off)
 			s = s*6364136223846793005 + 1442695040888963407
 			off += 1 + int(uint64(s)>>56)%97
 		}
-		p := NewPoolWeighted(workers, weights)
+		p := NewPool(workers, n)
 		defer p.Close()
 		before := append([]Range(nil), p.Ranges()...)
 		p.AlignRangesAt(quantum, starts)
@@ -496,34 +387,18 @@ func TestAlignRangesAtProperty(t *testing.T) {
 	}
 }
 
-// TestNewPoolPartitionedWeightedAligned builds a partitioned crew as the
-// engine does (NewPoolWeighted, then AlignRangesAt on the partition
-// starts) and checks that snapping keeps the weighted split balanced.
-func TestNewPoolPartitionedWeightedAligned(t *testing.T) {
-	n := 1288
-	weights := make([]int, n)
-	for i := range weights {
-		weights[i] = 1 + i%3
-	}
-	starts := []int{0, 500, 900}
-	p := NewPoolWeighted(4, weights)
-	p.AlignRangesAt(16, starts)
+// TestNewPoolPartitionedAligned builds a partitioned crew as the engine
+// does (NewPool, then AlignRangesAt on the partition starts) and checks
+// that snapping keeps the even cut within a quantum of even.
+func TestNewPoolPartitionedAligned(t *testing.T) {
+	const n, workers, quantum = 1288, 4, 16
+	p := NewPool(workers, n)
 	defer p.Close()
+	p.AlignRangesAt(quantum, []int{0, 500, 900})
 	assertRangesCover(t, p.Ranges(), n)
-	mass := func(r Range) int {
-		m := 0
-		for i := r.Lo; i < r.Hi; i++ {
-			m += weights[i]
-		}
-		return m
-	}
-	total := 0
-	for _, w := range weights {
-		total += w
-	}
 	for i, r := range p.Ranges() {
-		if m := mass(r); m < total/8 || m > total/2 {
-			t.Fatalf("worker %d mass %d of %d: weighted split lost balance", i, m, total)
+		if want := n / workers; r.Len() < want-quantum || r.Len() > want+quantum {
+			t.Fatalf("worker %d: stripe of %d patterns, want %d±%d", i, r.Len(), want, quantum)
 		}
 	}
 }

@@ -56,11 +56,7 @@ func TestWideSlots(t *testing.T) {
 // distributed pool's local crews: global indices, full coverage of
 // [lo, hi), nothing outside it.
 func TestNewPoolStripe(t *testing.T) {
-	weights := make([]int, 100)
-	for i := range weights {
-		weights[i] = 1 + i%3
-	}
-	p := NewPoolStripe(3, weights, 40, 90)
+	p := NewPoolStripeEven(3, 40, 90)
 	defer p.Close()
 	ranges := p.Ranges()
 	if lo := ranges[0].Lo; lo != 40 {
@@ -87,7 +83,7 @@ func TestNewPoolStripe(t *testing.T) {
 		}
 	}
 	// Workers clamp to the stripe width, not the full axis.
-	narrow := NewPoolStripe(64, weights, 10, 14)
+	narrow := NewPoolStripeEven(64, 10, 14)
 	defer narrow.Close()
 	if narrow.Workers() != 4 {
 		t.Fatalf("narrow stripe pool has %d workers, want 4", narrow.Workers())
@@ -117,14 +113,10 @@ func TestNewPoolStripeEven(t *testing.T) {
 // TestAlignBoundariesStandalone pins the exported boundary snapping
 // against the Pool method it was extracted from.
 func TestAlignBoundariesStandalone(t *testing.T) {
-	weights := make([]int, 320)
-	for i := range weights {
-		weights[i] = 1
-	}
-	standalone := SplitWeighted(weights, 4)
+	standalone := SplitEven(330, 4)
 	AlignBoundaries(standalone, 16, nil)
 
-	p := NewPoolWeighted(4, weights)
+	p := NewPool(4, 330)
 	defer p.Close()
 	p.AlignRangesAt(16, nil)
 	viaPool := p.Ranges()

@@ -2,25 +2,13 @@ package tree
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 )
 
-// WriteNewick renders the tree in Newick format, rooted for display at
-// the internal node adjacent to taxon 0 (the standard RAxML convention).
-// If support is true, internal nodes are labelled with their stored
-// support values (see SupportMap); otherwise internal labels are omitted.
-func WriteNewick(w io.Writer, t *Tree, support bool) error {
-	s, err := FormatNewick(t, nil)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, s)
-	return err
-}
-
-// FormatNewick renders the tree as a Newick string. If supports is
+// FormatNewick renders the tree as a Newick string, rooted for display
+// at the internal node adjacent to taxon 0 (the standard RAxML
+// convention). If supports is
 // non-nil it maps Edge→support (in [0,100]) and internal nodes are
 // annotated with the support of their parent edge, the convention
 // bootstrap-annotated RAxML trees use.

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // DefaultBranchLength is the initial branch length RAxML assigns before
@@ -321,9 +320,9 @@ func (t *Tree) TotalLength() float64 {
 
 // String renders the tree as Newick (convenience for debugging).
 func (t *Tree) String() string {
-	var b strings.Builder
-	if err := WriteNewick(&b, t, false); err != nil {
+	s, err := FormatNewick(t, nil)
+	if err != nil {
 		return fmt.Sprintf("<invalid tree: %v>", err)
 	}
-	return b.String()
+	return s
 }
